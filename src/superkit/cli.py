@@ -22,12 +22,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .core import LieSuperalgebra, NotSemisimpleStructure, SuperkitError
-from .enveloping import (
-    RIGHT,
-    ghost_criterion,
-    invariants,
-    verify_djokovic,
-)
+from .enveloping import ghost_criterion, verify_djokovic
 from .families import parse_family_spec
 from .fileformat import (
     ParseError,
@@ -220,15 +215,14 @@ def cmd_ghost(args) -> int:
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    inv = invariants(g, RIGHT)
     ghost, verdict = ghost_criterion(g)
     payload = {
-        "invariant_dim": len(inv),
+        "invariant_dim": ghost.invariant_dim,
         "ghost": str(ghost.v),
         "epsilon": str(ghost.epsilon_value),
         "verdict": verdict,
     }
-    human = (f"invariant dimension: {len(inv)}\nghost element: {ghost.v}\n"
+    human = (f"invariant dimension: {ghost.invariant_dim}\nghost element: {ghost.v}\n"
              f"epsilon: {ghost.epsilon_value}\nverdict: {verdict}")
     _emit(args, payload, human)
     return EXIT_OK

@@ -24,6 +24,19 @@ their invariants.  With this convention S is an involution on all of U.
 The ghost element is the (at most one-dimensional) invariant of the
 coinvariant module; the representation category of the corresponding
 supergroup is semisimple exactly when the counit does not vanish on it.
+
+Invariants are found on the weight-zero subsets only.  Call an even basis
+element h diagonal when its bracket with every odd basis vector e_j is a
+rational multiple lambda_j(h) e_j; this is read exactly off the structure
+constants, so algebras from files qualify without a `cartan` line.  Such an h
+acts on x_S through wt(S)(h) = sum of lambda_j(h) over j in S: in U/(U g0),
+h x_S = x_S h + [h, x_S] = wt(S)(h) x_S, and in U/(g0 U),
+x_S h = h x_S - [h, x_S] = -wt(S)(h) x_S.  Every invariant therefore lies in
+the span of the x_S with wt(S) = 0, and only the action columns of those
+subsets are computed, lazily and memoized per algebra.  A ghost computation
+thus costs the number of weight-zero subsets (16 of 256 for osp(1|8), 32 of
+1024 for osp(1|10)), not 2^{dim g_1}.  When no even basis element is diagonal,
+every subset has weight zero and the whole quotient is used.
 """
 
 from __future__ import annotations
@@ -272,10 +285,6 @@ class CoinvariantElement:
 def _odd_positions(g: LieSuperalgebra) -> dict[int, int]:
     return {idx: t for t, idx in enumerate(g.odd_indices)}
 
-def _mask_word(g: LieSuperalgebra, mask: int) -> Word:
-    odd = g.odd_indices
-    return tuple(odd[t] for t in range(len(odd)) if mask >> t & 1)
-
 
 def coinvariant_dim(g: LieSuperalgebra) -> int:
     return 1 << len(g.odd_indices)
@@ -305,6 +314,77 @@ def coinvariant_project(g: LieSuperalgebra, x: EnvelopingElement,
     return CoinvariantElement(g, side, _project_terms(g, x.terms, side))
 
 
+class _ColumnMemo:
+    """Per-algebra memo of the action columns on both coinvariant quotients."""
+
+    __slots__ = ("odd", "pos", "cols")
+
+    def __init__(self, g: LieSuperalgebra) -> None:
+        self.odd = g.odd_indices
+        self.pos = _odd_positions(g)
+        self.cols: dict[tuple[str, int, int], dict[int, Fraction]] = {}
+
+
+def _column(g: LieSuperalgebra, side: str, i: int,
+            mask: int) -> dict[int, Fraction]:
+    """Sparse subset-basis coordinates of e_i . x_S on the left quotient, or of
+    x_S . e_i on the right quotient, where S is the subset with bitmask `mask`.
+
+    This is the one place that knows the word order of each side.  On the left
+    x_S = e_s . x_R with s the lowest letter of S, and
+    e_i e_s = (-1)^{|i||s|} e_s e_i + [e_i, e_s]; on the right
+    x_S = x_R . e_s with s the highest letter, and
+    e_s e_i = (-1)^{|i||s|} e_i e_s + [e_s, e_i].  Either way the column is a
+    combination of columns on shorter words, or of e_s acting on a word that
+    e_s already extends in order, so the recursion terminates.  Results are
+    memoized on the algebra and shared: callers must not mutate them.
+    """
+    memo = getattr(g, "_coinv_columns", None)
+    if memo is None:
+        memo = g._coinv_columns = _ColumnMemo(g)
+    key = (side, i, mask)
+    col = memo.cols.get(key)
+    if col is not None:
+        return col
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
+    t = memo.pos.get(i)
+    if side == LEFT:
+        s = (mask & -mask).bit_length() - 1
+        extends = t is not None and (mask == 0 or t < s)
+    else:
+        s = mask.bit_length() - 1
+        extends = t is not None and t > s
+    col = {}
+    if extends:
+        col[mask | 1 << t] = Q(1)
+    elif mask:
+        rest = mask & ~(1 << s)
+        es = memo.odd[s]
+        if t == s:
+            for l, q in g.bracket_sparse(i, i):
+                _accumulate(col, _column(g, side, l, rest), q / 2)
+        else:
+            sign = Q(1) if t is None else Q(-1)
+            for m, c in _column(g, side, i, rest).items():
+                _accumulate(col, _column(g, side, es, m), sign * c)
+            pair = (i, es) if side == LEFT else (es, i)
+            for l, q in g.bracket_sparse(*pair):
+                _accumulate(col, _column(g, side, l, rest), q)
+    memo.cols[key] = col
+    return col
+
+
+def _accumulate(out: dict[int, Fraction], col: dict[int, Fraction],
+                c: Fraction) -> None:
+    for m, a in col.items():
+        acc = out.get(m, 0) + c * a
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+
+
 def coinvariant_action_matrices(g: LieSuperalgebra, side: str) -> list[Matrix]:
     """One matrix per basis element: left multiplication on the left quotient,
     right multiplication on the right quotient.  Cached per algebra."""
@@ -317,13 +397,11 @@ def coinvariant_action_matrices(g: LieSuperalgebra, side: str) -> list[Matrix]:
     dim = coinvariant_dim(g)
     mats = []
     for i in range(g.dim):
-        cols = []
+        mat = Matrix.zeros(dim, dim)
         for mask in range(dim):
-            sword = _mask_word(g, mask)
-            word = (i,) + sword if side == LEFT else sword + (i,)
-            terms = _normal_form_terms(g, [(word, Q(1))])
-            cols.append(_project_terms(g, terms, side))
-        mats.append(Matrix.from_columns(cols))
+            for t, c in _column(g, side, i, mask).items():
+                mat.data[t][mask] = c
+        mats.append(mat)
     cache[side] = mats
     return mats
 
@@ -331,36 +409,73 @@ def coinvariant_action_matrices(g: LieSuperalgebra, side: str) -> list[Matrix]:
 def module_action(g: LieSuperalgebra, z: Sequence,
                   w: CoinvariantElement) -> CoinvariantElement:
     """Action of the algebra element z on a coinvariant vector (left
-    multiplication on the left side, right multiplication on the right side)."""
-    mats = coinvariant_action_matrices(g, w.side)
+    multiplication on the left side, right multiplication on the right side).
+    Only the columns of the subsets in the support of w are computed."""
+    support = [(mask, c) for mask, c in enumerate(w.coords) if c]
     out = zero_vec(coinvariant_dim(g))
-    for i, c in enumerate(z):
-        c = Q(c)
-        if c == 0:
+    for i, zi in enumerate(z):
+        zi = Q(zi)
+        if zi == 0:
             continue
-        col = mats[i].matvec(w.coords)
-        for t in range(len(out)):
-            out[t] += c * col[t]
+        for mask, c in support:
+            for t, a in _column(g, w.side, i, mask).items():
+                out[t] += zi * c * a
     return CoinvariantElement(g, w.side, out)
+
+
+def _weight_zero_masks(g: LieSuperalgebra) -> list[int]:
+    """Bitmasks of the subsets S of the odd basis with wt(S) = 0.
+
+    The weights come from the even basis elements h whose bracket with every
+    odd basis vector e_j is a rational multiple lambda_j(h) e_j, read exactly
+    from the structure constants; wt(S)(h) is the sum of lambda_j(h) over j in
+    S.  With no such h every subset qualifies.
+    """
+    odd = g.odd_indices
+    rows = []
+    for h in g.even_indices:
+        row = []
+        for j in odd:
+            br = g.bracket_sparse(h, j)
+            if br and (len(br) > 1 or br[0][0] != j):
+                break
+            row.append(br[0][1] if br else Q(0))
+        else:
+            rows.append(row)
+    zero = tuple(Q(0) for _ in rows)
+    weights = [zero]
+    for t in range(len(odd)):
+        step = tuple(row[t] for row in rows)
+        weights += [tuple(a + b for a, b in zip(w, step)) for w in weights]
+    return [mask for mask, w in enumerate(weights) if w == zero]
 
 
 def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     """Basis of the joint kernel of all basis actions: the invariant vectors
-    of the chosen coinvariant module."""
-    mats = coinvariant_action_matrices(g, side)
-    dim = coinvariant_dim(g)
-    basis: list[Vec] = [
-        [Q(1) if r == t else Q(0) for r in range(dim)] for t in range(dim)
-    ]
-    order = list(g.even_indices) + list(g.odd_indices)
-    for i in order:
-        if not basis:
-            break
-        bmat = Matrix.from_columns(basis)
-        restricted = mats[i].mul(bmat)
-        kern = kernel_basis(restricted)
-        basis = [bmat.matvec(k) for k in kern]
-    return [CoinvariantElement(g, side, b) for b in basis]
+    of the chosen coinvariant module.
+
+    A diagonally acting h scales x_S by wt(S)(h) on the left and by
+    -wt(S)(h) on the right, so every invariant lies in the span of the
+    weight-zero x_S.  Only those columns are computed, and their joint kernel
+    is embedded back into the full subset basis.
+    """
+    support = _weight_zero_masks(g)
+    rows: dict[tuple[int, int], Vec] = {}
+    for p, mask in enumerate(support):
+        for i in range(g.dim):
+            for t, c in _column(g, side, i, mask).items():
+                row = rows.get((i, t))
+                if row is None:
+                    row = rows[(i, t)] = zero_vec(len(support))
+                row[p] = c
+    mat = Matrix(list(rows.values())) if rows else Matrix.zeros(0, len(support))
+    out = []
+    for k in kernel_basis(mat):
+        coords = zero_vec(coinvariant_dim(g))
+        for mask, c in zip(support, k):
+            coords[mask] = c
+        out.append(CoinvariantElement(g, side, coords))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +491,7 @@ NO_INVARIANT = "NoInvariant"
 class GhostElement:
     v: CoinvariantElement
     epsilon_value: Fraction
+    invariant_dim: int
 
 
 def _primitive(coords: list[Fraction]) -> list[Fraction]:
@@ -397,7 +513,7 @@ def _primitive(coords: list[Fraction]) -> list[Fraction]:
 def ghost_criterion(g: LieSuperalgebra) -> tuple[GhostElement, str]:
     """Compute the invariant of the right-sided coinvariant module and decide
     semisimplicity of the representation category by whether the counit
-    vanishes on it.
+    vanishes on it.  The result carries the dimension of the invariant space.
 
     The verdict is scale-invariant; the reported element is normalized to
     empty-subset coefficient 1 when the counit is nonzero and to a primitive
@@ -406,14 +522,14 @@ def ghost_criterion(g: LieSuperalgebra) -> tuple[GhostElement, str]:
     basis = invariants(g, RIGHT)
     if not basis:
         zero = CoinvariantElement(g, RIGHT, zero_vec(coinvariant_dim(g)))
-        return GhostElement(zero, Q(0)), NO_INVARIANT
+        return GhostElement(zero, Q(0), 0), NO_INVARIANT
     w = next((b for b in basis if b.counit() != 0), basis[0])
     eps = w.counit()
     if eps != 0:
         v = w.scale(Q(1) / eps)
-        return GhostElement(v, v.counit()), SEMISIMPLE
+        return GhostElement(v, v.counit(), len(basis)), SEMISIMPLE
     v = CoinvariantElement(g, RIGHT, _primitive(w.coords))
-    return GhostElement(v, Q(0)), NOT_SEMISIMPLE
+    return GhostElement(v, Q(0), len(basis)), NOT_SEMISIMPLE
 
 
 # ---------------------------------------------------------------------------

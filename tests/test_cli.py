@@ -81,6 +81,33 @@ def test_ghost_gl11(capsys):
     assert payload["epsilon"] == "0"
 
 
+def test_ghost_computes_invariants_once(capsys, monkeypatch):
+    from superkit import cli, enveloping
+    calls = []
+    original = enveloping.invariants
+
+    def counted(g, side):
+        calls.append(side)
+        return original(g, side)
+
+    # rebind the name wherever a package module holds it
+    for module in (cli, enveloping):
+        if hasattr(module, "invariants"):
+            monkeypatch.setattr(module, "invariants", counted)
+    code, out = run(capsys, "ghost", "--family", "gl:2:1")
+    assert code == 0 and "invariant dimension: 1" in out
+    assert calls == ["right"]
+
+
+def test_ghost_osp1_5_weight_graded(capsys):
+    # a 1024-dimensional quotient; 32 of its subsets have weight zero
+    code, out = run(capsys, "--json", "ghost", "--family", "osp1:5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invariant_dim"] == 1
+    assert payload["verdict"] == "Semisimple" and payload["epsilon"] == "1"
+
+
 def test_ghost_djokovic(capsys):
     code, out = run(capsys, "--json", "ghost", "--djokovic", "3")
     assert code == 0

@@ -18,6 +18,7 @@ from superkit.enveloping import (
     coinvariant_project,
     counit,
     djokovic_element,
+    _weight_zero_masks,
     ghost_criterion,
     invariants,
     is_coinvariant_invariant,
@@ -26,8 +27,15 @@ from superkit.enveloping import (
     pbw_normal_form,
     verify_djokovic,
 )
-from superkit.families import build_gl, build_osp1, build_sl, build_toy
-from superkit.linalg import Matrix, in_span, solve_linear, zero_vec
+from superkit.families import (
+    algebra_from_matrices,
+    build_gl,
+    build_osp1,
+    build_sl,
+    build_toy,
+    parse_family_spec,
+)
+from superkit.linalg import Matrix, in_span, kernel_basis, rank, solve_linear, zero_vec
 
 
 def unit_vec(g, name):
@@ -239,7 +247,7 @@ def test_invariants_gl11():
 def test_ghost_criterion_verdicts():
     ghost, verdict = ghost_criterion(build_osp1(1))
     assert verdict == SEMISIMPLE and ghost.epsilon_value == 1
-    assert ghost.v.coords[0] == 1
+    assert ghost.v.coords[0] == 1 and ghost.invariant_dim == 1
     ghost, verdict = ghost_criterion(build_gl(1, 1))
     assert verdict == NOT_SEMISIMPLE and ghost.epsilon_value == 0
     ghost, verdict = ghost_criterion(build_toy("toy_odd_semisimple"))
@@ -352,3 +360,63 @@ def test_literal_bracket_flips_the_invariant_sign():
         assert len(inv) == 1
         v = inv[0].scale(Q(1) / inv[0].coords[0])
         assert v.coords == [Q(1), Q(0), Q(0), Q(-1)]  # 1 - a b
+
+
+# -- weight-graded invariants against the full action matrices ---------------------------------
+
+def gl11_rotated_odd_basis():
+    """gl(1|1) with odd basis E12 + E21, E12 - E21.  No even basis element
+    acts diagonally on it, so every subset has weight zero."""
+    mats = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
+            Matrix([[0, 1], [1, 0]]), Matrix([[0, 1], [-1, 0]])]
+    return algebra_from_matrices(mats, [EVEN, EVEN, ODD, ODD], [EVEN, ODD],
+                                 ["E11", "E22", "u", "v"])
+
+
+def weight_graded_cases():
+    return [build_gl(1, 1), build_sl(2, 1), build_osp1(1), build_osp1(2),
+            build_toy("toy_odd_semisimple"), parse_family_spec("product:osp1:1,osp1:1"),
+            osp12_with_literal_bracket(), gl11_rotated_odd_basis()]
+
+
+def test_rotated_gl11_has_no_weight_grading():
+    g = gl11_rotated_odd_basis()
+    assert g.validate() == []
+    assert _weight_zero_masks(g) == list(range(coinvariant_dim(g)))
+    assert len(_weight_zero_masks(build_osp1(2))) == 4
+
+
+def test_invariants_match_joint_kernel_of_full_matrices():
+    rng = random.Random(11)
+    for g in weight_graded_cases():
+        dim = coinvariant_dim(g)
+        for side in (LEFT, RIGHT):
+            mats = coinvariant_action_matrices(g, side)
+            full = kernel_basis(Matrix([row for m in mats for row in m.data]))
+            inv = [v.coords for v in invariants(g, side)]
+            assert len(inv) == len(full) == rank(Matrix(full + inv)), (g.names, side)
+            for _ in range(10):
+                coords = zero_vec(dim)
+                for mask in rng.sample(range(dim), rng.randint(1, min(3, dim))):
+                    coords[mask] = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                z = [Q(rng.randint(-2, 2)) if rng.random() < 0.5 else Q(0)
+                     for _ in range(g.dim)]
+                expected = zero_vec(dim)
+                for i, zi in enumerate(z):
+                    col = mats[i].matvec(coords)
+                    expected = [a + zi * b for a, b in zip(expected, col)]
+                w = CoinvariantElement(g, side, coords)
+                assert module_action(g, z, w).coords == expected
+
+
+def test_action_columns_match_pbw_normal_forms():
+    for g in weight_graded_cases():
+        odd = g.odd_indices
+        for side in (LEFT, RIGHT):
+            mats = coinvariant_action_matrices(g, side)
+            for mask in range(coinvariant_dim(g)):
+                sword = tuple(odd[t] for t in range(len(odd)) if mask >> t & 1)
+                for i in range(g.dim):
+                    word = (i,) + sword if side == LEFT else sword + (i,)
+                    projected = coinvariant_project(g, pbw_normal_form(g, word), side)
+                    assert mats[i].column(mask) == projected.coords
