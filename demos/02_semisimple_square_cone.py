@@ -53,9 +53,9 @@ print(f"sl(2|1) yields a witness instead: {s.describe(out.u)} "
 print()
 print("== the structural scan certifies the zero cone ==")
 prod = build_product([build_gl(1, 0), build_osp1(1), build_osp1(2)])
-w = g1ss_structural_scan(prod)
+w = g1ss_structural_scan(prod).witness
 print(f"torus x osp(1|2) x osp(1|4): witness = {w}  (None means certified zero)")
 
 toy = build_toy("toy_odd_semisimple")
-w = g1ss_structural_scan(toy)
+w = g1ss_structural_scan(toy).witness
 print(f"toy with [u,u] = 2h: witness = {toy.describe(w)}")

@@ -29,15 +29,12 @@ from .enveloping import (
     DjokovicReport,
     EnvelopingElement,
     GhostElement,
-    antipode,
     coinvariant_project,
-    counit,
     djokovic_element,
     double_factorial_odd,
     ghost_criterion,
     invariants,
     module_action,
-    multiply,
     pbw_normal_form,
     verify_djokovic,
 )
@@ -85,6 +82,7 @@ from .roots import (
     Osp,
     Root,
     RootDatum,
+    ScanReport,
     Witness,
     classify_simple,
     find_cartan,

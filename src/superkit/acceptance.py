@@ -121,7 +121,7 @@ def crit_classification(seed: int) -> str:
     assert isinstance(out, Witness), f"sl(2|1) -> {out}"
     assert any(c != 0 for c in out.u) and s.in_g1ss(out.u)
     g11 = build_gl(1, 1)
-    w = g1ss_structural_scan(g11)
+    w = g1ss_structural_scan(g11).witness
     assert w is not None and any(c != 0 for c in w) and g11.in_g1ss(w)
     elapsed = time.perf_counter() - t0
     _budget(elapsed, 5.0, "classification")

@@ -40,11 +40,7 @@ from .reps import (
     trivial_module,
     validate_module,
 )
-from .roots import (
-    ClassificationInconclusive,
-    classification_report,
-    g1ss_structural_scan,
-)
+from .roots import ClassificationInconclusive, g1ss_structural_scan
 from .supercomm import (
     NonSemisimpleSquare,
     Vanishing,
@@ -170,24 +166,21 @@ def cmd_classify(args) -> int:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
     try:
-        witness = g1ss_structural_scan(g)
+        report = g1ss_structural_scan(g)
     except (NotSemisimpleStructure, ClassificationInconclusive, SuperkitError) as exc:
         _emit(args, {"outcome": "inconclusive", "reason": str(exc)},
               f"Inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
+    witness = report.witness
     if witness is not None:
         payload = {"outcome": "witness", "coordinates": [str(c) for c in witness],
                    "element": g.describe(witness)}
         _emit(args, payload, f"Witness in the semisimple-square cone: {g.describe(witness)}\n"
                              f"coordinates: {' '.join(str(c) for c in witness)}")
         return EXIT_WITNESS
-    factors = [
-        {k: (str(v) if k == "witness" else v) for k, v in rec.items()}
-        for rec in classification_report(g)
-    ]
-    payload = {"outcome": "no witness (cone is zero)", "factors": factors}
+    payload = {"outcome": "no witness (cone is zero)", "factors": report.factors}
     human = "No nonzero semisimple-square element (certified).\n" + "\n".join(
-        f"  factor: {f['factor']} (dim {f['dim']})" for f in factors
+        f"  factor: {f['factor']} (dim {f['dim']})" for f in report.factors
     )
     _emit(args, payload, human)
     return EXIT_OK

@@ -28,7 +28,6 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
-    in_span,
     is_squarefree,
     is_zero_vec,
     kernel_basis,
@@ -81,6 +80,9 @@ class LieSuperalgebra:
         self.faithful_rep = faithful_rep
         self.cartan = tuple(cartan) if cartan is not None else None
         self._sparse: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
+        # computed once, shared by the structural scan and the decomposition
+        self._center: list[Vec] | None = None
+        self._datum_cache = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -266,14 +268,22 @@ class LieSuperalgebra:
 
     def center(self) -> list[Vec]:
         """Basis of {x : [x, e_i] = 0 for all i}."""
-        if self.dim == 0:
-            return []
-        rows: list[Vec] = []
-        for j in range(self.dim):
-            # map x -> [x, e_j]; row block M[k][i] = c[i][j][k]
-            for k in range(self.dim):
-                rows.append([self._c[i][j][k] for i in range(self.dim)])
-        return kernel_basis(Matrix(rows))
+        if self._center is None:
+            rows: list[Vec] = []
+            for j in range(self.dim):
+                # map x -> [x, e_j]; row block M[k][i] = c[i][j][k]
+                for k in range(self.dim):
+                    rows.append([self._c[i][j][k] for i in range(self.dim)])
+            self._center = kernel_basis(Matrix(rows)) if rows else []
+        return [list(v) for v in self._center]
+
+    def _root_datum(self):
+        """Root datum of the algebra's own Cartan subalgebra (`roots.cartan_of`:
+        the given one, else the seeded search), computed once per algebra."""
+        if self._datum_cache is None:
+            from .roots import cartan_of, root_decomposition
+            self._datum_cache = root_decomposition(self, cartan_of(self))
+        return self._datum_cache
 
     def even_subalgebra_basis(self) -> list[Vec]:
         return [self.basis_vector(i) for i in self.even_indices]
@@ -334,9 +344,16 @@ class LieSuperalgebra:
 
     # -- decomposition into center and simple ideals ---------------------------
 
-    def ideal_closure(self, seed: Iterable[Sequence]) -> list[Vec]:
-        """Smallest subspace containing the seed and stable under [g, -]."""
+    def ideal_closure(self, seed: Iterable[Sequence], bound: int | None = None) -> list[Vec]:
+        """Smallest subspace containing the seed and stable under [g, -].
+
+        `bound` is a dimension the caller knows the closure cannot exceed
+        (default dim g).  The search stops as soon as the span reaches it: the
+        span is then the whole closure, and the basis is the one the full
+        search would have returned, since no later bracket could add to it.
+        """
         from .linalg import Echelon
+        bound = self.dim if bound is None else bound
         ech = Echelon(self.dim)
         basis: list[Vec] = []
         queue: list[Vec] = []
@@ -345,45 +362,62 @@ class LieSuperalgebra:
             if ech.add(v):
                 basis.append(v)
                 queue.append(v)
-        while queue:
+        while queue and len(basis) < bound:
             v = queue.pop()
             for i in range(self.dim):
                 w = self.bracket(self.basis_vector(i), v)
                 if ech.add(w):
                     basis.append(w)
                     queue.append(w)
+                    if len(basis) == bound:
+                        break
         return basis
 
     def direct_sum_decompose(self) -> "Decomposition":
         """Split g as center x (simple ideals), or raise NotSemisimpleStructure.
 
         Minimal ideals are grown as ideal closures of the nonzero-weight root
-        spaces of a Cartan subalgebra of the even part, then certified:
-        pairwise commuting, direct sum with the center, each factor perfect
-        with trivial center and regenerated by every one of its seeds.
+        spaces of the algebra's Cartan subalgebra (`roots.cartan_of`), then
+        certified: pairwise commuting, direct sum with the center, each factor
+        perfect with trivial center and regenerated by every one of its seeds.
+        The center and the root datum are computed once per algebra, so a
+        structural scan that has already looked at them does not repeat the
+        work.  Each factor's restricted subalgebra, built for the certificate,
+        is kept on the result.
+
+        No seed is skipped, since regeneration is part of the certificate.
+        A closure stops early once it reaches a dimension known to bound it:
+        dim g always, and len(f) when the seed lies in an already closed
+        factor f.  f is an ideal containing the seed, so closure(seed) lies in
+        f, and reaching len(f) proves the two are equal.  A closure that stops
+        short of its bound is complete and goes through the overlap check.
         """
+        from .linalg import Echelon
         if self.dim == 0:
-            return Decomposition([], [])
+            return Decomposition([], [], [])
         zc = self.center()
         if _is_abelian(self):
-            return Decomposition(zc, [])
-        from .roots import find_cartan, root_decomposition
-        cartan = [self.basis_vector(i) for i in self.cartan] if self.cartan \
-            else find_cartan(self)
-        datum = root_decomposition(self, cartan)
+            return Decomposition(zc, [], [])
+        datum = self._root_datum()
         seeds = [r.space for r in datum.roots if any(w != 0 for w in r.weight)]
         if not seeds:
             raise NotSemisimpleStructure(
                 "non-abelian algebra with no nonzero roots"
             )
-        closures = [self.ideal_closure(s) for s in seeds]
         factors: list[list[Vec]] = []
-        for cl in closures:
+        spans: list[Echelon] = []
+        for s in seeds:
+            home = next((f for f, e in zip(factors, spans)
+                         if all(e.contains(v) for v in s)), None)
+            cl = self.ideal_closure(s, len(home) if home is not None else None)
+            if home is not None and len(cl) == len(home):
+                continue
+            ecl = Echelon(self.dim)
+            for v in cl:
+                ecl.add(v)
             merged = False
-            for f in factors:
-                if any(in_span(f, v) is not None for v in cl) or any(
-                    in_span(cl, v) is not None for v in f
-                ):
+            for f, e in zip(factors, spans):
+                if any(e.contains(v) for v in cl) or any(ecl.contains(v) for v in f):
                     if not _same_span(f, cl):
                         raise NotSemisimpleStructure(
                             "overlapping ideal closures do not coincide; "
@@ -393,10 +427,11 @@ class LieSuperalgebra:
                     break
             if not merged:
                 factors.append(cl)
-        self._certify_decomposition(zc, factors)
-        return Decomposition(zc, factors)
+                spans.append(ecl)
+        subalgebras = self._certify_decomposition(zc, factors)
+        return Decomposition(zc, factors, subalgebras)
 
-    def _certify_decomposition(self, zc, factors) -> None:
+    def _certify_decomposition(self, zc, factors) -> list["LieSuperalgebra"]:
         total = len(zc) + sum(len(f) for f in factors)
         if total != self.dim or len(span_basis(zc + [v for f in factors for v in f])) != self.dim:
             raise NotSemisimpleStructure(
@@ -410,6 +445,7 @@ class LieSuperalgebra:
                             raise NotSemisimpleStructure(
                                 f"candidate ideals {a} and {b} do not commute"
                             )
+        subalgebras = []
         for t, f in enumerate(factors):
             sub = self.restricted_subalgebra(f)
             if sub.center():
@@ -421,6 +457,8 @@ class LieSuperalgebra:
             )
             if len(derived) != sub.dim:
                 raise NotSemisimpleStructure(f"candidate ideal {t} is not perfect")
+            subalgebras.append(sub)
+        return subalgebras
 
     def restricted_subalgebra(self, basis_vectors: Sequence[Sequence]) -> "LieSuperalgebra":
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
@@ -478,11 +516,14 @@ class LieSuperalgebra:
 
 
 class Decomposition:
-    """Result of direct_sum_decompose: center basis plus simple ideal bases."""
+    """Result of direct_sum_decompose: center basis plus simple ideal bases,
+    with each ideal as a subalgebra in the coordinates of its basis."""
 
-    def __init__(self, center: list[Vec], ideals: list[list[Vec]]) -> None:
+    def __init__(self, center: list[Vec], ideals: list[list[Vec]],
+                 subalgebras: list[LieSuperalgebra]) -> None:
         self.center = center
         self.ideals = ideals
+        self.subalgebras = subalgebras
 
     def __repr__(self) -> str:
         return f"Decomposition(center dim {len(self.center)}, {len(self.ideals)} simple ideals)"

@@ -223,18 +223,6 @@ def pbw_normal_form(g: LieSuperalgebra, word: Sequence[int],
     return EnvelopingElement(g, terms)
 
 
-def multiply(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:
-    return x * y
-
-
-def counit(x: EnvelopingElement) -> Fraction:
-    return x.counit()
-
-
-def antipode(x: EnvelopingElement) -> EnvelopingElement:
-    return x.antipode()
-
-
 # ---------------------------------------------------------------------------
 # coinvariant modules
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Algebra files::
     algebra NAME
     basis LABEL even|odd          # one line per basis element, in order
     bracket LI LJ LK RATIONAL     # structure constant c[i][j][k], all nonzero ones
-    cartan LABEL ...              # optional
+    cartan LABEL ...              # optional; names at least one label
+                                  # unless the algebra is purely odd
     rep even|odd ...              # optional: representation space parities
     repmat LABEL                  # followed by rep-dim rows of rationals
 
@@ -78,6 +79,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     parity: list[int] = []
     brackets: list[tuple[str, str, str, Fraction, int]] = []
     cartan_labels: list[str] | None = None
+    cartan_line = 0
     rep_parity: list[int] | None = None
     rep_mats: dict[str, list[list[Fraction]]] = {}
     pending_matrix: list[list[Fraction]] | None = None
@@ -102,6 +104,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
             brackets.append((toks[1], toks[2], toks[3], _rational(toks[4], lineno), lineno))
         elif key == "cartan":
             cartan_labels = toks[1:]
+            cartan_line = lineno
         elif key == "rep":
             rep_parity = [_parity_token(t, lineno) for t in toks[1:]]
         elif key == "repmat":
@@ -130,6 +133,11 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
         table.setdefault((i, j), {})[k] = val
     cartan = None
     if cartan_labels is not None:
+        if not cartan_labels and 0 in parity:
+            # an empty Cartan of an algebra with an even part would be taken
+            # as given and yield no roots; omit the line to have it searched
+            raise ParseError(f"line {cartan_line}: cartan names no basis labels, "
+                             "but the algebra has an even part")
         try:
             cartan = [index[lab] for lab in cartan_labels]
         except KeyError as exc:

@@ -145,9 +145,6 @@ class Matrix:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.data))
-
     def __repr__(self) -> str:
         return f"Matrix({self.data!r})"
 

@@ -17,6 +17,11 @@ Darboux basis, and produces an explicit bracket-preserving isomorphism onto
 ideals: it certifies that the semisimple-square cone is zero exactly when
 every odd factor classifies as osp(1|2n), and otherwise exhibits a nonzero
 witness.  The cone condition is decided structurally, never by sampling.
+The scan runs in one pass and returns a `ScanReport`: the witness or None,
+and for a certified-zero cone the per-factor records the CLI prints.  It
+decomposes g once, reusing the center and root datum it has already looked
+at, and classifies each odd factor from the subalgebra the decomposition
+built for its certificate.
 """
 
 from __future__ import annotations
@@ -528,74 +533,68 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
 # the structural scan for the semisimple-square cone
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ScanReport:
+    """Outcome of `g1ss_structural_scan`: a nonzero odd element with
+    semisimple square, or None when the cone is certified to be zero; and, for
+    a certified-zero cone, one record per factor of the decomposition (center,
+    even simple ideal, or the classified odd ideal).  The records are empty
+    when a witness is returned."""
+
+    witness: Vec | None
+    factors: list[dict]
+
+
 def g1ss_structural_scan(g: LieSuperalgebra,
-                         cartan: Sequence[Sequence] | None = None) -> Vec | None:
-    """A nonzero odd element with semisimple square, or None when the cone is
-    certified to be zero (every odd factor of the center-times-simples
-    decomposition classifies as osp(1|2n))."""
+                         cartan: Sequence[Sequence] | None = None) -> ScanReport:
+    """Decide the semisimple-square cone in one pass.
+
+    Looks for a witness among the odd parts of central elements and among the
+    odd root vectors (and rational isotropic combinations in larger odd root
+    spaces); failing that, decomposes g into its center and simple ideals and
+    classifies each odd factor.  The cone is certified zero exactly when every
+    odd factor classifies as osp(1|2n).  The center and the root datum of g are
+    computed once and reused by the decomposition, and each factor is
+    classified from the subalgebra the decomposition built to certify it.
+    """
     if not g.odd_indices:
-        return None
+        return ScanReport(None, [{"factor": "purely even", "dim": g.dim}])
     for z in g.center():
         zo = g.odd_part(z)
         if not is_zero_vec(zo) and g.in_g1ss(zo):
-            return zo
-    cartan_vecs = cartan_of(g, cartan)
-    datum = root_decomposition(g, cartan_vecs)
+            return ScanReport(zo, [])
+    if cartan is None:
+        datum = g._root_datum()
+    else:
+        datum = root_decomposition(g, cartan_of(g, cartan))
+    # the datum may be the algebra's shared one: hand out copies of its vectors
     for r in datum.odd_roots():
         for u in r.space:
             if g.in_g1ss(u):
-                return u
+                return ScanReport(list(u), [])
         if len(r.space) > 1:
             v = isotropic_combination(g, r.space)
             if v is not None and g.in_g1ss(v):
-                return v
-    decomposition = g.direct_sum_decompose()
-    full = decomposition.center + [v for f in decomposition.ideals for v in f]
-    for f in decomposition.ideals:
-        if all(is_zero_vec(g.odd_part(v)) for v in f):
+                return ScanReport(list(v), [])
+    dec = g.direct_sum_decompose()
+    full = dec.center + [v for f in dec.ideals for v in f]
+    factors = [{"factor": "center", "dim": len(dec.center)}] if dec.center else []
+    for f, sub in zip(dec.ideals, dec.subalgebras):
+        if not sub.odd_indices:
+            factors.append({"factor": "even simple ideal", "dim": sub.dim})
             continue
-        sub = g.restricted_subalgebra(f)
-        sub_cartan = _project_cartan(g, cartan_vecs, f, full)
-        outcome = classify_simple(sub, sub_cartan)
+        outcome = classify_simple(sub, _project_cartan(g, datum.cartan, f, full))
         if isinstance(outcome, Witness):
             w = zero_vec(g.dim)
             for c, b in zip(outcome.u, f):
                 w = vec_add(w, vec_scale(c, b))
             if g.in_g1ss(w):
-                return w
+                return ScanReport(w, [])
             raise ClassificationInconclusive("factor witness failed re-verification")
         if isinstance(outcome, Inconclusive):
             raise ClassificationInconclusive(outcome.reason)
-    return None
-
-
-def classification_report(g: LieSuperalgebra,
-                          cartan: Sequence[Sequence] | None = None) -> list[dict]:
-    """Per-factor outcomes of the center-times-simples decomposition:
-    one record per center / even ideal / classified odd ideal."""
-    records: list[dict] = []
-    if not g.odd_indices:
-        records.append({"factor": "purely even", "dim": g.dim})
-        return records
-    dec = g.direct_sum_decompose()
-    cartan_vecs = cartan_of(g, cartan)
-    full = dec.center + [v for f in dec.ideals for v in f]
-    if dec.center:
-        records.append({"factor": "center", "dim": len(dec.center)})
-    for f in dec.ideals:
-        sub = g.restricted_subalgebra(f)
-        if not sub.odd_indices:
-            records.append({"factor": "even simple ideal", "dim": sub.dim})
-            continue
-        out = classify_simple(sub, _project_cartan(g, cartan_vecs, f, full))
-        if isinstance(out, Osp):
-            records.append({"factor": f"Osp({out.n})", "dim": sub.dim})
-        elif isinstance(out, Witness):
-            records.append({"factor": "witness", "dim": sub.dim,
-                            "witness": out.u})
-        else:
-            records.append({"factor": f"inconclusive: {out.reason}", "dim": sub.dim})
-    return records
+        factors.append({"factor": f"Osp({outcome.n})", "dim": sub.dim})
+    return ScanReport(None, factors)
 
 
 def _project_cartan(g: LieSuperalgebra, cartan_vecs: list[Vec], factor: list[Vec],

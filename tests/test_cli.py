@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from superkit.cli import main
 from superkit.families import build_gl
 from superkit.fileformat import serialize_algebra, serialize_module
@@ -63,6 +65,36 @@ def test_classify_deterministic(capsys):
     b = run(capsys, "--json", "classify", "--family", "gl:1:1")
     assert a == b
     assert a[0] == 3
+
+
+@pytest.mark.parametrize("spec, factors", [
+    ("osp1:3", ["Osp(3)"]),
+    ("product:osp1:1,osp1:2", ["Osp(1)", "Osp(2)"]),
+])
+def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
+    from superkit import roots
+    from superkit.core import LieSuperalgebra
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(LieSuperalgebra, "direct_sum_decompose")
+    count(LieSuperalgebra, "restricted_subalgebra")
+    count(roots, "classify_simple")
+    code, out = run(capsys, "--json", "classify", "--family", spec)
+    assert code == 0
+    assert [f["factor"] for f in json.loads(out)["factors"]] == factors
+    assert calls.count("direct_sum_decompose") == 1
+    # one classification per odd factor, one restriction per factor
+    assert calls.count("classify_simple") == len(factors)
+    assert calls.count("restricted_subalgebra") == len(factors)
 
 
 def test_ghost_osp(capsys):

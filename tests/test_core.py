@@ -4,8 +4,16 @@ import pytest
 from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD, LieSuperalgebra, NotSemisimpleStructure, SuperkitError
-from superkit.families import build_gl, build_osp1, build_product, build_sl, build_toy
-from superkit.linalg import Matrix, is_zero_vec, zero_vec
+from superkit.families import (
+    algebra_from_matrices,
+    build_gl,
+    build_osp1,
+    build_product,
+    build_sl,
+    build_toy,
+    parse_family_spec,
+)
+from superkit.linalg import Matrix, is_zero_vec, span_basis, zero_vec
 from superkit.reps import SuperModule
 
 
@@ -259,6 +267,68 @@ def test_decompose_with_torus_factor():
     dec = g.direct_sum_decompose()
     assert len(dec.center) == 1
     assert [len(f) for f in dec.ideals] == [5]
+
+
+def sl2_semidirect_c2():
+    # sl2 acting on C^2 inside 3x3 matrices: a perfect, centerless algebra
+    # whose only proper ideal is C^2, so it is not a product of simples
+    def unit(a, b):
+        m = Matrix.zeros(3, 3)
+        m.data[a][b] = Q(1)
+        return m
+    h = unit(0, 0).add(unit(1, 1).scale(Q(-1)))
+    mats = [unit(0, 1), h, unit(1, 0), unit(0, 2), unit(1, 2)]
+    return algebra_from_matrices(mats, [EVEN] * 5, [EVEN] * 3,
+                                 ["e", "h", "f", "v1", "v2"], cartan=[1])
+
+
+def full_closure(g, seed):
+    """Ideal closure by saturation, without any stopping rule."""
+    span = span_basis(seed)
+    while True:
+        grown = span_basis(span + [g.bracket(g.basis_vector(i), v)
+                                   for i in range(g.dim) for v in span])
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def test_decompose_rejects_seed_that_generates_a_smaller_ideal():
+    # the seed v2 lies in closure(f) = g, but generates only the ideal C^2
+    g = sl2_semidirect_c2()
+    assert g.validate() == [] and g.center() == []
+    names = g.names
+    v2 = [Q(1) if n == "v2" else Q(0) for n in names]
+    assert len(full_closure(g, [v2])) == 2
+    with pytest.raises(NotSemisimpleStructure) as err:
+        g.direct_sum_decompose()
+    assert "overlapping ideal closures do not coincide" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", ["osp1:2", "product:osp1:1,osp1:2"])
+def test_stopped_closures_span_the_full_closures(spec, monkeypatch):
+    from superkit.roots import cartan_of, root_decomposition
+    g = parse_family_spec(spec)
+    seeds = [r.space for r in root_decomposition(g, cartan_of(g)).roots
+             if any(w != 0 for w in r.weight)]
+    closures = []
+    original = LieSuperalgebra.ideal_closure
+
+    def recorded(self, seed, bound=None):
+        seed = list(seed)
+        out = original(self, seed, bound)
+        closures.append((seed, out))
+        return out
+
+    monkeypatch.setattr(LieSuperalgebra, "ideal_closure", recorded)
+    dec = g.direct_sum_decompose()
+    # every root seed is closed, none is skipped
+    assert [seed for seed, _ in closures] == seeds
+    for seed, out in closures:
+        full = full_closure(g, seed)
+        assert len(out) == len(full) == len(span_basis(out + full))
+    assert sorted(len(f) for f in dec.ideals) == sorted(
+        {len(full_closure(g, seed)) for seed in seeds})
 
 
 def test_restricted_subalgebra_of_ideal():

@@ -46,7 +46,7 @@ def test_sl_nn_constructs_but_is_not_simple():
     assert s.validate() == []
     assert len(s.center()) == 1
     from superkit.roots import g1ss_structural_scan
-    w = g1ss_structural_scan(s)
+    w = g1ss_structural_scan(s).witness
     assert w is not None and s.in_g1ss(w)
 
 

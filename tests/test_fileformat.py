@@ -14,6 +14,7 @@ from superkit.fileformat import (
     serialize_supercomm,
 )
 from superkit.reps import induced_trivial
+from superkit.roots import g1ss_structural_scan
 from superkit.supercomm import catalog_pairs
 
 ALL_FAMILIES = [
@@ -79,6 +80,32 @@ def test_strict_mode_rejects_invalid_axioms_lax_warns():
         parse_algebra(text, strict=True)
     g, _, warnings = parse_algebra(text, strict=False)
     assert warnings
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bare_cartan_line_needs_labels_when_there_is_an_even_part(n):
+    # a bare line used to be taken as an empty given Cartan, which leaves a
+    # single zero weight and made classify report Inconclusive for osp(1|2n)
+    text = serialize_algebra(build_osp1(n), "osp")
+    lines = ["cartan" if line.startswith("cartan ") else line
+             for line in text.splitlines()]
+    with pytest.raises(ParseError) as err:
+        parse_algebra("\n".join(lines) + "\n")
+    assert f"line {lines.index('cartan') + 1}: cartan names no basis labels" in str(err.value)
+    # without the line the Cartan is searched for and the algebra classifies
+    g, _, _ = parse_algebra("\n".join(l for l in lines if l != "cartan") + "\n")
+    assert g.cartan is None
+    report = g1ss_structural_scan(g)
+    assert report.witness is None
+    assert report.factors == [{"factor": f"Osp({n})", "dim": g.dim}]
+
+
+def test_bare_cartan_line_is_fine_for_a_purely_odd_algebra():
+    g = build_toy("toy_odd_nilpotent")
+    text = serialize_algebra(g, "odd")
+    assert "cartan" in [line.strip() for line in text.splitlines()]
+    g2, _, _ = parse_algebra(text)
+    assert g2.cartan == ()
 
 
 def test_module_roundtrip():

@@ -278,25 +278,25 @@ def test_darboux_rejects_degenerate():
 
 def test_scan_witnesses():
     g = build_gl(1, 1)
-    w = g1ss_structural_scan(g)
+    w = g1ss_structural_scan(g).witness
     assert w is not None and g.in_g1ss(w) and not is_zero_vec(w)
     s = build_sl(2, 1)
-    w = g1ss_structural_scan(s)
+    w = g1ss_structural_scan(s).witness
     assert w is not None and s.in_g1ss(w)
     toy = build_toy("toy_odd_semisimple")
-    w = g1ss_structural_scan(toy)
+    w = g1ss_structural_scan(toy).witness
     assert w is not None and toy.in_g1ss(w)
 
 
 def test_scan_certifies_zero_cone_for_products():
     g = build_product([build_gl(1, 0), build_osp1(1), build_osp1(2)])
-    assert g1ss_structural_scan(g) is None
-    assert g1ss_structural_scan(build_osp1(1)) is None
+    assert g1ss_structural_scan(g).witness is None
+    assert g1ss_structural_scan(build_osp1(1)).witness is None
 
 
 def test_scan_finds_odd_central_direction():
     g = build_product([build_toy("toy_odd_nilpotent"), build_osp1(1)])
-    w = g1ss_structural_scan(g)
+    w = g1ss_structural_scan(g).witness
     assert w is not None
     assert g.in_g1ss(w)
 
@@ -321,7 +321,7 @@ def test_scan_agrees_with_random_sampling():
         (build_toy("toy_odd_semisimple"), False),
     ]
     for g, expect_none in catalog:
-        scan = g1ss_structural_scan(g)
+        scan = g1ss_structural_scan(g).witness
         assert (scan is None) == expect_none
         found = None
         for _ in range(10_000):
