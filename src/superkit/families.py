@@ -299,13 +299,14 @@ def build_toy(kind: str) -> LieSuperalgebra:
 
 def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     """Block direct sum; the faithful representation is the direct sum of the
-    factors' representations."""
+    factors' representations.  The Cartan is the sum of the factors' Cartans,
+    or None (found when needed) unless every factor with an even part has one."""
     factors = list(factors)
     total = sum(f.dim for f in factors)
     parity: list[int] = []
     names: list[str] = []
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    cartan: list[int] = []
+    cartan: list[int] | None = []
     offset = 0
     for t, f in enumerate(factors):
         parity.extend(f.parity)
@@ -319,7 +320,10 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
                 if comps:
                     table[(offset + i, offset + j)] = comps
         if f.cartan:
-            cartan.extend(offset + i for i in f.cartan)
+            if cartan is not None:
+                cartan.extend(offset + i for i in f.cartan)
+        elif EVEN in f.parity:
+            cartan = None
         offset += f.dim
     rep = None
     if all(f.faithful_rep is not None for f in factors):

@@ -545,8 +545,7 @@ class ScanReport:
     factors: list[dict]
 
 
-def g1ss_structural_scan(g: LieSuperalgebra,
-                         cartan: Sequence[Sequence] | None = None) -> ScanReport:
+def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
     """Decide the semisimple-square cone in one pass.
 
     Looks for a witness among the odd parts of central elements and among the
@@ -563,10 +562,7 @@ def g1ss_structural_scan(g: LieSuperalgebra,
         zo = g.odd_part(z)
         if not is_zero_vec(zo) and g.in_g1ss(zo):
             return ScanReport(zo, [])
-    if cartan is None:
-        datum = g._root_datum()
-    else:
-        datum = root_decomposition(g, cartan_of(g, cartan))
+    datum = g._root_datum()
     # the datum may be the algebra's shared one: hand out copies of its vectors
     for r in datum.odd_roots():
         for u in r.space:

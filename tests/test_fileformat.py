@@ -108,6 +108,24 @@ def test_bare_cartan_line_is_fine_for_a_purely_odd_algebra():
     assert g2.cartan == ()
 
 
+def test_product_of_cartanless_factors_decomposes_and_roundtrips():
+    # restricted subalgebras carry no Cartan, so neither may their product;
+    # a Cartan made of only some factors' Cartans must not be taken as given
+    subs = build_product([build_osp1(1), build_osp1(1)]).direct_sum_decompose().subalgebras
+    assert [s.cartan for s in subs] == [None, None]
+    for g in (build_product(subs), build_product([subs[0], build_osp1(1)])):
+        assert g.cartan is None
+        assert len(g.direct_sum_decompose().ideals) == 2
+        text = serialize_algebra(g, "prod")
+        assert "cartan" not in [line.split()[0] for line in text.splitlines() if line.split()]
+        g2, _, _ = parse_algebra(text)
+        assert g2.cartan is None
+        for h in (g, g2):
+            report = g1ss_structural_scan(h)
+            assert report.witness is None
+            assert report.factors == [{"factor": "Osp(1)", "dim": 5}] * 2
+
+
 def test_module_roundtrip():
     g = build_gl(1, 1)
     m = induced_trivial(g)
