@@ -239,12 +239,7 @@ class LieSuperalgebra:
 
     def element_matrix(self, x: Sequence) -> Matrix:
         """Matrix of x in the designated faithful representation."""
-        rep = self._require_rep()
-        out = Matrix.zeros(rep.dim, rep.dim)
-        for i, c in enumerate(x):
-            if Q(c) != 0:
-                out = out.add(rep.action[i].scale(Q(c)))
-        return out
+        return self._require_rep().matrix_of(x)
 
     def _require_rep(self):
         if self.faithful_rep is None:

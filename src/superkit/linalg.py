@@ -375,22 +375,6 @@ def poly_derivative(p: Poly) -> Poly:
     return poly_trim([i * p[i] for i in range(1, len(p))])
 
 
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Q(0)
-    for c in reversed(poly_trim(p)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
-    acc = Matrix.zeros(m.rows, m.cols)
-    for c in reversed(poly_trim(p)):
-        acc = acc.mul(m) if acc.rows else acc
-        if c != 0:
-            acc = acc.add(Matrix.identity(m.rows).scale(c))
-    return acc
-
-
 def is_squarefree(p: Poly) -> bool:
     """True iff gcd(p, p') is constant.  Rejects the zero polynomial."""
     p = poly_trim(p)

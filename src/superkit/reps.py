@@ -7,7 +7,11 @@ action matrix per basis element of g, subject to the super-representation law
 
 Semisimplicity of a module is decided by the characteristic-zero trace-form
 criterion on the associative algebra generated by the action matrices: the
-module is semisimple iff that algebra has zero trace radical.
+module is semisimple iff that algebra has zero trace radical.  The algebra is
+spanned from the identity by left multiplication with a pruned generating set
+(each action matrix not already in the span found so far), in exact integers;
+the generators are kept as sparse rows, so a product costs nnz(s)·dim row
+operations, and the trace form is filled on its upper triangle only.
 
 `ds_functor` computes the homology V -> ker(u)/im(u) on the invariants of
 h = [u,u]/2, which is defined whenever h is a semisimple element; u acts by a
@@ -18,6 +22,7 @@ level of graded dimensions.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
@@ -30,6 +35,7 @@ from .linalg import (
     in_span,
     kernel_basis,
     rational_eigenspaces,
+    rref,
     span_basis,
     vec,
     zero_vec,
@@ -65,10 +71,15 @@ class SuperModule:
         return sum(1 for p in self.parity if p == ODD)
 
     def matrix_of(self, x: Sequence) -> Matrix:
+        """sum_i x[i] rho(e_i), accumulated in one matrix."""
         out = Matrix.zeros(self.dim, self.dim)
         for i, c in enumerate(x):
-            if Q(c) != 0:
-                out = out.add(self.action[i].scale(Q(c)))
+            c = Q(c)
+            if c:
+                for orow, arow in zip(out.data, self.action[i].data):
+                    for k, a in enumerate(arow):
+                        if a:
+                            orow[k] += c * a
         return out
 
     def __repr__(self) -> str:
@@ -194,17 +205,13 @@ def conjugate(m: SuperModule, p: Matrix) -> SuperModule:
 
 
 def _inverse(p: Matrix) -> Matrix:
+    """The inverse of p, read off the reduced echelon form of [p | I]."""
     n = p.rows
-    cols = []
-    for j in range(n):
-        e = zero_vec(n)
-        e[j] = Q(1)
-        from .linalg import solve_linear
-        x = solve_linear(p, e)
-        if x is None:
-            raise ValueError("matrix is not invertible")
-        cols.append(x)
-    return Matrix.from_columns(cols)
+    red, pivots = rref(Matrix([row + [Q(int(r == c)) for c in range(n)]
+                               for r, row in enumerate(p.data)]))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is not invertible")
+    return Matrix([row[n:] for row in red.data])
 
 
 def induced_trivial(g: LieSuperalgebra) -> SuperModule:
@@ -241,68 +248,98 @@ def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
 # ---------------------------------------------------------------------------
 
 def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
-    """True iff the associative algebra generated by the matrices and the
-    identity has zero trace radical {a : tr(ab) = 0 for all b}."""
+    """True iff the associative algebra A generated by the matrices and the
+    identity has zero trace radical {a : tr(ab) = 0 for all b}.
+
+    A is spanned by closing span{I} under left multiplication by a pruned
+    generating set S: a matrix that already lies in the current span is
+    skipped, the others join S.  The final span contains I and every matrix
+    and is closed under S, so it is A.  Each matrix is scaled to integers;
+    products are row combinations through the sparse rows of S, and the
+    verdict is the rank of the symmetric Gram matrix tr(ab) on a basis of A.
+    """
     if dim == 0:
         return True
-    gens = [_int_matrix(m) for m in mats]
-    basis: list[list[list[int]]] = []
-    ech = _IntEchelon(dim * dim)
-    ident = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-    queue = [ident] + [m for m in gens]
-    while queue:
-        cand = queue.pop()
-        if ech.add([x for row in cand for x in row]):
-            basis.append(cand)
-            for gmat in gens:
-                queue.append(_int_mul(gmat, cand))
+    ech = _IntEchelon()
+    basis: list[list[int]] = []
+    used: list[list[list[tuple[int, int]]]] = []
+    queue = [[int(r == c) for r in range(dim) for c in range(dim)]]
+
+    def close() -> None:
+        while queue:
+            cand = queue.pop()
+            if ech.add(cand):
+                basis.append(cand)
+                queue.extend(_left_mul(s, cand, dim) for s in used)
+
+    close()
+    for m in mats:
+        flat = _int_flat(m)
+        if not any(ech.reduce(flat)):
+            continue
+        s = [[(c, x) for c, x in enumerate(flat[r * dim:(r + 1) * dim]) if x]
+             for r in range(dim)]
+        used.append(s)
+        queue.extend(_left_mul(s, b, dim) for b in basis)
+        close()
     n = len(basis)
-    gram = [[_trace_prod(basis[p], basis[q]) for q in range(n)] for p in range(n)]
-    return _int_rank(gram) == n
+    support = [[(k, x) for k, x in enumerate(a) if x] for a in basis]
+    # tr(ab) = sum_k flat(a)[k] * flat(b^T)[k]
+    transposed = [[b[c * dim + r] for r in range(dim) for c in range(dim)] for b in basis]
+    gram = [[0] * n for _ in range(n)]
+    for p in range(n):
+        sup = support[p]
+        row = gram[p]
+        for q in range(p, n):
+            bt = transposed[q]
+            row[q] = gram[q][p] = sum(x * bt[k] for k, x in sup)
+    ech = _IntEchelon()
+    return all(ech.add(row) for row in gram)
 
 
 def is_module_semisimple(g: LieSuperalgebra, m: SuperModule) -> bool:
     return is_semisimple_action(m.action, m.dim)
 
 
-def _int_matrix(m: Matrix) -> list[list[int]]:
+def _int_flat(m: Matrix) -> list[int]:
+    """Row-major entries of m scaled by the lcm of their denominators."""
     den = 1
     for row in m.data:
         for e in row:
             den = den * e.denominator // gcd(den, e.denominator)
-    return [[int(e * den) for e in row] for row in m.data]
+    return [int(e * den) for row in m.data for e in row]
 
 
-def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _trace_prod(a: list[list[int]], b: list[list[int]]) -> int:
-    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
+def _left_mul(s: list[list[tuple[int, int]]], b: list[int], dim: int) -> list[int]:
+    """Row-major s.b for s given by its sparse rows and b row-major: row r of
+    the product is the combination of the rows of b that row r of s names."""
+    out: list[int] = []
+    for entries in s:
+        acc = [0] * dim
+        for k, x in entries:
+            off = k * dim
+            acc = [a + x * y for a, y in zip(acc, b[off:off + dim])]
+        out.extend(acc)
+    return out
 
 
 class _IntEchelon:
-    """Integer row echelon with fraction-free reduction, for span tests."""
+    """Integer row echelon with fraction-free reduction, for span tests.
+    Pivot rows are kept gcd-normalized with a positive lead; `order` lists
+    their lead columns in increasing order."""
 
-    def __init__(self, width: int) -> None:
-        self.width = width
+    def __init__(self) -> None:
         self.pivots: dict[int, list[int]] = {}
+        self.order: list[int] = []
 
-    def _normalize(self, row: list[int]) -> list[int]:
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            row = [x // g for x in row]
-        return row
+    @staticmethod
+    def _normalize(row: list[int]) -> list[int]:
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
 
     def reduce(self, row: list[int]) -> list[int]:
         row = list(row)
-        for c in sorted(self.pivots):
+        for c in self.order:
             if row[c]:
                 p = self.pivots[c]
                 pc, rc = p[c], row[c]
@@ -318,20 +355,8 @@ class _IntEchelon:
         if row[lead] < 0:
             row = [-x for x in row]
         self.pivots[lead] = self._normalize(row)
+        insort(self.order, lead)
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    if not rows:
-        return 0
-    ech = _IntEchelon(len(rows[0]))
-    for r in rows:
-        ech.add(r)
-    return ech.rank
 
 
 # ---------------------------------------------------------------------------

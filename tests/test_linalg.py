@@ -13,9 +13,9 @@ from superkit.linalg import (
     kernel_basis,
     minimal_polynomial,
     poly_divmod,
-    poly_eval_matrix,
     poly_gcd,
     poly_mul,
+    poly_trim,
     rational_eigenspaces,
     rational_roots,
     rank,
@@ -26,6 +26,16 @@ from superkit.linalg import (
 
 def matvec_is_zero(m, v):
     return all(c == 0 for c in m.matvec(v))
+
+
+def poly_eval_matrix(p, m):
+    """p(m) by Horner's rule."""
+    acc = Matrix.zeros(m.rows, m.cols)
+    for c in reversed(poly_trim(p)):
+        acc = acc.mul(m) if acc.rows else acc
+        if c != 0:
+            acc = acc.add(Matrix.identity(m.rows).scale(c))
+    return acc
 
 
 # -- kernel_basis ---------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Super modules, semisimplicity testing, and the Duflo-Serganova functor."""
 
 import random
+from math import gcd
 
 import pytest
 from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD
-from superkit.families import build_gl, build_osp1, build_sl, build_toy
+from superkit.families import build_gl, build_osp1, build_sl, build_toy, parse_family_spec
 from superkit.linalg import Matrix, zero_vec
 from superkit.reps import (
     NotInG1ss,
@@ -20,6 +21,7 @@ from superkit.reps import (
     has_integral_weights,
     induced_trivial,
     is_module_semisimple,
+    is_semisimple_action,
     tensor,
     trivial_module,
     validate_module,
@@ -246,3 +248,159 @@ def test_conjugation_preserves_ds_dims():
     c = conjugate(m, p)
     assert validate_module(g, c) == []
     assert ds_functor(g, u, c).dims == ds_functor(g, u, m).dims
+
+
+# -- semisimplicity against the dense reference ----------------------------------------------
+#
+# `_dense_is_semisimple_action` is the former implementation of
+# `is_semisimple_action`, kept here as an oracle: it closes the full generator
+# list under left multiplication with dense integer products and takes the rank
+# of the full, non-symmetric Gram matrix.
+
+def _dense_is_semisimple_action(mats, dim):
+    if dim == 0:
+        return True
+    gens = [_dense_int_matrix(m) for m in mats]
+    basis = []
+    ech = _DenseIntEchelon()
+    ident = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
+    queue = [ident] + [m for m in gens]
+    while queue:
+        cand = queue.pop()
+        if ech.add([x for row in cand for x in row]):
+            basis.append(cand)
+            for gmat in gens:
+                queue.append(_dense_int_mul(gmat, cand))
+    n = len(basis)
+    gram = [[_dense_trace_prod(basis[p], basis[q]) for q in range(n)] for p in range(n)]
+    rank = _DenseIntEchelon()
+    for row in gram:
+        rank.add(row)
+    return len(rank.pivots) == n
+
+
+def _dense_int_matrix(m):
+    den = 1
+    for row in m.data:
+        for e in row:
+            den = den * e.denominator // gcd(den, e.denominator)
+    return [[int(e * den) for e in row] for row in m.data]
+
+
+def _dense_int_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _dense_trace_prod(a, b):
+    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
+
+
+class _DenseIntEchelon:
+    def __init__(self):
+        self.pivots = {}
+
+    def _normalize(self, row):
+        g = 0
+        for x in row:
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            row = [x // g for x in row]
+        return row
+
+    def reduce(self, row):
+        row = list(row)
+        for c in sorted(self.pivots):
+            if row[c]:
+                p = self.pivots[c]
+                pc, rc = p[c], row[c]
+                row = [x * pc - y * rc for x, y in zip(row, p)]
+                row = self._normalize(row)
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        if row[lead] < 0:
+            row = [-x for x in row]
+        self.pivots[lead] = self._normalize(row)
+        return True
+
+
+def _reference_modules():
+    out = []
+    for spec in ("gl:1:1", "sl:2:1", "gl:2:1", "osp1:1", "osp1:2",
+                 "product:osp1:1,gl:1:1", "toy_odd_semisimple"):
+        out.append((f"induced {spec}", induced_trivial(parse_family_spec(spec))))
+    for spec in ("sl:2:1", "gl:2:1"):
+        out.append((f"adjoint {spec}", adjoint_module(parse_family_spec(spec))))
+    for spec in ("osp1:1", "sl:2:1", "gl:2:1"):
+        v = parse_family_spec(spec).faithful_rep
+        out.append((f"defining*dual {spec}", tensor(v, dual(v))))
+    return out
+
+
+def _generator_variants(mats, dim, rng):
+    """Generator lists that generate the same algebra as `mats`."""
+    zero = Matrix.zeros(dim, dim)
+    interleaved = [z for m in mats for z in (zero, m)] + [zero]
+    scaled = [m.scale(Q(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))) for m in mats]
+    return {
+        "reversed": list(reversed(mats)),
+        "duplicated": list(mats) + list(mats),
+        "zero-interleaved": interleaved,
+        "scaled": scaled,
+    }
+
+
+def _random_parity_conjugate(m, rng):
+    """A conjugate of m by a random diagonal matrix times three shears, each
+    inside one parity block."""
+    p = Matrix.identity(m.dim)
+    for i in range(m.dim):
+        p.data[i][i] = Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+    for _ in range(3):
+        a = rng.randrange(m.dim)
+        same = [b for b in range(m.dim) if b != a and m.parity[b] == m.parity[a]]
+        if same:
+            shear = Matrix.identity(m.dim)
+            shear.data[a][rng.choice(same)] = Q(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            p = p.mul(shear)
+    return conjugate(m, p)
+
+
+def test_semisimple_action_matches_dense_reference():
+    rng = random.Random(11)
+    verdicts = {}
+    for name, m in _reference_modules():
+        expected = _dense_is_semisimple_action(m.action, m.dim)
+        verdicts[name] = expected
+        assert is_semisimple_action(m.action, m.dim) is expected, name
+        # each variant generates the same algebra, or a conjugate of it, so the
+        # reference verdict carries over
+        variants = _generator_variants(m.action, m.dim, rng)
+        variants["conjugate"] = _random_parity_conjugate(m, rng).action
+        for kind, mats in variants.items():
+            assert is_semisimple_action(mats, m.dim) is expected, (name, kind)
+    # the ghost verdict: the induced module is semisimple exactly for osp types
+    assert [n for n, v in verdicts.items() if n.startswith("induced") and v] == [
+        "induced osp1:1", "induced osp1:2"]
+
+
+@pytest.mark.parametrize("mats, dim, expected", [
+    ([], 0, True),
+    ([], 1, True),
+    ([Matrix([[Q(-3, 4)]])], 1, True),
+    ([], 3, True),
+    ([Matrix.zeros(3, 3), Matrix.zeros(3, 3)], 3, True),
+    ([Matrix([[0, 1], [0, 0]])], 2, False),
+    ([Matrix([[1, 0], [0, 0]]), Matrix.zeros(2, 2), Matrix([[0, 1], [0, 0]])], 2, False),
+    ([Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])], 2, True),
+])
+def test_semisimple_action_edge_cases(mats, dim, expected):
+    assert _dense_is_semisimple_action(mats, dim) is expected
+    assert is_semisimple_action(mats, dim) is expected
