@@ -25,9 +25,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
+    Echelon,
     Matrix,
     Q,
     Vec,
+    coordinates_in,
     is_squarefree,
     is_zero_vec,
     kernel_basis,
@@ -160,24 +162,7 @@ class LieSuperalgebra:
 
     def describe(self, x: Sequence) -> str:
         """Pretty form of a coordinate vector, e.g. '2*h - a'."""
-        terms = []
-        for i, c in enumerate(x):
-            c = Q(c)
-            if c == 0:
-                continue
-            name = self.names[i]
-            if c == 1:
-                terms.append(f"+ {name}")
-            elif c == -1:
-                terms.append(f"- {name}")
-            elif c < 0:
-                terms.append(f"- {-c}*{name}")
-            else:
-                terms.append(f"+ {c}*{name}")
-        if not terms:
-            return "0"
-        head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
-        return " ".join([head] + terms[1:])
+        return _format_terms(zip(x, self.names))
 
     # -- axioms --------------------------------------------------------------
 
@@ -347,9 +332,8 @@ class LieSuperalgebra:
         span is then the whole closure, and the basis is the one the full
         search would have returned, since no later bracket could add to it.
         """
-        from .linalg import Echelon
         bound = self.dim if bound is None else bound
-        ech = Echelon(self.dim)
+        ech = Echelon()
         basis: list[Vec] = []
         queue: list[Vec] = []
         for s in seed:
@@ -387,7 +371,6 @@ class LieSuperalgebra:
         f, and reaching len(f) proves the two are equal.  A closure that stops
         short of its bound is complete and goes through the overlap check.
         """
-        from .linalg import Echelon
         if self.dim == 0:
             return Decomposition([], [], [])
         zc = self.center()
@@ -407,7 +390,7 @@ class LieSuperalgebra:
             cl = self.ideal_closure(s, len(home) if home is not None else None)
             if home is not None and len(cl) == len(home):
                 continue
-            ecl = Echelon(self.dim)
+            ecl = Echelon()
             for v in cl:
                 ecl.add(v)
             merged = False
@@ -459,7 +442,6 @@ class LieSuperalgebra:
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
         with structure constants re-expressed in that basis.  The parent's
         faithful representation restricts to a faithful one."""
-        from .linalg import SpanSolver
         basis = [vec(v) for v in basis_vectors]
         parities = []
         for v in basis:
@@ -468,12 +450,12 @@ class LieSuperalgebra:
                 raise ValueError("subalgebra basis must be parity-homogeneous")
             parities.append(pe[0] if pe else EVEN)
         n = len(basis)
-        solver = SpanSolver(basis)
+        coordinates = coordinates_in(basis)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a in range(n):
             for b in range(n):
                 w = self.bracket(basis[a], basis[b])
-                coeffs = solver.coordinates(w)
+                coeffs = coordinates(w)
                 if coeffs is None:
                     raise ValueError("vectors do not span a subalgebra")
                 table[(a, b)] = {k: c for k, c in enumerate(coeffs) if c != 0}
@@ -486,23 +468,6 @@ class LieSuperalgebra:
             )
         names = tuple(f"x{t}" for t in range(n))
         return LieSuperalgebra(parities, table, names, faithful_rep=rep)
-
-    # -- misc -------------------------------------------------------------------
-
-    def exp_ad_nilpotent(self, x: Sequence) -> Matrix:
-        """exp(ad x) as an exact rational matrix; requires ad x nilpotent."""
-        ad = self.ad_matrix(x)
-        n = self.dim
-        out = Matrix.identity(n)
-        term = Matrix.identity(n)
-        fact = 1
-        for k in range(1, n + 2):
-            term = term.mul(ad)
-            if term.is_zero():
-                return out
-            fact *= k
-            out = out.add(term.scale(Q(1, fact)))
-        raise ValueError("ad x is not nilpotent")
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -524,6 +489,25 @@ class Decomposition:
         return f"Decomposition(center dim {len(self.center)}, {len(self.ideals)} simple ideals)"
 
 
+def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """A signed sum such as '2*h - a + 1/2' of (coefficient, monomial) pairs;
+    an empty monomial is a constant, and zero coefficients are left out."""
+    pieces = []
+    for c, mono in terms:
+        c = Q(c)
+        if c == 0:
+            continue
+        sign = "- " if c < 0 else "+ "
+        if mono and abs(c) == 1:
+            pieces.append(sign + mono)
+        else:
+            pieces.append(f"{sign}{abs(c)}" + (f"*{mono}" if mono else ""))
+    if not pieces:
+        return "0"
+    head = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
+    return " ".join([head] + pieces[1:])
+
+
 def _is_abelian(g: LieSuperalgebra) -> bool:
     return all(
         is_zero_vec(g.bracket_basis(i, j)) for i in range(g.dim) for j in range(g.dim)
@@ -531,11 +515,7 @@ def _is_abelian(g: LieSuperalgebra) -> bool:
 
 
 def _same_span(a: list[Vec], b: list[Vec]) -> bool:
-    from .linalg import Echelon
-    if not a and not b:
-        return True
-    width = len(a[0]) if a else len(b[0])
-    ea, eb = Echelon(width), Echelon(width)
+    ea, eb = Echelon(), Echelon()
     for v in a:
         ea.add(v)
     for v in b:

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from .core import ODD, LieSuperalgebra, SuperkitError
-from .linalg import Matrix, Q, Vec, kernel_basis, zero_vec
+from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
+from .linalg import Matrix, Q, Vec, _integer_row, kernel_basis, zero_vec
 
 Word = tuple[int, ...]
 
@@ -193,23 +192,11 @@ class EnvelopingElement:
         return EnvelopingElement(self.g, _normal_form_terms(self.g, items))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         names = self.g.names
-        pieces = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            mono = "*".join(names[i] for i in w) if w else "1"
-            if c == 1 and w:
-                pieces.append(f"+ {mono}")
-            elif c == -1 and w:
-                pieces.append(f"- {mono}")
-            elif c < 0:
-                pieces.append(f"- {-c}" + (f"*{mono}" if w else ""))
-            else:
-                pieces.append(f"+ {c}" + (f"*{mono}" if w else ""))
-        head = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
-        return " ".join([head] + pieces[1:])
+        return _format_terms(
+            (self.terms[w], "*".join(names[i] for i in w))
+            for w in sorted(self.terms, key=lambda w: (len(w), w))
+        )
 
     __repr__ = __str__
 
@@ -250,24 +237,10 @@ class CoinvariantElement:
     def __str__(self) -> str:
         odd = self.g.odd_indices
         names = self.g.names
-        pieces = []
-        for mask, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            letters = [names[odd[t]] for t in range(len(odd)) if mask >> t & 1]
-            mono = "*".join(letters) if letters else "1"
-            if c == 1 and letters:
-                pieces.append(f"+ {mono}")
-            elif c == -1 and letters:
-                pieces.append(f"- {mono}")
-            elif c < 0:
-                pieces.append(f"- {-c}" + (f"*{mono}" if letters else ""))
-            else:
-                pieces.append(f"+ {c}" + (f"*{mono}" if letters else ""))
-        if not pieces:
-            return "0"
-        head = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
-        return " ".join([head] + pieces[1:])
+        return _format_terms(
+            (c, "*".join(names[odd[t]] for t in range(len(odd)) if mask >> t & 1))
+            for mask, c in enumerate(self.coords)
+        )
 
 
 def _odd_positions(g: LieSuperalgebra) -> dict[int, int]:
@@ -483,15 +456,7 @@ class GhostElement:
 
 
 def _primitive(coords: list[Fraction]) -> list[Fraction]:
-    den = 1
-    for c in coords:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coords]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
+    ints = _integer_row(coords)
     lead = next((x for x in ints if x), 1)
     if lead < 0:
         ints = [-x for x in ints]

@@ -26,25 +26,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra
-from .linalg import Matrix, Q, Vec, solve_linear, zero_vec
+from .linalg import Matrix, Q, block_inverse
 from .reps import SuperModule
-
-
-def _left_inverse(columns: list[Vec]) -> Matrix:
-    """L with L . B = I for the full-column-rank matrix B of the columns."""
-    b = Matrix.from_columns(columns)
-    bt = b.transpose()
-    gram = bt.mul(b)
-    n = gram.rows
-    inv_cols = []
-    for j in range(n):
-        e = zero_vec(n)
-        e[j] = Q(1)
-        x = solve_linear(gram, e)
-        if x is None:
-            raise ValueError("basis matrices are linearly dependent")
-        inv_cols.append(x)
-    return Matrix.from_columns(inv_cols).mul(bt)
 
 
 def _sparse_entries(m: Matrix) -> dict[tuple[int, int], Fraction]:
@@ -77,9 +60,9 @@ def algebra_from_matrices(
     with the defining representation attached."""
     n = len(mats)
     d = mats[0].rows if mats else 0
-    flat = [m.flatten() for m in mats]
-    expander = _left_inverse(flat) if n else None
-    exp_rows = expander.data if expander is not None else []
+    # coordinates of a matrix in the span: inv applied to its entries at pos
+    pos, inv = block_inverse([m.flatten() for m in mats])
+    at = [divmod(r, d) for r in pos]
     sparse = [_sparse_entries(m) for m in mats]
     by_row = []
     for s in sparse:
@@ -96,14 +79,8 @@ def algebra_from_matrices(
             )
             if not br:
                 continue
-            comps: dict[int, Fraction] = {}
-            for k in range(n):
-                row = exp_rows[k]
-                acc = Q(0)
-                for (r, c), v in br.items():
-                    acc += row[r * d + c] * v
-                if acc:
-                    comps[k] = acc
+            entries = [br.get(rc, 0) for rc in at]
+            comps = {k: c for k, c in enumerate(inv.matvec(entries)) if c}
             recon: dict[tuple[int, int], Fraction] = {}
             for k, coeff in comps.items():
                 for pos, v in sparse[k].items():

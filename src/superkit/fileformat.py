@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import LieSuperalgebra, SuperkitError
-from .linalg import Matrix, Q
+from .linalg import Matrix, Q, rank
 from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
 
@@ -71,8 +71,9 @@ def _parity_token(tok: str, lineno: int) -> int:
 def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str, list[str]]:
     """Parse an algebra file; returns (algebra, name, warnings).
 
-    In strict mode a failed axiom check raises ParseError; in lax mode the
-    violations come back as warnings.
+    In strict mode a failed axiom check, or a `rep` block whose matrices are
+    linearly dependent (a representation that is not faithful), raises
+    ParseError; in lax mode these come back as warnings.
     """
     name = "algebra"
     labels: list[str] = []
@@ -158,6 +159,11 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     warnings = g.validate()
     if strict and warnings:
         raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
+    if rep is not None and rank(Matrix([m.flatten() for m in rep.action])) < g.dim:
+        unfaithful = "rep: the representation is not faithful (its matrices are linearly dependent)"
+        if strict:
+            raise ParseError(unfaithful)
+        warnings.append(unfaithful)
     return g, name, warnings
 
 

@@ -5,13 +5,22 @@ as the scalar type; there is no floating point anywhere.  Matrices are dense
 (row-major lists of lists), which is adequate for the dimensions this toolkit
 targets (at most a few hundred).
 
+All elimination goes through one engine, `Echelon`: an incremental,
+fraction-free row echelon form on primitive integer rows.  `rank`,
+`kernel_basis`, `solve_linear`, `in_span`, `span_basis`, `inverse`,
+`coordinates_in` and the Krylov step of `minimal_polynomial` are built on it,
+and read their answers off its reduced echelon form, which is unique; so
+they give the same vectors as any other exact elimination would.
+
 Polynomials are plain coefficient lists in ascending degree with a nonzero
 leading coefficient (the zero polynomial is the empty list).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -154,64 +163,130 @@ class Matrix:
         return NotImplemented
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (reduced matrix, pivot columns)."""
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        if pv != 1:
-            a[r] = [e / pv if e else e for e in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * p if p else e for e, p in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+def _integer_row(v: Iterable) -> list[int]:
+    """The entries of v (ints or Fractions) times the lcm of their
+    denominators, divided by the gcd of the results: a primitive integer
+    vector on the same line as v."""
+    row = list(v)
+    if any(type(e) is not int for e in row):
+        dens = [e.denominator for e in row]
+        den = lcm(*dens)
+        row = [e.numerator * (den // d) for e, d in zip(row, dens)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+class Echelon:
+    """Incremental fraction-free row echelon form, the package's one exact
+    elimination engine.
+
+    Rows are scaled to primitive integer rows on entry.  Each pivot row is
+    kept gcd-normalized with a positive lead; `pivots` lists the lead columns
+    in increasing order and `rows` maps each to its row.  A row added later
+    is reduced against every earlier pivot, so it is zero at their columns;
+    `reduced` back-substitutes once to give the reduced echelon form.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, list[int]] = {}
+        self.pivots: list[int] = []
+
+    def reduce(self, v: Iterable) -> list[int]:
+        """v minus its part in the span, as an integer row up to scale."""
+        row = _integer_row(v)
+        for c in self.pivots:
+            x = row[c]
+            if x:
+                row = _eliminate(row, self.rows[c], c, x)
+        return row
+
+    def contains(self, v: Iterable) -> bool:
+        return not any(self.reduce(v))
+
+    def add(self, v: Iterable) -> bool:
+        """Insert if independent of the current span; returns True if new."""
+        row = self.reduce(v)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        self.rows[lead] = row if row[lead] > 0 else [-x for x in row]
+        insort(self.pivots, lead)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduced(self) -> list[Vec]:
+        """The reduced row echelon form of the span, one row per pivot in
+        `pivots` order: lead 1 and zero at every other pivot column."""
+        done: dict[int, list[int]] = {}
+        for c in reversed(self.pivots):
+            row = self.rows[c]
+            for c2, p in done.items():
+                x = row[c2]
+                if x:
+                    row = _eliminate(row, p, c2, x)
+            done[c] = row
+        out = []
+        for c in self.pivots:
+            row = done[c]
+            lead = row[c]
+            out.append([Q(x, lead) if x else _Q0 for x in row])
+        return out
+
+
+def _eliminate(row: list[int], p: list[int], c: int, x: int) -> list[int]:
+    """row * p[c] - p * x (zero at column c when x = row[c]), made primitive."""
+    pc = p[c]
+    row = [a * pc - b * x for a, b in zip(row, p)]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _echelon(rows: Iterable, width: int) -> Echelon:
+    """An Echelon of the rows; stops early once the rank reaches width."""
+    ech = Echelon()
+    for row in rows:
+        if ech.add(row) and ech.rank == width:
             break
-    out = Matrix.__new__(Matrix)
-    out.data, out.rows, out.cols = a, rows, cols
-    return out, pivots
+    return ech
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return _echelon(m.data, m.cols).rank
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
-    """Basis of the right null space {v : m v = 0}."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    """Basis of the right null space {v : m v = 0}: one vector per free
+    column, with 1 there and 0 at the other free columns."""
+    ech = _echelon(m.data, m.cols)
+    red = ech.reduced()
+    pivots = set(ech.pivots)
     basis = []
-    for fc in free:
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
         v = zero_vec(m.cols)
         v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
+        for pc, row in zip(ech.pivots, red):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
 def solve_linear(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
-    """Some x with m x = b, or None if the system is inconsistent."""
+    """The x with m x = b whose free variables are zero, or None if the
+    system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    aug = Matrix([row + [Q(bi)] for row, bi in zip(m.data, b)] or [])
-    if m.rows == 0:
-        return zero_vec(m.cols)
-    red, pivots = rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    ech = _echelon(([*row, bi] for row, bi in zip(m.data, b)), n + 1)
+    if ech.pivots and ech.pivots[-1] == n:
         return None
-    x = zero_vec(m.cols)
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
+    x = zero_vec(n)
+    for pc, row in zip(ech.pivots, ech.reduced()):
+        x[pc] = row[n]
     return x
 
 
@@ -223,78 +298,59 @@ def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -
 
 
 def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Extract a linearly independent spanning subset (as row reduction pivots)."""
-    if not vectors:
-        return []
-    _, pivots = rref(Matrix.from_columns(list(vectors)))
-    return [vec(vectors[j]) for j in pivots]
+    """The vectors that are independent of the ones before them."""
+    ech = Echelon()
+    out: list[Vec] = []
+    for v in vectors:
+        if ech.add(v):
+            out.append(vec(v))
+            if len(out) == len(v):
+                break
+    return out
 
 
-class Echelon:
-    """Incremental row echelon over the rationals, for cheap span membership."""
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows: list[tuple[int, Vec]] = []  # (pivot column, row with pivot 1)
-
-    def reduce(self, v: Sequence[Fraction]) -> Vec:
-        v = [e if type(e) is Fraction else Q(e) for e in v]
-        for c, row in self.rows:
-            f = v[c]
-            if f:
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return v
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(a == 0 for a in self.reduce(v))
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert if independent of the current span; returns True if new."""
-        r = self.reduce(v)
-        lead = next((c for c, a in enumerate(r) if a), None)
-        if lead is None:
-            return False
-        pv = r[lead]
-        if pv != 1:
-            r = [a / pv if a else a for a in r]
-        self.rows.append((lead, r))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def inverse(m: Matrix) -> Matrix:
+    """The inverse of a square matrix, read off the reduced rows of [m | I]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    ech = Echelon()
+    for r, row in enumerate(m.data):
+        ech.add([*row, *(int(r == c) for c in range(n))])
+    if ech.pivots != list(range(n)):
+        raise ValueError("matrix is not invertible")
+    return Matrix([row[n:] for row in ech.reduced()])
 
 
-class SpanSolver:
-    """Repeated exact coordinates-in-span queries against a fixed independent
-    basis, via a precomputed left inverse."""
+def block_inverse(basis: Sequence[Sequence[Fraction]]) -> tuple[list[int], Matrix]:
+    """For independent vectors b_1..b_n: n positions S at which their
+    entries form an invertible n x n block B[S], and the inverse of that
+    block.  For t in their span, inv . t[S] is the coordinate vector of t."""
+    ech = Echelon()
+    pos = []
+    for r, entries in enumerate(zip(*basis)):
+        if ech.add(entries):
+            pos.append(r)
+            if len(pos) == len(basis):
+                break
+    if len(pos) != len(basis):
+        raise ValueError("the basis vectors are linearly dependent")
+    return pos, inverse(Matrix([[v[r] for v in basis] for r in pos]))
 
-    def __init__(self, basis: Sequence[Sequence[Fraction]]) -> None:
-        self.basis = [vec(v) for v in basis]
-        if not self.basis:
-            self.bmat = None
-            self.left = None
-            return
-        self.bmat = Matrix.from_columns(self.basis)
-        bt = self.bmat.transpose()
-        gram = bt.mul(self.bmat)
-        n = gram.rows
-        cols = []
-        for j in range(n):
-            e = zero_vec(n)
-            e[j] = Q(1)
-            x = solve_linear(gram, e)
-            if x is None:
-                raise ValueError("SpanSolver needs a linearly independent basis")
-            cols.append(x)
-        self.left = Matrix.from_columns(cols).mul(bt)
 
-    def coordinates(self, target: Sequence[Fraction]) -> Vec | None:
-        if self.bmat is None:
-            return [] if is_zero_vec(target) else None
-        x = self.left.matvec(target)
-        return x if self.bmat.matvec(x) == list(target) else None
+def coordinates_in(basis: Sequence[Sequence[Fraction]]):
+    """The map t -> coordinates of t in the independent vectors `basis`,
+    or None when t lies outside their span (checked by one matvec)."""
+    if not basis:
+        return lambda t: [] if is_zero_vec(t) else None
+    pos, inv = block_inverse(basis)
+    bmat = Matrix.from_columns([vec(v) for v in basis])
+
+    def coordinates(t: Sequence[Fraction]) -> Vec | None:
+        x = inv.matvec([t[r] for r in pos])
+        return x if bmat.matvec(x) == list(t) else None
+
+    return coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +478,20 @@ def _poly_kills_vector(p: Poly, m: Matrix, v: Vec) -> bool:
 
 
 def _local_minimal_polynomial(m: Matrix, v: Vec) -> Poly:
+    """Monic p of least degree with p(m) v = 0.  The Krylov vectors w_k = m^k v
+    go into one Echelon as [w_k | e_k]; the first row whose w-part reduces to
+    zero carries the dependency sum a_j w_j = 0 in its e-part."""
     n = len(v)
-    krylov: list[Vec] = []
-    w = v[:]
-    while True:
-        coeffs = in_span(krylov, w)
-        if coeffs is not None:
-            # w = sum coeffs[j] * krylov[j]  =>  x^k - sum coeffs[j] x^j kills v
-            p = [-c for c in coeffs] + [Q(1)]
-            return poly_trim(p)
-        krylov.append(w)
+    ech = Echelon()
+    w = v
+    for k in range(n + 1):
+        ech.add([*w, *(int(j == k) for j in range(n + 1))])
+        lead = ech.pivots[-1]
+        if lead >= n:
+            a = ech.rows[lead][n:n + k + 1]
+            return [Q(x, a[k]) for x in a]
         w = m.matvec(w)
-        if len(krylov) > n:
-            raise RuntimeError("Krylov iteration failed to terminate")
+    raise RuntimeError("Krylov iteration failed to terminate")
 
 
 def rational_roots(p: Poly, bound: Fraction | None = None) -> list[Fraction]:
@@ -455,15 +512,7 @@ def rational_roots(p: Poly, bound: Fraction | None = None) -> list[Fraction]:
         p = p[k:]
     if len(p) == 1:
         return roots
-    # clear denominators to a primitive integer polynomial
-    from math import gcd, lcm
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
+    ints = _integer_row(p)
     a0, alead = abs(ints[0]), abs(ints[-1])
     seen: set[Fraction] = set()
     for r in _divisors(a0):

@@ -22,21 +22,19 @@ level of graded dimensions.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from .linalg import (
+    Echelon,
     Matrix,
     Q,
     Vec,
-    in_span,
+    _integer_row,
+    inverse,
     kernel_basis,
     rational_eigenspaces,
-    rref,
-    span_basis,
     vec,
     zero_vec,
 )
@@ -199,19 +197,9 @@ def _matrix_parity(a: Matrix, parity: Sequence[int]) -> int:
 
 def conjugate(m: SuperModule, p: Matrix) -> SuperModule:
     """Change of basis by a parity-preserving invertible matrix."""
-    pinv = _inverse(p)
+    pinv = inverse(p)
     return SuperModule(parity=m.parity,
                        action=[p.mul(a).mul(pinv) for a in m.action])
-
-
-def _inverse(p: Matrix) -> Matrix:
-    """The inverse of p, read off the reduced echelon form of [p | I]."""
-    n = p.rows
-    red, pivots = rref(Matrix([row + [Q(int(r == c)) for c in range(n)]
-                               for r, row in enumerate(p.data)]))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return Matrix([row[n:] for row in red.data])
 
 
 def induced_trivial(g: LieSuperalgebra) -> SuperModule:
@@ -260,7 +248,7 @@ def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
     """
     if dim == 0:
         return True
-    ech = _IntEchelon()
+    ech = Echelon()
     basis: list[list[int]] = []
     used: list[list[list[tuple[int, int]]]] = []
     queue = [[int(r == c) for r in range(dim) for c in range(dim)]]
@@ -274,8 +262,8 @@ def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
 
     close()
     for m in mats:
-        flat = _int_flat(m)
-        if not any(ech.reduce(flat)):
+        flat = _integer_row(m.flatten())
+        if ech.contains(flat):
             continue
         s = [[(c, x) for c, x in enumerate(flat[r * dim:(r + 1) * dim]) if x]
              for r in range(dim)]
@@ -293,21 +281,12 @@ def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
         for q in range(p, n):
             bt = transposed[q]
             row[q] = gram[q][p] = sum(x * bt[k] for k, x in sup)
-    ech = _IntEchelon()
+    ech = Echelon()
     return all(ech.add(row) for row in gram)
 
 
 def is_module_semisimple(g: LieSuperalgebra, m: SuperModule) -> bool:
     return is_semisimple_action(m.action, m.dim)
-
-
-def _int_flat(m: Matrix) -> list[int]:
-    """Row-major entries of m scaled by the lcm of their denominators."""
-    den = 1
-    for row in m.data:
-        for e in row:
-            den = den * e.denominator // gcd(den, e.denominator)
-    return [int(e * den) for row in m.data for e in row]
 
 
 def _left_mul(s: list[list[tuple[int, int]]], b: list[int], dim: int) -> list[int]:
@@ -321,42 +300,6 @@ def _left_mul(s: list[list[tuple[int, int]]], b: list[int], dim: int) -> list[in
             acc = [a + x * y for a, y in zip(acc, b[off:off + dim])]
         out.extend(acc)
     return out
-
-
-class _IntEchelon:
-    """Integer row echelon with fraction-free reduction, for span tests.
-    Pivot rows are kept gcd-normalized with a positive lead; `order` lists
-    their lead columns in increasing order."""
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, list[int]] = {}
-        self.order: list[int] = []
-
-    @staticmethod
-    def _normalize(row: list[int]) -> list[int]:
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
-
-    def reduce(self, row: list[int]) -> list[int]:
-        row = list(row)
-        for c in self.order:
-            if row[c]:
-                p = self.pivots[c]
-                pc, rc = p[c], row[c]
-                row = [x * pc - y * rc for x, y in zip(row, p)]
-                row = self._normalize(row)
-        return row
-
-    def add(self, row: list[int]) -> bool:
-        row = self.reduce(row)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        if row[lead] < 0:
-            row = [-x for x in row]
-        self.pivots[lead] = self._normalize(row)
-        insort(self.order, lead)
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +356,10 @@ def _homology_at(umat: Matrix, source: list[Vec], target: list[Vec]) -> tuple[in
     usrc = Matrix.from_columns([umat.matvec(v) for v in source])
     kern_coords = kernel_basis(usrc)
     kern = [smat.matvec(c) for c in kern_coords]
-    image = [umat.matvec(v) for v in target]
-    image = [w for w in image if any(c != 0 for c in w)]
-    image = span_basis(image)
-    reps: list[Vec] = []
-    current = list(image)
-    for v in kern:
-        if in_span(current, v) is None:
-            reps.append(v)
-            current = current + [v]
+    span = Echelon()
+    for v in target:
+        span.add(umat.matvec(v))
+    reps = [v for v in kern if span.add(v)]
     return len(reps), reps
 
 

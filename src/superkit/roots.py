@@ -37,10 +37,12 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
+    coordinates_in,
     in_span,
     is_zero_vec,
     kernel_basis,
     rational_eigenspaces,
+    solve_linear,
     span_basis,
     splits_semisimply_over_q,
     vec,
@@ -208,13 +210,12 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
             adt = g.ad_matrix(t)
             refined = []
             for weight, basis in spaces:
-                from .linalg import SpanSolver
-                solver = SpanSolver(basis)
-                bmat = solver.bmat
+                coordinates = coordinates_in(basis)
+                bmat = Matrix.from_columns(basis)
                 k_cols = []
                 for v in basis:
                     w = adt.matvec(v)
-                    coords = solver.coordinates(w)
+                    coords = coordinates(w)
                     if coords is None:
                         raise NonSemisimpleCartanAction(
                             "Cartan action does not preserve a weight space"
@@ -349,15 +350,14 @@ def _extract_form(g: LieSuperalgebra, odd_basis: list[Vec]) -> Matrix | None:
     """Reconstruct the symplectic form beta on the odd part from the triple
     bracket via [[u, u], w] = 2 beta(u, w) u, then verify the two-variable
     identity [[u, v], w] = beta(u, w) v + beta(v, w) u on all triples."""
-    from .linalg import SpanSolver
     m = len(odd_basis)
-    solver = SpanSolver(odd_basis)
+    coordinates = coordinates_in(odd_basis)
     gram = Matrix.zeros(m, m)
     for p in range(m):
         upp = g.bracket(odd_basis[p], odd_basis[p])
         for r in range(m):
             t = g.bracket(upp, odd_basis[r])
-            coords = solver.coordinates(t)
+            coords = coordinates(t)
             if coords is None:
                 return None
             if any(c != 0 for i, c in enumerate(coords) if i != p):
@@ -468,13 +468,12 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         tgt.append(v)
     # odd map: express an odd vector in the source Darboux basis, push the
     # coordinates onto the target Darboux basis
-    from .linalg import SpanSolver, solve_linear
-    src_solver = SpanSolver(src)
-    tgt_solver = SpanSolver(tgt)
-    tgt_mat = tgt_solver.bmat
+    src_coordinates = coordinates_in(src)
+    tgt_coordinates = coordinates_in(tgt)
+    tgt_mat = Matrix.from_columns(tgt)
 
     def phi_odd(v: Vec) -> Vec | None:
-        coords = src_solver.coordinates(v)
+        coords = src_coordinates(v)
         if coords is None:
             return None
         return tgt_mat.matvec(coords)
@@ -487,7 +486,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         entries = []
         for w in tgt:
             img = ade.matvec(w)
-            coords = tgt_solver.coordinates(img)
+            coords = tgt_coordinates(img)
             if coords is None:
                 return None
             entries.extend(coords)
@@ -499,7 +498,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         entries = []
         for w in src:
             img = adx.matvec(w)
-            coords = src_solver.coordinates(img)
+            coords = src_coordinates(img)
             if coords is None:
                 return None
             entries.extend(coords)
@@ -606,7 +605,6 @@ def _project_cartan(g: LieSuperalgebra, cartan_vecs: list[Vec], factor: list[Vec
             break
     if offset is None:
         raise SuperkitError("factor basis not found in decomposition basis")
-    from .linalg import solve_linear
     out: list[Vec] = []
     for t in cartan_vecs:
         coords = solve_linear(full_mat, t)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import EVEN, ODD, SuperkitError
+from .core import EVEN, ODD, SuperkitError, _format_terms
 from .linalg import (
     Matrix,
     Q,
@@ -104,24 +104,7 @@ class SupercommAlgebra:
         return None
 
     def describe(self, x: Sequence) -> str:
-        terms = []
-        for i, c in enumerate(x):
-            c = Q(c)
-            if c == 0:
-                continue
-            nm = self.names[i]
-            if c == 1:
-                terms.append(f"+ {nm}")
-            elif c == -1:
-                terms.append(f"- {nm}")
-            elif c < 0:
-                terms.append(f"- {-c}*{nm}")
-            else:
-                terms.append(f"+ {c}*{nm}")
-        if not terms:
-            return "0"
-        head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
-        return " ".join([head] + terms[1:])
+        return _format_terms(zip(x, self.names))
 
 
 def validate_algebra(a: SupercommAlgebra) -> list[str]:

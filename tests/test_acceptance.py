@@ -39,3 +39,9 @@ def test_runner_filter():
     results = acceptance.run_all(name_filter="djokovic")
     assert [r.name for r in results] == ["djokovic-element"]
     assert all(r.passed for r in results)
+
+
+def test_cross_validation_detail_is_reproducible():
+    # elapsed time belongs in CriterionResult.elapsed, not in the detail
+    first = acceptance.crit_cross_validation(acceptance.DEFAULT_SEED)
+    assert acceptance.crit_cross_validation(acceptance.DEFAULT_SEED) == first

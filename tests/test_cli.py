@@ -234,6 +234,19 @@ def test_algebra_file_through_cli(tmp_path, capsys):
     assert code == 0 and "Osp(1)" in out
 
 
+def test_unfaithful_rep_file_is_a_parse_error(tmp_path, capsys):
+    from superkit.families import build_osp1
+    g = build_osp1(1)
+    text = serialize_algebra(g, "zero-rep")
+    text = text[:text.index("\nrep ") + 1]
+    f = tmp_path / "zero-rep.alg"
+    f.write_text(text + "rep even\n" + "".join(f"repmat {nm}\n0\n" for nm in g.names))
+    code, out = run(capsys, "classify", "--algebra", str(f))
+    assert code == 2 and "not faithful" in out
+    code, out = run(capsys, "--json", "check", "--algebra", str(f))
+    assert code == 1 and json.loads(out)["valid"] is False
+
+
 def test_verify_all_filter(capsys):
     code, out = run(capsys, "verify-all", "--filter", "splitting")
     assert code == 0

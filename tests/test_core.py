@@ -3,7 +3,14 @@
 import pytest
 from fractions import Fraction as Q
 
-from superkit.core import EVEN, ODD, LieSuperalgebra, NotSemisimpleStructure, SuperkitError
+from superkit.core import (
+    EVEN,
+    ODD,
+    LieSuperalgebra,
+    NotSemisimpleStructure,
+    SuperkitError,
+    _format_terms,
+)
 from superkit.families import (
     algebra_from_matrices,
     build_gl,
@@ -26,6 +33,24 @@ def unit_vec(g, name):
 def abelian(dim_even=1, dim_odd=0):
     parity = [EVEN] * dim_even + [ODD] * dim_odd
     return LieSuperalgebra(parity, {})
+
+
+# -- signed-term printer -----------------------------------------------------------
+
+def test_format_terms():
+    assert _format_terms([(Q(1), "a")]) == "a"
+    assert _format_terms([(Q(-1), "a")]) == "-a"
+    assert _format_terms([(Q(-3, 2), "a*b")]) == "-3/2*a*b"
+    assert _format_terms([(Q(2, 3), "a")]) == "2/3*a"
+    assert _format_terms([(Q(5), "")]) == "5"
+    assert _format_terms([(Q(-1), "")]) == "-1"
+    assert _format_terms([(Q(1), "")]) == "1"
+    assert _format_terms([]) == "0"
+    assert _format_terms([(Q(0), "a"), (0, "b")]) == "0"
+    terms = [(Q(1), ""), (Q(0), "z"), (Q(1), "a"), (Q(-1), "b"), (Q(-3, 2), "c"),
+             (Q(2, 3), "d*e"), (2, "f"), (Q(-7), "")]
+    assert _format_terms(terms) == "1 + a - b - 3/2*c + 2/3*d*e + 2*f - 7"
+    assert build_gl(1, 1).describe([0, 1, Q(-1, 2), 0]) == "E12 - 1/2*E21"
 
 
 # -- validate ---------------------------------------------------------------------
@@ -136,10 +161,24 @@ def test_in_g1ss_examples():
         assert not o.in_g1ss(u)
 
 
+def exp_ad_nilpotent(g, x):
+    """exp(ad x) as an exact rational matrix; requires ad x nilpotent."""
+    ad = g.ad_matrix(x)
+    out = term = Matrix.identity(g.dim)
+    fact = 1
+    for k in range(1, g.dim + 2):
+        term = term.mul(ad)
+        if term.is_zero():
+            return out
+        fact *= k
+        out = out.add(term.scale(Q(1, fact)))
+    raise ValueError("ad x is not nilpotent")
+
+
 def test_in_g1ss_membership_is_exp_ad_invariant():
     o = build_osp1(1)
     x = unit_vec(o, "B11")          # nilpotent even element
-    exp = o.exp_ad_nilpotent(x)
+    exp = exp_ad_nilpotent(o, x)
     for u in ([1, 0], [0, 1], [2, 3]):
         uu = zero_vec(o.dim)
         for c, i in zip(u, o.odd_indices):
@@ -149,7 +188,7 @@ def test_in_g1ss_membership_is_exp_ad_invariant():
         assert o.in_g1ss(moved) == o.in_g1ss(uu)
     s = build_sl(2, 1)
     x = unit_vec(s, "E12")          # even nilpotent
-    exp = s.exp_ad_nilpotent(x)
+    exp = exp_ad_nilpotent(s, x)
     u = unit_vec(s, "E13")
     moved = exp.matvec(u)
     assert s.in_g1ss(moved) == s.in_g1ss(u) is True

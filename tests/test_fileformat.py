@@ -159,3 +159,21 @@ def test_supercomm_roundtrip():
 def test_supercomm_requires_unit():
     with pytest.raises(ParseError):
         parse_supercomm("algebra a\nbasis one even\n")
+
+
+def zero_rep_text(g):
+    """g's file with its faithful representation replaced by the zero
+    1-dimensional module."""
+    text = serialize_algebra(g, "zero-rep")
+    text = text[:text.index("\nrep ") + 1]
+    return text + "rep even\n" + "".join(f"repmat {nm}\n0\n" for nm in g.names)
+
+
+def test_unfaithful_rep_is_rejected():
+    text = zero_rep_text(build_osp1(1))
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert "not faithful" in str(err.value)
+    g, _, warnings = parse_algebra(text, strict=False)
+    assert g.faithful_rep.dim == 1
+    assert len(warnings) == 1 and "not faithful" in warnings[0]

@@ -1,0 +1,144 @@
+"""Differential tests of the exact elimination engine and the minimal
+polynomial against sympy, an independent implementation.
+
+Matrices are small and rational, with many zeros and often a row that is a
+combination of two others, so rank-deficient, inconsistent, 0-row and
+0-column cases all occur.
+"""
+
+from fractions import Fraction as Q
+from itertools import product
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from superkit.linalg import (  # noqa: E402
+    Matrix,
+    in_span,
+    inverse,
+    kernel_basis,
+    minimal_polynomial,
+    rank,
+    solve_linear,
+    span_basis,
+)
+
+ENTRIES = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def rational_rows(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    data = [[draw(ENTRIES) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        a, b = draw(ENTRIES), draw(ENTRIES)
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    return data, c
+
+
+def ours(data, cols):
+    return Matrix(data) if data else Matrix.zeros(0, cols)
+
+
+def theirs(data, cols):
+    return sympy.Matrix(len(data), cols,
+                        [sympy.Rational(x.numerator, x.denominator) for row in data for x in row])
+
+
+def as_fractions(column):
+    return [Q(int(x.p), int(x.q)) for x in column]
+
+
+def sympy_solution(a, b):
+    """The solution of a x = b with every free parameter 0, or None."""
+    try:
+        sol, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    return as_fractions(sol.xreplace({p: 0 for p in params}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows())
+@example(([[Q(1), Q(1), Q(1)], [Q(0), Q(1), Q(2)]], 3))  # needs back-substitution
+def test_rank_and_kernel_match_sympy(case):
+    data, cols = case
+    m, s = ours(data, cols), theirs(data, cols)
+    assert rank(m) == s.rank()
+    assert kernel_basis(m) == [as_fractions(v) for v in s.nullspace()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows(), st.data())
+def test_solve_linear_matches_sympy(case, data):
+    rows, cols = case
+    if data.draw(st.booleans()) and rows:
+        # a consistent right-hand side: m applied to a random vector
+        x = [data.draw(ENTRIES) for _ in range(cols)]
+        b = Matrix(rows).matvec(x)
+    else:
+        b = [data.draw(ENTRIES) for _ in range(len(rows))]
+    got = solve_linear(ours(rows, cols), b)
+    expected = sympy_solution(theirs(rows, cols), sympy.Matrix(len(b), 1, [sympy.Rational(
+        x.numerator, x.denominator) for x in b]))
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(ENTRIES, min_size=n, max_size=n), max_size=5),
+    st.lists(ENTRIES, min_size=n, max_size=n))))
+def test_in_span_and_span_basis_match_sympy(case):
+    vectors, target = case
+    got = in_span(vectors, target)
+    if vectors:
+        cols = theirs([list(r) for r in zip(*vectors)], len(vectors))
+        assert got == sympy_solution(cols, theirs([[x] for x in target], 1))
+        _, pivots = cols.rref()
+        assert span_basis(vectors) == [vectors[j] for j in pivots]
+    else:
+        assert got == ([] if not any(target) else None)
+        assert span_basis(vectors) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: rational_rows(rows=n, cols=n)))
+def test_inverse_matches_sympy(case):
+    data, n = case
+    s = theirs(data, n)
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(ours(data, n))
+        return
+    inv = s.inv()
+    assert inverse(ours(data, n)) == Matrix([as_fractions(inv.row(r)) for r in range(n)])
+
+
+def sympy_minimal_polynomial(s):
+    """The monic divisor of least degree of the characteristic polynomial
+    that annihilates s, by trying every product of its irreducible factors."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(s.charpoly(x).as_expr(), x)
+    n = s.rows
+    best = None
+    for exps in product(*[range(e + 1) for _, e in factors]):
+        p = sympy.Poly(sympy.Mul(*[f ** k for (f, _), k in zip(factors, exps)]), x)
+        if best is not None and p.degree() >= best.degree():
+            continue
+        acc = sympy.zeros(n, n)
+        for c in p.all_coeffs():
+            acc = acc * s + c * sympy.eye(n)
+        if acc.is_zero_matrix:
+            best = p
+    return [Q(int(c.p), int(c.q)) for c in reversed(best.monic().all_coeffs())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: rational_rows(rows=n, cols=n)))
+def test_minimal_polynomial_matches_sympy(case):
+    data, n = case
+    assert minimal_polynomial(ours(data, n)) == sympy_minimal_polynomial(theirs(data, n))
