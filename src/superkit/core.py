@@ -1,7 +1,13 @@
 """Finite-dimensional Lie superalgebras over the rationals.
 
-A `LieSuperalgebra` is a basis with parities and a rational structure-constant
-tensor c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.  The super axioms:
+A `LieSuperalgebra` is a basis with parities and rational structure constants
+c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.  They are stored once,
+as one sparse integer table over a common denominator D: for each (i, j) the
+pairs (k, C) with c[i][j][k] = C / D.  Brackets, adjoint matrices, the
+center, `validate` and the ideal closures work on that table with integer
+vectors V / L and turn their results into Fractions only on the way out;
+`structure_constant`, `bracket_basis` and `bracket_sparse` are Fraction
+views of it.  The super axioms:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
@@ -22,6 +28,7 @@ supergroup has non-semisimple representation theory.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -29,10 +36,12 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
-    coordinates_in,
+    fraction_vector,
+    integer_coordinates_in,
+    integer_vector,
+    integer_vectors,
     is_squarefree,
-    is_zero_vec,
-    kernel_basis,
+    kernel_of_rows,
     minimal_polynomial,
     span_basis,
     vec,
@@ -67,15 +76,22 @@ class LieSuperalgebra:
     ) -> None:
         self.parity = tuple(int(p) % 2 for p in parity)
         n = len(self.parity)
-        self._c: list[list[Vec]] = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
         if isinstance(brackets, dict):
-            for (i, j), comps in brackets.items():
-                for k, val in comps.items():
-                    self._c[i][j][k] = Q(val)
+            items = [(i, j, k, Q(val)) for (i, j), comps in brackets.items()
+                     for k, val in comps.items()]
         else:
-            for i in range(n):
-                for j in range(n):
-                    self._c[i][j] = vec(brackets[i][j])
+            items = [(i, j, k, Q(val)) for i in range(n) for j in range(n)
+                     for k, val in enumerate(brackets[i][j])]
+        den = lcm(*(q.denominator for *_, q in items))
+        pairs: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, k, q in items:
+            pairs[i][j][k] = q.numerator * (den // q.denominator)
+        # c[i][j][k] = C / D for each (k, C) in _table[i][j], sorted by k
+        self._den = den
+        self._table: list[list[tuple[tuple[int, int], ...]]] = [
+            [tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
+            for block in pairs
+        ]
         self.names = tuple(names) if names else tuple(f"e{i}" for i in range(n))
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
@@ -101,47 +117,53 @@ class LieSuperalgebra:
         return [i for i, p in enumerate(self.parity) if p == ODD]
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self._c[i][j][k]
+        return next((Q(c, self._den) for t, c in self._table[i][j] if t == k), Q(0))
 
     def bracket_basis(self, i: int, j: int) -> Vec:
-        return self._c[i][j]
+        return fraction_vector(_dense(self._table[i][j], self.dim), self._den)
 
     def bracket_sparse(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero (k, c[i][j][k]) as Fractions, read off the integer
+        table (converted once per algebra, on first use)."""
         if self._sparse is None:
+            den = self._den
             self._sparse = [
-                [tuple((k, q) for k, q in enumerate(row) if q != 0) for row in block]
-                for block in self._c
+                [tuple((k, Q(c, den)) for k, c in row) for row in block]
+                for block in self._table
             ]
         return self._sparse[i][j]
+
+    def _int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """D [x, y] for integer vectors x, y."""
+        out = [0] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for a, row in zip(x, self._table):
+            if a:
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        return out
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors must have length dim")
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            xi = Q(xi)
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                coeff = xi * Q(yj)
-                for k, q in self.bracket_sparse(i, j):
-                    out[k] += coeff * q
-        return out
+        xs, lx = integer_vector(x)
+        ys, ly = integer_vector(y)
+        return fraction_vector(self._int_bracket(xs, ys), lx * ly * self._den)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the basis."""
-        cols = []
-        for j in range(self.dim):
-            col = zero_vec(self.dim)
-            for i, xi in enumerate(x):
-                if xi == 0:
-                    continue
-                for k, q in self.bracket_sparse(i, j):
-                    col[k] += Q(xi) * q
-            cols.append(col)
-        return Matrix.from_columns(cols)
+        n = self.dim
+        xs, lx = integer_vector(x)
+        rows = [[0] * n for _ in range(n)]
+        for a, block in zip(xs, self._table):
+            if a:
+                for j, pairs in enumerate(block):
+                    for k, c in pairs:
+                        rows[k][j] += a * c
+        den = lx * self._den
+        return Matrix([fraction_vector(row, den) for row in rows])
 
     def basis_vector(self, i: int) -> Vec:
         v = zero_vec(self.dim)
@@ -172,27 +194,27 @@ class LieSuperalgebra:
         The super Jacobi identity is checked in derivation form on every
         basis triple,
             [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + (-1)^{|i||j|} [e_j, [e_i, e_k]],
-        working directly on the sparse structure constants.
+        working directly on the sparse integer table: every term is a
+        product of two constants over D^2, so the numerators must cancel.
         """
         issues: list[str] = []
         n = self.dim
         p = self.parity
-        sp = [[self.bracket_sparse(i, j) for j in range(n)] for i in range(n)]
+        sp = self._table
         for i in range(n):
             for j in range(n):
-                for k, q in sp[i][j]:
+                for k, c in sp[i][j]:
                     if p[k] != (p[i] + p[j]) % 2:
                         issues.append(
-                            f"parity: c[{i}][{j}][{k}] = {q} violates grading"
+                            f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
                         )
         for i in range(n):
             for j in range(i, n):
-                sign = -1 if p[i] and p[j] else 1
-                if any(self._c[i][j][k] != -sign * self._c[j][i][k] for k in range(n)):
+                sign = 1 if p[i] and p[j] else -1
+                if sp[i][j] != tuple((k, sign * c) for k, c in sp[j][i]):
                     issues.append(
                         f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
                     )
-        zero = Q(0)
         for i in range(n):
             spi = sp[i]
             for j in range(n):
@@ -200,17 +222,17 @@ class LieSuperalgebra:
                 sij = sp[i][j]
                 spj = sp[j]
                 for k in range(n):
-                    acc: dict[int, Fraction] = {}
+                    acc: dict[int, int] = {}
                     for t, q in spj[k]:
                         for l, r in spi[t]:
-                            acc[l] = acc.get(l, zero) + q * r
+                            acc[l] = acc.get(l, 0) + q * r
                     for t, q in sij:
                         for l, r in sp[t][k]:
-                            acc[l] = acc.get(l, zero) - q * r
+                            acc[l] = acc.get(l, 0) - q * r
                     for t, q in spi[k]:
                         for l, r in spj[t]:
-                            acc[l] = acc.get(l, zero) - sgn * q * r
-                    if any(v != 0 for v in acc.values()):
+                            acc[l] = acc.get(l, 0) - sgn * q * r
+                    if any(acc.values()):
                         issues.append(f"jacobi: fails at triple ({i},{j},{k})")
         return issues
 
@@ -249,13 +271,21 @@ class LieSuperalgebra:
     def center(self) -> list[Vec]:
         """Basis of {x : [x, e_i] = 0 for all i}."""
         if self._center is None:
-            rows: list[Vec] = []
-            for j in range(self.dim):
-                # map x -> [x, e_j]; row block M[k][i] = c[i][j][k]
-                for k in range(self.dim):
-                    rows.append([self._c[i][j][k] for i in range(self.dim)])
-            self._center = kernel_basis(Matrix(rows)) if rows else []
+            every = range(self.dim)
+            rows = [r for j in every for r in self._bracket_rows(every, j, every)]
+            self._center = kernel_of_rows(rows, self.dim)
         return [list(v) for v in self._center]
+
+    def _bracket_rows(self, xs: Sequence[int], j: int, ks: Sequence[int]) -> list[list[int]]:
+        """The nonzero rows k in ks of the integer matrix of x -> D [x, e_j]
+        on span(e_i : i in xs): row k holds c[i][j][k] D at the place of i."""
+        keep = set(ks)
+        block: dict[int, list[int]] = {}
+        for t, i in enumerate(xs):
+            for k, c in self._table[i][j]:
+                if k in keep:
+                    block.setdefault(k, [0] * len(xs))[t] = c
+        return list(block.values())
 
     def _root_datum(self):
         """Root datum of the algebra's own Cartan subalgebra (`roots.cartan_of`:
@@ -264,9 +294,6 @@ class LieSuperalgebra:
             from .roots import cartan_of, root_decomposition
             self._datum_cache = root_decomposition(self, cartan_of(self))
         return self._datum_cache
-
-    def even_subalgebra_basis(self) -> list[Vec]:
-        return [self.basis_vector(i) for i in self.even_indices]
 
     def is_reductive_even_part(self) -> bool:
         """True iff the solvable radical of the even part equals its center.
@@ -279,27 +306,28 @@ class LieSuperalgebra:
         ev = self.even_indices
         if not ev:
             return True
-        derived: list[Vec] = []
+        # a basis of [g0, g0] as integer rows D [e_a, e_b]; the scale of a
+        # row does not change the kernel below
+        derived = Echelon()
+        basis: list[list[int]] = []
         for a in ev:
             for b in ev:
-                br = self._c[a][b]
-                if not is_zero_vec(br):
-                    derived.append(br)
-        derived = span_basis(derived)
-        # radical = {x in g0 : tr(rho(x) rho(y)) = 0 for all y in [g0,g0]}
+                br = _dense(self._table[a][b], self.dim)
+                if any(br) and derived.add(br):
+                    basis.append(br)
+        # radical = {x in g0 : tr(rho(x) rho(y)) = 0 for all y in [g0,g0]};
+        # tr(A Y) is the sum of A[r][c] Y[c][r] over the nonzero entries of A
+        entries = [[(r, c, a) for r, row in enumerate(rep.action[i].data)
+                    for c, a in enumerate(row) if a] for i in ev]
         rows = []
-        for y in derived:
-            ymat = self.element_matrix(y)
-            rows.append([rep.action[i].mul(ymat).trace() for i in ev])
-        radical = kernel_basis(Matrix(rows)) if rows else [
-            [Q(1) if k == t else Q(0) for t in range(len(ev))] for k in range(len(ev))
-        ]
+        for y in basis:
+            ymat = self.element_matrix(y).data
+            rows.append([sum((a * ymat[c][r] for r, c, a in nz), Q(0))
+                         for nz in entries])
+        radical = kernel_of_rows(rows, len(ev))
         # center of g0 (as a Lie algebra), in even coordinates
-        crows = []
-        for b in ev:
-            for k in ev:
-                crows.append([self._c[i][b][k] for i in ev])
-        zcenter = kernel_basis(Matrix(crows)) if crows else []
+        crows = [r for b in ev for r in self._bracket_rows(ev, b, ev)]
+        zcenter = kernel_of_rows(crows, len(ev))
         return _same_span(radical, zcenter)
 
     def is_quasireductive(self) -> bool:
@@ -318,8 +346,8 @@ class LieSuperalgebra:
         pos = {g: t for t, g in enumerate(odd)}
         out = Matrix.zeros(len(odd), len(odd))
         for t, j in enumerate(odd):
-            for k, q in self.bracket_sparse(i, j):
-                out.data[pos[k]][t] = q
+            for k, c in self._table[i][j]:
+                out.data[pos[k]][t] = Q(c, self._den)
         return out
 
     # -- decomposition into center and simple ideals ---------------------------
@@ -332,25 +360,32 @@ class LieSuperalgebra:
         span is then the whole closure, and the basis is the one the full
         search would have returned, since no later bracket could add to it.
         """
-        bound = self.dim if bound is None else bound
+        n = self.dim
+        bound = n if bound is None else bound
         ech = Echelon()
-        basis: list[Vec] = []
-        queue: list[Vec] = []
+        # integer vectors v = V / L
+        basis: list[tuple[list[int], int]] = []
+        queue: list[tuple[list[int], int]] = []
         for s in seed:
-            v = vec(s)
-            if ech.add(v):
+            v = integer_vector(s)
+            if ech.add(v[0]):
                 basis.append(v)
                 queue.append(v)
         while queue and len(basis) < bound:
-            v = queue.pop()
-            for i in range(self.dim):
-                w = self.bracket(self.basis_vector(i), v)
-                if ech.add(w):
-                    basis.append(w)
-                    queue.append(w)
+            vs, den = queue.pop()
+            nz = [(j, a) for j, a in enumerate(vs) if a]
+            for row in self._table:
+                # [e_i, v] = W / (L D), W = sum_j V_j C[i][j]
+                w = [0] * n
+                for j, a in nz:
+                    for k, c in row[j]:
+                        w[k] += a * c
+                if any(w) and ech.add(w):
+                    basis.append((w, den * self._den))
+                    queue.append(basis[-1])
                     if len(basis) == bound:
                         break
-        return basis
+        return [fraction_vector(vs, den) for vs, den in basis]
 
     def direct_sum_decompose(self) -> "Decomposition":
         """Split g as center x (simple ideals), or raise NotSemisimpleStructure.
@@ -415,11 +450,12 @@ class LieSuperalgebra:
             raise NotSemisimpleStructure(
                 "center plus ideal closures do not span the algebra directly"
             )
+        ints = [integer_vectors(f)[0] for f in factors]
         for a in range(len(factors)):
             for b in range(a + 1, len(factors)):
-                for x in factors[a]:
-                    for y in factors[b]:
-                        if not is_zero_vec(self.bracket(x, y)):
+                for x in ints[a]:
+                    for y in ints[b]:
+                        if any(self._int_bracket(x, y)):
                             raise NotSemisimpleStructure(
                                 f"candidate ideals {a} and {b} do not commute"
                             )
@@ -430,10 +466,12 @@ class LieSuperalgebra:
                 raise NotSemisimpleStructure(
                     f"candidate ideal {t} has nontrivial center, so it is not simple"
                 )
-            derived = span_basis(
-                [sub.bracket_basis(i, j) for i in range(sub.dim) for j in range(sub.dim)]
-            )
-            if len(derived) != sub.dim:
+            derived = Echelon()
+            for block in sub._table:
+                for pairs in block:
+                    if pairs and derived.rank < sub.dim:
+                        derived.add(_dense(pairs, sub.dim))
+            if derived.rank != sub.dim:
                 raise NotSemisimpleStructure(f"candidate ideal {t} is not perfect")
             subalgebras.append(sub)
         return subalgebras
@@ -450,15 +488,17 @@ class LieSuperalgebra:
                 raise ValueError("subalgebra basis must be parity-homogeneous")
             parities.append(pe[0] if pe else EVEN)
         n = len(basis)
-        coordinates = coordinates_in(basis)
+        coordinates = integer_coordinates_in(basis)
+        ints, den = integer_vectors(basis)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(n):
-            for b in range(n):
-                w = self.bracket(basis[a], basis[b])
-                coeffs = coordinates(w)
-                if coeffs is None:
+        for a, xa in enumerate(ints):
+            for b, xb in enumerate(ints):
+                found = coordinates(self._int_bracket(xa, xb))
+                if found is None:
                     raise ValueError("vectors do not span a subalgebra")
-                table[(a, b)] = {k: c for k, c in enumerate(coeffs) if c != 0}
+                coeffs, cden = found
+                cden *= den * den * self._den
+                table[(a, b)] = {k: Q(c, cden) for k, c in enumerate(coeffs) if c}
         rep = None
         if self.faithful_rep is not None:
             from .reps import SuperModule
@@ -508,10 +548,16 @@ def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     return " ".join([head] + pieces[1:])
 
 
+def _dense(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """The length-n integer row with the given (position, entry) pairs."""
+    row = [0] * n
+    for k, c in pairs:
+        row[k] = c
+    return row
+
+
 def _is_abelian(g: LieSuperalgebra) -> bool:
-    return all(
-        is_zero_vec(g.bracket_basis(i, j)) for i in range(g.dim) for j in range(g.dim)
-    )
+    return not any(pairs for block in g._table for pairs in block)
 
 
 def _same_span(a: list[Vec], b: list[Vec]) -> bool:

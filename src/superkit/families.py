@@ -26,27 +26,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra
-from .linalg import Matrix, Q, block_inverse
+from .linalg import Matrix, Q, integer_coordinates_in, integer_vector
 from .reps import SuperModule
-
-
-def _sparse_entries(m: Matrix) -> dict[tuple[int, int], Fraction]:
-    return {(r, c): v for r, row in enumerate(m.data) for c, v in enumerate(row) if v}
-
-
-def _sparse_super_commutator(a, b, pa: int, pb: int, by_row_b, by_row_a):
-    """ab -/+ ba on sparse {(r,c): v} dicts, with rows of b and a pre-indexed."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (r, c), va in a.items():
-        for c2, vb in by_row_b.get(c, ()):
-            key = (r, c2)
-            out[key] = out.get(key, Q(0)) + va * vb
-    sign = Q(1) if (pa and pb) else Q(-1)
-    for (r, c), vb in b.items():
-        for c2, va in by_row_a.get(c, ()):
-            key = (r, c2)
-            out[key] = out.get(key, Q(0)) + sign * vb * va
-    return {k: v for k, v in out.items() if v}
 
 
 def algebra_from_matrices(
@@ -57,39 +38,42 @@ def algebra_from_matrices(
     cartan: Sequence[int] | None = None,
 ) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices closed under the supercommutator,
-    with the defining representation attached."""
+    with the defining representation attached.  The supercommutators are
+    expanded in integers: each matrix is A / L with A an integer matrix."""
     n = len(mats)
     d = mats[0].rows if mats else 0
-    # coordinates of a matrix in the span: inv applied to its entries at pos
-    pos, inv = block_inverse([m.flatten() for m in mats])
-    at = [divmod(r, d) for r in pos]
-    sparse = [_sparse_entries(m) for m in mats]
+    flat = [m.flatten() for m in mats]
+    coordinates = integer_coordinates_in(flat)
+    ints = [integer_vector(f) for f in flat]
+    # the nonzero entries of each A, by row: row -> [(column, entry)]
     by_row = []
-    for s in sparse:
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in s.items():
-            rows.setdefault(r, []).append((c, v))
+    for entries, _ in ints:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for pos, a in enumerate(entries):
+            if a:
+                rows.setdefault(pos // d, []).append((pos % d, a))
         by_row.append(rows)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(n):
-            br = _sparse_super_commutator(
-                sparse[i], sparse[j], mat_parity[i], mat_parity[j],
-                by_row[j], by_row[i],
-            )
-            if not br:
+            # A_i A_j -/+ A_j A_i, flattened
+            br = [0] * (d * d)
+            sign = 1 if mat_parity[i] and mat_parity[j] else -1
+            for x, y, s in ((i, j, 1), (j, i, sign)):
+                for r, row in by_row[x].items():
+                    for c, a in row:
+                        for c2, b in by_row[y].get(c, ()):
+                            br[r * d + c2] += s * a * b
+            if not any(br):
                 continue
-            entries = [br.get(rc, 0) for rc in at]
-            comps = {k: c for k, c in enumerate(inv.matvec(entries)) if c}
-            recon: dict[tuple[int, int], Fraction] = {}
-            for k, coeff in comps.items():
-                for pos, v in sparse[k].items():
-                    recon[pos] = recon.get(pos, Q(0)) + coeff * v
-            if {p: v for p, v in recon.items() if v} != br:
+            found = coordinates(br)
+            if found is None:
                 raise ValueError(
                     "matrix span is not closed under the supercommutator"
                 )
-            table[(i, j)] = comps
+            comps, den = found
+            den *= ints[i][1] * ints[j][1]
+            table[(i, j)] = {k: Q(c, den) for k, c in enumerate(comps) if c}
     rep = SuperModule(parity=tuple(space_parity), action=[m.copy() for m in mats],
                       name="defining")
     g = LieSuperalgebra(mat_parity, table, names, faithful_rep=rep, cartan=cartan)

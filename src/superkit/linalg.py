@@ -1,16 +1,22 @@
 """Exact rational linear and polynomial algebra.
 
-Everything in this package runs over the rationals with `fractions.Fraction`
-as the scalar type; there is no floating point anywhere.  Matrices are dense
-(row-major lists of lists), which is adequate for the dimensions this toolkit
-targets (at most a few hundred).
+Everything in this package runs over the rationals, with no floating point
+anywhere.  Vectors and matrices that cross a public interface hold
+`fractions.Fraction` entries.  Inside, the heavy loops run on integers: a
+rational vector v is written as V / L, with V an integer vector and L the
+lcm of the denominators (`integer_vector`), and turned back into Fractions
+only when it leaves (`fraction_vector`).  Matrices are dense (row-major lists
+of lists), which is adequate for the dimensions this toolkit targets (at
+most a few hundred).
 
 All elimination goes through one engine, `Echelon`: an incremental,
 fraction-free row echelon form on primitive integer rows.  `rank`,
-`kernel_basis`, `solve_linear`, `in_span`, `span_basis`, `inverse`,
-`coordinates_in` and the Krylov step of `minimal_polynomial` are built on it,
-and read their answers off its reduced echelon form, which is unique; so
-they give the same vectors as any other exact elimination would.
+`kernel_basis`, `kernel_of_rows`, `solve_linear`, `in_span`, `span_basis`,
+`inverse`, `coordinates_in` and the Krylov step of `minimal_polynomial` are
+built on it, and read their answers off its reduced echelon form, which is
+unique; so they give the same vectors as any other exact elimination would.
+`minimal_polynomial` runs its Krylov step on the integer matrix d·m and
+rescales the monic result, so it too returns the unique minimal polynomial.
 
 Polynomials are plain coefficient lists in ascending degree with a nonzero
 leading coefficient (the zero polynomial is the empty list).
@@ -58,6 +64,42 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+_INT = {int}
+
+
+def _all_int(row: list) -> bool:
+    """Every entry is an int.  The type test runs in C: a generator over
+    the row was a visible share of the time of every `Echelon` insert."""
+    return set(map(type, row)) <= _INT
+
+
+def integer_vector(v: Iterable) -> tuple[list[int], int]:
+    """(V, L) with v = V / L: L is the lcm of the denominators of v's
+    entries (ints, Fractions, or anything `Fraction` accepts) and V the
+    integer vector L * v."""
+    row = list(v)
+    if _all_int(row):
+        return row, 1
+    row = [e if isinstance(e, (int, Fraction)) else Q(e) for e in row]
+    dens = [e.denominator for e in row]
+    den = lcm(*dens)
+    return [e.numerator * (den // d) for e, d in zip(row, dens)], den
+
+
+def integer_vectors(vectors: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """The vectors over one common denominator: (Vs, L) with v_t = Vs[t] / L."""
+    ints = [integer_vector(v) for v in vectors]
+    den = lcm(*(d for _, d in ints))
+    return [row if d == den else [a * (den // d) for a in row] for row, d in ints], den
+
+
+def fraction_vector(row: Iterable[int], den: int) -> Vec:
+    """The rational vector row / den."""
+    if den == 1:
+        return [Q(x) if x else _Q0 for x in row]
+    return [Q(x, den) if x else _Q0 for x in row]
 
 
 class Matrix:
@@ -168,7 +210,7 @@ def _integer_row(v: Iterable) -> list[int]:
     denominators, divided by the gcd of the results: a primitive integer
     vector on the same line as v."""
     row = list(v)
-    if any(type(e) is not int for e in row):
+    if not _all_int(row):
         dens = [e.denominator for e in row]
         den = lcm(*dens)
         row = [e.numerator * (den // d) for e, d in zip(row, dens)]
@@ -260,14 +302,20 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of the right null space {v : m v = 0}: one vector per free
     column, with 1 there and 0 at the other free columns."""
-    ech = _echelon(m.data, m.cols)
+    return kernel_of_rows(m.data, m.cols)
+
+
+def kernel_of_rows(rows: Iterable, width: int) -> list[Vec]:
+    """`kernel_basis` of the matrix with these rows (ints or Fractions) and
+    `width` columns; no rows means the zero matrix."""
+    ech = _echelon(rows, width)
     red = ech.reduced()
     pivots = set(ech.pivots)
     basis = []
-    for fc in range(m.cols):
+    for fc in range(width):
         if fc in pivots:
             continue
-        v = zero_vec(m.cols)
+        v = zero_vec(width)
         v[fc] = Q(1)
         for pc, row in zip(ech.pivots, red):
             v[pc] = -row[fc]
@@ -339,18 +387,56 @@ def block_inverse(basis: Sequence[Sequence[Fraction]]) -> tuple[list[int], Matri
 
 
 def coordinates_in(basis: Sequence[Sequence[Fraction]]):
-    """The map t -> coordinates of t in the independent vectors `basis`,
-    or None when t lies outside their span (checked by one matvec)."""
-    if not basis:
-        return lambda t: [] if is_zero_vec(t) else None
-    pos, inv = block_inverse(basis)
-    bmat = Matrix.from_columns([vec(v) for v in basis])
+    """The map (t, scale=1) -> coordinates of t / scale in the independent
+    vectors `basis`, or None when t lies outside their span."""
+    integer = integer_coordinates_in(basis)
 
-    def coordinates(t: Sequence[Fraction]) -> Vec | None:
-        x = inv.matvec([t[r] for r in pos])
-        return x if bmat.matvec(x) == list(t) else None
+    def coordinates(t: Sequence, scale: int = 1) -> Vec | None:
+        found = integer(t)
+        return None if found is None else fraction_vector(found[0], found[1] * scale)
 
     return coordinates
+
+
+def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
+    """The map t -> (X, L), X an integer vector with X / L the coordinates
+    of t in the independent vectors `basis`, or None when t lies outside
+    their span (checked by one integer matvec).  t may hold ints or
+    Fractions."""
+    if not basis:
+        return lambda t: ([], 1) if is_zero_vec(t) else None
+    pos, inv = block_inverse(basis)
+    # inv and the basis as sparse integer columns over common denominators
+    inv_cols, inv_den = _sparse_integer_rows(inv.transpose().data)
+    cols, basis_den = _sparse_integer_rows(basis)
+    check = inv_den * basis_den
+    m = len(basis)
+
+    def coordinates(t: Sequence) -> tuple[list[int], int] | None:
+        tt, den = integer_vector(t)
+        x = [0] * m
+        for r, col in zip(pos, inv_cols):
+            b = tt[r]
+            if b:
+                for s, a in col:
+                    x[s] += a * b
+        image = [0] * len(tt)
+        for xs, col in zip(x, cols):
+            if xs:
+                for r, b in col:
+                    image[r] += xs * b
+        if image != (tt if check == 1 else [b * check for b in tt]):
+            return None
+        return x, inv_den * den
+
+    return coordinates
+
+
+def _sparse_integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The rows over one common denominator L, as sparse (column, integer)
+    lists of L * row, and L."""
+    ints, den = integer_vectors(rows)
+    return [[(c, a) for c, a in enumerate(r) if a] for r in ints], den
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +506,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return poly_monic(a)
 
 
-def poly_lcm(p: Poly, q: Poly) -> Poly:
-    if poly_is_zero(p) or poly_is_zero(q):
-        return []
-    g = poly_gcd(p, q)
-    return poly_monic(poly_mul(p, poly_divmod(q, g)[0]))
-
-
 def poly_derivative(p: Poly) -> Poly:
     return poly_trim([i * p[i] for i in range(1, len(p))])
 
@@ -444,43 +523,66 @@ def is_squarefree(p: Poly) -> bool:
 def minimal_polynomial(m: Matrix) -> Poly:
     """Monic annihilating polynomial of least degree.
 
-    Computed per basis vector: iterate powers of m on e_i until the Krylov
-    vectors become dependent, read the dependency off as a monic local
-    annihilator, and take the lcm over i.
+    Computed on the integer matrix M = d m, d the lcm of the denominators of
+    m, whose minimal polynomial is monic with integer coefficients; the one
+    of m has coefficient j divided by d^(r-j), r the degree.
     """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return [Q(1)]
-    result: Poly = [Q(1)]
+    rows, d = _sparse_integer_rows(m.data)
+    return _minimal_polynomial(rows, d)
+
+
+def _minimal_polynomial(rows: list[list[tuple[int, int]]], d: int) -> Poly:
+    """The minimal polynomial of M / d, M the integer matrix with these
+    sparse rows.
+
+    Grows p over the basis vectors e_i: if p(M) e_i = w is nonzero, p becomes
+    p q, q the local minimal polynomial of w (read off the Krylov vectors of
+    w).  q is the local one of e_i divided by its gcd with p, so p q is their
+    lcm, and after the last e_i, p is the minimal polynomial of M.  Every
+    local minimal polynomial of M divides the monic integer characteristic
+    polynomial, so by Gauss's lemma all of them have integer coefficients.
+    """
+    n = len(rows)
+    result = [1]
     for i in range(n):
-        # skip if current candidate already kills e_i
-        v = zero_vec(n)
-        v[i] = Q(1)
-        if _poly_kills_vector(result, m, v):
-            continue
-        local = _local_minimal_polynomial(m, v)
-        result = poly_lcm(result, local)
-        if len(result) == n + 1:
-            break
-    return result
+        v = [0] * n
+        v[i] = 1
+        w = _poly_apply(result, rows, v)
+        if any(w):
+            q = _local_minimal_polynomial(rows, w)
+            product = [0] * (len(result) + len(q) - 1)
+            for j, a in enumerate(result):
+                for k, b in enumerate(q):
+                    product[j + k] += a * b
+            result = product
+            if len(result) == n + 1:
+                break
+    r = len(result) - 1
+    return [Q(c, d ** (r - j)) for j, c in enumerate(result)]
 
 
-def _poly_kills_vector(p: Poly, m: Matrix, v: Vec) -> bool:
-    acc = zero_vec(len(v))
-    w = v[:]
-    for c in p:
-        if c != 0:
-            acc = vec_add(acc, vec_scale(c, w))
-        w = m.matvec(w)
-    return is_zero_vec(acc)
+def _int_matvec(rows: list[list[tuple[int, int]]], w: list[int]) -> list[int]:
+    return [sum(a * w[c] for c, a in row) for row in rows]
 
 
-def _local_minimal_polynomial(m: Matrix, v: Vec) -> Poly:
-    """Monic p of least degree with p(m) v = 0.  The Krylov vectors w_k = m^k v
-    go into one Echelon as [w_k | e_k]; the first row whose w-part reduces to
-    zero carries the dependency sum a_j w_j = 0 in its e-part."""
+def _poly_apply(p: list[int], rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    """p(M) v, for the integer matrix M with these sparse rows."""
+    acc = [0] * len(v)
+    for j, c in enumerate(p):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+        if j < len(p) - 1:
+            v = _int_matvec(rows, v)
+    return acc
+
+
+def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
+    """Monic p of least degree with p(M) v = 0, for the integer matrix M with
+    these sparse rows.  The Krylov vectors w_k = M^k v go into one Echelon as
+    [w_k | e_k]; the first row whose w-part reduces to zero carries the
+    dependency sum a_j w_j = 0 in its e-part, and a_k divides every a_j."""
     n = len(v)
     ech = Echelon()
     w = v
@@ -489,8 +591,8 @@ def _local_minimal_polynomial(m: Matrix, v: Vec) -> Poly:
         lead = ech.pivots[-1]
         if lead >= n:
             a = ech.rows[lead][n:n + k + 1]
-            return [Q(x, a[k]) for x in a]
-        w = m.matvec(w)
+            return [x // a[k] for x in a]
+        w = _int_matvec(rows, w)
     raise RuntimeError("Krylov iteration failed to terminate")
 
 
@@ -558,14 +660,10 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def gershgorin_bound(m: Matrix) -> Fraction:
-    """Upper bound on the absolute value of every eigenvalue."""
-    best = Q(0)
-    for row in m.data:
-        s = sum((abs(e) for e in row), Q(0))
-        if s > best:
-            best = s
-    return best
+def _gershgorin(rows: list[list[tuple[int, int]]], d: int) -> Fraction:
+    """Upper bound on the absolute value of every eigenvalue of M / d, M the
+    integer matrix with these sparse rows."""
+    return Q(max((sum(abs(a) for _, a in row) for row in rows), default=0), d)
 
 
 def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
@@ -573,13 +671,22 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     polynomial.  Irrational eigenvalues are detected but not materialized."""
     if m.rows != m.cols:
         raise ValueError("eigenspaces need a square matrix")
-    if m.rows == 0:
+    n = m.rows
+    if n == 0:
         return []
-    mp = minimal_polynomial(m)
+    rows, d = _sparse_integer_rows(m.data)
     out = []
-    for lam in rational_roots(mp, bound=gershgorin_bound(m)):
-        shifted = m.sub(Matrix.identity(m.rows).scale(lam))
-        basis = kernel_basis(shifted)
+    for lam in rational_roots(_minimal_polynomial(rows, d), bound=_gershgorin(rows, d)):
+        # d q (m - lam) = q M - d p for lam = p / q, in integers
+        p, q = lam.numerator, lam.denominator
+        shifted = []
+        for i, row in enumerate(rows):
+            r = [0] * n
+            for c, a in row:
+                r[c] = q * a
+            r[i] -= d * p
+            shifted.append(r)
+        basis = kernel_of_rows(shifted, n)
         if basis:
             out.append((lam, basis))
     return out
@@ -588,11 +695,11 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
 def splits_semisimply_over_q(m: Matrix) -> bool:
     """True iff the minimal polynomial is squarefree with all roots rational,
     i.e. m is diagonalizable over the rationals."""
-    mp = minimal_polynomial(m)
+    if m.rows != m.cols:
+        raise ValueError("minimal polynomial needs a square matrix")
+    rows, d = _sparse_integer_rows(m.data)
+    mp = _minimal_polynomial(rows, d)
     if not is_squarefree(mp):
         return False
-    roots = rational_roots(mp, bound=gershgorin_bound(m))
-    prod: Poly = [Q(1)]
-    for r in roots:
-        prod = poly_mul(prod, [-r, Q(1)])
-    return len(prod) == len(mp)
+    # the roots are distinct, so they split mp exactly when there are deg mp
+    return len(rational_roots(mp, bound=_gershgorin(rows, d))) == len(mp) - 1

@@ -34,13 +34,17 @@ from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from .linalg import (
+    Echelon,
     Matrix,
     Q,
     Vec,
     coordinates_in,
+    fraction_vector,
     in_span,
+    integer_vector,
+    integer_vectors,
     is_zero_vec,
-    kernel_basis,
+    kernel_of_rows,
     rational_eigenspaces,
     solve_linear,
     span_basis,
@@ -162,21 +166,28 @@ def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
 
 def _centralizer_within(g: LieSuperalgebra, space: list[Vec], x: Vec) -> list[Vec]:
     """Basis of {y in span(space) : [y, x] = 0}."""
-    cols = [g.bracket(v, x) for v in space]
-    kern = kernel_basis(Matrix.from_columns(cols))
-    out = []
-    for coords in kern:
-        v = zero_vec(g.dim)
-        for c, b in zip(coords, space):
-            if c:
-                v = [a + c * e for a, e in zip(v, b)]
-        out.append(v)
-    return out
+    xs = integer_vector(x)[0]
+    ints, den = integer_vectors(space)
+    # the columns [v, x] times one common factor, which keeps the kernel
+    cols = [g._int_bracket(vs, xs) for vs in ints]
+    kern = kernel_of_rows(zip(*cols), len(space))
+    return [_combine(coords, ints, den) for coords in kern]
+
+
+def _combine(coeffs: Sequence[Fraction], ints: Sequence[list[int]], den: int) -> Vec:
+    """sum_t coeffs[t] v_t for the vectors v_t = ints[t] / den."""
+    cs, lc = integer_vector(coeffs)
+    out = [0] * len(ints[0])
+    for c, vs in zip(cs, ints):
+        if c:
+            out = [a + c * b for a, b in zip(out, vs)]
+    return fraction_vector(out, lc * den)
 
 
 def _is_abelian_family(g: LieSuperalgebra, vecs: list[Vec]) -> bool:
-    return all(
-        is_zero_vec(g.bracket(a, b)) for t, a in enumerate(vecs) for b in vecs[t + 1:]
+    ints = integer_vectors(vecs)[0]
+    return not any(
+        any(g._int_bracket(a, b)) for t, a in enumerate(ints) for b in ints[t + 1:]
     )
 
 
@@ -207,15 +218,14 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
             ((), [g.basis_vector(i) for i in idx])
         ]
         for t in cartan:
-            adt = g.ad_matrix(t)
+            ts, lt = integer_vector(t)
             refined = []
             for weight, basis in spaces:
                 coordinates = coordinates_in(basis)
-                bmat = Matrix.from_columns(basis)
+                ints, den = integer_vectors(basis)
                 k_cols = []
-                for v in basis:
-                    w = adt.matvec(v)
-                    coords = coordinates(w)
+                for vs in ints:
+                    coords = coordinates(g._int_bracket(ts, vs), lt * den * g._den)
                     if coords is None:
                         raise NonSemisimpleCartanAction(
                             "Cartan action does not preserve a weight space"
@@ -228,7 +238,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
                         "irrational spectrum in the Cartan action"
                     )
                 for lam, small in eig:
-                    lifted = [bmat.matvec(s) for s in small]
+                    lifted = [_combine(s, ints, den) for s in small]
                     refined.append((weight + (lam,), lifted))
             spaces = refined
         for weight, basis in spaces:
@@ -314,8 +324,9 @@ def darboux_basis(gram: Matrix) -> list[Vec] | None:
         return None
 
     def form(u: Vec, w: Vec) -> Fraction:
-        return sum((u[r] * sum(gram.data[r][c] * w[c] for c in range(m))
-                    for r in range(m)), Q(0))
+        wz = [(c, b) for c, b in enumerate(w) if b]
+        return sum((a * sum((gram.data[r][c] * b for c, b in wz), Q(0))
+                    for r, a in enumerate(u) if a), Q(0))
 
     remaining = [[Q(1) if r == t else Q(0) for r in range(m)] for t in range(m)]
     xs: list[Vec] = []
@@ -349,29 +360,36 @@ def vec_sub_scaled(u: Vec, w: Vec, cu: Fraction, cw: Fraction) -> Vec:
 def _extract_form(g: LieSuperalgebra, odd_basis: list[Vec]) -> Matrix | None:
     """Reconstruct the symplectic form beta on the odd part from the triple
     bracket via [[u, u], w] = 2 beta(u, w) u, then verify the two-variable
-    identity [[u, v], w] = beta(u, w) v + beta(v, w) u on all triples."""
+    identity [[u, v], w] = beta(u, w) v + beta(v, w) u on all triples.
+
+    Works on the integer vectors B = L b of the basis over one common
+    denominator L: [[B_p, B_q], B_r] is D^2 L^3 times the triple bracket."""
     m = len(odd_basis)
     coordinates = coordinates_in(odd_basis)
+    basis, den = integer_vectors(odd_basis)
+    scale = g._den ** 2 * den ** 3
     gram = Matrix.zeros(m, m)
     for p in range(m):
-        upp = g.bracket(odd_basis[p], odd_basis[p])
+        upp = g._int_bracket(basis[p], basis[p])
         for r in range(m):
-            t = g.bracket(upp, odd_basis[r])
-            coords = coordinates(t)
+            coords = coordinates(g._int_bracket(upp, basis[r]), scale)
             if coords is None:
                 return None
             if any(c != 0 for i, c in enumerate(coords) if i != p):
                 return None
             gram.data[p][r] = coords[p] / 2
+    # beta = G / e over one common denominator e; the identity times
+    # e D^2 L^3 reads [[B_p, B_q], B_r] e = (G[p][r] B_q + G[q][r] B_p) D^2 L^2
+    form, e = integer_vectors(gram.data)
+    lift = g._den ** 2 * den ** 2
     for p in range(m):
         for q in range(m):
+            upq = g._int_bracket(basis[p], basis[q])
             for r in range(m):
-                t = g.bracket(g.bracket(odd_basis[p], odd_basis[q]), odd_basis[r])
-                expected = vec_add(
-                    vec_scale(gram.data[p][r], odd_basis[q]),
-                    vec_scale(gram.data[q][r], odd_basis[p]),
-                )
-                if t != expected:
+                t = g._int_bracket(upq, basis[r])
+                a, b = form[p][r] * lift, form[q][r] * lift
+                if [x * e for x in t] != [a * y + b * z
+                                          for y, z in zip(basis[q], basis[p])]:
                     return None
     return gram
 
@@ -419,12 +437,12 @@ def classify_simple(g: LieSuperalgebra, cartan: Sequence[Sequence] | None = None
         return Inconclusive(
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
-    pair_brackets = [
-        g.bracket(odd_basis[p], odd_basis[q])
-        for p in range(m)
-        for q in range(p, m)
-    ]
-    if len(span_basis(pair_brackets)) != even_dim:
+    ints = integer_vectors(odd_basis)[0]
+    pair_brackets = Echelon()
+    for p in range(m):
+        for q in range(p, m):
+            pair_brackets.add(g._int_bracket(ints[p], ints[q]))
+    if pair_brackets.rank != even_dim:
         return Inconclusive(
             "the squared bracket map on the odd part is not onto the even part"
         )
@@ -452,20 +470,9 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
     if fam_dar is None:
         return None
     m = 2 * n
-    # source Darboux vectors in full g coordinates
-    src = []
-    for coeffs in dar:
-        v = zero_vec(g.dim)
-        for c, b in zip(coeffs, odd_basis):
-            v = vec_add(v, vec_scale(c, b))
-        src.append(v)
-    # target Darboux vectors in full fam coordinates
-    tgt = []
-    for coeffs in fam_dar:
-        v = zero_vec(fam.dim)
-        for c, b in zip(coeffs, fam_odd):
-            v = vec_add(v, vec_scale(c, b))
-        tgt.append(v)
+    # source and target Darboux vectors in full g and fam coordinates
+    src = [_combine(coeffs, *integer_vectors(odd_basis)) for coeffs in dar]
+    tgt = [_combine(coeffs, *integer_vectors(fam_odd)) for coeffs in fam_dar]
     # odd map: express an odd vector in the source Darboux basis, push the
     # coordinates onto the target Darboux basis
     src_coordinates = coordinates_in(src)
@@ -479,30 +486,23 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         return tgt_mat.matvec(coords)
 
     # even map: match adjoint actions on the odd part in Darboux coordinates
+    src_ints = integer_vectors(src)
+    tgt_ints = integer_vectors(tgt)
     fam_even = fam.even_indices
     act_cols = []
     for e in fam_even:
-        ade = fam.ad_matrix(fam.basis_vector(e))
-        entries = []
-        for w in tgt:
-            img = ade.matvec(w)
-            coords = tgt_coordinates(img)
-            if coords is None:
-                return None
-            entries.extend(coords)
+        entries = _action_coordinates(fam, e, tgt_ints, tgt_coordinates)
+        if entries is None:
+            return None
         act_cols.append(entries)
-    act_mat = Matrix.from_columns(act_cols)
+    try:
+        act_coordinates = coordinates_in(act_cols)
+    except ValueError:  # fam's even part acting dependently on the odd part
+        return None
 
-    def phi_even(x: Vec) -> Vec | None:
-        adx = g.ad_matrix(x)
-        entries = []
-        for w in src:
-            img = adx.matvec(w)
-            coords = src_coordinates(img)
-            if coords is None:
-                return None
-            entries.extend(coords)
-        sol = solve_linear(act_mat, entries)
+    def phi_even(i: int) -> Vec | None:
+        entries = _action_coordinates(g, i, src_ints, src_coordinates)
+        sol = None if entries is None else act_coordinates(entries)
         if sol is None:
             return None
         out = zero_vec(fam.dim)
@@ -512,20 +512,44 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
 
     cols = []
     for i in range(g.dim):
-        b = g.basis_vector(i)
-        img = phi_even(b) if g.parity[i] == EVEN else phi_odd(b)
+        img = phi_even(i) if g.parity[i] == EVEN else phi_odd(g.basis_vector(i))
         if img is None:
             return None
         cols.append(img)
-    phi = Matrix.from_columns(cols)
-    # exact intertwining check on all basis pairs
+    # exact intertwining check on all basis pairs, in integers: with
+    # phi = Phi / L and W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j]
+    # times D_g D_fam L^2 reads L D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
+    big, den = integer_vectors(cols)
+    units = [[int(k == i) for k in range(g.dim)] for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = phi.matvec(g.bracket_basis(i, j))
-            rhs = fam.bracket(phi.column(i), phi.column(j))
-            if lhs != rhs:
+            lhs = [0] * fam.dim
+            for k, c in enumerate(g._int_bracket(units[i], units[j])):
+                if c:
+                    f = c * den * fam._den
+                    lhs = [a + f * b for a, b in zip(lhs, big[k])]
+            rhs = fam._int_bracket(big[i], big[j])
+            if lhs != [g._den * b for b in rhs]:
                 return None
-    return phi
+    return Matrix.from_columns(cols)
+
+
+def _action_coordinates(g: LieSuperalgebra, i: int,
+                        vectors: tuple[list[list[int]], int],
+                        coordinates) -> list[Fraction] | None:
+    """The coordinates of [e_i, w] for the vectors w = W / L of `vectors`
+    = (Ws, L), one block after the other, or None if one lies outside the
+    span."""
+    unit = [0] * g.dim
+    unit[i] = 1
+    entries = []
+    ws, den = vectors
+    for w in ws:
+        coords = coordinates(g._int_bracket(unit, w), den * g._den)
+        if coords is None:
+            return None
+        entries.extend(coords)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +604,7 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
             continue
         outcome = classify_simple(sub, _project_cartan(g, datum.cartan, f, full))
         if isinstance(outcome, Witness):
-            w = zero_vec(g.dim)
-            for c, b in zip(outcome.u, f):
-                w = vec_add(w, vec_scale(c, b))
+            w = _combine(outcome.u, *integer_vectors(f))
             if g.in_g1ss(w):
                 return ScanReport(w, [])
             raise ClassificationInconclusive("factor witness failed re-verification")

@@ -78,6 +78,7 @@ def test_validate_reports_corrupted_jacobi():
     bad = LieSuperalgebra(g.parity, table, g.names)
     issues = bad.validate()
     assert any("jacobi" in s for s in issues)
+    assert f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree" in issues
 
 
 def test_validate_reports_parity_violation():
@@ -377,3 +378,51 @@ def test_restricted_subalgebra_of_ideal():
     assert sub.dim == 5
     assert sub.validate() == []
     assert sub.center() == []
+
+
+# -- structure constants over a common denominator D > 1 ------------------------------
+
+def _rescaled(g):
+    """g rebuilt from its defining matrices with e_i -> e_i / k_i, k_i in
+    {1, 2, 3}, and the dense Fraction tensor of the new structure constants
+    c'[i][j][k] = c[i][j][k] k_k / (k_i k_j), written out by hand."""
+    ks = [1 + i % 3 for i in range(g.dim)]
+    mats = [m.scale(Q(1, k)) for m, k in zip(g.faithful_rep.action, ks)]
+    h = algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, g.names,
+                              cartan=g.cartan)
+    dense = [[[g.structure_constant(i, j, k) * ks[k] / (ks[i] * ks[j])
+               for k in range(g.dim)] for j in range(g.dim)] for i in range(g.dim)]
+    return h, dense
+
+
+@pytest.mark.parametrize("spec", ["osp1:2", "sl:2:1"])
+def test_rescaled_basis_matches_dense_reference(spec, tmp_path, capsys):
+    import json
+    import random
+    from superkit.cli import main
+    from superkit.fileformat import serialize_algebra
+
+    g = parse_family_spec(spec)
+    h, dense = _rescaled(g)
+    n = h.dim
+    assert any(q.denominator > 1 for i in range(n) for j in range(n)
+               for _, q in h.bracket_sparse(i, j))
+    assert h.validate() == []
+    rng = random.Random(7)
+    for _ in range(5):
+        x = [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        y = [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        ref = [sum((x[i] * y[j] * dense[i][j][k] for i in range(n) for j in range(n)),
+                   Q(0)) for k in range(n)]
+        assert h.bracket(x, y) == ref
+        ad = [[sum((x[i] * dense[i][j][k] for i in range(n)), Q(0)) for j in range(n)]
+              for k in range(n)]
+        assert h.ad_matrix(x) == Matrix(ad)
+    path = tmp_path / "rescaled.alg"
+    path.write_text(serialize_algebra(h, "rescaled"))
+    outs = []
+    for source in (["--family", spec], ["--algebra", str(path)]):
+        code = main(["--json", "classify", *source])
+        outs.append((code, json.loads(capsys.readouterr().out).get("factors")))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (0 if spec == "osp1:2" else 3)
