@@ -5,7 +5,8 @@ Inputs come either from `--family SPEC` (gl:1:1, sl:2:1, osp1:2,
 toy_odd_semisimple, product:osp1:1,osp1:2) or from `--algebra FILE` in the
 structured text format of `fileformat`.  All output is human-readable by
 default and machine-readable with `--json`.  The environment variable
-SUPERKIT_SEED overrides the default seed of randomized procedures.
+SUPERKIT_SEED, or `verify-all --seed`, seeds the randomized suites of
+`verify-all`; the Cartan search behind `classify` always uses a fixed seed.
 
 Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
 error, 3 a semisimple-square witness was found (classify), 4 inconclusive
@@ -61,14 +62,18 @@ def _default_seed() -> int:
     return int(os.environ.get("SUPERKIT_SEED", acceptance.DEFAULT_SEED))
 
 
-def _load_algebra(args) -> LieSuperalgebra:
+def _load_algebra(args, lax: bool = False) -> tuple[LieSuperalgebra, list[str] | None]:
+    """The algebra of --family or --algebra, with the file parser's warnings
+    (its axiom violations and an unfaithful rep), or None for a family spec,
+    which is not validated.  A file with violations is refused unless `lax`
+    or --lax is given."""
     if getattr(args, "family", None):
-        return parse_family_spec(args.family)
+        return parse_family_spec(args.family), None
     if getattr(args, "algebra", None):
         with open(args.algebra, "r", encoding="utf-8") as fh:
             text = fh.read()
-        g, _, _ = parse_algebra(text, strict=not getattr(args, "lax", False))
-        return g
+        g, _, warnings = parse_algebra(text, strict=not (lax or getattr(args, "lax", False)))
+        return g, warnings
     raise ParseError("provide --family SPEC or --algebra FILE")
 
 
@@ -124,16 +129,12 @@ def _parse_element(g: LieSuperalgebra, spec: str) -> list[Fraction]:
 
 def cmd_check(args) -> int:
     try:
-        if args.family:
-            g = parse_family_spec(args.family)
-            warnings: list[str] = []
-        else:
-            with open(args.algebra, "r", encoding="utf-8") as fh:
-                g, _, warnings = parse_algebra(fh.read(), strict=False)
+        # check reports violations instead of refusing the file
+        g, warnings = _load_algebra(args, lax=True)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    issues = warnings or g.validate()
+    issues = g.validate() if warnings is None else warnings
     quasi = None
     center_dim = None
     if not issues:
@@ -161,7 +162,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        g = _load_algebra(args)
+        g, _ = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
@@ -204,7 +205,7 @@ def cmd_ghost(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
     try:
-        g = _load_algebra(args)
+        g, _ = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
@@ -239,7 +240,7 @@ def _resolve_module(args, g: LieSuperalgebra, spec: str):
 
 def cmd_ds(args) -> int:
     try:
-        g = _load_algebra(args)
+        g, _ = _load_algebra(args)
         u = _parse_element(g, args.u)
         m = _resolve_module(args, g, args.module)
     except (ParseError, ValueError, OSError) as exc:
@@ -302,7 +303,7 @@ def cmd_witness_splitting(args) -> int:
 
 def cmd_modcheck(args) -> int:
     try:
-        g = _load_algebra(args)
+        g, _ = _load_algebra(args)
         with open(args.module, "r", encoding="utf-8") as fh:
             m, _, warnings = parse_module(fh.read(), g, strict=False)
     except (ParseError, ValueError, OSError) as exc:
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide the semisimple-square cone structurally")
     _add_algebra_args(p)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ghost", help="coinvariant invariant and the counit criterion")
     _add_algebra_args(p)

@@ -46,9 +46,6 @@ def zero_vec(n: int) -> Vec:
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return [a + b for a, b in zip(u, v)]
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
     return [c * a for a in v]
 
@@ -143,9 +140,6 @@ class Matrix:
 
     def column(self, j: int) -> Vec:
         return [row[j] for row in self.data]
-
-    def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)]
@@ -448,16 +442,6 @@ def poly_trim(p: Sequence[Fraction]) -> Poly:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_is_zero(p: Sequence[Fraction]) -> bool:
-    return not poly_trim(p)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else Q(0)) + (q[i] if i < len(q) else Q(0))
-                      for i in range(n)])
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:

@@ -3,11 +3,11 @@
 `classify_simple` runs the structure-theoretic argument that pins down the
 orthosymplectic family: on a simple quasireductive algebra with nonzero odd
 part, walk the odd roots of a Cartan subalgebra of the even part.  A root
-vector with zero weight or square zero (or, in a higher-dimensional odd root
-space, a rational isotropic combination) is a certified member of the
-semisimple-square cone and is returned as a witness.  If no odd root yields a
-witness, every odd root space is one-dimensional with nonzero nilpotent
-square; the procedure then verifies that the odd part is a symplectic space
+vector in the semisimple-square cone (or, in a higher-dimensional odd root
+space, a rational isotropic combination, which squares to zero) is returned
+as a witness.  A zero-weight or higher-dimensional odd root space without
+one leaves the procedure inconclusive.  Otherwise every odd root space is
+one-dimensional with nonzero nilpotent square; the procedure then verifies that the odd part is a symplectic space
 whose squared bracket map is an isomorphism onto the even part, reconstructs
 the invariant symplectic form from the triple bracket, reduces it to a
 Darboux basis, and produces an explicit bracket-preserving isomorphism onto
@@ -19,9 +19,11 @@ every odd factor classifies as osp(1|2n), and otherwise exhibits a nonzero
 witness.  The cone condition is decided structurally, never by sampling.
 The scan runs in one pass and returns a `ScanReport`: the witness or None,
 and for a certified-zero cone the per-factor records the CLI prints.  It
-decomposes g once, reusing the center and root datum it has already looked
-at, and classifies each odd factor from the subalgebra the decomposition
-built for its certificate.
+computes the center and the root datum of g once and decomposes g once,
+reusing both.  Each odd factor is classified from the subalgebra the
+decomposition built for its certificate, and inherits g's root datum
+restricted to it instead of decomposing again.  The scan and
+`classify_simple` walk the odd roots with one helper, `_root_witness`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .linalg import (
     is_zero_vec,
     kernel_of_rows,
     rational_eigenspaces,
-    solve_linear,
     span_basis,
     splits_semisimply_over_q,
     vec,
@@ -247,13 +248,33 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
     return RootDatum(cartan=cartan, roots=roots)
 
 
-def cartan_of(g: LieSuperalgebra, cartan: Sequence[Sequence] | None = None,
-              seed: int = DEFAULT_SEED) -> list[Vec]:
-    if cartan is not None:
-        return [vec(t) for t in cartan]
+def cartan_of(g: LieSuperalgebra) -> list[Vec]:
+    """The algebra's given Cartan subalgebra, else the seeded search's."""
     if g.cartan is not None:
         return [g.basis_vector(i) for i in g.cartan]
-    return find_cartan(g, seed=seed)
+    return find_cartan(g)
+
+
+def _inherit_root_datum(sub: LieSuperalgebra, datum: RootDatum,
+                        coordinates, offset: int) -> None:
+    """Store g's root datum, restricted to a factor of a direct decomposition,
+    as the root datum of the factor's subalgebra `sub`.
+
+    `coordinates` solves in the basis center + factors, where the factor's
+    block starts at `offset`.  The Cartan of g stabilizes every ideal, so a
+    root space of g is the direct sum of its pieces in the summands, and the
+    factor's piece is the projection onto its block.  Weights are kept: the
+    Cartan of `sub` is the projections of g's Cartan elements, in order."""
+    def project(v: Vec) -> Vec:
+        return coordinates(v)[offset:offset + sub.dim]
+
+    roots = []
+    for r in datum.roots:
+        space = span_basis([project(u) for u in r.space])
+        if space:
+            roots.append(Root(weight=r.weight, parity=r.parity, space=space))
+    sub._datum_cache = RootDatum(cartan=[project(t) for t in datum.cartan],
+                                 roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +287,20 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Q(rn, rd)
+    return None
+
+
+def _root_witness(g: LieSuperalgebra, root: Root) -> Vec | None:
+    """An element of the cone from an odd root space: a basis vector in the
+    cone, else, in a space of dimension > 1, a rational isotropic combination
+    in the cone; None if neither is found."""
+    for u in root.space:
+        if g.in_g1ss(u):
+            return u
+    if len(root.space) > 1:
+        v = isotropic_combination(g, root.space)
+        if v is not None and g.in_g1ss(v):
+            return v
     return None
 
 
@@ -394,30 +429,28 @@ def _extract_form(g: LieSuperalgebra, odd_basis: list[Vec]) -> Matrix | None:
     return gram
 
 
-def classify_simple(g: LieSuperalgebra, cartan: Sequence[Sequence] | None = None):
+def classify_simple(g: LieSuperalgebra):
     """Decision procedure for a simple quasireductive algebra with nonzero odd
     part: returns Osp(n) with an explicit isomorphism, a Witness in the
-    semisimple-square cone, or Inconclusive with a reason."""
+    semisimple-square cone, or Inconclusive with a reason.  Works on the
+    algebra's root datum, `g._root_datum()`."""
     if not g.odd_indices:
         return Inconclusive("the algebra has no odd part")
     try:
-        cartan_vecs = cartan_of(g, cartan)
-        datum = root_decomposition(g, cartan_vecs)
+        datum = g._root_datum()
     except SuperkitError as exc:
         return Inconclusive(str(exc))
     odd_roots = datum.odd_roots()
     for r in odd_roots:
-        for u in r.space:
-            if g.in_g1ss(u):
-                return Witness(u)
+        u = _root_witness(g, r)
+        if u is not None:
+            # the datum is the algebra's shared one: hand out a copy
+            return Witness(list(u))
         if r.is_zero_weight:
             return Inconclusive(
                 "zero-weight odd vector whose square is not semisimple"
             )
         if len(r.space) > 1:
-            v = isotropic_combination(g, r.space)
-            if v is not None and g.in_g1ss(v):
-                return Witness(v)
             return Inconclusive(
                 "higher-dimensional odd root space with no rational "
                 "square-zero combination"
@@ -576,8 +609,9 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
     spaces); failing that, decomposes g into its center and simple ideals and
     classifies each odd factor.  The cone is certified zero exactly when every
     odd factor classifies as osp(1|2n).  The center and the root datum of g are
-    computed once and reused by the decomposition, and each factor is
-    classified from the subalgebra the decomposition built to certify it.
+    computed once and reused by the decomposition.  Each factor is classified
+    from the subalgebra the decomposition built to certify it, with g's root
+    datum restricted to it as its own.
     """
     if not g.odd_indices:
         return ScanReport(None, [{"factor": "purely even", "dim": g.dim}])
@@ -586,23 +620,22 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
         if not is_zero_vec(zo) and g.in_g1ss(zo):
             return ScanReport(zo, [])
     datum = g._root_datum()
-    # the datum may be the algebra's shared one: hand out copies of its vectors
     for r in datum.odd_roots():
-        for u in r.space:
-            if g.in_g1ss(u):
-                return ScanReport(list(u), [])
-        if len(r.space) > 1:
-            v = isotropic_combination(g, r.space)
-            if v is not None and g.in_g1ss(v):
-                return ScanReport(list(v), [])
+        u = _root_witness(g, r)
+        if u is not None:
+            # the datum is the algebra's shared one: hand out a copy
+            return ScanReport(list(u), [])
     dec = g.direct_sum_decompose()
-    full = dec.center + [v for f in dec.ideals for v in f]
+    coordinates = coordinates_in(dec.center + [v for f in dec.ideals for v in f])
+    offset = len(dec.center)
     factors = [{"factor": "center", "dim": len(dec.center)}] if dec.center else []
     for f, sub in zip(dec.ideals, dec.subalgebras):
+        start, offset = offset, offset + len(f)
         if not sub.odd_indices:
             factors.append({"factor": "even simple ideal", "dim": sub.dim})
             continue
-        outcome = classify_simple(sub, _project_cartan(g, datum.cartan, f, full))
+        _inherit_root_datum(sub, datum, coordinates, start)
+        outcome = classify_simple(sub)
         if isinstance(outcome, Witness):
             w = _combine(outcome.u, *integer_vectors(f))
             if g.in_g1ss(w):
@@ -612,27 +645,3 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
             raise ClassificationInconclusive(outcome.reason)
         factors.append({"factor": f"Osp({outcome.n})", "dim": sub.dim})
     return ScanReport(None, factors)
-
-
-def _project_cartan(g: LieSuperalgebra, cartan_vecs: list[Vec], factor: list[Vec],
-                    full_basis: list[Vec]) -> list[Vec]:
-    """Project Cartan elements onto a factor of a direct decomposition and
-    express them in the factor's coordinates."""
-    full_mat = Matrix.from_columns(full_basis)
-    offset = None
-    # locate the factor block inside the full basis list
-    for start in range(len(full_basis) - len(factor) + 1):
-        if all(full_basis[start + t] is factor[t] for t in range(len(factor))):
-            offset = start
-            break
-    if offset is None:
-        raise SuperkitError("factor basis not found in decomposition basis")
-    out: list[Vec] = []
-    for t in cartan_vecs:
-        coords = solve_linear(full_mat, t)
-        if coords is None:
-            raise SuperkitError("Cartan element outside the decomposition span")
-        proj = coords[offset:offset + len(factor)]
-        if any(c != 0 for c in proj):
-            out.append(proj)
-    return span_basis(out)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from superkit.cli import main
-from superkit.families import build_gl
+from superkit.families import build_gl, build_osp1
 from superkit.fileformat import serialize_algebra, serialize_module
 from superkit.reps import induced_trivial
 
@@ -72,8 +72,11 @@ def test_classify_deterministic(capsys):
     ("product:osp1:1,osp1:2", ["Osp(1)", "Osp(2)"]),
 ])
 def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
-    from superkit import roots
+    from superkit import families, roots
     from superkit.core import LieSuperalgebra
+    # fresh algebras, as in a new process: no root datum computed yet
+    for build in (families.build_gl, families.build_sl, families.build_osp1):
+        build.cache_clear()
     calls = []
 
     def count(owner, name):
@@ -88,6 +91,7 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
     count(LieSuperalgebra, "direct_sum_decompose")
     count(LieSuperalgebra, "restricted_subalgebra")
     count(roots, "classify_simple")
+    count(roots, "root_decomposition")
     code, out = run(capsys, "--json", "classify", "--family", spec)
     assert code == 0
     assert [f["factor"] for f in json.loads(out)["factors"]] == factors
@@ -95,6 +99,40 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
     # one classification per odd factor, one restriction per factor
     assert calls.count("classify_simple") == len(factors)
     assert calls.count("restricted_subalgebra") == len(factors)
+    # the factors inherit g's root datum instead of decomposing again
+    assert calls.count("root_decomposition") == 1
+
+
+@pytest.mark.parametrize("source", ["--family", "--algebra"])
+def test_check_validates_once(tmp_path, capsys, monkeypatch, source):
+    from superkit.core import LieSuperalgebra
+    arg = "osp1:1"
+    if source == "--algebra":
+        path = tmp_path / "osp.alg"
+        path.write_text(serialize_algebra(build_osp1(1)))
+        arg = str(path)
+    calls = []
+    validate = LieSuperalgebra.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(LieSuperalgebra, "validate", counted)
+    code, out = run(capsys, "check", source, arg)
+    assert code == 0 and "valid" in out
+    assert len(calls) == 1
+
+
+def test_check_without_source_is_a_parse_error(capsys):
+    code, out = run(capsys, "check")
+    assert code == 2 and "provide --family SPEC or --algebra FILE" in out
+
+
+def test_classify_has_no_seed_option(capsys):
+    # the Cartan search always runs with its fixed seed
+    with pytest.raises(SystemExit):
+        main(["classify", "--family", "osp1:1", "--seed", "3"])
 
 
 def test_ghost_osp(capsys):

@@ -1,0 +1,86 @@
+"""Golden CLI outputs: `check` and `classify`, human and `--json`, byte for byte.
+
+The expected stdout and exit codes live in `tests/data/cli_golden.json`.
+The inputs are family specs and serialized algebras without a `cartan` line
+(so classification runs the Cartan search), written the way the benchmark's
+classify workload writes them.  Refactors must leave every entry unchanged;
+record the file again only for a deliberate change of output, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from superkit.cli import main
+from superkit.families import parse_family_spec
+from superkit.fileformat import serialize_algebra
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+FAMILY_SPECS = ("osp1:1", "osp1:2", "osp1:3", "osp1:4", "product:osp1:1,osp1:2",
+                "product:osp1:1,osp1:1,osp1:1", "sl:2:1", "gl:2:2", "sl:3:1",
+                "product:osp1:2,gl:1:1")
+FILE_SPECS = ("osp1:2", "osp1:3", "product:osp1:1,osp1:2")
+VERBS = ("check", "classify")
+MODES = ("human", "json")
+
+
+def _write_cartanless(spec: str, directory: str) -> str:
+    text = serialize_algebra(parse_family_spec(spec))
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("cartan "))
+    path = os.path.join(directory, spec.replace(":", "_").replace(",", "+") + ".alg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _cases():
+    for verb in VERBS:
+        for mode in MODES:
+            for spec in FAMILY_SPECS:
+                yield f"{verb} {mode} --family {spec}", verb, mode, "--family", spec
+            for spec in FILE_SPECS:
+                yield f"{verb} {mode} --algebra {spec}", verb, mode, "--algebra", spec
+
+
+def _run(verb: str, mode: str, source: str, spec: str, directory: str) -> dict:
+    arg = spec if source == "--family" else _write_cartanless(spec, directory)
+    argv = (["--json"] if mode == "json" else []) + [verb, source, arg]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return {"exit": code, "stdout": buf.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key, verb, mode, source, spec",
+                         list(_cases()), ids=[c[0] for c in _cases()])
+def test_cli_output_matches_golden(golden, tmp_path, key, verb, mode, source, spec):
+    assert _run(verb, mode, source, spec, str(tmp_path)) == golden[key]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(c[0] for c in _cases())
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {key: _run(verb, mode, source, spec, tmp)
+                  for key, verb, mode, source, spec in _cases()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"recorded {len(record)} cases in {GOLDEN}", file=sys.stderr)

@@ -6,8 +6,15 @@ import pytest
 from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD, LieSuperalgebra, SuperkitError
-from superkit.families import build_gl, build_osp1, build_product, build_sl, build_toy
-from superkit.linalg import Matrix, is_zero_vec, zero_vec
+from superkit.families import (
+    build_gl,
+    build_osp1,
+    build_product,
+    build_sl,
+    build_toy,
+    parse_family_spec,
+)
+from superkit.linalg import Matrix, is_zero_vec, solve_linear, span_basis, zero_vec
 from superkit.roots import (
     CartanSearchFailed,
     NonSemisimpleCartanAction,
@@ -334,3 +341,96 @@ def test_scan_agrees_with_random_sampling():
                 found = u
                 break
         assert (found is None) == (scan is None)
+
+
+def hyperbolic_toy():
+    # h even; u1, u2 odd; [u1,u1] = 2h, [u2,u2] = -2h, with h nilpotent in a
+    # faithful 2|2-dimensional representation: the basis vectors are not in
+    # the cone, but u1 + u2 squares to zero.  Every weight is zero.
+    from superkit.reps import SuperModule
+
+    def mat(entries):
+        m = Matrix.zeros(4, 4)
+        for (r, c), a in entries.items():
+            m.data[r][c] = a
+        return m
+
+    # on v0, v1 | w0, w1: F v0 = w0, F w1 = v1, H v0 = w1, H w0 = v1, so
+    # FH + HF = 2X with X v0 = v1; h, u1, u2 act as X/2, (F+H)/2, (F-H)/2
+    x = mat({(1, 0): Q(1, 2)})
+    u1 = mat({(2, 0): Q(1, 2), (1, 3): Q(1, 2), (3, 0): Q(1, 2), (1, 2): Q(1, 2)})
+    u2 = mat({(2, 0): Q(1, 2), (1, 3): Q(1, 2), (3, 0): Q(-1, 2), (1, 2): Q(-1, 2)})
+    rep = SuperModule(parity=(EVEN, EVEN, ODD, ODD), action=[x, u1, u2])
+    table = {(1, 1): {0: Q(2)}, (2, 2): {0: Q(-2)}}
+    return LieSuperalgebra([EVEN, ODD, ODD], table, ["h", "u1", "u2"], faithful_rep=rep)
+
+
+def test_classify_simple_tries_isotropic_combination_at_zero_weight():
+    g = hyperbolic_toy()
+    assert g.validate() == []
+    odd = g._root_datum().odd_roots()
+    assert len(odd) == 1 and odd[0].is_zero_weight and len(odd[0].space) == 2
+    assert not any(g.in_g1ss(u) for u in odd[0].space)
+    out = classify_simple(g)
+    assert isinstance(out, Witness)
+    assert not is_zero_vec(out.u) and is_zero_vec(g.odd_square(out.u))
+    assert g.in_g1ss(out.u)
+
+
+def _cartanless(spec):
+    from superkit.fileformat import parse_algebra, serialize_algebra
+    text = serialize_algebra(parse_family_spec(spec))
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("cartan "))
+    return parse_algebra(text)[0]
+
+
+def _same_span(a, b):
+    return len(span_basis(a)) == len(span_basis(b)) == len(span_basis(a + b))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_family_spec("product:osp1:1,osp1:2"),
+    lambda: parse_family_spec("product:gl:1:0,osp1:1,osp1:2"),
+    lambda: _cartanless("product:osp1:1,osp1:2"),
+], ids=["product", "product-with-center", "product-without-cartan"])
+def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, make):
+    from superkit import roots
+    g = make()
+    decompositions, subs = [], []
+    decompose, classify = LieSuperalgebra.direct_sum_decompose, roots.classify_simple
+
+    def spy_decompose(self):
+        decompositions.append(decompose(self))
+        return decompositions[-1]
+
+    def spy_classify(sub):
+        subs.append(sub)
+        return classify(sub)
+
+    monkeypatch.setattr(LieSuperalgebra, "direct_sum_decompose", spy_decompose)
+    monkeypatch.setattr(roots, "classify_simple", spy_classify)
+    assert g1ss_structural_scan(g).witness is None
+    (dec,) = decompositions
+    assert [sub.dim for sub in subs] == [len(f) for f in dec.ideals]
+    # the oracle: project g's Cartan onto each factor by a fresh solve and
+    # decompose the factor again
+    full = Matrix.from_columns(dec.center + [v for f in dec.ideals for v in f])
+    coords = [solve_linear(full, t) for t in g._root_datum().cartan]
+    start = len(dec.center)
+    for f, sub in zip(dec.ideals, subs):
+        projected = span_basis([c[start:start + len(f)] for c in coords])
+        start += len(f)
+        fresh = root_decomposition(sub, projected).odd_roots()
+        inherited = sub._root_datum().odd_roots()
+        assert len(inherited) == len(fresh)
+        for r in inherited:
+            (match,) = [s for s in fresh if _same_span(r.space, s.space)]
+            assert len(r.space) == len(match.space)
+            assert r.is_zero_weight == match.is_zero_weight
+        # weight t is the eigenvalue of inherited Cartan element t
+        cartan = sub._root_datum().cartan
+        for r in sub._root_datum().roots:
+            for u in r.space:
+                for t, w in zip(cartan, r.weight):
+                    assert sub.bracket(t, u) == [w * a for a in u]
