@@ -3,10 +3,13 @@
 Verbs: check, classify, ghost, ds, witness-splitting, modcheck, verify-all.
 Inputs come either from `--family SPEC` (gl:1:1, sl:2:1, osp1:2,
 toy_odd_semisimple, product:osp1:1,osp1:2) or from `--algebra FILE` in the
-structured text format of `fileformat`.  All output is human-readable by
-default and machine-readable with `--json`.  The environment variable
-SUPERKIT_SEED, or `verify-all --seed`, seeds the randomized suites of
-`verify-all`; the Cartan search behind `classify` always uses a fixed seed.
+structured text format of `fileformat`.  A file with axiom violations is
+refused unless `--lax` is given (classify, ghost, ds, modcheck); `check`
+always reports the violations instead, so it has no `--lax`.  All output is
+human-readable by default and machine-readable with `--json`.  The
+environment variable SUPERKIT_SEED, or `verify-all --seed`, seeds the
+randomized suites of `verify-all`; the Cartan search behind `classify`
+always uses a fixed seed.
 
 Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
 error, 3 a semisimple-square witness was found (classify), 4 inconclusive
@@ -339,12 +342,13 @@ def cmd_verify_all(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_algebra_args(p: argparse.ArgumentParser) -> None:
+def _add_algebra_args(p: argparse.ArgumentParser, lax: bool = True) -> None:
     p.add_argument("--family", help="family spec, e.g. gl:1:1, osp1:2, "
                                     "product:osp1:1,osp1:2")
     p.add_argument("--algebra", help="algebra file")
-    p.add_argument("--lax", action="store_true",
-                   help="accept files with axiom violations (warnings only)")
+    if lax:
+        p.add_argument("--lax", action="store_true",
+                       help="accept files with axiom violations (warnings only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="validate the super axioms and basic structure")
-    _add_algebra_args(p)
+    _add_algebra_args(p, lax=False)
 
     p = sub.add_parser("classify", help="decide the semisimple-square cone structurally")
     _add_algebra_args(p)

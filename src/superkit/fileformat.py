@@ -261,6 +261,8 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
         if key == "algebra":
             name = " ".join(toks[1:]) or name
         elif key == "basis":
+            if len(toks) != 3:
+                raise ParseError(f"line {lineno}: basis needs LABEL and parity")
             labels.append(toks[1])
             parity.append(_parity_token(toks[2], lineno))
         elif key == "unit":
@@ -281,6 +283,8 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
     if unit is None or len(unit) != len(labels):
         raise ParseError("unit coordinates missing or of wrong length")
     index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ParseError("duplicate basis labels")
     n = len(labels)
     table = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
     for li, lj, lk, val, lineno in muls:

@@ -18,8 +18,12 @@ unique; so they give the same vectors as any other exact elimination would.
 `minimal_polynomial` runs its Krylov step on the integer matrix d·m and
 rescales the monic result, so it too returns the unique minimal polynomial.
 
-Polynomials are plain coefficient lists in ascending degree with a nonzero
-leading coefficient (the zero polynomial is the empty list).
+Polynomials are coefficient lists in ascending degree with a nonzero
+leading coefficient (the zero polynomial is the empty list).  Inside, they
+are integer lists: the minimal polynomial of d·m, squarefree tests by Euclid
+on primitive integer polynomials, and rational roots on the primitive
+integer form.  `is_squarefree` and `rational_roots` also accept Fraction
+coefficients; Fractions appear only in `minimal_polynomial`'s output.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 Vec = list[Fraction]
-Poly = list[Fraction]
 
 
 def vec(entries: Iterable) -> Vec:
@@ -437,74 +440,49 @@ def _sparse_integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[tuple[int,
 # polynomials
 # ---------------------------------------------------------------------------
 
-def poly_trim(p: Sequence[Fraction]) -> Poly:
-    out = [Q(c) for c in p]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _integer_poly(p: Iterable) -> list[int]:
+    """The primitive integer polynomial on the same line as p (ints or
+    Fractions), with zero leading coefficients dropped."""
+    row = _integer_row(p)
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b (b nonzero): an
+    integer polynomial of degree below deg b, a nonzero rational multiple of
+    the remainder of a by b over Q (Knuth, TAOCP vol. 2, 4.6.1)."""
+    m = len(b) - 1
+    lead = b[-1]
+    while len(a) > m:
+        # lead * a - a[-1] x^k b cancels the leading term of a
+        c, k = a[-1], len(a) - 1 - m
+        a = [lead * x for x in a[:-1]]
+        for i in range(m):
+            a[k + i] -= c * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return _integer_row(a)
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    p, q = poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Q(0)] * max(0, len(p) - len(q) + 1)
-    rem = p[:]
-    while len(rem) >= len(q):
-        c = rem[-1] / q[-1]
-        d = len(rem) - len(q)
-        quot[d] = c
-        rem = poly_trim([rem[i] - (c * q[i - d] if 0 <= i - d < len(q) else Q(0))
-                         for i in range(len(rem))])
-        if len(rem) >= d + len(q):
-            # leading term must have cancelled
-            rem = poly_trim(rem[:d + len(q) - 1])
-    return poly_trim(quot), rem
+def is_squarefree(p: Sequence) -> bool:
+    """True iff gcd(p, p') is constant, for p with int or Fraction
+    coefficients.  Rejects the zero polynomial.
 
-
-def poly_monic(p: Poly) -> Poly:
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return poly_trim([i * p[i] for i in range(1, len(p))])
-
-
-def is_squarefree(p: Poly) -> bool:
-    """True iff gcd(p, p') is constant.  Rejects the zero polynomial."""
-    p = poly_trim(p)
-    if not p:
+    Euclid on p, scaled to a primitive integer polynomial, and p' by
+    primitive pseudo-remainders: p is squarefree iff the last nonzero
+    remainder is a constant."""
+    a = _integer_poly(p)
+    if not a:
         raise ValueError("zero polynomial has no squarefree test")
-    if len(p) == 1:
-        return True
-    return len(poly_gcd(p, poly_derivative(p))) == 1
+    b = _integer_row([j * c for j, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    return len(a) == 1
 
 
-def minimal_polynomial(m: Matrix) -> Poly:
+def minimal_polynomial(m: Matrix) -> list[Fraction]:
     """Monic annihilating polynomial of least degree.
 
     Computed on the integer matrix M = d m, d the lcm of the denominators of
@@ -514,12 +492,13 @@ def minimal_polynomial(m: Matrix) -> Poly:
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
     rows, d = _sparse_integer_rows(m.data)
-    return _minimal_polynomial(rows, d)
+    p = _minimal_polynomial(rows)
+    r = len(p) - 1
+    return [Q(c, d ** (r - j)) for j, c in enumerate(p)]
 
 
-def _minimal_polynomial(rows: list[list[tuple[int, int]]], d: int) -> Poly:
-    """The minimal polynomial of M / d, M the integer matrix with these
-    sparse rows.
+def _minimal_polynomial(rows: list[list[tuple[int, int]]]) -> list[int]:
+    """The minimal polynomial of M, the integer matrix with these sparse rows.
 
     Grows p over the basis vectors e_i: if p(M) e_i = w is nonzero, p becomes
     p q, q the local minimal polynomial of w (read off the Krylov vectors of
@@ -543,8 +522,13 @@ def _minimal_polynomial(rows: list[list[tuple[int, int]]], d: int) -> Poly:
             result = product
             if len(result) == n + 1:
                 break
-    r = len(result) - 1
-    return [Q(c, d ** (r - j)) for j, c in enumerate(result)]
+    return result
+
+
+def _root_polynomial(p: list[int], d: int) -> list[int]:
+    """The coefficients c_j d^j of d^r P(x / d), r = deg P: its roots are
+    P's divided by d, so for P the minimal polynomial of M = d m, m's."""
+    return [c * d ** j for j, c in enumerate(p)]
 
 
 def _int_matvec(rows: list[list[tuple[int, int]]], w: list[int]) -> list[int]:
@@ -580,38 +564,31 @@ def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: list[int]) -
     raise RuntimeError("Krylov iteration failed to terminate")
 
 
-def rational_roots(p: Poly, bound: Fraction | None = None) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, by the rational root test.
+def rational_roots(p: Sequence, bound: Fraction | None = None) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial (int or Fraction
+    coefficients), by the rational root test on its primitive integer form.
 
     An optional bound on the absolute value of the roots prunes the candidate
     scan (used with the Gershgorin bound for matrix spectra)."""
-    p = poly_trim(p)
-    if not p:
+    ints = _integer_poly(p)
+    if not ints:
         raise ValueError("zero polynomial")
-    roots: list[Fraction] = []
     # strip powers of x
-    k = 0
-    while p[k] == 0:
-        k += 1
-    if k > 0:
-        roots.append(Q(0))
-        p = p[k:]
-    if len(p) == 1:
+    k = next(j for j, c in enumerate(ints) if c)
+    roots = [Q(0)] if k else []
+    ints = ints[k:]
+    if len(ints) == 1:
         return roots
-    ints = _integer_row(p)
-    a0, alead = abs(ints[0]), abs(ints[-1])
-    seen: set[Fraction] = set()
-    for r in _divisors(a0):
-        for s in _divisors(alead):
+    # coprime (r, s) with both signs of r give every candidate r/s once
+    for r in _divisors(ints[0]):
+        for s in _divisors(ints[-1]):
             if gcd(r, s) != 1:
                 continue
             if bound is not None and Q(r, s) > bound:
                 continue
             for rr in (r, -r):
-                cand = Q(rr, s)
-                if cand not in seen and _int_poly_root(ints, rr, s):
-                    seen.add(cand)
-                    roots.append(cand)
+                if _int_poly_root(ints, rr, s):
+                    roots.append(Q(rr, s))
     return sorted(roots)
 
 
@@ -660,7 +637,9 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
         return []
     rows, d = _sparse_integer_rows(m.data)
     out = []
-    for lam in rational_roots(_minimal_polynomial(rows, d), bound=_gershgorin(rows, d)):
+    roots = rational_roots(_root_polynomial(_minimal_polynomial(rows), d),
+                           bound=_gershgorin(rows, d))
+    for lam in roots:
         # d q (m - lam) = q M - d p for lam = p / q, in integers
         p, q = lam.numerator, lam.denominator
         shifted = []
@@ -682,8 +661,10 @@ def splits_semisimply_over_q(m: Matrix) -> bool:
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
     rows, d = _sparse_integer_rows(m.data)
-    mp = _minimal_polynomial(rows, d)
+    mp = _minimal_polynomial(rows)
+    # m's minimal polynomial is mp(d x) / d^r: squarefree exactly when mp is
     if not is_squarefree(mp):
         return False
     # the roots are distinct, so they split mp exactly when there are deg mp
-    return len(rational_roots(mp, bound=_gershgorin(rows, d))) == len(mp) - 1
+    roots = rational_roots(_root_polynomial(mp, d), bound=_gershgorin(rows, d))
+    return len(roots) == len(mp) - 1

@@ -4,8 +4,14 @@ Each test prints one PASS/FAIL line; `superkit verify-all` runs the same
 checks from the command line.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import superkit
 from superkit import acceptance
 
 
@@ -45,3 +51,19 @@ def test_cross_validation_detail_is_reproducible():
     # elapsed time belongs in CriterionResult.elapsed, not in the detail
     first = acceptance.crit_cross_validation(acceptance.DEFAULT_SEED)
     assert acceptance.crit_cross_validation(acceptance.DEFAULT_SEED) == first
+
+
+def test_classification_needs_only_the_standard_library():
+    # sympy and hypothesis are test-only; with both made unimportable the
+    # classification criterion (Cartan search, root decomposition, minimal
+    # polynomials, squarefree tests, rational roots) must still pass
+    code = ("import sys; sys.modules['sympy'] = sys.modules['hypothesis'] = None; "
+            "from superkit.cli import main; "
+            "sys.exit(main(['verify-all', '--filter', 'classification']))")
+    src = str(Path(superkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith("PASS  classification")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from superkit.cli import main
+from superkit.cli import build_parser, main
 from superkit.families import build_gl, build_osp1
 from superkit.fileformat import serialize_algebra, serialize_module
 from superkit.reps import induced_trivial
@@ -127,6 +127,24 @@ def test_check_validates_once(tmp_path, capsys, monkeypatch, source):
 def test_check_without_source_is_a_parse_error(capsys):
     code, out = run(capsys, "check")
     assert code == 2 and "provide --family SPEC or --algebra FILE" in out
+
+
+def test_check_has_no_lax_option(tmp_path, capsys):
+    # check reports violations instead of refusing the file, so --lax would
+    # change nothing
+    f = tmp_path / "broken.alg"
+    f.write_text("algebra broken\nbasis x even\nbasis u odd\nbracket x u u 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--lax", "--algebra", str(f)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb, extra", [("classify", []), ("ghost", []),
+                                         ("ds", ["--u", "a1"]),
+                                         ("modcheck", ["--module", "m.mod"])])
+def test_lax_belongs_to_the_verbs_that_read_it(verb, extra):
+    args = build_parser().parse_args([verb, "--lax", "--family", "osp1:1", *extra])
+    assert args.lax
 
 
 def test_classify_has_no_seed_option(capsys):

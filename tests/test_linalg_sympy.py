@@ -1,9 +1,12 @@
-"""Differential tests of the exact elimination engine and the minimal
-polynomial against sympy, an independent implementation.
+"""Differential tests of the exact elimination engine, the minimal
+polynomial and the polynomial layer against sympy, an independent
+implementation.
 
 Matrices are small and rational, with many zeros and often a row that is a
 combination of two others, so rank-deficient, inconsistent, 0-row and
-0-column cases all occur.
+0-column cases all occur.  Polynomials are products of linear factors, some
+repeated, and a random cofactor, scaled by a large rational, with int or
+Fraction coefficients.
 """
 
 from fractions import Fraction as Q
@@ -19,9 +22,11 @@ from superkit.linalg import (  # noqa: E402
     Matrix,
     in_span,
     inverse,
+    is_squarefree,
     kernel_basis,
     minimal_polynomial,
     rank,
+    rational_roots,
     solve_linear,
     span_basis,
 )
@@ -142,3 +147,62 @@ def sympy_minimal_polynomial(s):
 def test_minimal_polynomial_matches_sympy(case):
     data, n = case
     assert minimal_polynomial(ours(data, n)) == sympy_minimal_polynomial(theirs(data, n))
+
+
+
+X = sympy.Symbol("x")
+
+
+def times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def polynomials(draw, cofactor_size):
+    """Coefficients, ascending, of a product of linear factors a x - b, each
+    to a power 1..3, a cofactor with coefficients up to `cofactor_size`, and
+    a nonzero rational of up to 30 digits; ints when integral, or by choice
+    Fractions."""
+    p = [1]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(1, 4)), draw(st.integers(-6, 6))
+        for _ in range(draw(st.integers(1, 3))):
+            p = times(p, [-b, a])
+    cofactor = draw(st.lists(st.integers(-cofactor_size, cofactor_size), max_size=3))
+    p = times(p, [*cofactor, draw(st.integers(1, cofactor_size))])
+    scale = Q(draw(st.integers(1, 10 ** 30)) * draw(st.sampled_from((1, -1))),
+              draw(st.one_of(st.just(1), st.integers(1, 10 ** 12))))
+    p = [scale * c for c in p]
+    if all(c.denominator == 1 for c in p) and draw(st.booleans()):
+        return [int(c) for c in p]
+    return p
+
+
+def theirs_poly(p):
+    return sympy.Poly([sympy.Rational(Q(c).numerator, Q(c).denominator)
+                       for c in reversed(p)], X, domain=sympy.QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(cofactor_size=10 ** 15))
+@example([0, 0, 1])                       # x^2
+@example([Q(3, 7)])                       # a nonzero constant
+def test_is_squarefree_matches_sympy(p):
+    s = theirs_poly(p)
+    assert is_squarefree(p) == (sympy.gcd(s, s.diff(X)).degree() == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(cofactor_size=9), st.one_of(st.none(), st.fractions(0, 8, max_denominator=3)))
+@example([0, 0, 6, -5, 1], None)          # x^2 (x - 2)(x - 3)
+def test_rational_roots_match_sympy(p, bound):
+    _, factors = theirs_poly(p).factor_list()
+    expected = sorted(Q(int(r.p), int(r.q))
+                      for r in (-f.nth(0) / f.nth(1) for f, _ in factors if f.degree() == 1))
+    if bound is not None:
+        expected = [r for r in expected if abs(r) <= bound]
+    assert rational_roots(p, bound) == expected
