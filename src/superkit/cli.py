@@ -12,8 +12,9 @@ randomized suites of `verify-all`; the Cartan search behind `classify`
 always uses a fixed seed.
 
 Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
-error, 3 a semisimple-square witness was found (classify), 4 inconclusive
-classification, 5 the supplied odd element is outside the cone (ds).
+or input error, 3 a semisimple-square witness was found (classify), 4
+inconclusive classification, 5 the supplied odd element is outside the cone
+(ds).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .reps import (
     ds_tensor_check,
     induced_trivial,
     trivial_module,
-    validate_module,
 )
 from .roots import ClassificationInconclusive, g1ss_structural_scan
 from .supercomm import (
@@ -192,7 +192,11 @@ def cmd_classify(args) -> int:
 
 def cmd_ghost(args) -> int:
     if args.djokovic is not None:
-        rep = verify_djokovic(args.djokovic)
+        try:
+            rep = verify_djokovic(args.djokovic)
+        except ValueError as exc:
+            _emit(args, {"error": str(exc)}, f"parse error: {exc}")
+            return EXIT_PARSE
         payload = {
             "n": rep.n,
             "element": str(rep.element),
@@ -244,14 +248,19 @@ def _resolve_module(args, g: LieSuperalgebra, spec: str):
 def cmd_ds(args) -> int:
     try:
         g, _ = _load_algebra(args)
+        if g.faithful_rep is None:
+            raise ParseError("algebra has no faithful representation (rep block), "
+                             "which the cone test needs")
         u = _parse_element(g, args.u)
+        if not g.is_odd_element(u):
+            raise ParseError("--u must be a purely odd element")
         m = _resolve_module(args, g, args.module)
+        n = _resolve_module(args, g, args.tensor) if args.tensor else None
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
     try:
-        if args.tensor:
-            n = _resolve_module(args, g, args.tensor)
+        if n is not None:
             report = ds_tensor_check(g, u, m, n)
             payload = {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in report.items()}
@@ -265,7 +274,7 @@ def cmd_ds(args) -> int:
         payload = {"even_dim": result.even_dim, "odd_dim": result.odd_dim}
         _emit(args, payload, f"DS = {result.even_dim}|{result.odd_dim}")
         return EXIT_OK
-    except (NotInG1ss, ValueError) as exc:
+    except NotInG1ss as exc:
         _emit(args, {"error": str(exc)}, f"not in the semisimple-square cone: {exc}")
         return EXIT_NOT_IN_CONE
 
@@ -308,11 +317,10 @@ def cmd_modcheck(args) -> int:
     try:
         g, _ = _load_algebra(args)
         with open(args.module, "r", encoding="utf-8") as fh:
-            m, _, warnings = parse_module(fh.read(), g, strict=False)
+            m, _, issues = parse_module(fh.read(), g, strict=False)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    issues = warnings or validate_module(g, m)
     payload = {"dim": m.dim, "valid": not issues, "violations": issues}
     human = (f"module dim {m.even_dim}|{m.odd_dim}: "
              + ("valid" if not issues else f"INVALID: {issues[0]}"))
@@ -368,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ghost", help="coinvariant invariant and the counit criterion")
     _add_algebra_args(p)
     p.add_argument("--djokovic", type=int, metavar="N",
-                   help="verify the classical product element for osp(1|2N)")
+                   help="verify the classical product element for osp(1|2N), "
+                        "1 <= N <= 5")
 
     p = sub.add_parser("ds", help="Duflo-Serganova functor on a module")
     _add_algebra_args(p)

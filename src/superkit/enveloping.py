@@ -8,14 +8,13 @@ through half its self-bracket).  Rewriting rules:
     e_j e_i = (-1)^{|i||j|} e_i e_j + [e_j, e_i]   (out-of-order adjacent pair)
     e_i e_i = [e_i, e_i] / 2                        (odd i)
 
-Both one-sided quotients by the even part are carried on the same
-2^{dim g_1}-dimensional subset basis {x_S}:
-
-* the left module U/(U g0) (the module induced from the trivial even-part
-  module) is read off the canonical odd-first normal form by deleting every
-  monomial containing an even letter;
-* the right module U/(g0 U) is read off an even-first normal form the same
-  way.
+Both one-sided quotients by the even part, the left module U/(U g0) (the
+module induced from the trivial even-part module) and the right module
+U/(g0 U), are carried on the same 2^{dim g_1}-dimensional subset basis {x_S},
+where x_S is the image of the ascending product of the odd basis vectors in S.
+Words, in normal form or not, reach either quotient only through the action
+columns of `_column`, letter by letter from x_{} (the image of 1); the PBW
+normal form serves the arithmetic of U alone.
 
 The antipode is the anti-automorphism with S(e_i) = -e_i and
 S(xy) = (-1)^{|x||y|} S(y) S(x); it exchanges the two quotients and therefore
@@ -58,16 +57,9 @@ def _normal_form_terms(
     g: LieSuperalgebra,
     items: Iterable[tuple[Word, Fraction]],
     *,
-    even_first: bool = False,
     leftmost: bool = True,
 ) -> dict[Word, Fraction]:
     par = g.parity
-    if even_first:
-        def key(i: int) -> tuple[int, int]:
-            return (par[i], i)
-    else:
-        def key(i: int) -> tuple[int, int]:
-            return (1 - par[i], i)
     out: dict[Word, Fraction] = {}
     stack: list[tuple[Word, Fraction]] = [(tuple(w), Q(c)) for w, c in items]
     while stack:
@@ -82,7 +74,7 @@ def _normal_form_terms(
             if i == j and par[i] == ODD:
                 pos, square = k, True
                 break
-            if key(i) > key(j):
+            if (1 - par[i], i) > (1 - par[j], j):
                 pos, square = k, False
                 break
         if pos < 0:
@@ -183,12 +175,7 @@ class EnvelopingElement:
         return self.terms.get((), Q(0))
 
     def antipode(self) -> "EnvelopingElement":
-        par = self.g.parity
-        items = []
-        for w, c in self.terms.items():
-            odd = sum(1 for i in w if par[i] == ODD)
-            sign = Q(-1) ** (len(w) + (odd * (odd - 1) // 2))
-            items.append((tuple(reversed(w)), sign * c))
+        items = _antipode_words(self.g, self.terms)
         return EnvelopingElement(self.g, _normal_form_terms(self.g, items))
 
     def __str__(self) -> str:
@@ -199,6 +186,19 @@ class EnvelopingElement:
         )
 
     __repr__ = __str__
+
+
+def _antipode_words(g: LieSuperalgebra,
+                    terms: dict[Word, Fraction]) -> list[tuple[Word, Fraction]]:
+    """S applied word by word: each word reversed, with the sign
+    (-1)^{len + k(k-1)/2} for k odd letters.  The words are not rewritten."""
+    par = g.parity
+    items = []
+    for w, c in terms.items():
+        odd = sum(1 for i in w if par[i] == ODD)
+        sign = Q(-1) ** (len(w) + (odd * (odd - 1) // 2))
+        items.append((tuple(reversed(w)), sign * c))
+    return items
 
 
 def pbw_normal_form(g: LieSuperalgebra, word: Sequence[int],
@@ -243,36 +243,35 @@ class CoinvariantElement:
         )
 
 
-def _odd_positions(g: LieSuperalgebra) -> dict[int, int]:
-    return {idx: t for t, idx in enumerate(g.odd_indices)}
-
-
 def coinvariant_dim(g: LieSuperalgebra) -> int:
     return 1 << len(g.odd_indices)
 
 
-def _project_terms(g: LieSuperalgebra, terms: dict[Word, Fraction],
+def _project_words(g: LieSuperalgebra, items: Iterable[tuple[Word, Fraction]],
                    side: str) -> list[Fraction]:
-    """Project normal-formed terms to the subset basis of the chosen side."""
-    pos = _odd_positions(g)
-    coords = zero_vec(coinvariant_dim(g))
-    if side == RIGHT:
-        terms = _normal_form_terms(g, list(terms.items()), even_first=True)
-    elif side != LEFT:
+    """Coordinates in the chosen quotient of a combination of words in any
+    order: each word acts on x_{} through `_column`, from its last letter on
+    the left side and from its first letter on the right side."""
+    if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
-    for w, c in terms.items():
-        if all(g.parity[i] == ODD for i in w):
-            mask = 0
-            for i in w:
-                mask |= 1 << pos[i]
-            coords[mask] += c
+    coords = zero_vec(coinvariant_dim(g))
+    for w, c in items:
+        vec = {0: Q(c)}
+        for i in (reversed(w) if side == LEFT else w):
+            out: dict[int, Fraction] = {}
+            for mask, a in vec.items():
+                _accumulate(out, _column(g, side, i, mask), a)
+            vec = out
+        for mask, a in vec.items():
+            coords[mask] += a
     return coords
 
 
 def coinvariant_project(g: LieSuperalgebra, x: EnvelopingElement,
                         side: str) -> CoinvariantElement:
-    """Image of x in U/(U g0) (side 'left') or U/(g0 U) (side 'right')."""
-    return CoinvariantElement(g, side, _project_terms(g, x.terms, side))
+    """Image of x in U/(U g0) (side 'left') or U/(g0 U) (side 'right'),
+    word by word through the action columns."""
+    return CoinvariantElement(g, side, _project_words(g, x.terms.items(), side))
 
 
 class _ColumnMemo:
@@ -282,7 +281,7 @@ class _ColumnMemo:
 
     def __init__(self, g: LieSuperalgebra) -> None:
         self.odd = g.odd_indices
-        self.pos = _odd_positions(g)
+        self.pos = {idx: t for t, idx in enumerate(self.odd)}
         self.cols: dict[tuple[str, int, int], dict[int, Fraction]] = {}
 
 
@@ -291,8 +290,9 @@ def _column(g: LieSuperalgebra, side: str, i: int,
     """Sparse subset-basis coordinates of e_i . x_S on the left quotient, or of
     x_S . e_i on the right quotient, where S is the subset with bitmask `mask`.
 
-    This is the one place that knows the word order of each side.  On the left
-    x_S = e_s . x_R with s the lowest letter of S, and
+    This is the one place that maps words into either quotient and knows the
+    word order of each side.  On the left x_S = e_s . x_R with s the lowest
+    letter of S, and
     e_i e_s = (-1)^{|i||s|} e_s e_i + [e_i, e_s]; on the right
     x_S = x_R . e_s with s the highest letter, and
     e_s e_i = (-1)^{|i||s|} e_i e_s + [e_s, e_i].  Either way the column is a
@@ -543,15 +543,15 @@ def is_coinvariant_invariant(g: LieSuperalgebra, w: CoinvariantElement) -> bool:
 def verify_djokovic(n: int) -> DjokovicReport:
     """Build the classical product element, check it is invariant in the
     quotient U/(U g0) it classically lives in, push it through the antipode
-    and re-check invariance in the other quotient U/(g0 U), and report its
-    counit value (2n-1)!!."""
-    if not 1 <= n <= 3:
-        raise ValueError("verify_djokovic is calibrated for 1 <= n <= 3")
+    word by word, project it to the other quotient U/(g0 U) without rewriting
+    it in U, re-check invariance there, and report its counit (2n-1)!!."""
+    if not 1 <= n <= 5:
+        raise ValueError("verify_djokovic is calibrated for 1 <= n <= 5")
     g, v = djokovic_element(n)
     vp = coinvariant_project(g, v, LEFT)
     product_ok = (not vp.is_zero()) and is_coinvariant_invariant(g, vp)
-    sv = v.antipode()
-    va = coinvariant_project(g, sv, RIGHT)
+    sv = _antipode_words(g, v.terms)
+    va = CoinvariantElement(g, RIGHT, _project_words(g, sv, RIGHT))
     antipode_ok = (not va.is_zero()) and is_coinvariant_invariant(g, va)
     return DjokovicReport(
         n=n,

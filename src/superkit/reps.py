@@ -324,9 +324,8 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
     ker_odd = _graded_kernel(hmat, odd_idx, m.dim)
     vh = ker_even + ker_odd
     # u must square to zero on the h-invariants
-    uu = umat.mul(umat)
     for v in vh:
-        if not all(c == 0 for c in uu.matvec(v)):
+        if not all(c == 0 for c in umat.matvec(umat.matvec(v))):
             raise SuperkitError("u does not square to zero on the h-invariants")
     de, be = _homology_at(umat, ker_even, ker_odd)
     do, bo = _homology_at(umat, ker_odd, ker_even)

@@ -406,21 +406,17 @@ def coinvariant_dual_pair(g, u: Sequence) -> tuple[SupercommAlgebra, Matrix]:
     convention the contragredient of every algebra element acts by a
     superderivation of the exterior multiplication.
     """
-    from .enveloping import LEFT, coinvariant_action_matrices
+    from .enveloping import LEFT, CoinvariantElement, module_action
     odd = g.odd_indices
     k = len(odd)
     algebra = exterior_algebra(k, [f"th_{g.names[i]}" for i in odd])
-    mats = coinvariant_action_matrices(g, LEFT)
-    act = Matrix.zeros(1 << k, 1 << k)
-    for i, c in enumerate(u):
-        c = Q(c)
-        if c:
-            act = act.add(mats[i].scale(c))
     upar = ODD
     dual = Matrix.zeros(1 << k, 1 << k)
-    for smask in range(1 << k):
-        for tmask in range(1 << k):
-            entry = act.data[smask][tmask]
+    for tmask in range(1 << k):
+        x_t = zero_vec(1 << k)
+        x_t[tmask] = Q(1)
+        u_x_t = module_action(g, u, CoinvariantElement(g, LEFT, x_t))
+        for smask, entry in enumerate(u_x_t.coords):
             if entry == 0:
                 continue
             # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>

@@ -203,6 +203,12 @@ def test_ghost_djokovic(capsys):
     assert payload["epsilon"] == "15" and payload["ok"]
 
 
+@pytest.mark.parametrize("n", ["0", "6"])
+def test_ghost_djokovic_out_of_range_is_an_input_error(capsys, n):
+    code, out = run(capsys, "ghost", "--djokovic", n)
+    assert code == 2 and "1 <= n <= 5" in out
+
+
 def test_ds_induced_vanishes(capsys):
     code, out = run(capsys, "ds", "--family", "gl:1:1", "--u", "E12+E21",
                     "--module", "induced")
@@ -224,8 +230,17 @@ def test_ds_rejects_outside_cone(capsys):
 
 def test_ds_rejects_non_odd_element(capsys):
     code, out = run(capsys, "ds", "--family", "gl:1:1", "--u", "1/2,0,0,0")
-    assert code == 5
-    assert "cone" in out
+    assert code == 2
+    assert "purely odd" in out
+
+
+def test_ds_rejects_an_algebra_without_rep(tmp_path, capsys):
+    text = serialize_algebra(build_gl(1, 1))
+    f = tmp_path / "norep.alg"
+    f.write_text(text[:text.index("\nrep ") + 1])
+    code, out = run(capsys, "ds", "--algebra", str(f), "--u", "E12+E21")
+    assert code == 2
+    assert "faithful representation" in out
 
 
 def test_ds_tensor_check(capsys):
@@ -233,6 +248,12 @@ def test_ds_tensor_check(capsys):
                     "--module", "defining", "--tensor", "defining")
     assert code == 0
     assert "multiplicative: True" in out
+
+
+def test_ds_missing_tensor_module_is_an_input_error(tmp_path, capsys):
+    code, out = run(capsys, "ds", "--family", "gl:1:1", "--u", "E12+E21",
+                    "--tensor", str(tmp_path / "missing.txt"))
+    assert code == 2 and "parse error" in out
 
 
 def test_ds_module_file(tmp_path, capsys):
@@ -243,6 +264,27 @@ def test_ds_module_file(tmp_path, capsys):
     code, out = run(capsys, "ds", "--family", "gl:1:1", "--u", "E12+E21",
                     "--module", str(f))
     assert code == 0 and "DS = 0|0" in out
+
+
+def test_modcheck_validates_once(tmp_path, capsys, monkeypatch):
+    from superkit import cli, fileformat, reps
+    g = build_gl(1, 1)
+    f = tmp_path / "defining.txt"
+    f.write_text(serialize_module(g.faithful_rep, g, "defining"))
+    calls = []
+    original = reps.validate_module
+
+    def counted(g, m):
+        calls.append(m)
+        return original(g, m)
+
+    # rebind the name wherever a package module holds it
+    for module in (cli, fileformat, reps):
+        if hasattr(module, "validate_module"):
+            monkeypatch.setattr(module, "validate_module", counted)
+    code, out = run(capsys, "modcheck", "--family", "gl:1:1", "--module", str(f))
+    assert code == 0 and "valid" in out
+    assert len(calls) == 1
 
 
 def test_modcheck(tmp_path, capsys):
