@@ -193,6 +193,8 @@ def cmd_classify(args) -> int:
 def cmd_ghost(args) -> int:
     if args.djokovic is not None:
         try:
+            if args.family or args.algebra:
+                raise ValueError("--djokovic takes no --family or --algebra")
             rep = verify_djokovic(args.djokovic)
         except ValueError as exc:
             _emit(args, {"error": str(exc)}, f"parse error: {exc}")

@@ -18,7 +18,9 @@ Element semisimplicity ("acts diagonalizably over an algebraic closure") is
 tested in a designated faithful representation via a squarefree minimal
 polynomial; the adjoint representation alone would misclassify central
 elements, so algebras that want the test must carry a `faithful_rep`.
-Built-in families attach their defining matrix representation.
+Built-in families attach their defining matrix representation.  The test
+and the other uses of it here combine its integer action rows
+(`reps.SuperModule`) directly; `element_matrix` is their Fraction view.
 
 The cone of odd elements with semisimple square (`in_g1ss`) is the central
 obstruction set of this package: it is nonzero exactly when the corresponding
@@ -40,9 +42,9 @@ from .linalg import (
     integer_coordinates_in,
     integer_vector,
     integer_vectors,
+    _minimal_polynomial,
     is_squarefree,
     kernel_of_rows,
-    minimal_polynomial,
     span_basis,
     vec,
     vec_scale,
@@ -153,17 +155,9 @@ class LieSuperalgebra:
         return fraction_vector(self._int_bracket(xs, ys), lx * ly * self._den)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y] in the basis."""
-        n = self.dim
-        xs, lx = integer_vector(x)
-        rows = [[0] * n for _ in range(n)]
-        for a, block in zip(xs, self._table):
-            if a:
-                for j, pairs in enumerate(block):
-                    for k, c in pairs:
-                        rows[k][j] += a * c
-        den = lx * self._den
-        return Matrix([fraction_vector(row, den) for row in rows])
+        """Matrix of y -> [x, y] in the basis: x in the adjoint module."""
+        from .reps import adjoint_module
+        return adjoint_module(self).matrix_of(x)
 
     def basis_vector(self, i: int) -> Vec:
         v = zero_vec(self.dim)
@@ -257,10 +251,12 @@ class LieSuperalgebra:
 
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
-        i.e. its matrix there has squarefree minimal polynomial."""
+        i.e. its matrix there has squarefree minimal polynomial.  That holds
+        for rho(x) iff it holds for the integer matrix L D rho(x)."""
         if not self.is_even_element(x):
             raise ValueError("element semisimplicity is defined for even elements")
-        return is_squarefree(minimal_polynomial(self.element_matrix(x)))
+        rows = self._require_rep()._combine(integer_vector(x)[0])
+        return is_squarefree(_minimal_polynomial(rows))
 
     def in_g1ss(self, u: Sequence) -> bool:
         """Membership of the cone of odd u whose square [u,u]/2 is semisimple."""
@@ -317,15 +313,15 @@ class LieSuperalgebra:
                 br = _dense(self._table[a][b], self.dim)
                 if any(br) and derived.add(br):
                     basis.append(br)
-        # radical = {x in g0 : tr(rho(x) rho(y)) = 0 for all y in [g0,g0]};
-        # tr(A Y) is the sum of A[r][c] Y[c][r] over the nonzero entries of A
-        entries = [[(r, c, a) for r, row in enumerate(rep.action[i].data)
-                    for c, a in enumerate(row) if a] for i in ev]
+        # radical = {x in g0 : tr(rho(x) rho(y)) = 0 for all y in [g0,g0]},
+        # with rho(x) and rho(y) as integer multiples D rho(e_i) and L D rho(y);
+        # tr(A Y) is the sum of A[r][c] Y[c][r] over the nonzero entries of Y
+        entries = [{(r, c): a for r, row in enumerate(rep._table[i]) for c, a in row}
+                   for i in ev]
         rows = []
         for y in basis:
-            ymat = self.element_matrix(y).data
-            rows.append([sum((a * ymat[c][r] for r, c, a in nz), Q(0))
-                         for nz in entries])
+            ynz = [(r, c, b) for c, row in enumerate(rep._combine(y)) for r, b in row]
+            rows.append([sum(a.get((r, c), 0) * b for r, c, b in ynz) for a in entries])
         radical = kernel_of_rows(rows, len(ev))
         # center of g0 (as a Lie algebra), in even coordinates
         crows = [r for b in ev for r in self._bracket_rows(ev, b, ev)]
@@ -339,18 +335,12 @@ class LieSuperalgebra:
         odd = self.odd_indices
         if not odd:
             return True
-        from .reps import is_semisimple_action
-        mats = [self._restrict_ad_to_odd(i) for i in self.even_indices]
-        return is_semisimple_action(mats, len(odd))
-
-    def _restrict_ad_to_odd(self, i: int) -> Matrix:
-        odd = self.odd_indices
-        pos = {g: t for t, g in enumerate(odd)}
-        out = Matrix.zeros(len(odd), len(odd))
-        for t, j in enumerate(odd):
-            for k, c in self._table[i][j]:
-                out.data[pos[k]][t] = Q(c, self._den)
-        return out
+        from .reps import SuperModule, adjoint_module, is_module_semisimple
+        # g1 as a g0-module: the rows of D ad(e_i) at odd k hold only odd columns
+        pos = {j: t for t, j in enumerate(odd)}
+        ad = adjoint_module(self)._table
+        table = [[[(pos[j], c) for j, c in ad[i][k]] for k in odd] for i in self.even_indices]
+        return is_module_semisimple(self, SuperModule._of_table([ODD] * len(odd), table, self._den))
 
     # -- decomposition into center and simple ideals ---------------------------
 
@@ -504,10 +494,10 @@ class LieSuperalgebra:
         rep = None
         if self.faithful_rep is not None:
             from .reps import SuperModule
-            rep = SuperModule(
-                parity=self.faithful_rep.parity,
-                action=[self.element_matrix(v) for v in basis],
-            )
+            # rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator
+            parent = self.faithful_rep
+            rep = SuperModule._of_table(parent.parity, [parent._combine(v) for v in ints],
+                                        den * parent._den)
         names = tuple(f"x{t}" for t in range(n))
         return LieSuperalgebra(parities, table, names, faithful_rep=rep)
 

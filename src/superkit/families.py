@@ -22,12 +22,12 @@ normalization under which the classical coinvariant element
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra
-from .linalg import Matrix, Q, integer_coordinates_in, integer_vector
-from .reps import SuperModule
+from .linalg import Matrix, Q, integer_coordinates_in
+from .reps import SuperModule, _flat, direct_sum
 
 
 def algebra_from_matrices(
@@ -39,31 +39,13 @@ def algebra_from_matrices(
 ) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices closed under the supercommutator,
     with the defining representation attached.  The supercommutators are
-    expanded in integers: each matrix is A / L with A an integer matrix."""
-    n = len(mats)
-    d = mats[0].rows if mats else 0
-    flat = [m.flatten() for m in mats]
-    coordinates = integer_coordinates_in(flat)
-    ints = [integer_vector(f) for f in flat]
-    # the nonzero entries of each A, by row: row -> [(column, entry)]
-    by_row = []
-    for entries, _ in ints:
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for pos, a in enumerate(entries):
-            if a:
-                rows.setdefault(pos // d, []).append((pos % d, a))
-        by_row.append(rows)
+    expanded in integers, on the representation's action rows A_i = D m_i."""
+    rep = SuperModule(parity=space_parity, action=mats, name="defining")
+    coordinates = integer_coordinates_in([_flat(rows, rep.dim) for rows in rep._table])
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(n):
-        for j in range(n):
-            # A_i A_j -/+ A_j A_i, flattened
-            br = [0] * (d * d)
-            sign = 1 if mat_parity[i] and mat_parity[j] else -1
-            for x, y, s in ((i, j, 1), (j, i, sign)):
-                for r, row in by_row[x].items():
-                    for c, a in row:
-                        for c2, b in by_row[y].get(c, ()):
-                            br[r * d + c2] += s * a * b
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            br = rep._supercommutator(i, j, mat_parity[i] and mat_parity[j])
             if not any(br):
                 continue
             found = coordinates(br)
@@ -72,12 +54,9 @@ def algebra_from_matrices(
                     "matrix span is not closed under the supercommutator"
                 )
             comps, den = found
-            den *= ints[i][1] * ints[j][1]
-            table[(i, j)] = {k: Q(c, den) for k, c in enumerate(comps) if c}
-    rep = SuperModule(parity=tuple(space_parity), action=[m.copy() for m in mats],
-                      name="defining")
-    g = LieSuperalgebra(mat_parity, table, names, faithful_rep=rep, cartan=cartan)
-    return g
+            # D^2 [m_i, m_j] = br = sum_k (comps_k / den) D m_k
+            table[(i, j)] = {k: Q(c, den * rep._den) for k, c in enumerate(comps) if c}
+    return LieSuperalgebra(mat_parity, table, names, faithful_rep=rep, cartan=cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +247,7 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     names: list[str] = []
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     cartan: list[int] | None = []
+    pieces: list[SuperModule] = []
     offset = 0
     for t, f in enumerate(factors):
         parity.extend(f.parity)
@@ -285,26 +265,16 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
                 cartan.extend(offset + i for i in f.cartan)
         elif EVEN in f.parity:
             cartan = None
+        if f.faithful_rep is not None:
+            # f's rep as a module over the product: the other factors act by zero
+            r, zero = f.faithful_rep, [()] * f.faithful_rep.dim
+            rows = [zero] * offset + r._table + [zero] * (total - offset - f.dim)
+            pieces.append(SuperModule._of_table(r.parity, rows, r._den))
         offset += f.dim
     rep = None
-    if all(f.faithful_rep is not None for f in factors):
-        rep_parity: list[int] = []
-        rep_total = sum(f.faithful_rep.dim for f in factors)
-        for f in factors:
-            rep_parity.extend(f.faithful_rep.parity)
-        action = []
-        roff = 0
-        for t, f in enumerate(factors):
-            for a in f.faithful_rep.action:
-                big = Matrix.zeros(rep_total, rep_total)
-                for r in range(a.rows):
-                    for c in range(a.cols):
-                        big.data[roff + r][roff + c] = a.data[r][c]
-                action.append(big)
-            roff += f.faithful_rep.dim
-        rep = SuperModule(parity=tuple(rep_parity), action=action, name="defining")
-        if total == 0:
-            rep = SuperModule(parity=(EVEN,), action=[], name="defining")
+    if len(pieces) == len(factors):
+        rep = reduce(direct_sum, pieces) if total else SuperModule((EVEN,), [])
+        rep.name = "defining"
     return LieSuperalgebra(parity, table, names, faithful_rep=rep, cartan=cartan)
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import LieSuperalgebra, SuperkitError
-from .linalg import Matrix, Q, rank
-from .reps import SuperModule, validate_module
+from .linalg import Matrix, Q, _echelon
+from .reps import SuperModule, _flat, validate_module
 from .supercomm import SupercommAlgebra
 
 
@@ -145,21 +145,13 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
             raise ParseError(f"cartan: unknown basis label {exc.args[0]!r}") from exc
     rep = None
     if rep_parity is not None:
-        d = len(rep_parity)
-        action = []
-        for lab in labels:
-            rows = rep_mats.get(lab)
-            if rows is None:
-                raise ParseError(f"rep: missing repmat for basis label {lab!r}")
-            if len(rows) != d or any(len(r) != d for r in rows):
-                raise ParseError(f"rep: matrix for {lab!r} is not {d}x{d}")
-            action.append(Matrix(rows))
-        rep = SuperModule(parity=tuple(rep_parity), action=action, name="file")
+        rep = _module(rep_parity, rep_mats, labels, "file", "rep: missing repmat", "rep: matrix")
     g = LieSuperalgebra(parity, table, labels, faithful_rep=rep, cartan=cartan)
     warnings = g.validate()
     if strict and warnings:
         raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
-    if rep is not None and rank(Matrix([m.flatten() for m in rep.action])) < g.dim:
+    if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
+                                    rep.dim ** 2).rank < g.dim:
         unfaithful = "rep: the representation is not faithful (its matrices are linearly dependent)"
         if strict:
             raise ParseError(unfaithful)
@@ -217,20 +209,24 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
         raise ParseError("file ended inside a matrix block")
     if parity is None:
         raise ParseError("no parity header")
-    d = len(parity)
-    action = []
-    for lab in g.names:
-        rows = mats.get(lab)
-        if rows is None:
-            raise ParseError(f"missing action matrix for basis label {lab!r}")
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ParseError(f"action matrix for {lab!r} is not {d}x{d}")
-        action.append(Matrix(rows))
-    m = SuperModule(parity=tuple(parity), action=action, name=name)
+    m = _module(parity, mats, g.names, name, "missing action matrix", "action matrix")
     warnings = validate_module(g, m)
     if strict and warnings:
         raise ParseError("module violations: " + "; ".join(warnings[:5]))
     return m, name, warnings
+
+
+def _module(parity: list[int], blocks: dict[str, list[list[Fraction]]], labels,
+            name: str, missing: str, kind: str) -> SuperModule:
+    """The module with each label's parsed matrix block (ParseError if absent or not square)."""
+    d = len(parity)
+    for lab in labels:
+        rows = blocks.get(lab)
+        if rows is None:
+            raise ParseError(f"{missing} for basis label {lab!r}")
+        if len(rows) != d or any(len(r) != d for r in rows):
+            raise ParseError(f"{kind} for {lab!r} is not {d}x{d}")
+    return SuperModule(parity, [Matrix(blocks[lab]) for lab in labels], name)
 
 
 def serialize_module(m: SuperModule, g: LieSuperalgebra, name: str = "module") -> str:

@@ -186,9 +186,6 @@ class Matrix:
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Q(0))
 
-    def flatten(self) -> Vec:
-        return [a for row in self.data for a in row]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)

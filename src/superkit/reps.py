@@ -5,6 +5,11 @@ action matrix per basis element of g, subject to the super-representation law
 
     rho([x, y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x).
 
+The action is stored once, as sparse integer rows over one common
+denominator D, as `LieSuperalgebra` stores its brackets: rho(e_i)[r][c] =
+A / D for each (c, A) in row r of e_i, sorted by c.  Every computation here
+and the cone test of `core` read those rows; `action` is their Fraction view.
+
 Semisimplicity of a module is decided by the characteristic-zero trace-form
 criterion on the associative algebra generated by the action matrices: the
 module is semisimple iff that algebra has zero trace radical.  The algebra is
@@ -23,38 +28,64 @@ level of graded dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import lcm
+from typing import Callable, Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError
+from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense
 from .linalg import (
     Echelon,
     Matrix,
-    Q,
     Vec,
-    _integer_row,
+    fraction_vector,
+    integer_vector,
+    integer_vectors,
     inverse,
-    kernel_basis,
+    kernel_of_rows,
     rational_eigenspaces,
     vec,
-    zero_vec,
 )
+
+# sparse integer rows of one matrix: row r holds the (column, entry) pairs
+Rows = list[Sequence[tuple[int, int]]]
 
 
 class NotInG1ss(SuperkitError):
     """The supplied odd element does not have a semisimple square."""
 
 
-@dataclass
 class SuperModule:
-    parity: tuple[int, ...]
-    action: list[Matrix]
-    name: str = ""
+    """A parity-graded module: rho(e_i)[r][c] = A / D for each (c, A) in
+    `_table[i][r]`, and `action` lists the rho(e_i) as Fraction matrices."""
 
-    def __post_init__(self) -> None:
-        self.parity = tuple(int(p) % 2 for p in self.parity)
-        for m in self.action:
+    def __init__(self, parity: Sequence[int], action: Sequence[Matrix],
+                 name: str = "") -> None:
+        self.parity = tuple(int(p) % 2 for p in parity)
+        self.name = name
+        for m in action:
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("action matrices must be dim x dim")
+        self._den = den = lcm(*{a.denominator for m in action for row in m.data for a in row})
+        self._table: list[Rows] = [
+            [[(c, a.numerator * (den // a.denominator)) for c, a in enumerate(row) if a]
+             for row in m.data] for m in action]
+        self._action: list[Matrix] | None = None
+
+    @classmethod
+    def _of_table(cls, parity: Sequence[int], table: list[Rows], den: int,
+                  name: str = "") -> "SuperModule":
+        """The module with the given integer table over D = den."""
+        m = cls(parity, [], name)
+        m._table, m._den = table, den
+        return m
+
+    @property
+    def action(self) -> list[Matrix]:
+        """rho(e_i) for each i, as Fraction matrices (built once, on first use)."""
+        if self._action is None:
+            n, den = self.dim, self._den
+            self._action = [Matrix([fraction_vector(_dense(row, n), den) for row in rows])
+                            for rows in self._table]
+        return self._action
 
     @property
     def dim(self) -> int:
@@ -69,15 +100,34 @@ class SuperModule:
         return sum(1 for p in self.parity if p == ODD)
 
     def matrix_of(self, x: Sequence) -> Matrix:
-        """sum_i x[i] rho(e_i), accumulated in one matrix."""
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(x):
-            c = Q(c)
-            if c:
-                for orow, arow in zip(out.data, self.action[i].data):
-                    for k, a in enumerate(arow):
-                        if a:
-                            orow[k] += c * a
+        """sum_i x[i] rho(e_i), accumulated in integers and turned into
+        Fractions once."""
+        xs, lx = integer_vector(x)
+        n, den = self.dim, lx * self._den
+        return Matrix([fraction_vector(_dense(row, n), den) for row in self._combine(xs)])
+
+    def _combine(self, xs: Sequence[int]) -> list[list[tuple[int, int]]]:
+        """The sparse rows of sum_i xs[i] A_i, A_i = D rho(e_i), for integers
+        xs: D times the matrix of the element xs."""
+        n = self.dim
+        acc = [[0] * n for _ in range(n)]
+        for a, rows in zip(xs, self._table):
+            if a:
+                for out, row in zip(acc, rows):
+                    for c, b in row:
+                        out[c] += a * b
+        return [[(c, v) for c, v in enumerate(out) if v] for out in acc]
+
+    def _supercommutator(self, i: int, j: int, odd: bool) -> list[int]:
+        """A_i A_j - A_j A_i, or A_i A_j + A_j A_i when both are odd, row-major
+        (A_i = D rho(e_i))."""
+        n, t = self.dim, self._table
+        out = [0] * (n * n)
+        for x, y, s in ((i, j, 1), (j, i, 1 if odd else -1)):
+            for r, row in enumerate(t[x]):
+                for c, a in row:
+                    for c2, b in t[y][c]:
+                        out[r * n + c2] += s * a * b
         return out
 
     def __repr__(self) -> str:
@@ -98,100 +148,91 @@ class DSResult:
 
 
 def trivial_module(g: LieSuperalgebra) -> SuperModule:
-    return SuperModule(parity=(EVEN,), action=[Matrix.zeros(1, 1) for _ in range(g.dim)],
-                       name="trivial")
+    return SuperModule._of_table((EVEN,), [[()] for _ in range(g.dim)], 1, "trivial")
 
 
 def adjoint_module(g: LieSuperalgebra) -> SuperModule:
-    return SuperModule(parity=g.parity,
-                       action=[g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)],
-                       name="adjoint")
+    """ad(e_i)[k][j] = c[i][j][k], read off g's integer table."""
+    table = [_transpose(block, g.dim, [1] * g.dim) for block in g._table]
+    return SuperModule._of_table(g.parity, table, g._den, "adjoint")
 
 
 def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
-    """Every violated parity or representation-law instance."""
+    """Every violated parity or representation-law instance; with A_k = D rho(e_k)
+    and D_g [e_i, e_j] = sum_k C_k e_k, the law reads D_g [A_i, A_j] = D sum_k C_k A_k."""
     issues: list[str] = []
+    n, table, par, gpar = m.dim, m._table, m.parity, g.parity
     for i in range(g.dim):
-        mat = m.action[i]
-        for r in range(m.dim):
-            for c in range(m.dim):
-                if mat.data[r][c] != 0 and m.parity[r] != (m.parity[c] + g.parity[i]) % 2:
+        for r, row in enumerate(table[i]):
+            for c, _ in row:
+                if par[r] != (par[c] + gpar[i]) % 2:
                     issues.append(f"parity: action of e{i} at entry ({r},{c})")
     for i in range(g.dim):
         for j in range(g.dim):
-            sign = -1 if g.parity[i] and g.parity[j] else 1
-            lhs = m.matrix_of(g.bracket_basis(i, j))
-            rhs = m.action[i].mul(m.action[j]).sub(
-                m.action[j].mul(m.action[i]).scale(sign))
-            if lhs != rhs:
+            rhs = m._supercommutator(i, j, gpar[i] and gpar[j])
+            lhs = _flat(m._combine(_dense(g._table[i][j], g.dim)), n)
+            if any(g._den * a != m._den * b for a, b in zip(rhs, lhs)):
                 issues.append(f"representation law: fails on pair ({i},{j})")
     return issues
 
 
 def direct_sum(m: SuperModule, n: SuperModule) -> SuperModule:
-    dm, dn = m.dim, n.dim
-    action = []
-    for a, b in zip(m.action, n.action):
-        big = Matrix.zeros(dm + dn, dm + dn)
-        for r in range(dm):
-            for c in range(dm):
-                big.data[r][c] = a.data[r][c]
-        for r in range(dn):
-            for c in range(dn):
-                big.data[dm + r][dm + c] = b.data[r][c]
-        action.append(big)
-    return SuperModule(parity=m.parity + n.parity, action=action)
+    den = lcm(m._den, n._den)
+    sm, sn, dm = den // m._den, den // n._den, m.dim
+    table = [[tuple((c, sm * x) for c, x in row) for row in a]
+             + [tuple((dm + c, sn * y) for c, y in row) for row in b]
+             for a, b in zip(m._table, n._table)]
+    return SuperModule._of_table(m.parity + n.parity, table, den)
 
 
 def tensor(m: SuperModule, n: SuperModule) -> SuperModule:
     """Tensor product with the sign rule
     rho(x)(a ox b) = rho(x)a ox b + (-1)^{|x||a|} a ox rho(x)b."""
     dm, dn = m.dim, n.dim
+    den = lcm(m._den, n._den)
+    sm, sn = den // m._den, den // n._den
     parity = tuple((m.parity[i] + n.parity[j]) % 2 for i in range(dm) for j in range(dn))
-    action = []
-    for idx in range(len(m.action)):
-        a, b = m.action[idx], n.action[idx]
-        xpar = _matrix_parity(a, m.parity) if not a.is_zero() else _matrix_parity(b, n.parity)
-        big = Matrix.zeros(dm * dn, dm * dn)
-        for i in range(dm):
-            for ip in range(dm):
-                if a.data[ip][i] == 0:
-                    continue
-                for j in range(dn):
-                    big.data[ip * dn + j][i * dn + j] += a.data[ip][i]
-        for i in range(dm):
-            sign = Q(-1) if (xpar and m.parity[i]) else Q(1)
-            for j in range(dn):
-                for jp in range(dn):
-                    if b.data[jp][j] == 0:
-                        continue
-                    big.data[i * dn + jp][i * dn + j] += sign * b.data[jp][j]
-        action.append(big)
-    return SuperModule(parity=parity, action=action)
+    table = []
+    for a, b in zip(m._table, n._table):
+        xpar = _parity_of(a, m.parity) if any(a) else _parity_of(b, n.parity)
+        rows = []
+        for r1 in range(dm):
+            sign = -sn if xpar and m.parity[r1] else sn
+            for r2 in range(dn):
+                # row (r1, r2): rho(x)[r1][c1] at (c1, r2), sign rho(x)[r2][c2] at (r1, c2)
+                acc = {c1 * dn + r2: sm * x for c1, x in a[r1]}
+                for c2, y in b[r2]:
+                    k = r1 * dn + c2
+                    acc[k] = acc.get(k, 0) + sign * y
+                rows.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
+        table.append(rows)
+    return SuperModule._of_table(parity, table, den)
 
 
 def dual(m: SuperModule) -> SuperModule:
-    """Contragredient module: (x.phi)(v) = -(-1)^{|x||phi|} phi(x.v)."""
-    action = []
-    for a in m.action:
-        xpar = _matrix_parity(a, m.parity)
-        big = Matrix.zeros(m.dim, m.dim)
-        for k in range(m.dim):
-            for j in range(m.dim):
-                if a.data[j][k] == 0:
-                    continue
-                # phi_j carries the parity of basis vector j
-                sign = Q(-1) if (xpar and m.parity[j]) else Q(1)
-                big.data[k][j] += -sign * a.data[j][k]
-        action.append(big)
-    return SuperModule(parity=m.parity, action=action)
+    """Contragredient module: (x.phi)(v) = -(-1)^{|x||phi|} phi(x.v), so rho*(x)
+    is rho(x) transposed with row j signed by -(-1)^{|x||j|} (phi_j has j's parity)."""
+    table = []
+    for a in m._table:
+        xpar = _parity_of(a, m.parity)
+        table.append(_transpose(a, m.dim, [1 if xpar and p else -1 for p in m.parity]))
+    return SuperModule._of_table(m.parity, table, m._den)
 
 
-def _matrix_parity(a: Matrix, parity: Sequence[int]) -> int:
-    for r in range(a.rows):
-        for c in range(a.cols):
-            if a.data[r][c] != 0:
-                return (parity[r] + parity[c]) % 2
+def _transpose(rows: Rows, n: int, signs: Sequence[int]) -> Rows:
+    """The rows of the transpose of these n rows, row j multiplied by signs[j]."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows):
+        for k, x in row:
+            out[k].append((j, signs[j] * x))
+    return out
+
+
+def _parity_of(rows: Rows, parity: Sequence[int]) -> int:
+    """The parity of a matrix, read at its first nonzero entry; EVEN for zero."""
+    for r, row in enumerate(rows):
+        if row:
+            return (parity[r] + parity[row[0][0]]) % 2
     return EVEN
 
 
@@ -236,21 +277,28 @@ def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
 # ---------------------------------------------------------------------------
 
 def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
-    """True iff the associative algebra A generated by the matrices and the
-    identity has zero trace radical {a : tr(ab) = 0 for all b}.
+    """`is_module_semisimple` of the dim-dimensional module with these matrices."""
+    return is_module_semisimple(None, SuperModule((EVEN,) * dim, mats))
+
+
+def is_module_semisimple(g: LieSuperalgebra | None, m: SuperModule) -> bool:
+    """True iff the associative algebra A generated by m's action matrices and
+    the identity has zero trace radical {a : tr(ab) = 0 for all b}.
 
     A is spanned by closing span{I} under left multiplication by a pruned
     generating set S: a matrix that already lies in the current span is
     skipped, the others join S.  The final span contains I and every matrix
-    and is closed under S, so it is A.  Each matrix is scaled to integers;
-    products are row combinations through the sparse rows of S, and the
-    verdict is the rank of the symmetric Gram matrix tr(ab) on a basis of A.
+    and is closed under S, so it is A.  The matrices are m's integer rows
+    (the scale D does not change A); products are row combinations through
+    the sparse rows of S, and the verdict is the rank of the symmetric Gram
+    matrix tr(ab) on a basis of A.
     """
+    dim = m.dim
     if dim == 0:
         return True
     ech = Echelon()
     basis: list[list[int]] = []
-    used: list[list[list[tuple[int, int]]]] = []
+    used: list[Rows] = []
     queue = [[int(r == c) for r in range(dim) for c in range(dim)]]
 
     def close() -> None:
@@ -261,12 +309,9 @@ def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
                 queue.extend(_left_mul(s, cand, dim) for s in used)
 
     close()
-    for m in mats:
-        flat = _integer_row(m.flatten())
-        if ech.contains(flat):
+    for s in m._table:
+        if ech.contains(_flat(s, dim)):
             continue
-        s = [[(c, x) for c, x in enumerate(flat[r * dim:(r + 1) * dim]) if x]
-             for r in range(dim)]
         used.append(s)
         queue.extend(_left_mul(s, b, dim) for b in basis)
         close()
@@ -285,11 +330,12 @@ def is_semisimple_action(mats: Sequence[Matrix], dim: int) -> bool:
     return all(ech.add(row) for row in gram)
 
 
-def is_module_semisimple(g: LieSuperalgebra, m: SuperModule) -> bool:
-    return is_semisimple_action(m.action, m.dim)
+def _flat(rows: Rows, dim: int) -> list[int]:
+    """The row-major integer vector of the dim x dim matrix with these rows."""
+    return [x for row in rows for x in _dense(row, dim)]
 
 
-def _left_mul(s: list[list[tuple[int, int]]], b: list[int], dim: int) -> list[int]:
+def _left_mul(s: Rows, b: list[int], dim: int) -> list[int]:
     """Row-major s.b for s given by its sparse rows and b row-major: row r of
     the product is the combination of the rows of b that row r of s names."""
     out: list[int] = []
@@ -315,59 +361,57 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
     u = vec(u)
     if not g.in_g1ss(u):
         raise NotInG1ss("the odd element does not have semisimple square")
-    h = g.odd_square(u)
-    hmat = m.matrix_of(h)
-    umat = m.matrix_of(u)
-    even_idx = [i for i, p in enumerate(m.parity) if p == EVEN]
-    odd_idx = [i for i, p in enumerate(m.parity) if p == ODD]
-    ker_even = _graded_kernel(hmat, even_idx, m.dim)
-    ker_odd = _graded_kernel(hmat, odd_idx, m.dim)
-    vh = ker_even + ker_odd
+    return _ds_homology(u, g.odd_square(u), m)
+
+
+def _ds_homology(u: Vec, h: Vec, m: SuperModule) -> DSResult:
+    """`ds_functor` for u in the cone with square h.  rho(h) and rho(u) enter
+    as integer multiples; kernels, images and spans do not see the scale."""
+    hrows = [dict(row) for row in m._combine(integer_vector(h)[0])]
+    urows = m._combine(integer_vector(u)[0])
+
+    def act(vs: list[list[int]]) -> list[list[int]]:
+        return [[sum(a * v[c] for c, a in row) for row in urows] for v in vs]
+
+    # the kernel of h on each graded piece, as full vectors
+    ker: dict[int, list[Vec]] = {}
+    for p in (EVEN, ODD):
+        idx = [i for i, q in enumerate(m.parity) if q == p]
+        small = kernel_of_rows([[row.get(c, 0) for c in idx] for row in hrows], len(idx))
+        ker[p] = [fraction_vector(_dense(zip(idx, v), m.dim), 1) for v in small]
     # u must square to zero on the h-invariants
-    for v in vh:
-        if not all(c == 0 for c in umat.matvec(umat.matvec(v))):
-            raise SuperkitError("u does not square to zero on the h-invariants")
-    de, be = _homology_at(umat, ker_even, ker_odd)
-    do, bo = _homology_at(umat, ker_odd, ker_even)
+    if any(map(any, act(act(integer_vectors(ker[EVEN] + ker[ODD])[0])))):
+        raise SuperkitError("u does not square to zero on the h-invariants")
+    de, be = _homology_at(act, ker[EVEN], ker[ODD])
+    do, bo = _homology_at(act, ker[ODD], ker[EVEN])
     return DSResult(even_dim=de, odd_dim=do, homology_basis=be + bo)
 
 
-def _graded_kernel(hmat: Matrix, idx: list[int], dim: int) -> list[Vec]:
-    """Kernel of h restricted to the coordinate subspace idx, as full vectors."""
-    if not idx:
-        return []
-    block = Matrix([[hmat.data[r][c] for c in idx] for r in range(dim)])
-    out = []
-    for small in kernel_basis(block):
-        v = zero_vec(dim)
-        for t, c in zip(idx, small):
-            v[t] = c
-        out.append(v)
-    return out
-
-
-def _homology_at(umat: Matrix, source: list[Vec], target: list[Vec]) -> tuple[int, list[Vec]]:
-    """dim and representatives of ker(u|source) / im(u|target)."""
+def _homology_at(act: Callable, source: list[Vec], target: list[Vec]) -> tuple[int, list[Vec]]:
+    """dim and representatives of ker(u|source) / im(u|target); `act` applies
+    u, up to one common scale, to a list of integer vectors."""
     if not source:
         return 0, []
     smat = Matrix.from_columns(source)
     # u maps source into the span of target (parity flip); kernel of u on source:
-    usrc = Matrix.from_columns([umat.matvec(v) for v in source])
-    kern_coords = kernel_basis(usrc)
-    kern = [smat.matvec(c) for c in kern_coords]
+    images = act(integer_vectors(source)[0])
+    kern = [smat.matvec(c) for c in kernel_of_rows(zip(*images), len(source))]
     span = Echelon()
-    for v in target:
-        span.add(umat.matvec(v))
+    for w in act(integer_vectors(target)[0]):
+        span.add(w)
     reps = [v for v in kern if span.add(v)]
     return len(reps), reps
 
 
 def ds_tensor_check(g: LieSuperalgebra, u: Sequence, m: SuperModule,
                     n: SuperModule) -> dict:
-    """Tensor multiplicativity of DS graded dimensions, with parity convolution."""
+    """Tensor multiplicativity of DS graded dimensions, with parity
+    convolution.  The cone test runs once, in the first `ds_functor`."""
+    u = vec(u)
     dm = ds_functor(g, u, m).dims
-    dn = ds_functor(g, u, n).dims
-    dmn = ds_functor(g, u, tensor(m, n)).dims
+    h = g.odd_square(u)
+    dn = _ds_homology(u, h, n).dims
+    dmn = _ds_homology(u, h, tensor(m, n)).dims
     expected = (dm[0] * dn[0] + dm[1] * dn[1], dm[0] * dn[1] + dm[1] * dn[0])
     return {
         "ds_m": dm,

@@ -29,7 +29,6 @@ from .linalg import (
     is_zero_vec,
     rational_eigenspaces,
     solve_linear,
-    splits_semisimply_over_q,
     vec,
     vec_add,
     vec_scale,
@@ -178,7 +177,9 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     if not is_nonvanishing(a, u):
         raise Vanishing("the image of the derivation generates a proper ideal")
     h = u.mul(u)
-    if not splits_semisimply_over_q(h):
+    # h splits semisimply over Q iff its rational eigenspaces fill the space
+    eig = rational_eigenspaces(h)
+    if sum(len(space) for _, space in eig) != a.dim:
         raise NonSemisimpleSquare(
             "u^2 does not act semisimply with rational spectrum"
         )
@@ -203,7 +204,7 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     eta = vec_add(u.matvec(p), vec_scale(Q(-1), a.unit))
     if a.power_zero_index(eta) is None:
         raise SuperkitError("intermediate element failed the nilpotence check")
-    p0 = _zero_eigencomponent(h, p)
+    p0 = _zero_eigencomponent(eig, p)
     alpha = u.matvec(p0)
     eta0 = vec_add(alpha, vec_scale(Q(-1), a.unit))
     inv = _invert_one_plus_nilpotent(a, eta0)
@@ -215,8 +216,8 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     return f
 
 
-def _zero_eigencomponent(h: Matrix, p: Vec) -> Vec:
-    eig = rational_eigenspaces(h)
+def _zero_eigencomponent(eig: list[tuple[Q, list[Vec]]], p: Vec) -> Vec:
+    """The component of p in the kernel of h, for h's eigenspaces `eig`."""
     basis: list[Vec] = []
     zero_cols: list[int] = []
     for lam, space in eig:

@@ -209,6 +209,20 @@ def test_ghost_djokovic_out_of_range_is_an_input_error(capsys, n):
     assert code == 2 and "1 <= n <= 5" in out
 
 
+@pytest.mark.parametrize("source", [("--family", "gl:1:1"), ("--algebra", "g.alg")],
+                         ids=["family", "algebra"])
+def test_ghost_djokovic_rejects_an_algebra(tmp_path, capsys, source):
+    flag, value = source
+    if flag == "--algebra":
+        value = str(tmp_path / value)
+        (tmp_path / "g.alg").write_text(serialize_algebra(build_gl(1, 1)))
+    for mode in ([], ["--json"]):
+        code, out = run(capsys, *mode, "ghost", flag, value, "--djokovic", "1")
+        assert code == 2 and "--djokovic" in out and "counit" not in out
+    code, out = run(capsys, "--json", "ghost", flag, value, "--djokovic", "1")
+    assert json.loads(out) == {"error": "--djokovic takes no --family or --algebra"}
+
+
 def test_ds_induced_vanishes(capsys):
     code, out = run(capsys, "ds", "--family", "gl:1:1", "--u", "E12+E21",
                     "--module", "induced")

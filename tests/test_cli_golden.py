@@ -1,12 +1,16 @@
-"""Golden CLI outputs: `check`, `classify`, `ghost` and `ds`, human and `--json`,
-byte for byte.
+"""Golden CLI outputs: `check`, `classify`, `ghost`, `ds` and `modcheck`, human
+and `--json`, byte for byte.
 
 The expected stdout and exit codes live in `tests/data/cli_golden.json`.
 The inputs of `check` and `classify` are family specs and serialized algebras
 without a `cartan` line (so classification runs the Cartan search), written
-the way the benchmark's classify workload writes them.  `ghost` runs on
-family specs, and `ds` on one odd element inside the semisimple-square cone
-and one outside it.  Refactors must leave every entry unchanged;
+the way the benchmark's classify workload writes them; `check` also reads a
+gl(1|1) file whose representation is not faithful.  `ghost` runs on family
+specs, and `ds` on one odd element inside the semisimple-square cone and one
+outside it, then on the defining, adjoint and trivial modules and on tensor
+products with the defining module.  `modcheck` reads a valid gl(1|1) module
+file and two corrupted copies of it.  Refactors must leave every entry
+unchanged;
 record the file again only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -35,13 +39,58 @@ VERBS = ("check", "classify")
 MODES = ("human", "json")
 GHOST_SPECS = ("osp1:1", "osp1:2", "osp1:3", "gl:1:1", "sl:2:1", "toy_odd_semisimple")
 DS_CASES = (("gl:1:1", "E12+E21"), ("osp1:1", "a1"))
+DS_MODULE_CASES = (("gl:1:1", "E12+E21"), ("sl:2:1", "E23"), ("toy_odd_semisimple", "u"))
+DS_MODULES = ("defining", "adjoint", "trivial")
+
+# V (x) V* for the defining module V of gl(1|1), parity even, odd, odd, even
+_GL11_MODULE = """module module
+parity even odd odd even
+action E11
+0 0 0 0
+0 1 0 0
+0 0 -1 0
+0 0 0 0
+action E12
+0 0 1 0
+-1 0 0 1
+0 0 0 0
+0 0 1 0
+action E21
+0 1 0 0
+0 0 0 0
+1 0 0 -1
+0 1 0 0
+action E22
+0 0 0 0
+0 -1 0 0
+0 0 1 0
+0 0 0 0
+"""
+# file name -> text; the corruptions break the law only, and parity and the law
+MODULE_FILES = {
+    "gl11-valid.mod": _GL11_MODULE,
+    "gl11-law.mod": _GL11_MODULE.replace("action E11\n0 0 0 0\n0 1 0 0",
+                                         "action E11\n0 0 0 0\n0 2 0 0"),
+    "gl11-parity.mod": _GL11_MODULE.replace("action E12\n0 0 1 0",
+                                            "action E12\n0 0 1 5"),
+}
+UNFAITHFUL = "unfaithful:gl:1:1"
 
 
 def _write_cartanless(spec: str, directory: str) -> str:
-    text = serialize_algebra(parse_family_spec(spec))
-    text = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("cartan "))
+    if spec == UNFAITHFUL:
+        # E22 acts like E11, so the four matrices are linearly dependent
+        text = serialize_algebra(parse_family_spec(spec.split(":", 1)[1]))
+        text = text.replace("repmat E22\n0 0\n0 1", "repmat E22\n1 0\n0 0")
+    else:
+        text = serialize_algebra(parse_family_spec(spec))
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("cartan "))
     path = os.path.join(directory, spec.replace(":", "_").replace(",", "+") + ".alg")
+    return _write(path, text)
+
+
+def _write(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
@@ -60,11 +109,23 @@ def _cases():
         for spec, u in DS_CASES:
             yield (f"ds {mode} --family {spec} --u {u}", "ds", mode, "--family", spec,
                    ("--u", u))
+        for spec, u in DS_MODULE_CASES:
+            for mod in DS_MODULES:
+                yield (f"ds {mode} --family {spec} --u {u} --module {mod}", "ds", mode,
+                       "--family", spec, ("--u", u, "--module", mod))
+            yield (f"ds {mode} --family {spec} --u {u} --tensor defining", "ds", mode,
+                   "--family", spec, ("--u", u, "--tensor", "defining"))
+        for name in MODULE_FILES:
+            yield (f"modcheck {mode} --family gl:1:1 --module {name}", "modcheck", mode,
+                   "--family", "gl:1:1", ("--module", name))
+        yield f"check {mode} --algebra {UNFAITHFUL}", "check", mode, "--algebra", UNFAITHFUL, ()
 
 
 def _run(verb: str, mode: str, source: str, spec: str, extra: tuple,
          directory: str) -> dict:
     arg = spec if source == "--family" else _write_cartanless(spec, directory)
+    extra = [_write(os.path.join(directory, a), MODULE_FILES[a]) if a in MODULE_FILES else a
+             for a in extra]
     argv = (["--json"] if mode == "json" else []) + [verb, source, arg, *extra]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

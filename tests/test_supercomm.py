@@ -117,8 +117,29 @@ def test_witness_nonsemisimple_square_raises():
     assert validate_derivation(a, d) == []
     h = d.mul(d)
     assert not h.is_zero()
-    with pytest.raises(NonSemisimpleSquare):
+    with pytest.raises(NonSemisimpleSquare,
+                       match=r"^u\^2 does not act semisimply with rational spectrum$"):
         splitting_witness(a, d)
+
+
+def test_witness_computes_the_spectrum_of_u_squared_once(monkeypatch):
+    # every spectrum goes through one minimal polynomial computation
+    from superkit import linalg
+    calls = []
+    real = linalg._minimal_polynomial
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_minimal_polynomial", spy)
+    for name, (a, d) in catalog_pairs().items():
+        if name == "vanishing":
+            continue
+        calls.clear()
+        f = splitting_witness(a, d)
+        assert d.matvec(f) == a.unit
+        assert len(calls) == 1, name
 
 
 def test_square_commutes_with_derivation():
