@@ -13,8 +13,10 @@ always uses a fixed seed.
 
 Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
 or input error, 3 a semisimple-square witness was found (classify), 4
-inconclusive classification, 5 the supplied odd element is outside the cone
-(ds).
+inconclusive: a classification that cannot be certified (classify), or a
+ghost quotient with more weight-zero subsets than
+`enveloping.WEIGHT_ZERO_BUDGET` (ghost; the count is reported), 5 the
+supplied odd element is outside the cone (ds).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .core import LieSuperalgebra, NotSemisimpleStructure, SuperkitError
-from .enveloping import ghost_criterion, verify_djokovic
+from .enveloping import QuotientTooLarge, ghost_criterion, verify_djokovic
 from .families import parse_family_spec
 from .fileformat import (
     ParseError,
@@ -218,7 +220,12 @@ def cmd_ghost(args) -> int:
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    ghost, verdict = ghost_criterion(g)
+    try:
+        ghost, verdict = ghost_criterion(g)
+    except QuotientTooLarge as exc:
+        _emit(args, {"outcome": "inconclusive", "reason": str(exc),
+                     "weight_zero_subsets": exc.count}, f"Inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
     payload = {
         "invariant_dim": ghost.invariant_dim,
         "ghost": str(ghost.v),

@@ -30,7 +30,7 @@ supergroup has non-semisimple representation theory.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -76,8 +76,8 @@ class LieSuperalgebra:
         faithful_rep: "SuperModule | None" = None,
         cartan: Sequence[int] | None = None,
     ) -> None:
-        self.parity = tuple(int(p) % 2 for p in parity)
-        n = len(self.parity)
+        parity = tuple(parity)
+        n = len(parity)
         if isinstance(brackets, dict):
             items = [(i, j, k, Q(val)) for (i, j), comps in brackets.items()
                      for k, val in comps.items()]
@@ -88,12 +88,33 @@ class LieSuperalgebra:
         pairs: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
         for i, j, k, q in items:
             pairs[i][j][k] = q.numerator * (den // q.denominator)
+        table = [[tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
+                 for block in pairs]
+        self._init(parity, table, den, names, faithful_rep, cartan)
+
+    @classmethod
+    def _of_table(cls, parity: Sequence[int], table: list[list[tuple[tuple[int, int], ...]]],
+                  den: int, names: Sequence[str] | None = None,
+                  faithful_rep: "SuperModule | None" = None,
+                  cartan: Sequence[int] | None = None) -> "LieSuperalgebra":
+        """The algebra with the given integer table over D = den: c[i][j][k] =
+        C / D for each (k, C) in table[i][j], sorted by k and nonzero.  D is
+        divided by its gcd with every entry, so it is the least common
+        denominator, as the constructor computes it."""
+        common = gcd(den, *(c for block in table for row in block for _, c in row))
+        if common > 1:
+            table = [[tuple((k, c // common) for k, c in row) for row in block]
+                     for block in table]
+        g = cls.__new__(cls)
+        g._init(parity, table, den // common, names, faithful_rep, cartan)
+        return g
+
+    def _init(self, parity, table, den, names, faithful_rep, cartan) -> None:
+        self.parity = tuple(int(p) % 2 for p in parity)
+        n = len(self.parity)
         # c[i][j][k] = C / D for each (k, C) in _table[i][j], sorted by k
         self._den = den
-        self._table: list[list[tuple[tuple[int, int], ...]]] = [
-            [tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
-            for block in pairs
-        ]
+        self._table: list[list[tuple[tuple[int, int], ...]]] = table
         self.names = tuple(names) if names else tuple(f"e{i}" for i in range(n))
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
@@ -163,9 +184,6 @@ class LieSuperalgebra:
         v = zero_vec(self.dim)
         v[i] = Q(1)
         return v
-
-    def even_part(self, x: Sequence) -> Vec:
-        return [Q(c) if self.parity[i] == EVEN else Q(0) for i, c in enumerate(x)]
 
     def odd_part(self, x: Sequence) -> Vec:
         return [Q(c) if self.parity[i] == ODD else Q(0) for i, c in enumerate(x)]
@@ -482,15 +500,18 @@ class LieSuperalgebra:
         n = len(basis)
         coordinates = integer_coordinates_in(basis)
         ints, den = integer_vectors(basis)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # [v_a, v_b] = D [V_a, V_b] / (L^2 D^2) = sum_k (X_k / M) v_k / (L^2 D),
+        # with (X, M) the integer coordinates of D [V_a, V_b]; M is the same
+        # for every integer vector
+        table = [[()] * n for _ in range(n)]
+        cden = 1
         for a, xa in enumerate(ints):
             for b, xb in enumerate(ints):
                 found = coordinates(self._int_bracket(xa, xb))
                 if found is None:
                     raise ValueError("vectors do not span a subalgebra")
                 coeffs, cden = found
-                cden *= den * den * self._den
-                table[(a, b)] = {k: Q(c, cden) for k, c in enumerate(coeffs) if c}
+                table[a][b] = tuple((k, c) for k, c in enumerate(coeffs) if c)
         rep = None
         if self.faithful_rep is not None:
             from .reps import SuperModule
@@ -499,7 +520,8 @@ class LieSuperalgebra:
             rep = SuperModule._of_table(parent.parity, [parent._combine(v) for v in ints],
                                         den * parent._den)
         names = tuple(f"x{t}" for t in range(n))
-        return LieSuperalgebra(parities, table, names, faithful_rep=rep)
+        return LieSuperalgebra._of_table(parities, table, cden * den * den * self._den,
+                                         names, rep)
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)

@@ -35,7 +35,23 @@ the span of the x_S with wt(S) = 0, and only the action columns of those
 subsets are computed, lazily and memoized per algebra.  A ghost computation
 thus costs the number of weight-zero subsets (16 of 256 for osp(1|8), 32 of
 1024 for osp(1|10)), not 2^{dim g_1}.  When no even basis element is diagonal,
-every subset has weight zero and the whole quotient is used.
+every subset has weight zero and the whole quotient is used.  The weight-zero
+subsets are counted by a dynamic program over partial weights before any is
+listed, and a count above `WEIGHT_ZERO_BUDGET` raises `QuotientTooLarge`
+(gl(4|4) has 824 410 of its 2^32 subsets at weight zero).
+
+The quotients are computed in integers, read off the algebra's integer
+structure table (c[i][j][k] = C / D over one common denominator D), with no
+Fraction view of the brackets.  The action columns follow one graded
+convention: the coordinate of x_T in e_i . x_S is N_T (2D)^{|T| - |S| - 1}
+with N_T an integer.  The proof is by induction on the recursion of
+`_column`: a letter that extends S gives N = 1, an odd square
+sum_l C_l N', and a swap the product of two columns plus 2 C_l N', where
+[e_a, e_b] = sum_l (C_l / D) e_l and N' is a column on a shorter subset.
+Equivalently, 2D e_i acts on y_T = (2D)^{|T|} x_T by an integer matrix.  So the kernel of
+`invariants` is taken on integer rows, and `module_action`, the word
+projections and `reps.induced_trivial` sum integers and turn them into
+Fractions once.  The PBW normal form of U still reads Fraction brackets.
 """
 
 from __future__ import annotations
@@ -45,7 +61,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
-from .linalg import Matrix, Q, Vec, _integer_row, kernel_basis, zero_vec
+from .linalg import Q, _integer_row, integer_vector, kernel_of_rows, zero_vec
 
 Word = tuple[int, ...]
 
@@ -247,23 +263,42 @@ def coinvariant_dim(g: LieSuperalgebra) -> int:
     return 1 << len(g.odd_indices)
 
 
+def _graded(n: int, e: int, base: int, den: int = 1) -> Fraction:
+    """The rational n base^e / den."""
+    return Q(n * base ** e, den) if e >= 0 else Q(n, den * base ** -e)
+
+
 def _project_words(g: LieSuperalgebra, items: Iterable[tuple[Word, Fraction]],
                    side: str) -> list[Fraction]:
     """Coordinates in the chosen quotient of a combination of words in any
     order: each word acts on x_{} through `_column`, from its last letter on
-    the left side and from its first letter on the right side."""
+    the left side and from its first letter on the right side.
+
+    2D e_i acts on y_T = (2D)^{|T|} x_T by the integer columns, so a word of
+    length L takes x_{} = y_{} to (2D)^{-L} times an integer vector in the
+    y_T.  Every word is scaled to the longest one, summed in integers, and
+    turned into Fractions once.
+    """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
-    coords = zero_vec(coinvariant_dim(g))
-    for w, c in items:
-        vec = {0: Q(c)}
+    items = list(items)
+    coeffs, den = integer_vector([c for _, c in items])
+    base = 2 * g._den
+    top = max((len(w) for w, _ in items), default=0)
+    acc: dict[int, int] = {}
+    for (w, _), c in zip(items, coeffs):
+        if not c:
+            continue
+        vec = {0: c * base ** (top - len(w))}
         for i in (reversed(w) if side == LEFT else w):
-            out: dict[int, Fraction] = {}
+            out: dict[int, int] = {}
             for mask, a in vec.items():
                 _accumulate(out, _column(g, side, i, mask), a)
             vec = out
-        for mask, a in vec.items():
-            coords[mask] += a
+        _accumulate(acc, vec, 1)
+    coords = zero_vec(coinvariant_dim(g))
+    for mask, a in acc.items():
+        coords[mask] = _graded(a, mask.bit_count() - top, base, den)
     return coords
 
 
@@ -282,23 +317,41 @@ class _ColumnMemo:
     def __init__(self, g: LieSuperalgebra) -> None:
         self.odd = g.odd_indices
         self.pos = {idx: t for t, idx in enumerate(self.odd)}
-        self.cols: dict[tuple[str, int, int], dict[int, Fraction]] = {}
+        self.cols: dict[tuple[str, int, int], dict[int, int]] = {}
 
 
-def _column(g: LieSuperalgebra, side: str, i: int,
-            mask: int) -> dict[int, Fraction]:
-    """Sparse subset-basis coordinates of e_i . x_S on the left quotient, or of
-    x_S . e_i on the right quotient, where S is the subset with bitmask `mask`.
+def _column(g: LieSuperalgebra, side: str, i: int, mask: int) -> dict[int, int]:
+    """The integer column N of e_i . x_S on the left quotient, or of
+    x_S . e_i on the right quotient, where S is the subset with bitmask
+    `mask`, in the graded convention
+
+        e_i . x_S = sum_T N_T (2D)^{|T| - |S| - 1} x_T
+
+    with D the algebra's common denominator: 2D e_i acts by the integer
+    matrix N on y_T = (2D)^{|T|} x_T.
 
     This is the one place that maps words into either quotient and knows the
     word order of each side.  On the left x_S = e_s . x_R with s the lowest
-    letter of S, and
-    e_i e_s = (-1)^{|i||s|} e_s e_i + [e_i, e_s]; on the right
-    x_S = x_R . e_s with s the highest letter, and
+    letter of S, and e_i e_s = (-1)^{|i||s|} e_s e_i + [e_i, e_s]; on the
+    right x_S = x_R . e_s with s the highest letter, and
     e_s e_i = (-1)^{|i||s|} e_i e_s + [e_s, e_i].  Either way the column is a
     combination of columns on shorter words, or of e_s acting on a word that
-    e_s already extends in order, so the recursion terminates.  Results are
-    memoized on the algebra and shared: callers must not mutate them.
+    e_s already extends in order, so the recursion terminates.  With
+    [e_a, e_b] = sum_l (C_l / D) e_l read off the integer table, N is an
+    integer vector by induction on the three cases (|S| = |R| + 1):
+
+    * extending, x_{S+i}: |T| = |S| + 1 and N = 1;
+    * odd square (i = s): e_s e_s = [e_s, e_s] / 2 = sum_l C_l / (2D) e_l,
+      and a column N' of e_l on x_R carries (2D)^{|T| - |R| - 1} =
+      (2D)^{|T| - |S|}, one factor 2D above the exponent for S, which the
+      1 / (2D) takes back: N = sum_l C_l N';
+    * swap: e_i and then e_s through x_R multiplies two columns N1 and N2
+      whose exponents sum to |T| - |R| - 2 = |T| - |S| - 1, so that term is
+      +-N1 N2; the bracket term (C_l / D) e_l on x_R is again one factor 2D
+      above, so it is (C_l / D) (2D) N' = 2 C_l N'.
+
+    Results are memoized on the algebra and shared: callers must not mutate
+    them.
     """
     memo = getattr(g, "_coinv_columns", None)
     if memo is None:
@@ -318,26 +371,25 @@ def _column(g: LieSuperalgebra, side: str, i: int,
         extends = t is not None and t > s
     col = {}
     if extends:
-        col[mask | 1 << t] = Q(1)
+        col[mask | 1 << t] = 1
     elif mask:
         rest = mask & ~(1 << s)
         es = memo.odd[s]
         if t == s:
-            for l, q in g.bracket_sparse(i, i):
-                _accumulate(col, _column(g, side, l, rest), q / 2)
+            for l, c in g._table[i][i]:
+                _accumulate(col, _column(g, side, l, rest), c)
         else:
-            sign = Q(1) if t is None else Q(-1)
-            for m, c in _column(g, side, i, rest).items():
-                _accumulate(col, _column(g, side, es, m), sign * c)
-            pair = (i, es) if side == LEFT else (es, i)
-            for l, q in g.bracket_sparse(*pair):
-                _accumulate(col, _column(g, side, l, rest), q)
+            sign = 1 if t is None else -1
+            for m, a in _column(g, side, i, rest).items():
+                _accumulate(col, _column(g, side, es, m), sign * a)
+            x, y = (i, es) if side == LEFT else (es, i)
+            for l, c in g._table[x][y]:
+                _accumulate(col, _column(g, side, l, rest), 2 * c)
     memo.cols[key] = col
     return col
 
 
-def _accumulate(out: dict[int, Fraction], col: dict[int, Fraction],
-                c: Fraction) -> None:
+def _accumulate(out: dict[int, int], col: dict[int, int], c: int) -> None:
     for m, a in col.items():
         acc = out.get(m, 0) + c * a
         if acc:
@@ -346,69 +398,122 @@ def _accumulate(out: dict[int, Fraction], col: dict[int, Fraction],
             out.pop(m, None)
 
 
-def coinvariant_action_matrices(g: LieSuperalgebra, side: str) -> list[Matrix]:
-    """One matrix per basis element: left multiplication on the left quotient,
-    right multiplication on the right quotient.  Cached per algebra."""
-    cache = getattr(g, "_coinv_cache", None)
-    if cache is None:
-        cache = {}
-        g._coinv_cache = cache
-    if side in cache:
-        return cache[side]
-    dim = coinvariant_dim(g)
-    mats = []
-    for i in range(g.dim):
-        mat = Matrix.zeros(dim, dim)
-        for mask in range(dim):
-            for t, c in _column(g, side, i, mask).items():
-                mat.data[t][mask] = c
-        mats.append(mat)
-    cache[side] = mats
-    return mats
-
-
 def module_action(g: LieSuperalgebra, z: Sequence,
                   w: CoinvariantElement) -> CoinvariantElement:
     """Action of the algebra element z on a coinvariant vector (left
     multiplication on the left side, right multiplication on the right side).
-    Only the columns of the subsets in the support of w are computed."""
+    Only the columns of the subsets in the support of w are computed; the
+    sum runs in integers, each x_S scaled to the largest |S| in the
+    support, and is turned into Fractions once."""
     support = [(mask, c) for mask, c in enumerate(w.coords) if c]
-    out = zero_vec(coinvariant_dim(g))
-    for i, zi in enumerate(z):
-        zi = Q(zi)
+    zs, lz = integer_vector(z)
+    ws, lw = integer_vector([c for _, c in support])
+    base = 2 * g._den
+    top = max((mask.bit_count() for mask, _ in support), default=0)
+    acc: dict[int, int] = {}
+    for i, zi in enumerate(zs):
         if zi == 0:
             continue
-        for mask, c in support:
-            for t, a in _column(g, w.side, i, mask).items():
-                out[t] += zi * c * a
+        for (mask, _), c in zip(support, ws):
+            _accumulate(acc, _column(g, w.side, i, mask), zi * c * base ** (top - mask.bit_count()))
+    out = zero_vec(coinvariant_dim(g))
+    for t, a in acc.items():
+        out[t] = _graded(a, t.bit_count() - top - 1, base, lz * lw)
     return CoinvariantElement(g, w.side, out)
 
 
-def _weight_zero_masks(g: LieSuperalgebra) -> list[int]:
-    """Bitmasks of the subsets S of the odd basis with wt(S) = 0.
+WEIGHT_ZERO_BUDGET = 1 << 16
 
-    The weights come from the even basis elements h whose bracket with every
-    odd basis vector e_j is a rational multiple lambda_j(h) e_j, read exactly
-    from the structure constants; wt(S)(h) is the sum of lambda_j(h) over j in
-    S.  With no such h every subset qualifies.
-    """
+
+class QuotientTooLarge(SuperkitError):
+    """The weight-zero part of a coinvariant quotient exceeds the budget."""
+
+    def __init__(self, count: int) -> None:
+        super().__init__(f"{count} weight-zero subsets of the odd basis exceed "
+                         f"the budget of {WEIGHT_ZERO_BUDGET}")
+        self.count = count
+
+
+def _odd_weights(g: LieSuperalgebra) -> list[tuple[int, ...]]:
+    """D lambda_j(h) for each odd basis vector e_j, over the even basis
+    elements h whose bracket with every odd e_j is a rational multiple
+    lambda_j(h) e_j, read exactly off the integer table."""
     odd = g.odd_indices
     rows = []
     for h in g.even_indices:
         row = []
         for j in odd:
-            br = g.bracket_sparse(h, j)
+            br = g._table[h][j]
             if br and (len(br) > 1 or br[0][0] != j):
                 break
-            row.append(br[0][1] if br else Q(0))
+            row.append(br[0][1] if br else 0)
         else:
             rows.append(row)
-    zero = tuple(Q(0) for _ in rows)
-    weights = [zero]
-    for t in range(len(odd)):
-        step = tuple(row[t] for row in rows)
-        weights += [tuple(a + b for a, b in zip(w, step)) for w in weights]
-    return [mask for mask, w in enumerate(weights) if w == zero]
+    return list(zip(*rows)) if rows else [()] * len(odd)
+
+
+def _weight_dp(g: LieSuperalgebra):
+    """(steps, counts, zero): steps[t] is D wt({t}), the weight of the t-th
+    odd basis vector, and counts[t] maps each weight w = D wt(S) of a subset
+    S of the first t odd basis vectors to the number of such S, for the w
+    that the remaining vectors can still bring back to zero: -w lies, in
+    every coordinate, between the sums of their negative and of their
+    positive entries.  A dynamic program over the partial weights; it lists
+    no subset, and counts[-1][zero] is the number of weight-zero subsets."""
+    steps = _odd_weights(g)
+    zero = (0,) * len(steps[0]) if steps else ()
+    # lo[t], hi[t]: the coordinatewise range of the weights of the subsets
+    # of the vectors from t on
+    lo, hi = [zero], [zero]
+    for step in reversed(steps):
+        lo.append(tuple(a + min(b, 0) for a, b in zip(lo[-1], step)))
+        hi.append(tuple(a + max(b, 0) for a, b in zip(hi[-1], step)))
+    lo.reverse()
+    hi.reverse()
+    counts = [{zero: 1}]
+    for t, step in enumerate(steps):
+        low, high = lo[t + 1], hi[t + 1]
+        nxt: dict[tuple[int, ...], int] = {}
+        for w, c in counts[-1].items():
+            for key in (w, tuple(a + b for a, b in zip(w, step))):
+                if all(lw <= -x <= hg for x, lw, hg in zip(key, low, high)):
+                    nxt[key] = nxt.get(key, 0) + c
+        counts.append(nxt)
+    return steps, counts, zero
+
+
+def _weight_zero_masks(g: LieSuperalgebra) -> list[int]:
+    """Bitmasks, in increasing order, of the subsets S of the odd basis with
+    wt(S) = 0.
+
+    The weights come from the even basis elements h whose bracket with every
+    odd basis vector e_j is a rational multiple lambda_j(h) e_j, read exactly
+    from the structure constants; wt(S)(h) is the sum of lambda_j(h) over j in
+    S.  With no such h every subset qualifies.  The subsets are counted
+    first (`_weight_dp`), and a count above `WEIGHT_ZERO_BUDGET` raises
+    `QuotientTooLarge` before any is listed; the listing then walks only
+    the partial weights that can still return to zero.
+    """
+    steps, counts, zero = _weight_dp(g)
+    total = counts[-1][zero]
+    if total > WEIGHT_ZERO_BUDGET:
+        raise QuotientTooLarge(total)
+    out = []
+    # (t, w, mask): extend mask by a subset of the first t vectors of weight w;
+    # the higher bits are decided first and "without" pops first
+    stack = [(len(steps), zero, 0)]
+    while stack:
+        t, need, mask = stack.pop()
+        if t == 0:
+            out.append(mask)
+            continue
+        prev = counts[t - 1]
+        rest = tuple(a - b for a, b in zip(need, steps[t - 1]))
+        if rest in prev:
+            stack.append((t - 1, rest, mask | 1 << (t - 1)))
+        if need in prev:
+            stack.append((t - 1, need, mask))
+    return out
 
 
 def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
@@ -418,20 +523,25 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     A diagonally acting h scales x_S by wt(S)(h) on the left and by
     -wt(S)(h) on the right, so every invariant lies in the span of the
     weight-zero x_S.  Only those columns are computed, and their joint kernel
-    is embedded back into the full subset basis.
+    is embedded back into the full subset basis.  Row (i, t) of the action,
+    whose entry at S is N_T (2D)^{|t| - |S| - 1}, is scaled by
+    (2D)^{top + 1 - |t|}, top the largest |S| in the support: its entries
+    N_T (2D)^{top - |S|} are integers, and the kernel is unchanged.
     """
     support = _weight_zero_masks(g)
-    rows: dict[tuple[int, int], Vec] = {}
+    base = 2 * g._den
+    top = max((mask.bit_count() for mask in support), default=0)
+    rows: dict[tuple[int, int], list[int]] = {}
     for p, mask in enumerate(support):
+        scale = base ** (top - mask.bit_count())
         for i in range(g.dim):
-            for t, c in _column(g, side, i, mask).items():
+            for t, n in _column(g, side, i, mask).items():
                 row = rows.get((i, t))
                 if row is None:
-                    row = rows[(i, t)] = zero_vec(len(support))
-                row[p] = c
-    mat = Matrix(list(rows.values())) if rows else Matrix.zeros(0, len(support))
+                    row = rows[(i, t)] = [0] * len(support)
+                row[p] = n * scale
     out = []
-    for k in kernel_basis(mat):
+    for k in kernel_of_rows(rows.values(), len(support)):
         coords = zero_vec(coinvariant_dim(g))
         for mask, c in zip(support, k):
             coords[mask] = c

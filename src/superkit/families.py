@@ -3,6 +3,9 @@
 Every family is built from an explicit faithful matrix realization: the
 structure constants are obtained by expanding supercommutators of the basis
 matrices, and the same matrices are attached as the defining representation.
+The builders write their matrices as sparse integer rows, and the
+supercommutators are expanded and solved for in integers, once per
+unordered pair, straight into the algebra's integer structure table.
 This guarantees the super axioms hold by construction and gives every family
 the faithful representation needed for semisimple-element testing.
 
@@ -23,11 +26,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra
 from .linalg import Matrix, Q, integer_coordinates_in
-from .reps import SuperModule, _flat, direct_sum
+from .reps import Rows, SuperModule, _flat, direct_sum
 
 
 def algebra_from_matrices(
@@ -38,14 +42,26 @@ def algebra_from_matrices(
     cartan: Sequence[int] | None = None,
 ) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices closed under the supercommutator,
-    with the defining representation attached.  The supercommutators are
-    expanded in integers, on the representation's action rows A_i = D m_i."""
+    with the defining representation attached."""
     rep = SuperModule(parity=space_parity, action=mats, name="defining")
+    return _algebra_from_rep(rep, mat_parity, names, cartan)
+
+
+def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequence[str],
+                      cartan: Sequence[int] | None) -> LieSuperalgebra:
+    """The algebra spanned by the action matrices m_i of `rep`, which becomes
+    its defining representation.  The supercommutators are expanded in
+    integers, on the action rows A_i = D m_i, once per unordered pair i <= j;
+    [m_j, m_i] = -(-1)^{|i||j|} [m_i, m_j] is an exact identity of the
+    supercommutator, so it fills (j, i)."""
+    n = len(rep._table)
     coordinates = integer_coordinates_in([_flat(rows, rep.dim) for rows in rep._table])
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            br = rep._supercommutator(i, j, mat_parity[i] and mat_parity[j])
+    table: list[list[tuple[tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
+    den = 1
+    for i in range(n):
+        for j in range(i, n):
+            odd = bool(mat_parity[i] and mat_parity[j])
+            br = rep._supercommutator(i, j, odd)
             if not any(br):
                 continue
             found = coordinates(br)
@@ -53,21 +69,32 @@ def algebra_from_matrices(
                 raise ValueError(
                     "matrix span is not closed under the supercommutator"
                 )
+            # D^2 [m_i, m_j] = br = sum_k (comps_k / den) D m_k; den is the
+            # same for every integer br
             comps, den = found
-            # D^2 [m_i, m_j] = br = sum_k (comps_k / den) D m_k
-            table[(i, j)] = {k: Q(c, den * rep._den) for k, c in enumerate(comps) if c}
-    return LieSuperalgebra(mat_parity, table, names, faithful_rep=rep, cartan=cartan)
+            row = tuple((k, c) for k, c in enumerate(comps) if c)
+            table[i][j] = row
+            if j != i:
+                table[j][i] = row if odd else tuple((k, -c) for k, c in row)
+    return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan)
+
+
+def _defining(space_parity: Sequence[int], mats: list[Rows]) -> SuperModule:
+    """The defining representation on integer matrices given by sparse rows."""
+    return SuperModule._of_table(space_parity, mats, 1, "defining")
+
+
+def _rows(d: int, entries: Sequence[tuple[int, int, int]]) -> Rows:
+    """The sparse rows of the d x d integer matrix with entries (r, c, a)."""
+    rows: Rows = [[] for _ in range(d)]
+    for r, c, a in sorted(entries):
+        rows[r].append((c, a))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # gl(m|n) and sl(m|n)
 # ---------------------------------------------------------------------------
-
-def _matrix_unit(d: int, a: int, b: int) -> Matrix:
-    m = Matrix.zeros(d, d)
-    m.data[a][b] = Q(1)
-    return m
-
 
 @lru_cache(maxsize=None)
 def build_gl(m: int, n: int) -> LieSuperalgebra:
@@ -79,13 +106,13 @@ def build_gl(m: int, n: int) -> LieSuperalgebra:
     mats, parities, names, cartan = [], [], [], []
     for a in range(d):
         for b in range(d):
-            mats.append(_matrix_unit(d, a, b))
+            mats.append(_rows(d, [(a, b, 1)]))
             parities.append((par(a) + par(b)) % 2)
             names.append(f"E{a + 1}{b + 1}")
             if a == b:
                 cartan.append(len(mats) - 1)
     space_parity = [par(a) for a in range(d)]
-    return algebra_from_matrices(mats, parities, space_parity, names, cartan)
+    return _algebra_from_rep(_defining(space_parity, mats), parities, names, cartan)
 
 
 def supertrace(mat: Matrix, space_parity: Sequence[int]) -> Fraction:
@@ -108,54 +135,44 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
     for a in range(d):
         for b in range(d):
             if a != b:
-                mats.append(_matrix_unit(d, a, b))
+                mats.append(_rows(d, [(a, b, 1)]))
                 parities.append((par(a) + par(b)) % 2)
                 names.append(f"E{a + 1}{b + 1}")
     for a in range(d - 1):
         # supertrace-zero diagonal: E_aa -/+ E_{a+1,a+1} across the block edge
-        other = _matrix_unit(d, a + 1, a + 1)
-        diag = _matrix_unit(d, a, a)
-        diag = diag.add(other) if par(a) != par(a + 1) else diag.sub(other)
-        mats.append(diag)
+        sign = 1 if par(a) != par(a + 1) else -1
+        mats.append(_rows(d, [(a, a, 1), (a + 1, a + 1, sign)]))
         parities.append(EVEN)
         names.append(f"D{a + 1}")
         cartan.append(len(mats) - 1)
     space_parity = [par(a) for a in range(d)]
-    return algebra_from_matrices(mats, parities, space_parity, names, cartan)
+    return _algebra_from_rep(_defining(space_parity, mats), parities, names, cartan)
 
 
 # ---------------------------------------------------------------------------
 # osp(1|2n)
 # ---------------------------------------------------------------------------
 
-def symplectic_form_matrix(n: int) -> Matrix:
-    """Gram matrix on the ordered basis a_1..a_n, b_1..b_n with (a_i,b_j) = delta_ij."""
-    j = Matrix.zeros(2 * n, 2 * n)
-    for i in range(n):
-        j.data[i][n + i] = Q(1)
-        j.data[n + i][i] = Q(-1)
-    return j
-
-
-def sp_basis(n: int) -> tuple[list[Matrix], list[str]]:
-    """Standard basis of sp(2n) preserving the fixed symplectic form."""
+def _sp_entries(n: int) -> tuple[list[list[tuple[int, int, int]]], list[str]]:
+    """Standard basis of sp(2n) preserving the symplectic form with
+    (a_i, b_j) = delta_ij on the ordered basis a_1..a_n, b_1..b_n, as the
+    (row, column, entry) lists of its matrices."""
     mats, names = [], []
     for i in range(n):
         for j in range(n):
-            m = _matrix_unit(2 * n, i, j).sub(_matrix_unit(2 * n, n + j, n + i))
-            mats.append(m)
+            mats.append([(i, j, 1), (n + j, n + i, -1)])
             names.append(f"M{i + 1}{j + 1}")
     for i in range(n):
-        mats.append(_matrix_unit(2 * n, i, n + i))
+        mats.append([(i, n + i, 1)])
         names.append(f"B{i + 1}{i + 1}")
         for j in range(i + 1, n):
-            mats.append(_matrix_unit(2 * n, i, n + j).add(_matrix_unit(2 * n, j, n + i)))
+            mats.append([(i, n + j, 1), (j, n + i, 1)])
             names.append(f"B{i + 1}{j + 1}")
     for i in range(n):
-        mats.append(_matrix_unit(2 * n, n + i, i))
+        mats.append([(n + i, i, 1)])
         names.append(f"C{i + 1}{i + 1}")
         for j in range(i + 1, n):
-            mats.append(_matrix_unit(2 * n, n + i, j).add(_matrix_unit(2 * n, n + j, i)))
+            mats.append([(n + i, j, 1), (n + j, i, 1)])
             names.append(f"C{i + 1}{j + 1}")
     return mats, names
 
@@ -166,32 +183,21 @@ def build_osp1(n: int) -> LieSuperalgebra:
     standard module, realized inside gl(1|2n)."""
     if n < 1:
         raise ValueError("osp(1|2n) needs n >= 1")
-    spmats, spnames = sp_basis(n)
+    spmats, spnames = _sp_entries(n)
     d = 1 + 2 * n
-    jform = symplectic_form_matrix(n)
-    mats: list[Matrix] = []
-    parities: list[int] = []
-    names: list[str] = []
-    for m, nm in zip(spmats, spnames):
-        big = Matrix.zeros(d, d)
-        for r in range(2 * n):
-            for c in range(2 * n):
-                big.data[1 + r][1 + c] = m.data[r][c]
-        mats.append(big)
-        parities.append(EVEN)
-        names.append(nm)
-    # odd basis vector e_p acts by e0 -> e_p, f_j -> -(e_p, f_j) e0
+    mats = [_rows(d, [(1 + r, 1 + c, a) for r, c, a in m]) for m in spmats]
+    parities = [EVEN] * len(mats)
+    names = list(spnames)
+    # odd basis vector e_p acts by e0 -> e_p, f_j -> -(e_p, f_j) e0, where
+    # (a_i, b_i) = 1 = -(b_i, a_i)
     for p in range(2 * n):
-        big = Matrix.zeros(d, d)
-        big.data[1 + p][0] = Q(1)
-        for jcol in range(2 * n):
-            big.data[0][1 + jcol] = -jform.data[p][jcol]
-        mats.append(big)
+        form = (1 + n + p, -1) if p < n else (1 + p - n, 1)
+        mats.append(_rows(d, [(1 + p, 0, 1), (0, *form)]))
         parities.append(ODD)
     names += [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
     cartan = [spnames.index(f"M{i + 1}{i + 1}") for i in range(n)]
     space_parity = [EVEN] + [ODD] * (2 * n)
-    return algebra_from_matrices(mats, parities, space_parity, names, cartan)
+    return _algebra_from_rep(_defining(space_parity, mats), parities, names, cartan)
 
 
 def osp_odd_indices(n: int) -> tuple[list[int], list[int]]:
@@ -221,19 +227,14 @@ def build_toy(kind: str) -> LieSuperalgebra:
     diagonalizably.
     """
     if kind == TOY_ODD_NILPOTENT:
-        u = Matrix([[0, 0], [1, 0]])
-        return algebra_from_matrices([u], [ODD], [EVEN, ODD], ["u"], cartan=[])
+        u = _rows(2, [(1, 0, 1)])
+        return _algebra_from_rep(_defining([EVEN, ODD], [u]), [ODD], ["u"], cartan=[])
     if kind == TOY_ODD_SEMISIMPLE:
-        u = Matrix.zeros(4, 4)
-        # basis e1, e2 even; f1, f2 odd; u: e1<->f1, e2<->2 f2
-        u.data[2][0] = Q(1)
-        u.data[0][2] = Q(1)
-        u.data[3][1] = Q(2)
-        u.data[1][3] = Q(2)
-        h = u.mul(u)
-        return algebra_from_matrices(
-            [h, u], [EVEN, ODD], [EVEN, EVEN, ODD, ODD], ["h", "u"], cartan=[0]
-        )
+        # basis e1, e2 even; f1, f2 odd; u: e1<->f1, e2<->2 f2, and h = u^2
+        u = _rows(4, [(2, 0, 1), (0, 2, 1), (3, 1, 2), (1, 3, 2)])
+        h = _rows(4, [(0, 0, 1), (1, 1, 4), (2, 2, 1), (3, 3, 4)])
+        return _algebra_from_rep(_defining([EVEN, EVEN, ODD, ODD], [h, u]),
+                                 [EVEN, ODD], ["h", "u"], cartan=[0])
     raise ValueError(f"unknown toy kind {kind!r}")
 
 
@@ -245,7 +246,9 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     total = sum(f.dim for f in factors)
     parity: list[int] = []
     names: list[str] = []
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # every factor's table over the common denominator, shifted to its block
+    den = lcm(*(f._den for f in factors))
+    table: list[list[tuple[tuple[int, int], ...]]] = [[()] * total for _ in range(total)]
     cartan: list[int] | None = []
     pieces: list[SuperModule] = []
     offset = 0
@@ -253,13 +256,12 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
         parity.extend(f.parity)
         prefix = f"{t}." if len(factors) > 1 else ""
         names.extend(prefix + nm for nm in f.names)
-        for i in range(f.dim):
-            for j in range(f.dim):
-                comps = {
-                    offset + k: q for k, q in f.bracket_sparse(i, j)
-                }
-                if comps:
-                    table[(offset + i, offset + j)] = comps
+        scale = den // f._den
+        for i, block in enumerate(f._table):
+            out = table[offset + i]
+            for j, row in enumerate(block):
+                if row:
+                    out[offset + j] = tuple((offset + k, scale * c) for k, c in row)
         if f.cartan:
             if cartan is not None:
                 cartan.extend(offset + i for i in f.cartan)
@@ -275,7 +277,7 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     if len(pieces) == len(factors):
         rep = reduce(direct_sum, pieces) if total else SuperModule((EVEN,), [])
         rep.name = "defining"
-    return LieSuperalgebra(parity, table, names, faithful_rep=rep, cartan=cartan)
+    return LieSuperalgebra._of_table(parity, table, den, names, rep, cartan)
 
 
 # ---------------------------------------------------------------------------

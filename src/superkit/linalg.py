@@ -193,11 +193,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.data!r})"
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.mul(other)
-        return NotImplemented
-
 
 def _integer_row(v: Iterable) -> list[int]:
     """The entries of v (ints or Fractions) times the lcm of their
@@ -256,6 +251,17 @@ class Echelon:
     def reduced(self) -> list[Vec]:
         """The reduced row echelon form of the span, one row per pivot in
         `pivots` order: lead 1 and zero at every other pivot column."""
+        done = self._back_substituted()
+        out = []
+        for c in self.pivots:
+            row = done[c]
+            lead = row[c]
+            out.append([Q(x, lead) if x else _Q0 for x in row])
+        return out
+
+    def _back_substituted(self) -> dict[int, list[int]]:
+        """Pivot column -> its primitive integer row, zero at every other
+        pivot column: the reduced echelon form up to the scale of each row."""
         done: dict[int, list[int]] = {}
         for c in reversed(self.pivots):
             row = self.rows[c]
@@ -264,12 +270,7 @@ class Echelon:
                 if x:
                     row = _eliminate(row, p, c2, x)
             done[c] = row
-        out = []
-        for c in self.pivots:
-            row = done[c]
-            lead = row[c]
-            out.append([Q(x, lead) if x else _Q0 for x in row])
-        return out
+        return done
 
 
 def _eliminate(row: list[int], p: list[int], c: int, x: int) -> list[int]:
@@ -353,31 +354,24 @@ def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
 
 def inverse(m: Matrix) -> Matrix:
     """The inverse of a square matrix, read off the reduced rows of [m | I]."""
-    n = m.rows
-    if m.cols != n:
+    if m.cols != m.rows:
         raise ValueError("only a square matrix has an inverse")
+    rows, den = _integer_inverse(m.data)
+    return Matrix([fraction_vector(row, den) for row in rows])
+
+
+def _integer_inverse(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(W, w) with W / w the inverse of the square matrix with these rows
+    (ints or Fractions), read off the integer reduced rows of [m | I]."""
+    n = len(rows)
     ech = Echelon()
-    for r, row in enumerate(m.data):
+    for r, row in enumerate(rows):
         ech.add([*row, *(int(r == c) for c in range(n))])
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
-    return Matrix([row[n:] for row in ech.reduced()])
-
-
-def block_inverse(basis: Sequence[Sequence[Fraction]]) -> tuple[list[int], Matrix]:
-    """For independent vectors b_1..b_n: n positions S at which their
-    entries form an invertible n x n block B[S], and the inverse of that
-    block.  For t in their span, inv . t[S] is the coordinate vector of t."""
-    ech = Echelon()
-    pos = []
-    for r, entries in enumerate(zip(*basis)):
-        if ech.add(entries):
-            pos.append(r)
-            if len(pos) == len(basis):
-                break
-    if len(pos) != len(basis):
-        raise ValueError("the basis vectors are linearly dependent")
-    return pos, inverse(Matrix([[v[r] for v in basis] for r in pos]))
+    done = ech._back_substituted()
+    den = lcm(*(done[c][c] for c in range(n)))
+    return [[x * (den // done[c][c]) for x in done[c][n:]] for c in range(n)], den
 
 
 def coordinates_in(basis: Sequence[Sequence[Fraction]]):
@@ -399,12 +393,24 @@ def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
     Fractions."""
     if not basis:
         return lambda t: ([], 1) if is_zero_vec(t) else None
-    pos, inv = block_inverse(basis)
-    # inv and the basis as sparse integer columns over common denominators
-    inv_cols, inv_den = _sparse_integer_rows(inv.transpose().data)
-    cols, basis_den = _sparse_integer_rows(basis)
+    ints, basis_den = integer_vectors(basis)
+    m = len(ints)
+    # m positions S at which the basis vectors b_s = V_s / L form an
+    # invertible block B[S] = V[S] / L, and the inverse L W / w of that block
+    ech = Echelon()
+    pos = []
+    for r, entries in enumerate(zip(*ints)):
+        if ech.add(entries):
+            pos.append(r)
+            if len(pos) == m:
+                break
+    if len(pos) != m:
+        raise ValueError("the basis vectors are linearly dependent")
+    inv, inv_den = _integer_inverse([[v[r] for v in ints] for r in pos])
+    # the columns of L W, and the V_s, as sparse integer columns
+    inv_cols = [[(s, basis_den * a) for s, a in enumerate(col) if a] for col in zip(*inv)]
+    cols = [[(r, b) for r, b in enumerate(v) if b] for v in ints]
     check = inv_den * basis_den
-    m = len(basis)
 
     def coordinates(t: Sequence) -> tuple[list[int], int] | None:
         tt, den = integer_vector(t)

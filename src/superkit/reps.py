@@ -28,7 +28,7 @@ level of graded dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense
@@ -246,12 +246,28 @@ def conjugate(m: SuperModule, p: Matrix) -> SuperModule:
 def induced_trivial(g: LieSuperalgebra) -> SuperModule:
     """The module induced from the trivial even-part module: the quotient of
     the enveloping algebra by the left ideal generated by the even part,
-    2^{dim g_1}-dimensional with subset basis."""
-    from .enveloping import LEFT, coinvariant_action_matrices
-    odd = g.odd_indices
-    mats = coinvariant_action_matrices(g, LEFT)
-    parity = tuple(bin(mask).count("1") % 2 for mask in range(1 << len(odd)))
-    return SuperModule(parity=parity, action=list(mats), name="induced-trivial")
+    2^{dim g_1}-dimensional with subset basis.
+
+    rho(e_i)[T][S] = N_T (2D)^{|T| - |S| - 1} for the integer columns N of
+    `enveloping._column`; since |T| - |S| - 1 >= -(k + 1) for k = dim g_1,
+    the rows are N_T (2D)^{k + |T| - |S|} over (2D)^{k + 1}, divided by the
+    gcd of all entries and that denominator."""
+    from .enveloping import LEFT, _column
+    k = len(g.odd_indices)
+    size = 1 << k
+    base = 2 * g._den
+    table = []
+    for i in range(g.dim):
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for mask in range(size):
+            for t, n in _column(g, LEFT, i, mask).items():
+                rows[t].append((mask, n * base ** (k + t.bit_count() - mask.bit_count())))
+        table.append(rows)
+    den = base ** (k + 1)
+    common = gcd(den, *(a for rows in table for row in rows for _, a in row))
+    table = [[[(c, a // common) for c, a in row] for row in rows] for rows in table]
+    parity = tuple(mask.bit_count() % 2 for mask in range(size))
+    return SuperModule._of_table(parity, table, den // common, "induced-trivial")
 
 
 def has_integral_weights(g: LieSuperalgebra, m: SuperModule,

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, machine output, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -194,6 +195,21 @@ def test_ghost_osp1_5_weight_graded(capsys):
     payload = json.loads(out)
     assert payload["invariant_dim"] == 1
     assert payload["verdict"] == "Semisimple" and payload["epsilon"] == "1"
+
+
+def test_ghost_over_budget_exits_4_with_the_count(capsys):
+    # gl(4|4) has 32 odd basis vectors and 824 410 weight-zero subsets
+    # (checked by an independent count in test_enveloping.py); listing their
+    # weights first would need 2^32 of them
+    start = time.perf_counter()
+    code, out = run(capsys, "--json", "ghost", "--family", "gl:4:4")
+    assert time.perf_counter() - start < 60
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["outcome"] == "inconclusive"
+    assert payload["weight_zero_subsets"] == 824410
+    code, out = run(capsys, "ghost", "--family", "gl:4:4")
+    assert code == 4 and "824410 weight-zero subsets" in out
 
 
 def test_ghost_djokovic(capsys):

@@ -1,5 +1,6 @@
 """PBW arithmetic, coinvariants, ghost criterion, and the product invariant."""
 
+import itertools
 import random
 
 import pytest
@@ -13,12 +14,15 @@ from superkit.enveloping import (
     SEMISIMPLE,
     CoinvariantElement,
     EnvelopingElement,
-    coinvariant_action_matrices,
+    QuotientTooLarge,
+    WEIGHT_ZERO_BUDGET,
     coinvariant_dim,
     coinvariant_project,
     djokovic_element,
     _antipode_words,
+    _column,
     _project_words,
+    _weight_dp,
     _weight_zero_masks,
     ghost_criterion,
     invariants,
@@ -36,6 +40,71 @@ from superkit.families import (
     parse_family_spec,
 )
 from superkit.linalg import Matrix, in_span, kernel_basis, rank, solve_linear, zero_vec
+from superkit.reps import induced_trivial
+
+
+# -- reference oracles: the Fraction column recursion and the dense matrices ----------
+
+def reference_columns(g):
+    """The Fraction recursion that `_column` replaced, read off
+    `bracket_sparse`: column(side, i, mask) maps T to the coordinate of x_T
+    in e_i . x_S (left quotient) or x_S . e_i (right quotient)."""
+    odd = g.odd_indices
+    pos = {idx: t for t, idx in enumerate(odd)}
+    memo = {}
+
+    def column(side, i, mask):
+        key = (side, i, mask)
+        if key in memo:
+            return memo[key]
+        t = pos.get(i)
+        if side == LEFT:
+            s = (mask & -mask).bit_length() - 1
+            extends = t is not None and (mask == 0 or t < s)
+        else:
+            s = mask.bit_length() - 1
+            extends = t is not None and t > s
+        col = {}
+
+        def add(src, c):
+            for m, a in src.items():
+                col[m] = col.get(m, Q(0)) + c * a
+
+        if extends:
+            col[mask | 1 << t] = Q(1)
+        elif mask:
+            rest = mask & ~(1 << s)
+            es = odd[s]
+            if t == s:
+                for l, q in g.bracket_sparse(i, i):
+                    add(column(side, l, rest), q / 2)
+            else:
+                sign = 1 if t is None else -1
+                for m, c in column(side, i, rest).items():
+                    add(column(side, es, m), sign * c)
+                pair = (i, es) if side == LEFT else (es, i)
+                for l, q in g.bracket_sparse(*pair):
+                    add(column(side, l, rest), q)
+        memo[key] = {m: a for m, a in col.items() if a}
+        return memo[key]
+
+    return column
+
+
+def coinvariant_action_matrices(g, side):
+    """One dense 2^k x 2^k matrix per basis element, from the reference
+    columns: left multiplication on the left quotient, right multiplication
+    on the right quotient."""
+    column = reference_columns(g)
+    dim = coinvariant_dim(g)
+    mats = []
+    for i in range(g.dim):
+        mat = Matrix.zeros(dim, dim)
+        for mask in range(dim):
+            for t, c in column(side, i, mask).items():
+                mat.data[t][mask] = c
+        mats.append(mat)
+    return mats
 
 
 def unit_vec(g, name):
@@ -496,3 +565,177 @@ def test_projection_rejects_an_unknown_side():
     for x in (EnvelopingElement.unit(g), EnvelopingElement.from_word(g, (2,))):
         with pytest.raises(ValueError):
             coinvariant_project(g, x, "middle")
+
+
+# -- integer columns against the Fraction recursion ----------------------------------------------
+
+# the ghost and classify benchmark specs
+ORACLE_SPECS = ("osp1:1", "osp1:2", "osp1:3", "osp1:4", "gl:1:1", "gl:2:1", "sl:2:1",
+                "sl:3:1", "toy_odd_semisimple", "product:osp1:1,osp1:2", "gl:2:2",
+                "product:osp1:1,osp1:1,osp1:1", "product:osp1:2,gl:1:1")
+RESCALED_SPECS = ("osp1:1", "osp1:2", "gl:1:1", "sl:2:1", "toy_odd_semisimple")
+
+
+def rescaled(spec):
+    """The family rebuilt from its defining matrices with e_i -> e_i / k_i,
+    k_i in {1, 2, 3}, as in tests/test_core.py: a common denominator D > 1."""
+    g = parse_family_spec(spec)
+    ks = [1 + i % 3 for i in range(g.dim)]
+    mats = [m.scale(Q(1, k)) for m, k in zip(g.faithful_rep.action, ks)]
+    h = algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, g.names, cartan=g.cartan)
+    assert h._den > 1
+    return h
+
+
+ORACLE_CASES = ([pytest.param(parse_family_spec, s, id=s) for s in ORACLE_SPECS]
+                + [pytest.param(rescaled, s, id=f"rescaled-{s}") for s in RESCALED_SPECS])
+
+
+def graded(g, col, mask):
+    """The Fraction column of an integer column N of e_i . x_S:
+    N_T (2D)^(|T| - |S| - 1) at T."""
+    base = Q(2 * g._den)
+    return {t: n * base ** (bin(t).count("1") - bin(mask).count("1") - 1)
+            for t, n in col.items()}
+
+
+@pytest.mark.parametrize("build, spec", ORACLE_CASES)
+def test_integer_columns_match_the_fraction_recursion(build, spec):
+    g = build(spec)
+    ref = reference_columns(g)
+    for side in (LEFT, RIGHT):
+        for i in range(g.dim):
+            for mask in range(coinvariant_dim(g)):
+                col = _column(g, side, i, mask)
+                assert all(type(n) is int and n for n in col.values())
+                assert graded(g, col, mask) == ref(side, i, mask), (side, i, mask)
+
+
+@pytest.mark.parametrize("build, spec", [pytest.param(rescaled, s, id=s) for s in RESCALED_SPECS])
+def test_integer_layer_on_a_common_denominator(build, spec):
+    """invariants, module_action and word projections on algebras with D > 1
+    against the dense reference matrices."""
+    g = build(spec)
+    rng = random.Random(5)
+    dim = coinvariant_dim(g)
+    for side in (LEFT, RIGHT):
+        mats = coinvariant_action_matrices(g, side)
+        full = kernel_basis(Matrix([row for m in mats for row in m.data]))
+        inv = [v.coords for v in invariants(g, side)]
+        assert len(inv) == len(full) == rank(Matrix(full + inv))
+        for _ in range(10):
+            coords = [Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Q(0)
+                      for _ in range(dim)]
+            z = [Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(g.dim)]
+            expected = zero_vec(dim)
+            for i, zi in enumerate(z):
+                expected = [a + zi * b for a, b in zip(expected, mats[i].matvec(coords))]
+            assert module_action(g, z, CoinvariantElement(g, side, coords)).coords == expected
+        for _ in range(10):
+            words = [(tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 4))),
+                      Q(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(3)]
+            expected = zero_vec(dim)
+            for w, c in words:
+                x = zero_vec(dim)
+                x[0] = c
+                for i in (reversed(w) if side == LEFT else w):
+                    x = mats[i].matvec(x)
+                expected = [a + b for a, b in zip(expected, x)]
+            assert _project_words(g, words, side) == expected
+
+
+INDUCED_SPECS = ("gl:1:1", "gl:2:1", "sl:2:1", "osp1:1", "osp1:2", "product:osp1:1,gl:1:1",
+                 "toy_odd_semisimple")
+
+
+@pytest.mark.parametrize("build, spec",
+                         [pytest.param(parse_family_spec, s, id=s) for s in INDUCED_SPECS]
+                         + [pytest.param(rescaled, s, id=f"rescaled-{s}") for s in RESCALED_SPECS])
+def test_induced_trivial_matches_the_dense_oracle(build, spec):
+    g = build(spec)
+    m = induced_trivial(g)
+    assert m.action == coinvariant_action_matrices(g, LEFT)
+    assert m.parity == tuple(bin(mask).count("1") % 2 for mask in range(coinvariant_dim(g)))
+
+
+def fresh(spec):
+    """A newly built family algebra, not one the builders' caches share."""
+    for build in (build_gl, build_sl, build_osp1, build_toy):
+        build.cache_clear()
+    return parse_family_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["osp1:2", "gl:2:1", "toy_odd_semisimple",
+                                  "product:osp1:1,osp1:2"])
+def test_ghost_never_builds_the_fraction_bracket_view(spec):
+    g = fresh(spec)
+    assert g._sparse is None
+    ghost, _ = ghost_criterion(g)
+    assert is_coinvariant_invariant(g, ghost.v)
+    invariants(g, LEFT)
+    induced_trivial(g)
+    assert g._sparse is None
+
+
+# -- counting the weight-zero subsets ------------------------------------------------------
+
+def brute_force_weight_zero_masks(g):
+    """Every subset of the odd basis, with the diagonal weights read off
+    `bracket` on basis vectors."""
+    odd = g.odd_indices
+    diag = []
+    for h in g.even_indices:
+        lam = []
+        for j in odd:
+            br = g.bracket(g.basis_vector(h), g.basis_vector(j))
+            if any(c for k, c in enumerate(br) if k != j):
+                break
+            lam.append(br[j])
+        else:
+            diag.append(lam)
+    return [mask for mask in range(1 << len(odd))
+            if all(sum(lam[t] for t in range(len(odd)) if mask >> t & 1) == 0 for lam in diag)]
+
+
+@pytest.mark.parametrize("spec", ["gl:2:2", "osp1:3", "sl:3:1", "product:osp1:1,gl:1:1"])
+def test_weight_dp_matches_brute_force(spec):
+    g = parse_family_spec(spec)
+    brute = brute_force_weight_zero_masks(g)
+    _, counts, zero = _weight_dp(g)
+    assert counts[-1][zero] == len(brute)
+    assert _weight_zero_masks(g) == brute
+
+
+def gl_weight_zero_count(m, n):
+    """The weight-zero subsets of the odd basis of gl(m|n), counted without
+    its bracket table.  X_ab = E_{a, m+b} has weight e_a - d_b and
+    Y_ab = E_{m+b, a} the opposite, so a subset has weight zero exactly when
+    Z = X - Y, for its 0/1 indicator matrices X and Y, has zero row and
+    column sums; an entry 0 of Z comes from two choices (neither or both), an
+    entry +-1 from one.  A dynamic program over the rows of Z."""
+    rows = [z for z in itertools.product((-1, 0, 1), repeat=n) if sum(z) == 0]
+    states = {(0,) * n: 1}
+    for _ in range(m):
+        nxt = {}
+        for cols, c in states.items():
+            for z in rows:
+                key = tuple(a + b for a, b in zip(cols, z))
+                nxt[key] = nxt.get(key, 0) + c * 2 ** z.count(0)
+        states = nxt
+    return states.get((0,) * n, 0)
+
+
+def test_weight_zero_counts_of_gl():
+    assert gl_weight_zero_count(1, 1) == 2
+    assert gl_weight_zero_count(2, 2) == len(brute_force_weight_zero_masks(build_gl(2, 2)))
+    for m, n in ((2, 1), (2, 2), (3, 2)):
+        _, counts, zero = _weight_dp(build_gl(m, n))
+        assert counts[-1][zero] == gl_weight_zero_count(m, n)
+    assert gl_weight_zero_count(4, 4) == 824410
+
+
+def test_quotient_over_budget_is_refused_before_listing():
+    with pytest.raises(QuotientTooLarge) as err:
+        ghost_criterion(build_gl(4, 4))
+    assert err.value.count == gl_weight_zero_count(4, 4) > WEIGHT_ZERO_BUDGET
+    assert "824410 weight-zero subsets" in str(err.value)
