@@ -4,10 +4,10 @@ A `LieSuperalgebra` is a basis with parities and rational structure constants
 c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.  They are stored once,
 as one sparse integer table over a common denominator D: for each (i, j) the
 pairs (k, C) with c[i][j][k] = C / D.  Brackets, adjoint matrices, the
-center, `validate` and the ideal closures work on that table with integer
-vectors V / L and turn their results into Fractions only on the way out;
-`structure_constant`, `bracket_basis` and `bracket_sparse` are Fraction
-views of it.  The super axioms:
+center, `validate` and the root graph of `direct_sum_decompose` work on that
+table with integer vectors V / L and turn their results into Fractions only
+on the way out; `structure_constant`, `bracket_basis` and `bracket_sparse`
+are Fraction views of it.  The super axioms:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
@@ -38,6 +38,7 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
+    coordinates_in,
     fraction_vector,
     integer_coordinates_in,
     integer_vector,
@@ -45,7 +46,6 @@ from .linalg import (
     _minimal_polynomial,
     is_squarefree,
     kernel_of_rows,
-    span_basis,
     vec,
     vec_scale,
     zero_vec,
@@ -304,8 +304,8 @@ class LieSuperalgebra:
     def _root_datum(self):
         """Root datum of the algebra's own Cartan subalgebra (`roots.cartan_of`:
         the given one, else the seeded search), computed once per algebra.  A
-        factor of the structural scan's decomposition inherits its parent's
-        datum, restricted to it, instead."""
+        factor of `direct_sum_decompose` is given its parent's datum,
+        restricted to it, instead."""
         if self._datum_cache is None:
             from .roots import cartan_of, root_decomposition
             self._datum_cache = root_decomposition(self, cartan_of(self))
@@ -362,129 +362,123 @@ class LieSuperalgebra:
 
     # -- decomposition into center and simple ideals ---------------------------
 
-    def ideal_closure(self, seed: Iterable[Sequence], bound: int | None = None) -> list[Vec]:
-        """Smallest subspace containing the seed and stable under [g, -].
-
-        `bound` is a dimension the caller knows the closure cannot exceed
-        (default dim g).  The search stops as soon as the span reaches it: the
-        span is then the whole closure, and the basis is the one the full
-        search would have returned, since no later bracket could add to it.
-        """
-        n = self.dim
-        bound = n if bound is None else bound
-        ech = Echelon()
-        # integer vectors v = V / L
-        basis: list[tuple[list[int], int]] = []
-        queue: list[tuple[list[int], int]] = []
-        for s in seed:
-            v = integer_vector(s)
-            if ech.add(v[0]):
-                basis.append(v)
-                queue.append(v)
-        while queue and len(basis) < bound:
-            vs, den = queue.pop()
-            nz = [(j, a) for j, a in enumerate(vs) if a]
-            for row in self._table:
-                # [e_i, v] = W / (L D), W = sum_j V_j C[i][j]
-                w = [0] * n
-                for j, a in nz:
-                    for k, c in row[j]:
-                        w[k] += a * c
-                if any(w) and ech.add(w):
-                    basis.append((w, den * self._den))
-                    queue.append(basis[-1])
-                    if len(basis) == bound:
-                        break
-        return [fraction_vector(vs, den) for vs, den in basis]
-
     def direct_sum_decompose(self) -> "Decomposition":
         """Split g as center x (simple ideals), or raise NotSemisimpleStructure.
 
-        Minimal ideals are grown as ideal closures of the nonzero-weight root
-        spaces of the algebra's Cartan subalgebra (`roots.cartan_of`), then
-        certified: pairwise commuting, direct sum with the center, each factor
-        perfect with trivial center and regenerated by every one of its seeds.
-        The center and the root datum are computed once per algebra, so a
-        structural scan that has already looked at them does not repeat the
-        work.  Each factor's restricted subalgebra, built for the certificate,
-        is kept on the result.
+        The factors are read off the root datum of the Cartan subalgebra H
+        (`roots.cartan_of`; the center and the datum are computed once per
+        algebra), and no ideal closure is grown:
 
-        No seed is skipped, since regeneration is part of the certificate.
-        A closure stops early once it reaches a dimension known to bound it:
-        dim g always, and len(f) when the seed lies in an already closed
-        factor f.  f is an ideal containing the seed, so closure(seed) lies in
-        f, and reaching len(f) proves the two are equal.  A closure that stops
-        short of its bound is complete and goes through the overlap check.
+        1. The zero-weight space of g must be span(H), even and odd, and every
+           nonzero root space 1-dimensional, spanned by e_a.
+        2. The root graph joins a, b and the root a + b (if a + b != 0)
+           whenever [e_a, e_b] != 0.  A component C gives the ideal
+           I_C = sum_{a in C} (g_a + [g_a, g_-a]): for b outside C, [e_b, -]
+           kills e_a and, by Jacobi, [e_a, e_-a]; so distinct I_C commute.
+           The center and the I_C must span g directly: with the e_a in
+           distinct root spaces, a dimension check inside span(H).
+        3. The generation digraph has a -> a + b when [e_b, e_a] != 0, and
+           a -> d when x = [e_b, e_a] lies in H and d(x) != 0.  The e_c for
+           the c that a reaches (a included), with the [e_-c, e_c], span the
+           ideal generated by e_a: a bracket with a basis vector leaving that
+           span would be an arrow.  A nonzero ideal K of I_C is an ideal of g
+           (the rest of g commutes with I_C), so it is H-stable and graded:
+           a sum of root spaces and a part in H.
+           If K holds an e_a, it holds I_C when a reaches all of C; if not, K
+           lies in H and commutes with every e_a, so it is central in I_C.
+           Hence I_C is simple when every node reaches all of C and I_C has
+           trivial center (and so is perfect).
+
+        Each factor's subalgebra is kept on the result, with g's root datum
+        restricted to it as its own: e_a is a basis vector of it, and h in H
+        acts on it as h's component in its part of span(H).
         """
-        if self.dim == 0:
-            return Decomposition([], [], [])
         zc = self.center()
         if _is_abelian(self):
             return Decomposition(zc, [], [])
         datum = self._root_datum()
-        seeds = [r.space for r in datum.roots if any(w != 0 for w in r.weight)]
-        if not seeds:
+        zero = {r.parity: len(r.space) for r in datum.roots if not any(r.weight)}
+        if (zero.get(EVEN, 0), zero.get(ODD, 0)) != (len(datum.cartan), 0):
             raise NotSemisimpleStructure(
-                "non-abelian algebra with no nonzero roots"
+                f"the zero-weight space has dimension {zero.get(EVEN, 0)}|{zero.get(ODD, 0)}"
+                f", not {len(datum.cartan)}|0: the Cartan subalgebra is not self-centralizing"
             )
-        factors: list[list[Vec]] = []
-        spans: list[Echelon] = []
-        for s in seeds:
-            home = next((f for f, e in zip(factors, spans)
-                         if all(e.contains(v) for v in s)), None)
-            cl = self.ideal_closure(s, len(home) if home is not None else None)
-            if home is not None and len(cl) == len(home):
-                continue
-            ecl = Echelon()
-            for v in cl:
-                ecl.add(v)
-            merged = False
-            for f, e in zip(factors, spans):
-                if any(e.contains(v) for v in cl) or any(ecl.contains(v) for v in f):
-                    if not _same_span(f, cl):
-                        raise NotSemisimpleStructure(
-                            "overlapping ideal closures do not coincide; "
-                            "the algebra is not a product of center and simples"
-                        )
-                    merged = True
-                    break
-            if not merged:
-                factors.append(cl)
-                spans.append(ecl)
-        subalgebras = self._certify_decomposition(zc, factors)
-        return Decomposition(zc, factors, subalgebras)
-
-    def _certify_decomposition(self, zc, factors) -> list["LieSuperalgebra"]:
-        total = len(zc) + sum(len(f) for f in factors)
-        if total != self.dim or len(span_basis(zc + [v for f in factors for v in f])) != self.dim:
+        nodes = [r for r in datum.roots if any(r.weight)]
+        if any(len(r.space) != 1 for r in nodes):
+            raise NotSemisimpleStructure("a root space has dimension > 1")
+        node = {(r.weight, r.parity): a for a, r in enumerate(nodes)}
+        vectors = [integer_vector(r.space[0]) for r in nodes]
+        # d(x) for x in H, up to a positive factor: the integer coordinates
+        # of x in the Cartan elements against d's scaled weights
+        h_coordinates = integer_coordinates_in(datum.cartan)
+        weights = integer_vectors([r.weight for r in nodes])[0]
+        links: list[set[int]] = [set() for _ in nodes]  # the root graph
+        arrows: list[set[int]] = [set() for _ in nodes]  # the generation digraph
+        toral = []  # (a, W, L) with [e_a, e_-a] = W / L
+        for a, (xa, la) in enumerate(vectors):
+            for b in range(a, len(nodes)):
+                w = self._int_bracket(xa, vectors[b][0])
+                if not any(w):
+                    continue
+                total = tuple(p + q for p, q in zip(nodes[a].weight, nodes[b].weight))
+                joined = {a, b}
+                if any(total):
+                    targets = {node[total, (nodes[a].parity + nodes[b].parity) % 2]}
+                    joined |= targets
+                else:
+                    toral.append((a, w, la * vectors[b][1] * self._den))
+                    x = h_coordinates(w)[0]
+                    targets = {d for d, wd in enumerate(weights)
+                               if sum(c * e for c, e in zip(x, wd))}
+                for c in joined:
+                    links[c] |= joined
+                arrows[a] |= targets
+                arrows[b] |= targets
+        components, home = [], {}
+        for a in range(len(nodes)):
+            if a not in home:
+                components.append(sorted(_reachable(links, a)))
+                home.update((c, len(components) - 1) for c in components[-1])
+        spans = [Echelon() for _ in components]
+        zero_parts: list[list[Vec]] = [[] for _ in components]
+        for a, w, den in toral:
+            if spans[home[a]].add(w):
+                zero_parts[home[a]].append(fraction_vector(w, den))
+        split = zc + [v for part in zero_parts for v in part]
+        direct = Echelon()
+        if len(split) != len(datum.cartan) or not all(direct.add(v) for v in split):
             raise NotSemisimpleStructure(
-                "center plus ideal closures do not span the algebra directly"
+                "center plus the root-graph ideals do not span the algebra directly"
             )
-        ints = [integer_vectors(f)[0] for f in factors]
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                for x in ints[a]:
-                    for y in ints[b]:
-                        if any(self._int_bracket(x, y)):
-                            raise NotSemisimpleStructure(
-                                f"candidate ideals {a} and {b} do not commute"
-                            )
-        subalgebras = []
-        for t, f in enumerate(factors):
-            sub = self.restricted_subalgebra(f)
+        from .roots import Root, RootDatum
+        coordinates = coordinates_in(split)
+        h_split = [coordinates(h) for h in datum.cartan]
+        start = len(zc)
+        factors, subalgebras = [], []
+        for t, comp in enumerate(components):
+            if not all(set(comp) <= _reachable(arrows, a) for a in comp):
+                raise NotSemisimpleStructure(
+                    f"candidate ideal {t} is not simple: a root vector generates a proper ideal"
+                )
+            basis = [list(nodes[a].space[0]) for a in comp] + zero_parts[t]
+            sub = self.restricted_subalgebra(basis)
             if sub.center():
                 raise NotSemisimpleStructure(
                     f"candidate ideal {t} has nontrivial center, so it is not simple"
                 )
-            derived = Echelon()
-            for block in sub._table:
-                for pairs in block:
-                    if pairs and derived.rank < sub.dim:
-                        derived.add(_dense(pairs, sub.dim))
-            if derived.rank != sub.dim:
-                raise NotSemisimpleStructure(f"candidate ideal {t} is not perfect")
+            roots = [Root(nodes[a].weight, nodes[a].parity, [sub.basis_vector(j)])
+                     for j, a in enumerate(comp)]
+            k = len(zero_parts[t])
+            if k:
+                roots.append(Root((Q(0),) * len(datum.cartan), EVEN,
+                                  [sub.basis_vector(j) for j in range(len(comp), sub.dim)]))
+            roots.sort(key=lambda r: (r.parity, r.weight))
+            sub._datum_cache = RootDatum(
+                [[Q(0)] * len(comp) + c[start:start + k] for c in h_split], roots)
+            start += k
+            factors.append(basis)
             subalgebras.append(sub)
-        return subalgebras
+        return Decomposition(zc, factors, subalgebras)
 
     def restricted_subalgebra(self, basis_vectors: Sequence[Sequence]) -> "LieSuperalgebra":
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
@@ -572,6 +566,17 @@ def _dense(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
 
 def _is_abelian(g: LieSuperalgebra) -> bool:
     return not any(pairs for block in g._table for pairs in block)
+
+
+def _reachable(arrows: list[set[int]], start: int) -> set[int]:
+    """The nodes that `start` reaches along the arrows, itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for d in arrows[stack.pop()] - seen:
+            seen.add(d)
+            stack.append(d)
+    return seen
 
 
 def _same_span(a: list[Vec], b: list[Vec]) -> bool:

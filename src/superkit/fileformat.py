@@ -9,7 +9,8 @@ Algebra files::
     basis LABEL even|odd          # one line per basis element, in order
     bracket LI LJ LK RATIONAL     # structure constant c[i][j][k], all nonzero ones
     cartan LABEL ...              # optional; names at least one label
-                                  # unless the algebra is purely odd
+                                  # unless the algebra is purely odd; an
+                                  # abelian, self-centralizing even span
     rep even|odd ...              # optional: representation space parities
     repmat LABEL                  # followed by rep-dim rows of rationals
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import LieSuperalgebra, SuperkitError
-from .linalg import Matrix, Q, _echelon
+from .linalg import Matrix, Q, _echelon, kernel_of_rows
 from .reps import SuperModule, _flat, validate_module
 from .supercomm import SupercommAlgebra
 
@@ -71,9 +72,10 @@ def _parity_token(tok: str, lineno: int) -> int:
 def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str, list[str]]:
     """Parse an algebra file; returns (algebra, name, warnings).
 
-    In strict mode a failed axiom check, or a `rep` block whose matrices are
-    linearly dependent (a representation that is not faithful), raises
-    ParseError; in lax mode these come back as warnings.
+    In strict mode a failed axiom check, a `rep` block whose matrices are
+    linearly dependent (a representation that is not faithful), or a `cartan`
+    line whose span is not abelian and self-centralizing in the even part,
+    raises ParseError; in lax mode these come back as warnings.
     """
     name = "algebra"
     labels: list[str] = []
@@ -150,13 +152,32 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     warnings = g.validate()
     if strict and warnings:
         raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
+    refusals = []
     if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
                                     rep.dim ** 2).rank < g.dim:
-        unfaithful = "rep: the representation is not faithful (its matrices are linearly dependent)"
-        if strict:
-            raise ParseError(unfaithful)
-        warnings.append(unfaithful)
-    return g, name, warnings
+        refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
+    if cartan is not None and (problem := _cartan_problem(g)):
+        refusals.append(f"line {cartan_line}: cartan {problem}")
+    if strict and refusals:
+        raise ParseError(refusals[0])
+    return g, name, warnings + refusals
+
+
+def _cartan_problem(g: LieSuperalgebra) -> str | None:
+    """Why the span H of the `cartan` elements is not abelian and equal to its
+    centralizer in the even part g0 (the kernel of x -> [x, H] on g0), or None."""
+    h = sorted(set(g.cartan))
+    if any(g.parity[i] for i in h):
+        return "names an odd basis element"
+    if any(g._table[i][j] for i in h for j in h):
+        return "names elements that do not commute"
+    even = g.even_indices
+    centralizer = len(kernel_of_rows([r for j in h for r in g._bracket_rows(even, j, even)],
+                                     len(even)))
+    if centralizer != len(h):
+        return (f"span has dimension {len(h)}, its centralizer in the even part "
+                f"{centralizer}: it is not self-centralizing")
+    return None
 
 
 def serialize_algebra(g: LieSuperalgebra, name: str = "algebra") -> str:

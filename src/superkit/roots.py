@@ -20,10 +20,9 @@ witness.  The cone condition is decided structurally, never by sampling.
 The scan runs in one pass and returns a `ScanReport`: the witness or None,
 and for a certified-zero cone the per-factor records the CLI prints.  It
 computes the center and the root datum of g once and decomposes g once,
-reusing both.  Each odd factor is classified from the subalgebra the
-decomposition built for its certificate, and inherits g's root datum
-restricted to it instead of decomposing again.  The scan and
-`classify_simple` walk the odd roots with one helper, `_root_witness`.
+reusing both.  Each odd factor is certified by `_certify_osp`, the second
+half of `classify_simple`, with g's root datum restricted to it: its odd
+roots are g's, which the scan has already walked with `_root_witness`.
 """
 
 from __future__ import annotations
@@ -249,32 +248,10 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
 
 
 def cartan_of(g: LieSuperalgebra) -> list[Vec]:
-    """The algebra's given Cartan subalgebra, else the seeded search's."""
+    """A basis of the algebra's given Cartan subalgebra, else the seeded search's."""
     if g.cartan is not None:
-        return [g.basis_vector(i) for i in g.cartan]
+        return [g.basis_vector(i) for i in dict.fromkeys(g.cartan)]
     return find_cartan(g)
-
-
-def _inherit_root_datum(sub: LieSuperalgebra, datum: RootDatum,
-                        coordinates, offset: int) -> None:
-    """Store g's root datum, restricted to a factor of a direct decomposition,
-    as the root datum of the factor's subalgebra `sub`.
-
-    `coordinates` solves in the basis center + factors, where the factor's
-    block starts at `offset`.  The Cartan of g stabilizes every ideal, so a
-    root space of g is the direct sum of its pieces in the summands, and the
-    factor's piece is the projection onto its block.  Weights are kept: the
-    Cartan of `sub` is the projections of g's Cartan elements, in order."""
-    def project(v: Vec) -> Vec:
-        return coordinates(v)[offset:offset + sub.dim]
-
-    roots = []
-    for r in datum.roots:
-        space = span_basis([project(u) for u in r.space])
-        if space:
-            roots.append(Root(weight=r.weight, parity=r.parity, space=space))
-    sub._datum_cache = RootDatum(cartan=[project(t) for t in datum.cartan],
-                                 roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +423,13 @@ def classify_simple(g: LieSuperalgebra):
         if u is not None:
             # the datum is the algebra's shared one: hand out a copy
             return Witness(list(u))
+    return _certify_osp(g, odd_roots)
+
+
+def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusive:
+    """Osp(n) with an explicit isomorphism, or Inconclusive with a reason,
+    for an algebra none of whose odd roots `odd_roots` yields a witness."""
+    for r in odd_roots:
         if r.is_zero_weight:
             return Inconclusive(
                 "zero-weight odd vector whose square is not semisimple"
@@ -460,8 +444,6 @@ def classify_simple(g: LieSuperalgebra):
     # a nonzero even vector of doubled weight).  Certify the osp structure.
     odd_basis = [u for r in odd_roots for u in r.space]
     m = len(odd_basis)
-    if m != len(g.odd_indices):
-        return Inconclusive("odd root spaces do not exhaust the odd part")
     if m % 2:
         return Inconclusive("odd-dimensional odd part cannot be symplectic")
     n = m // 2
@@ -609,9 +591,8 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
     spaces); failing that, decomposes g into its center and simple ideals and
     classifies each odd factor.  The cone is certified zero exactly when every
     odd factor classifies as osp(1|2n).  The center and the root datum of g are
-    computed once and reused by the decomposition.  Each factor is classified
-    from the subalgebra the decomposition built to certify it, with g's root
-    datum restricted to it as its own.
+    computed once and reused by the decomposition, which gives each factor
+    g's datum restricted to it; a factor's odd roots are g's, walked above.
     """
     if not g.odd_indices:
         return ScanReport(None, [{"factor": "purely even", "dim": g.dim}])
@@ -626,21 +607,12 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
             # the datum is the algebra's shared one: hand out a copy
             return ScanReport(list(u), [])
     dec = g.direct_sum_decompose()
-    coordinates = coordinates_in(dec.center + [v for f in dec.ideals for v in f])
-    offset = len(dec.center)
     factors = [{"factor": "center", "dim": len(dec.center)}] if dec.center else []
-    for f, sub in zip(dec.ideals, dec.subalgebras):
-        start, offset = offset, offset + len(f)
+    for sub in dec.subalgebras:
         if not sub.odd_indices:
             factors.append({"factor": "even simple ideal", "dim": sub.dim})
             continue
-        _inherit_root_datum(sub, datum, coordinates, start)
-        outcome = classify_simple(sub)
-        if isinstance(outcome, Witness):
-            w = _combine(outcome.u, *integer_vectors(f))
-            if g.in_g1ss(w):
-                return ScanReport(w, [])
-            raise ClassificationInconclusive("factor witness failed re-verification")
+        outcome = _certify_osp(sub, sub._root_datum().odd_roots())
         if isinstance(outcome, Inconclusive):
             raise ClassificationInconclusive(outcome.reason)
         factors.append({"factor": f"Osp({outcome.n})", "dim": sub.dim})

@@ -91,17 +91,20 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
 
     count(LieSuperalgebra, "direct_sum_decompose")
     count(LieSuperalgebra, "restricted_subalgebra")
-    count(roots, "classify_simple")
+    count(roots, "_certify_osp")
+    count(roots, "_root_witness")
     count(roots, "root_decomposition")
     code, out = run(capsys, "--json", "classify", "--family", spec)
     assert code == 0
     assert [f["factor"] for f in json.loads(out)["factors"]] == factors
     assert calls.count("direct_sum_decompose") == 1
-    # one classification per odd factor, one restriction per factor
-    assert calls.count("classify_simple") == len(factors)
+    # one osp certification per odd factor, one restriction per factor
+    assert calls.count("_certify_osp") == len(factors)
     assert calls.count("restricted_subalgebra") == len(factors)
     # the factors inherit g's root datum instead of decomposing again
     assert calls.count("root_decomposition") == 1
+    # each odd root is walked once; every odd root space here is 1-dimensional
+    assert calls.count("_root_witness") == len(families.parse_family_spec(spec).odd_indices)
 
 
 @pytest.mark.parametrize("source", ["--family", "--algebra"])

@@ -9,9 +9,11 @@ gl(1|1) file whose representation is not faithful.  `ghost` runs on family
 specs, and `ds` on one odd element inside the semisimple-square cone and one
 outside it, then on the defining, adjoint and trivial modules and on tensor
 products with the defining module.  `modcheck` reads a valid gl(1|1) module
-file and two corrupted copies of it.  Refactors must leave every entry
-unchanged;
-record the file again only for a deliberate change of output, with
+file and two corrupted copies of it.  `verify-all --json` at the default
+seed is kept in `tests/data/verify_all_golden.json` as its exit code and the
+(criterion, passed, detail) triples, without the timings.  Refactors must
+leave every entry unchanged; record the files again only for a deliberate
+change of output, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -25,11 +27,13 @@ from pathlib import Path
 
 import pytest
 
+from superkit import acceptance
 from superkit.cli import main
 from superkit.families import parse_family_spec
 from superkit.fileformat import serialize_algebra
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+VERIFY_ALL_GOLDEN = Path(__file__).parent / "data" / "verify_all_golden.json"
 
 FAMILY_SPECS = ("osp1:1", "osp1:2", "osp1:3", "osp1:4", "product:osp1:1,osp1:2",
                 "product:osp1:1,osp1:1,osp1:1", "sl:2:1", "gl:2:2", "sl:3:1",
@@ -148,6 +152,18 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(c[0] for c in _cases())
 
 
+def _verify_all() -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--json", "verify-all", "--seed", str(acceptance.DEFAULT_SEED)])
+    return {"exit": code, "results": [[r["criterion"], r["passed"], r["detail"]]
+                                      for r in json.loads(buf.getvalue())]}
+
+
+def test_verify_all_json_matches_golden():
+    assert _verify_all() == json.loads(VERIFY_ALL_GOLDEN.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,4 +172,7 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    print(f"recorded {len(record)} cases in {GOLDEN}", file=sys.stderr)
+    VERIFY_ALL_GOLDEN.write_text(json.dumps(_verify_all(), indent=1) + "\n",
+                                 encoding="utf-8")
+    print(f"recorded {len(record)} cases in {GOLDEN} and {VERIFY_ALL_GOLDEN}",
+          file=sys.stderr)

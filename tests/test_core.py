@@ -20,7 +20,7 @@ from superkit.families import (
     build_toy,
     parse_family_spec,
 )
-from superkit.linalg import Matrix, is_zero_vec, span_basis, zero_vec
+from superkit.linalg import Echelon, Matrix, integer_vector, is_zero_vec, span_basis, zero_vec
 from superkit.reps import SuperModule
 
 
@@ -288,6 +288,21 @@ def test_decompose_gl11_fails():
         build_gl(1, 1).direct_sum_decompose()
 
 
+@pytest.mark.parametrize("spec, reason", [
+    # the identity is central and spans [g_a, g_-a]
+    ("gl:1:1", "center plus the root-graph ideals do not span the algebra directly"),
+    ("gl:2:2", "center plus the root-graph ideals do not span the algebra directly"),
+    ("sl:2:2", "a root space has dimension > 1"),
+    # the odd part has weight zero under the given Cartan
+    ("sl:1:1", "the zero-weight space has dimension 1|2, not 1|0"),
+    ("toy_odd_semisimple", "the zero-weight space has dimension 1|1, not 1|0"),
+])
+def test_decompose_refusals_name_their_reason(spec, reason):
+    with pytest.raises(NotSemisimpleStructure) as err:
+        parse_family_spec(spec).direct_sum_decompose()
+    assert reason in str(err.value)
+
+
 def test_decompose_product_of_osps():
     g = build_product([build_osp1(1), build_osp1(2)])
     dec = g.direct_sum_decompose()
@@ -323,18 +338,29 @@ def sl2_semidirect_c2():
 
 
 def full_closure(g, seed):
-    """Ideal closure by saturation, without any stopping rule."""
-    span = span_basis(seed)
-    while True:
-        grown = span_basis(span + [g.bracket(g.basis_vector(i), v)
-                                   for i in range(g.dim) for v in span])
-        if len(grown) == len(span):
-            return span
-        span = grown
+    """Ideal closure by saturation: the integer brackets of every basis
+    vector with every spanning vector, until none is new or the span is g."""
+    span = Echelon()
+    basis = [v for v in (integer_vector(s)[0] for s in seed) if span.add(v)]
+    units = [[int(k == i) for k in range(g.dim)] for i in range(g.dim)]
+    todo = list(basis)
+    while todo and len(basis) < g.dim:
+        v = todo.pop()
+        for unit in units:
+            w = g._int_bracket(unit, v)
+            if span.add(w):
+                basis.append(w)
+                todo.append(w)
+    return basis
+
+
+def _same_span(a, b):
+    return len(span_basis(a)) == len(span_basis(b)) == len(span_basis(a + b))
 
 
 def test_decompose_rejects_seed_that_generates_a_smaller_ideal():
-    # the seed v2 lies in closure(f) = g, but generates only the ideal C^2
+    # the root vector v2 lies in the one root-graph component, but generates
+    # only the ideal C^2
     g = sl2_semidirect_c2()
     assert g.validate() == [] and g.center() == []
     names = g.names
@@ -342,33 +368,115 @@ def test_decompose_rejects_seed_that_generates_a_smaller_ideal():
     assert len(full_closure(g, [v2])) == 2
     with pytest.raises(NotSemisimpleStructure) as err:
         g.direct_sum_decompose()
-    assert "overlapping ideal closures do not coincide" in str(err.value)
+    assert "a root vector generates a proper ideal" in str(err.value)
 
 
-@pytest.mark.parametrize("spec", ["osp1:2", "product:osp1:1,osp1:2"])
-def test_stopped_closures_span_the_full_closures(spec, monkeypatch):
-    from superkit.roots import cartan_of, root_decomposition
-    g = parse_family_spec(spec)
-    seeds = [r.space for r in root_decomposition(g, cartan_of(g)).roots
-             if any(w != 0 for w in r.weight)]
-    closures = []
-    original = LieSuperalgebra.ideal_closure
+def _cartanless(spec):
+    from superkit.fileformat import parse_algebra, serialize_algebra
+    text = serialize_algebra(parse_family_spec(spec))
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("cartan "))
+    return parse_algebra(text)[0]
 
-    def recorded(self, seed, bound=None):
-        seed = list(seed)
-        out = original(self, seed, bound)
-        closures.append((seed, out))
-        return out
 
-    monkeypatch.setattr(LieSuperalgebra, "ideal_closure", recorded)
+@pytest.mark.parametrize("spec", [
+    "osp1:1", "osp1:2", "osp1:3", "osp1:4", "product:osp1:1,osp1:2",
+    "product:gl:1:0,osp1:1,osp1:2", "cartanless product:osp1:1,osp1:2",
+])
+def test_factors_equal_the_full_closure_of_each_root_vector(spec):
+    # the oracle: the brute-force ideal closure of every nonzero root vector
+    name = spec.removeprefix("cartanless ")
+    g = parse_family_spec(name) if name == spec else _cartanless(name)
     dec = g.direct_sum_decompose()
-    # every root seed is closed, none is skipped
-    assert [seed for seed, _ in closures] == seeds
-    for seed, out in closures:
-        full = full_closure(g, seed)
-        assert len(out) == len(full) == len(span_basis(out + full))
-    assert sorted(len(f) for f in dec.ideals) == sorted(
-        {len(full_closure(g, seed)) for seed in seeds})
+    assert len(dec.center) + sum(len(f) for f in dec.ideals) == g.dim
+    assert len(span_basis(dec.center + [v for f in dec.ideals for v in f])) == g.dim
+    roots = [u for r in g._root_datum().roots if not r.is_zero_weight for u in r.space]
+    homes = [[f for f in dec.ideals if _same_span(f, f + [u])] for u in roots]
+    assert all(len(home) == 1 for home in homes)
+    for u, (f,) in zip(roots, homes):
+        assert _same_span(full_closure(g, [u]), f)
+    # and every factor holds a root vector
+    assert all(any(f is home[0] for home in homes) for f in dec.ideals)
+
+
+# -- a toral Cartan that is not maximal -------------------------------------------------
+
+def sl2():
+    def unit(a, b):
+        m = Matrix.zeros(2, 2)
+        m.data[a][b] = Q(1)
+        return m
+    return algebra_from_matrices([unit(0, 1), unit(0, 0).sub(unit(1, 1)), unit(1, 0)],
+                                 [EVEN] * 3, [EVEN] * 2, ["e", "h", "f"], cartan=[1])
+
+
+def mixed(factors, i, j, cartan):
+    """The product of the factors with e_i + e_j and e_i - e_j in place of the
+    toral e_i and e_j, rebuilt from its defining matrices with the given
+    Cartan (basis indices, or None to have it searched for)."""
+    g = build_product(factors)
+    mats = list(g.faithful_rep.action)
+    mats[i], mats[j] = mats[i].add(mats[j]), mats[i].sub(mats[j])
+    names = list(g.names)
+    names[i], names[j] = f"{names[i]}+{names[j]}", f"{names[i]}-{names[j]}"
+    return algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, names,
+                                 cartan=cartan)
+
+
+def sl2_sl2_osp(cartan):
+    # sl(2) + sl(2) + osp(1|2) with h1 + h2 and h1 - h2; index 6 is the osp h
+    return mixed([sl2(), sl2(), build_osp1(1)], 1, 4, cartan)
+
+
+def osp_osp(cartan):
+    # osp(1|2) + osp(1|2) with h1 + h2 and h1 - h2
+    return mixed([build_osp1(1), build_osp1(1)], 0, 5, cartan)
+
+
+@pytest.mark.parametrize("g", [sl2_sl2_osp([1, 6]), osp_osp([0])],
+                         ids=["sl2+sl2+osp", "osp+osp"])
+def test_decompose_refuses_a_toral_cartan_that_is_not_self_centralizing(g):
+    from superkit.roots import g1ss_structural_scan
+    assert g.validate() == []
+    for run in (g.direct_sum_decompose, lambda: g1ss_structural_scan(g)):
+        with pytest.raises(NotSemisimpleStructure) as err:
+            run()
+        assert "the Cartan subalgebra is not self-centralizing" in str(err.value)
+
+
+@pytest.mark.parametrize("g, factors", [
+    (sl2_sl2_osp(None), [("even simple ideal", 3), ("even simple ideal", 3), ("Osp(1)", 5)]),
+    (osp_osp(None), [("Osp(1)", 5), ("Osp(1)", 5)]),
+], ids=["sl2+sl2+osp", "osp+osp"])
+def test_a_searched_cartan_splits_the_mixed_products(g, factors):
+    from superkit.roots import g1ss_structural_scan
+    report = g1ss_structural_scan(g)
+    assert report.witness is None
+    assert [(f["factor"], f["dim"]) for f in report.factors] == factors
+
+
+def test_cartan_line_that_is_not_self_centralizing_is_refused_at_parse(tmp_path, capsys):
+    from superkit.cli import main
+    from superkit.fileformat import ParseError, parse_algebra, serialize_algebra
+    text = serialize_algebra(sl2_sl2_osp([1, 6]), "mixed")
+    assert "cartan 0.h+1.h 2.M11" in text.splitlines()
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert "span has dimension 2, its centralizer in the even part 3" in str(err.value)
+    assert any("not self-centralizing" in w for w in parse_algebra(text, strict=False)[2])
+    path = tmp_path / "mixed.alg"
+    path.write_text(text)
+    assert main(["classify", "--algebra", str(path)]) == 2
+    assert "not self-centralizing" in capsys.readouterr().out
+    # without the line the Cartan is searched for
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if not line.startswith("cartan ")))
+    assert main(["classify", "--algebra", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "No nonzero semisimple-square element (certified).\n"
+        "  factor: even simple ideal (dim 3)\n"
+        "  factor: even simple ideal (dim 3)\n"
+        "  factor: Osp(1) (dim 5)\n")
 
 
 def test_restricted_subalgebra_of_ideal():

@@ -108,6 +108,24 @@ def test_bare_cartan_line_is_fine_for_a_purely_odd_algebra():
     assert g2.cartan == ()
 
 
+@pytest.mark.parametrize("labels, reason", [
+    ("M11 a1", "names an odd basis element"),
+    ("M11 B11", "names elements that do not commute"),
+    ("M11", "span has dimension 1, its centralizer in the even part 4"),
+])
+def test_cartan_line_must_span_an_abelian_self_centralizing_even_subalgebra(labels, reason):
+    # osp(1|4): its Cartan line reads "cartan M11 M22"
+    lines = serialize_algebra(build_osp1(2), "osp").splitlines()
+    (at,) = [t for t, line in enumerate(lines) if line.startswith("cartan ")]
+    lines[at] = f"cartan {labels}"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert str(err.value).startswith(f"line {at + 1}: cartan ")
+    assert reason in str(err.value)
+    assert parse_algebra(text, strict=False)[2] == [str(err.value)]
+
+
 def test_product_of_cartanless_factors_decomposes_and_roundtrips():
     # restricted subalgebras carry no Cartan, so neither may their product;
     # a Cartan made of only some factors' Cartans must not be taken as given

@@ -398,18 +398,18 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
     from superkit import roots
     g = make()
     decompositions, subs = [], []
-    decompose, classify = LieSuperalgebra.direct_sum_decompose, roots.classify_simple
+    decompose, certify = LieSuperalgebra.direct_sum_decompose, roots._certify_osp
 
     def spy_decompose(self):
         decompositions.append(decompose(self))
         return decompositions[-1]
 
-    def spy_classify(sub):
+    def spy_certify(sub, odd_roots):
         subs.append(sub)
-        return classify(sub)
+        return certify(sub, odd_roots)
 
     monkeypatch.setattr(LieSuperalgebra, "direct_sum_decompose", spy_decompose)
-    monkeypatch.setattr(roots, "classify_simple", spy_classify)
+    monkeypatch.setattr(roots, "_certify_osp", spy_certify)
     assert g1ss_structural_scan(g).witness is None
     (dec,) = decompositions
     assert [sub.dim for sub in subs] == [len(f) for f in dec.ideals]
