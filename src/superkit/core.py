@@ -123,6 +123,7 @@ class LieSuperalgebra:
         self._sparse: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
         # computed once, shared by the structural scan and the decomposition
         self._center: list[Vec] | None = None
+        self._adjoint: "SuperModule | None" = None
         self._datum_cache = None
 
     # -- basic structure ----------------------------------------------------
@@ -168,6 +169,20 @@ class LieSuperalgebra:
                         out[k] += ab * c
         return out
 
+    def _sparse_bracket(self, x: Sequence[tuple[int, int]],
+                        y: Sequence[tuple[int, int]]) -> dict[int, int]:
+        """D [x, y] for integer vectors x, y given by their nonzero (index,
+        entry) pairs, as {k: entry} without zero entries."""
+        out: dict[int, int] = {}
+        table = self._table
+        for i, a in x:
+            row = table[i]
+            for j, b in y:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] = out.get(k, 0) + ab * c
+        return {k: c for k, c in out.items() if c}
+
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors must have length dim")
@@ -177,8 +192,20 @@ class LieSuperalgebra:
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the basis: x in the adjoint module."""
-        from .reps import adjoint_module
-        return adjoint_module(self).matrix_of(x)
+        return self._adjoint_module().matrix_of(x)
+
+    def _ad_rows(self, x: Sequence) -> tuple[list[list[tuple[int, int]]], int]:
+        """(rows, d): the sparse integer rows of d ad(x), with d = L D for
+        x = X / L, read off the adjoint table."""
+        xs, lx = integer_vector(x)
+        return self._adjoint_module()._combine(xs), lx * self._den
+
+    def _adjoint_module(self) -> "SuperModule":
+        """`reps.adjoint_module` of the algebra, built once."""
+        if self._adjoint is None:
+            from .reps import adjoint_module
+            self._adjoint = adjoint_module(self)
+        return self._adjoint
 
     def basis_vector(self, i: int) -> Vec:
         v = zero_vec(self.dim)
@@ -203,11 +230,15 @@ class LieSuperalgebra:
     def validate(self) -> list[str]:
         """All violated axiom instances; empty list means the axioms hold.
 
-        The super Jacobi identity is checked in derivation form on every
-        basis triple,
-            [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + (-1)^{|i||j|} [e_j, [e_i, e_k]],
+        The super Jacobi identity is checked in derivation form on basis
+        triples, J(e_i, e_j, e_k) = 0 with
+            J(x, y, z) = [x, [y, z]] - [[x, y], z] - (-1)^{|x||y|} [y, [x, z]],
         working directly on the sparse integer table: every term is a
         product of two constants over D^2, so the numerators must cancel.
+        Under super-antisymmetry J(e_j, e_i, e_k) = -(-1)^{|i||j|} J(e_i, e_j, e_k),
+        so when the table has no parity or antisymmetry violation only the
+        triples with i <= j are computed, and each failure is reported with
+        its swap (j, i, k).
         """
         issues: list[str] = []
         n = self.dim
@@ -220,16 +251,13 @@ class LieSuperalgebra:
                         issues.append(
                             f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
                         )
-        for i in range(n):
-            for j in range(i, n):
-                sign = 1 if p[i] and p[j] else -1
-                if sp[i][j] != tuple((k, sign * c) for k, c in sp[j][i]):
-                    issues.append(
-                        f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
-                    )
+        issues += [f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
+                   for i, j in self._asymmetric_pairs()]
+        half = not issues
+        failing = []
         for i in range(n):
             spi = sp[i]
-            for j in range(n):
+            for j in range(i if half else 0, n):
                 sgn = -1 if p[i] and p[j] else 1
                 sij = sp[i][j]
                 spj = sp[j]
@@ -245,8 +273,22 @@ class LieSuperalgebra:
                         for l, r in spj[t]:
                             acc[l] = acc.get(l, 0) - sgn * q * r
                     if any(acc.values()):
-                        issues.append(f"jacobi: fails at triple ({i},{j},{k})")
+                        failing.append((i, j, k))
+                        if half and i != j:
+                            failing.append((j, i, k))
+        issues += [f"jacobi: fails at triple ({i},{j},{k})" for i, j, k in sorted(failing)]
         return issues
+
+    def _asymmetric_pairs(self) -> list[tuple[int, int]]:
+        """The pairs i <= j at which the table breaks super-antisymmetry,
+        [e_i, e_j] = -(-1)^{|i||j|} [e_j, e_i]."""
+        p, sp, out = self.parity, self._table, []
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                sign = 1 if p[i] and p[j] else -1
+                if sp[i][j] != tuple((k, sign * c) for k, c in sp[j][i]):
+                    out.append((i, j))
+        return out
 
     # -- odd squares and the semisimple cone ----------------------------------
 
@@ -353,10 +395,10 @@ class LieSuperalgebra:
         odd = self.odd_indices
         if not odd:
             return True
-        from .reps import SuperModule, adjoint_module, is_module_semisimple
+        from .reps import SuperModule, is_module_semisimple
         # g1 as a g0-module: the rows of D ad(e_i) at odd k hold only odd columns
         pos = {j: t for t, j in enumerate(odd)}
-        ad = adjoint_module(self)._table
+        ad = self._adjoint_module()._table
         table = [[[(pos[j], c) for j, c in ad[i][k]] for k in odd] for i in self.even_indices]
         return is_module_semisimple(self, SuperModule._of_table([ODD] * len(odd), table, self._den))
 
@@ -389,7 +431,8 @@ class LieSuperalgebra:
            Hence I_C is simple when every node reaches all of C and I_C has
            trivial center (and so is perfect).
 
-        Each factor's subalgebra is kept on the result, with g's root datum
+        Each factor's subalgebra is kept on the result, its table read off the
+        root graph's brackets (`_root_factor`), with g's root datum
         restricted to it as its own: e_a is a basis vector of it, and h in H
         acts on it as h's component in its part of span(H).
         """
@@ -406,26 +449,39 @@ class LieSuperalgebra:
         nodes = [r for r in datum.roots if any(r.weight)]
         if any(len(r.space) != 1 for r in nodes):
             raise NotSemisimpleStructure("a root space has dimension > 1")
-        node = {(r.weight, r.parity): a for a, r in enumerate(nodes)}
-        vectors = [integer_vector(r.space[0]) for r in nodes]
+        # the weights over one common denominator, as integer tuples
+        weights = [tuple(w) for w in integer_vectors([r.weight for r in nodes])[0]]
+        node = {(w, r.parity): a for a, (w, r) in enumerate(zip(weights, nodes))}
+        # e_a = X_a / L_a, with X_a as {index: entry}
+        vectors = []
+        for r in nodes:
+            x, la = integer_vector(r.space[0])
+            vectors.append(({i: c for i, c in enumerate(x) if c}, la))
         # d(x) for x in H, up to a positive factor: the integer coordinates
         # of x in the Cartan elements against d's scaled weights
         h_coordinates = integer_coordinates_in(datum.cartan)
-        weights = integer_vectors([r.weight for r in nodes])[0]
         links: list[set[int]] = [set() for _ in nodes]  # the root graph
         arrows: list[set[int]] = [set() for _ in nodes]  # the generation digraph
+        # (a, b) -> (D [X_a, X_b], the node of a + b or None if a + b = 0),
+        # for a <= b with a nonzero bracket
+        brackets: dict[tuple[int, int], tuple[dict[int, int], int | None]] = {}
         toral = []  # (a, W, L) with [e_a, e_-a] = W / L
-        for a, (xa, la) in enumerate(vectors):
+        items = [list(x.items()) for x, _ in vectors]
+        for a, (_, la) in enumerate(vectors):
             for b in range(a, len(nodes)):
-                w = self._int_bracket(xa, vectors[b][0])
-                if not any(w):
+                w = self._sparse_bracket(items[a], items[b])
+                if not w:
                     continue
-                total = tuple(p + q for p, q in zip(nodes[a].weight, nodes[b].weight))
+                total = tuple(p + q for p, q in zip(weights[a], weights[b]))
                 joined = {a, b}
                 if any(total):
-                    targets = {node[total, (nodes[a].parity + nodes[b].parity) % 2]}
-                    joined |= targets
+                    c = node[total, (nodes[a].parity + nodes[b].parity) % 2]
+                    brackets[a, b] = (w, c)
+                    targets = {c}
+                    joined.add(c)
                 else:
+                    brackets[a, b] = (w, None)
+                    w = _dense(w.items(), self.dim)
                     toral.append((a, w, la * vectors[b][1] * self._den))
                     x = h_coordinates(w)[0]
                     targets = {d for d, wd in enumerate(weights)
@@ -461,7 +517,7 @@ class LieSuperalgebra:
                     f"candidate ideal {t} is not simple: a root vector generates a proper ideal"
                 )
             basis = [list(nodes[a].space[0]) for a in comp] + zero_parts[t]
-            sub = self.restricted_subalgebra(basis)
+            sub = self._root_factor(basis, comp, nodes, vectors, brackets, h_coordinates)
             if sub.center():
                 raise NotSemisimpleStructure(
                     f"candidate ideal {t} has nontrivial center, so it is not simple"
@@ -480,10 +536,68 @@ class LieSuperalgebra:
             subalgebras.append(sub)
         return Decomposition(zc, factors, subalgebras)
 
+    def _root_factor(self, basis: list[Vec], comp: list[int], nodes, vectors,
+                     brackets, h_coordinates) -> "LieSuperalgebra":
+        """`restricted_subalgebra(basis)` for a candidate ideal of
+        `direct_sum_decompose`, with no coordinate solve per pair: basis is
+        the root vectors e_a = X_a / L_a (`vectors`) of the nodes a in comp,
+        then vectors z_s spanning its part of span(H).  The table is read
+        off the root graph's `brackets` D [X_a, X_b] (a <= b):
+        * for a + b = c != 0, [e_a, e_b] lies in the line of e_c, and the
+          ratio is read at one entry and checked on the whole vector;
+        * for a + b = 0, [e_a, e_b] has coordinates in the z_s;
+        * [z, e_a] = a(z) e_a, with a(z) from a's weight and z's coordinates
+          in the Cartan elements (`h_coordinates`), and [z, z'] = 0;
+        * the pairs b > a follow by super-antisymmetry.
+        These are the same rational constants, so the same table over their
+        least common denominator; the faithful rep is built as there."""
+        r = len(comp)
+        pos = {a: j for j, a in enumerate(comp)}
+        zero_part = basis[r:]
+        z_coordinates = integer_coordinates_in(zero_part)
+        parities = [nodes[a].parity for a in comp] + [EVEN] * len(zero_part)
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+
+        def put(j, k, row):
+            table[j, k] = row
+            if k != j:
+                sign = 1 if parities[j] and parities[k] else -1
+                table[k, j] = {t: sign * c for t, c in row.items()}
+
+        for a in comp:
+            la = vectors[a][1]
+            for b in comp[pos[a]:]:
+                found = brackets.get((a, b))
+                if found is None:
+                    continue
+                w, c = found
+                scale = la * vectors[b][1] * self._den
+                if c is not None:
+                    ratio = _proportion(w, vectors[c][0])
+                    if ratio is None:
+                        raise ValueError("vectors do not span a subalgebra")
+                    put(pos[a], pos[b], {pos[c]: ratio * vectors[c][1] / scale})
+                    continue
+                coords = z_coordinates(_dense(w.items(), self.dim))
+                if coords is None:
+                    raise ValueError("vectors do not span a subalgebra")
+                ys, m = coords
+                put(pos[a], pos[b], {r + s: Q(y, m * scale) for s, y in enumerate(ys) if y})
+        for s, z in enumerate(zero_part):
+            xs, lz = h_coordinates(z)
+            for a in comp:
+                lam = sum((x * w for x, w in zip(xs, nodes[a].weight) if x), Q(0)) / lz
+                if lam:
+                    put(r + s, pos[a], {pos[a]: lam})
+        ints, den = integer_vectors(basis)
+        names = tuple(f"x{t}" for t in range(len(basis)))
+        return LieSuperalgebra(parities, table, names, self._restricted_rep(ints, den))
+
     def restricted_subalgebra(self, basis_vectors: Sequence[Sequence]) -> "LieSuperalgebra":
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
         with structure constants re-expressed in that basis.  The parent's
-        faithful representation restricts to a faithful one."""
+        faithful representation restricts to a faithful one.  The pairs
+        a <= b are solved for, and (b, a) follows by super-antisymmetry."""
         basis = [vec(v) for v in basis_vectors]
         parities = []
         for v in basis:
@@ -500,22 +614,28 @@ class LieSuperalgebra:
         table = [[()] * n for _ in range(n)]
         cden = 1
         for a, xa in enumerate(ints):
-            for b, xb in enumerate(ints):
-                found = coordinates(self._int_bracket(xa, xb))
+            for b in range(a, n):
+                found = coordinates(self._int_bracket(xa, ints[b]))
                 if found is None:
                     raise ValueError("vectors do not span a subalgebra")
                 coeffs, cden = found
                 table[a][b] = tuple((k, c) for k, c in enumerate(coeffs) if c)
-        rep = None
-        if self.faithful_rep is not None:
-            from .reps import SuperModule
-            # rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator
-            parent = self.faithful_rep
-            rep = SuperModule._of_table(parent.parity, [parent._combine(v) for v in ints],
-                                        den * parent._den)
+                if b != a:
+                    sign = 1 if parities[a] and parities[b] else -1
+                    table[b][a] = tuple((k, sign * c) for k, c in table[a][b])
         names = tuple(f"x{t}" for t in range(n))
         return LieSuperalgebra._of_table(parities, table, cden * den * den * self._den,
-                                         names, rep)
+                                         names, self._restricted_rep(ints, den))
+
+    def _restricted_rep(self, ints: list[list[int]], den: int) -> "SuperModule | None":
+        """The faithful rep restricted to the vectors v_t = ints[t] / den:
+        rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator."""
+        if self.faithful_rep is None:
+            return None
+        from .reps import SuperModule
+        parent = self.faithful_rep
+        return SuperModule._of_table(parent.parity, [parent._combine(v) for v in ints],
+                                     den * parent._den)
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -562,6 +682,18 @@ def _dense(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
     for k, c in pairs:
         row[k] = c
     return row
+
+
+def _proportion(w: dict[int, int], x: dict[int, int]) -> Fraction | None:
+    """rho with w = rho x, for sparse integer vectors w and x != 0 ({index:
+    entry}, no zero entries), or None when w is off the line of x."""
+    if not w.keys() <= x.keys():
+        return None
+    k = next(iter(x))
+    w0, x0 = w.get(k, 0), x[k]
+    if any(w.get(t, 0) * x0 != w0 * xt for t, xt in x.items()):
+        return None
+    return Q(w0, x0)
 
 
 def _is_abelian(g: LieSuperalgebra) -> bool:

@@ -635,10 +635,16 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     polynomial.  Irrational eigenvalues are detected but not materialized."""
     if m.rows != m.cols:
         raise ValueError("eigenspaces need a square matrix")
-    n = m.rows
+    return _rational_eigenspaces(*_sparse_integer_rows(m.data))
+
+
+def _rational_eigenspaces(rows: list[list[tuple[int, int]]],
+                          d: int) -> list[tuple[Fraction, list[Vec]]]:
+    """`rational_eigenspaces` of m = M / d, M the integer matrix with these
+    sparse rows."""
+    n = len(rows)
     if n == 0:
         return []
-    rows, d = _sparse_integer_rows(m.data)
     out = []
     roots = rational_roots(_root_polynomial(_minimal_polynomial(rows), d),
                            bound=_gershgorin(rows, d))
@@ -658,12 +664,51 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     return out
 
 
+def _diagonal(rows: list[list[tuple[int, int]]]) -> list[int] | None:
+    """The diagonal of M, the integer matrix with these sparse rows, if M
+    is diagonal; else None."""
+    diag = []
+    for i, row in enumerate(rows):
+        if not row:
+            diag.append(0)
+        elif len(row) == 1 and row[0][0] == i:
+            diag.append(row[0][1])
+        else:
+            return None
+    return diag
+
+
+def _diagonal_eigenspaces(rows: list[list[tuple[int, int]]],
+                          d: int) -> list[tuple[Fraction, list[Vec]]] | None:
+    """`_rational_eigenspaces(rows, d)` read off the diagonal when M is
+    diagonal, with no minimal polynomial: the kernel basis of each shift is
+    the unit vectors at the entries equal to lam.  None if M is not
+    diagonal."""
+    diag = _diagonal(rows)
+    if diag is None:
+        return None
+    spaces: dict[Fraction, list[Vec]] = {}
+    for i, a in enumerate(diag):
+        unit = zero_vec(len(diag))
+        unit[i] = Q(1)
+        spaces.setdefault(Q(a, d), []).append(unit)
+    return sorted(spaces.items())
+
+
 def splits_semisimply_over_q(m: Matrix) -> bool:
     """True iff the minimal polynomial is squarefree with all roots rational,
     i.e. m is diagonalizable over the rationals."""
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
-    rows, d = _sparse_integer_rows(m.data)
+    return _splits_semisimply(*_sparse_integer_rows(m.data))
+
+
+def _splits_semisimply(rows: list[list[tuple[int, int]]], d: int) -> bool:
+    """`splits_semisimply_over_q` of m = M / d, M the integer matrix with
+    these sparse rows.  The answer is the same for every d > 0, but pass the
+    true scale: the rational roots are sought on mp(d x), whose roots are m's;
+    with d = 1 they are M's, d times larger, and the candidates come from the
+    divisors of a much larger constant term."""
     mp = _minimal_polynomial(rows)
     # m's minimal polynomial is mp(d x) / d^r: squarefree exactly when mp is
     if not is_squarefree(mp):

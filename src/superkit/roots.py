@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError
+from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense, _proportion
 from .linalg import (
     Echelon,
     Matrix,
@@ -41,14 +41,17 @@ from .linalg import (
     Vec,
     coordinates_in,
     fraction_vector,
+    _diagonal,
+    _diagonal_eigenspaces,
+    _rational_eigenspaces,
+    _splits_semisimply,
     in_span,
+    integer_coordinates_in,
     integer_vector,
     integer_vectors,
     is_zero_vec,
     kernel_of_rows,
-    rational_eigenspaces,
     span_basis,
-    splits_semisimply_over_q,
     vec,
     vec_add,
     vec_scale,
@@ -129,7 +132,8 @@ def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
     spectrum than dense ones).  Succeeds when the centralizer becomes abelian
     with every basis element acting semisimply; that centralizer is the
     Cartan subalgebra.  Requires a reductive even part; raises
-    CartanSearchFailed after the per-round retry budget.
+    CartanSearchFailed after the per-round retry budget.  Each spectrum is
+    tested on the integer rows of ad(x) (`_splits`).
     """
     even = g.even_indices
     if not even:
@@ -138,9 +142,7 @@ def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
     toral: list[Vec] = []
     cent: list[Vec] = [g.basis_vector(i) for i in even]
     for _round in range(len(even) + 1):
-        if _is_abelian_family(g, cent) and all(
-            splits_semisimply_over_q(g.ad_matrix(t)) for t in cent
-        ):
+        if _is_abelian_family(g, cent) and all(_splits(g, t) for t in cent):
             return cent
         found = None
         for attempt in range(attempts):
@@ -152,7 +154,7 @@ def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
                     x = [a + c * e for a, e in zip(x, b)]
             if is_zero_vec(x) or in_span(toral, x) is not None:
                 continue
-            if splits_semisimply_over_q(g.ad_matrix(x)):
+            if _splits(g, x):
                 found = x
                 break
         if found is None:
@@ -162,6 +164,13 @@ def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
         toral.append(found)
         cent = _centralizer_within(g, cent, found)
     raise CartanSearchFailed("toral family failed to stabilize")
+
+
+def _splits(g: LieSuperalgebra, x: Sequence) -> bool:
+    """True iff ad(x) is diagonalizable over the rationals; at once when it
+    is diagonal, as a Cartan element on a root basis is."""
+    rows, d = g._ad_rows(x)
+    return _diagonal(rows) is not None or _splits_semisimply(rows, d)
 
 
 def _centralizer_within(g: LieSuperalgebra, space: list[Vec], x: Vec) -> list[Vec]:
@@ -177,11 +186,16 @@ def _centralizer_within(g: LieSuperalgebra, space: list[Vec], x: Vec) -> list[Ve
 def _combine(coeffs: Sequence[Fraction], ints: Sequence[list[int]], den: int) -> Vec:
     """sum_t coeffs[t] v_t for the vectors v_t = ints[t] / den."""
     cs, lc = integer_vector(coeffs)
+    return fraction_vector(_int_combine(cs, ints), lc * den)
+
+
+def _int_combine(cs: Sequence[int], ints: Sequence[list[int]]) -> list[int]:
+    """sum_t cs[t] ints[t], for integers cs."""
     out = [0] * len(ints[0])
     for c, vs in zip(cs, ints):
         if c:
             out = [a + c * b for a, b in zip(out, vs)]
-    return fraction_vector(out, lc * den)
+    return out
 
 
 def _is_abelian_family(g: LieSuperalgebra, vecs: list[Vec]) -> bool:
@@ -198,53 +212,80 @@ def _is_abelian_family(g: LieSuperalgebra, vecs: list[Vec]) -> bool:
 def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDatum:
     """Simultaneous eigenspace decomposition of the adjoint action of a
     commuting, rationally-semisimple family of even elements, labeled by
-    weight and parity."""
+    weight and parity.
+
+    Each element splits the joint eigenspaces of the ones before it, on the
+    integer rows of its action there.  Those spaces are stable under it, as
+    the family commutes, so it acts diagonalizably over Q exactly when every
+    one of them splits: an even commuting family needs no separate test of
+    each element's spectrum.  Otherwise `_require_toral` raises the first
+    failure."""
     cartan = [vec(t) for t in cartan]
-    for t in cartan:
-        if not g.is_even_element(t):
-            raise NonSemisimpleCartanAction("Cartan elements must be even")
-        if not splits_semisimply_over_q(g.ad_matrix(t)):
-            raise NonSemisimpleCartanAction(
-                "a Cartan element acts with non-squarefree minimal polynomial "
-                "or irrational spectrum"
-            )
-    if not _is_abelian_family(g, cartan):
-        raise NonSemisimpleCartanAction("Cartan elements do not commute")
+    if not (all(g.is_even_element(t) for t in cartan) and _is_abelian_family(g, cartan)):
+        _require_toral(g, cartan)
     roots: list[Root] = []
     for parity, idx in ((EVEN, g.even_indices), (ODD, g.odd_indices)):
         if not idx:
             continue
-        spaces: list[tuple[tuple[Fraction, ...], list[Vec]]] = [
-            ((), [g.basis_vector(i) for i in idx])
-        ]
+        # (weight, Vs, L): the space spanned by the vectors V / L
+        units = [[int(k == i) for k in range(g.dim)] for i in idx]
+        spaces: list[tuple[tuple[Fraction, ...], list[list[int]], int]] = [((), units, 1)]
         for t in cartan:
             ts, lt = integer_vector(t)
             refined = []
-            for weight, basis in spaces:
-                coordinates = coordinates_in(basis)
-                ints, den = integer_vectors(basis)
-                k_cols = []
-                for vs in ints:
-                    coords = coordinates(g._int_bracket(ts, vs), lt * den * g._den)
-                    if coords is None:
-                        raise NonSemisimpleCartanAction(
-                            "Cartan action does not preserve a weight space"
-                        )
-                    k_cols.append(coords)
-                kmat = Matrix.from_columns(k_cols)
-                eig = rational_eigenspaces(kmat)
-                if sum(len(b) for _, b in eig) != len(basis):
-                    raise NonSemisimpleCartanAction(
-                        "irrational spectrum in the Cartan action"
-                    )
-                for lam, small in eig:
-                    lifted = [_combine(s, ints, den) for s in small]
-                    refined.append((weight + (lam,), lifted))
+            for weight, ints, den in spaces:
+                for lam, vs, lv in _split_space(g, ts, lt, ints):
+                    refined.append((weight + (lam,), vs, lv * den))
             spaces = refined
-        for weight, basis in spaces:
-            roots.append(Root(weight=weight, parity=parity, space=basis))
+        for weight, ints, den in spaces:
+            roots.append(Root(weight, parity, [fraction_vector(v, den) for v in ints]))
     roots.sort(key=lambda r: (r.parity, r.weight))
     return RootDatum(cartan=cartan, roots=roots)
+
+
+_NOT_SPLIT = ("a Cartan element acts with non-squarefree minimal polynomial "
+              "or irrational spectrum")
+
+
+def _require_toral(g: LieSuperalgebra, cartan: list[Vec]) -> None:
+    """Raise NonSemisimpleCartanAction for the first element that is not
+    even or does not split over Q, else for a family that does not commute."""
+    for t in cartan:
+        if not g.is_even_element(t):
+            raise NonSemisimpleCartanAction("Cartan elements must be even")
+        if not _splits(g, t):
+            raise NonSemisimpleCartanAction(_NOT_SPLIT)
+    if not _is_abelian_family(g, cartan):
+        raise NonSemisimpleCartanAction("Cartan elements do not commute")
+
+
+def _split_space(g: LieSuperalgebra, ts: list[int], lt: int, ints: list[list[int]]):
+    """The eigenspaces (lam, Ws, M) of t = ts / lt on the t-stable space
+    spanned by the v_s = V_s / L (ints = the V_s): the eigenvectors
+    W / (M L), each a combination of the v_s whose coordinates are the
+    eigenspace basis of t's matrix K in the v_s, so they do not depend on L.
+    Raises NonSemisimpleCartanAction when K does not split over Q."""
+    # D [T, V_s] = sum_r (X_s[r] / M) V_r, so K = X / (M lt D) with the X_s
+    # as columns
+    coordinates = integer_coordinates_in(ints)
+    cols = []
+    for vs in ints:
+        found = coordinates(g._int_bracket(ts, vs))
+        if found is None:
+            raise NonSemisimpleCartanAction(_NOT_SPLIT)
+        cols.append(found[0])
+    rows = [[(s, x) for s, x in enumerate(row) if x] for row in zip(*cols)]
+    scale = found[1] * lt * g._den
+    eig = _diagonal_eigenspaces(rows, scale)
+    if eig is None:
+        eig = _rational_eigenspaces(rows, scale)
+    if sum(len(b) for _, b in eig) != len(ints):
+        raise NonSemisimpleCartanAction(_NOT_SPLIT)
+    out = []
+    for lam, small in eig:
+        cs, lc = integer_vectors(small)
+        out.append((lam, [_int_combine(c, ints) for c in cs], lc))
+    return out
 
 
 def cartan_of(g: LieSuperalgebra) -> list[Vec]:
@@ -375,33 +416,40 @@ def _extract_form(g: LieSuperalgebra, odd_basis: list[Vec]) -> Matrix | None:
     identity [[u, v], w] = beta(u, w) v + beta(v, w) u on all triples.
 
     Works on the integer vectors B = L b of the basis over one common
-    denominator L: [[B_p, B_q], B_r] is D^2 L^3 times the triple bracket."""
+    denominator L, as sparse columns: [[B_p, B_q], B_r] is D^2 L^3 times the
+    triple bracket.  The basis is independent, so [[u, u], w] has zero
+    coordinates off u exactly when it lies on the line of u.  The identity
+    is checked for p <= q: both sides are symmetric in u and v, the left
+    because [u, v] = [v, u] for odd u, v by the super-antisymmetry of g's
+    table."""
     m = len(odd_basis)
-    coordinates = coordinates_in(odd_basis)
-    basis, den = integer_vectors(odd_basis)
+    items, den = _sparse_columns(odd_basis)
+    cols = [dict(b) for b in items]
     scale = g._den ** 2 * den ** 3
     gram = Matrix.zeros(m, m)
     for p in range(m):
-        upp = g._int_bracket(basis[p], basis[p])
+        upp = list(g._sparse_bracket(items[p], items[p]).items())
         for r in range(m):
-            coords = coordinates(g._int_bracket(upp, basis[r]), scale)
-            if coords is None:
+            # [[B_p, B_p], B_r] = ratio B_p, so its coordinate at b_p is
+            # ratio L / scale
+            ratio = _proportion(g._sparse_bracket(upp, items[r]), cols[p])
+            if ratio is None:
                 return None
-            if any(c != 0 for i, c in enumerate(coords) if i != p):
-                return None
-            gram.data[p][r] = coords[p] / 2
+            gram.data[p][r] = ratio * den / (2 * scale)
     # beta = G / e over one common denominator e; the identity times
     # e D^2 L^3 reads [[B_p, B_q], B_r] e = (G[p][r] B_q + G[q][r] B_p) D^2 L^2
     form, e = integer_vectors(gram.data)
     lift = g._den ** 2 * den ** 2
     for p in range(m):
-        for q in range(m):
-            upq = g._int_bracket(basis[p], basis[q])
+        for q in range(p, m):
+            upq = list(g._sparse_bracket(items[p], items[q]).items())
             for r in range(m):
-                t = g._int_bracket(upq, basis[r])
                 a, b = form[p][r] * lift, form[q][r] * lift
-                if [x * e for x in t] != [a * y + b * z
-                                          for y, z in zip(basis[q], basis[p])]:
+                rhs = {i: a * y for i, y in items[q]}
+                for i, z in items[p]:
+                    rhs[i] = rhs.get(i, 0) + b * z
+                t = g._sparse_bracket(upq, items[r])
+                if {i: x * e for i, x in t.items()} != {i: x for i, x in rhs.items() if x}:
                     return None
     return gram
 
@@ -452,11 +500,11 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
-    ints = integer_vectors(odd_basis)[0]
+    ints = _sparse_columns(odd_basis)[0]
     pair_brackets = Echelon()
     for p in range(m):
         for q in range(p, m):
-            pair_brackets.add(g._int_bracket(ints[p], ints[q]))
+            pair_brackets.add(_dense(g._sparse_bracket(ints[p], ints[q]).items(), g.dim))
     if pair_brackets.rank != even_dim:
         return Inconclusive(
             "the squared bracket map on the odd part is not onto the even part"
@@ -477,17 +525,27 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
 
 def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
                            dar: list[Vec], n: int) -> Matrix | None:
+    """The basis map onto build_osp1(n) that sends the Darboux basis `dar`
+    of g's odd part (coordinates in `odd_basis`) to one of the family's, and
+    each even basis vector to the family element acting the same way on
+    the odd part; None unless it intertwines the brackets.
+
+    The intertwining is checked on the basis pairs i <= j, on sparse integer
+    columns.  That suffices: the map preserves parity, and both tables are
+    super-antisymmetric (the family's by construction, g's checked here), so
+    [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both sides."""
     from .families import build_osp1
     fam = build_osp1(n)
     fam_odd = [fam.basis_vector(i) for i in fam.odd_indices]
     fam_gram = _extract_form(fam, fam_odd)
     fam_dar = darboux_basis(fam_gram)
-    if fam_dar is None:
+    if fam_dar is None or g._asymmetric_pairs():
         return None
-    m = 2 * n
     # source and target Darboux vectors in full g and fam coordinates
-    src = [_combine(coeffs, *integer_vectors(odd_basis)) for coeffs in dar]
-    tgt = [_combine(coeffs, *integer_vectors(fam_odd)) for coeffs in fam_dar]
+    odd_ints = integer_vectors(odd_basis)
+    src = [_combine(coeffs, *odd_ints) for coeffs in dar]
+    fam_ints = integer_vectors(fam_odd)
+    tgt = [_combine(coeffs, *fam_ints) for coeffs in fam_dar]
     # odd map: express an odd vector in the source Darboux basis, push the
     # coordinates onto the target Darboux basis
     src_coordinates = coordinates_in(src)
@@ -501,8 +559,8 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         return tgt_mat.matvec(coords)
 
     # even map: match adjoint actions on the odd part in Darboux coordinates
-    src_ints = integer_vectors(src)
-    tgt_ints = integer_vectors(tgt)
+    src_ints = _sparse_columns(src)
+    tgt_ints = _sparse_columns(tgt)
     fam_even = fam.even_indices
     act_cols = []
     for e in fam_even:
@@ -531,36 +589,41 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         if img is None:
             return None
         cols.append(img)
-    # exact intertwining check on all basis pairs, in integers: with
-    # phi = Phi / L and W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j]
-    # times D_g D_fam L^2 reads L D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
-    big, den = integer_vectors(cols)
-    units = [[int(k == i) for k in range(g.dim)] for i in range(g.dim)]
+    # exact intertwining check, in integers: with phi = Phi / L and
+    # W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j] times
+    # D_g D_fam L^2 reads L D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
+    big, den = _sparse_columns(cols)
+    f = den * fam._den
     for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = [0] * fam.dim
-            for k, c in enumerate(g._int_bracket(units[i], units[j])):
-                if c:
-                    f = c * den * fam._den
-                    lhs = [a + f * b for a, b in zip(lhs, big[k])]
-            rhs = fam._int_bracket(big[i], big[j])
-            if lhs != [g._den * b for b in rhs]:
+        for j in range(i, g.dim):
+            lhs: dict[int, int] = {}
+            for k, c in g._table[i][j]:
+                for t, b in big[k]:
+                    lhs[t] = lhs.get(t, 0) + c * f * b
+            rhs = fam._sparse_bracket(big[i], big[j])
+            if {t: x for t, x in lhs.items() if x} != {t: g._den * x for t, x in rhs.items()}:
                 return None
     return Matrix.from_columns(cols)
 
 
+def _sparse_columns(vectors: list[Vec]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The vectors over one common denominator L, as the nonzero (index,
+    entry) pairs of L v, and L."""
+    ints, den = integer_vectors(vectors)
+    return [[(k, c) for k, c in enumerate(v) if c] for v in ints], den
+
+
 def _action_coordinates(g: LieSuperalgebra, i: int,
-                        vectors: tuple[list[list[int]], int],
+                        vectors: tuple[list[list[tuple[int, int]]], int],
                         coordinates) -> list[Fraction] | None:
     """The coordinates of [e_i, w] for the vectors w = W / L of `vectors`
-    = (Ws, L), one block after the other, or None if one lies outside the
-    span."""
-    unit = [0] * g.dim
-    unit[i] = 1
+    = (Ws as sparse columns, L), one block after the other, or None if one
+    lies outside the span."""
     entries = []
     ws, den = vectors
     for w in ws:
-        coords = coordinates(g._int_bracket(unit, w), den * g._den)
+        coords = coordinates(_dense(g._sparse_bracket([(i, 1)], w).items(), g.dim),
+                             den * g._den)
         if coords is None:
             return None
         entries.extend(coords)

@@ -90,7 +90,7 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
         monkeypatch.setattr(owner, name, counted)
 
     count(LieSuperalgebra, "direct_sum_decompose")
-    count(LieSuperalgebra, "restricted_subalgebra")
+    count(LieSuperalgebra, "_root_factor")
     count(roots, "_certify_osp")
     count(roots, "_root_witness")
     count(roots, "root_decomposition")
@@ -98,9 +98,9 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
     assert code == 0
     assert [f["factor"] for f in json.loads(out)["factors"]] == factors
     assert calls.count("direct_sum_decompose") == 1
-    # one osp certification per odd factor, one restriction per factor
+    # one osp certification per odd factor, one factor table per factor
     assert calls.count("_certify_osp") == len(factors)
-    assert calls.count("restricted_subalgebra") == len(factors)
+    assert calls.count("_root_factor") == len(factors)
     # the factors inherit g's root datum instead of decomposing again
     assert calls.count("root_decomposition") == 1
     # each odd root is walked once; every odd root space here is 1-dimensional

@@ -81,6 +81,74 @@ def test_validate_reports_corrupted_jacobi():
     assert f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree" in issues
 
 
+def _validate_every_triple(g):
+    """The issue list of `validate` with Jacobi checked on every ordered
+    pair (i, j), as the reference for the half-pair check."""
+    issues = []
+    n, p, sp = g.dim, g.parity, g._table
+    for i in range(n):
+        for j in range(n):
+            for k, c in sp[i][j]:
+                if p[k] != (p[i] + p[j]) % 2:
+                    issues.append(f"parity: c[{i}][{j}][{k}] = {Q(c, g._den)} violates grading")
+    for i in range(n):
+        for j in range(i, n):
+            sign = 1 if p[i] and p[j] else -1
+            if sp[i][j] != tuple((k, sign * c) for k, c in sp[j][i]):
+                issues.append(f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree")
+    for i in range(n):
+        for j in range(n):
+            sgn = -1 if p[i] and p[j] else 1
+            for k in range(n):
+                acc = {}
+                for t, q in sp[j][k]:
+                    for l, r in sp[i][t]:
+                        acc[l] = acc.get(l, 0) + q * r
+                for t, q in sp[i][j]:
+                    for l, r in sp[t][k]:
+                        acc[l] = acc.get(l, 0) - q * r
+                for t, q in sp[i][k]:
+                    for l, r in sp[j][t]:
+                        acc[l] = acc.get(l, 0) - sgn * q * r
+                if any(acc.values()):
+                    issues.append(f"jacobi: fails at triple ({i},{j},{k})")
+    return issues
+
+
+def _corrupted(g, changes):
+    table = {(i, j): {k: q for k, q in g.bracket_sparse(i, j)}
+             for i in range(g.dim) for j in range(g.dim)}
+    for (i, j, k), q in changes.items():
+        table[i, j][k] = q
+    return LieSuperalgebra(g.parity, table, g.names)
+
+
+@pytest.mark.parametrize("spec", ["gl:1:1", "osp1:1", "sl:2:1", "product:osp1:1,gl:1:1"])
+def test_validate_half_jacobi_matches_every_triple(spec):
+    # Jacobi on the pairs i <= j only, with each failure reported with its
+    # swap, gives the same issue list as every ordered pair
+    import random
+    g = parse_family_spec(spec)
+    rng = random.Random(3)
+    nonzero = [(i, j, k) for i in range(g.dim) for j in range(i, g.dim)
+               for k, _ in g.bracket_sparse(i, j)]
+    for _ in range(6):
+        i, j, k = rng.choice(nonzero)
+        q = g.structure_constant(i, j, k) * rng.choice([2, -1, Q(1, 3)])
+        sign = 1 if g.parity[i] and g.parity[j] else -1
+        # both orders changed: only Jacobi breaks
+        jacobi_only = _corrupted(g, {(i, j, k): q, (j, i, k): sign * q})
+        issues = jacobi_only.validate()
+        assert issues == _validate_every_triple(jacobi_only)
+        assert issues and all(s.startswith("jacobi") for s in issues)
+        # one order changed: antisymmetry breaks too, and every pair is checked
+        if i != j:
+            lopsided = _corrupted(g, {(i, j, k): q})
+            issues = lopsided.validate()
+            assert issues == _validate_every_triple(lopsided)
+            assert any(s.startswith("antisymmetry") for s in issues)
+
+
 def test_validate_reports_parity_violation():
     bad = LieSuperalgebra([EVEN, ODD], {(0, 0): {1: Q(1)}})
     assert any("parity" in s for s in bad.validate())

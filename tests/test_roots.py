@@ -434,3 +434,94 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
             for u in r.space:
                 for t, w in zip(cartan, r.weight):
                     assert sub.bracket(t, u) == [w * a for a in u]
+
+
+# -- the decomposition's factor tables against restricted_subalgebra ---------------
+
+_FACTOR_SPECS = ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "osp1:5",
+                 "product:osp1:1,osp1:2", "product:osp1:1,osp1:1,osp1:1"]
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda s=s: parse_family_spec(s) for s in _FACTOR_SPECS],
+    *[lambda s=s: _cartanless(s) for s in _FACTOR_SPECS],
+    lambda: shuffled_osp(2, 99),
+], ids=_FACTOR_SPECS + [f"{s}-without-cartan" for s in _FACTOR_SPECS] + ["shuffled"])
+def test_factor_tables_equal_restricted_subalgebra(make):
+    # the factors are read off the root graph's brackets; the oracle solves
+    # for the structure constants of the same basis
+    g = make()
+    dec = g.direct_sum_decompose()
+    assert dec.subalgebras
+    for basis, sub in zip(dec.ideals, dec.subalgebras):
+        ref = g.restricted_subalgebra(basis)
+        assert sub._table == ref._table and sub._den == ref._den
+        assert sub.faithful_rep._table == ref.faithful_rep._table
+        assert sub.faithful_rep._den == ref.faithful_rep._den
+
+
+def test_restricted_subalgebra_matches_every_ordered_pair():
+    # on a parity-preserving change of basis, the pairs b < a, which come
+    # from a < b by super-antisymmetry, still give [v_a, v_b] in g
+    g = build_osp1(2)
+    rng = random.Random(5)
+    basis = []
+    while len(span_basis(basis)) < g.dim:
+        basis = []
+        for i in range(g.dim):
+            v = g.basis_vector(i)
+            same = [j for j in range(g.dim) if j != i and g.parity[j] == g.parity[i]]
+            for j in rng.sample(same, 2):
+                v[j] = Q(rng.randint(-2, 2))
+            basis.append(v)
+    sub = g.restricted_subalgebra(basis)
+    assert sub.validate() == []
+    full = Matrix.from_columns(basis)
+    for a in range(g.dim):
+        for b in range(g.dim):
+            assert full.matvec(sub.bracket_basis(a, b)) == g.bracket(basis[a], basis[b])
+
+
+# -- spectra on the integer adjoint rows ------------------------------------------
+
+def _random_even(g, rng):
+    ev = g.even_indices
+    x = [Q(0)] * g.dim
+    for i in rng.sample(ev, rng.randint(1, min(3, len(ev)))):
+        x[i] = Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+    return x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_gl(2, 2), lambda: build_sl(3, 1), lambda: build_osp1(3),
+    lambda: shuffled_osp(2, 99),
+], ids=["gl:2:2", "sl:3:1", "osp1:3", "shuffled"])
+def test_integer_spectra_match_the_matrix_functions(make):
+    from superkit.linalg import (
+        _diagonal_eigenspaces,
+        _rational_eigenspaces,
+        _splits_semisimply,
+        rational_eigenspaces,
+        splits_semisimply_over_q,
+    )
+    from superkit.roots import _splits
+    g = make()
+    rng = random.Random(7)
+    elements = [_random_even(g, rng) for _ in range(40)]
+    # Cartan elements and their sums act diagonally on a root basis
+    if g.cartan:
+        elements += [g.basis_vector(i) for i in g.cartan]
+        elements.append([sum(c) for c in zip(*(g.basis_vector(i) for i in g.cartan))])
+    split = diagonal = 0
+    for x in elements:
+        rows, d = g._ad_rows(x)
+        m = g.ad_matrix(x)
+        splits, eig = splits_semisimply_over_q(m), rational_eigenspaces(m)
+        assert _splits_semisimply(rows, d) == _splits(g, x) == splits
+        assert _rational_eigenspaces(rows, d) == eig
+        read_off = _diagonal_eigenspaces(rows, d)
+        assert read_off in (None, eig)
+        split += splits
+        diagonal += read_off is not None
+    assert 0 < split < len(elements)
+    assert diagonal >= (len(g.cartan) + 1 if g.cartan else 0)
