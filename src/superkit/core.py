@@ -430,6 +430,10 @@ class LieSuperalgebra:
            lies in H and commutes with every e_a, so it is central in I_C.
            Hence I_C is simple when every node reaches all of C and I_C has
            trivial center (and so is perfect).
+        4. I_C has trivial center once step 2's directness check passes: a z
+           central in I_C commutes with every other I_C' (step 2) and with
+           the center, which with I_C span g, so z lies in the center of g
+           and in I_C, whose intersection is 0.  No center is computed.
 
         Each factor's subalgebra is kept on the result, its table read off the
         root graph's brackets (`_root_factor`), with g's root datum
@@ -518,10 +522,6 @@ class LieSuperalgebra:
                 )
             basis = [list(nodes[a].space[0]) for a in comp] + zero_parts[t]
             sub = self._root_factor(basis, comp, nodes, vectors, brackets, h_coordinates)
-            if sub.center():
-                raise NotSemisimpleStructure(
-                    f"candidate ideal {t} has nontrivial center, so it is not simple"
-                )
             roots = [Root(nodes[a].weight, nodes[a].parity, [sub.basis_vector(j)])
                      for j, a in enumerate(comp)]
             k = len(zero_parts[t])

@@ -11,12 +11,15 @@ A / D for each (c, A) in row r of e_i, sorted by c.  Every computation here
 and the cone test of `core` read those rows; `action` is their Fraction view.
 
 Semisimplicity of a module is decided by the characteristic-zero trace-form
-criterion on the associative algebra generated by the action matrices: the
-module is semisimple iff that algebra has zero trace radical.  The algebra is
-spanned from the identity by left multiplication with a pruned generating set
-(each action matrix not already in the span found so far), in exact integers;
-the generators are kept as sparse rows, so a product costs nnz(s)·dim row
-operations, and the trace form is filled on its upper triangle only.
+criterion on the associative algebra A generated by the action matrices: the
+module is semisimple iff A has zero trace radical.  A is graded before it is
+closed: each basis vector gets a label (its parity, and the diagonal entry of
+each diagonal generator) and the label coordinates in which every generator
+is homogeneous grade A.  A is spanned from the identity by left
+multiplication with a pruned generating set (each action matrix not already
+in the span found so far), one degree at a time, on sparse integer matrices;
+the trace form pairs the piece of degree d only with that of degree -d, so
+the Gram test is one block per pair.
 
 `ds_functor` computes the homology V -> ker(u)/im(u) on the invariants of
 h = [u,u]/2, which is defined whenever h is a semisimple element; u acts by a
@@ -27,6 +30,7 @@ level of graded dimensions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -301,49 +305,151 @@ def is_module_semisimple(g: LieSuperalgebra | None, m: SuperModule) -> bool:
     """True iff the associative algebra A generated by m's action matrices and
     the identity has zero trace radical {a : tr(ab) = 0 for all b}.
 
-    A is spanned by closing span{I} under left multiplication by a pruned
-    generating set S: a matrix that already lies in the current span is
-    skipped, the others join S.  The final span contains I and every matrix
-    and is closed under S, so it is A.  The matrices are m's integer rows
-    (the scale D does not change A); products are row combinations through
-    the sparse rows of S, and the verdict is the rank of the symmetric Gram
-    matrix tr(ab) on a basis of A.
+    Under the grading of `_grading` every generator is homogeneous, and a
+    product of matrices of degrees d and e has degree d + e, so A is the sum
+    of its pieces A_d = A ∩ M_d, M_d the matrices supported on the positions
+    of degree d (`_acting_algebra` closes A piece by piece).
+    The trace form pairs A_d only with A_-d: when d + e != 0, ab has degree
+    d + e and so a zero diagonal (every diagonal position has degree 0), and
+    tr(ab) = 0.  With the basis ordered by pieces, the Gram matrix of tr(ab)
+    is the direct sum, over the pairs {d, -d}, of [[0, G], [G^T, 0]] with
+    G = tr(A_d A_-d) when d != -d, and of the symmetric block tr(A_d A_d) when
+    d = -d.  [[0, G], [G^T, 0]] is nonsingular iff G is square and
+    nonsingular (a p x q block G has rank at most min(p, q), so the whole has
+    rank at most 2 min(p, q) < p + q when p != q).  So the trace form is
+    nondegenerate iff dim A_d = dim A_-d for every d and each pair's block is
+    nonsingular; a piece whose opposite is smaller, or empty, puts a nonzero
+    element of A in the radical.
     """
-    dim = m.dim
-    if dim == 0:
+    if m.dim == 0:
         return True
-    ech = Echelon()
-    basis: list[list[int]] = []
-    used: list[Rows] = []
-    queue = [[int(r == c) for r in range(dim) for c in range(dim)]]
+    pieces, moduli = _acting_algebra(m)
+    tested = set()
+    for d, part in pieces.items():
+        e = tuple((-x) % q if q else -x for x, q in zip(d, moduli))
+        if e in tested:
+            continue
+        tested.add(d)
+        other = pieces.get(e, [])
+        n, symmetric = len(part), d == e
+        if len(other) != n:
+            return False
+        gram = [[0] * n for _ in range(n)]
+        for p, a in enumerate(part):
+            entries = [(r, c, x) for r, row in a.items() for c, x in row.items()]
+            for q in range(p if symmetric else 0, n):
+                b = other[q]
+                gram[p][q] = sum(x * b[c].get(r, 0) for r, c, x in entries if c in b)
+                if symmetric:
+                    gram[q][p] = gram[p][q]
+        ech = Echelon()
+        if not all(ech.add(row) for row in gram):
+            return False
+    return True
 
-    def close() -> None:
-        while queue:
-            cand = queue.pop()
-            if ech.add(cand):
-                basis.append(cand)
-                queue.extend(_left_mul(s, cand, dim) for s in used)
 
-    close()
-    for s in m._table:
-        if ech.contains(_flat(s, dim)):
+# a sparse integer matrix: {row: {column: entry}} over its nonzero rows
+Sparse = dict[int, dict[int, int]]
+# a degree of `_grading`: one difference of labels per kept coordinate
+Degree = tuple[int, ...]
+
+
+def _grading(m: SuperModule) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """A label L(r) for each basis vector r of m, and the modulus of each
+    label coordinate (2 or 0 for the integers), such that each generator is
+    homogeneous: L(r) - L(c) is one degree on all its nonzero entries (r, c).
+    The degree of a position (r, c) is L(r) - L(c), coordinatewise modulo q.
+
+    The candidate coordinates are the parity, taken modulo 2, and the
+    diagonal of each generator that is diagonal.  A coordinate is kept when
+    every generator is homogeneous in it; a vector of differences is constant
+    iff each coordinate is, so the kept coordinates together grade every
+    generator.  Constant coordinates grade nothing and are dropped, so no
+    coordinate may be kept (the trivial grading, A in one piece)."""
+    table = m._table
+    candidates = [(m.parity, 2)] + [
+        (tuple(row[0][1] if row else 0 for row in rows), 0)
+        for rows in table if all(c == r for r, row in enumerate(rows) for c, _ in row)]
+    kept = [(label, q) for label, q in dict.fromkeys(candidates)
+            if len(set(label)) > 1 and all(_homogeneous(rows, label, q) for rows in table)]
+    labels = list(zip(*(label for label, _ in kept))) or [()] * m.dim
+    return labels, tuple(q for _, q in kept)
+
+
+def _homogeneous(rows: Rows, label: Sequence[int], q: int) -> bool:
+    """Whether label[r] - label[c] (modulo q, if q) is one value over the
+    nonzero entries (r, c) of the matrix with these rows."""
+    degrees = {label[r] - label[c] for r, row in enumerate(rows) for c, _ in row}
+    return len({x % q for x in degrees} if q else degrees) <= 1
+
+
+def _acting_algebra(m: SuperModule) -> tuple[dict[Degree, list[Sparse]], tuple[int, ...]]:
+    """A basis of the algebra A generated by m's action matrices and the
+    identity, split by the degrees of `_grading`: degree -> the basis
+    elements of that degree as sparse integer matrices (m's integer rows;
+    the scale D does not change A), and the moduli of the degree coordinates.
+
+    A is spanned by closing span{I} under left multiplication by a pruned
+    generating set S: a generator already in the span is skipped, the others
+    join S.  The final span contains I and every generator and is closed
+    under S, so it is A.  Every product is homogeneous, and the span found so
+    far is spanned by homogeneous elements, so a product lies in it iff it
+    lies in the span of its own piece: each degree keeps its own `Echelon`
+    over the positions of that degree.  The basis found is the one the
+    ungraded closure finds with the same last-in-first-out queue; with no
+    grading coordinate it is that closure.
+    """
+    labels, moduli = _grading(m)
+    # position (r, c) -> (its degree, its index among the positions of that degree)
+    where: list[list[tuple[Degree, int]]] = []
+    width: dict[Degree, int] = {}
+    for lr in labels:
+        row = []
+        for lc in labels:
+            d = tuple((a - b) % q if q else a - b for a, b, q in zip(lr, lc, moduli))
+            row.append((d, width.get(d, 0)))
+            width[d] = row[-1][1] + 1
+        where.append(row)
+
+    def vector(x: Sparse) -> tuple[Degree | None, list[int]]:
+        """x's degree (None for x = 0) and its entries at that degree's positions."""
+        d = next((where[r][c][0] for r, row in x.items() for c in row), None)
+        if d is None:
+            return None, []
+        v = [0] * width[d]
+        for r, row in x.items():
+            at = where[r]
+            for c, a in row.items():
+                v[at[c][1]] = a
+        return d, v
+
+    spans: defaultdict[Degree, Echelon] = defaultdict(Echelon)
+    pieces: defaultdict[Degree, list[Sparse]] = defaultdict(list)
+    basis: list[Sparse] = []
+
+    def add(x: Sparse) -> bool:
+        d, v = vector(x)
+        if d is None or not spans[d].add(v):
+            return False
+        pieces[d].append(x)
+        basis.append(x)
+        return True
+
+    add({r: {r: 1} for r in range(m.dim)})
+    used: list[Sparse] = []
+    for rows in m._table:
+        s = {r: dict(row) for r, row in enumerate(rows) if row}
+        d, v = vector(s)
+        if d is None or (d in spans and spans[d].contains(v)):
             continue
         used.append(s)
-        queue.extend(_left_mul(s, b, dim) for b in basis)
-        close()
-    n = len(basis)
-    support = [[(k, x) for k, x in enumerate(a) if x] for a in basis]
-    # tr(ab) = sum_k flat(a)[k] * flat(b^T)[k]
-    transposed = [[b[c * dim + r] for r in range(dim) for c in range(dim)] for b in basis]
-    gram = [[0] * n for _ in range(n)]
-    for p in range(n):
-        sup = support[p]
-        row = gram[p]
-        for q in range(p, n):
-            bt = transposed[q]
-            row[q] = gram[q][p] = sum(x * bt[k] for k, x in sup)
-    ech = Echelon()
-    return all(ech.add(row) for row in gram)
+        queue = [(s, b) for b in basis]
+        while queue:
+            t, b = queue.pop()
+            x = _left_mul(t, b)
+            if add(x):
+                queue.extend((u, x) for u in used)
+    return dict(pieces), moduli
 
 
 def _flat(rows: Rows, dim: int) -> list[int]:
@@ -351,16 +457,23 @@ def _flat(rows: Rows, dim: int) -> list[int]:
     return [x for row in rows for x in _dense(row, dim)]
 
 
-def _left_mul(s: Rows, b: list[int], dim: int) -> list[int]:
-    """Row-major s.b for s given by its sparse rows and b row-major: row r of
-    the product is the combination of the rows of b that row r of s names."""
-    out: list[int] = []
-    for entries in s:
-        acc = [0] * dim
-        for k, x in entries:
-            off = k * dim
-            acc = [a + x * y for a, y in zip(acc, b[off:off + dim])]
-        out.extend(acc)
+def _left_mul(s: Sparse, b: Sparse) -> Sparse:
+    """s.b: row r of the product is the combination of the rows of b that
+    row r of s names."""
+    out: Sparse = {}
+    for r, entries in s.items():
+        if len(entries) == 1:  # the common monomial row: no sums, no cancellation
+            (k, x), = entries.items()
+            if k in b:
+                out[r] = {c: x * y for c, y in b[k].items()}
+            continue
+        acc: dict[int, int] = {}
+        for k, x in entries.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
     return out
 
 

@@ -465,6 +465,8 @@ def test_factors_equal_the_full_closure_of_each_root_vector(spec):
         assert _same_span(full_closure(g, [u]), f)
     # and every factor holds a root vector
     assert all(any(f is home[0] for home in homes) for f in dec.ideals)
+    # the decomposition computes no factor center: directness forces it to be 0
+    assert [sub.center() for sub in dec.subalgebras] == [[] for _ in dec.ideals]
 
 
 # -- a toral Cartan that is not maximal -------------------------------------------------

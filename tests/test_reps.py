@@ -26,6 +26,7 @@ from superkit.reps import (
     trivial_module,
     validate_module,
 )
+from superkit.reps import _acting_algebra, _grading
 
 
 def unit_vec(g, name):
@@ -254,12 +255,26 @@ def test_conjugation_preserves_ds_dims():
 #
 # `_dense_is_semisimple_action` is the former implementation of
 # `is_semisimple_action`, kept here as an oracle: it closes the full generator
-# list under left multiplication with dense integer products and takes the rank
-# of the full, non-symmetric Gram matrix.
+# list under left multiplication with dense integer products, with no grading
+# (`_dense_algebra_basis`), and takes the rank of the full, non-symmetric Gram
+# matrix.
 
 def _dense_is_semisimple_action(mats, dim):
-    if dim == 0:
-        return True
+    return dim == 0 or _dense_trace_form_nondegenerate(_dense_algebra_basis(mats, dim))
+
+
+def _dense_trace_form_nondegenerate(basis):
+    n = len(basis)
+    gram = [[_dense_trace_prod(basis[p], basis[q]) for q in range(n)] for p in range(n)]
+    rank = _DenseIntEchelon()
+    for row in gram:
+        rank.add(row)
+    return len(rank.pivots) == n
+
+
+def _dense_algebra_basis(mats, dim):
+    """A basis of the algebra the matrices and the identity generate, as
+    dense integer matrices."""
     gens = [_dense_int_matrix(m) for m in mats]
     basis = []
     ech = _DenseIntEchelon()
@@ -271,12 +286,7 @@ def _dense_is_semisimple_action(mats, dim):
             basis.append(cand)
             for gmat in gens:
                 queue.append(_dense_int_mul(gmat, cand))
-    n = len(basis)
-    gram = [[_dense_trace_prod(basis[p], basis[q]) for q in range(n)] for p in range(n)]
-    rank = _DenseIntEchelon()
-    for row in gram:
-        rank.add(row)
-    return len(rank.pivots) == n
+    return basis
 
 
 def _dense_int_matrix(m):
@@ -336,12 +346,22 @@ def _reference_modules():
     for spec in ("gl:1:1", "sl:2:1", "gl:2:1", "osp1:1", "osp1:2",
                  "product:osp1:1,gl:1:1", "toy_odd_semisimple"):
         out.append((f"induced {spec}", induced_trivial(parse_family_spec(spec))))
-    for spec in ("sl:2:1", "gl:2:1"):
+    for spec in ("sl:2:1", "gl:2:1", "osp1:2"):
         out.append((f"adjoint {spec}", adjoint_module(parse_family_spec(spec))))
     for spec in ("osp1:1", "sl:2:1", "gl:2:1"):
         v = parse_family_spec(spec).faithful_rep
         out.append((f"defining*dual {spec}", tensor(v, dual(v))))
+    for spec in ("osp1:2", "gl:2:2"):
+        out.append((f"g1-as-g0 {spec}", _odd_part_as_even_module(parse_family_spec(spec))))
     return out
+
+
+def _odd_part_as_even_module(g):
+    """g1 as a g0-module, the module `is_quasireductive` tests: ad(e_i) for
+    even i, restricted to the odd basis vectors."""
+    ad, odd = adjoint_module(g).action, g.odd_indices
+    mats = [Matrix([[ad[i].data[r][c] for c in odd] for r in odd]) for i in g.even_indices]
+    return SuperModule([ODD] * len(odd), mats)
 
 
 def _generator_variants(mats, dim, rng):
@@ -373,22 +393,35 @@ def _random_parity_conjugate(m, rng):
     return conjugate(m, p)
 
 
+def _algebra_dim(m):
+    """dim A from the graded closure: the sizes of its pieces."""
+    return sum(len(part) for part in _acting_algebra(m)[0].values())
+
+
 def test_semisimple_action_matches_dense_reference():
     rng = random.Random(11)
     verdicts = {}
     for name, m in _reference_modules():
-        expected = _dense_is_semisimple_action(m.action, m.dim)
+        basis = _dense_algebra_basis(m.action, m.dim)
+        expected = _dense_trace_form_nondegenerate(basis)
         verdicts[name] = expected
+        assert is_module_semisimple(None, m) is expected, name
         assert is_semisimple_action(m.action, m.dim) is expected, name
+        assert _algebra_dim(m) == len(basis), name
         # each variant generates the same algebra, or a conjugate of it, so the
-        # reference verdict carries over
+        # reference verdict and dimension carry over
         variants = _generator_variants(m.action, m.dim, rng)
         variants["conjugate"] = _random_parity_conjugate(m, rng).action
         for kind, mats in variants.items():
             assert is_semisimple_action(mats, m.dim) is expected, (name, kind)
+            assert _algebra_dim(SuperModule(m.parity, mats)) == len(basis), (name, kind)
     # the ghost verdict: the induced module is semisimple exactly for osp types
     assert [n for n, v in verdicts.items() if n.startswith("induced") and v] == [
         "induced osp1:1", "induced osp1:2"]
+    # the odd part is a semisimple module over the even part, as
+    # `is_quasireductive` finds
+    for spec in ("osp1:2", "gl:2:2"):
+        assert verdicts[f"g1-as-g0 {spec}"] and parse_family_spec(spec).is_quasireductive()
 
 
 @pytest.mark.parametrize("mats, dim, expected", [
@@ -404,3 +437,73 @@ def test_semisimple_action_matches_dense_reference():
 def test_semisimple_action_edge_cases(mats, dim, expected):
     assert _dense_is_semisimple_action(mats, dim) is expected
     assert is_semisimple_action(mats, dim) is expected
+
+
+# -- the grading of the acting algebra ---------------------------------------------------------
+
+def _unit(dim, pairs):
+    m = Matrix.zeros(dim, dim)
+    for r, c in pairs:
+        m.data[r][c] = Q(1)
+    return m
+
+
+def _matches_dense_reference(m):
+    basis = _dense_algebra_basis(m.action, m.dim)
+    assert _algebra_dim(m) == len(basis)
+    verdict = is_module_semisimple(None, m)
+    assert verdict is _dense_trace_form_nondegenerate(basis)
+    return verdict
+
+
+def _diag(*entries):
+    return Matrix([[Q(x) if r == c else Q(0) for c in range(len(entries))]
+                   for r, x in enumerate(entries)])
+
+
+SHIFT, LOWER = _unit(3, [(0, 1), (1, 2)]), _unit(3, [(1, 0), (2, 1)])
+
+
+@pytest.mark.parametrize("mats, labels, expected", [
+    # diag(0, 0, 1) is not constant on the shift's entries (0, 1) and (1, 2);
+    # diag(0, 1, 2) is, and grades the algebra on its own
+    ([_diag(0, 1, 2), _diag(0, 0, 1), SHIFT], [(0,), (1,), (2,)], False),
+    ([_diag(0, 1, 2), _diag(0, 0, 1), SHIFT, LOWER], [(0,), (1,), (2,)], True),
+    # diag(0, 1) is not constant on E00 + E01: in one piece, E00 + E01 would
+    # read as E00, already in span{I, diag(0, 1)}
+    ([_diag(0, 1), _unit(2, [(0, 0), (0, 1)])], [(), ()], False),
+])
+def test_grading_drops_a_diagonal_that_breaks_homogeneity(mats, labels, expected):
+    m = SuperModule((EVEN,) * len(labels), mats)
+    assert _grading(m)[0] == labels
+    assert _matches_dense_reference(m) is expected
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([(0, 0), (0, 1)], True),    # an idempotent with an even and an odd entry
+    ([(0, 1), (0, 2)], False),   # square-zero, one odd and one even entry
+])
+def test_grading_drops_parity_when_a_generator_mixes_parities(pairs, expected):
+    m = SuperModule((EVEN, ODD, EVEN), [_unit(3, pairs), _unit(3, [(2, 2)])])
+    labels, moduli = _grading(m)
+    assert 2 not in moduli
+    assert _matches_dense_reference(m) is expected
+
+
+def test_grading_of_a_conjugate_keeps_only_parity():
+    o = build_osp1(1)
+    for m in (adjoint_module(o), induced_trivial(o)):
+        c = _random_parity_conjugate(m, random.Random(5))
+        # no diagonal coordinate survives the shears, the parity does
+        assert _grading(c)[1] == (2,)
+        assert set(_acting_algebra(c)[0]) == {(0,), (1,)}
+        assert _matches_dense_reference(c) is True
+
+
+def test_unpaired_piece_is_not_semisimple():
+    # diag(1, 0) grades E01 in degree 1, and nothing has degree -1
+    m = SuperModule((EVEN, EVEN), [_unit(2, [(0, 0)]), _unit(2, [(0, 1)])])
+    pieces, moduli = _acting_algebra(m)
+    assert moduli == (0,)
+    assert {d: len(part) for d, part in pieces.items()} == {(0,): 2, (1,): 1}
+    assert _matches_dense_reference(m) is False
