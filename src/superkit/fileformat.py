@@ -73,9 +73,10 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     """Parse an algebra file; returns (algebra, name, warnings).
 
     In strict mode a failed axiom check, a `rep` block whose matrices are
-    linearly dependent (a representation that is not faithful), or a `cartan`
-    line whose span is not abelian and self-centralizing in the even part,
-    raises ParseError; in lax mode these come back as warnings.
+    linearly dependent (a representation that is not faithful) or that
+    break the parity or representation law, or a `cartan` line whose span
+    is not abelian and self-centralizing in the even part, raises
+    ParseError; in lax mode these come back as warnings.
     """
     name = "algebra"
     labels: list[str] = []
@@ -156,6 +157,8 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
                                     rep.dim ** 2).rank < g.dim:
         refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
+    elif rep is not None and (law := validate_module(g, rep)):
+        refusals.append("rep: " + law[0])
     if cartan is not None and (problem := _cartan_problem(g)):
         refusals.append(f"line {cartan_line}: cartan {problem}")
     if strict and refusals:

@@ -7,11 +7,13 @@ vector in the semisimple-square cone (or, in a higher-dimensional odd root
 space, a rational isotropic combination, which squares to zero) is returned
 as a witness.  A zero-weight or higher-dimensional odd root space without
 one leaves the procedure inconclusive.  Otherwise every odd root space is
-one-dimensional with nonzero nilpotent square; the procedure then verifies that the odd part is a symplectic space
-whose squared bracket map is an isomorphism onto the even part, reconstructs
-the invariant symplectic form from the triple bracket, reduces it to a
-Darboux basis, and produces an explicit bracket-preserving isomorphism onto
-`build_osp1(n)`.
+one-dimensional with nonzero nilpotent square; the procedure then verifies
+that the squared bracket map of the odd part is onto the even part and
+reconstructs the invariant symplectic form from the triple bracket.  The
+weights force that form to pair each odd root only with its negative, so
+the opposite pairs map straight onto the family's a_i, b_i, the even part
+follows from the odd brackets, and an exact check that the map preserves
+every bracket makes it an explicit isomorphism onto `build_osp1(n)`.
 
 `g1ss_structural_scan` extends this to products of a center and simple
 ideals: it certifies that the semisimple-square cone is zero exactly when
@@ -51,6 +53,7 @@ from .linalg import (
     integer_vectors,
     is_zero_vec,
     kernel_of_rows,
+    rank,
     span_basis,
     vec,
     vec_add,
@@ -366,47 +369,6 @@ def _solve_binary_quadric(a: Vec, b: Vec, c: Vec, u: Vec, w: Vec) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
-# symplectic (Darboux) reduction
-# ---------------------------------------------------------------------------
-
-def darboux_basis(gram: Matrix) -> list[Vec] | None:
-    """Coordinates of a basis x_1..x_n, y_1..y_n with form(x_i, y_j) = delta_ij
-    for a nondegenerate alternating Gram matrix, or None if degenerate."""
-    m = gram.rows
-    if m % 2:
-        return None
-
-    def form(u: Vec, w: Vec) -> Fraction:
-        wz = [(c, b) for c, b in enumerate(w) if b]
-        return sum((a * sum((gram.data[r][c] * b for c, b in wz), Q(0))
-                    for r, a in enumerate(u) if a), Q(0))
-
-    remaining = [[Q(1) if r == t else Q(0) for r in range(m)] for t in range(m)]
-    xs: list[Vec] = []
-    ys: list[Vec] = []
-    while remaining:
-        u = remaining[0]
-        partner = next((w for w in remaining[1:] if form(u, w) != 0), None)
-        if partner is None:
-            return None
-        w = vec_scale(Q(1) / form(u, partner), partner)
-        xs.append(u)
-        ys.append(w)
-        projected = []
-        for x in remaining:
-            x2 = vec_add(x, vec_sub_scaled(u, w, form(w, x), form(u, x)))
-            if not is_zero_vec(x2):
-                projected.append(x2)
-        remaining = span_basis(projected)
-    return xs + ys
-
-
-def vec_sub_scaled(u: Vec, w: Vec, cu: Fraction, cw: Fraction) -> Vec:
-    """cu * u - cw * w."""
-    return [cu * a - cw * b for a, b in zip(u, w)]
-
-
-# ---------------------------------------------------------------------------
 # the classification procedure
 # ---------------------------------------------------------------------------
 
@@ -476,7 +438,33 @@ def classify_simple(g: LieSuperalgebra):
 
 def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusive:
     """Osp(n) with an explicit isomorphism, or Inconclusive with a reason,
-    for an algebra none of whose odd roots `odd_roots` yields a witness."""
+    for an algebra none of whose odd roots `odd_roots` yields a witness.
+
+    The odd roots are g's own: root vectors u_p of distinct weights a_p.
+    The checks after the onto test read the form beta off
+    [[u, u], w] = 2 beta(u, w) u and then rest on two facts.
+
+    * Support of the Gram rows.  Once the brackets [u_p, u_q] (p <= q) span
+      g0, the identity [[u, v], w] = beta(u, w) v + beta(v, w) u holds and
+      beta is alternating, every ad x with x in g0 acts on g1 as a sum of
+      maps w -> beta(u, w) v + beta(v, w) u, and those lie in sp(beta).  A
+      Cartan element t then gives (a_p + a_r)(t) beta(u_p, u_r) = 0, so row
+      p is zero off the one root opposite to a_p.  The radical of beta is
+      killed by all of g0, t among it, so it lies in a zero-weight odd root
+      space, which the first check refuses: the degeneracy test cannot fire
+      on g's own roots.  Each row of the nondegenerate beta thus has one
+      nonzero entry, and by alternation the partners form a fixed-point-free
+      involution: the opposite pairs `_build_osp_isomorphism` maps.
+    * Extension of isometries.  Every beta-isometry of g1 onto the family's
+      odd part extends to an isomorphism whenever one exists (see
+      `_build_osp_isomorphism`), so the map built from the pairs certifies
+      exactly the algebras that are osp(1|2n).
+
+    On a valid table two more checks cannot fail.  Alternation follows from
+    the identity, as Jacobi gives [[x, x], x] = 0, so beta(x, x) = 0.  Once
+    beta is nondegenerate, x -> ad x on g1 maps g0 = S^2 g1 onto sp(beta)
+    as a Lie algebra isomorphism, so g is osp(1|2n) and the map
+    intertwines.  On tables that break Jacobi these checks still refuse."""
     for r in odd_roots:
         if r.is_zero_weight:
             return Inconclusive(
@@ -500,11 +488,14 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
+    # the independent brackets (p, q, D [B_p, B_q]) of the vectors B = L u
     ints = _sparse_columns(odd_basis)[0]
-    pair_brackets = Echelon()
+    pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
-            pair_brackets.add(_dense(g._sparse_bracket(ints[p], ints[q]).items(), g.dim))
+            w = _dense(g._sparse_bracket(ints[p], ints[q]).items(), g.dim)
+            if pair_brackets.add(w):
+                spanning.append((p, q, w))
     if pair_brackets.rank != even_dim:
         return Inconclusive(
             "the squared bracket map on the odd part is not onto the even part"
@@ -514,81 +505,61 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive("the triple bracket is not of symplectic type")
     if not gram.add(gram.transpose()).is_zero():
         return Inconclusive("reconstructed form is not alternating")
-    dar = darboux_basis(gram)
-    if dar is None:
+    if rank(gram) < m:
         return Inconclusive("reconstructed form is degenerate")
-    phi = _build_osp_isomorphism(g, odd_basis, dar, n)
+    phi = _build_osp_isomorphism(g, odd_basis, gram, spanning, n)
     if phi is None:
         return Inconclusive("basis map construction failed to intertwine brackets")
     return Osp(n, phi)
 
 
-def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
-                           dar: list[Vec], n: int) -> Matrix | None:
-    """The basis map onto build_osp1(n) that sends the Darboux basis `dar`
-    of g's odd part (coordinates in `odd_basis`) to one of the family's, and
-    each even basis vector to the family element acting the same way on
-    the odd part; None unless it intertwines the brackets.
+def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], gram: Matrix,
+                           spanning: list[tuple[int, int, list[int]]], n: int) -> Matrix | None:
+    """The basis map onto build_osp1(n) that pairs the odd roots by beta =
+    `gram`, or None unless it intertwines the brackets.
+
+    For each pair p < r of opposite roots, in order, u_p goes to a_i and
+    u_r to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
+    [a_i, a_i] sends b_i to -2 a_i), so the odd map is a beta-isometry.  The
+    even map follows from the brackets `spanning`, (p, q, W) with W = D [B_p,
+    B_q] and B = L u a basis of g0: W goes to D L^2 [phi u_p, phi u_q].
+    The odd map sends a basis to a basis, so the even images span
+    [fam1, fam1] = fam0 and the map is bijective; the check below makes it
+    bracket-preserving.  It is the isomorphism whenever one exists: any isomorphism psi is a
+    beta-isometry on g1, the isometry phi psi^-1 of the family's odd part
+    extends to an automorphism as Sp(2n) acts on osp(1|2n), and an
+    isomorphism is fixed by its odd part as g0 = [g1, g1].
 
     The intertwining is checked on the basis pairs i <= j, on sparse integer
     columns.  That suffices: the map preserves parity, and both tables are
     super-antisymmetric (the family's by construction, g's checked here), so
     [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both sides."""
-    from .families import build_osp1
+    from .families import build_osp1, osp_odd_indices
+    # one nonzero entry per row on g's own roots (`_certify_osp`)
+    support = [[r for r, x in enumerate(row) if x] for row in gram.data]
+    if g._asymmetric_pairs() or any(len(s) != 1 for s in support):
+        return None
     fam = build_osp1(n)
-    fam_odd = [fam.basis_vector(i) for i in fam.odd_indices]
-    fam_gram = _extract_form(fam, fam_odd)
-    fam_dar = darboux_basis(fam_gram)
-    if fam_dar is None or g._asymmetric_pairs():
-        return None
-    # source and target Darboux vectors in full g and fam coordinates
-    odd_ints = integer_vectors(odd_basis)
-    src = [_combine(coeffs, *odd_ints) for coeffs in dar]
-    fam_ints = integer_vectors(fam_odd)
-    tgt = [_combine(coeffs, *fam_ints) for coeffs in fam_dar]
-    # odd map: express an odd vector in the source Darboux basis, push the
-    # coordinates onto the target Darboux basis
-    src_coordinates = coordinates_in(src)
-    tgt_coordinates = coordinates_in(tgt)
-    tgt_mat = Matrix.from_columns(tgt)
-
-    def phi_odd(v: Vec) -> Vec | None:
-        coords = src_coordinates(v)
-        if coords is None:
-            return None
-        return tgt_mat.matvec(coords)
-
-    # even map: match adjoint actions on the odd part in Darboux coordinates
-    src_ints = _sparse_columns(src)
-    tgt_ints = _sparse_columns(tgt)
-    fam_even = fam.even_indices
-    act_cols = []
-    for e in fam_even:
-        entries = _action_coordinates(fam, e, tgt_ints, tgt_coordinates)
-        if entries is None:
-            return None
-        act_cols.append(entries)
-    try:
-        act_coordinates = coordinates_in(act_cols)
-    except ValueError:  # fam's even part acting dependently on the odd part
-        return None
-
-    def phi_even(i: int) -> Vec | None:
-        entries = _action_coordinates(g, i, src_ints, src_coordinates)
-        sol = None if entries is None else act_coordinates(entries)
-        if sol is None:
-            return None
-        out = zero_vec(fam.dim)
-        for t, e in enumerate(fam_even):
-            out[e] = sol[t]
-        return out
-
+    odd_images: list[Vec] = [zero_vec(fam.dim)] * len(odd_basis)
+    pairs = [(p, s[0]) for p, s in enumerate(support) if p < s[0]]
+    for (p, r), a, b in zip(pairs, *osp_odd_indices(n)):
+        odd_images[p] = fam.basis_vector(a)
+        odd_images[r] = vec_scale(-gram.data[p][r], fam.basis_vector(b))
+    scale = g._den * _sparse_columns(odd_basis)[1] ** 2
+    even_images = [vec_scale(scale, fam.bracket(odd_images[p], odd_images[q]))
+                   for p, q, _ in spanning]
+    odd_coordinates = coordinates_in(odd_basis)
+    even_coordinates = coordinates_in([w for _, _, w in spanning])
+    odd_map = Matrix.from_columns(odd_images)
+    even_map = Matrix.from_columns(even_images)
     cols = []
     for i in range(g.dim):
-        img = phi_even(i) if g.parity[i] == EVEN else phi_odd(g.basis_vector(i))
-        if img is None:
+        coordinates, image = ((even_coordinates, even_map) if g.parity[i] == EVEN
+                              else (odd_coordinates, odd_map))
+        coords = coordinates(g.basis_vector(i))
+        if coords is None:
             return None
-        cols.append(img)
+        cols.append(image.matvec(coords))
     # exact intertwining check, in integers: with phi = Phi / L and
     # W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j] times
     # D_g D_fam L^2 reads L D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
@@ -611,23 +582,6 @@ def _sparse_columns(vectors: list[Vec]) -> tuple[list[list[tuple[int, int]]], in
     entry) pairs of L v, and L."""
     ints, den = integer_vectors(vectors)
     return [[(k, c) for k, c in enumerate(v) if c] for v in ints], den
-
-
-def _action_coordinates(g: LieSuperalgebra, i: int,
-                        vectors: tuple[list[list[tuple[int, int]]], int],
-                        coordinates) -> list[Fraction] | None:
-    """The coordinates of [e_i, w] for the vectors w = W / L of `vectors`
-    = (Ws as sparse columns, L), one block after the other, or None if one
-    lies outside the span."""
-    entries = []
-    ws, den = vectors
-    for w in ws:
-        coords = coordinates(_dense(g._sparse_bracket([(i, 1)], w).items(), g.dim),
-                             den * g._den)
-        if coords is None:
-            return None
-        entries.extend(coords)
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,19 @@ def test_unfaithful_rep_file_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+def test_lawless_rep_file_is_a_parse_error(tmp_path, capsys):
+    # B11 acts by diag(1, 2, 3): the rep stays injective, and classify used
+    # to certify a witness through it
+    text = serialize_algebra(build_osp1(1), "lawless-rep")
+    f = tmp_path / "lawless-rep.alg"
+    f.write_text(text.replace("repmat B11\n0 0 0\n0 0 1\n0 0 0\n",
+                              "repmat B11\n1 0 0\n0 2 0\n0 0 3\n"))
+    code, out = run(capsys, "classify", "--algebra", str(f))
+    assert (code, out) == (2, "parse error: rep: representation law: fails on pair (0,1)\n")
+    code, out = run(capsys, "check", "--algebra", str(f))
+    assert code == 1 and "INVALID" in out and "representation law" in out
+
+
 def test_verify_all_filter(capsys):
     code, out = run(capsys, "verify-all", "--filter", "splitting")
     assert code == 0

@@ -13,7 +13,7 @@ from superkit.fileformat import (
     serialize_module,
     serialize_supercomm,
 )
-from superkit.reps import induced_trivial
+from superkit.reps import induced_trivial, validate_module
 from superkit.roots import g1ss_structural_scan
 from superkit.supercomm import catalog_pairs
 
@@ -185,6 +185,25 @@ def zero_rep_text(g):
     text = serialize_algebra(g, "zero-rep")
     text = text[:text.index("\nrep ") + 1]
     return text + "rep even\n" + "".join(f"repmat {nm}\n0\n" for nm in g.names)
+
+
+def lawless_rep_text():
+    """osp(1|2) whose rep sends B11 to diag(1, 2, 3): still injective, but
+    no longer a representation."""
+    text = serialize_algebra(build_osp1(1), "lawless-rep")
+    i = text.index("repmat B11\n") + len("repmat B11\n")
+    j = text.index("repmat", i)
+    return text[:i] + "1 0 0\n0 2 0\n0 0 3\n" + text[j:]
+
+
+def test_rep_breaking_the_representation_law_is_rejected():
+    text = lawless_rep_text()
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert str(err.value) == "rep: representation law: fails on pair (0,1)"
+    g, _, warnings = parse_algebra(text, strict=False)
+    assert g.validate() == []
+    assert warnings == ["rep: " + validate_module(g, g.faithful_rep)[0]]
 
 
 def test_unfaithful_rep_is_rejected():

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from superkit.families import (
+    algebra_from_matrices,
     build_gl,
     build_osp1,
     build_product,
@@ -14,14 +15,14 @@ from superkit.families import (
     build_toy,
     parse_family_spec,
 )
-from superkit.linalg import Matrix, is_zero_vec, solve_linear, span_basis, zero_vec
+from superkit.linalg import Matrix, is_zero_vec, rank, solve_linear, span_basis, zero_vec
 from superkit.roots import (
     CartanSearchFailed,
+    Inconclusive,
     NonSemisimpleCartanAction,
     Osp,
     Witness,
     classify_simple,
-    darboux_basis,
     find_cartan,
     g1ss_structural_scan,
     isotropic_combination,
@@ -145,17 +146,25 @@ def test_find_cartan_fails_on_nilpotent_even_part():
 
 # -- the classification procedure --------------------------------------------------------
 
+def assert_intertwines(g, out):
+    """`out` is Osp(n) with an invertible basis map phi from g onto
+    build_osp1(n) and phi [e_i, e_j] = [phi e_i, phi e_j] on every pair."""
+    assert isinstance(out, Osp)
+    fam = build_osp1(out.n)
+    phi = out.basis_map
+    assert (phi.rows, phi.cols) == (fam.dim, g.dim) and rank(phi) == g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            assert phi.matvec(g.bracket_basis(i, j)) == fam.bracket(
+                phi.column(i), phi.column(j))
+
+
 def test_classify_osp_families():
     for n in (1, 2):
         g = build_osp1(n)
         out = classify_simple(g)
         assert isinstance(out, Osp) and out.n == n
-        phi = out.basis_map
-        fam = build_osp1(n)
-        for i in range(g.dim):
-            for j in range(g.dim):
-                assert phi.matvec(g.bracket_basis(i, j)) == fam.bracket(
-                    phi.column(i), phi.column(j))
+        assert_intertwines(g, out)
 
 
 def test_classify_sl21_returns_square_zero_witness():
@@ -199,7 +208,7 @@ def shuffled_osp(n, seed):
     return LieSuperalgebra(parity, table, None, faithful_rep=rep)
 
 
-@pytest.mark.parametrize("n,seed", [(1, 17), (1, 3), (2, 17), (2, 99)])
+@pytest.mark.parametrize("n,seed", [(1, 17), (1, 3), (2, 17), (2, 99), (3, 5)])
 def test_classify_handles_shuffled_presentation(n, seed):
     # no Cartan hint: the randomized search must cope with a permuted,
     # rescaled basis, and the returned map must intertwine exactly
@@ -207,12 +216,7 @@ def test_classify_handles_shuffled_presentation(n, seed):
     assert shuffled.validate() == []
     out = classify_simple(shuffled)
     assert isinstance(out, Osp) and out.n == n
-    fam = build_osp1(n)
-    phi = out.basis_map
-    for i in range(shuffled.dim):
-        for j in range(shuffled.dim):
-            assert phi.matvec(shuffled.bracket_basis(i, j)) == fam.bracket(
-                phi.column(i), phi.column(j))
+    assert_intertwines(shuffled, out)
 
 
 def test_classify_gl11_still_finds_witness():
@@ -249,36 +253,98 @@ def test_isotropic_combination_definite_has_no_rational_point():
     assert isotropic_combination(g, space) is None
 
 
-# -- Darboux reduction -------------------------------------------------------------------------
+# -- every refusal of the osp certificate -------------------------------------------
 
-def test_darboux_standard_form():
-    rng = random.Random(3)
-    for m in (2, 4, 6):
-        while True:
-            data = [[0] * m for _ in range(m)]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    data[i][j] = rng.randint(-3, 3)
-                    data[j][i] = -data[i][j]
-            gram = Matrix(data)
-            basis = darboux_basis(gram)
-            if basis is not None:
-                break
-        n = m // 2
+def chain_algebra(slopes, with_h=True):
+    """One block C^{2|1} (v0, v2 even, v1 odd) per slope s, with u_b: v0 ->
+    v1 -> v2 on block b and h = diag(0, s, 2s) on it: the span of h, the
+    x_b = u_b^2 and the u_b, with Cartan h (or of the x_b and u_b, with
+    Cartan x_0, without h).  Each u_b has weight s and a nilpotent square."""
+    d = 3 * len(slopes)
 
-        def form(u, w):
-            return sum(u[r] * sum(gram.data[r][c] * w[c] for c in range(m))
-                       for r in range(m))
+    def mat(entries):
+        m = Matrix.zeros(d, d)
+        for r, c, a in entries:
+            m.data[r][c] = Q(a)
+        return m
 
-        for i in range(n):
-            for j in range(n):
-                assert form(basis[i], basis[n + j]) == (1 if i == j else 0)
-                assert form(basis[i], basis[j]) == 0
-                assert form(basis[n + i], basis[n + j]) == 0
+    blocks = range(len(slopes))
+    h = [mat([(3 * b + k, 3 * b + k, k * s) for b, s in enumerate(slopes) for k in (1, 2)])]
+    squares = [mat([(3 * b + 2, 3 * b, 1)]) for b in blocks]
+    us = [mat([(3 * b + 1, 3 * b, 1), (3 * b + 2, 3 * b + 1, 1)]) for b in blocks]
+    evens = (h if with_h else []) + squares
+    names = ["h"] * with_h + [f"x{b}" for b in blocks] + [f"u{b}" for b in blocks]
+    return algebra_from_matrices(evens + us, [EVEN] * len(evens) + [ODD] * len(us),
+                                 [EVEN, ODD, EVEN] * len(slopes), names, cartan=[0])
 
 
-def test_darboux_rejects_degenerate():
-    assert darboux_basis(Matrix.zeros(2, 2)) is None
+@pytest.mark.parametrize("make,reason", [
+    (lambda: chain_algebra([1], with_h=False),
+     "zero-weight odd vector whose square is not semisimple"),
+    (lambda: chain_algebra([1, 1]),
+     "higher-dimensional odd root space with no rational square-zero combination"),
+    (lambda: chain_algebra([1]), "odd-dimensional odd part cannot be symplectic"),
+    (lambda: build_product([build_gl(1, 0), build_osp1(1)]),
+     "even part has dimension 4, expected 3"),
+    (lambda: chain_algebra([1, -1]),
+     "the squared bracket map on the odd part is not onto the even part"),
+], ids=["zero-weight", "root-space-dim-2", "odd-dim", "even-dim", "not-onto"])
+def test_classify_simple_refusals_on_valid_algebras(make, reason):
+    g = make()
+    assert g.validate() == []
+    assert classify_simple(g) == Inconclusive(reason)
+
+
+def odd_pair_algebra(actions, even_brackets=()):
+    """Basis x1, y, x2 even and u1, u2 odd with [u1,u1] = x1, [u1,u2] = y,
+    [u2,u2] = x2.  `actions` maps an even index to the 2x2 matrix of its
+    bracket with the odd part (columns: images of u1, u2), and
+    `even_brackets` lists ((a, b), {k: c}) for [e_a, e_b]; the other even
+    brackets vanish.  Not a Lie superalgebra unless the actions and the even
+    brackets fit together."""
+    table = {(3, 3): {0: Q(1)}, (3, 4): {1: Q(1)}, (4, 3): {1: Q(1)}, (4, 4): {2: Q(1)}}
+    for x, m in actions.items():
+        for c in range(2):
+            col = {3 + r: Q(m[r][c]) for r in range(2) if m[r][c]}
+            table[(x, 3 + c)] = col
+            table[(3 + c, x)] = {k: -v for k, v in col.items()}
+    for (a, b), col in even_brackets:
+        table[(a, b)] = {k: Q(v) for k, v in col.items()}
+        table[(b, a)] = {k: -Q(v) for k, v in col.items()}
+    return LieSuperalgebra([EVEN] * 3 + [ODD] * 2, table, ["x1", "y", "x2", "u1", "u2"])
+
+
+# osp(1|2) in this presentation: beta(u1, u2) = 1, and x -> ad x on the odd
+# part is w -> beta(u, w) v + beta(v, w) u for x = [u, v]; y acts diagonally
+_OSP_ACTIONS = {0: [[0, 2], [0, 0]], 1: [[-1, 0], [0, 1]], 2: [[0, 0], [-2, 0]]}
+_SL2 = [((0, 2), {1: 4}), ((1, 0), {0: -2}), ((1, 2), {2: 2})]
+
+
+@pytest.mark.parametrize("actions,even_brackets,cartan,reason", [
+    # [[u2, u2], u1] is 0 instead of -2 u2, so the identity fails at (u1, u2, u2)
+    ({0: [[2, 0], [0, 0]], 1: [[0, 0], [0, 0]], 2: [[0, 0], [0, 2]]}, (), [Q(1, 2), 0, Q(-1, 2)],
+     "the triple bracket is not of symplectic type"),
+    # the identity holds for the symmetric form beta(u_p, u_r) = delta_pr
+    ({0: [[2, 0], [0, 0]], 1: [[0, 1], [1, 0]], 2: [[0, 0], [0, 2]]}, (), [Q(1, 2), 0, Q(-1, 2)],
+     "reconstructed form is not alternating"),
+    # osp(1|2)'s odd brackets with an abelian even part
+    (_OSP_ACTIONS, (), [0, 1, 0], "basis map construction failed to intertwine brackets"),
+    (_OSP_ACTIONS, _SL2, [0, 1, 0], None),
+], ids=["not-symplectic-type", "not-alternating", "not-intertwined", "osp(1|2)"])
+def test_certify_osp_refusals_on_tables_that_break_jacobi(actions, even_brackets, cartan, reason):
+    """The checks after the onto test cannot fail on a valid table (see
+    `roots._certify_osp`); on tables that break the Jacobi identity they
+    still refuse, on the odd roots of the table's own root decomposition."""
+    from superkit.roots import _certify_osp
+    g = odd_pair_algebra(actions, even_brackets)
+    assert (g.validate() == []) == (reason is None)
+    odd_roots = root_decomposition(g, [cartan + [0, 0]]).odd_roots()
+    assert [len(r.space) for r in odd_roots] == [1, 1]
+    out = _certify_osp(g, odd_roots)
+    if reason is None:
+        assert_intertwines(g, out)
+    else:
+        assert out == Inconclusive(reason)
 
 
 # -- structural scan ---------------------------------------------------------------------------
@@ -392,12 +458,13 @@ def _same_span(a, b):
 @pytest.mark.parametrize("make", [
     lambda: parse_family_spec("product:osp1:1,osp1:2"),
     lambda: parse_family_spec("product:gl:1:0,osp1:1,osp1:2"),
+    lambda: parse_family_spec("product:osp1:1,osp1:1,osp1:1"),
     lambda: _cartanless("product:osp1:1,osp1:2"),
-], ids=["product", "product-with-center", "product-without-cartan"])
+], ids=["product", "product-with-center", "product-of-three", "product-without-cartan"])
 def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, make):
     from superkit import roots
     g = make()
-    decompositions, subs = [], []
+    decompositions, subs, outcomes = [], [], []
     decompose, certify = LieSuperalgebra.direct_sum_decompose, roots._certify_osp
 
     def spy_decompose(self):
@@ -406,13 +473,17 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
 
     def spy_certify(sub, odd_roots):
         subs.append(sub)
-        return certify(sub, odd_roots)
+        outcomes.append(certify(sub, odd_roots))
+        return outcomes[-1]
 
     monkeypatch.setattr(LieSuperalgebra, "direct_sum_decompose", spy_decompose)
     monkeypatch.setattr(roots, "_certify_osp", spy_certify)
     assert g1ss_structural_scan(g).witness is None
     (dec,) = decompositions
     assert [sub.dim for sub in subs] == [len(f) for f in dec.ideals]
+    # each factor's basis map is an isomorphism onto its family
+    for sub, out in zip(subs, outcomes):
+        assert_intertwines(sub, out)
     # the oracle: project g's Cartan onto each factor by a fresh solve and
     # decompose the factor again
     full = Matrix.from_columns(dec.center + [v for f in dec.ideals for v in f])
