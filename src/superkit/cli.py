@@ -4,8 +4,9 @@ Verbs: check, classify, ghost, ds, witness-splitting, modcheck, verify-all.
 Inputs come either from `--family SPEC` (gl:1:1, sl:2:1, osp1:2,
 toy_odd_semisimple, product:osp1:1,osp1:2) or from `--algebra FILE` in the
 structured text format of `fileformat`.  A file with axiom violations is
-refused unless `--lax` is given (classify, ghost, ds, modcheck); `check`
-always reports the violations instead, so it has no `--lax`.  All output is
+refused unless `--lax` is given (classify, ghost, ds, modcheck), which
+prints each violation on stderr; `check` always reports the violations
+instead, so it has no `--lax`.  All output is
 human-readable by default and machine-readable with `--json`.  The
 environment variable SUPERKIT_SEED, or `verify-all --seed`, seeds the
 randomized suites of `verify-all`; the Cartan search behind `classify`
@@ -13,10 +14,11 @@ always uses a fixed seed.
 
 Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
 or input error, 3 a semisimple-square witness was found (classify), 4
-inconclusive: a classification that cannot be certified (classify), or a
-ghost quotient with more weight-zero subsets than
-`enveloping.WEIGHT_ZERO_BUDGET` (ghost; the count is reported), 5 the
-supplied odd element is outside the cone (ds).
+inconclusive: a classification that cannot be certified (classify), a
+`--lax` file whose `rep` is not a faithful representation, through which
+every cone test would run (classify, ds), or a ghost quotient with more
+weight-zero subsets than `enveloping.WEIGHT_ZERO_BUDGET` (ghost; the count
+is reported), 5 the supplied odd element is outside the cone (ds).
 """
 
 from __future__ import annotations
@@ -69,17 +71,32 @@ def _default_seed() -> int:
 
 def _load_algebra(args, lax: bool = False) -> tuple[LieSuperalgebra, list[str] | None]:
     """The algebra of --family or --algebra, with the file parser's warnings
-    (its axiom violations and an unfaithful rep), or None for a family spec,
-    which is not validated.  A file with violations is refused unless `lax`
-    or --lax is given."""
+    (its axiom violations and an unfaithful or lawless rep), or None for a
+    family spec, which is not validated.  A file with violations is refused
+    unless `lax` or --lax is given; under --lax each one goes to stderr."""
     if getattr(args, "family", None):
         return parse_family_spec(args.family), None
     if getattr(args, "algebra", None):
         with open(args.algebra, "r", encoding="utf-8") as fh:
             text = fh.read()
-        g, _, warnings = parse_algebra(text, strict=not (lax or getattr(args, "lax", False)))
+        flag = getattr(args, "lax", False)
+        g, _, warnings = parse_algebra(text, strict=not (lax or flag))
+        if flag:
+            for w in warnings:
+                print(f"warning: {w}", file=sys.stderr)
         return g, warnings
     raise ParseError("provide --family SPEC or --algebra FILE")
+
+
+def _rep_warning(warnings: list[str] | None) -> str | None:
+    """The parser's warning that the `rep` block is not a faithful
+    representation, or None: the cone test `in_g1ss` runs through it."""
+    return next((w for w in warnings or () if w.startswith("rep: ")), None)
+
+
+def _inconclusive(args, reason: str) -> int:
+    _emit(args, {"outcome": "inconclusive", "reason": reason}, f"Inconclusive: {reason}")
+    return EXIT_INCONCLUSIVE
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -167,16 +184,16 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        g, _ = _load_algebra(args)
+        g, warnings = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
+    if reason := _rep_warning(warnings):
+        return _inconclusive(args, reason)
     try:
         report = g1ss_structural_scan(g)
     except (NotSemisimpleStructure, ClassificationInconclusive, SuperkitError) as exc:
-        _emit(args, {"outcome": "inconclusive", "reason": str(exc)},
-              f"Inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
+        return _inconclusive(args, str(exc))
     witness = report.witness
     if witness is not None:
         payload = {"outcome": "witness", "coordinates": [str(c) for c in witness],
@@ -256,7 +273,7 @@ def _resolve_module(args, g: LieSuperalgebra, spec: str):
 
 def cmd_ds(args) -> int:
     try:
-        g, _ = _load_algebra(args)
+        g, warnings = _load_algebra(args)
         if g.faithful_rep is None:
             raise ParseError("algebra has no faithful representation (rep block), "
                              "which the cone test needs")
@@ -268,6 +285,8 @@ def cmd_ds(args) -> int:
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
+    if reason := _rep_warning(warnings):
+        return _inconclusive(args, reason)
     try:
         if n is not None:
             report = ds_tensor_check(g, u, m, n)

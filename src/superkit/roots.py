@@ -8,12 +8,13 @@ space, a rational isotropic combination, which squares to zero) is returned
 as a witness.  A zero-weight or higher-dimensional odd root space without
 one leaves the procedure inconclusive.  Otherwise every odd root space is
 one-dimensional with nonzero nilpotent square; the procedure then verifies
-that the squared bracket map of the odd part is onto the even part and
-reconstructs the invariant symplectic form from the triple bracket.  The
-weights force that form to pair each odd root only with its negative, so
-the opposite pairs map straight onto the family's a_i, b_i, the even part
-follows from the odd brackets, and an exact check that the map preserves
-every bracket makes it an explicit isomorphism onto `build_osp1(n)`.
+that the squared bracket map of the odd part is onto the even part, pairs
+each odd root u with the root w of opposite weight, and reads the one
+scalar beta(u, w) of the pair off [[u, u], w] = 2 beta(u, w) u.  The pairs
+map straight onto the family's a_i, b_i, the even part follows from the
+odd brackets, and an exact check that the map preserves every bracket makes
+it an explicit isomorphism onto `build_osp1(n)`.  That check is the
+certificate; the steps before it only build the map.
 
 `g1ss_structural_scan` extends this to products of a center and simple
 ideals: it certifies that the semisimple-square cone is zero exactly when
@@ -53,7 +54,6 @@ from .linalg import (
     integer_vectors,
     is_zero_vec,
     kernel_of_rows,
-    rank,
     span_basis,
     vec,
     vec_add,
@@ -372,50 +372,6 @@ def _solve_binary_quadric(a: Vec, b: Vec, c: Vec, u: Vec, w: Vec) -> Vec | None:
 # the classification procedure
 # ---------------------------------------------------------------------------
 
-def _extract_form(g: LieSuperalgebra, odd_basis: list[Vec]) -> Matrix | None:
-    """Reconstruct the symplectic form beta on the odd part from the triple
-    bracket via [[u, u], w] = 2 beta(u, w) u, then verify the two-variable
-    identity [[u, v], w] = beta(u, w) v + beta(v, w) u on all triples.
-
-    Works on the integer vectors B = L b of the basis over one common
-    denominator L, as sparse columns: [[B_p, B_q], B_r] is D^2 L^3 times the
-    triple bracket.  The basis is independent, so [[u, u], w] has zero
-    coordinates off u exactly when it lies on the line of u.  The identity
-    is checked for p <= q: both sides are symmetric in u and v, the left
-    because [u, v] = [v, u] for odd u, v by the super-antisymmetry of g's
-    table."""
-    m = len(odd_basis)
-    items, den = _sparse_columns(odd_basis)
-    cols = [dict(b) for b in items]
-    scale = g._den ** 2 * den ** 3
-    gram = Matrix.zeros(m, m)
-    for p in range(m):
-        upp = list(g._sparse_bracket(items[p], items[p]).items())
-        for r in range(m):
-            # [[B_p, B_p], B_r] = ratio B_p, so its coordinate at b_p is
-            # ratio L / scale
-            ratio = _proportion(g._sparse_bracket(upp, items[r]), cols[p])
-            if ratio is None:
-                return None
-            gram.data[p][r] = ratio * den / (2 * scale)
-    # beta = G / e over one common denominator e; the identity times
-    # e D^2 L^3 reads [[B_p, B_q], B_r] e = (G[p][r] B_q + G[q][r] B_p) D^2 L^2
-    form, e = integer_vectors(gram.data)
-    lift = g._den ** 2 * den ** 2
-    for p in range(m):
-        for q in range(p, m):
-            upq = list(g._sparse_bracket(items[p], items[q]).items())
-            for r in range(m):
-                a, b = form[p][r] * lift, form[q][r] * lift
-                rhs = {i: a * y for i, y in items[q]}
-                for i, z in items[p]:
-                    rhs[i] = rhs.get(i, 0) + b * z
-                t = g._sparse_bracket(upq, items[r])
-                if {i: x * e for i, x in t.items()} != {i: x for i, x in rhs.items() if x}:
-                    return None
-    return gram
-
-
 def classify_simple(g: LieSuperalgebra):
     """Decision procedure for a simple quasireductive algebra with nonzero odd
     part: returns Osp(n) with an explicit isomorphism, a Witness in the
@@ -440,31 +396,30 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     """Osp(n) with an explicit isomorphism, or Inconclusive with a reason,
     for an algebra none of whose odd roots `odd_roots` yields a witness.
 
-    The odd roots are g's own: root vectors u_p of distinct weights a_p.
-    The checks after the onto test read the form beta off
-    [[u, u], w] = 2 beta(u, w) u and then rest on two facts.
+    The odd roots are g's own: root vectors u_p, one per weight a_p, the
+    weights distinct.  After the cheap refusals and the onto test, which
+    keeps a basis of g0 among the brackets [u_p, u_q], `_opposite_pairs`
+    pairs each root with the root of opposite weight and reads the scalar
+    beta(u_p, u_q) off [[u_p, u_p], u_q] = 2 beta(u_p, u_q) u_p.  These steps
+    only build the map; the exact check in `_build_osp_isomorphism`
+    certifies it.
 
-    * Support of the Gram rows.  Once the brackets [u_p, u_q] (p <= q) span
-      g0, the identity [[u, v], w] = beta(u, w) v + beta(v, w) u holds and
-      beta is alternating, every ad x with x in g0 acts on g1 as a sum of
-      maps w -> beta(u, w) v + beta(v, w) u, and those lie in sp(beta).  A
-      Cartan element t then gives (a_p + a_r)(t) beta(u_p, u_r) = 0, so row
-      p is zero off the one root opposite to a_p.  The radical of beta is
-      killed by all of g0, t among it, so it lies in a zero-weight odd root
-      space, which the first check refuses: the degeneracy test cannot fire
-      on g's own roots.  Each row of the nondegenerate beta thus has one
-      nonzero entry, and by alternation the partners form a fixed-point-free
-      involution: the opposite pairs `_build_osp_isomorphism` maps.
-    * Extension of isometries.  Every beta-isometry of g1 onto the family's
-      odd part extends to an isomorphism whenever one exists (see
-      `_build_osp_isomorphism`), so the map built from the pairs certifies
-      exactly the algebras that are osp(1|2n).
+    * Soundness.  No weight is zero (the first check), every root has its
+      opposite and the weights are distinct, so the pairing is a perfect
+      matching of the odd basis; with each beta nonzero the odd map sends a
+      basis to a basis.  The exact check makes the map bracket-preserving,
+      so the images of the brackets that span g0 span [fam1, fam1] = fam0,
+      and the map is bijective.
+    * Completeness.  On osp(1|2n) the invariant symplectic form beta obeys
+      [[u, u], w] = 2 beta(u, w) u, and a Cartan element t gives
+      (a_p + a_q)(t) beta(u_p, u_q) = 0: beta pairs each root only with its
+      opposite, so by nondegeneracy every root has one, with beta nonzero.
+      The built map is then a beta-isometry of the odd parts, and every such
+      isometry extends to an isomorphism (see `_build_osp_isomorphism`).
 
-    On a valid table two more checks cannot fail.  Alternation follows from
-    the identity, as Jacobi gives [[x, x], x] = 0, so beta(x, x) = 0.  Once
-    beta is nondegenerate, x -> ad x on g1 maps g0 = S^2 g1 onto sp(beta)
-    as a Lie algebra isomorphism, so g is osp(1|2n) and the map
-    intertwines.  On tables that break Jacobi these checks still refuse."""
+    On tables that break Jacobi the pairing can fail (a root without an
+    opposite, a zero beta, [[u_p, u_p], u_q] off the line of u_p) and is
+    refused; whatever it builds, only the exact check certifies."""
     for r in odd_roots:
         if r.is_zero_weight:
             return Inconclusive(
@@ -489,7 +444,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
     # the independent brackets (p, q, D [B_p, B_q]) of the vectors B = L u
-    ints = _sparse_columns(odd_basis)[0]
+    ints, den = _sparse_columns(odd_basis)
     pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
@@ -500,51 +455,73 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             "the squared bracket map on the odd part is not onto the even part"
         )
-    gram = _extract_form(g, odd_basis)
-    if gram is None:
-        return Inconclusive("the triple bracket is not of symplectic type")
-    if not gram.add(gram.transpose()).is_zero():
-        return Inconclusive("reconstructed form is not alternating")
-    if rank(gram) < m:
-        return Inconclusive("reconstructed form is degenerate")
-    phi = _build_osp_isomorphism(g, odd_basis, gram, spanning, n)
+    pairs = _opposite_pairs(g, odd_roots, ints, den)
+    if pairs is None:
+        return Inconclusive(
+            "the odd roots do not pair off by opposite weights with a nonzero form"
+        )
+    phi = _build_osp_isomorphism(g, odd_basis, pairs, spanning, n)
     if phi is None:
         return Inconclusive("basis map construction failed to intertwine brackets")
     return Osp(n, phi)
 
 
-def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], gram: Matrix,
-                           spanning: list[tuple[int, int, list[int]]], n: int) -> Matrix | None:
-    """The basis map onto build_osp1(n) that pairs the odd roots by beta =
-    `gram`, or None unless it intertwines the brackets.
+def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
+                    items: list[list[tuple[int, int]]],
+                    den: int) -> list[tuple[int, int, Fraction]] | None:
+    """The triples (p, q, beta(u_p, u_q)), p < q, in the order of p, that pair
+    each 1-dimensional odd root u_p with the root u_q of opposite weight;
+    beta is read off [[u_p, u_p], u_q] = 2 beta(u_p, u_q) u_p.  None when a
+    root has no opposite, or a beta is zero or off the line of u_p.
 
-    For each pair p < r of opposite roots, in order, u_p goes to a_i and
-    u_r to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
+    `items` are the root vectors over one common denominator L = `den`, as
+    `_sparse_columns` gives them: B = L u.  [[B_p, B_p], B_q] is D^2 L^3
+    times the double bracket, so its ratio to B_p is 2 beta D^2 L^2."""
+    index = {r.weight: p for p, r in enumerate(odd_roots)}
+    pairs = []
+    for p, r in enumerate(odd_roots):
+        q = index.get(tuple(-a for a in r.weight))
+        if q is None:
+            return None
+        if q < p:
+            continue
+        upp = list(g._sparse_bracket(items[p], items[p]).items())
+        ratio = _proportion(g._sparse_bracket(upp, items[q]), dict(items[p]))
+        if not ratio:
+            return None
+        pairs.append((p, q, ratio / (2 * (g._den * den) ** 2)))
+    return pairs
+
+
+def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
+                           pairs: list[tuple[int, int, Fraction]],
+                           spanning: list[tuple[int, int, list[int]]], n: int) -> Matrix | None:
+    """The basis map onto build_osp1(n) given by the opposite pairs `pairs`,
+    or None unless it intertwines the brackets.
+
+    For each pair (p, r, beta(u_p, u_r)), in order, u_p goes to a_i and u_r
+    to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
     [a_i, a_i] sends b_i to -2 a_i), so the odd map is a beta-isometry.  The
     even map follows from the brackets `spanning`, (p, q, W) with W = D [B_p,
     B_q] and B = L u a basis of g0: W goes to D L^2 [phi u_p, phi u_q].
-    The odd map sends a basis to a basis, so the even images span
-    [fam1, fam1] = fam0 and the map is bijective; the check below makes it
-    bracket-preserving.  It is the isomorphism whenever one exists: any isomorphism psi is a
-    beta-isometry on g1, the isometry phi psi^-1 of the family's odd part
-    extends to an automorphism as Sp(2n) acts on osp(1|2n), and an
-    isomorphism is fixed by its odd part as g0 = [g1, g1].
+    The check below makes the map bracket-preserving.  It is the isomorphism
+    whenever one exists: any isomorphism psi is a beta-isometry on g1, the
+    isometry phi psi^-1 of the family's odd part extends to an automorphism
+    as Sp(2n) acts on osp(1|2n), and an isomorphism is fixed by its odd part
+    as g0 = [g1, g1].
 
     The intertwining is checked on the basis pairs i <= j, on sparse integer
     columns.  That suffices: the map preserves parity, and both tables are
     super-antisymmetric (the family's by construction, g's checked here), so
     [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both sides."""
     from .families import build_osp1, osp_odd_indices
-    # one nonzero entry per row on g's own roots (`_certify_osp`)
-    support = [[r for r, x in enumerate(row) if x] for row in gram.data]
-    if g._asymmetric_pairs() or any(len(s) != 1 for s in support):
+    if g._asymmetric_pairs():
         return None
     fam = build_osp1(n)
     odd_images: list[Vec] = [zero_vec(fam.dim)] * len(odd_basis)
-    pairs = [(p, s[0]) for p, s in enumerate(support) if p < s[0]]
-    for (p, r), a, b in zip(pairs, *osp_odd_indices(n)):
+    for (p, r, beta), a, b in zip(pairs, *osp_odd_indices(n)):
         odd_images[p] = fam.basis_vector(a)
-        odd_images[r] = vec_scale(-gram.data[p][r], fam.basis_vector(b))
+        odd_images[r] = vec_scale(-beta, fam.basis_vector(b))
     scale = g._den * _sparse_columns(odd_basis)[1] ** 2
     even_images = [vec_scale(scale, fam.bracket(odd_images[p], odd_images[q]))
                    for p, q, _ in spanning]

@@ -391,6 +391,44 @@ def test_lawless_rep_file_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and "INVALID" in out and "representation law" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["ds", "--u", "a1", "--module", "trivial"],
+], ids=["classify", "ds"])
+def test_lax_lawless_rep_is_inconclusive(tmp_path, capsys, argv):
+    # every cone test runs through the rep: under --lax, classify used to
+    # certify the witness a1 of osp(1|2), whose cone is zero, and exit 3
+    text = serialize_algebra(build_osp1(1), "lawless-rep")
+    f = tmp_path / "lawless-rep.alg"
+    f.write_text(text.replace("repmat B11\n0 0 0\n0 0 1\n0 0 0\n",
+                              "repmat B11\n1 0 0\n0 2 0\n0 0 3\n"))
+    reason = "rep: representation law: fails on pair (0,1)"
+    assert main([argv[0], "--lax", "--algebra", str(f), *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == f"Inconclusive: {reason}\n"
+    assert captured.err == f"warning: {reason}\n"
+    assert main(["--json", argv[0], "--lax", "--algebra", str(f), *argv[1:]]) == 4
+    assert json.loads(capsys.readouterr().out) == {"outcome": "inconclusive", "reason": reason}
+
+
+def test_lax_prints_each_parser_warning_on_stderr(tmp_path, capsys):
+    # a file that breaks Jacobi and has no rep: ghost runs under --lax and
+    # names every violation on stderr, while stdout keeps its shape
+    text = serialize_algebra(build_osp1(1), "broken")
+    text = text[:text.index("rep ")].replace("bracket a1 a1 B11 -2\n", "bracket a1 a1 B11 -3\n")
+    f = tmp_path / "broken.alg"
+    f.write_text(text)
+    code, out = run(capsys, "ghost", "--algebra", str(f))
+    assert code == 2 and out.startswith("parse error: axiom violations: ")
+    from superkit.fileformat import parse_algebra
+    warnings = parse_algebra(text, strict=False)[2]
+    assert warnings
+    main(["ghost", "--lax", "--algebra", str(f)])
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
+    assert captured.out.startswith("invariant dimension: ")
+
+
 def test_verify_all_filter(capsys):
     code, out = run(capsys, "verify-all", "--filter", "splitting")
     assert code == 0

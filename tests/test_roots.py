@@ -320,21 +320,29 @@ _OSP_ACTIONS = {0: [[0, 2], [0, 0]], 1: [[-1, 0], [0, 1]], 2: [[0, 0], [-2, 0]]}
 _SL2 = [((0, 2), {1: 4}), ((1, 0), {0: -2}), ((1, 2), {2: 2})]
 
 
+_NO_PAIRING = "the odd roots do not pair off by opposite weights with a nonzero form"
+
+
 @pytest.mark.parametrize("actions,even_brackets,cartan,reason", [
     # [[u2, u2], u1] is 0 instead of -2 u2, so the identity fails at (u1, u2, u2)
     ({0: [[2, 0], [0, 0]], 1: [[0, 0], [0, 0]], 2: [[0, 0], [0, 2]]}, (), [Q(1, 2), 0, Q(-1, 2)],
-     "the triple bracket is not of symplectic type"),
+     _NO_PAIRING),
     # the identity holds for the symmetric form beta(u_p, u_r) = delta_pr
     ({0: [[2, 0], [0, 0]], 1: [[0, 1], [1, 0]], 2: [[0, 0], [0, 2]]}, (), [Q(1, 2), 0, Q(-1, 2)],
-     "reconstructed form is not alternating"),
+     _NO_PAIRING),
+    # y acts by diag(1, 2): the odd weights 1 and 2 have no opposites
+    ({1: [[1, 0], [0, 2]]}, (), [0, 1, 0], _NO_PAIRING),
+    # osp(1|2)'s actions but x1 acts by 0: [[u1, u1], u2] = 0, a zero beta
+    ({**_OSP_ACTIONS, 0: [[0, 0], [0, 0]]}, _SL2, [0, 1, 0], _NO_PAIRING),
     # osp(1|2)'s odd brackets with an abelian even part
     (_OSP_ACTIONS, (), [0, 1, 0], "basis map construction failed to intertwine brackets"),
     (_OSP_ACTIONS, _SL2, [0, 1, 0], None),
-], ids=["not-symplectic-type", "not-alternating", "not-intertwined", "osp(1|2)"])
+], ids=["not-symplectic-type", "not-alternating", "no-opposite", "zero-beta",
+        "not-intertwined", "osp(1|2)"])
 def test_certify_osp_refusals_on_tables_that_break_jacobi(actions, even_brackets, cartan, reason):
-    """The checks after the onto test cannot fail on a valid table (see
-    `roots._certify_osp`); on tables that break the Jacobi identity they
-    still refuse, on the odd roots of the table's own root decomposition."""
+    """On a valid table the pairing cannot fail (see `roots._certify_osp`);
+    on tables that break the Jacobi identity the pairing or the exact check
+    refuses, on the odd roots of the table's own root decomposition."""
     from superkit.roots import _certify_osp
     g = odd_pair_algebra(actions, even_brackets)
     assert (g.validate() == []) == (reason is None)
@@ -345,6 +353,43 @@ def test_certify_osp_refusals_on_tables_that_break_jacobi(actions, even_brackets
         assert_intertwines(g, out)
     else:
         assert out == Inconclusive(reason)
+
+
+
+def test_certify_osp_refuses_swapped_partners(monkeypatch):
+    """The pairing only builds the map: with two partners swapped the odd
+    map is still a bijection, and the exact intertwining check refuses."""
+    from superkit import roots
+    pairing = roots._opposite_pairs
+
+    def swapped(*args):
+        (p, q, a), (r, s, b), *rest = pairing(*args)
+        return [(p, s, a), (r, q, b), *rest]
+
+    g = build_osp1(2)
+    odd_roots = g._root_datum().odd_roots()
+    assert isinstance(roots._certify_osp(g, odd_roots), Osp)
+    monkeypatch.setattr(roots, "_opposite_pairs", swapped)
+    assert roots._certify_osp(g, odd_roots) == Inconclusive(
+        "basis map construction failed to intertwine brackets")
+
+
+def test_basis_maps_match_the_recorded_isomorphisms():
+    """`classify_simple`'s basis maps, recorded in
+    `tests/data/osp_basis_maps.json` as rows of Fractions, for family specs
+    and for files without a `cartan` line (whose Cartan is searched for).
+    The isomorphism is a certificate the CLI never prints; refactors of the
+    classification must leave it unchanged."""
+    import json
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "data" / "osp_basis_maps.json").read_text())
+    assert len(golden) == 6
+    for key, expected in golden.items():
+        spec, _, rest = key.partition(" ")
+        g = _cartanless(spec) if rest == "without cartan" else parse_family_spec(spec)
+        out = classify_simple(g)
+        assert isinstance(out, Osp) and out.n == expected["n"]
+        assert [" ".join(map(str, row)) for row in out.basis_map.data] == expected["basis_map"]
 
 
 # -- structural scan ---------------------------------------------------------------------------
