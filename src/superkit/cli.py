@@ -16,9 +16,10 @@ Exit codes: 0 success / certified-none, 1 axiom or check failure, 2 parse
 or input error, 3 a semisimple-square witness was found (classify), 4
 inconclusive: a classification that cannot be certified (classify), a
 `--lax` file whose `rep` is not a faithful representation, through which
-every cone test would run (classify, ds), or a ghost quotient with more
-weight-zero subsets than `enveloping.WEIGHT_ZERO_BUDGET` (ghost; the count
-is reported), 5 the supplied odd element is outside the cone (ds).
+every cone test would run (classify, ds), a `--lax` file whose table
+breaks a super axiom (ghost; the first violation is reported), or a ghost
+quotient with more weight-zero subsets than `enveloping.WEIGHT_ZERO_BUDGET`
+(ghost; the count is reported), 5 the supplied odd element is outside the cone (ds).
 """
 
 from __future__ import annotations
@@ -88,10 +89,14 @@ def _load_algebra(args, lax: bool = False) -> tuple[LieSuperalgebra, list[str] |
     raise ParseError("provide --family SPEC or --algebra FILE")
 
 
-def _rep_warning(warnings: list[str] | None) -> str | None:
-    """The parser's warning that the `rep` block is not a faithful
-    representation, or None: the cone test `in_g1ss` runs through it."""
-    return next((w for w in warnings or () if w.startswith("rep: ")), None)
+# the parser's warnings that the `rep` block is not a faithful representation,
+# through which every cone test runs, and that the table breaks a super axiom
+_REP, _AXIOMS = ("rep: ",), ("parity: ", "antisymmetry: ", "jacobi: ")
+
+
+def _warning(warnings: list[str] | None, prefixes: tuple[str, ...]) -> str | None:
+    """The parser's first warning that starts with one of `prefixes`, or None."""
+    return next((w for w in warnings or () if w.startswith(prefixes)), None)
 
 
 def _inconclusive(args, reason: str) -> int:
@@ -188,7 +193,7 @@ def cmd_classify(args) -> int:
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    if reason := _rep_warning(warnings):
+    if reason := _warning(warnings, _REP):
         return _inconclusive(args, reason)
     try:
         report = g1ss_structural_scan(g)
@@ -233,10 +238,13 @@ def cmd_ghost(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
     try:
-        g, _ = _load_algebra(args)
+        g, warnings = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
+    # the criterion reads only the table: a rep or cartan refusal does not stop it
+    if reason := _warning(warnings, _AXIOMS):
+        return _inconclusive(args, reason)
     try:
         ghost, verdict = ghost_criterion(g)
     except QuotientTooLarge as exc:
@@ -285,7 +293,7 @@ def cmd_ds(args) -> int:
     except (ParseError, ValueError, OSError) as exc:
         _emit(args, {"error": str(exc)}, f"parse error: {exc}")
         return EXIT_PARSE
-    if reason := _rep_warning(warnings):
+    if reason := _warning(warnings, _REP):
         return _inconclusive(args, reason)
     try:
         if n is not None:

@@ -11,7 +11,8 @@ are Fraction views of it.  The super axioms:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
-* super Jacobi, in derivation form:
+* super Jacobi, in derivation form, which is the representation law of the
+  adjoint module (`_law_failures` checks it, and the law of any module):
   [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]].
 
 Element semisimplicity ("acts diagonalizably over an algebraic closure") is
@@ -230,20 +231,12 @@ class LieSuperalgebra:
     def validate(self) -> list[str]:
         """All violated axiom instances; empty list means the axioms hold.
 
-        The super Jacobi identity is checked in derivation form on basis
-        triples, J(e_i, e_j, e_k) = 0 with
-            J(x, y, z) = [x, [y, z]] - [[x, y], z] - (-1)^{|x||y|} [y, [x, z]],
-        working directly on the sparse integer table: every term is a
-        product of two constants over D^2, so the numerators must cancel.
-        Under super-antisymmetry J(e_j, e_i, e_k) = -(-1)^{|i||j|} J(e_i, e_j, e_k),
-        so when the table has no parity or antisymmetry violation only the
-        triples with i <= j are computed, and each failure is reported with
-        its swap (j, i, k).
-        """
+        Super Jacobi fails at the basis triple (i, j, k) when column k of
+        [ad e_i, ad e_j] - ad [e_i, e_j] is nonzero: the representation law
+        of the adjoint module, whose column table is g's own table, checked
+        by `_law_failures` (on i <= j, with swaps, when antisymmetric)."""
         issues: list[str] = []
-        n = self.dim
-        p = self.parity
-        sp = self._table
+        n, p, sp = self.dim, self.parity, self._table
         for i in range(n):
             for j in range(n):
                 for k, c in sp[i][j]:
@@ -251,32 +244,11 @@ class LieSuperalgebra:
                         issues.append(
                             f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
                         )
+        asymmetric = self._asymmetric_pairs()
         issues += [f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
-                   for i, j in self._asymmetric_pairs()]
-        half = not issues
-        failing = []
-        for i in range(n):
-            spi = sp[i]
-            for j in range(i if half else 0, n):
-                sgn = -1 if p[i] and p[j] else 1
-                sij = sp[i][j]
-                spj = sp[j]
-                for k in range(n):
-                    acc: dict[int, int] = {}
-                    for t, q in spj[k]:
-                        for l, r in spi[t]:
-                            acc[l] = acc.get(l, 0) + q * r
-                    for t, q in sij:
-                        for l, r in sp[t][k]:
-                            acc[l] = acc.get(l, 0) - q * r
-                    for t, q in spi[k]:
-                        for l, r in spj[t]:
-                            acc[l] = acc.get(l, 0) - sgn * q * r
-                    if any(acc.values()):
-                        failing.append((i, j, k))
-                        if half and i != j:
-                            failing.append((j, i, k))
-        issues += [f"jacobi: fails at triple ({i},{j},{k})" for i, j, k in sorted(failing)]
+                   for i, j in asymmetric]
+        issues += [f"jacobi: fails at triple ({i},{j},{k})"
+                   for i, j, k in _law_failures(self, sp, self._den, not asymmetric)]
         return issues
 
     def _asymmetric_pairs(self) -> list[tuple[int, int]]:
@@ -682,6 +654,47 @@ def _dense(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
     for k, c in pairs:
         row[k] = c
     return row
+
+
+def _law_failures(g: LieSuperalgebra, cols: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                  den: int, half: bool) -> list[tuple[int, int, int]]:
+    """The sorted (i, j, c) at which column c of D_g [A_i, A_j] - D sum_k C_k A_k
+    is nonzero, where D_g [e_i, e_j] = sum_k C_k e_k and `cols[x][c]` holds
+    the nonzero (r, a) of column c of A_x = D rho(e_x): the failures of the
+    representation law of a module.  g's table is the adjoint module's.
+    [A_j, A_i] = -(-1)^{|i||j|} [A_i, A_j] for any matrices, so on a
+    super-antisymmetric table (j, i, c) fails exactly when (i, j, c) does:
+    `half`, for such tables only, computes i <= j and reports each failure
+    with its swap."""
+    par, table, n = g.parity, g._table, g.dim
+    common = gcd(g._den, den)
+    lead, tail = g._den // common, -(den // common)
+    failing = []
+    for i in range(n):
+        ci, ti = cols[i], table[i]
+        for j in range(i if half else 0, n):
+            cj = cols[j]
+            swap = lead if par[i] and par[j] else -lead
+            terms = [(cols[k], tail * C) for k, C in ti[j]]
+            for c, col in enumerate(cj):
+                acc: dict[int, int] = {}
+                for t, q in col:
+                    q *= lead
+                    for r, a in ci[t]:
+                        acc[r] = acc.get(r, 0) + q * a
+                for t, q in ci[c]:
+                    q *= swap
+                    for r, a in cj[t]:
+                        acc[r] = acc.get(r, 0) + q * a
+                for ak, q in terms:
+                    for r, a in ak[c]:
+                        acc[r] = acc.get(r, 0) + q * a
+                if any(acc.values()):
+                    failing.append((i, j, c))
+                    if half and i != j:
+                        failing.append((j, i, c))
+    failing.sort()
+    return failing
 
 
 def _proportion(w: dict[int, int], x: dict[int, int]) -> Fraction | None:

@@ -76,7 +76,15 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     linearly dependent (a representation that is not faithful) or that
     break the parity or representation law, or a `cartan` line whose span
     is not abelian and self-centralizing in the even part, raises
-    ParseError; in lax mode these come back as warnings.
+    ParseError; in lax mode these come back as warnings: the axiom
+    violations of `validate`, then these refusals.
+
+    The `rep` is checked first (faithfulness, then `validate_module`), and
+    `validate` runs only when there is no rep or it is refused: an accepted
+    rep is an injective, parity-preserving rho: g -> gl(V) with rho [x, y] =
+    [rho x, rho y], and gl(V) is a Lie superalgebra, so rho maps the wrong
+    parity part of [e_i, e_j], [x, y] + (-1)^{|x||y|} [y, x] and the Jacobi
+    expression of x, y, z to 0, and they are 0.
     """
     name = "algebra"
     labels: list[str] = []
@@ -150,15 +158,15 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if rep_parity is not None:
         rep = _module(rep_parity, rep_mats, labels, "file", "rep: missing repmat", "rep: matrix")
     g = LieSuperalgebra(parity, table, labels, faithful_rep=rep, cartan=cartan)
-    warnings = g.validate()
-    if strict and warnings:
-        raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
     refusals = []
     if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
                                     rep.dim ** 2).rank < g.dim:
         refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
     elif rep is not None and (law := validate_module(g, rep)):
         refusals.append("rep: " + law[0])
+    warnings = g.validate() if rep is None or refusals else []
+    if strict and warnings:
+        raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
     if cartan is not None and (problem := _cartan_problem(g)):
         refusals.append(f"line {cartan_line}: cartan {problem}")
     if strict and refusals:

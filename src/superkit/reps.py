@@ -9,6 +9,8 @@ The action is stored once, as sparse integer rows over one common
 denominator D, as `LieSuperalgebra` stores its brackets: rho(e_i)[r][c] =
 A / D for each (c, A) in row r of e_i, sorted by c.  Every computation here
 and the cone test of `core` read those rows; `action` is their Fraction view.
+`validate_module` transposes them for `core._law_failures`, which also
+checks super Jacobi, as the law of the adjoint module.
 
 Semisimplicity of a module is decided by the characteristic-zero trace-form
 criterion on the associative algebra A generated by the action matrices: the
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense
+from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense, _law_failures
 from .linalg import (
     Echelon,
     Matrix,
@@ -165,11 +167,9 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
     """Every violated parity or representation-law instance; with A_k = D rho(e_k)
     and D_g [e_i, e_j] = sum_k C_k e_k, the law reads D_g [A_i, A_j] = D sum_k C_k A_k.
 
-    The law is checked row by row on sparse integer rows.  [A_j, A_i] =
-    -(-1)^{|i||j|} [A_i, A_j] is an identity of the supercommutator, so when
-    g's table is super-antisymmetric the pair (j, i) fails exactly when
-    (i, j) does: only the pairs i <= j are computed, and each failure is
-    reported with its swap."""
+    The law is checked by `core._law_failures` on the columns of the
+    transposed table (on i <= j, with swaps, when g's table is
+    super-antisymmetric); a pair fails when any of its columns does."""
     issues: list[str] = []
     table, par, gpar = m._table, m.parity, g.parity
     for i in range(g.dim):
@@ -177,35 +177,11 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
             for c, _ in row:
                 if par[r] != (par[c] + gpar[i]) % 2:
                     issues.append(f"parity: action of e{i} at entry ({r},{c})")
-    half = not g._asymmetric_pairs()
-    failing = []
-    for i in range(g.dim):
-        for j in range(i if half else 0, g.dim):
-            if not _law_holds(g, m, i, j):
-                failing.append((i, j))
-                if half and i != j:
-                    failing.append((j, i))
-    issues += [f"representation law: fails on pair ({i},{j})" for i, j in sorted(failing)]
+    cols = [_transpose(rows, m.dim, [1] * m.dim) for rows in table]
+    failing = _law_failures(g, cols, m._den, not g._asymmetric_pairs())
+    issues += [f"representation law: fails on pair ({i},{j})"
+               for i, j in dict.fromkeys((i, j) for i, j, _ in failing)]
     return issues
-
-
-def _law_holds(g: LieSuperalgebra, m: SuperModule, i: int, j: int) -> bool:
-    """D_g (A_i A_j -+ A_j A_i) = D sum_k C_k A_k, one row at a time."""
-    t, dg = m._table, g._den
-    sign = dg if g.parity[i] and g.parity[j] else -dg
-    terms = [(k, -m._den * c) for k, c in g._table[i][j]]
-    for r in range(m.dim):
-        acc: dict[int, int] = {}
-        for x, y, s in ((i, j, dg), (j, i, sign)):
-            for c, a in t[x][r]:
-                for c2, b in t[y][c]:
-                    acc[c2] = acc.get(c2, 0) + s * a * b
-        for k, ck in terms:
-            for c, a in t[k][r]:
-                acc[c] = acc.get(c, 0) + ck * a
-        if any(acc.values()):
-            return False
-    return True
 
 
 def direct_sum(m: SuperModule, n: SuperModule) -> SuperModule:

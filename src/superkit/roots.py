@@ -47,6 +47,7 @@ from .linalg import (
     _diagonal,
     _diagonal_eigenspaces,
     _rational_eigenspaces,
+    _sparse_integer_rows,
     _splits_semisimply,
     in_span,
     integer_coordinates_in,
@@ -444,7 +445,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
     # the independent brackets (p, q, D [B_p, B_q]) of the vectors B = L u
-    ints, den = _sparse_columns(odd_basis)
+    ints, den = _sparse_integer_rows(odd_basis)
     pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
@@ -460,7 +461,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             "the odd roots do not pair off by opposite weights with a nonzero form"
         )
-    phi = _build_osp_isomorphism(g, odd_basis, pairs, spanning, n)
+    phi = _build_osp_isomorphism(g, odd_basis, den, pairs, spanning, n)
     if phi is None:
         return Inconclusive("basis map construction failed to intertwine brackets")
     return Osp(n, phi)
@@ -475,8 +476,8 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
     root has no opposite, or a beta is zero or off the line of u_p.
 
     `items` are the root vectors over one common denominator L = `den`, as
-    `_sparse_columns` gives them: B = L u.  [[B_p, B_p], B_q] is D^2 L^3
-    times the double bracket, so its ratio to B_p is 2 beta D^2 L^2."""
+    `linalg._sparse_integer_rows` gives them: B = L u.  [[B_p, B_p], B_q] is
+    D^2 L^3 times the double bracket, so its ratio to B_p is 2 beta D^2 L^2."""
     index = {r.weight: p for p, r in enumerate(odd_roots)}
     pairs = []
     for p, r in enumerate(odd_roots):
@@ -493,7 +494,7 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
     return pairs
 
 
-def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
+def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], den: int,
                            pairs: list[tuple[int, int, Fraction]],
                            spanning: list[tuple[int, int, list[int]]], n: int) -> Matrix | None:
     """The basis map onto build_osp1(n) given by the opposite pairs `pairs`,
@@ -503,7 +504,8 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
     to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
     [a_i, a_i] sends b_i to -2 a_i), so the odd map is a beta-isometry.  The
     even map follows from the brackets `spanning`, (p, q, W) with W = D [B_p,
-    B_q] and B = L u a basis of g0: W goes to D L^2 [phi u_p, phi u_q].
+    B_q] and B = L u (L = `den`) a basis of g0: W goes to D L^2 [phi u_p,
+    phi u_q].
     The check below makes the map bracket-preserving.  It is the isomorphism
     whenever one exists: any isomorphism psi is a beta-isometry on g1, the
     isometry phi psi^-1 of the family's odd part extends to an automorphism
@@ -522,7 +524,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
     for (p, r, beta), a, b in zip(pairs, *osp_odd_indices(n)):
         odd_images[p] = fam.basis_vector(a)
         odd_images[r] = vec_scale(-beta, fam.basis_vector(b))
-    scale = g._den * _sparse_columns(odd_basis)[1] ** 2
+    scale = g._den * den ** 2
     even_images = [vec_scale(scale, fam.bracket(odd_images[p], odd_images[q]))
                    for p, q, _ in spanning]
     odd_coordinates = coordinates_in(odd_basis)
@@ -537,11 +539,11 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
         if coords is None:
             return None
         cols.append(image.matvec(coords))
-    # exact intertwining check, in integers: with phi = Phi / L and
+    # exact intertwining check, in integers: with phi = Phi / lc and
     # W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j] times
-    # D_g D_fam L^2 reads L D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
-    big, den = _sparse_columns(cols)
-    f = den * fam._den
+    # D_g D_fam lc^2 reads lc D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
+    big, lc = _sparse_integer_rows(cols)
+    f = lc * fam._den
     for i in range(g.dim):
         for j in range(i, g.dim):
             lhs: dict[int, int] = {}
@@ -552,13 +554,6 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec],
             if {t: x for t, x in lhs.items() if x} != {t: g._den * x for t, x in rhs.items()}:
                 return None
     return Matrix.from_columns(cols)
-
-
-def _sparse_columns(vectors: list[Vec]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The vectors over one common denominator L, as the nonzero (index,
-    entry) pairs of L v, and L."""
-    ints, den = integer_vectors(vectors)
-    return [[(k, c) for k, c in enumerate(v) if c] for v in ints], den
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,27 @@ def test_validate_module_matches_dense_reference(seed):
     assert seen_bad
 
 
+@pytest.mark.parametrize("spec", ["gl:1:1", "osp1:1", "sl:2:1", "product:osp1:1,gl:1:1"])
+def test_validate_module_matches_dense_reference_over_a_lopsided_table(spec):
+    # one order of a bracket changed: the table is not super-antisymmetric,
+    # so every ordered pair is computed, and the intact table's modules are
+    # lawless over it
+    from superkit.core import LieSuperalgebra
+    rng = random.Random(7)
+    g = parse_family_spec(spec)
+    i, j = next((i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+                if g.bracket_sparse(i, j))
+    table = {(a, b): dict(g.bracket_sparse(a, b)) for a in range(g.dim) for b in range(g.dim)}
+    k, c = g.bracket_sparse(i, j)[0]
+    table[i, j][k] = 2 * c
+    lopsided = LieSuperalgebra(g.parity, table, g.names)
+    assert lopsided._asymmetric_pairs()
+    modules = [adjoint_module(g)] + ([g.faithful_rep] if g.faithful_rep else [])
+    for m in modules + [_corrupted(m, rng) for m in modules for _ in range(3)]:
+        issues = validate_module(lopsided, m)
+        assert issues and issues == dense_validate_module(lopsided, m)
+
+
 def test_validate_module_matches_dense_reference_on_parity_violations():
     g = parse_family_spec("gl:1:1")
     m = tensor(g.faithful_rep, dual(g.faithful_rep))

@@ -109,12 +109,9 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
 
 @pytest.mark.parametrize("source", ["--family", "--algebra"])
 def test_check_validates_once(tmp_path, capsys, monkeypatch, source):
+    # check validates a family once; the parser validates a file once, and
+    # not at all when the file's accepted rep proves the axioms
     from superkit.core import LieSuperalgebra
-    arg = "osp1:1"
-    if source == "--algebra":
-        path = tmp_path / "osp.alg"
-        path.write_text(serialize_algebra(build_osp1(1)))
-        arg = str(path)
     calls = []
     validate = LieSuperalgebra.validate
 
@@ -123,9 +120,19 @@ def test_check_validates_once(tmp_path, capsys, monkeypatch, source):
         return validate(self)
 
     monkeypatch.setattr(LieSuperalgebra, "validate", counted)
-    code, out = run(capsys, "check", source, arg)
-    assert code == 0 and "valid" in out
-    assert len(calls) == 1
+    if source == "--family":
+        code, out = run(capsys, "check", source, "osp1:1")
+        assert code == 0 and "valid" in out
+        assert len(calls) == 1
+        return
+    text = serialize_algebra(build_osp1(1))
+    for body, expected in ((text, 0), (text[:text.index("rep ")], 1)):
+        path = tmp_path / "osp.alg"
+        path.write_text(body)
+        calls.clear()
+        code, out = run(capsys, "check", source, str(path))
+        assert code == 0 and "valid" in out
+        assert len(calls) == expected
 
 
 def test_check_without_source_is_a_parse_error(capsys):
@@ -412,8 +419,8 @@ def test_lax_lawless_rep_is_inconclusive(tmp_path, capsys, argv):
 
 
 def test_lax_prints_each_parser_warning_on_stderr(tmp_path, capsys):
-    # a file that breaks Jacobi and has no rep: ghost runs under --lax and
-    # names every violation on stderr, while stdout keeps its shape
+    # a file that breaks Jacobi and has no rep: ghost under --lax names
+    # every violation on stderr, and stdout the first one as inconclusive
     text = serialize_algebra(build_osp1(1), "broken")
     text = text[:text.index("rep ")].replace("bracket a1 a1 B11 -2\n", "bracket a1 a1 B11 -3\n")
     f = tmp_path / "broken.alg"
@@ -423,10 +430,47 @@ def test_lax_prints_each_parser_warning_on_stderr(tmp_path, capsys):
     from superkit.fileformat import parse_algebra
     warnings = parse_algebra(text, strict=False)[2]
     assert warnings
-    main(["ghost", "--lax", "--algebra", str(f)])
+    assert main(["ghost", "--lax", "--algebra", str(f)]) == 4
     captured = capsys.readouterr()
     assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
-    assert captured.out.startswith("invariant dimension: ")
+    assert captured.out == f"Inconclusive: {warnings[0]}\n"
+
+
+def test_lax_ghost_on_a_table_that_breaks_the_axioms_is_inconclusive(tmp_path, capsys):
+    # osp(1|2) with [a1, a1] = -3 B11 and its rep: ghost --lax used to print
+    # "verdict: Semisimple" and exit 0; the criterion means nothing off a Lie
+    # superalgebra, so it reports the first axiom violation and exits 4
+    from superkit.fileformat import parse_algebra
+    text = serialize_algebra(build_osp1(1), "broken").replace(
+        "bracket a1 a1 B11 -2\n", "bracket a1 a1 B11 -3\n")
+    f = tmp_path / "broken.alg"
+    f.write_text(text)
+    warnings = parse_algebra(text, strict=False)[2]
+    reason = "jacobi: fails at triple (1,3,4)"
+    assert warnings[0] == reason and warnings[-1].startswith("rep: representation law")
+    assert main(["ghost", "--lax", "--algebra", str(f)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == f"Inconclusive: {reason}\n"
+    assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
+    assert main(["--json", "ghost", "--lax", "--algebra", str(f)]) == 4
+    assert json.loads(capsys.readouterr().out) == {"outcome": "inconclusive", "reason": reason}
+
+
+@pytest.mark.parametrize("edit", [
+    ("repmat B11\n0 0 0\n0 0 1\n0 0 0\n", "repmat B11\n1 0 0\n0 2 0\n0 0 3\n"),
+    ("cartan M11\n", "cartan a1\n"),
+], ids=["lawless-rep", "odd-cartan"])
+def test_lax_ghost_reads_only_the_table(tmp_path, capsys, edit):
+    # a rep or cartan refusal alone leaves the table a Lie superalgebra, and
+    # ghost reads nothing else: it prints the family's verdict
+    text = serialize_algebra(build_osp1(1), "osp1")
+    assert edit[0] in text
+    f = tmp_path / "refused.alg"
+    f.write_text(text.replace(*edit))
+    _, expected = run(capsys, "ghost", "--family", "osp1:1")
+    assert main(["ghost", "--lax", "--algebra", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err.startswith("warning: ")
 
 
 def test_verify_all_filter(capsys):

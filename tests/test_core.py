@@ -132,6 +132,7 @@ def test_validate_half_jacobi_matches_every_triple(spec):
     rng = random.Random(3)
     nonzero = [(i, j, k) for i in range(g.dim) for j in range(i, g.dim)
                for k, _ in g.bracket_sparse(i, j)]
+    graded_jacobi = 0
     for _ in range(6):
         i, j, k = rng.choice(nonzero)
         q = g.structure_constant(i, j, k) * rng.choice([2, -1, Q(1, 3)])
@@ -147,6 +148,17 @@ def test_validate_half_jacobi_matches_every_triple(spec):
             issues = lopsided.validate()
             assert issues == _validate_every_triple(lopsided)
             assert any(s.startswith("antisymmetry") for s in issues)
+        # both orders given a term of the wrong parity: the grading breaks,
+        # the table stays super-antisymmetric, so only i <= j is computed
+        if i != j or sign == 1:
+            t = next(t for t in range(g.dim) if g.parity[t] == g.parity[k] ^ 1)
+            off_grade = _corrupted(g, {(i, j, t): Q(1), (j, i, t): sign})
+            issues = off_grade.validate()
+            assert issues == _validate_every_triple(off_grade)
+            assert any(s.startswith("parity") for s in issues)
+            assert not any(s.startswith("antisymmetry") for s in issues)
+            graded_jacobi += any(s.startswith("jacobi") for s in issues)
+    assert graded_jacobi
 
 
 def test_validate_reports_parity_violation():

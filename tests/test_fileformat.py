@@ -34,7 +34,9 @@ def test_algebra_roundtrip_bit_exact(g):
     text = serialize_algebra(g, "roundtrip")
     g2, name, warnings = parse_algebra(text)
     assert name == "roundtrip"
-    assert warnings == []
+    # the warnings are validate() then the refusals, with or without a rep
+    assert warnings == [] == g2.validate()
+    assert parse_algebra(without_rep(text))[2] == []
     assert g2.parity == g.parity
     assert g2.names == g.names
     assert g2.cartan == g.cartan
@@ -214,3 +216,77 @@ def test_unfaithful_rep_is_rejected():
     g, _, warnings = parse_algebra(text, strict=False)
     assert g.faithful_rep.dim == 1
     assert len(warnings) == 1 and "not faithful" in warnings[0]
+
+
+NOT_FAITHFUL = "rep: the representation is not faithful (its matrices are linearly dependent)"
+
+
+def broken_jacobi_text(text):
+    """An osp(1|2) file with [a1, a1] = -3 B11: the table breaks Jacobi."""
+    assert "bracket a1 a1 B11 -2\n" in text
+    return text.replace("bracket a1 a1 B11 -2\n", "bracket a1 a1 B11 -3\n")
+
+
+def without_rep(text):
+    return text[:text.index("\nrep ") + 1] if "\nrep " in text else text
+
+
+def parity_breaking_rep_text():
+    """osp(1|2) whose rep gives the even B11 an entry from an odd to an even
+    basis vector: still injective, but it breaks the parity."""
+    text = serialize_algebra(build_osp1(1), "parity-rep")
+    old = "repmat B11\n0 0 0\n0 0 1\n"
+    assert old in text
+    return text.replace(old, "repmat B11\n0 0 1\n0 0 1\n")
+
+
+@pytest.mark.parametrize("case", ["jacobi-lawless-rep", "parity-rep", "jacobi-zero-rep"])
+def test_parse_warnings_are_validate_then_refusals(case):
+    # the parser skips `validate` only behind an accepted rep; whenever the
+    # rep is refused, the warnings are the axiom violations, then the refusal
+    osp = serialize_algebra(build_osp1(1), "osp1")
+    if case == "jacobi-lawless-rep":
+        text = broken_jacobi_text(osp)
+    elif case == "parity-rep":
+        text = parity_breaking_rep_text()
+    else:
+        # the zero rep obeys the law over any table, but is not faithful
+        text = broken_jacobi_text(zero_rep_text(build_osp1(1)))
+    g, _, warnings = parse_algebra(text, strict=False)
+    axioms, law = g.validate(), validate_module(g, g.faithful_rep)
+    assert (axioms != []) == case.startswith("jacobi")
+    assert all(w.startswith("jacobi") for w in axioms)
+    if case == "jacobi-zero-rep":
+        assert law == []
+        assert warnings == axioms + [NOT_FAITHFUL]
+    else:
+        assert law[0].startswith("representation law" if case == "jacobi-lawless-rep"
+                                 else "parity: action of e1 at entry (0,2)")
+        assert warnings == axioms + ["rep: " + law[0]]
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert str(err.value) == (f"axiom violations: {'; '.join(axioms[:5])}" if axioms
+                              else "rep: " + law[0])
+
+
+def test_an_accepted_rep_spares_the_axiom_check(monkeypatch):
+    from superkit.core import LieSuperalgebra
+    calls = []
+    validate = LieSuperalgebra.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(LieSuperalgebra, "validate", counted)
+    for g in ALL_FAMILIES:
+        text = serialize_algebra(g)
+        assert g.faithful_rep is not None
+        calls.clear()
+        parse_algebra(text)
+        assert calls == []
+        parse_algebra(without_rep(text))
+        assert len(calls) == 1
+    calls.clear()
+    parse_algebra(zero_rep_text(build_osp1(1)), strict=False)
+    assert len(calls) == 1
