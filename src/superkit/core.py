@@ -317,9 +317,9 @@ class LieSuperalgebra:
 
     def _root_datum(self):
         """Root datum of the algebra's own Cartan subalgebra (`roots.cartan_of`:
-        the given one, else the seeded search), computed once per algebra.  A
-        factor of `direct_sum_decompose` is given its parent's datum,
-        restricted to it, instead."""
+        the given one, else `roots.find_cartan`'s deterministic search),
+        computed once per algebra.  A factor of `direct_sum_decompose` is
+        given its parent's datum, restricted to it, instead."""
         if self._datum_cache is None:
             from .roots import cartan_of, root_decomposition
             self._datum_cache = root_decomposition(self, cartan_of(self))

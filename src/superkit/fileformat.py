@@ -79,12 +79,8 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     ParseError; in lax mode these come back as warnings: the axiom
     violations of `validate`, then these refusals.
 
-    The `rep` is checked first (faithfulness, then `validate_module`), and
-    `validate` runs only when there is no rep or it is refused: an accepted
-    rep is an injective, parity-preserving rho: g -> gl(V) with rho [x, y] =
-    [rho x, rho y], and gl(V) is a Lie superalgebra, so rho maps the wrong
-    parity part of [e_i, e_j], [x, y] + (-1)^{|x||y|} [y, x] and the Jacobi
-    expression of x, y, z to 0, and they are 0.
+    The axioms are checked by `axiom_check`: through the `rep` when it is
+    accepted, else by `validate`.
     """
     name = "algebra"
     labels: list[str] = []
@@ -158,13 +154,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if rep_parity is not None:
         rep = _module(rep_parity, rep_mats, labels, "file", "rep: missing repmat", "rep: matrix")
     g = LieSuperalgebra(parity, table, labels, faithful_rep=rep, cartan=cartan)
-    refusals = []
-    if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
-                                    rep.dim ** 2).rank < g.dim:
-        refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
-    elif rep is not None and (law := validate_module(g, rep)):
-        refusals.append("rep: " + law[0])
-    warnings = g.validate() if rep is None or refusals else []
+    warnings, refusals = axiom_check(g)
     if strict and warnings:
         raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
     if cartan is not None and (problem := _cartan_problem(g)):
@@ -172,6 +162,26 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if strict and refusals:
         raise ParseError(refusals[0])
     return g, name, warnings + refusals
+
+
+def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
+    """(violations, refusals) of g's axioms, through its `faithful_rep` first.
+
+    The rep is checked first (faithfulness, then `validate_module`); a
+    failure is a refusal, prefixed "rep: ".  `validate` runs only when there
+    is no rep or it is refused: an accepted rep is an injective,
+    parity-preserving rho: g -> gl(V) with rho [x, y] = [rho x, rho y], and
+    gl(V) is a Lie superalgebra, so rho maps the wrong parity part of
+    [e_i, e_j], [x, y] + (-1)^{|x||y|} [y, x] and the Jacobi expression of
+    x, y, z to 0, and they are 0."""
+    rep = g.faithful_rep
+    refusals = []
+    if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
+                                    rep.dim ** 2).rank < g.dim:
+        refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
+    elif rep is not None and (law := validate_module(g, rep)):
+        refusals.append("rep: " + law[0])
+    return (g.validate() if rep is None or refusals else []), refusals
 
 
 def _cartan_problem(g: LieSuperalgebra) -> str | None:

@@ -30,7 +30,6 @@ roots are g's, which the scan has already walked with `_root_witness`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -62,15 +61,13 @@ from .linalg import (
     zero_vec,
 )
 
-DEFAULT_SEED = 20230
-
 
 class NonSemisimpleCartanAction(SuperkitError):
     """A supplied Cartan element does not act semisimply with rational spectrum."""
 
 
 class CartanSearchFailed(SuperkitError):
-    """The randomized Cartan search exhausted its retry budget."""
+    """The Cartan search found no candidate that splits over Q."""
 
 
 class ClassificationInconclusive(SuperkitError):
@@ -125,49 +122,47 @@ class Inconclusive:
 # Cartan subalgebras
 # ---------------------------------------------------------------------------
 
-def find_cartan(g: LieSuperalgebra, seed: int = DEFAULT_SEED,
-                attempts: int = 200) -> list[Vec]:
-    """Maximal toral subalgebra of the even part, by randomized search.
+def find_cartan(g: LieSuperalgebra) -> list[Vec]:
+    """Maximal toral subalgebra of the even part, by a deterministic
+    split-seeking search.
 
     Grows a commuting family of elements whose adjoint actions are
     diagonalizable with rational spectrum, restricting the search to the
-    centralizer of what has been found so far (sparse random combinations of
-    the current centralizer basis are far more likely to have rational
-    spectrum than dense ones).  Succeeds when the centralizer becomes abelian
-    with every basis element acting semisimply; that centralizer is the
-    Cartan subalgebra.  Requires a reductive even part; raises
-    CartanSearchFailed after the per-round retry budget.  Each spectrum is
-    tested on the integer rows of ad(x) (`_splits`).
+    centralizer `cent` of what has been found so far.  Each round takes the
+    first of `_candidates(cent)`, in their fixed order, that lies outside
+    the span of the family and splits over Q (`_splits`, on the integer rows
+    of ad(x)).  Succeeds when `cent` becomes abelian with every basis
+    element acting semisimply; that centralizer is the Cartan subalgebra.
+    Requires a reductive even part; raises CartanSearchFailed when no
+    candidate of a round splits.
     """
     even = g.even_indices
     if not even:
         return []
-    rng = random.Random(seed)
     toral: list[Vec] = []
     cent: list[Vec] = [g.basis_vector(i) for i in even]
     for _round in range(len(even) + 1):
         if _is_abelian_family(g, cent) and all(_splits(g, t) for t in cent):
             return cent
-        found = None
-        for attempt in range(attempts):
-            support = rng.randint(1, min(3, len(cent)))
-            x = zero_vec(g.dim)
-            for b in rng.sample(cent, support):
-                c = Q(rng.randint(-3, 3))
-                if c:
-                    x = [a + c * e for a, e in zip(x, b)]
-            if is_zero_vec(x) or in_span(toral, x) is not None:
-                continue
-            if _splits(g, x):
-                found = x
-                break
+        found = next((x for x in _candidates(cent)
+                      if in_span(toral, x) is None and _splits(g, x)), None)
         if found is None:
             raise CartanSearchFailed(
-                f"no rational Cartan subalgebra found in {attempts} attempts"
-            )
+                "no basis vector of the centralizer, nor a sum or difference "
+                "of two, outside the toral family splits over Q")
         toral.append(found)
         cent = _centralizer_within(g, cent, found)
     raise CartanSearchFailed("toral family failed to stabilize")
+
+
+def _candidates(cent: list[Vec]):
+    """The basis vectors of `cent`, then cent[p] + cent[q] and
+    cent[p] - cent[q] for p < q."""
+    yield from cent
+    for p, a in enumerate(cent):
+        for b in cent[p + 1:]:
+            yield vec_add(a, b)
+            yield [x - y for x, y in zip(a, b)]
 
 
 def _splits(g: LieSuperalgebra, x: Sequence) -> bool:
@@ -293,7 +288,7 @@ def _split_space(g: LieSuperalgebra, ts: list[int], lt: int, ints: list[list[int
 
 
 def cartan_of(g: LieSuperalgebra) -> list[Vec]:
-    """A basis of the algebra's given Cartan subalgebra, else the seeded search's."""
+    """A basis of the algebra's given Cartan subalgebra, else `find_cartan`'s."""
     if g.cartan is not None:
         return [g.basis_vector(i) for i in dict.fromkeys(g.cartan)]
     return find_cartan(g)
