@@ -4,7 +4,8 @@ A `LieSuperalgebra` is a basis with parities and rational structure constants
 c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.  They are stored once,
 as one sparse integer table over a common denominator D: for each (i, j) the
 pairs (k, C) with c[i][j][k] = C / D.  Brackets, adjoint matrices, the
-center, `validate` and the root graph of `direct_sum_decompose` work on that
+center, `validate`, the root graph of `direct_sum_decompose` and
+`restricted_subalgebra`, which builds each of its factors, work on that
 table with integer vectors V / L and turn their results into Fractions only
 on the way out; `structure_constant`, `bracket_basis` and `bracket_sparse`
 are Fraction views of it.  The super axioms:
@@ -407,10 +408,11 @@ class LieSuperalgebra:
            the center, which with I_C span g, so z lies in the center of g
            and in I_C, whose intersection is 0.  No center is computed.
 
-        Each factor's subalgebra is kept on the result, its table read off the
-        root graph's brackets (`_root_factor`), with g's root datum
-        restricted to it as its own: e_a is a basis vector of it, and h in H
-        acts on it as h's component in its part of span(H).
+        Each factor's subalgebra is kept on the result, built by
+        `restricted_subalgebra` on its basis (the e_a of C, then its part of
+        span(H)), with g's root datum restricted to it as its own: e_a is a
+        basis vector of it, and h in H acts on it as h's component in its
+        part of span(H).
         """
         zc = self.center()
         if _is_abelian(self):
@@ -428,22 +430,19 @@ class LieSuperalgebra:
         # the weights over one common denominator, as integer tuples
         weights = [tuple(w) for w in integer_vectors([r.weight for r in nodes])[0]]
         node = {(w, r.parity): a for a, (w, r) in enumerate(zip(weights, nodes))}
-        # e_a = X_a / L_a, with X_a as {index: entry}
-        vectors = []
+        # e_a = X_a / L_a, with X_a as its nonzero (index, entry) pairs
+        items, dens = [], []
         for r in nodes:
             x, la = integer_vector(r.space[0])
-            vectors.append(({i: c for i, c in enumerate(x) if c}, la))
+            items.append([(i, c) for i, c in enumerate(x) if c])
+            dens.append(la)
         # d(x) for x in H, up to a positive factor: the integer coordinates
         # of x in the Cartan elements against d's scaled weights
         h_coordinates = integer_coordinates_in(datum.cartan)
         links: list[set[int]] = [set() for _ in nodes]  # the root graph
         arrows: list[set[int]] = [set() for _ in nodes]  # the generation digraph
-        # (a, b) -> (D [X_a, X_b], the node of a + b or None if a + b = 0),
-        # for a <= b with a nonzero bracket
-        brackets: dict[tuple[int, int], tuple[dict[int, int], int | None]] = {}
         toral = []  # (a, W, L) with [e_a, e_-a] = W / L
-        items = [list(x.items()) for x, _ in vectors]
-        for a, (_, la) in enumerate(vectors):
+        for a, la in enumerate(dens):
             for b in range(a, len(nodes)):
                 w = self._sparse_bracket(items[a], items[b])
                 if not w:
@@ -452,13 +451,10 @@ class LieSuperalgebra:
                 joined = {a, b}
                 if any(total):
                     c = node[total, (nodes[a].parity + nodes[b].parity) % 2]
-                    brackets[a, b] = (w, c)
                     targets = {c}
                     joined.add(c)
                 else:
-                    brackets[a, b] = (w, None)
-                    w = _dense(w.items(), self.dim)
-                    toral.append((a, w, la * vectors[b][1] * self._den))
+                    toral.append((a, _dense(w.items(), self.dim), la * dens[b] * self._den))
                     x = h_coordinates(w)[0]
                     targets = {d for d, wd in enumerate(weights)
                                if sum(c * e for c, e in zip(x, wd))}
@@ -493,7 +489,7 @@ class LieSuperalgebra:
                     f"candidate ideal {t} is not simple: a root vector generates a proper ideal"
                 )
             basis = [list(nodes[a].space[0]) for a in comp] + zero_parts[t]
-            sub = self._root_factor(basis, comp, nodes, vectors, brackets, h_coordinates)
+            sub = self.restricted_subalgebra(basis)
             roots = [Root(nodes[a].weight, nodes[a].parity, [sub.basis_vector(j)])
                      for j, a in enumerate(comp)]
             k = len(zero_parts[t])
@@ -507,63 +503,6 @@ class LieSuperalgebra:
             factors.append(basis)
             subalgebras.append(sub)
         return Decomposition(zc, factors, subalgebras)
-
-    def _root_factor(self, basis: list[Vec], comp: list[int], nodes, vectors,
-                     brackets, h_coordinates) -> "LieSuperalgebra":
-        """`restricted_subalgebra(basis)` for a candidate ideal of
-        `direct_sum_decompose`, with no coordinate solve per pair: basis is
-        the root vectors e_a = X_a / L_a (`vectors`) of the nodes a in comp,
-        then vectors z_s spanning its part of span(H).  The table is read
-        off the root graph's `brackets` D [X_a, X_b] (a <= b):
-        * for a + b = c != 0, [e_a, e_b] lies in the line of e_c, and the
-          ratio is read at one entry and checked on the whole vector;
-        * for a + b = 0, [e_a, e_b] has coordinates in the z_s;
-        * [z, e_a] = a(z) e_a, with a(z) from a's weight and z's coordinates
-          in the Cartan elements (`h_coordinates`), and [z, z'] = 0;
-        * the pairs b > a follow by super-antisymmetry.
-        These are the same rational constants, so the same table over their
-        least common denominator; the faithful rep is built as there."""
-        r = len(comp)
-        pos = {a: j for j, a in enumerate(comp)}
-        zero_part = basis[r:]
-        z_coordinates = integer_coordinates_in(zero_part)
-        parities = [nodes[a].parity for a in comp] + [EVEN] * len(zero_part)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-        def put(j, k, row):
-            table[j, k] = row
-            if k != j:
-                sign = 1 if parities[j] and parities[k] else -1
-                table[k, j] = {t: sign * c for t, c in row.items()}
-
-        for a in comp:
-            la = vectors[a][1]
-            for b in comp[pos[a]:]:
-                found = brackets.get((a, b))
-                if found is None:
-                    continue
-                w, c = found
-                scale = la * vectors[b][1] * self._den
-                if c is not None:
-                    ratio = _proportion(w, vectors[c][0])
-                    if ratio is None:
-                        raise ValueError("vectors do not span a subalgebra")
-                    put(pos[a], pos[b], {pos[c]: ratio * vectors[c][1] / scale})
-                    continue
-                coords = z_coordinates(_dense(w.items(), self.dim))
-                if coords is None:
-                    raise ValueError("vectors do not span a subalgebra")
-                ys, m = coords
-                put(pos[a], pos[b], {r + s: Q(y, m * scale) for s, y in enumerate(ys) if y})
-        for s, z in enumerate(zero_part):
-            xs, lz = h_coordinates(z)
-            for a in comp:
-                lam = sum((x * w for x, w in zip(xs, nodes[a].weight) if x), Q(0)) / lz
-                if lam:
-                    put(r + s, pos[a], {pos[a]: lam})
-        ints, den = integer_vectors(basis)
-        names = tuple(f"x{t}" for t in range(len(basis)))
-        return LieSuperalgebra(parities, table, names, self._restricted_rep(ints, den))
 
     def restricted_subalgebra(self, basis_vectors: Sequence[Sequence]) -> "LieSuperalgebra":
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
@@ -580,14 +519,15 @@ class LieSuperalgebra:
         n = len(basis)
         coordinates = integer_coordinates_in(basis)
         ints, den = integer_vectors(basis)
+        items = [[(i, c) for i, c in enumerate(v) if c] for v in ints]
         # [v_a, v_b] = D [V_a, V_b] / (L^2 D^2) = sum_k (X_k / M) v_k / (L^2 D),
         # with (X, M) the integer coordinates of D [V_a, V_b]; M is the same
-        # for every integer vector
+        # for every target
         table = [[()] * n for _ in range(n)]
         cden = 1
-        for a, xa in enumerate(ints):
+        for a, xa in enumerate(items):
             for b in range(a, n):
-                found = coordinates(self._int_bracket(xa, ints[b]))
+                found = coordinates(self._sparse_bracket(xa, items[b]))
                 if found is None:
                     raise ValueError("vectors do not span a subalgebra")
                 coeffs, cden = found

@@ -62,7 +62,7 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
         for j in range(i, n):
             odd = bool(mat_parity[i] and mat_parity[j])
             br = rep._supercommutator(i, j, odd)
-            if not any(br):
+            if not br:
                 continue
             found = coordinates(br)
             if found is None:

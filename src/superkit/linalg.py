@@ -15,6 +15,10 @@ fraction-free row echelon form on primitive integer rows.  `rank`,
 `inverse`, `coordinates_in` and the Krylov step of `minimal_polynomial` are
 built on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
+`integer_coordinates_in` is the package's one map from brackets to
+coordinates: it inverts one block of the basis once, then solves each
+target, a sparse integer vector {index: entry}, by sparse integer products;
+`coordinates_in` is its Fraction view.
 `minimal_polynomial` runs its Krylov step on the integer matrix d·m and
 rescales the monic result, so it too returns the unique minimal polynomial.
 
@@ -376,23 +380,25 @@ def _integer_inverse(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 
 def coordinates_in(basis: Sequence[Sequence[Fraction]]):
     """The map (t, scale=1) -> coordinates of t / scale in the independent
-    vectors `basis`, or None when t lies outside their span."""
+    vectors `basis`, or None when t lies outside their span: t is turned
+    into a sparse integer vector once and solved by `integer_coordinates_in`."""
     integer = integer_coordinates_in(basis)
 
     def coordinates(t: Sequence, scale: int = 1) -> Vec | None:
-        found = integer(t)
-        return None if found is None else fraction_vector(found[0], found[1] * scale)
+        tt, den = integer_vector(t)
+        found = integer({r: b for r, b in enumerate(tt) if b})
+        return None if found is None else fraction_vector(found[0], found[1] * den * scale)
 
     return coordinates
 
 
 def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
     """The map t -> (X, L), X an integer vector with X / L the coordinates
-    of t in the independent vectors `basis`, or None when t lies outside
-    their span (checked by one integer matvec).  t may hold ints or
-    Fractions."""
+    of the integer vector t, given as {index: entry}, in the independent
+    vectors `basis`, or None when t lies outside their span (checked by one
+    sparse integer matvec).  L does not depend on t."""
     if not basis:
-        return lambda t: ([], 1) if is_zero_vec(t) else None
+        return lambda t: ([], 1) if not any(t.values()) else None
     ints, basis_den = integer_vectors(basis)
     m = len(ints)
     # m positions S at which the basis vectors b_s = V_s / L form an
@@ -407,27 +413,31 @@ def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
     if len(pos) != m:
         raise ValueError("the basis vectors are linearly dependent")
     inv, inv_den = _integer_inverse([[v[r] for v in ints] for r in pos])
-    # the columns of L W, and the V_s, as sparse integer columns
-    inv_cols = [[(s, basis_den * a) for s, a in enumerate(col) if a] for col in zip(*inv)]
+    # position r in S -> the column of L W at r, and the V_s, as sparse
+    # integer columns
+    inv_cols = {r: [(s, basis_den * a) for s, a in enumerate(col) if a]
+                for r, col in zip(pos, zip(*inv))}
     cols = [[(r, b) for r, b in enumerate(v) if b] for v in ints]
     check = inv_den * basis_den
 
-    def coordinates(t: Sequence) -> tuple[list[int], int] | None:
-        tt, den = integer_vector(t)
-        x = [0] * m
-        for r, col in zip(pos, inv_cols):
-            b = tt[r]
-            if b:
-                for s, a in col:
-                    x[s] += a * b
-        image = [0] * len(tt)
-        for xs, col in zip(x, cols):
-            if xs:
-                for r, b in col:
-                    image[r] += xs * b
-        if image != (tt if check == 1 else [b * check for b in tt]):
+    def coordinates(t: dict[int, int]) -> tuple[list[int], int] | None:
+        xs: dict[int, int] = {}
+        for r, b in t.items():
+            for s, a in inv_cols.get(r, ()):
+                xs[s] = xs.get(s, 0) + a * b
+        image: dict[int, int] = {}
+        for s, c in xs.items():
+            for r, b in cols[s]:
+                image[r] = image.get(r, 0) + c * b
+        for r, b in t.items():
+            if image.pop(r, 0) != check * b:
+                return None
+        if any(image.values()):
             return None
-        return x, inv_den * den
+        x = [0] * m
+        for s, c in xs.items():
+            x[s] = c
+        return x, inv_den
 
     return coordinates
 

@@ -124,17 +124,18 @@ class SuperModule:
                         out[c] += a * b
         return [[(c, v) for c, v in enumerate(out) if v] for out in acc]
 
-    def _supercommutator(self, i: int, j: int, odd: bool) -> list[int]:
-        """A_i A_j - A_j A_i, or A_i A_j + A_j A_i when both are odd, row-major
-        (A_i = D rho(e_i))."""
+    def _supercommutator(self, i: int, j: int, odd: bool) -> dict[int, int]:
+        """A_i A_j - A_j A_i, or A_i A_j + A_j A_i when both are odd
+        (A_i = D rho(e_i)), as {r * n + c: entry} without zero entries."""
         n, t = self.dim, self._table
-        out = [0] * (n * n)
+        out: dict[int, int] = {}
         for x, y, s in ((i, j, 1), (j, i, 1 if odd else -1)):
             for r, row in enumerate(t[x]):
                 for c, a in row:
                     for c2, b in t[y][c]:
-                        out[r * n + c2] += s * a * b
-        return out
+                        k = r * n + c2
+                        out[k] = out.get(k, 0) + s * a * b
+        return {k: v for k, v in out.items() if v}
 
     def __repr__(self) -> str:
         return f"<SuperModule {self.even_dim}|{self.odd_dim}{' ' + self.name if self.name else ''}>"
@@ -281,11 +282,11 @@ def induced_trivial(g: LieSuperalgebra) -> SuperModule:
 def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
                          cartan: Sequence[Sequence] | None = None) -> bool:
     """Integrability surrogate: every Cartan element acts diagonalizably with
-    integer eigenvalues."""
+    integer eigenvalues.  The Cartan subalgebra defaults to `roots.cartan_of`:
+    the given one, else the one the Cartan search finds."""
     if cartan is None:
-        if g.cartan is None:
-            raise SuperkitError("no Cartan subalgebra available")
-        cartan = [g.basis_vector(i) for i in g.cartan]
+        from .roots import cartan_of
+        cartan = cartan_of(g)
     for t in cartan:
         mat = m.matrix_of(t)
         eig = rational_eigenspaces(mat)

@@ -267,9 +267,10 @@ def _split_space(g: LieSuperalgebra, ts: list[int], lt: int, ints: list[list[int
     # D [T, V_s] = sum_r (X_s[r] / M) V_r, so K = X / (M lt D) with the X_s
     # as columns
     coordinates = integer_coordinates_in(ints)
+    tsp = [(i, c) for i, c in enumerate(ts) if c]
     cols = []
     for vs in ints:
-        found = coordinates(g._int_bracket(ts, vs))
+        found = coordinates(g._sparse_bracket(tsp, [(i, c) for i, c in enumerate(vs) if c]))
         if found is None:
             raise NonSemisimpleCartanAction(_NOT_SPLIT)
         cols.append(found[0])

@@ -147,7 +147,7 @@ def reference_algebra_from_matrices(mats, mat_parity, space_parity, names, carta
     for i in range(len(mats)):
         for j in range(len(mats)):
             br = rep._supercommutator(i, j, mat_parity[i] and mat_parity[j])
-            if not any(br):
+            if not br:
                 continue
             comps, den = coordinates(br)
             table[(i, j)] = {k: Q(c, den * rep._den) for k, c in enumerate(comps) if c}

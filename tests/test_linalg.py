@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from superkit.linalg import (
     Matrix,
+    coordinates_in,
+    integer_coordinates_in,
     is_squarefree,
     kernel_basis,
     minimal_polynomial,
@@ -133,6 +136,94 @@ def test_solve_invertible_4x4_multiply_back():
 def test_solve_checks_rhs_length():
     with pytest.raises(ValueError):
         solve_linear(Matrix.identity(2), [Q(1)])
+
+
+# -- coordinates of sparse integer targets ------------------------------------------
+
+def _random_basis(rng, n, m):
+    """m independent random Fraction vectors of length n."""
+    while True:
+        basis = [[Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                 for _ in range(m)]
+        if rank(Matrix(basis)) == m:
+            return basis
+
+
+def _sparse(v):
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def _check_against_solve(basis, target):
+    """integer_coordinates_in and coordinates_in against solve_linear."""
+    expected = solve_linear(Matrix.from_columns(basis), [Q(a) for a in target])
+    found = integer_coordinates_in(basis)(_sparse(target))
+    if expected is None:
+        assert found is None
+    else:
+        xs, den = found
+        assert [Q(x, den) for x in xs] == expected
+    assert coordinates_in(basis)(target) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_coordinates_match_solve_linear(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    m = rng.randint(1, n)
+    basis = _random_basis(rng, n, m)
+    # in the span: an integer multiple of a random combination
+    coeffs = [Q(rng.randint(-4, 4), rng.choice([1, 2, 5])) for _ in range(m)]
+    inside = [sum((c * v[i] for c, v in zip(coeffs, basis)), Q(0)) for i in range(n)]
+    scale = 1
+    for a in inside:
+        scale = scale * a.denominator // gcd(scale, a.denominator)
+    _check_against_solve(basis, [int(a * scale) for a in inside])
+    # random integer targets, mostly outside the span when m < n
+    for _ in range(4):
+        _check_against_solve(basis, [rng.randint(-5, 5) for _ in range(n)])
+    _check_against_solve(basis, [0] * n)
+
+
+def _pivot_rows(basis):
+    """The first rows of the basis matrix that are independent of the rows
+    before them, as the coordinate map picks its invertible block."""
+    rows, picked = [], []
+    for r, row in enumerate(zip(*basis)):
+        if rank(Matrix(rows + [list(row)])) > len(rows):
+            rows.append(list(row))
+            picked.append(r)
+    return picked
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_coordinates_reject_targets_off_the_pivot_rows(seed):
+    # the coordinates are read at the pivot rows, where this target is zero;
+    # the span check alone must reject it
+    rng = random.Random(100 + seed)
+    n = rng.randint(2, 6)
+    m = rng.randint(1, n - 1)
+    basis = _random_basis(rng, n, m)
+    pivots = set(_pivot_rows(basis))
+    target = [0 if r in pivots else rng.choice([-2, -1, 1, 3]) for r in range(n)]
+    assert integer_coordinates_in(basis)(_sparse(target)) is None
+    _check_against_solve(basis, target)
+
+
+def test_integer_coordinates_in_the_empty_basis():
+    coordinates = integer_coordinates_in([])
+    assert coordinates({}) == ([], 1)
+    assert coordinates({0: 0}) == ([], 1)
+    assert coordinates({2: 5}) is None
+    assert coordinates_in([])([Q(0), Q(0)]) == []
+    assert coordinates_in([])([Q(0), Q(1)]) is None
+
+
+def test_integer_coordinates_reject_a_dependent_basis():
+    u = [Q(1), Q(2), Q(-1, 2)]
+    with pytest.raises(ValueError):
+        integer_coordinates_in([u, [2 * a for a in u]])
+    with pytest.raises(ValueError):
+        integer_coordinates_in([u, [Q(0)] * 3])
 
 
 # -- minimal polynomial -------------------------------------------------------------

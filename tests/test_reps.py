@@ -144,15 +144,33 @@ def test_module_semisimplicity_examples():
 
 # -- integrality flag -------------------------------------------------------------------------
 
-def test_integral_weights():
-    g = build_gl(1, 1)
-    assert has_integral_weights(g, g.faithful_rep)
-    assert has_integral_weights(g, induced_trivial(g))
+def _cartanless(spec):
+    from superkit.fileformat import parse_algebra, serialize_algebra
+    text = serialize_algebra(parse_family_spec(spec))
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("cartan "))
+    return parse_algebra(text)[0]
+
+
+def _integral_weight_answers(g):
     half = SuperModule(parity=(EVEN,), action=[
         Matrix([[Q(1, 2)]]), Matrix([[0]]), Matrix([[0]]), Matrix([[Q(-1, 2)]])
     ])
     assert validate_module(g, half) == []
-    assert not has_integral_weights(g, half)
+    return [has_integral_weights(g, m) for m in (g.faithful_rep, induced_trivial(g), half)]
+
+
+def test_integral_weights():
+    assert _integral_weight_answers(build_gl(1, 1)) == [True, True, False]
+
+
+def test_integral_weights_without_a_cartan_line():
+    # the Cartan subalgebra is then the one the search finds, as in classify
+    g = _cartanless("gl:1:1")
+    assert g.cartan is None
+    assert _integral_weight_answers(g) == _integral_weight_answers(build_gl(1, 1))
+    for spec in ("sl:2:1", "osp1:2"):
+        assert has_integral_weights(_cartanless(spec), parse_family_spec(spec).faithful_rep)
 
 
 # -- Duflo-Serganova ---------------------------------------------------------------------------

@@ -598,7 +598,7 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
                     assert sub.bracket(t, u) == [w * a for a in u]
 
 
-# -- the decomposition's factor tables against restricted_subalgebra ---------------
+# -- the decomposition's factor tables against g's own brackets --------------------
 
 _FACTOR_SPECS = ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "osp1:5",
                  "product:osp1:1,osp1:2", "product:osp1:1,osp1:1,osp1:1"]
@@ -610,16 +610,21 @@ _FACTOR_SPECS = ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "osp1:5",
     lambda: shuffled_osp(2, 99),
 ], ids=_FACTOR_SPECS + [f"{s}-without-cartan" for s in _FACTOR_SPECS] + ["shuffled"])
 def test_factor_tables_equal_restricted_subalgebra(make):
-    # the factors are read off the root graph's brackets; the oracle solves
-    # for the structure constants of the same basis
+    # each factor is restricted_subalgebra of its basis; the oracle is g
+    # itself: each factor bracket, mapped back through the basis, is the
+    # bracket in g of the basis vectors, and each basis vector acts in the
+    # factor's rep as it does in g's
     g = make()
     dec = g.direct_sum_decompose()
     assert dec.subalgebras
     for basis, sub in zip(dec.ideals, dec.subalgebras):
-        ref = g.restricted_subalgebra(basis)
-        assert sub._table == ref._table and sub._den == ref._den
-        assert sub.faithful_rep._table == ref.faithful_rep._table
-        assert sub.faithful_rep._den == ref.faithful_rep._den
+        assert sub.dim == len(basis)
+        full = Matrix.from_columns(basis)
+        for a in range(sub.dim):
+            for b in range(sub.dim):
+                assert full.matvec(sub.bracket_basis(a, b)) == g.bracket(basis[a], basis[b])
+        for t, v in enumerate(basis):
+            assert sub.faithful_rep.action[t] == g.element_matrix(v)
 
 
 def test_restricted_subalgebra_matches_every_ordered_pair():
