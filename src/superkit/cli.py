@@ -256,13 +256,14 @@ def cmd_ghost(args) -> int:
         _emit(args, {"outcome": "inconclusive", "reason": str(exc),
                      "weight_zero_subsets": exc.count}, f"Inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
+    element = str(ghost.v)
     payload = {
         "invariant_dim": ghost.invariant_dim,
-        "ghost": str(ghost.v),
+        "ghost": element,
         "epsilon": str(ghost.epsilon_value),
         "verdict": verdict,
     }
-    human = (f"invariant dimension: {ghost.invariant_dim}\nghost element: {ghost.v}\n"
+    human = (f"invariant dimension: {ghost.invariant_dim}\nghost element: {element}\n"
              f"epsilon: {ghost.epsilon_value}\nverdict: {verdict}")
     _emit(args, payload, human)
     return EXIT_OK

@@ -38,7 +38,10 @@ thus costs the number of weight-zero subsets (16 of 256 for osp(1|8), 32 of
 every subset has weight zero and the whole quotient is used.  The weight-zero
 subsets are counted by a dynamic program over partial weights before any is
 listed, and a count above `WEIGHT_ZERO_BUDGET` raises `QuotientTooLarge`
-(gl(4|4) has 824 410 of its 2^32 subsets at weight zero).
+(gl(4|4) has 824 410 of its 2^32 subsets at weight zero).  On those
+subsets only a generating set of g acts (`_generators`): the odd basis, and
+the even basis vectors that [g1, g1] and the diagonal elements do not span,
+so for osp(1|2n), where g0 = [g1, g1], the odd basis alone.
 
 The quotients are computed in integers, read off the algebra's integer
 structure table (c[i][j][k] = C / D over one common denominator D), with no
@@ -58,10 +61,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
-from .linalg import Q, _integer_row, integer_vector, kernel_of_rows, zero_vec
+from .core import ODD, LieSuperalgebra, SuperkitError, _dense, _format_terms
+from .linalg import Echelon, Q, _integer_row, integer_vector, kernel_of_rows, zero_vec
 
 Word = tuple[int, ...]
 
@@ -255,7 +259,7 @@ class CoinvariantElement:
         names = self.g.names
         return _format_terms(
             (c, "*".join(names[odd[t]] for t in range(len(odd)) if mask >> t & 1))
-            for mask, c in enumerate(self.coords)
+            for mask, c in enumerate(self.coords) if c
         )
 
 
@@ -434,12 +438,13 @@ class QuotientTooLarge(SuperkitError):
         self.count = count
 
 
-def _odd_weights(g: LieSuperalgebra) -> list[tuple[int, ...]]:
-    """D lambda_j(h) for each odd basis vector e_j, over the even basis
-    elements h whose bracket with every odd e_j is a rational multiple
-    lambda_j(h) e_j, read exactly off the integer table."""
+def _weight_elements(g: LieSuperalgebra) -> list[tuple[int, list[int]]]:
+    """(h, [D lambda_j(h) for each odd e_j]), in basis order, for the even
+    basis elements h whose bracket with every odd basis vector e_j is a
+    rational multiple lambda_j(h) e_j, read exactly off the integer table:
+    the weight elements W."""
     odd = g.odd_indices
-    rows = []
+    out = []
     for h in g.even_indices:
         row = []
         for j in odd:
@@ -448,8 +453,39 @@ def _odd_weights(g: LieSuperalgebra) -> list[tuple[int, ...]]:
                 break
             row.append(br[0][1] if br else 0)
         else:
-            rows.append(row)
-    return list(zip(*rows)) if rows else [()] * len(odd)
+            out.append((h, row))
+    return out
+
+
+def _generators(g: LieSuperalgebra) -> tuple[list[int], list[int]]:
+    """(S, W): S the odd basis followed by E, W the weight elements of
+    `_weight_elements`, both as basis indices.  S and W together generate g.
+
+    E is picked greedily in basis order: an even basis vector joins E when it
+    is not in the span of [g1, g1], W and the earlier picks of E.  One
+    `Echelon` over g0 coordinates holds that span, fed first with the brackets
+    [e_i, e_j] of odd basis vectors i <= j, then with W, then with each even
+    basis vector in turn, and it stops as soon as its rank reaches dim g0.
+    So span(g1 + [g1, g1] + W + E) = g by construction, and the subalgebra
+    that S and W generate contains all of it: it is g, for every algebra.
+    With [g1, g1] = g0, as for osp(1|2n), E is empty and the odd basis alone
+    generates g.
+    """
+    odd, even = g.odd_indices, g.even_indices
+    pos = {k: p for p, k in enumerate(even)}
+    weights = [h for h, _ in _weight_elements(g)]
+    # (candidate for E or None, the vector in g0) in the order fed
+    fed = chain(((None, g._table[i][j]) for a, i in enumerate(odd) for j in odd[a:]),
+                ((None, [(h, 1)]) for h in weights),
+                ((h, [(h, 1)]) for h in even))
+    ech = Echelon()
+    picks = []
+    for h, pairs in fed:
+        if ech.rank == len(even):
+            break
+        if ech.add(_dense(((pos[k], c) for k, c in pairs), len(even))) and h is not None:
+            picks.append(h)
+    return odd + picks, weights
 
 
 def _weight_dp(g: LieSuperalgebra):
@@ -460,7 +496,8 @@ def _weight_dp(g: LieSuperalgebra):
     every coordinate, between the sums of their negative and of their
     positive entries.  A dynamic program over the partial weights; it lists
     no subset, and counts[-1][zero] is the number of weight-zero subsets."""
-    steps = _odd_weights(g)
+    rows = [row for _, row in _weight_elements(g)]
+    steps = list(zip(*rows)) if rows else [()] * len(g.odd_indices)
     zero = (0,) * len(steps[0]) if steps else ()
     # lo[t], hi[t]: the coordinatewise range of the weights of the subsets
     # of the vectors from t on
@@ -523,25 +560,41 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     A diagonally acting h scales x_S by wt(S)(h) on the left and by
     -wt(S)(h) on the right, so every invariant lies in the span of the
     weight-zero x_S.  Only those columns are computed, and their joint kernel
-    is embedded back into the full subset basis.  Row (i, t) of the action,
-    whose entry at S is N_T (2D)^{|t| - |S| - 1}, is scaled by
-    (2D)^{top + 1 - |t|}, top the largest |S| in the support: its entries
-    N_T (2D)^{top - |S|} are integers, and the kernel is unchanged.
+    is embedded back into the full subset basis.
+
+    Only the generators S of `_generators` act: the odd basis and the even
+    basis vectors E that [g1, g1] and the weight elements W do not reach.
+    (1) The quotient is a g-module, so rho([a, b]) is the supercommutator of
+    rho(a) and rho(b): a vector killed by a and by b is killed by [a, b], and
+    the kernel of a generating set is the kernel of g.  (2) S and W generate
+    g, since span(g1 + [g1, g1] + W + E) = g (`_generators`).  (3) The rows
+    of an h in W vanish on the weight-zero columns, by the scaling above, so
+    S alone leaves the same kernel on them as S and W.
+
+    Row (i, t) of the action, whose entry at S is N_T (2D)^{|t| - |S| - 1},
+    is scaled by (2D)^{top + 1 - |t|}, top the largest |S| in the support:
+    its entries N_T (2D)^{top - |S|} are integers, and the kernel is
+    unchanged.
     """
     support = _weight_zero_masks(g)
     base = 2 * g._den
     top = max((mask.bit_count() for mask in support), default=0)
+    gens, _ = _generators(g)
     rows: dict[tuple[int, int], list[int]] = {}
     for p, mask in enumerate(support):
         scale = base ** (top - mask.bit_count())
-        for i in range(g.dim):
+        for i in gens:
             for t, n in _column(g, side, i, mask).items():
                 row = rows.get((i, t))
                 if row is None:
                     row = rows[(i, t)] = [0] * len(support)
                 row[p] = n * scale
+    # the reduced echelon form, and so the kernel basis, does not depend on
+    # the row order; the sparsest rows first keep the pivot rows sparse
+    # (osp(1|16): the kernel takes half the time)
+    ordered = sorted(rows.values(), key=lambda row: len(row) - row.count(0))
     out = []
-    for k in kernel_of_rows(rows.values(), len(support)):
+    for k in kernel_of_rows(ordered, len(support)):
         coords = zero_vec(coinvariant_dim(g))
         for mask, c in zip(support, k):
             coords[mask] = c
@@ -644,9 +697,15 @@ class DjokovicReport:
 
 
 def is_coinvariant_invariant(g: LieSuperalgebra, w: CoinvariantElement) -> bool:
-    """True iff every basis element kills w in its module."""
+    """True iff every basis element kills w in its module.
+
+    Only the generators S and the weight elements W of `_generators` act.
+    The module law makes the kernel of a set the kernel of the subalgebra it
+    generates, and S and W generate g because span(g1 + [g1, g1] + W + E) =
+    g.  W stays in the set, since w need not have weight zero."""
+    gens, weights = _generators(g)
     return all(
-        module_action(g, g.basis_vector(i), w).is_zero() for i in range(g.dim)
+        module_action(g, g.basis_vector(i), w).is_zero() for i in gens + weights
     )
 
 

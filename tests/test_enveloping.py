@@ -1,7 +1,10 @@
 """PBW arithmetic, coinvariants, ghost criterion, and the product invariant."""
 
 import itertools
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from fractions import Fraction as Q
@@ -21,6 +24,7 @@ from superkit.enveloping import (
     djokovic_element,
     _antipode_words,
     _column,
+    _generators,
     _project_words,
     _weight_dp,
     _weight_zero_masks,
@@ -39,7 +43,15 @@ from superkit.families import (
     build_toy,
     parse_family_spec,
 )
-from superkit.linalg import Matrix, in_span, kernel_basis, rank, solve_linear, zero_vec
+from superkit.linalg import (
+    Matrix,
+    in_span,
+    kernel_basis,
+    kernel_of_rows,
+    rank,
+    solve_linear,
+    zero_vec,
+)
 from superkit.reps import induced_trivial
 
 
@@ -449,6 +461,49 @@ def weight_graded_cases():
             osp12_with_literal_bracket(), gl11_rotated_odd_basis()]
 
 
+def semidirect(center):
+    """sl(2) acting on its standard module V = g1, [g1, g1] = 0, as 3 x 3
+    supermatrices: sl(2) in the even 2 x 2 block, V the odd column.  No
+    bracket of odd vectors reaches g0, and only h acts diagonally, so e and f
+    must join the generators.  With `center` the basis of gl(2) is h, e, f
+    and c = 1 + e: c acts diagonally on no basis of V and by its trace 2 on
+    the top subset x_{v1 v2}, which every odd basis vector kills, so only c
+    makes the invariants vanish."""
+    # (row, column, entry) of each matrix
+    rows = {"h": [(0, 0, 1), (1, 1, -1)], "e": [(0, 1, 1)], "f": [(1, 0, 1)],
+            "c": [(0, 0, 1), (1, 1, 1), (0, 1, 1)], "v1": [(0, 2, 1)], "v2": [(1, 2, 1)]}
+    names = ["h", "e", "f"] + (["c"] if center else []) + ["v1", "v2"]
+    mats = []
+    for nm in names:
+        m = Matrix.zeros(3, 3)
+        for r, c, x in rows[nm]:
+            m.data[r][c] = Q(x)
+        mats.append(m)
+    parity = [EVEN] * (len(names) - 2) + [ODD, ODD]
+    return algebra_from_matrices(mats, parity, [EVEN, EVEN, ODD], names)
+
+
+def borel_gl11():
+    """span{E11, E12} in gl(1|1): [E11, E12] = E12 and [E12, E12] = 0.  The
+    odd basis kills x_{E12}, which has weight 1, so only E11 shows it is not
+    invariant."""
+    return algebra_from_matrices([Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]])],
+                                 [EVEN, ODD], [EVEN, ODD], ["E11", "E12"])
+
+
+def odd_plane():
+    """The abelian algebra 0|2: no even part, and both odd vectors act."""
+    return algebra_from_matrices([Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                                  Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])],
+                                 [ODD, ODD], [EVEN, ODD, ODD], ["u", "v"])
+
+
+def generating_set_cases():
+    """Algebras whose generators are more than the odd basis, or whose
+    weight elements the invariance check needs."""
+    return [semidirect(False), semidirect(True), borel_gl11(), odd_plane()]
+
+
 def test_rotated_gl11_has_no_weight_grading():
     g = gl11_rotated_odd_basis()
     assert g.validate() == []
@@ -458,7 +513,7 @@ def test_rotated_gl11_has_no_weight_grading():
 
 def test_invariants_match_joint_kernel_of_full_matrices():
     rng = random.Random(11)
-    for g in weight_graded_cases():
+    for g in weight_graded_cases() + generating_set_cases():
         dim = coinvariant_dim(g)
         for side in (LEFT, RIGHT):
             mats = coinvariant_action_matrices(g, side)
@@ -739,3 +794,92 @@ def test_quotient_over_budget_is_refused_before_listing():
         ghost_criterion(build_gl(4, 4))
     assert err.value.count == gl_weight_zero_count(4, 4) > WEIGHT_ZERO_BUDGET
     assert "824410 weight-zero subsets" in str(err.value)
+
+
+# -- invariants from a generating set -------------------------------------------------------
+
+def golden_family_specs():
+    """Every --family spec that tests/data/cli_golden.json runs."""
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    return sorted({m.group(1) for key in golden if (m := re.search(r"--family (\S+)", key))})
+
+
+def joint_kernel(mats, skip=None):
+    """The joint kernel of the dense action matrices, all but mats[skip]."""
+    rows = [row for i, m in enumerate(mats) if i != skip for row in m.data if any(row)]
+    return kernel_of_rows(rows, mats[0].cols)
+
+
+@pytest.mark.parametrize("spec", golden_family_specs())
+def test_pruned_invariants_match_the_all_basis_kernel(spec):
+    g = parse_family_spec(spec)
+    for side in (LEFT, RIGHT):
+        full = joint_kernel(coinvariant_action_matrices(g, side))
+        inv = [v.coords for v in invariants(g, side)]
+        assert len(inv) == len(full) == rank(Matrix(full + inv)) == 1, side
+
+
+def names_of(g, indices):
+    return [g.names[i] for i in indices]
+
+
+def test_generators_of_the_semidirect_products():
+    for center, picks in ((False, ["e", "f"]), (True, ["e", "f", "c"])):
+        g = semidirect(center)
+        assert g.validate() == []
+        gens, weights = _generators(g)
+        assert names_of(g, gens) == ["v1", "v2"] + picks
+        assert names_of(g, weights) == ["h"]
+    assert [len(invariants(semidirect(c), RIGHT)) for c in (False, True)] == [1, 0]
+    gens, weights = _generators(build_osp1(3))
+    assert gens == build_osp1(3).odd_indices and len(weights) == 3
+
+
+def test_generators_and_weights_generate_the_algebra():
+    """Close S + W under brackets with the Fraction bracket: the span is g."""
+    for g in weight_graded_cases() + generating_set_cases():
+        gens, weights = _generators(g)
+        span = [g.basis_vector(i) for i in gens + weights]
+        grown = True
+        while grown:
+            grown = False
+            for x, y in itertools.product(list(span), repeat=2):
+                z = g.bracket(x, y)
+                if rank(Matrix(span + [z])) > rank(Matrix(span)):
+                    span.append(z)
+                    grown = True
+        assert rank(Matrix(span)) == g.dim, g.names
+
+
+def test_invariance_check_matches_the_all_basis_check():
+    """Seeded vectors, from the joint kernel of all basis elements but one
+    and sparse ones, many of them outside weight zero: the check with the
+    generators and the weight elements agrees with the check with every
+    basis element."""
+    rng = random.Random(20)
+    outside = 0
+    for g in weight_graded_cases() + generating_set_cases():
+        dim = coinvariant_dim(g)
+        zero = set(_weight_zero_masks(g))
+        for side in (LEFT, RIGHT):
+            mats = coinvariant_action_matrices(g, side)
+            samples = []
+            for skip in range(g.dim):
+                near = joint_kernel(mats, skip)
+                for _ in range(3):
+                    coords = zero_vec(dim)
+                    for v in near:
+                        c = Q(rng.randint(-3, 3), rng.randint(1, 2))
+                        coords = [a + c * b for a, b in zip(coords, v)]
+                    samples.append(coords)
+            for _ in range(5):
+                coords = zero_vec(dim)
+                for mask in rng.sample(range(dim), rng.randint(1, min(3, dim))):
+                    coords[mask] = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                samples.append(coords)
+            for coords in samples:
+                expected = all(not any(m.matvec(coords)) for m in mats)
+                w = CoinvariantElement(g, side, coords)
+                assert is_coinvariant_invariant(g, w) == expected, (g.names, side, coords)
+                outside += any(c for mask, c in enumerate(coords) if mask not in zero)
+    assert outside >= 50
