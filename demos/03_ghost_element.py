@@ -54,6 +54,5 @@ for n in (1, 2, 3):
           f"counit = {rep.epsilon} = (2n-1)!!")
     proj = coinvariant_project(g, v, LEFT)
     line = invariants(g, LEFT)[0]
-    scale = proj.coords[0] / line.coords[0] if line.coords[0] else None
     print(f"       spans the invariant line: "
-          f"{[c * scale for c in line.coords] == proj.coords}")
+          f"{line.scale(proj.counit() / line.counit()).coords == proj.coords}")

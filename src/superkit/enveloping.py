@@ -12,9 +12,11 @@ Both one-sided quotients by the even part, the left module U/(U g0) (the
 module induced from the trivial even-part module) and the right module
 U/(g0 U), are carried on the same 2^{dim g_1}-dimensional subset basis {x_S},
 where x_S is the image of the ascending product of the odd basis vectors in S.
-Words, in normal form or not, reach either quotient only through the action
-columns of `_column`, letter by letter from x_{} (the image of 1); the PBW
-normal form serves the arithmetic of U alone.
+A vector of either quotient (`CoinvariantElement`) is the sparse dict
+{bitmask of S: coefficient of x_S} of its nonzero coordinates.  Words, in
+normal form or not, reach either quotient only through the action columns of
+`_column`, letter by letter from x_{} (the image of 1); the PBW normal form
+serves the arithmetic of U alone.
 
 The antipode is the anti-automorphism with S(e_i) = -e_i and
 S(xy) = (-1)^{|x||y|} S(y) S(x); it exchanges the two quotients and therefore
@@ -65,7 +67,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import ODD, LieSuperalgebra, SuperkitError, _dense, _format_terms
-from .linalg import Echelon, Q, _integer_row, integer_vector, kernel_of_rows, zero_vec
+from .linalg import Echelon, Q, _integer_row, integer_vector, kernel_of_rows
 
 Word = tuple[int, ...]
 
@@ -143,26 +145,17 @@ class EnvelopingElement:
 
     # -- ring structure -------------------------------------------------------
 
-    def _binop(self, other: "EnvelopingElement", sign: int) -> "EnvelopingElement":
+    def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         if self.g is not other.g:
             raise SuperkitError("elements live over different algebras")
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w, Q(0)) + sign * c
+            acc = terms.get(w, Q(0)) + c
             if acc:
                 terms[w] = acc
             elif w in terms:
                 del terms[w]
         return EnvelopingElement(self.g, terms)
-
-    def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        return self._binop(other, 1)
-
-    def __sub__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        return self._binop(other, -1)
-
-    def __neg__(self) -> "EnvelopingElement":
-        return self.scale(-1)
 
     def scale(self, c) -> "EnvelopingElement":
         c = Q(c)
@@ -237,34 +230,36 @@ def pbw_normal_form(g: LieSuperalgebra, word: Sequence[int],
 @dataclass
 class CoinvariantElement:
     """Vector in one of the one-sided quotients of U by its even part,
-    on the subset basis {x_S} indexed by bitmasks over the odd basis."""
+    on the subset basis {x_S}: `coords` maps the bitmask of S over the odd
+    basis to the coefficient of x_S, nonzero ones only.  A dense list, one
+    entry per bitmask, is kept as its nonzero entries."""
 
     g: LieSuperalgebra
     side: str
-    coords: list[Fraction]
+    coords: dict[int, Fraction]
+
+    def __post_init__(self) -> None:
+        items = self.coords.items() if isinstance(self.coords, dict) else enumerate(self.coords)
+        self.coords = {mask: c for mask, c in items if c}
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.coords
 
     def counit(self) -> Fraction:
         """Empty-subset coordinate (the counit descends to both quotients)."""
-        return self.coords[0]
+        return self.coords.get(0, Q(0))
 
     def scale(self, c) -> "CoinvariantElement":
         c = Q(c)
-        return CoinvariantElement(self.g, self.side, [c * a for a in self.coords])
+        return CoinvariantElement(self.g, self.side, {mask: c * a for mask, a in self.coords.items()})
 
     def __str__(self) -> str:
         odd = self.g.odd_indices
         names = self.g.names
         return _format_terms(
             (c, "*".join(names[odd[t]] for t in range(len(odd)) if mask >> t & 1))
-            for mask, c in enumerate(self.coords) if c
+            for mask, c in sorted(self.coords.items())
         )
-
-
-def coinvariant_dim(g: LieSuperalgebra) -> int:
-    return 1 << len(g.odd_indices)
 
 
 def _graded(n: int, e: int, base: int, den: int = 1) -> Fraction:
@@ -273,7 +268,7 @@ def _graded(n: int, e: int, base: int, den: int = 1) -> Fraction:
 
 
 def _project_words(g: LieSuperalgebra, items: Iterable[tuple[Word, Fraction]],
-                   side: str) -> list[Fraction]:
+                   side: str) -> dict[int, Fraction]:
     """Coordinates in the chosen quotient of a combination of words in any
     order: each word acts on x_{} through `_column`, from its last letter on
     the left side and from its first letter on the right side.
@@ -300,10 +295,7 @@ def _project_words(g: LieSuperalgebra, items: Iterable[tuple[Word, Fraction]],
                 _accumulate(out, _column(g, side, i, mask), a)
             vec = out
         _accumulate(acc, vec, 1)
-    coords = zero_vec(coinvariant_dim(g))
-    for mask, a in acc.items():
-        coords[mask] = _graded(a, mask.bit_count() - top, base, den)
-    return coords
+    return {mask: _graded(a, mask.bit_count() - top, base, den) for mask, a in acc.items()}
 
 
 def coinvariant_project(g: LieSuperalgebra, x: EnvelopingElement,
@@ -409,7 +401,7 @@ def module_action(g: LieSuperalgebra, z: Sequence,
     Only the columns of the subsets in the support of w are computed; the
     sum runs in integers, each x_S scaled to the largest |S| in the
     support, and is turned into Fractions once."""
-    support = [(mask, c) for mask, c in enumerate(w.coords) if c]
+    support = list(w.coords.items())
     zs, lz = integer_vector(z)
     ws, lw = integer_vector([c for _, c in support])
     base = 2 * g._den
@@ -420,10 +412,8 @@ def module_action(g: LieSuperalgebra, z: Sequence,
             continue
         for (mask, _), c in zip(support, ws):
             _accumulate(acc, _column(g, w.side, i, mask), zi * c * base ** (top - mask.bit_count()))
-    out = zero_vec(coinvariant_dim(g))
-    for t, a in acc.items():
-        out[t] = _graded(a, t.bit_count() - top - 1, base, lz * lw)
-    return CoinvariantElement(g, w.side, out)
+    return CoinvariantElement(g, w.side, {t: _graded(a, t.bit_count() - top - 1, base, lz * lw)
+                                          for t, a in acc.items()})
 
 
 WEIGHT_ZERO_BUDGET = 1 << 16
@@ -559,8 +549,8 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
 
     A diagonally acting h scales x_S by wt(S)(h) on the left and by
     -wt(S)(h) on the right, so every invariant lies in the span of the
-    weight-zero x_S.  Only those columns are computed, and their joint kernel
-    is embedded back into the full subset basis.
+    weight-zero x_S.  Only those columns are computed, and each vector of
+    their joint kernel becomes a sparse vector on the weight-zero masks.
 
     Only the generators S of `_generators` act: the odd basis and the even
     basis vectors E that [g1, g1] and the weight elements W do not reach.
@@ -593,13 +583,8 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     # the row order; the sparsest rows first keep the pivot rows sparse
     # (osp(1|16): the kernel takes half the time)
     ordered = sorted(rows.values(), key=lambda row: len(row) - row.count(0))
-    out = []
-    for k in kernel_of_rows(ordered, len(support)):
-        coords = zero_vec(coinvariant_dim(g))
-        for mask, c in zip(support, k):
-            coords[mask] = c
-        out.append(CoinvariantElement(g, side, coords))
-    return out
+    return [CoinvariantElement(g, side, dict(zip(support, k)))
+            for k in kernel_of_rows(ordered, len(support))]
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +603,12 @@ class GhostElement:
     invariant_dim: int
 
 
-def _primitive(coords: list[Fraction]) -> list[Fraction]:
-    ints = _integer_row(coords)
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Q(x) for x in ints]
+def _primitive(coords: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The primitive integer vector on the line of coords, positive at its lowest mask."""
+    masks = sorted(coords)
+    ints = _integer_row([coords[mask] for mask in masks])
+    sign = -1 if ints[0] < 0 else 1
+    return {mask: Q(sign * x) for mask, x in zip(masks, ints)}
 
 
 def ghost_criterion(g: LieSuperalgebra) -> tuple[GhostElement, str]:
@@ -637,8 +622,7 @@ def ghost_criterion(g: LieSuperalgebra) -> tuple[GhostElement, str]:
     """
     basis = invariants(g, RIGHT)
     if not basis:
-        zero = CoinvariantElement(g, RIGHT, zero_vec(coinvariant_dim(g)))
-        return GhostElement(zero, Q(0), 0), NO_INVARIANT
+        return GhostElement(CoinvariantElement(g, RIGHT, {}), Q(0), 0), NO_INVARIANT
     w = next((b for b in basis if b.counit() != 0), basis[0])
     eps = w.counit()
     if eps != 0:

@@ -89,7 +89,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     cartan_labels: list[str] | None = None
     cartan_line = 0
     rep_parity: list[int] | None = None
-    rep_mats: dict[str, list[list[Fraction]]] = {}
+    rep_mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
     pending_matrix: list[list[Fraction]] | None = None
     pending_rows_needed = 0
 
@@ -120,8 +120,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
                 raise ParseError(f"line {lineno}: repmat before rep header")
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: repmat needs a basis LABEL")
-            pending_matrix = []
-            rep_mats[toks[1]] = pending_matrix
+            pending_matrix = _open_block(rep_mats, toks[1], lineno, "repmat")
             pending_rows_needed = len(rep_parity)
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
@@ -224,7 +223,7 @@ def serialize_algebra(g: LieSuperalgebra, name: str = "algebra") -> str:
 def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[SuperModule, str, list[str]]:
     name = "module"
     parity: list[int] | None = None
-    mats: dict[str, list[list[Fraction]]] = {}
+    mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
     pending: list[list[Fraction]] | None = None
     needed = 0
     for lineno, toks in _tokens(text):
@@ -242,8 +241,7 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
                 raise ParseError(f"line {lineno}: action before parity header")
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: action needs a basis LABEL")
-            pending = []
-            mats[toks[1]] = pending
+            pending = _open_block(mats, toks[1], lineno, "action")
             needed = len(parity)
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
@@ -258,17 +256,32 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
     return m, name, warnings
 
 
-def _module(parity: list[int], blocks: dict[str, list[list[Fraction]]], labels,
+def _open_block(blocks: dict[str, tuple[int, list[list[Fraction]]]], label: str,
+                lineno: int, kind: str) -> list[list[Fraction]]:
+    """The rows of a new matrix block for `label` opened at `lineno`
+    (ParseError if `label` already has one)."""
+    if label in blocks:
+        raise ParseError(f"line {lineno}: {kind} {label!r} repeats the block "
+                         f"of line {blocks[label][0]}")
+    blocks[label] = (lineno, [])
+    return blocks[label][1]
+
+
+def _module(parity: list[int], blocks: dict[str, tuple[int, list[list[Fraction]]]], labels,
             name: str, missing: str, kind: str) -> SuperModule:
-    """The module with each label's parsed matrix block (ParseError if absent or not square)."""
+    """The module with each label's parsed matrix block (ParseError if a
+    block names no basis label, or a label's block is absent or not square)."""
+    for lab, (lineno, _) in blocks.items():
+        if lab not in labels:
+            raise ParseError(f"line {lineno}: unknown basis label {lab!r}")
     d = len(parity)
     for lab in labels:
-        rows = blocks.get(lab)
-        if rows is None:
+        if lab not in blocks:
             raise ParseError(f"{missing} for basis label {lab!r}")
+        rows = blocks[lab][1]
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ParseError(f"{kind} for {lab!r} is not {d}x{d}")
-    return SuperModule(parity, [Matrix(blocks[lab]) for lab in labels], name)
+    return SuperModule(parity, [Matrix(blocks[lab][1]) for lab in labels], name)
 
 
 def serialize_module(m: SuperModule, g: LieSuperalgebra, name: str = "module") -> str:

@@ -414,12 +414,8 @@ def coinvariant_dual_pair(g, u: Sequence) -> tuple[SupercommAlgebra, Matrix]:
     upar = ODD
     dual = Matrix.zeros(1 << k, 1 << k)
     for tmask in range(1 << k):
-        x_t = zero_vec(1 << k)
-        x_t[tmask] = Q(1)
-        u_x_t = module_action(g, u, CoinvariantElement(g, LEFT, x_t))
-        for smask, entry in enumerate(u_x_t.coords):
-            if entry == 0:
-                continue
+        u_x_t = module_action(g, u, CoinvariantElement(g, LEFT, {tmask: Q(1)}))
+        for smask, entry in u_x_t.coords.items():
             # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>
             spar = bin(smask).count("1") % 2
             sign = Q(-1) if (upar and spar) else Q(1)

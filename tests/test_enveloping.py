@@ -19,7 +19,6 @@ from superkit.enveloping import (
     EnvelopingElement,
     QuotientTooLarge,
     WEIGHT_ZERO_BUDGET,
-    coinvariant_dim,
     coinvariant_project,
     djokovic_element,
     _antipode_words,
@@ -56,6 +55,24 @@ from superkit.reps import induced_trivial
 
 
 # -- reference oracles: the Fraction column recursion and the dense matrices ----------
+
+def quotient_dim(g):
+    """2^(dim g1), the dimension of either coinvariant quotient."""
+    return 1 << len(g.odd_indices)
+
+
+def sparse(coords):
+    """A dense coordinate list as the {mask: coefficient} dict of its nonzero entries."""
+    return {mask: c for mask, c in enumerate(coords) if c}
+
+
+def dense(w):
+    """The coordinates of the coinvariant vector w, one per mask."""
+    coords = zero_vec(quotient_dim(w.g))
+    for mask, c in w.coords.items():
+        coords[mask] = c
+    return coords
+
 
 def reference_columns(g):
     """The Fraction recursion that `_column` replaced, read off
@@ -108,7 +125,7 @@ def coinvariant_action_matrices(g, side):
     columns: left multiplication on the left quotient, right multiplication
     on the right quotient."""
     column = reference_columns(g)
-    dim = coinvariant_dim(g)
+    dim = quotient_dim(g)
     mats = []
     for i in range(g.dim):
         mat = Matrix.zeros(dim, dim)
@@ -242,17 +259,18 @@ def test_antipode_is_an_involution():
 
 def test_coinvariant_dims_are_2_to_the_odd_dim():
     for g in (build_gl(1, 1), build_sl(2, 1), build_osp1(2)):
-        d = coinvariant_dim(g)
-        assert d == 2 ** len(g.odd_indices)
+        d = 2 ** len(g.odd_indices)
         for side in (LEFT, RIGHT):
             for m in coinvariant_action_matrices(g, side):
                 assert m.rows == m.cols == d
+            assert all(t < d for i in range(g.dim) for mask in range(d)
+                       for t in _column(g, side, i, mask))
 
 
 def test_project_unit_and_even_elements():
     g = build_gl(1, 1)
     one = coinvariant_project(g, EnvelopingElement.unit(g), LEFT)
-    assert one.coords[0] == 1 and all(c == 0 for c in one.coords[1:])
+    assert one.coords == {0: Q(1)}
     ev = coinvariant_project(g, EnvelopingElement.from_word(g, word_of(g, "E11")), LEFT)
     assert ev.is_zero()
 
@@ -263,34 +281,25 @@ def test_project_odd_product_both_sides():
     left = coinvariant_project(g, xy, LEFT)
     right = coinvariant_project(g, xy, RIGHT)
     # subset mask 3 = {E12, E21}
-    assert left.coords == [Q(0), Q(0), Q(0), Q(1)]
-    assert right.coords == [Q(0), Q(0), Q(0), Q(1)]
+    assert left.coords == {3: Q(1)}
+    assert right.coords == {3: Q(1)}
     yx = EnvelopingElement.from_word(g, word_of(g, "E21", "E12"))
-    assert coinvariant_project(g, yx, LEFT).coords == [Q(0), Q(0), Q(0), Q(-1)]
-    assert coinvariant_project(g, yx, RIGHT).coords == [Q(0), Q(0), Q(0), Q(-1)]
+    assert coinvariant_project(g, yx, LEFT).coords == {3: Q(-1)}
+    assert coinvariant_project(g, yx, RIGHT).coords == {3: Q(-1)}
 
 
 def test_module_action_frozen_matrix_gl11():
     g = build_gl(1, 1)
     u = [a + b for a, b in zip(unit_vec(g, "E12"), unit_vec(g, "E21"))]
-    cols = []
-    for mask in range(4):
-        coords = [Q(0)] * 4
-        coords[mask] = Q(1)
-        w = CoinvariantElement(g, LEFT, coords)
-        cols.append(module_action(g, u, w).coords)
+    cols = [module_action(g, u, CoinvariantElement(g, LEFT, {mask: Q(1)})).coords
+            for mask in range(4)]
     # computed by reducing all four products by hand
-    assert Matrix.from_columns(cols) == Matrix([
-        [0, 0, 0, 0],
-        [1, 0, 0, 0],
-        [1, 0, 0, 0],
-        [0, -1, 1, 0],
-    ])
+    assert cols == [{1: Q(1), 2: Q(1)}, {3: Q(-1)}, {3: Q(1)}, {}]
 
 
 def test_left_action_of_z_on_unit_is_projection_of_z():
     g = build_sl(2, 1)
-    one = CoinvariantElement(g, LEFT, [Q(1)] + [Q(0)] * (coinvariant_dim(g) - 1))
+    one = CoinvariantElement(g, LEFT, {0: Q(1)})
     for i in range(g.dim):
         acted = module_action(g, g.basis_vector(i), one)
         direct = coinvariant_project(g, EnvelopingElement.from_word(g, (i,)), LEFT)
@@ -305,7 +314,7 @@ def test_invariants_purely_even_algebra():
     g = build_gl(2, 0)
     for side in (LEFT, RIGHT):
         inv = invariants(g, side)
-        assert len(inv) == 1 and inv[0].coords == [Q(1)]
+        assert len(inv) == 1 and inv[0].coords == {0: Q(1)}
 
 
 def test_invariants_osp1_both_sides():
@@ -314,8 +323,8 @@ def test_invariants_osp1_both_sides():
         inv = invariants(g, side)
         assert len(inv) == 1
         v = inv[0]
-        scaled = v.scale(Q(1) / v.coords[0])
-        assert scaled.coords == [Q(1), Q(0), Q(0), Q(1)]  # 1 + a1 b1
+        scaled = v.scale(Q(1) / v.counit())
+        assert scaled.coords == {0: Q(1), 3: Q(1)}  # 1 + a1 b1
 
 
 def test_invariants_gl11():
@@ -345,7 +354,7 @@ def test_antipode_exchanges_invariants_between_sides():
                 lift = EnvelopingElement(
                     g,
                     {tuple(i for t, i in enumerate(g.odd_indices) if mask >> t & 1): c
-                     for mask, c in enumerate(w.coords) if c != 0},
+                     for mask, c in w.coords.items()},
                 )
                 image = coinvariant_project(g, lift.antipode(), dst)
                 assert not image.is_zero()
@@ -373,12 +382,12 @@ def test_witness_forces_zero_counit_on_invariants():
         for nm in expr.split("+"):
             u[g.names.index(nm)] += Q(1)
         assert g.in_g1ss(u)
-        umat = Matrix.zeros(coinvariant_dim(g), coinvariant_dim(g))
+        umat = Matrix.zeros(quotient_dim(g), quotient_dim(g))
         for i, c in enumerate(u):
             if c:
                 umat = umat.add(coinvariant_action_matrices(g, LEFT)[i].scale(c))
         for v in invariants(g, LEFT):
-            assert solve_linear(umat, v.coords) is not None
+            assert solve_linear(umat, dense(v)) is not None
             assert v.counit() == 0
 
 
@@ -397,7 +406,7 @@ def test_djokovic_reports():
 def test_djokovic_n1_element_is_the_invariant():
     g, v = djokovic_element(1)
     assert str(v) == "1 + a1*b1"
-    assert coinvariant_project(g, v, LEFT).coords == [Q(1), Q(0), Q(0), Q(1)]
+    assert coinvariant_project(g, v, LEFT).coords == {0: Q(1), 3: Q(1)}
 
 
 def test_product_element_spans_invariant_line():
@@ -406,7 +415,7 @@ def test_product_element_spans_invariant_line():
         vp = coinvariant_project(g, v, LEFT)
         inv = invariants(g, LEFT)
         assert len(inv) == 1
-        assert in_span([inv[0].coords], vp.coords) is not None
+        assert in_span([dense(inv[0])], dense(vp)) is not None
 
 
 # -- sign-convention regression -----------------------------------------------------------------
@@ -440,8 +449,8 @@ def test_literal_bracket_flips_the_invariant_sign():
     for side in (LEFT, RIGHT):
         inv = invariants(g, side)
         assert len(inv) == 1
-        v = inv[0].scale(Q(1) / inv[0].coords[0])
-        assert v.coords == [Q(1), Q(0), Q(0), Q(-1)]  # 1 - a b
+        v = inv[0].scale(Q(1) / inv[0].counit())
+        assert v.coords == {0: Q(1), 3: Q(-1)}  # 1 - a b
 
 
 # -- weight-graded invariants against the full action matrices ---------------------------------
@@ -507,18 +516,18 @@ def generating_set_cases():
 def test_rotated_gl11_has_no_weight_grading():
     g = gl11_rotated_odd_basis()
     assert g.validate() == []
-    assert _weight_zero_masks(g) == list(range(coinvariant_dim(g)))
+    assert _weight_zero_masks(g) == list(range(quotient_dim(g)))
     assert len(_weight_zero_masks(build_osp1(2))) == 4
 
 
 def test_invariants_match_joint_kernel_of_full_matrices():
     rng = random.Random(11)
     for g in weight_graded_cases() + generating_set_cases():
-        dim = coinvariant_dim(g)
+        dim = quotient_dim(g)
         for side in (LEFT, RIGHT):
             mats = coinvariant_action_matrices(g, side)
             full = kernel_basis(Matrix([row for m in mats for row in m.data]))
-            inv = [v.coords for v in invariants(g, side)]
+            inv = [dense(v) for v in invariants(g, side)]
             assert len(inv) == len(full) == rank(Matrix(full + inv)), (g.names, side)
             for _ in range(10):
                 coords = zero_vec(dim)
@@ -531,7 +540,7 @@ def test_invariants_match_joint_kernel_of_full_matrices():
                     col = mats[i].matvec(coords)
                     expected = [a + zi * b for a, b in zip(expected, col)]
                 w = CoinvariantElement(g, side, coords)
-                assert module_action(g, z, w).coords == expected
+                assert module_action(g, z, w).coords == sparse(expected)
 
 
 # -- the coinvariant projections against an independent rewriter -------------------------------
@@ -568,11 +577,11 @@ def reference_projection(g, x, side):
     even-first on the right) by deleting every monomial with an even letter."""
     terms = x.terms if side == LEFT else even_first_normal_form(g, x.terms.items())
     pos = {idx: t for t, idx in enumerate(g.odd_indices)}
-    coords = zero_vec(coinvariant_dim(g))
+    coords = zero_vec(quotient_dim(g))
     for w, c in terms.items():
         if all(g.parity[i] == ODD for i in w):
             coords[sum(1 << pos[i] for i in w)] += c
-    return coords
+    return sparse(coords)
 
 
 def test_action_columns_match_pbw_normal_forms():
@@ -580,12 +589,12 @@ def test_action_columns_match_pbw_normal_forms():
         odd = g.odd_indices
         for side in (LEFT, RIGHT):
             mats = coinvariant_action_matrices(g, side)
-            for mask in range(coinvariant_dim(g)):
+            for mask in range(quotient_dim(g)):
                 sword = tuple(odd[t] for t in range(len(odd)) if mask >> t & 1)
                 for i in range(g.dim):
                     word = (i,) + sword if side == LEFT else sword + (i,)
                     projected = reference_projection(g, pbw_normal_form(g, word), side)
-                    assert mats[i].column(mask) == projected
+                    assert sparse(mats[i].column(mask)) == projected
 
 
 def random_element(g, rng):
@@ -660,7 +669,7 @@ def test_integer_columns_match_the_fraction_recursion(build, spec):
     ref = reference_columns(g)
     for side in (LEFT, RIGHT):
         for i in range(g.dim):
-            for mask in range(coinvariant_dim(g)):
+            for mask in range(quotient_dim(g)):
                 col = _column(g, side, i, mask)
                 assert all(type(n) is int and n for n in col.values())
                 assert graded(g, col, mask) == ref(side, i, mask), (side, i, mask)
@@ -672,11 +681,11 @@ def test_integer_layer_on_a_common_denominator(build, spec):
     against the dense reference matrices."""
     g = build(spec)
     rng = random.Random(5)
-    dim = coinvariant_dim(g)
+    dim = quotient_dim(g)
     for side in (LEFT, RIGHT):
         mats = coinvariant_action_matrices(g, side)
         full = kernel_basis(Matrix([row for m in mats for row in m.data]))
-        inv = [v.coords for v in invariants(g, side)]
+        inv = [dense(v) for v in invariants(g, side)]
         assert len(inv) == len(full) == rank(Matrix(full + inv))
         for _ in range(10):
             coords = [Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Q(0)
@@ -685,7 +694,7 @@ def test_integer_layer_on_a_common_denominator(build, spec):
             expected = zero_vec(dim)
             for i, zi in enumerate(z):
                 expected = [a + zi * b for a, b in zip(expected, mats[i].matvec(coords))]
-            assert module_action(g, z, CoinvariantElement(g, side, coords)).coords == expected
+            assert module_action(g, z, CoinvariantElement(g, side, coords)).coords == sparse(expected)
         for _ in range(10):
             words = [(tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 4))),
                       Q(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(3)]
@@ -696,7 +705,7 @@ def test_integer_layer_on_a_common_denominator(build, spec):
                 for i in (reversed(w) if side == LEFT else w):
                     x = mats[i].matvec(x)
                 expected = [a + b for a, b in zip(expected, x)]
-            assert _project_words(g, words, side) == expected
+            assert _project_words(g, words, side) == sparse(expected)
 
 
 INDUCED_SPECS = ("gl:1:1", "gl:2:1", "sl:2:1", "osp1:1", "osp1:2", "product:osp1:1,gl:1:1",
@@ -710,7 +719,7 @@ def test_induced_trivial_matches_the_dense_oracle(build, spec):
     g = build(spec)
     m = induced_trivial(g)
     assert m.action == coinvariant_action_matrices(g, LEFT)
-    assert m.parity == tuple(bin(mask).count("1") % 2 for mask in range(coinvariant_dim(g)))
+    assert m.parity == tuple(bin(mask).count("1") % 2 for mask in range(quotient_dim(g)))
 
 
 def fresh(spec):
@@ -718,6 +727,20 @@ def fresh(spec):
     for build in (build_gl, build_sl, build_osp1, build_toy):
         build.cache_clear()
     return parse_family_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "gl:2:2",
+                                  "toy_odd_semisimple"])
+def test_coinvariant_vectors_are_sparse_on_weight_zero_masks(spec):
+    """The ghost and the invariants hold no zero coordinate and only
+    weight-zero masks; a dense list builds the same vector."""
+    g = parse_family_spec(spec)
+    zero = set(_weight_zero_masks(g))
+    ghost, _ = ghost_criterion(g)
+    for w in [ghost.v] + invariants(g, LEFT) + invariants(g, RIGHT):
+        assert w.coords and all(w.coords.values()) and set(w.coords) <= zero
+        assert CoinvariantElement(g, w.side, dense(w)) == w
+        assert w.scale(0).coords == {}
 
 
 @pytest.mark.parametrize("spec", ["osp1:2", "gl:2:1", "toy_odd_semisimple",
@@ -815,7 +838,7 @@ def test_pruned_invariants_match_the_all_basis_kernel(spec):
     g = parse_family_spec(spec)
     for side in (LEFT, RIGHT):
         full = joint_kernel(coinvariant_action_matrices(g, side))
-        inv = [v.coords for v in invariants(g, side)]
+        inv = [dense(v) for v in invariants(g, side)]
         assert len(inv) == len(full) == rank(Matrix(full + inv)) == 1, side
 
 
@@ -859,7 +882,7 @@ def test_invariance_check_matches_the_all_basis_check():
     rng = random.Random(20)
     outside = 0
     for g in weight_graded_cases() + generating_set_cases():
-        dim = coinvariant_dim(g)
+        dim = quotient_dim(g)
         zero = set(_weight_zero_masks(g))
         for side in (LEFT, RIGHT):
             mats = coinvariant_action_matrices(g, side)

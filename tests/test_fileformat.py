@@ -165,6 +165,42 @@ def test_module_missing_action_matrix():
     assert "missing action" in str(err.value)
 
 
+def appended_block(text, header, size):
+    """text with one more matrix block (an identity) under `header`, and the
+    line number of that header."""
+    block = header + "\n" + "".join(
+        " ".join("1" if c == r else "0" for c in range(size)) + "\n" for r in range(size))
+    return text + block, text.count("\n") + 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("label, message", [
+    ("B11", "repmat 'B11' repeats the block of line"),
+    ("NOPE", "unknown basis label 'NOPE'"),
+])
+def test_repmat_block_needs_a_new_basis_label(label, message, strict):
+    g = build_osp1(1)
+    text, line = appended_block(serialize_algebra(g, "x"), f"repmat {label}",
+                                g.faithful_rep.dim)
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text, strict=strict)
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("label, message", [
+    ("E11", "action 'E11' repeats the block of line"),
+    ("NOPE", "unknown basis label 'NOPE'"),
+])
+def test_action_block_needs_a_new_basis_label(label, message, strict):
+    g = build_gl(1, 1)
+    m = induced_trivial(g)
+    text, line = appended_block(serialize_module(m, g, "m"), f"action {label}", m.dim)
+    with pytest.raises(ParseError) as err:
+        parse_module(text, g, strict=strict)
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
 def test_supercomm_roundtrip():
     for name, (a, d) in catalog_pairs().items():
         text = serialize_supercomm(a, d, name)
