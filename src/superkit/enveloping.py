@@ -236,9 +236,10 @@ class CoinvariantElement:
 
     g: LieSuperalgebra
     side: str
-    coords: dict[int, Fraction]
+    coords: dict[int, Fraction] | list[Fraction]
 
     def __post_init__(self) -> None:
+        # the dense-list form is what perfbench's ghost check passes in
         items = self.coords.items() if isinstance(self.coords, dict) else enumerate(self.coords)
         self.coords = {mask: c for mask, c in items if c}
 
