@@ -457,7 +457,7 @@ class LieSuperalgebra:
                     toral.append((a, _dense(w.items(), self.dim), la * dens[b] * self._den))
                     x = h_coordinates(w)[0]
                     targets = {d for d, wd in enumerate(weights)
-                               if sum(c * e for c, e in zip(x, wd))}
+                               if sum(c * wd[s] for s, c in x)}
                 for c in joined:
                     links[c] |= joined
                 arrows[a] |= targets
@@ -531,7 +531,7 @@ class LieSuperalgebra:
                 if found is None:
                     raise ValueError("vectors do not span a subalgebra")
                 coeffs, cden = found
-                table[a][b] = tuple((k, c) for k, c in enumerate(coeffs) if c)
+                table[a][b] = tuple(coeffs)
                 if b != a:
                     sign = 1 if parities[a] and parities[b] else -1
                     table[b][a] = tuple((k, sign * c) for k, c in table[a][b])

@@ -3,9 +3,10 @@
 Every family is built from an explicit faithful matrix realization: the
 structure constants are obtained by expanding supercommutators of the basis
 matrices, and the same matrices are attached as the defining representation.
-The builders write their matrices as sparse integer rows, and the
-supercommutators are expanded and solved for in integers, once per
-unordered pair, straight into the algebra's integer structure table.
+The builders write their matrices as sparse integer rows.  Only the nonzero
+products of those matrices are formed, and the supercommutator of each
+unordered pair with a nonzero product is solved for in integers, straight
+into the algebra's integer structure table.
 This guarantees the super axioms hold by construction and gives every family
 the faithful representation needed for semisimple-element testing.
 
@@ -24,6 +25,7 @@ normalization under which the classical coinvariant element
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -50,32 +52,52 @@ def algebra_from_matrices(
 def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequence[str],
                       cartan: Sequence[int] | None) -> LieSuperalgebra:
     """The algebra spanned by the action matrices m_i of `rep`, which becomes
-    its defining representation.  The supercommutators are expanded in
-    integers, on the action rows A_i = D m_i, once per unordered pair i <= j;
+    its defining representation.  Only the nonzero products of the action
+    rows A_i = D m_i are formed, in integers: each entry (r, c, a) of A_x
+    meets row c of every A_y.  The supercommutator A_i A_j -/+ A_j A_i of
+    each pair i <= j with a nonzero product is solved for;
     [m_j, m_i] = -(-1)^{|i||j|} [m_i, m_j] is an exact identity of the
     supercommutator, so it fills (j, i)."""
-    n = len(rep._table)
-    coordinates = integer_coordinates_in([_flat(rows, rep.dim) for rows in rep._table])
+    n, d = len(rep._table), rep.dim
+    coordinates = integer_coordinates_in([_flat(rows, d) for rows in rep._table])
+    # row c of every A_y, as its entries (y, c2, b)
+    by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    for y, rows in enumerate(rep._table):
+        for c, row in enumerate(rows):
+            by_row[c].extend((y, c2, b) for c2, b in row)
+    # products[x][y] = A_x A_y as {r * d + c2: entry}, for the y it reaches
+    products: list[defaultdict[int, dict[int, int]]] = []
+    for rows in rep._table:
+        prod: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for r, row in enumerate(rows):
+            for c, a in row:
+                for y, c2, b in by_row[c]:
+                    out, k = prod[y], r * d + c2
+                    out[k] = out.get(k, 0) + a * b
+        products.append(prod)
+    pairs = sorted({(min(x, y), max(x, y)) for x, prod in enumerate(products) for y in prod})
     table: list[list[tuple[tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
     den = 1
-    for i in range(n):
-        for j in range(i, n):
-            odd = bool(mat_parity[i] and mat_parity[j])
-            br = rep._supercommutator(i, j, odd)
-            if not br:
-                continue
-            found = coordinates(br)
-            if found is None:
-                raise ValueError(
-                    "matrix span is not closed under the supercommutator"
-                )
-            # D^2 [m_i, m_j] = br = sum_k (comps_k / den) D m_k; den is the
-            # same for every integer br
-            comps, den = found
-            row = tuple((k, c) for k, c in enumerate(comps) if c)
-            table[i][j] = row
-            if j != i:
-                table[j][i] = row if odd else tuple((k, -c) for k, c in row)
+    for i, j in pairs:
+        odd = bool(mat_parity[i] and mat_parity[j])
+        sign = 1 if odd else -1
+        br = dict(products[i].get(j, {}))
+        for k, v in products[j].get(i, {}).items():
+            br[k] = br.get(k, 0) + sign * v
+        br = {k: v for k, v in br.items() if v}
+        if not br:
+            continue
+        found = coordinates(br)
+        if found is None:
+            raise ValueError(
+                "matrix span is not closed under the supercommutator"
+            )
+        # D^2 [m_i, m_j] = br = sum_k (C_k / den) D m_k; den is the same for
+        # every integer br
+        row, den = found
+        table[i][j] = row = tuple(row)
+        if j != i:
+            table[j][i] = row if odd else tuple((k, -c) for k, c in row)
     return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan)
 
 

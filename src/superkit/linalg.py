@@ -9,16 +9,18 @@ only when it leaves (`fraction_vector`).  Matrices are dense (row-major lists
 of lists), which is adequate for the dimensions this toolkit targets (at
 most a few hundred).
 
-All elimination goes through one engine, `Echelon`: an incremental,
-fraction-free row echelon form on primitive integer rows.  `rank`,
-`kernel_basis`, `kernel_of_rows`, `solve_linear`, `in_span`, `span_basis`,
-`inverse`, `coordinates_in` and the Krylov step of `minimal_polynomial` are
+Elimination on dense rows goes through one engine, `Echelon`: an
+incremental, fraction-free row echelon form on primitive integer rows.
+`rank`, `kernel_basis`, `kernel_of_rows`, `solve_linear`, `in_span`,
+`span_basis`, `inverse` and the Krylov step of `minimal_polynomial` are
 built on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
 `integer_coordinates_in` is the package's one map from brackets to
-coordinates: it inverts one block of the basis once, then solves each
-target, a sparse integer vector {index: entry}, by sparse integer products;
-`coordinates_in` is its Fraction view.
+coordinates: it runs sparse fraction-free Gauss-Jordan on the basis vectors
+once, then solves each target, a sparse integer vector {index: entry}, by
+sparse integer products, and returns the coordinates as sparse pairs;
+`coordinates_in` is its dense Fraction view.  Coordinates in an independent
+basis are unique, so the pivot order cannot change them.
 `minimal_polynomial` runs its Krylov step on the integer matrix d·m and
 rescales the monic result, so it too returns the unique minimal polynomial.
 
@@ -383,44 +385,64 @@ def coordinates_in(basis: Sequence[Sequence[Fraction]]):
     vectors `basis`, or None when t lies outside their span: t is turned
     into a sparse integer vector once and solved by `integer_coordinates_in`."""
     integer = integer_coordinates_in(basis)
+    m = len(basis)
 
     def coordinates(t: Sequence, scale: int = 1) -> Vec | None:
         tt, den = integer_vector(t)
         found = integer({r: b for r, b in enumerate(tt) if b})
-        return None if found is None else fraction_vector(found[0], found[1] * den * scale)
+        if found is None:
+            return None
+        x = [0] * m
+        for s, c in found[0]:
+            x[s] = c
+        return fraction_vector(x, found[1] * den * scale)
 
     return coordinates
 
 
 def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
-    """The map t -> (X, L), X an integer vector with X / L the coordinates
-    of the integer vector t, given as {index: entry}, in the independent
-    vectors `basis`, or None when t lies outside their span (checked by one
-    sparse integer matvec).  L does not depend on t."""
+    """The map t -> (X, L), with t an integer vector given as {index: entry}:
+    X lists the sorted nonzero pairs (s, X_s), and X_s / L are the
+    coordinates of t in the independent vectors `basis`; None when t lies
+    outside their span (checked by one sparse integer matvec).  L does not
+    depend on t.
+
+    The map is set up by sparse fraction-free Gauss-Jordan on the integer
+    basis vectors V_s = L_b b_s, one at a time.  Each row R_k = sum_s T_k[s] V_s
+    is kept as the sparse pair (R_k, T_k) with the gcd of both divided out,
+    and has a pivot position p_k at which every other row is zero: the
+    position of its entry of least absolute value (the first of equals) when
+    it was added.  A t in the span is then sum_k t[p_k] R_k / R_k[p_k], which
+    gives its coordinates; they are unique, so the pivot rule cannot change
+    them."""
     if not basis:
         return lambda t: ([], 1) if not any(t.values()) else None
     ints, basis_den = integer_vectors(basis)
-    m = len(ints)
-    # m positions S at which the basis vectors b_s = V_s / L form an
-    # invertible block B[S] = V[S] / L, and the inverse L W / w of that block
-    ech = Echelon()
-    pos = []
-    for r, entries in enumerate(zip(*ints)):
-        if ech.add(entries):
-            pos.append(r)
-            if len(pos) == m:
-                break
-    if len(pos) != m:
-        raise ValueError("the basis vectors are linearly dependent")
-    inv, inv_den = _integer_inverse([[v[r] for v in ints] for r in pos])
-    # position r in S -> the column of L W at r, and the V_s, as sparse
-    # integer columns
-    inv_cols = {r: [(s, basis_den * a) for s, a in enumerate(col) if a]
-                for r, col in zip(pos, zip(*inv))}
     cols = [[(r, b) for r, b in enumerate(v) if b] for v in ints]
-    check = inv_den * basis_den
+    rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}  # p_k -> (R_k, T_k)
+    for s, col in enumerate(cols):
+        row, comb = dict(col), {s: 1}
+        for p in [p for p in row if p in rows]:
+            row, comb = _gauss_step(row, comb, *rows[p], p)
+        if not row:
+            raise ValueError("the basis vectors are linearly dependent")
+        p = min(row, key=lambda q: (abs(row[q]), q))
+        for q, (rq, tq) in rows.items():
+            if p in rq:
+                rows[q] = _gauss_step(rq, tq, row, comb, p)
+        rows[p] = (row, comb)
+    # t = sum_s (X_s / L) b_s for X = sum_k t[p_k] C_k, C_k[s] = L L_b T_k[s] / R_k[p_k]:
+    # L the lcm of the pivot entries, then divided by its gcd with every C_k
+    den = lcm(*(r[p] for p, (r, _) in rows.items()))
+    inv_cols = {p: [(s, basis_den * a * (den // r[p])) for s, a in sorted(t.items())]
+                for p, (r, t) in rows.items()}
+    common = gcd(den, *(a for col in inv_cols.values() for _, a in col))
+    if common > 1:
+        den //= common
+        inv_cols = {p: [(s, a // common) for s, a in col] for p, col in inv_cols.items()}
+    check = den * basis_den
 
-    def coordinates(t: dict[int, int]) -> tuple[list[int], int] | None:
+    def coordinates(t: dict[int, int]) -> tuple[list[tuple[int, int]], int] | None:
         xs: dict[int, int] = {}
         for r, b in t.items():
             for s, a in inv_cols.get(r, ()):
@@ -434,12 +456,33 @@ def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
                 return None
         if any(image.values()):
             return None
-        x = [0] * m
-        for s, c in xs.items():
-            x[s] = c
-        return x, inv_den
+        return sorted((s, c) for s, c in xs.items() if c), den
 
     return coordinates
+
+
+def _gauss_step(row: dict[int, int], comb: dict[int, int], prow: dict[int, int],
+                pcomb: dict[int, int], p: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(row, comb) * a - (prow, pcomb) * b, zero at p for a / b = prow[p] / row[p]
+    in lowest terms, with the gcd of both results divided out and no zero
+    entries kept."""
+    a, b = prow[p], row[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = []
+    for x, y in ((row, prow), (comb, pcomb)):
+        z = {k: a * v for k, v in x.items()}
+        for k, v in y.items():
+            w = z.get(k, 0) - b * v
+            if w:
+                z[k] = w
+            else:
+                del z[k]
+        out.append(z)
+    g = gcd(*out[0].values(), *out[1].values())
+    if g > 1:
+        out = [{k: v // g for k, v in z.items()} for z in out]
+    return out[0], out[1]
 
 
 def _sparse_integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[tuple[int, int]]], int]:

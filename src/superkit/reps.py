@@ -124,19 +124,6 @@ class SuperModule:
                         out[c] += a * b
         return [[(c, v) for c, v in enumerate(out) if v] for out in acc]
 
-    def _supercommutator(self, i: int, j: int, odd: bool) -> dict[int, int]:
-        """A_i A_j - A_j A_i, or A_i A_j + A_j A_i when both are odd
-        (A_i = D rho(e_i)), as {r * n + c: entry} without zero entries."""
-        n, t = self.dim, self._table
-        out: dict[int, int] = {}
-        for x, y, s in ((i, j, 1), (j, i, 1 if odd else -1)):
-            for r, row in enumerate(t[x]):
-                for c, a in row:
-                    for c2, b in t[y][c]:
-                        k = r * n + c2
-                        out[k] = out.get(k, 0) + s * a * b
-        return {k: v for k, v in out.items() if v}
-
     def __repr__(self) -> str:
         return f"<SuperModule {self.even_dim}|{self.odd_dim}{' ' + self.name if self.name else ''}>"
 

@@ -268,13 +268,13 @@ def _split_space(g: LieSuperalgebra, ts: list[int], lt: int, ints: list[list[int
     # as columns
     coordinates = integer_coordinates_in(ints)
     tsp = [(i, c) for i, c in enumerate(ts) if c]
-    cols = []
-    for vs in ints:
+    rows: list[list[tuple[int, int]]] = [[] for _ in ints]
+    for s, vs in enumerate(ints):
         found = coordinates(g._sparse_bracket(tsp, [(i, c) for i, c in enumerate(vs) if c]))
         if found is None:
             raise NonSemisimpleCartanAction(_NOT_SPLIT)
-        cols.append(found[0])
-    rows = [[(s, x) for s, x in enumerate(row) if x] for row in zip(*cols)]
+        for r, x in found[0]:
+            rows[r].append((s, x))
     scale = found[1] * lt * g._den
     eig = _diagonal_eigenspaces(rows, scale)
     if eig is None:

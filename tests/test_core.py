@@ -570,6 +570,14 @@ def test_restricted_subalgebra_of_ideal():
     assert sub.center() == []
 
 
+def test_restricted_subalgebra_refuses_vectors_that_span_no_subalgebra():
+    # e = E12 and f = E21 in gl(2): [e, f] = E11 - E22 lies outside their span
+    g = build_gl(2, 0)
+    e, f = (g.basis_vector(g.names.index(nm)) for nm in ("E12", "E21"))
+    with pytest.raises(ValueError, match="vectors do not span a subalgebra"):
+        g.restricted_subalgebra([e, f])
+
+
 # -- structure constants over a common denominator D > 1 ------------------------------
 
 def _rescaled(g):

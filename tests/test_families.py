@@ -15,8 +15,8 @@ from superkit.families import (
     parse_family_spec,
     supertrace,
 )
-from superkit.linalg import Matrix, integer_coordinates_in, rank
-from superkit.reps import SuperModule, _flat, validate_module
+from superkit.linalg import Matrix, rank, solve_linear
+from superkit.reps import SuperModule, validate_module
 
 
 def test_gl_dimensions():
@@ -104,6 +104,19 @@ def test_toys():
         build_toy("no_such_toy")
 
 
+def test_algebra_from_matrices_refuses_a_span_not_closed_under_the_bracket():
+    # E12 and E21 of gl(2) without their bracket E11 - E22
+    with pytest.raises(ValueError, match="matrix span is not closed under the supercommutator"):
+        algebra_from_matrices([unit(2, 0, 1), unit(2, 1, 0)], [EVEN, EVEN], [EVEN, EVEN],
+                              ["e", "f"])
+
+
+def test_algebra_from_matrices_refuses_dependent_matrices():
+    e = unit(2, 0, 1)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        algebra_from_matrices([e, e.scale(2)], [EVEN, EVEN], [EVEN, EVEN], ["e", "e2"])
+
+
 def test_product_block_structure():
     g = build_product([build_osp1(1), build_osp1(2)])
     assert g.dim == 19
@@ -138,19 +151,22 @@ def test_parse_family_spec():
 # -- integer construction against the Fraction reference -------------------------------------
 
 def reference_algebra_from_matrices(mats, mat_parity, space_parity, names, cartan=None):
-    """The Fraction path that the integer construction replaced: one
-    supercommutator per ordered pair, a Fraction bracket dict, and the
-    constructor's conversion to the integer table."""
-    rep = SuperModule(parity=space_parity, action=mats, name="defining")
-    coordinates = integer_coordinates_in([_flat(rows, rep.dim) for rows in rep._table])
+    """An independent Fraction path: for every ordered pair, the
+    supercommutator of the dense matrices by `Matrix.mul`, solved for by
+    `solve_linear` in the flattened basis matrices, and the constructor's
+    conversion to the integer table."""
+    basis = Matrix.from_columns([[x for row in m.data for x in row] for m in mats])
+    products = [[mi.mul(mj) for mj in mats] for mi in mats]
     table = {}
     for i in range(len(mats)):
         for j in range(len(mats)):
-            br = rep._supercommutator(i, j, mat_parity[i] and mat_parity[j])
-            if not br:
+            sign = 1 if mat_parity[i] and mat_parity[j] else -1
+            br = products[i][j].add(products[j][i].scale(sign))
+            if br.is_zero():
                 continue
-            comps, den = coordinates(br)
-            table[(i, j)] = {k: Q(c, den * rep._den) for k, c in enumerate(comps) if c}
+            comps = solve_linear(basis, [x for row in br.data for x in row])
+            table[(i, j)] = {k: c for k, c in enumerate(comps) if c}
+    rep = SuperModule(parity=space_parity, action=mats, name="defining")
     return LieSuperalgebra(mat_parity, table, names, faithful_rep=rep, cartan=cartan)
 
 

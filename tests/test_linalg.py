@@ -154,15 +154,41 @@ def _sparse(v):
 
 
 def _check_against_solve(basis, target):
-    """integer_coordinates_in and coordinates_in against solve_linear."""
+    """integer_coordinates_in and coordinates_in against solve_linear; the
+    integer coordinates come back as sorted pairs with no zero entry."""
     expected = solve_linear(Matrix.from_columns(basis), [Q(a) for a in target])
     found = integer_coordinates_in(basis)(_sparse(target))
     if expected is None:
         assert found is None
     else:
-        xs, den = found
-        assert [Q(x, den) for x in xs] == expected
+        pairs, den = found
+        assert pairs == sorted(pairs) and all(c for _, c in pairs)
+        assert len({s for s, _ in pairs}) == len(pairs)
+        xs = [Q(0)] * len(basis)
+        for s, c in pairs:
+            xs[s] = Q(c, den)
+        assert xs == expected
     assert coordinates_in(basis)(target) == expected
+
+
+def _check_targets(rng, basis):
+    """The map on a combination of the basis, on random integer targets
+    (mostly outside the span when it is not the whole space), on sparse
+    ones and on zero."""
+    n, m = len(basis[0]), len(basis)
+    coeffs = [Q(rng.randint(-4, 4), rng.choice([1, 2, 5])) for _ in range(m)]
+    inside = [sum((c * v[i] for c, v in zip(coeffs, basis)), Q(0)) for i in range(n)]
+    scale = 1
+    for a in inside:
+        scale = scale * a.denominator // gcd(scale, a.denominator)
+    _check_against_solve(basis, [int(a * scale) for a in inside])
+    for _ in range(4):
+        _check_against_solve(basis, [rng.randint(-5, 5) for _ in range(n)])
+        sparse = [0] * n
+        for r in rng.sample(range(n), min(n, 2)):
+            sparse[r] = rng.choice([-3, -1, 1, 2])
+        _check_against_solve(basis, sparse)
+    _check_against_solve(basis, [0] * n)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -170,42 +196,91 @@ def test_integer_coordinates_match_solve_linear(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     m = rng.randint(1, n)
-    basis = _random_basis(rng, n, m)
-    # in the span: an integer multiple of a random combination
-    coeffs = [Q(rng.randint(-4, 4), rng.choice([1, 2, 5])) for _ in range(m)]
-    inside = [sum((c * v[i] for c, v in zip(coeffs, basis)), Q(0)) for i in range(n)]
-    scale = 1
-    for a in inside:
-        scale = scale * a.denominator // gcd(scale, a.denominator)
-    _check_against_solve(basis, [int(a * scale) for a in inside])
-    # random integer targets, mostly outside the span when m < n
-    for _ in range(4):
-        _check_against_solve(basis, [rng.randint(-5, 5) for _ in range(n)])
-    _check_against_solve(basis, [0] * n)
+    _check_targets(rng, _random_basis(rng, n, m))
 
 
-def _pivot_rows(basis):
-    """The first rows of the basis matrix that are independent of the rows
-    before them, as the coordinate map picks its invertible block."""
-    rows, picked = [], []
-    for r, row in enumerate(zip(*basis)):
-        if rank(Matrix(rows + [list(row)])) > len(rows):
-            rows.append(list(row))
-            picked.append(r)
-    return picked
+def _monomial_basis(rng, n, m):
+    """m scaled unit vectors at distinct random positions."""
+    basis = []
+    for r in rng.sample(range(n), m):
+        v = [Q(0)] * n
+        v[r] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+        basis.append(v)
+    return basis
+
+
+def _chain_basis(rng, n, m):
+    """v_s = a_s e_{p_s} + b_s e_{p_(s+1)} along a random order p of the
+    positions, plus a third entry now and then: eliminating a chain fills
+    in, since clearing p_(s+1) from v_s brings in p_(s+2)."""
+    order = rng.sample(range(n), n)
+    basis = []
+    for s in range(m):
+        v = [Q(0)] * n
+        v[order[s]] = Q(rng.choice([-2, -1, 1, 3]))
+        v[order[s + 1]] = Q(rng.choice([-1, 1, 2]), rng.choice([1, 2]))
+        if rng.random() < 0.3:
+            v[rng.randrange(n)] += rng.choice([-1, 1])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_coordinates_on_sparse_bases(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(2, 12)
+    m = rng.randint(1, n - 1)
+    _check_targets(rng, _monomial_basis(rng, n, m))
+    basis = _chain_basis(rng, n, m)
+    if rank(Matrix(basis)) == m:
+        _check_targets(rng, basis)
+
+
+def _pivot_positions(basis):
+    """The position each basis vector pivots on in the coordinate map: its
+    entry of least absolute value, the first of equals, once reduced to
+    zero at the earlier pivots.  The reduced vector is unique up to scale,
+    so Fraction Gauss-Jordan finds the same positions."""
+    rows = {}  # pivot -> row with 1 there and 0 at every other pivot
+    for v in basis:
+        row = list(v)
+        for p, r in rows.items():
+            row = [a - row[p] * b for a, b in zip(row, r)]
+        p = min((q for q, a in enumerate(row) if a), key=lambda q: (abs(row[q]), q))
+        row = [a / row[p] for a in row]
+        rows = {q: [a - r[p] * b for a, b in zip(r, row)] for q, r in rows.items()}
+        rows[p] = row
+    return set(rows)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_coordinates_reject_targets_off_the_pivot_rows(seed):
-    # the coordinates are read at the pivot rows, where this target is zero;
-    # the span check alone must reject it
+    # the coordinates are read at the pivot positions, where this target is
+    # zero: they all come out 0, and the first half of the span check (the
+    # image against the target's entries) must reject it
     rng = random.Random(100 + seed)
     n = rng.randint(2, 6)
     m = rng.randint(1, n - 1)
     basis = _random_basis(rng, n, m)
-    pivots = set(_pivot_rows(basis))
+    pivots = _pivot_positions(basis)
     target = [0 if r in pivots else rng.choice([-2, -1, 1, 3]) for r in range(n)]
     assert integer_coordinates_in(basis)(_sparse(target)) is None
+    _check_against_solve(basis, target)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_coordinates_reject_targets_on_the_pivot_positions_only(seed):
+    # the image matches this target at the pivot positions, its whole
+    # support; off the span, the second half of the span check (the image
+    # off the target's support) must reject it
+    rng = random.Random(200 + seed)
+    n = rng.randint(3, 6)
+    m = rng.randint(1, n - 1)
+    basis = _random_basis(rng, n, m)
+    pivots = _pivot_positions(basis)
+    target = [rng.choice([-2, -1, 1, 3]) if r in pivots else 0 for r in range(n)]
+    if solve_linear(Matrix.from_columns(basis), [Q(a) for a in target]) is None:
+        assert integer_coordinates_in(basis)(_sparse(target)) is None
     _check_against_solve(basis, target)
 
 
