@@ -305,15 +305,15 @@ class LieSuperalgebra:
             self._center = kernel_of_rows(rows, self.dim)
         return [list(v) for v in self._center]
 
-    def _bracket_rows(self, xs: Sequence[int], j: int, ks: Sequence[int]) -> list[list[int]]:
+    def _bracket_rows(self, xs: Sequence[int], j: int, ks: Sequence[int]) -> list[dict[int, int]]:
         """The nonzero rows k in ks of the integer matrix of x -> D [x, e_j]
-        on span(e_i : i in xs): row k holds c[i][j][k] D at the place of i."""
+        on span(e_i : i in xs), as {t: c[i][j][k] D} for i = xs[t]."""
         keep = set(ks)
-        block: dict[int, list[int]] = {}
+        block: dict[int, dict[int, int]] = {}
         for t, i in enumerate(xs):
             for k, c in self._table[i][j]:
                 if k in keep:
-                    block.setdefault(k, [0] * len(xs))[t] = c
+                    block.setdefault(k, {})[t] = c
         return list(block.values())
 
     def _root_datum(self):
@@ -340,11 +340,11 @@ class LieSuperalgebra:
         # a basis of [g0, g0] as integer rows D [e_a, e_b]; the scale of a
         # row does not change the kernel below
         derived = Echelon()
-        basis: list[list[int]] = []
+        basis: list[dict[int, int]] = []
         for a in ev:
             for b in ev:
-                br = _dense(self._table[a][b], self.dim)
-                if any(br) and derived.add(br):
+                br = dict(self._table[a][b])
+                if derived.add(br):
                     basis.append(br)
         # radical = {x in g0 : tr(rho(x) rho(y)) = 0 for all y in [g0,g0]},
         # with rho(x) and rho(y) as integer multiples D rho(e_i) and L D rho(y);
@@ -454,7 +454,7 @@ class LieSuperalgebra:
                     targets = {c}
                     joined.add(c)
                 else:
-                    toral.append((a, _dense(w.items(), self.dim), la * dens[b] * self._den))
+                    toral.append((a, w, la * dens[b] * self._den))
                     x = h_coordinates(w)[0]
                     targets = {d for d, wd in enumerate(weights)
                                if sum(c * wd[s] for s, c in x)}
@@ -471,7 +471,7 @@ class LieSuperalgebra:
         zero_parts: list[list[Vec]] = [[] for _ in components]
         for a, w, den in toral:
             if spans[home[a]].add(w):
-                zero_parts[home[a]].append(fraction_vector(w, den))
+                zero_parts[home[a]].append(fraction_vector(_dense(w.items(), self.dim), den))
         split = zc + [v for part in zero_parts for v in part]
         direct = Echelon()
         if len(split) != len(datum.cartan) or not all(direct.add(v) for v in split):

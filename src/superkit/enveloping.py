@@ -66,7 +66,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .core import ODD, LieSuperalgebra, SuperkitError, _dense, _format_terms
+from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
 from .linalg import Echelon, Q, _integer_row, integer_vector, kernel_of_rows
 
 Word = tuple[int, ...]
@@ -474,7 +474,7 @@ def _generators(g: LieSuperalgebra) -> tuple[list[int], list[int]]:
     for h, pairs in fed:
         if ech.rank == len(even):
             break
-        if ech.add(_dense(((pos[k], c) for k, c in pairs), len(even))) and h is not None:
+        if ech.add({pos[k]: c for k, c in pairs}) and h is not None:
             picks.append(h)
     return odd + picks, weights
 
@@ -571,19 +571,16 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     base = 2 * g._den
     top = max((mask.bit_count() for mask in support), default=0)
     gens, _ = _generators(g)
-    rows: dict[tuple[int, int], list[int]] = {}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for p, mask in enumerate(support):
         scale = base ** (top - mask.bit_count())
         for i in gens:
             for t, n in _column(g, side, i, mask).items():
-                row = rows.get((i, t))
-                if row is None:
-                    row = rows[(i, t)] = [0] * len(support)
-                row[p] = n * scale
+                rows.setdefault((i, t), {})[p] = n * scale
     # the reduced echelon form, and so the kernel basis, does not depend on
     # the row order; the sparsest rows first keep the pivot rows sparse
     # (osp(1|16): the kernel takes half the time)
-    ordered = sorted(rows.values(), key=lambda row: len(row) - row.count(0))
+    ordered = sorted(rows.values(), key=len)
     return [CoinvariantElement(g, side, dict(zip(support, k)))
             for k in kernel_of_rows(ordered, len(support))]
 

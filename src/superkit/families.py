@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra
 from .linalg import Matrix, Q, integer_coordinates_in
-from .reps import Rows, SuperModule, _flat, direct_sum
+from .reps import Rows, SuperModule, direct_sum
 
 
 def algebra_from_matrices(
@@ -59,7 +59,8 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
     [m_j, m_i] = -(-1)^{|i||j|} [m_i, m_j] is an exact identity of the
     supercommutator, so it fills (j, i)."""
     n, d = len(rep._table), rep.dim
-    coordinates = integer_coordinates_in([_flat(rows, d) for rows in rep._table])
+    coordinates = integer_coordinates_in(
+        [{r * d + c: a for r, row in enumerate(rows) for c, a in row} for rows in rep._table])
     # row c of every A_y, as its entries (y, c2, b)
     by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     for y, rows in enumerate(rep._table):

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .core import LieSuperalgebra, SuperkitError
 from .linalg import Matrix, Q, _echelon, kernel_of_rows
-from .reps import SuperModule, _flat, validate_module
+from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
 
 
@@ -175,8 +175,9 @@ def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
     x, y, z to 0, and they are 0."""
     rep = g.faithful_rep
     refusals = []
-    if rep is not None and _echelon((_flat(rows, rep.dim) for rows in rep._table),
-                                    rep.dim ** 2).rank < g.dim:
+    if rep is not None and _echelon(
+            ({r * rep.dim + c: a for r, row in enumerate(rows) for c, a in row}
+             for rows in rep._table), rep.dim ** 2).rank < g.dim:
         refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
     elif rep is not None and (law := validate_module(g, rep)):
         refusals.append("rep: " + law[0])

@@ -5,22 +5,23 @@ anywhere.  Vectors and matrices that cross a public interface hold
 `fractions.Fraction` entries.  Inside, the heavy loops run on integers: a
 rational vector v is written as V / L, with V an integer vector and L the
 lcm of the denominators (`integer_vector`), and turned back into Fractions
-only when it leaves (`fraction_vector`).  Matrices are dense (row-major lists
-of lists), which is adequate for the dimensions this toolkit targets (at
-most a few hundred).
+only when it leaves (`fraction_vector`).  `Matrix` is dense (row-major
+lists of lists), which is adequate for the dimensions this toolkit targets
+(at most a few hundred).
 
-Elimination on dense rows goes through one engine, `Echelon`: an
-incremental, fraction-free row echelon form on primitive integer rows.
-`rank`, `kernel_basis`, `kernel_of_rows`, `solve_linear`, `in_span`,
-`span_basis`, `inverse` and the Krylov step of `minimal_polynomial` are
-built on it, and read their answers off its reduced echelon form, which is
+Elimination goes through one engine, `Echelon`: an incremental,
+fraction-free row echelon form on sparse primitive integer rows
+{column: entry}.  It takes rows as dicts or as dense sequences, of ints or
+Fractions, and keeps only the sparse form.  `rank`, `kernel_basis`,
+`kernel_of_rows`, `solve_linear`, `in_span`, `span_basis`, `inverse`, the
+Krylov step of `minimal_polynomial` and `integer_coordinates_in` are built
+on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
 `integer_coordinates_in` is the package's one map from brackets to
-coordinates: it runs sparse fraction-free Gauss-Jordan on the basis vectors
-once, then solves each target, a sparse integer vector {index: entry}, by
-sparse integer products, and returns the coordinates as sparse pairs;
-`coordinates_in` is its dense Fraction view.  Coordinates in an independent
-basis are unique, so the pivot order cannot change them.
+coordinates: it eliminates the basis vectors, each tagged with its own
+index, once, then solves each target, a sparse integer vector {index:
+entry}, by sparse integer products, and returns the coordinates as sparse
+pairs; `coordinates_in` is its dense Fraction view.
 `minimal_polynomial` runs its Krylov step on the integer matrix d·m and
 rescales the monic result, so it too returns the unique minimal polynomial.
 
@@ -35,6 +36,7 @@ coefficients; Fractions appear only in `minimal_polynomial`'s output.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -75,7 +77,7 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 _INT = {int}
 
 
-def _all_int(row: list) -> bool:
+def _all_int(row: Iterable) -> bool:
     """Every entry is an int.  The type test runs in C: a generator over
     the row was a visible share of the time of every `Echelon` insert."""
     return set(map(type, row)) <= _INT
@@ -213,40 +215,66 @@ def _integer_row(v: Iterable) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+Row = dict[int, int]
+
+
+def _sparse_row(v: dict | Iterable) -> Row:
+    """The nonzero entries of v, a dict {column: entry} or a dense sequence
+    of ints or Fractions, times the lcm of their denominators and divided by
+    the gcd of the results: a primitive integer row {column: entry} on the
+    same line as v."""
+    row = {c: a for c, a in (v.items() if isinstance(v, dict) else enumerate(v)) if a}
+    if not _all_int(row.values()):
+        den = lcm(*(a.denominator for a in row.values()))
+        row = {c: a.numerator * (den // a.denominator) for c, a in row.items()}
+    g = gcd(*row.values())
+    return {c: a // g for c, a in row.items()} if g > 1 else row
+
+
 class Echelon:
     """Incremental fraction-free row echelon form, the package's one exact
     elimination engine.
 
-    Rows are scaled to primitive integer rows on entry.  Each pivot row is
-    kept gcd-normalized with a positive lead; `pivots` lists the lead columns
-    in increasing order and `rows` maps each to its row.  A row added later
-    is reduced against every earlier pivot, so it is zero at their columns;
+    A row, a dict {column: entry} or a dense sequence of ints or Fractions,
+    becomes a sparse primitive integer row {column: entry} on entry, and
+    only that form is kept.  Each pivot row is gcd-normalized with a
+    positive lead at its lowest column; `pivots` lists the lead columns in
+    increasing order and `rows` maps each to its row.  A row added later is
+    reduced against every earlier pivot, so it is zero at their columns;
     `reduced` back-substitutes once to give the reduced echelon form.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, Row] = {}
         self.pivots: list[int] = []
 
-    def reduce(self, v: Iterable) -> list[int]:
-        """v minus its part in the span, as an integer row up to scale."""
-        row = _integer_row(v)
-        for c in self.pivots:
-            x = row[c]
-            if x:
-                row = _eliminate(row, self.rows[c], c, x)
+    def reduce(self, v: dict | Iterable) -> Row:
+        """v minus its part in the span, as a primitive integer row up to
+        scale.  The row's pivot columns are cleared in increasing order, the
+        ones that an elimination fills in included: each pivot row is zero
+        left of its lead, so a cleared column stays clear."""
+        row = _sparse_row(v)
+        rows = self.rows
+        todo = [c for c in row if c in rows]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            if c in row:
+                for k in _eliminate(row, rows[c], c):
+                    if k in rows:
+                        heappush(todo, k)
         return row
 
-    def contains(self, v: Iterable) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v: dict | Iterable) -> bool:
+        return not self.reduce(v)
 
-    def add(self, v: Iterable) -> bool:
+    def add(self, v: dict | Iterable) -> bool:
         """Insert if independent of the current span; returns True if new."""
         row = self.reduce(v)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
+        if not row:
             return False
-        self.rows[lead] = row if row[lead] > 0 else [-x for x in row]
+        lead = min(row)
+        self.rows[lead] = row if row[lead] > 0 else {c: -a for c, a in row.items()}
         insort(self.pivots, lead)
         return True
 
@@ -254,37 +282,59 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduced(self) -> list[Vec]:
-        """The reduced row echelon form of the span, one row per pivot in
-        `pivots` order: lead 1 and zero at every other pivot column."""
+    def reduced(self) -> list[dict[int, Fraction]]:
+        """The reduced row echelon form of the span, one row {column: entry}
+        per pivot in `pivots` order: lead 1 and zero at every other pivot
+        column."""
         done = self._back_substituted()
         out = []
         for c in self.pivots:
             row = done[c]
             lead = row[c]
-            out.append([Q(x, lead) if x else _Q0 for x in row])
+            out.append({k: Q(x, lead) for k, x in row.items()})
         return out
 
-    def _back_substituted(self) -> dict[int, list[int]]:
+    def _back_substituted(self) -> dict[int, Row]:
         """Pivot column -> its primitive integer row, zero at every other
-        pivot column: the reduced echelon form up to the scale of each row."""
-        done: dict[int, list[int]] = {}
+        pivot column: the reduced echelon form up to the scale of each row.
+        A finished row is zero at every other finished pivot, so clearing
+        one of them leaves the others clear."""
+        done: dict[int, Row] = {}
         for c in reversed(self.pivots):
             row = self.rows[c]
-            for c2, p in done.items():
-                x = row[c2]
-                if x:
-                    row = _eliminate(row, p, c2, x)
+            hits = [k for k in row if k in done]
+            if hits:
+                row = dict(row)
+                for k in hits:
+                    _eliminate(row, done[k], k)
             done[c] = row
         return done
 
 
-def _eliminate(row: list[int], p: list[int], c: int, x: int) -> list[int]:
-    """row * p[c] - p * x (zero at column c when x = row[c]), made primitive."""
-    pc = p[c]
-    row = [a * pc - b * x for a, b in zip(row, p)]
-    g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
+def _eliminate(row: Row, p: Row, c: int) -> list[int]:
+    """Make row zero at column c, in place: row * a - p * b for
+    a / b = p[c] / row[c] in lowest terms (a > 0, as p's lead is positive),
+    divided by its gcd.  Returns the columns the step filled in."""
+    x, pc = row[c], p[c]
+    g = gcd(x, pc)
+    a, b = pc // g, x // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    filled = []
+    for k, y in p.items():
+        w = row.get(k, 0) - b * y
+        if w:
+            if k not in row:
+                filled.append(k)
+            row[k] = w
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+    return filled
 
 
 def _echelon(rows: Iterable, width: int) -> Echelon:
@@ -307,20 +357,19 @@ def kernel_basis(m: Matrix) -> list[Vec]:
 
 
 def kernel_of_rows(rows: Iterable, width: int) -> list[Vec]:
-    """`kernel_basis` of the matrix with these rows (ints or Fractions) and
-    `width` columns; no rows means the zero matrix."""
+    """`kernel_basis` of the matrix with these rows (dicts {column: entry}
+    or dense sequences, of ints or Fractions) and `width` columns; no rows
+    means the zero matrix."""
     ech = _echelon(rows, width)
-    red = ech.reduced()
     pivots = set(ech.pivots)
-    basis = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
-        v = zero_vec(width)
-        v[fc] = Q(1)
-        for pc, row in zip(ech.pivots, red):
-            v[pc] = -row[fc]
-        basis.append(v)
+    free = {fc: t for t, fc in enumerate(c for c in range(width) if c not in pivots)}
+    basis = [zero_vec(width) for _ in free]
+    for fc, t in free.items():
+        basis[t][fc] = Q(1)
+    for pc, row in zip(ech.pivots, ech.reduced()):
+        for fc, x in row.items():
+            if fc != pc:
+                basis[free[fc]][pc] = -x
     return basis
 
 
@@ -335,7 +384,7 @@ def solve_linear(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
         return None
     x = zero_vec(n)
     for pc, row in zip(ech.pivots, ech.reduced()):
-        x[pc] = row[n]
+        x[pc] = row.get(n, _Q0)
     return x
 
 
@@ -362,22 +411,13 @@ def inverse(m: Matrix) -> Matrix:
     """The inverse of a square matrix, read off the reduced rows of [m | I]."""
     if m.cols != m.rows:
         raise ValueError("only a square matrix has an inverse")
-    rows, den = _integer_inverse(m.data)
-    return Matrix([fraction_vector(row, den) for row in rows])
-
-
-def _integer_inverse(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(W, w) with W / w the inverse of the square matrix with these rows
-    (ints or Fractions), read off the integer reduced rows of [m | I]."""
-    n = len(rows)
+    n = m.rows
     ech = Echelon()
-    for r, row in enumerate(rows):
-        ech.add([*row, *(int(r == c) for c in range(n))])
+    for r, row in enumerate(m.data):
+        ech.add({**dict(enumerate(row)), n + r: 1})
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
-    done = ech._back_substituted()
-    den = lcm(*(done[c][c] for c in range(n)))
-    return [[x * (den // done[c][c]) for x in done[c][n:]] for c in range(n)], den
+    return Matrix([[row.get(n + c, _Q0) for c in range(n)] for row in ech.reduced()])
 
 
 def coordinates_in(basis: Sequence[Sequence[Fraction]]):
@@ -400,42 +440,38 @@ def coordinates_in(basis: Sequence[Sequence[Fraction]]):
     return coordinates
 
 
-def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
+def integer_coordinates_in(basis: Sequence[dict | Sequence]):
     """The map t -> (X, L), with t an integer vector given as {index: entry}:
     X lists the sorted nonzero pairs (s, X_s), and X_s / L are the
-    coordinates of t in the independent vectors `basis`; None when t lies
-    outside their span (checked by one sparse integer matvec).  L does not
-    depend on t.
+    coordinates of t in the independent vectors `basis` (dicts {index:
+    entry} or dense sequences, of ints or Fractions, as `Echelon` takes
+    them); None when t lies outside their span (checked by one sparse
+    integer matvec).  L does not depend on t.
 
-    The map is set up by sparse fraction-free Gauss-Jordan on the integer
-    basis vectors V_s = L_b b_s, one at a time.  Each row R_k = sum_s T_k[s] V_s
-    is kept as the sparse pair (R_k, T_k) with the gcd of both divided out,
-    and has a pivot position p_k at which every other row is zero: the
-    position of its entry of least absolute value (the first of equals) when
-    it was added.  A t in the span is then sum_k t[p_k] R_k / R_k[p_k], which
-    gives its coordinates; they are unique, so the pivot rule cannot change
-    them."""
+    The map is set up by one `Echelon` of the integer basis vectors
+    V_s = L_b b_s, each fed as the row {r: V_s[r]} + {n + s: 1}, n past
+    every index of the basis.  Every row of its span is a pair (R, T) with
+    R = sum_s T[s] V_s, and a row with R = 0 is a dependency, so the basis
+    is independent iff every pivot p_k lies below n.  Back-substituted, row
+    k is (R_k, T_k) with R_k zero at every other pivot; a t in the span is
+    then sum_k t[p_k] R_k / R_k[p_k], which gives its coordinates.  They
+    are unique, so the pivots cannot change them."""
     if not basis:
         return lambda t: ([], 1) if not any(t.values()) else None
-    ints, basis_den = integer_vectors(basis)
-    cols = [[(r, b) for r, b in enumerate(v) if b] for v in ints]
-    rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}  # p_k -> (R_k, T_k)
+    cols, basis_den = _sparse_integer_rows(basis)
+    n = 1 + max((r for col in cols for r, _ in col), default=-1)
+    ech = Echelon()
     for s, col in enumerate(cols):
-        row, comb = dict(col), {s: 1}
-        for p in [p for p in row if p in rows]:
-            row, comb = _gauss_step(row, comb, *rows[p], p)
-        if not row:
-            raise ValueError("the basis vectors are linearly dependent")
-        p = min(row, key=lambda q: (abs(row[q]), q))
-        for q, (rq, tq) in rows.items():
-            if p in rq:
-                rows[q] = _gauss_step(rq, tq, row, comb, p)
-        rows[p] = (row, comb)
+        ech.add({**dict(col), n + s: 1})
+    if ech.pivots[-1] >= n:
+        raise ValueError("the basis vectors are linearly dependent")
     # t = sum_s (X_s / L) b_s for X = sum_k t[p_k] C_k, C_k[s] = L L_b T_k[s] / R_k[p_k]:
     # L the lcm of the pivot entries, then divided by its gcd with every C_k
-    den = lcm(*(r[p] for p, (r, _) in rows.items()))
-    inv_cols = {p: [(s, basis_den * a * (den // r[p])) for s, a in sorted(t.items())]
-                for p, (r, t) in rows.items()}
+    done = ech._back_substituted()
+    den = lcm(*(row[p] for p, row in done.items()))
+    inv_cols = {p: [(k - n, basis_den * a * (den // row[p]))
+                    for k, a in sorted(row.items()) if k >= n]
+                for p, row in done.items()}
     common = gcd(den, *(a for col in inv_cols.values() for _, a in col))
     if common > 1:
         den //= common
@@ -461,35 +497,14 @@ def integer_coordinates_in(basis: Sequence[Sequence[Fraction]]):
     return coordinates
 
 
-def _gauss_step(row: dict[int, int], comb: dict[int, int], prow: dict[int, int],
-                pcomb: dict[int, int], p: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(row, comb) * a - (prow, pcomb) * b, zero at p for a / b = prow[p] / row[p]
-    in lowest terms, with the gcd of both results divided out and no zero
-    entries kept."""
-    a, b = prow[p], row[p]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    out = []
-    for x, y in ((row, prow), (comb, pcomb)):
-        z = {k: a * v for k, v in x.items()}
-        for k, v in y.items():
-            w = z.get(k, 0) - b * v
-            if w:
-                z[k] = w
-            else:
-                del z[k]
-        out.append(z)
-    g = gcd(*out[0].values(), *out[1].values())
-    if g > 1:
-        out = [{k: v // g for k, v in z.items()} for z in out]
-    return out[0], out[1]
-
-
-def _sparse_integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The rows over one common denominator L, as sparse (column, integer)
+def _sparse_integer_rows(rows: Iterable) -> tuple[list[list[tuple[int, int]]], int]:
+    """The rows (dicts {column: entry} or dense sequences, of ints or
+    Fractions) over one common denominator L, as sparse (column, integer)
     lists of L * row, and L."""
-    ints, den = integer_vectors(rows)
-    return [[(c, a) for c, a in enumerate(r) if a] for r in ints], den
+    nonzero = [[(c, a) for c, a in (v.items() if isinstance(v, dict) else enumerate(v)) if a]
+               for v in rows]
+    den = lcm(*(a.denominator for row in nonzero for _, a in row))
+    return [[(c, a.numerator * (den // a.denominator)) for c, a in row] for row in nonzero], den
 
 
 # ---------------------------------------------------------------------------
@@ -605,17 +620,20 @@ def _poly_apply(p: list[int], rows: list[list[tuple[int, int]]], v: list[int]) -
 def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
     """Monic p of least degree with p(M) v = 0, for the integer matrix M with
     these sparse rows.  The Krylov vectors w_k = M^k v go into one Echelon as
-    [w_k | e_k]; the first row whose w-part reduces to zero carries the
-    dependency sum a_j w_j = 0 in its e-part, and a_k divides every a_j."""
+    the rows {c: w_k[c]} + {n + k: 1}; the first row whose w-part reduces
+    to zero carries the dependency sum a_j w_j = 0 in its e-part, and a_k
+    divides every a_j."""
     n = len(v)
     ech = Echelon()
     w = v
     for k in range(n + 1):
-        ech.add([*w, *(int(j == k) for j in range(n + 1))])
+        row = {c: x for c, x in enumerate(w) if x}
+        row[n + k] = 1
+        ech.add(row)
         lead = ech.pivots[-1]
         if lead >= n:
-            a = ech.rows[lead][n:n + k + 1]
-            return [x // a[k] for x in a]
+            a = ech.rows[lead]
+            return [a.get(n + j, 0) // a[n + k] for j in range(k + 1)]
         w = _int_matvec(rows, w)
     raise RuntimeError("Krylov iteration failed to terminate")
 
@@ -704,13 +722,9 @@ def _rational_eigenspaces(rows: list[list[tuple[int, int]]],
     for lam in roots:
         # d q (m - lam) = q M - d p for lam = p / q, in integers
         p, q = lam.numerator, lam.denominator
-        shifted = []
-        for i, row in enumerate(rows):
-            r = [0] * n
-            for c, a in row:
-                r[c] = q * a
-            r[i] -= d * p
-            shifted.append(r)
+        shifted = [{c: q * a for c, a in row} for row in rows]
+        for i, r in enumerate(shifted):
+            r[i] = r.get(i, 0) - d * p
         basis = kernel_of_rows(shifted, n)
         if basis:
             out.append((lam, basis))

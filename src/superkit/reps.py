@@ -112,14 +112,15 @@ class SuperModule:
         n, den = self.dim, lx * self._den
         return Matrix([fraction_vector(_dense(row, n), den) for row in self._combine(xs)])
 
-    def _combine(self, xs: Sequence[int]) -> list[list[tuple[int, int]]]:
+    def _combine(self, xs: Sequence[int] | dict[int, int]) -> list[list[tuple[int, int]]]:
         """The sparse rows of sum_i xs[i] A_i, A_i = D rho(e_i), for integers
-        xs: D times the matrix of the element xs."""
+        xs (dense, or a dict {i: xs[i]}): D times the matrix of the element
+        xs."""
         n = self.dim
         acc = [[0] * n for _ in range(n)]
-        for a, rows in zip(xs, self._table):
+        for i, a in (xs.items() if isinstance(xs, dict) else enumerate(xs)):
             if a:
-                for out, row in zip(acc, rows):
+                for out, row in zip(acc, self._table[i]):
                     for c, b in row:
                         out[c] += a * b
         return [[(c, v) for c, v in enumerate(out) if v] for out in acc]
@@ -392,28 +393,15 @@ def _acting_algebra(m: SuperModule) -> tuple[dict[Degree, list[Sparse]], tuple[i
     grading coordinate it is that closure.
     """
     labels, moduli = _grading(m)
-    # position (r, c) -> (its degree, its index among the positions of that degree)
-    where: list[list[tuple[Degree, int]]] = []
-    width: dict[Degree, int] = {}
-    for lr in labels:
-        row = []
-        for lc in labels:
-            d = tuple((a - b) % q if q else a - b for a, b, q in zip(lr, lc, moduli))
-            row.append((d, width.get(d, 0)))
-            width[d] = row[-1][1] + 1
-        where.append(row)
+    n = m.dim
 
-    def vector(x: Sparse) -> tuple[Degree | None, list[int]]:
-        """x's degree (None for x = 0) and its entries at that degree's positions."""
-        d = next((where[r][c][0] for r, row in x.items() for c in row), None)
-        if d is None:
-            return None, []
-        v = [0] * width[d]
-        for r, row in x.items():
-            at = where[r]
-            for c, a in row.items():
-                v[at[c][1]] = a
-        return d, v
+    def vector(x: Sparse) -> tuple[Degree | None, dict[int, int]]:
+        """x's degree (None for x = 0) and its entries as a row {r n + c: entry}."""
+        r, c = next(((r, c) for r, row in x.items() for c in row), (None, None))
+        if r is None:
+            return None, {}
+        d = tuple((a - b) % q if q else a - b for a, b, q in zip(labels[r], labels[c], moduli))
+        return d, {r * n + c: a for r, row in x.items() for c, a in row.items()}
 
     spans: defaultdict[Degree, Echelon] = defaultdict(Echelon)
     pieces: defaultdict[Degree, list[Sparse]] = defaultdict(list)
@@ -442,11 +430,6 @@ def _acting_algebra(m: SuperModule) -> tuple[dict[Degree, list[Sparse]], tuple[i
             if add(x):
                 queue.extend((u, x) for u in used)
     return dict(pieces), moduli
-
-
-def _flat(rows: Rows, dim: int) -> list[int]:
-    """The row-major integer vector of the dim x dim matrix with these rows."""
-    return [x for row in rows for x in _dense(row, dim)]
 
 
 def _left_mul(s: Sparse, b: Sparse) -> Sparse:
@@ -498,7 +481,8 @@ def _ds_homology(u: Vec, h: Vec, m: SuperModule) -> DSResult:
     ker: dict[int, list[Vec]] = {}
     for p in (EVEN, ODD):
         idx = [i for i, q in enumerate(m.parity) if q == p]
-        small = kernel_of_rows([[row.get(c, 0) for c in idx] for row in hrows], len(idx))
+        small = kernel_of_rows([{t: row[c] for t, c in enumerate(idx) if c in row}
+                                for row in hrows], len(idx))
         ker[p] = [fraction_vector(_dense(zip(idx, v), m.dim), 1) for v in small]
     # u must square to zero on the h-invariants
     if any(map(any, act(act(integer_vectors(ker[EVEN] + ker[ODD])[0])))):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense, _proportion
+from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _proportion
 from .linalg import (
     Echelon,
     Matrix,
@@ -445,7 +445,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
-            w = _dense(g._sparse_bracket(ints[p], ints[q]).items(), g.dim)
+            w = g._sparse_bracket(ints[p], ints[q])
             if pair_brackets.add(w):
                 spanning.append((p, q, w))
     if pair_brackets.rank != even_dim:
@@ -492,7 +492,8 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
 
 def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], den: int,
                            pairs: list[tuple[int, int, Fraction]],
-                           spanning: list[tuple[int, int, list[int]]], n: int) -> Matrix | None:
+                           spanning: list[tuple[int, int, dict[int, int]]],
+                           n: int) -> Matrix | None:
     """The basis map onto build_osp1(n) given by the opposite pairs `pairs`,
     or None unless it intertwines the brackets.
 

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superkit.linalg import (
+    Echelon,
     Matrix,
     coordinates_in,
     integer_coordinates_in,
@@ -155,9 +156,11 @@ def _sparse(v):
 
 def _check_against_solve(basis, target):
     """integer_coordinates_in and coordinates_in against solve_linear; the
-    integer coordinates come back as sorted pairs with no zero entry."""
+    integer coordinates come back as sorted pairs with no zero entry, and
+    the same from the basis vectors given as dicts."""
     expected = solve_linear(Matrix.from_columns(basis), [Q(a) for a in target])
     found = integer_coordinates_in(basis)(_sparse(target))
+    assert integer_coordinates_in([_sparse(v) for v in basis])(_sparse(target)) == found
     if expected is None:
         assert found is None
     else:
@@ -237,16 +240,17 @@ def test_integer_coordinates_on_sparse_bases(seed):
 
 
 def _pivot_positions(basis):
-    """The position each basis vector pivots on in the coordinate map: its
-    entry of least absolute value, the first of equals, once reduced to
-    zero at the earlier pivots.  The reduced vector is unique up to scale,
-    so Fraction Gauss-Jordan finds the same positions."""
+    """The positions the coordinate map pivots on: the lead columns of the
+    echelon form of the basis vectors as rows, each vector's lowest nonzero
+    position once reduced to zero at the earlier pivots.  The lead columns
+    of a span do not depend on how it is reduced, so Fraction Gauss-Jordan
+    finds the same positions."""
     rows = {}  # pivot -> row with 1 there and 0 at every other pivot
     for v in basis:
         row = list(v)
         for p, r in rows.items():
             row = [a - row[p] * b for a, b in zip(row, r)]
-        p = min((q for q, a in enumerate(row) if a), key=lambda q: (abs(row[q]), q))
+        p = min(q for q, a in enumerate(row) if a)
         row = [a / row[p] for a in row]
         rows = {q: [a - r[p] * b for a, b in zip(r, row)] for q, r in rows.items()}
         rows[p] = row
@@ -299,6 +303,92 @@ def test_integer_coordinates_reject_a_dependent_basis():
         integer_coordinates_in([u, [2 * a for a in u]])
     with pytest.raises(ValueError):
         integer_coordinates_in([u, [Q(0)] * 3])
+
+
+# -- the elimination engine against a dense reference ------------------------------
+
+def _engine_rows(rng, width):
+    """Seeded integer and Fraction rows of one width: sparse random rows,
+    empty rows, combinations of earlier rows, and chains e_i + e_(i+1)
+    followed by e_i, whose elimination fills in one pivot column after
+    another."""
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * width
+        elif kind < 0.25 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [x * p + y * q for p, q in zip(a, b)]
+        elif kind < 0.4 and width > 2:
+            start = rng.randrange(width - 2)
+            for i in range(start, min(width - 1, start + rng.randint(2, 4))):
+                chain = [0] * width
+                chain[i], chain[i + 1] = rng.choice([1, 2, -3]), rng.choice([1, -1, 5])
+                rows.append(chain)
+            row = [0] * width
+            row[start] = rng.choice([1, 4, -2])
+        else:
+            row = [0] * width
+            for c in rng.sample(range(width), rng.randint(1, min(width, 4))):
+                row[c] = rng.choice([-6, -2, -1, 1, 3, 4])
+        if rng.random() < 0.3:
+            den = rng.choice([2, 3, 6])
+            row = [Q(a, den) for a in row]
+        rows.append(row)
+    return rows
+
+
+def _as_dict(rng, row):
+    """The row as a dict with its keys in random order, and now and then a
+    zero entry kept."""
+    items = [(c, a) for c, a in enumerate(row) if a or rng.random() < 0.3]
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _primitive_ints(row):
+    den = lcm(*(Q(a).denominator for a in row))
+    ints = [int(a * den) for a in row]
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
+def _fraction_rref(rows):
+    """Pivot column -> the reduced row of the echelon rows, by Fraction
+    back-substitution."""
+    out = {}
+    for c in sorted(rows, reverse=True):
+        row = [Q(a, rows[c][c]) for a in rows[c]]
+        for c2, r2 in out.items():
+            row = [a - row[c2] * b for a, b in zip(row, r2)]
+        out[c] = row
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_echelon_matches_the_dense_reference(seed):
+    from test_reps import _DenseIntEchelon
+
+    rng = random.Random(900 + seed)
+    width = rng.randint(1, 10)
+    rows = _engine_rows(rng, width)
+    sparse, dense, ref = Echelon(), Echelon(), _DenseIntEchelon()
+    for row in rows:
+        new = ref.add(_primitive_ints(row))
+        assert sparse.add(_as_dict(rng, row)) == new
+        assert dense.add(row) == new
+    assert sparse.pivots == dense.pivots == sorted(ref.pivots)
+    expected = {c: {k: a for k, a in enumerate(r) if a} for c, r in ref.pivots.items()}
+    assert sparse.rows == dense.rows == expected
+    rref = _fraction_rref(ref.pivots)
+    reduced = [{k: a for k, a in enumerate(rref[c]) if a} for c in sorted(ref.pivots)]
+    assert sparse.reduced() == dense.reduced() == reduced
+    for probe in _engine_rows(rng, width):
+        left = ref._normalize(ref.reduce(_primitive_ints(probe)))
+        assert sparse.reduce(_as_dict(rng, probe)) == {k: a for k, a in enumerate(left) if a}
+        assert sparse.contains(probe) == (not any(left))
 
 
 # -- minimal polynomial -------------------------------------------------------------

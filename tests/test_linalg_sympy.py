@@ -11,6 +11,7 @@ Fraction coefficients.
 
 from fractions import Fraction as Q
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from superkit.linalg import (  # noqa: E402
     inverse,
     is_squarefree,
     kernel_basis,
+    kernel_of_rows,
     minimal_polynomial,
     rank,
     rational_roots,
@@ -75,6 +77,22 @@ def test_rank_and_kernel_match_sympy(case):
     m, s = ours(data, cols), theirs(data, cols)
     assert rank(m) == s.rank()
     assert kernel_basis(m) == [as_fractions(v) for v in s.nullspace()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows(), st.randoms(use_true_random=False))
+@example(([[Q(1), Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(1), Q(0)], [Q(1), Q(0), Q(0), Q(0)]], 4),
+         Random(0))  # eliminating column 0 of the last row fills in pivot column 1
+def test_kernel_of_dict_rows_matches_sympy(case, rng):
+    # the rows as dicts {column: entry}, keys in random order, some zeros kept
+    data, cols = case
+    rows = []
+    for row in data:
+        items = [(c, a) for c, a in enumerate(row) if a or rng.random() < 0.3]
+        rng.shuffle(items)
+        rows.append(dict(items))
+    expected = [as_fractions(v) for v in theirs(data, cols).nullspace()]
+    assert kernel_of_rows(rows, cols) == expected
 
 
 @settings(max_examples=100, deadline=None)
