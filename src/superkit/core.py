@@ -6,9 +6,13 @@ as one sparse integer table over a common denominator D: for each (i, j) the
 pairs (k, C) with c[i][j][k] = C / D.  Brackets, adjoint matrices, the
 center, `validate`, the root graph of `direct_sum_decompose` and
 `restricted_subalgebra`, which builds each of its factors, work on that
-table with integer vectors V / L and turn their results into Fractions only
-on the way out; `structure_constant`, `bracket_basis` and `bracket_sparse`
-are Fraction views of it.  The super axioms:
+table with sparse integer vectors V / L, given as their nonzero (index,
+entry) pairs or as dicts {index: entry}: Fractions become such vectors once
+on entry (`linalg._sparse_integer_rows`), the one bracket kernel
+`_sparse_bracket` combines them, and results become Fractions only on the
+way out (`linalg.fraction_vector`).  `bracket`, `structure_constant`,
+`bracket_basis` and `bracket_sparse` are Fraction views of the table.  The
+super axioms:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
@@ -40,15 +44,12 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
-    coordinates_in,
     fraction_vector,
     integer_coordinates_in,
-    integer_vector,
-    integer_vectors,
     _minimal_polynomial,
+    _sparse_integer_rows,
     is_squarefree,
     kernel_of_rows,
-    vec,
     vec_scale,
     zero_vec,
 )
@@ -57,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .reps import SuperModule
 
 EVEN, ODD = 0, 1
+
+# an integer vector, as its nonzero (index, entry) pairs or as {index: entry}
+SparseVec = Sequence[tuple[int, int]] | dict[int, int]
 
 
 class SuperkitError(Exception):
@@ -146,7 +150,7 @@ class LieSuperalgebra:
         return next((Q(c, self._den) for t, c in self._table[i][j] if t == k), Q(0))
 
     def bracket_basis(self, i: int, j: int) -> Vec:
-        return fraction_vector(_dense(self._table[i][j], self.dim), self._den)
+        return fraction_vector(self._table[i][j], self.dim, self._den)
 
     def bracket_sparse(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """The nonzero (k, c[i][j][k]) as Fractions, read off the integer
@@ -159,22 +163,14 @@ class LieSuperalgebra:
             ]
         return self._sparse[i][j]
 
-    def _int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """D [x, y] for integer vectors x, y."""
-        out = [0] * self.dim
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for a, row in zip(x, self._table):
-            if a:
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-        return out
-
-    def _sparse_bracket(self, x: Sequence[tuple[int, int]],
-                        y: Sequence[tuple[int, int]]) -> dict[int, int]:
+    def _sparse_bracket(self, x: SparseVec, y: SparseVec) -> dict[int, int]:
         """D [x, y] for integer vectors x, y given by their nonzero (index,
-        entry) pairs, as {k: entry} without zero entries."""
+        entry) pairs or as dicts {index: entry}, as {k: entry} without zero
+        entries."""
+        if isinstance(x, dict):
+            x = x.items()
+        if isinstance(y, dict):
+            y = y.items()
         out: dict[int, int] = {}
         table = self._table
         for i, a in x:
@@ -188,9 +184,9 @@ class LieSuperalgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors must have length dim")
-        xs, lx = integer_vector(x)
-        ys, ly = integer_vector(y)
-        return fraction_vector(self._int_bracket(xs, ys), lx * ly * self._den)
+        (xs, ys), den = _sparse_integer_rows((x, y))
+        return fraction_vector(self._sparse_bracket(xs, ys).items(), self.dim,
+                               den * den * self._den)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the basis: x in the adjoint module."""
@@ -199,7 +195,7 @@ class LieSuperalgebra:
     def _ad_rows(self, x: Sequence) -> tuple[list[list[tuple[int, int]]], int]:
         """(rows, d): the sparse integer rows of d ad(x), with d = L D for
         x = X / L, read off the adjoint table."""
-        xs, lx = integer_vector(x)
+        (xs,), lx = _sparse_integer_rows((x,))
         return self._adjoint_module()._combine(xs), lx * self._den
 
     def _adjoint_module(self) -> "SuperModule":
@@ -288,7 +284,7 @@ class LieSuperalgebra:
         for rho(x) iff it holds for the integer matrix L D rho(x)."""
         if not self.is_even_element(x):
             raise ValueError("element semisimplicity is defined for even elements")
-        rows = self._require_rep()._combine(integer_vector(x)[0])
+        rows = self._require_rep()._combine(_sparse_integer_rows((x,))[0][0])
         return is_squarefree(_minimal_polynomial(rows))
 
     def in_g1ss(self, u: Sequence) -> bool:
@@ -428,13 +424,14 @@ class LieSuperalgebra:
         if any(len(r.space) != 1 for r in nodes):
             raise NotSemisimpleStructure("a root space has dimension > 1")
         # the weights over one common denominator, as integer tuples
-        weights = [tuple(w) for w in integer_vectors([r.weight for r in nodes])[0]]
+        wden = lcm(*(x.denominator for r in nodes for x in r.weight))
+        weights = [tuple(x.numerator * (wden // x.denominator) for x in r.weight) for r in nodes]
         node = {(w, r.parity): a for a, (w, r) in enumerate(zip(weights, nodes))}
         # e_a = X_a / L_a, with X_a as its nonzero (index, entry) pairs
         items, dens = [], []
         for r in nodes:
-            x, la = integer_vector(r.space[0])
-            items.append([(i, c) for i, c in enumerate(x) if c])
+            (x,), la = _sparse_integer_rows(r.space)
+            items.append(x)
             dens.append(la)
         # d(x) for x in H, up to a positive factor: the integer coordinates
         # of x in the Cartan elements against d's scaled weights
@@ -471,7 +468,7 @@ class LieSuperalgebra:
         zero_parts: list[list[Vec]] = [[] for _ in components]
         for a, w, den in toral:
             if spans[home[a]].add(w):
-                zero_parts[home[a]].append(fraction_vector(_dense(w.items(), self.dim), den))
+                zero_parts[home[a]].append(fraction_vector(w.items(), self.dim, den))
         split = zc + [v for part in zero_parts for v in part]
         direct = Echelon()
         if len(split) != len(datum.cartan) or not all(direct.add(v) for v in split):
@@ -479,8 +476,10 @@ class LieSuperalgebra:
                 "center plus the root-graph ideals do not span the algebra directly"
             )
         from .roots import Root, RootDatum
-        coordinates = coordinates_in(split)
-        h_split = [coordinates(h) for h in datum.cartan]
+        coordinates = integer_coordinates_in(split)
+        hs, lh = _sparse_integer_rows(datum.cartan)
+        h_split = [fraction_vector(x, len(split), den * lh)
+                   for x, den in (coordinates(dict(h)) for h in hs)]
         start = len(zc)
         factors, subalgebras = [], []
         for t, comp in enumerate(components):
@@ -509,20 +508,19 @@ class LieSuperalgebra:
         with structure constants re-expressed in that basis.  The parent's
         faithful representation restricts to a faithful one.  The pairs
         a <= b are solved for, and (b, a) follows by super-antisymmetry."""
-        basis = [vec(v) for v in basis_vectors]
+        items, den = _sparse_integer_rows(basis_vectors)
         parities = []
-        for v in basis:
-            pe = [self.parity[i] for i, c in enumerate(v) if c != 0]
-            if len(set(pe)) > 1:
+        for v in items:
+            pe = {self.parity[i] for i, _ in v}
+            if len(pe) > 1:
                 raise ValueError("subalgebra basis must be parity-homogeneous")
-            parities.append(pe[0] if pe else EVEN)
-        n = len(basis)
-        coordinates = integer_coordinates_in(basis)
-        ints, den = integer_vectors(basis)
-        items = [[(i, c) for i, c in enumerate(v) if c] for v in ints]
-        # [v_a, v_b] = D [V_a, V_b] / (L^2 D^2) = sum_k (X_k / M) v_k / (L^2 D),
-        # with (X, M) the integer coordinates of D [V_a, V_b]; M is the same
-        # for every target
+            parities.append(pe.pop() if pe else EVEN)
+        n = len(items)
+        coordinates = integer_coordinates_in([dict(v) for v in items])
+        # v_k = V_k / L, so [v_a, v_b] = D [V_a, V_b] / (L^2 D^2) =
+        # sum_k (X_k / M) V_k / (L^2 D) = sum_k (X_k / (M L D)) v_k, with
+        # (X, M) the integer coordinates of D [V_a, V_b] in the V_k; M is the
+        # same for every target
         table = [[()] * n for _ in range(n)]
         cden = 1
         for a, xa in enumerate(items):
@@ -536,17 +534,18 @@ class LieSuperalgebra:
                     sign = 1 if parities[a] and parities[b] else -1
                     table[b][a] = tuple((k, sign * c) for k, c in table[a][b])
         names = tuple(f"x{t}" for t in range(n))
-        return LieSuperalgebra._of_table(parities, table, cden * den * den * self._den,
-                                         names, self._restricted_rep(ints, den))
+        return LieSuperalgebra._of_table(parities, table, cden * den * self._den,
+                                         names, self._restricted_rep(items, den))
 
-    def _restricted_rep(self, ints: list[list[int]], den: int) -> "SuperModule | None":
-        """The faithful rep restricted to the vectors v_t = ints[t] / den:
-        rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator."""
+    def _restricted_rep(self, items: list[list[tuple[int, int]]], den: int) -> "SuperModule | None":
+        """The faithful rep restricted to the vectors v_t = V_t / den, with
+        items[t] the nonzero (index, entry) pairs of V_t: rho(v_t) =
+        sum_i V_t[i] A_i / (L D), over the common denominator."""
         if self.faithful_rep is None:
             return None
         from .reps import SuperModule
         parent = self.faithful_rep
-        return SuperModule._of_table(parent.parity, [parent._combine(v) for v in ints],
+        return SuperModule._of_table(parent.parity, [parent._combine(v) for v in items],
                                      den * parent._den)
 
     def __repr__(self) -> str:
@@ -586,14 +585,6 @@ def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
         return "0"
     head = pieces[0][2:] if pieces[0].startswith("+ ") else "-" + pieces[0][2:]
     return " ".join([head] + pieces[1:])
-
-
-def _dense(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
-    """The length-n integer row with the given (position, entry) pairs."""
-    row = [0] * n
-    for k, c in pairs:
-        row[k] = c
-    return row
 
 
 def _law_failures(g: LieSuperalgebra, cols: Sequence[Sequence[Sequence[tuple[int, int]]]],

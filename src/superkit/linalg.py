@@ -3,11 +3,15 @@
 Everything in this package runs over the rationals, with no floating point
 anywhere.  Vectors and matrices that cross a public interface hold
 `fractions.Fraction` entries.  Inside, the heavy loops run on integers: a
-rational vector v is written as V / L, with V an integer vector and L the
-lcm of the denominators (`integer_vector`), and turned back into Fractions
-only when it leaves (`fraction_vector`).  `Matrix` is dense (row-major
-lists of lists), which is adequate for the dimensions this toolkit targets
-(at most a few hundred).
+rational vector v is written as V / L, with V a sparse integer vector,
+given as its nonzero (index, entry) pairs or as a dict {index: entry}, and
+L a common denominator.  Fractions become integers once, on entry
+(`_sparse_integer_rows`, which puts a list of vectors over the lcm of their
+denominators; `integer_vector` for one dense vector), and integers become
+Fractions once, on exit (`fraction_vector`, the dense vector of sparse
+pairs over a denominator).  `Matrix` is dense (row-major lists of lists),
+which is adequate for the dimensions this toolkit targets (at most a few
+hundred).
 
 Elimination goes through one engine, `Echelon`: an incremental,
 fraction-free row echelon form on sparse primitive integer rows
@@ -21,7 +25,7 @@ unique; so they give the same vectors as any other exact elimination would.
 coordinates: it eliminates the basis vectors, each tagged with its own
 index, once, then solves each target, a sparse integer vector {index:
 entry}, by sparse integer products, and returns the coordinates as sparse
-pairs; `coordinates_in` is its dense Fraction view.
+pairs over one denominator.
 `minimal_polynomial` runs its Krylov step on the integer matrix d·m and
 rescales the monic result, so it too returns the unique minimal polynomial.
 
@@ -96,18 +100,13 @@ def integer_vector(v: Iterable) -> tuple[list[int], int]:
     return [e.numerator * (den // d) for e, d in zip(row, dens)], den
 
 
-def integer_vectors(vectors: Iterable[Iterable]) -> tuple[list[list[int]], int]:
-    """The vectors over one common denominator: (Vs, L) with v_t = Vs[t] / L."""
-    ints = [integer_vector(v) for v in vectors]
-    den = lcm(*(d for _, d in ints))
-    return [row if d == den else [a * (den // d) for a in row] for row, d in ints], den
-
-
-def fraction_vector(row: Iterable[int], den: int) -> Vec:
-    """The rational vector row / den."""
-    if den == 1:
-        return [Q(x) if x else _Q0 for x in row]
-    return [Q(x, den) if x else _Q0 for x in row]
+def fraction_vector(pairs: Iterable[tuple[int, int]], n: int, den: int = 1) -> Vec:
+    """The length-n rational vector with x / den at each (index, x) of
+    pairs and zero elsewhere."""
+    v = [_Q0] * n
+    for k, x in pairs:
+        v[k] = Q(x, den)
+    return v
 
 
 class Matrix:
@@ -420,26 +419,6 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix([[row.get(n + c, _Q0) for c in range(n)] for row in ech.reduced()])
 
 
-def coordinates_in(basis: Sequence[Sequence[Fraction]]):
-    """The map (t, scale=1) -> coordinates of t / scale in the independent
-    vectors `basis`, or None when t lies outside their span: t is turned
-    into a sparse integer vector once and solved by `integer_coordinates_in`."""
-    integer = integer_coordinates_in(basis)
-    m = len(basis)
-
-    def coordinates(t: Sequence, scale: int = 1) -> Vec | None:
-        tt, den = integer_vector(t)
-        found = integer({r: b for r, b in enumerate(tt) if b})
-        if found is None:
-            return None
-        x = [0] * m
-        for s, c in found[0]:
-            x[s] = c
-        return fraction_vector(x, found[1] * den * scale)
-
-    return coordinates
-
-
 def integer_coordinates_in(basis: Sequence[dict | Sequence]):
     """The map t -> (X, L), with t an integer vector given as {index: entry}:
     X lists the sorted nonzero pairs (s, X_s), and X_s / L are the
@@ -505,6 +484,28 @@ def _sparse_integer_rows(rows: Iterable) -> tuple[list[list[tuple[int, int]]], i
                for v in rows]
     den = lcm(*(a.denominator for row in nonzero for _, a in row))
     return [[(c, a.numerator * (den // a.denominator)) for c, a in row] for row in nonzero], den
+
+
+def _combine(cs: Iterable[tuple[int, int]], items: Sequence) -> dict[int, int]:
+    """sum_t c_t V_t over the pairs (t, c_t) of cs, for the sparse integer
+    vectors V_t = items[t] (their (index, entry) pairs, or dicts {index:
+    entry}), as {index: entry} without zero entries."""
+    out: dict[int, int] = {}
+    for t, c in cs:
+        v = items[t]
+        for i, b in (v.items() if isinstance(v, dict) else v):
+            out[i] = out.get(i, 0) + c * b
+    return {i: a for i, a in out.items() if a}
+
+
+def _kernel_of_columns(cols: Iterable[dict[int, int]], width: int) -> list[Vec]:
+    """`kernel_of_rows` of the matrix with these `width` sparse columns
+    {row: entry}."""
+    rows: dict[int, dict[int, int]] = {}
+    for t, col in enumerate(cols):
+        for r, a in col.items():
+            rows.setdefault(r, {})[t] = a
+    return kernel_of_rows(rows.values(), width)
 
 
 # ---------------------------------------------------------------------------
@@ -743,23 +744,6 @@ def _diagonal(rows: list[list[tuple[int, int]]]) -> list[int] | None:
         else:
             return None
     return diag
-
-
-def _diagonal_eigenspaces(rows: list[list[tuple[int, int]]],
-                          d: int) -> list[tuple[Fraction, list[Vec]]] | None:
-    """`_rational_eigenspaces(rows, d)` read off the diagonal when M is
-    diagonal, with no minimal polynomial: the kernel basis of each shift is
-    the unit vectors at the entries equal to lam.  None if M is not
-    diagonal."""
-    diag = _diagonal(rows)
-    if diag is None:
-        return None
-    spaces: dict[Fraction, list[Vec]] = {}
-    for i, a in enumerate(diag):
-        unit = zero_vec(len(diag))
-        unit[i] = Q(1)
-        spaces.setdefault(Q(a, d), []).append(unit)
-    return sorted(spaces.items())
 
 
 def splits_semisimply_over_q(m: Matrix) -> bool:

@@ -35,16 +35,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _dense, _law_failures
+from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _law_failures
 from .linalg import (
     Echelon,
     Matrix,
     Vec,
+    _combine,
+    _kernel_of_columns,
+    _sparse_integer_rows,
     fraction_vector,
-    integer_vector,
-    integer_vectors,
     inverse,
     kernel_of_rows,
     rational_eigenspaces,
@@ -89,7 +90,7 @@ class SuperModule:
         """rho(e_i) for each i, as Fraction matrices (built once, on first use)."""
         if self._action is None:
             n, den = self.dim, self._den
-            self._action = [Matrix([fraction_vector(_dense(row, n), den) for row in rows])
+            self._action = [Matrix([fraction_vector(row, n, den) for row in rows])
                             for rows in self._table]
         return self._action
 
@@ -108,17 +109,17 @@ class SuperModule:
     def matrix_of(self, x: Sequence) -> Matrix:
         """sum_i x[i] rho(e_i), accumulated in integers and turned into
         Fractions once."""
-        xs, lx = integer_vector(x)
+        (xs,), lx = _sparse_integer_rows((x,))
         n, den = self.dim, lx * self._den
-        return Matrix([fraction_vector(_dense(row, n), den) for row in self._combine(xs)])
+        return Matrix([fraction_vector(row, n, den) for row in self._combine(xs)])
 
-    def _combine(self, xs: Sequence[int] | dict[int, int]) -> list[list[tuple[int, int]]]:
-        """The sparse rows of sum_i xs[i] A_i, A_i = D rho(e_i), for integers
-        xs (dense, or a dict {i: xs[i]}): D times the matrix of the element
-        xs."""
+    def _combine(self, xs: SparseVec) -> list[list[tuple[int, int]]]:
+        """The sparse rows of sum_i xs[i] A_i, A_i = D rho(e_i), for the
+        integer vector xs (its (i, xs[i]) pairs, or a dict {i: xs[i]}): D
+        times the matrix of the element xs."""
         n = self.dim
         acc = [[0] * n for _ in range(n)]
-        for i, a in (xs.items() if isinstance(xs, dict) else enumerate(xs)):
+        for i, a in (xs.items() if isinstance(xs, dict) else xs):
             if a:
                 for out, row in zip(acc, self._table[i]):
                     for c, b in row:
@@ -470,41 +471,47 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
 
 def _ds_homology(u: Vec, h: Vec, m: SuperModule) -> DSResult:
     """`ds_functor` for u in the cone with square h.  rho(h) and rho(u) enter
-    as integer multiples; kernels, images and spans do not see the scale."""
-    hrows = [dict(row) for row in m._combine(integer_vector(h)[0])]
-    urows = m._combine(integer_vector(u)[0])
-
-    def act(vs: list[list[int]]) -> list[list[int]]:
-        return [[sum(a * v[c] for c, a in row) for row in urows] for v in vs]
-
-    # the kernel of h on each graded piece, as full vectors
-    ker: dict[int, list[Vec]] = {}
+    as integer multiples; kernels, images and spans do not see the scale.
+    Vectors stay sparse integers, each set over one denominator, and only
+    the representatives become Fractions."""
+    (hs, us), _ = _sparse_integer_rows((h, u))
+    hrows = [dict(row) for row in m._combine(hs)]
+    # u applied by columns: u v = _combine(v, ucols), column c of rho(u) its
+    # nonzero (r, entry), up to scale
+    ucols = _transpose(m._combine(us), m.dim, [1] * m.dim)
+    # the kernel of h on each graded piece, as full vectors over one denominator
+    ker: dict[int, tuple[list[list[tuple[int, int]]], int]] = {}
     for p in (EVEN, ODD):
         idx = [i for i, q in enumerate(m.parity) if q == p]
-        small = kernel_of_rows([{t: row[c] for t, c in enumerate(idx) if c in row}
-                                for row in hrows], len(idx))
-        ker[p] = [fraction_vector(_dense(zip(idx, v), m.dim), 1) for v in small]
+        small, den = _sparse_integer_rows(kernel_of_rows(
+            [{t: row[c] for t, c in enumerate(idx) if c in row} for row in hrows], len(idx)))
+        ker[p] = [[(idx[t], x) for t, x in v] for v in small], den
     # u must square to zero on the h-invariants
-    if any(map(any, act(act(integer_vectors(ker[EVEN] + ker[ODD])[0])))):
+    if any(_combine(_combine(v, ucols).items(), ucols) for v in ker[EVEN][0] + ker[ODD][0]):
         raise SuperkitError("u does not square to zero on the h-invariants")
-    de, be = _homology_at(act, ker[EVEN], ker[ODD])
-    do, bo = _homology_at(act, ker[ODD], ker[EVEN])
+    de, be = _homology_at(ucols, ker[EVEN], ker[ODD][0], m.dim)
+    do, bo = _homology_at(ucols, ker[ODD], ker[EVEN][0], m.dim)
     return DSResult(even_dim=de, odd_dim=do, homology_basis=be + bo)
 
 
-def _homology_at(act: Callable, source: list[Vec], target: list[Vec]) -> tuple[int, list[Vec]]:
-    """dim and representatives of ker(u|source) / im(u|target); `act` applies
-    u, up to one common scale, to a list of integer vectors."""
-    if not source:
+def _homology_at(ucols: Rows, source: tuple[list[list[tuple[int, int]]], int],
+                 target: list[list[tuple[int, int]]], n: int) -> tuple[int, list[Vec]]:
+    """dim and representatives of ker(u|source) / im(u|target), for u with
+    the columns `ucols`, up to scale, and sparse integer vectors given as
+    their (index, entry) pairs: source is (Vs, L), the vectors V / L, and
+    target's vectors matter only up to scale."""
+    vs, den = source
+    if not vs:
         return 0, []
-    smat = Matrix.from_columns(source)
-    # u maps source into the span of target (parity flip); kernel of u on source:
-    images = act(integer_vectors(source)[0])
-    kern = [smat.matvec(c) for c in kernel_of_rows(zip(*images), len(source))]
+    # u maps source into the span of target (parity flip); kernel of u on
+    # source, as coordinates in the V_t:
+    images = (_combine(v, ucols) for v in vs)
+    coords, lc = _sparse_integer_rows(_kernel_of_columns(images, len(vs)))
     span = Echelon()
-    for w in act(integer_vectors(target)[0]):
-        span.add(w)
-    reps = [v for v in kern if span.add(v)]
+    for w in target:
+        span.add(_combine(w, ucols))
+    kern = (_combine(c, vs) for c in coords)
+    reps = [fraction_vector(v.items(), n, lc * den) for v in kern if span.add(v)]
     return len(reps), reps
 
 

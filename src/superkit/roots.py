@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _proportion
@@ -41,24 +41,20 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
-    coordinates_in,
     fraction_vector,
+    _combine,
     _diagonal,
-    _diagonal_eigenspaces,
+    _kernel_of_columns,
     _rational_eigenspaces,
     _sparse_integer_rows,
     _splits_semisimply,
     in_span,
     integer_coordinates_in,
-    integer_vector,
-    integer_vectors,
     is_zero_vec,
-    kernel_of_rows,
     span_basis,
     vec,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 
 
@@ -174,33 +170,18 @@ def _splits(g: LieSuperalgebra, x: Sequence) -> bool:
 
 def _centralizer_within(g: LieSuperalgebra, space: list[Vec], x: Vec) -> list[Vec]:
     """Basis of {y in span(space) : [y, x] = 0}."""
-    xs = integer_vector(x)[0]
-    ints, den = integer_vectors(space)
+    (xs,), _ = _sparse_integer_rows((x,))
+    items, den = _sparse_integer_rows(space)
     # the columns [v, x] times one common factor, which keeps the kernel
-    cols = [g._int_bracket(vs, xs) for vs in ints]
-    kern = kernel_of_rows(zip(*cols), len(space))
-    return [_combine(coords, ints, den) for coords in kern]
-
-
-def _combine(coeffs: Sequence[Fraction], ints: Sequence[list[int]], den: int) -> Vec:
-    """sum_t coeffs[t] v_t for the vectors v_t = ints[t] / den."""
-    cs, lc = integer_vector(coeffs)
-    return fraction_vector(_int_combine(cs, ints), lc * den)
-
-
-def _int_combine(cs: Sequence[int], ints: Sequence[list[int]]) -> list[int]:
-    """sum_t cs[t] ints[t], for integers cs."""
-    out = [0] * len(ints[0])
-    for c, vs in zip(cs, ints):
-        if c:
-            out = [a + c * b for a, b in zip(out, vs)]
-    return out
+    cols = [g._sparse_bracket(vs, xs) for vs in items]
+    cs, lc = _sparse_integer_rows(_kernel_of_columns(cols, len(items)))
+    return [fraction_vector(_combine(c, items).items(), g.dim, lc * den) for c in cs]
 
 
 def _is_abelian_family(g: LieSuperalgebra, vecs: list[Vec]) -> bool:
-    ints = integer_vectors(vecs)[0]
+    items = _sparse_integer_rows(vecs)[0]
     return not any(
-        any(g._int_bracket(a, b)) for t, a in enumerate(ints) for b in ints[t + 1:]
+        g._sparse_bracket(a, b) for t, a in enumerate(items) for b in items[t + 1:]
     )
 
 
@@ -223,21 +204,23 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
     if not (all(g.is_even_element(t) for t in cartan) and _is_abelian_family(g, cartan)):
         _require_toral(g, cartan)
     roots: list[Root] = []
+    ts, lt = _sparse_integer_rows(cartan)
     for parity, idx in ((EVEN, g.even_indices), (ODD, g.odd_indices)):
         if not idx:
             continue
-        # (weight, Vs, L): the space spanned by the vectors V / L
-        units = [[int(k == i) for k in range(g.dim)] for i in idx]
-        spaces: list[tuple[tuple[Fraction, ...], list[list[int]], int]] = [((), units, 1)]
-        for t in cartan:
-            ts, lt = integer_vector(t)
+        # (weight, Vs, L): the space spanned by the vectors V / L, each V a
+        # sparse integer dict {index: entry}
+        spaces: list[tuple[tuple[Fraction, ...], list[dict[int, int]], int]] = [
+            ((), [{i: 1} for i in idx], 1)]
+        for t in ts:
             refined = []
-            for weight, ints, den in spaces:
-                for lam, vs, lv in _split_space(g, ts, lt, ints):
+            for weight, items, den in spaces:
+                for lam, vs, lv in _split_space(g, t, lt, items):
                     refined.append((weight + (lam,), vs, lv * den))
             spaces = refined
-        for weight, ints, den in spaces:
-            roots.append(Root(weight, parity, [fraction_vector(v, den) for v in ints]))
+        for weight, items, den in spaces:
+            roots.append(Root(weight, parity, [fraction_vector(v.items(), g.dim, den)
+                                               for v in items]))
     roots.sort(key=lambda r: (r.parity, r.weight))
     return RootDatum(cartan=cartan, roots=roots)
 
@@ -258,33 +241,40 @@ def _require_toral(g: LieSuperalgebra, cartan: list[Vec]) -> None:
         raise NonSemisimpleCartanAction("Cartan elements do not commute")
 
 
-def _split_space(g: LieSuperalgebra, ts: list[int], lt: int, ints: list[list[int]]):
-    """The eigenspaces (lam, Ws, M) of t = ts / lt on the t-stable space
-    spanned by the v_s = V_s / L (ints = the V_s): the eigenvectors
-    W / (M L), each a combination of the v_s whose coordinates are the
-    eigenspace basis of t's matrix K in the v_s, so they do not depend on L.
-    Raises NonSemisimpleCartanAction when K does not split over Q."""
+def _split_space(g: LieSuperalgebra, ts: list[tuple[int, int]], lt: int,
+                 items: list[dict[int, int]]):
+    """The eigenspaces (lam, Ws, M) of t = T / lt (ts the nonzero pairs of
+    T) on the t-stable space spanned by the v_s = V_s / L (items = the V_s,
+    as sparse integer dicts): the eigenvectors W / (M L), each a combination
+    of the v_s whose coordinates are the eigenspace basis of t's matrix K in
+    the v_s, so they do not depend on L.  Raises NonSemisimpleCartanAction
+    when K does not split over Q."""
     # D [T, V_s] = sum_r (X_s[r] / M) V_r, so K = X / (M lt D) with the X_s
     # as columns
-    coordinates = integer_coordinates_in(ints)
-    tsp = [(i, c) for i, c in enumerate(ts) if c]
-    rows: list[list[tuple[int, int]]] = [[] for _ in ints]
-    for s, vs in enumerate(ints):
-        found = coordinates(g._sparse_bracket(tsp, [(i, c) for i, c in enumerate(vs) if c]))
+    coordinates = integer_coordinates_in(items)
+    rows: list[list[tuple[int, int]]] = [[] for _ in items]
+    for s, vs in enumerate(items):
+        found = coordinates(g._sparse_bracket(ts, vs))
         if found is None:
             raise NonSemisimpleCartanAction(_NOT_SPLIT)
         for r, x in found[0]:
             rows[r].append((s, x))
     scale = found[1] * lt * g._den
-    eig = _diagonal_eigenspaces(rows, scale)
-    if eig is None:
-        eig = _rational_eigenspaces(rows, scale)
-    if sum(len(b) for _, b in eig) != len(ints):
+    diag = _diagonal(rows)
+    if diag is not None:
+        # K is diagonal: each v_s is an eigenvector, of eigenvalue K[s][s],
+        # with no minimal polynomial
+        spaces: dict[Fraction, list[dict[int, int]]] = {}
+        for s, a in enumerate(diag):
+            spaces.setdefault(Q(a, scale), []).append(items[s])
+        return [(lam, vs, 1) for lam, vs in sorted(spaces.items())]
+    eig = _rational_eigenspaces(rows, scale)
+    if sum(len(b) for _, b in eig) != len(items):
         raise NonSemisimpleCartanAction(_NOT_SPLIT)
     out = []
     for lam, small in eig:
-        cs, lc = integer_vectors(small)
-        out.append((lam, [_int_combine(c, ints) for c in cs], lc))
+        cs, lc = _sparse_integer_rows(small)
+        out.append((lam, [_combine(c, items) for c in cs], lc))
     return out
 
 
@@ -457,7 +447,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             "the odd roots do not pair off by opposite weights with a nonzero form"
         )
-    phi = _build_osp_isomorphism(g, odd_basis, den, pairs, spanning, n)
+    phi = _build_osp_isomorphism(g, ints, den, pairs, spanning, n)
     if phi is None:
         return Inconclusive("basis map construction failed to intertwine brackets")
     return Osp(n, phi)
@@ -482,7 +472,7 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
             return None
         if q < p:
             continue
-        upp = list(g._sparse_bracket(items[p], items[p]).items())
+        upp = g._sparse_bracket(items[p], items[p])
         ratio = _proportion(g._sparse_bracket(upp, items[q]), dict(items[p]))
         if not ratio:
             return None
@@ -490,7 +480,7 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
     return pairs
 
 
-def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], den: int,
+def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]], den: int,
                            pairs: list[tuple[int, int, Fraction]],
                            spanning: list[tuple[int, int, dict[int, int]]],
                            n: int) -> Matrix | None:
@@ -501,45 +491,50 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], den: int,
     to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
     [a_i, a_i] sends b_i to -2 a_i), so the odd map is a beta-isometry.  The
     even map follows from the brackets `spanning`, (p, q, W) with W = D [B_p,
-    B_q] and B = L u (L = `den`) a basis of g0: W goes to D L^2 [phi u_p,
-    phi u_q].
+    B_q] and B = L u (L = `den`, `items` the nonzero pairs of the B) a basis
+    of g0: W goes to D L^2 [phi u_p, phi u_q].
     The check below makes the map bracket-preserving.  It is the isomorphism
     whenever one exists: any isomorphism psi is a beta-isometry on g1, the
     isometry phi psi^-1 of the family's odd part extends to an automorphism
     as Sp(2n) acts on osp(1|2n), and an isomorphism is fixed by its odd part
     as g0 = [g1, g1].
 
-    The intertwining is checked on the basis pairs i <= j, on sparse integer
-    columns.  That suffices: the map preserves parity, and both tables are
-    super-antisymmetric (the family's by construction, g's checked here), so
-    [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both sides."""
+    The map is built and checked on sparse integer vectors; only the
+    returned matrix is in Fractions.  The intertwining is checked on the
+    basis pairs i <= j.  That suffices: the map preserves parity, and both
+    tables are super-antisymmetric (the family's by construction, g's
+    checked here), so [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both
+    sides."""
     from .families import build_osp1, osp_odd_indices
     if g._asymmetric_pairs():
         return None
     fam = build_osp1(n)
-    odd_images: list[Vec] = [zero_vec(fam.dim)] * len(odd_basis)
+    # phi u_p = I_p / lb, with lb the lcm of the denominators of the betas
+    lb = lcm(*(beta.denominator for *_, beta in pairs))
+    odd_images: list[dict[int, int]] = [{}] * len(items)
     for (p, r, beta), a, b in zip(pairs, *osp_odd_indices(n)):
-        odd_images[p] = fam.basis_vector(a)
-        odd_images[r] = vec_scale(-beta, fam.basis_vector(b))
-    scale = g._den * den ** 2
-    even_images = [vec_scale(scale, fam.bracket(odd_images[p], odd_images[q]))
-                   for p, q, _ in spanning]
-    odd_coordinates = coordinates_in(odd_basis)
-    even_coordinates = coordinates_in([w for _, _, w in spanning])
-    odd_map = Matrix.from_columns(odd_images)
-    even_map = Matrix.from_columns(even_images)
-    cols = []
+        odd_images[p] = {a: lb}
+        odd_images[r] = {b: -beta.numerator * (lb // beta.denominator)}
+    # phi W = D L^2 [I_p, I_q] / lb^2 = D L^2 E / (lb^2 D_fam), E = D_fam [I_p, I_q]
+    even_images = [fam._sparse_bracket(odd_images[p], odd_images[q]) for p, q, _ in spanning]
+    # for e_i = sum_s (X_s / M) B_s, phi e_i = (L / lb) sum_s (X_s / M) I_s;
+    # for e_i = sum_s (X_s / M) W_s, phi e_i = (D L^2 / (lb^2 D_fam)) sum_s (X_s / M) E_s
+    odd = integer_coordinates_in([dict(v) for v in items]), odd_images, den, lb
+    even = (integer_coordinates_in([w for *_, w in spanning]), even_images,
+            g._den * den ** 2, lb ** 2 * fam._den)
+    images = []  # (E, c, d): phi e_i = c E / d
     for i in range(g.dim):
-        coordinates, image = ((even_coordinates, even_map) if g.parity[i] == EVEN
-                              else (odd_coordinates, odd_map))
-        coords = coordinates(g.basis_vector(i))
-        if coords is None:
+        coordinates, targets, c, d = even if g.parity[i] == EVEN else odd
+        found = coordinates({i: 1})
+        if found is None:
             return None
-        cols.append(image.matvec(coords))
-    # exact intertwining check, in integers: with phi = Phi / lc and
-    # W = D_g [e_i, e_j], phi [e_i, e_j] = [phi e_i, phi e_j] times
-    # D_g D_fam lc^2 reads lc D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
-    big, lc = _sparse_integer_rows(cols)
+        images.append((_combine(found[0], targets), c, found[1] * d))
+    # phi e_i = Phi_i / lc, over one common denominator
+    lc = lcm(*(d for *_, d in images))
+    big = [[(t, x * c * (lc // d)) for t, x in e.items()] for e, c, d in images]
+    # exact intertwining check, in integers: with W = D_g [e_i, e_j],
+    # phi [e_i, e_j] = [phi e_i, phi e_j] times D_g D_fam lc^2 reads
+    # lc D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
     f = lc * fam._den
     for i in range(g.dim):
         for j in range(i, g.dim):
@@ -550,7 +545,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, odd_basis: list[Vec], den: int,
             rhs = fam._sparse_bracket(big[i], big[j])
             if {t: x for t, x in lhs.items() if x} != {t: g._den * x for t, x in rhs.items()}:
                 return None
-    return Matrix.from_columns(cols)
+    return Matrix.from_columns([fraction_vector(col, fam.dim, lc) for col in big])
 
 
 # ---------------------------------------------------------------------------

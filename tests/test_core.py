@@ -20,7 +20,7 @@ from superkit.families import (
     build_toy,
     parse_family_spec,
 )
-from superkit.linalg import Echelon, Matrix, integer_vector, is_zero_vec, span_basis, zero_vec
+from superkit.linalg import Echelon, Matrix, is_zero_vec, span_basis, zero_vec
 from superkit.reps import SuperModule
 
 
@@ -418,16 +418,20 @@ def sl2_semidirect_c2():
 
 
 def full_closure(g, seed):
-    """Ideal closure by saturation: the integer brackets of every basis
-    vector with every spanning vector, until none is new or the span is g."""
+    """Ideal closure by saturation: the brackets [e_i, v], summed in
+    Fractions from the table `bracket_sparse`, of every basis vector with
+    every spanning vector, until none is new or the span is g."""
     span = Echelon()
-    basis = [v for v in (integer_vector(s)[0] for s in seed) if span.add(v)]
-    units = [[int(k == i) for k in range(g.dim)] for i in range(g.dim)]
+    basis = [list(s) for s in seed if span.add(s)]
     todo = list(basis)
     while todo and len(basis) < g.dim:
         v = todo.pop()
-        for unit in units:
-            w = g._int_bracket(unit, v)
+        for i in range(g.dim):
+            w = [Q(0)] * g.dim
+            for j, a in enumerate(v):
+                if a:
+                    for k, c in g.bracket_sparse(i, j):
+                        w[k] += c * a
             if span.add(w):
                 basis.append(w)
                 todo.append(w)

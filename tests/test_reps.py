@@ -8,7 +8,8 @@ from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD
 from superkit.families import build_gl, build_osp1, build_sl, build_toy, parse_family_spec
-from superkit.linalg import Matrix, zero_vec
+from superkit import acceptance
+from superkit.linalg import Matrix, kernel_basis, rank, zero_vec
 from superkit.reps import (
     NotInG1ss,
     SuperModule,
@@ -220,16 +221,36 @@ def test_ds_additive_on_direct_sums():
     assert rsum.dims == (1, 0)
 
 
+def _check_ds_representatives(g, u, m):
+    """The representatives `ds_functor` returns: even_dim even ones, then
+    odd_dim odd ones, each killed by h and by u, and independent modulo
+    u(ker h), which is checked by ranks in Fractions."""
+    r = ds_functor(g, u, m)
+    hmat, umat = m.matrix_of(g.odd_square(u)), m.matrix_of(u)
+    reps = r.homology_basis
+    assert len(reps) == r.even_dim + r.odd_dim
+    for t, v in enumerate(reps):
+        parity = EVEN if t < r.even_dim else ODD
+        assert all(c == 0 or m.parity[i] == parity for i, c in enumerate(v))
+        assert all(c == 0 for c in hmat.matvec(v))
+        assert all(c == 0 for c in umat.matvec(v))
+    boundaries = [umat.matvec(k) for k in kernel_basis(hmat)]
+    assert rank(Matrix(boundaries + reps)) == rank(Matrix(boundaries)) + len(reps)
+
+
 def test_ds_representatives_are_h_invariant_and_closed():
     toy = build_toy("toy_odd_semisimple")
     tu = toy.basis_vector(1)
-    m = direct_sum(trivial_module(toy), toy.faithful_rep)
-    r = ds_functor(toy, tu, m)
-    h = toy.odd_square(tu)
-    hmat, umat = m.matrix_of(h), m.matrix_of(tu)
-    for v in r.homology_basis:
-        assert all(c == 0 for c in hmat.matvec(v))
-        assert all(c == 0 for c in umat.matvec(v))
+    _check_ds_representatives(toy, tu, direct_sum(trivial_module(toy), toy.faithful_rep))
+    rng = random.Random(31)
+    for _ in range(12):
+        _check_ds_representatives(toy, tu, acceptance.random_toy_module(rng))
+    g, u = acceptance.gl11_u()
+    square_zero = unit_vec(g, "E12")
+    for _ in range(12):
+        m = acceptance.random_gl11_module(rng)
+        _check_ds_representatives(g, u, m)
+        _check_ds_representatives(g, square_zero, m)
 
 
 def test_ds_square_of_u_matches_square_in_algebra():

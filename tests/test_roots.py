@@ -438,6 +438,25 @@ def test_rebased_basis_keeps_the_verdict(spec, seed):
     assert (report.witness is None, report.factors) == (standard.witness is None, standard.factors)
 
 
+def test_certificates_beyond_unit_betas_match_the_recorded_ones():
+    """`classify_simple`'s basis maps on presentations whose betas are not
+    +-1 (shuffled and width-1 rebased osp(1|4), osp(1|6)), and its witnesses
+    on width-1 rebased sl(2|1) and gl(1|1), recorded in
+    `tests/data/osp_certificates.json` as strings of Fractions."""
+    import json
+    from pathlib import Path
+    golden = json.loads((Path(__file__).parent / "data" / "osp_certificates.json").read_text())
+    assert len(golden) == 26
+    build = {"shuffled_osp": shuffled_osp, "rebased": rebased}
+    for case in golden:
+        out = classify_simple(build[case["algebra"]](*case["args"]))
+        if "witness" in case:
+            assert isinstance(out, Witness) and [str(c) for c in out.u] == case["witness"]
+        else:
+            assert isinstance(out, Osp) and out.n == case["n"]
+            assert [" ".join(map(str, row)) for row in out.basis_map.data] == case["basis_map"]
+
+
 # -- structural scan ---------------------------------------------------------------------------
 
 def test_scan_witnesses():
@@ -665,7 +684,7 @@ def _random_even(g, rng):
 ], ids=["gl:2:2", "sl:3:1", "osp1:3", "shuffled"])
 def test_integer_spectra_match_the_matrix_functions(make):
     from superkit.linalg import (
-        _diagonal_eigenspaces,
+        _diagonal,
         _rational_eigenspaces,
         _splits_semisimply,
         rational_eigenspaces,
@@ -686,9 +705,15 @@ def test_integer_spectra_match_the_matrix_functions(make):
         splits, eig = splits_semisimply_over_q(m), rational_eigenspaces(m)
         assert _splits_semisimply(rows, d) == _splits(g, x) == splits
         assert _rational_eigenspaces(rows, d) == eig
-        read_off = _diagonal_eigenspaces(rows, d)
-        assert read_off in (None, eig)
+        # on a diagonal M, `roots._split_space` reads the eigenspaces off the
+        # diagonal: the unit vectors at the entries equal to lam
+        diag = _diagonal(rows)
+        if diag is not None:
+            read_off = {}
+            for i, a in enumerate(diag):
+                read_off.setdefault(Q(a, d), []).append([Q(int(k == i)) for k in range(len(diag))])
+            assert sorted(read_off.items()) == eig
         split += splits
-        diagonal += read_off is not None
+        diagonal += diag is not None
     assert 0 < split < len(elements)
     assert diagonal >= (len(g.cartan) + 1 if g.cartan else 0)
