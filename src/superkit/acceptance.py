@@ -219,16 +219,12 @@ def random_gl11_module(rng: random.Random) -> SuperModule:
 
 
 def _gl11_character(p: int) -> SuperModule:
-    g = build_gl(1, 1)
-    mats = []
-    for nm in g.names:
-        val = {"E11": p, "E22": -p}.get(nm, 0)
-        mats.append(Matrix([[val]]))
-    return SuperModule(parity=(0,), action=mats, name=f"char({p})")
+    vals = {"E11": p, "E22": -p}
+    table = [[[(0, vals[nm])] if vals.get(nm) else []] for nm in build_gl(1, 1).names]
+    return SuperModule._of_table((0,), table, 1, f"char({p})")
 
 
 def random_toy_module(rng: random.Random) -> SuperModule:
-    toy = build_toy("toy_odd_semisimple")
     pieces = []
     for _ in range(rng.randint(1, 3)):
         lam = rng.randint(-2, 2)
@@ -241,9 +237,9 @@ def random_toy_module(rng: random.Random) -> SuperModule:
 
 def _toy_pair(lam: int) -> SuperModule:
     # e even, f odd; u: e -> f, f -> lam e; h = u^2 = lam * id
-    u = Matrix([[0, lam], [1, 0]])
-    h = u.mul(u)
-    return SuperModule(parity=(0, 1), action=[h, u], name=f"pair({lam})")
+    h = [[(0, lam)], [(1, lam)]] if lam else [[], []]
+    u = [[(1, lam)] if lam else [], [(0, 1)]]
+    return SuperModule._of_table((0, 1), [h, u], 1, f"pair({lam})")
 
 
 def _random_conjugate(m: SuperModule, rng: random.Random) -> SuperModule:
@@ -253,9 +249,10 @@ def _random_conjugate(m: SuperModule, rng: random.Random) -> SuperModule:
         a, b = rng.randrange(d), rng.randrange(d)
         if a == b or m.parity[a] != m.parity[b]:
             continue
-        shear = Matrix.identity(d)
-        shear.data[a][b] = Q(rng.randint(-2, 2))
-        p = p.mul(shear)
+        # P (I + c e_ab): add c times column a to column b
+        c = rng.randint(-2, 2)
+        for row in p.data:
+            row[b] += c * row[a]
     return conjugate(m, p)
 
 

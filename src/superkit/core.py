@@ -398,7 +398,9 @@ class LieSuperalgebra:
            If K holds an e_a, it holds I_C when a reaches all of C; if not, K
            lies in H and commutes with every e_a, so it is central in I_C.
            Hence I_C is simple when every node reaches all of C and I_C has
-           trivial center (and so is perfect).
+           trivial center (and so is perfect).  Every node reaches all of C
+           iff some a0 in C reaches all of C and all of C reaches a0: one
+           search along the arrows and one against them.
         4. I_C has trivial center once step 2's directness check passes: a z
            central in I_C commutes with every other I_C' (step 2) and with
            the center, which with I_C span g, so z lies in the center of g
@@ -481,9 +483,13 @@ class LieSuperalgebra:
         h_split = [fraction_vector(x, len(split), den * lh)
                    for x, den in (coordinates(dict(h)) for h in hs)]
         start = len(zc)
+        backward: list[set[int]] = [set() for _ in nodes]
+        for a, targets in enumerate(arrows):
+            for d in targets:
+                backward[d].add(a)
         factors, subalgebras = [], []
         for t, comp in enumerate(components):
-            if not all(set(comp) <= _reachable(arrows, a) for a in comp):
+            if not set(comp) <= _reachable(arrows, comp[0]) & _reachable(backward, comp[0]):
                 raise NotSemisimpleStructure(
                     f"candidate ideal {t} is not simple: a root vector generates a proper ideal"
                 )

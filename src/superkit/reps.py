@@ -7,8 +7,11 @@ action matrix per basis element of g, subject to the super-representation law
 
 The action is stored once, as sparse integer rows over one common
 denominator D, as `LieSuperalgebra` stores its brackets: rho(e_i)[r][c] =
-A / D for each (c, A) in row r of e_i, sorted by c.  Every computation here
-and the cone test of `core` read those rows; `action` is their Fraction view.
+A / D for each (c, A) in row r of e_i, sorted by c.  Every computation and
+construction here (`direct_sum`, `tensor`, `dual`, `induced_trivial`, and
+the change of basis `conjugate`, which also checks that it keeps parity)
+and the cone test of `core` read or build those rows; `action` is their
+Fraction view.
 `validate_module` transposes them for `core._law_failures`, which also
 checks super Jacobi, as the law of the adjoint module.
 
@@ -235,10 +238,28 @@ def _parity_of(rows: Rows, parity: Sequence[int]) -> int:
 
 
 def conjugate(m: SuperModule, p: Matrix) -> SuperModule:
-    """Change of basis by a parity-preserving invertible matrix."""
+    """The module with rho'(x) = P rho(x) P^-1, for an invertible dim x dim
+    P that preserves parity: P[r][c] = 0 whenever r and c differ in parity
+    (a ValueError otherwise).
+
+    Works on m's integer rows A_i = D rho(e_i): with P = R / L and
+    P^-1 = S / L' over the integers, rho'(e_i) = R A_i S / (L D L'), and
+    row r of R A_i S is sum_c (sum_k R[r][k] A_i[k])[c] S[c].  The table is
+    divided by the gcd of its entries and L D L', which gives the rows the
+    Fraction matrices would."""
     pinv = inverse(p)
-    return SuperModule(parity=m.parity,
-                       action=[p.mul(a).mul(pinv) for a in m.action])
+    if p.rows != m.dim:
+        raise ValueError("the change of basis must be dim x dim")
+    (prows, pden), (qrows, qden) = _sparse_integer_rows(p.data), _sparse_integer_rows(pinv.data)
+    par = m.parity
+    if any(par[r] != par[c] for r, row in enumerate(prows) for c, _ in row):
+        raise ValueError("the change of basis must preserve parity")
+    table = [[sorted(_combine(_combine(prow, rows).items(), qrows).items()) for prow in prows]
+             for rows in m._table]
+    den = pden * m._den * qden
+    common = gcd(den, *(a for rows in table for row in rows for _, a in row))
+    table = [[[(c, a // common) for c, a in row] for row in rows] for rows in table]
+    return SuperModule._of_table(par, table, den // common)
 
 
 def induced_trivial(g: LieSuperalgebra) -> SuperModule:

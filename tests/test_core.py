@@ -455,6 +455,33 @@ def test_decompose_rejects_seed_that_generates_a_smaller_ideal():
     assert "a root vector generates a proper ideal" in str(err.value)
 
 
+def sl2_semidirect_v3():
+    # sl2 acting on its 4-dimensional irreducible V_3, inside 5x5 matrices:
+    # perfect and centerless, with the proper ideal V_3.  The root listed
+    # first, of weight -3, lies in V_3 and generates only V_3, while every
+    # root reaches it; `sl2_semidirect_c2` is the other way round
+    def unit(a, b, c=1):
+        m = Matrix.zeros(5, 5)
+        m.data[a][b] = Q(c)
+        return m
+    e = unit(0, 1, 3).add(unit(1, 2, 4)).add(unit(2, 3, 3))
+    f = unit(1, 0).add(unit(2, 1)).add(unit(3, 2))
+    h = unit(0, 0, 3).add(unit(1, 1, 1)).add(unit(2, 2, -1)).add(unit(3, 3, -3))
+    mats = [e, h, f] + [unit(k, 4) for k in range(4)]
+    return algebra_from_matrices(mats, [EVEN] * 7, [EVEN] * 5,
+                                 ["e", "h", "f", "v0", "v1", "v2", "v3"], cartan=[1])
+
+
+def test_decompose_rejects_a_first_root_that_generates_a_smaller_ideal():
+    g = sl2_semidirect_v3()
+    assert g.validate() == [] and g.center() == []
+    first = g._root_datum().roots[0]
+    assert first.weight == (Q(-3),) and len(full_closure(g, first.space)) == 4
+    with pytest.raises(NotSemisimpleStructure) as err:
+        g.direct_sum_decompose()
+    assert "a root vector generates a proper ideal" in str(err.value)
+
+
 def _cartanless(spec):
     from superkit.fileformat import parse_algebra, serialize_algebra
     text = serialize_algebra(parse_family_spec(spec))

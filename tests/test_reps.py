@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 from superkit.core import EVEN, ODD
 from superkit.families import build_gl, build_osp1, build_sl, build_toy, parse_family_spec
 from superkit import acceptance
-from superkit.linalg import Matrix, kernel_basis, rank, zero_vec
+from superkit.linalg import Matrix, inverse, kernel_basis, rank, zero_vec
 from superkit.reps import (
     NotInG1ss,
     SuperModule,
@@ -290,6 +290,58 @@ def test_conjugation_preserves_ds_dims():
     assert ds_functor(g, u, c).dims == ds_functor(g, u, m).dims
 
 
+# -- conjugation against the dense formula ------------------------------------------
+#
+# `_dense_conjugate` is the former implementation of `conjugate`, kept here as
+# an oracle: it multiplies the Fraction matrices P rho(x) P^-1.
+
+def _dense_conjugate(m, p):
+    return SuperModule(m.parity, [p.mul(a).mul(inverse(p)) for a in m.action])
+
+
+def _conjugation_cases():
+    rng = random.Random(4)
+    gl11, toy = build_gl(1, 1), build_toy("toy_odd_semisimple")
+    cases = [(f"gl(1|1) draw {k}", gl11, acceptance.random_gl11_module(rng)) for k in range(12)]
+    cases += [(f"toy draw {k}", toy, acceptance.random_toy_module(rng)) for k in range(12)]
+    for spec in ("gl:1:1", "osp1:2"):
+        g = parse_family_spec(spec)
+        cases.append((f"induced {spec}", g, induced_trivial(g)))
+    g = parse_family_spec("product:osp1:1,gl:1:1")
+    cases.append(("V x V* product:osp1:1,gl:1:1", g, tensor(g.faithful_rep, dual(g.faithful_rep))))
+    return [pytest.param(k, g, m, id=name) for k, (name, g, m) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("seed, g, m", _conjugation_cases())
+def test_conjugate_matches_the_dense_formula(seed, g, m):
+    p = _random_parity_matrix(m, random.Random(seed))
+    c, ref = conjugate(m, p), _dense_conjugate(m, p)
+    assert (c.parity, c._den, c._table) == (ref.parity, ref._den, ref._table)
+    assert validate_module(g, c) == []
+
+
+def test_conjugate_refuses_a_parity_mixing_matrix():
+    # basis 0 (mask 0) is even and basis 1 (mask 1) odd: P = I + 2 e_01
+    # would carry odd vectors into even ones
+    m = induced_trivial(build_gl(1, 1))
+    p = Matrix.identity(m.dim)
+    p.data[0][1] = Q(2)
+    with pytest.raises(ValueError, match="parity"):
+        conjugate(m, p)
+
+
+@pytest.mark.parametrize("shape", ["wrong size", "not square", "singular"])
+def test_conjugate_refuses_a_bad_matrix(shape):
+    m = induced_trivial(build_gl(1, 1))
+    p = {"wrong size": Matrix.identity(m.dim + 1),
+         "not square": Matrix.zeros(m.dim, m.dim + 1),
+         "singular": Matrix.identity(m.dim)}[shape]
+    if shape == "singular":
+        p.data[2][2] = Q(0)
+    with pytest.raises(ValueError):
+        conjugate(m, p)
+
+
 # -- semisimplicity against the dense reference ----------------------------------------------
 #
 # `_dense_is_semisimple_action` is the former implementation of
@@ -419,6 +471,11 @@ def _generator_variants(mats, dim, rng):
 def _random_parity_conjugate(m, rng):
     """A conjugate of m by a random diagonal matrix times three shears, each
     inside one parity block."""
+    return conjugate(m, _random_parity_matrix(m, rng))
+
+
+def _random_parity_matrix(m, rng):
+    """The change of basis of `_random_parity_conjugate`."""
     p = Matrix.identity(m.dim)
     for i in range(m.dim):
         p.data[i][i] = Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
@@ -429,7 +486,7 @@ def _random_parity_conjugate(m, rng):
             shear = Matrix.identity(m.dim)
             shear.data[a][rng.choice(same)] = Q(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
             p = p.mul(shear)
-    return conjugate(m, p)
+    return p
 
 
 def _algebra_dim(m):
