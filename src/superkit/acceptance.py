@@ -206,11 +206,13 @@ def gl11_u() -> tuple[LieSuperalgebra, Vec]:
 
 def random_gl11_module(rng: random.Random) -> SuperModule:
     g = build_gl(1, 1)
-    seeds = [g.faithful_rep, dual(g.faithful_rep), induced_trivial(g),
-             _gl11_character(1), _gl11_character(-2), trivial_module(g)]
-    m = rng.choice(seeds)
+    # each seed module is built only once the rng has picked it
+    seeds = [lambda: g.faithful_rep, lambda: dual(g.faithful_rep),
+             lambda: induced_trivial(g), lambda: _gl11_character(1),
+             lambda: _gl11_character(-2), lambda: trivial_module(g)]
+    m = rng.choice(seeds)()
     for _ in range(rng.randint(0, 2)):
-        other = rng.choice(seeds)
+        other = rng.choice(seeds)()
         if m.dim * other.dim <= 12 and rng.random() < 0.5:
             m = tensor(m, other)
         elif m.dim + other.dim <= 12:

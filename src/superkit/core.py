@@ -50,7 +50,6 @@ from .linalg import (
     _sparse_integer_rows,
     is_squarefree,
     kernel_of_rows,
-    vec_scale,
     zero_vec,
 )
 
@@ -263,9 +262,19 @@ class LieSuperalgebra:
 
     def odd_square(self, u: Sequence) -> Vec:
         """[u, u]/2 for odd u; always an even element."""
-        if not self.is_odd_element(u):
+        _, sq, den = self._odd_square_rows(u)
+        return fraction_vector(sq.items(), self.dim, 2 * den * den * self._den)
+
+    def _odd_square_rows(self, u: Sequence) -> tuple[list[tuple[int, int]], dict[int, int], int]:
+        """(U, S, L) for odd u = U / L: U the nonzero (index, entry) pairs of
+        the integer vector L u, and S = D [U, U] = 2 D L^2 [u,u]/2 as {k:
+        entry}, a positive multiple of the square."""
+        if len(u) != self.dim:
+            raise ValueError("coordinate vectors must have length dim")
+        (us,), den = _sparse_integer_rows((u,))
+        if any(self.parity[i] == EVEN for i, _ in us):
             raise ValueError("odd_square requires a purely odd element")
-        return vec_scale(Q(1, 2), self.bracket(u, u))
+        return us, self._sparse_bracket(us, us), den
 
     def element_matrix(self, x: Sequence) -> Matrix:
         """Matrix of x in the designated faithful representation."""
@@ -280,16 +289,21 @@ class LieSuperalgebra:
 
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
-        i.e. its matrix there has squarefree minimal polynomial.  That holds
-        for rho(x) iff it holds for the integer matrix L D rho(x)."""
-        if not self.is_even_element(x):
+        i.e. its matrix there has squarefree minimal polynomial."""
+        return self._is_semisimple(dict(_sparse_integer_rows((x,))[0][0]))
+
+    def _is_semisimple(self, xs: dict[int, int]) -> bool:
+        """`is_semisimple_element` of the integer vector xs = {index: entry}:
+        x = xs / c acts diagonalizably iff the integer matrix D rho(xs) =
+        c D rho(x) does, for any c > 0."""
+        if any(self.parity[i] == ODD for i in xs):
             raise ValueError("element semisimplicity is defined for even elements")
-        rows = self._require_rep()._combine(_sparse_integer_rows((x,))[0][0])
-        return is_squarefree(_minimal_polynomial(rows))
+        return is_squarefree(_minimal_polynomial(self._require_rep()._combine(xs)))
 
     def in_g1ss(self, u: Sequence) -> bool:
-        """Membership of the cone of odd u whose square [u,u]/2 is semisimple."""
-        return self.is_semisimple_element(self.odd_square(u))
+        """Membership of the cone of odd u whose square [u,u]/2 is semisimple,
+        tested on its positive multiple D [U, U] (`_odd_square_rows`)."""
+        return self._is_semisimple(self._odd_square_rows(u)[1])
 
     # -- structural predicates -------------------------------------------------
 

@@ -407,16 +407,31 @@ def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """The inverse of a square matrix, read off the reduced rows of [m | I]."""
+    """The inverse of a square matrix (`_inverse_rows`)."""
     if m.cols != m.rows:
         raise ValueError("only a square matrix has an inverse")
-    n = m.rows
+    rows, den = _inverse_rows(*_sparse_integer_rows(m.data))
+    return Matrix([fraction_vector(row, m.rows, den) for row in rows])
+
+
+def _inverse_rows(rows: list[list[tuple[int, int]]], den: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """(S, L') with P^-1 = S / L', for the square P = R / L given by the
+    sparse integer rows of R and L = den; S as sparse integer rows.
+
+    One `Echelon` of the rows of [R | L I] = L [P | I]: back-substituted,
+    pivot row c is a multiple a_c [e_c | row c of P^-1], so with L' the lcm
+    of the a_c, row c of S is the right half times L' / a_c.  P is singular
+    exactly when a pivot falls in the right half (a ValueError)."""
+    n = len(rows)
     ech = Echelon()
-    for r, row in enumerate(m.data):
-        ech.add({**dict(enumerate(row)), n + r: 1})
+    for r, row in enumerate(rows):
+        ech.add({**dict(row), n + r: den})
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
-    return Matrix([[row.get(n + c, _Q0) for c in range(n)] for row in ech.reduced()])
+    done = ech._back_substituted()
+    lead = lcm(*(done[c][c] for c in range(n)))
+    return [[(k - n, a * (lead // done[c][c])) for k, a in done[c].items() if k >= n]
+            for c in range(n)], lead
 
 
 def integer_coordinates_in(basis: Sequence[dict | Sequence]):

@@ -46,10 +46,10 @@ from .linalg import (
     Matrix,
     Vec,
     _combine,
+    _inverse_rows,
     _kernel_of_columns,
     _sparse_integer_rows,
     fraction_vector,
-    inverse,
     kernel_of_rows,
     rational_eigenspaces,
     vec,
@@ -246,11 +246,14 @@ def conjugate(m: SuperModule, p: Matrix) -> SuperModule:
     P^-1 = S / L' over the integers, rho'(e_i) = R A_i S / (L D L'), and
     row r of R A_i S is sum_c (sum_k R[r][k] A_i[k])[c] S[c].  The table is
     divided by the gcd of its entries and L D L', which gives the rows the
-    Fraction matrices would."""
-    pinv = inverse(p)
+    Fraction matrices would.  S and L' come from one `Echelon` of R's rows
+    (`linalg._inverse_rows`)."""
+    if p.cols != p.rows:
+        raise ValueError("only a square matrix has an inverse")
+    prows, pden = _sparse_integer_rows(p.data)
+    qrows, qden = _inverse_rows(prows, pden)
     if p.rows != m.dim:
         raise ValueError("the change of basis must be dim x dim")
-    (prows, pden), (qrows, qden) = _sparse_integer_rows(p.data), _sparse_integer_rows(pinv.data)
     par = m.parity
     if any(par[r] != par[c] for r, row in enumerate(prows) for c, _ in row):
         raise ValueError("the change of basis must preserve parity")
@@ -484,18 +487,26 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
     Requires u to lie in the semisimple-square cone; u then acts by a
     square-zero operator on ker(rho(h)) and the homology is parity-graded.
     """
+    return _ds_homology(*_cone_square(g, u), m)
+
+
+def _cone_square(g: LieSuperalgebra, u: Sequence) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """(U, S) for u in the cone (`NotInG1ss` otherwise): U an integer
+    multiple of u and S a positive multiple of h = [u,u]/2, from
+    `LieSuperalgebra._odd_square_rows`."""
     u = vec(u)
     if not g.in_g1ss(u):
         raise NotInG1ss("the odd element does not have semisimple square")
-    return _ds_homology(u, g.odd_square(u), m)
+    us, sq, _ = g._odd_square_rows(u)
+    return us, sq
 
 
-def _ds_homology(u: Vec, h: Vec, m: SuperModule) -> DSResult:
-    """`ds_functor` for u in the cone with square h.  rho(h) and rho(u) enter
-    as integer multiples; kernels, images and spans do not see the scale.
-    Vectors stay sparse integers, each set over one denominator, and only
-    the representatives become Fractions."""
-    (hs, us), _ = _sparse_integer_rows((h, u))
+def _ds_homology(us: list[tuple[int, int]], hs: dict[int, int], m: SuperModule) -> DSResult:
+    """`ds_functor` for u in the cone, given by integer multiples U of u and
+    H of its square h (`_cone_square`): rho(h) and rho(u) enter as integer
+    multiples, and kernels, images and spans do not see the scale.  Vectors
+    stay sparse integers, each set over one denominator, and only the
+    representatives become Fractions."""
     hrows = [dict(row) for row in m._combine(hs)]
     # u applied by columns: u v = _combine(v, ucols), column c of rho(u) its
     # nonzero (r, entry), up to scale
@@ -539,12 +550,11 @@ def _homology_at(ucols: Rows, source: tuple[list[list[tuple[int, int]]], int],
 def ds_tensor_check(g: LieSuperalgebra, u: Sequence, m: SuperModule,
                     n: SuperModule) -> dict:
     """Tensor multiplicativity of DS graded dimensions, with parity
-    convolution.  The cone test runs once, in the first `ds_functor`."""
-    u = vec(u)
-    dm = ds_functor(g, u, m).dims
-    h = g.odd_square(u)
-    dn = _ds_homology(u, h, n).dims
-    dmn = _ds_homology(u, h, tensor(m, n)).dims
+    convolution.  The cone test runs once, in `_cone_square`."""
+    us, sq = _cone_square(g, u)
+    dm = _ds_homology(us, sq, m).dims
+    dn = _ds_homology(us, sq, n).dims
+    dmn = _ds_homology(us, sq, tensor(m, n)).dims
     expected = (dm[0] * dn[0] + dm[1] * dn[1], dm[0] * dn[1] + dm[1] * dn[0])
     return {
         "ds_m": dm,

@@ -16,10 +16,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superkit import acceptance, reps
-from superkit.core import EVEN
+from superkit import acceptance, core, linalg, reps
+from superkit.core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from superkit.families import build_product, parse_family_spec
-from superkit.linalg import Matrix, is_squarefree, minimal_polynomial
+from superkit.linalg import Matrix, is_squarefree, minimal_polynomial, vec_scale
 from superkit.reps import (
     NotInG1ss,
     SuperModule,
@@ -292,6 +292,60 @@ def test_in_g1ss_matches_dense_minimal_polynomial(spec):
         x = g.basis_vector(i)
         assert g.is_semisimple_element(x) is is_squarefree(
             minimal_polynomial(dense_matrix_of(g.faithful_rep, x)))
+
+
+@pytest.mark.parametrize("spec", CONE_SPECS + ("osp1:5", "sl:3:2", "gl:3:3"))
+def test_in_g1ss_matches_the_dense_route_on_fraction_coordinates(spec):
+    """The integer cone test against the Fraction route it replaced: the
+    dense matrix of [u,u]/2 formed with the Fraction bracket."""
+    g = parse_family_spec(spec)
+    rng = random.Random(spec)
+    odd = g.odd_indices
+    for k in range(16):
+        u = [Q(0)] * g.dim
+        for i in (odd if k % 2 else rng.sample(odd, min(len(odd), 2))):
+            u[i] = Q(rng.randint(-4, 4), rng.randint(1, 6))
+        half = vec_scale(Q(1, 2), g.bracket(u, u))
+        assert g.odd_square(u) == half
+        dense = is_squarefree(minimal_polynomial(dense_matrix_of(g.faithful_rep, half)))
+        assert g.in_g1ss(u) is dense
+
+
+def test_in_g1ss_refuses_bad_input():
+    g = parse_family_spec("gl:1:1")
+    even = g.basis_vector(g.even_indices[0])
+    odd = g.basis_vector(g.odd_indices[0])
+    for test in (g.in_g1ss, g.odd_square):
+        with pytest.raises(ValueError, match="purely odd"):
+            test([a + b for a, b in zip(even, odd)])
+        # too short, and too long with a nonzero entry past the end
+        for u in (odd[:-1], odd + [Q(1)]):
+            with pytest.raises(ValueError, match="coordinate vectors must have length dim"):
+                test(u)
+    # a table whose odd square is odd (it breaks the grading)
+    lax = LieSuperalgebra([EVEN, ODD], {(1, 1): {1: Q(1)}}, ["x", "u"])
+    with pytest.raises(ValueError, match="even elements"):
+        lax.in_g1ss([Q(0), Q(1)])
+    bare = LieSuperalgebra([EVEN, ODD, ODD], {(1, 2): {0: Q(1)}, (2, 1): {0: Q(1)}},
+                           ["x", "u", "v"])
+    with pytest.raises(SuperkitError):
+        bare.in_g1ss([Q(0), Q(1), Q(1)])
+
+
+def test_in_g1ss_stays_off_the_fraction_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the cone test went through Fractions")
+
+    cases = []
+    for spec in CONE_SPECS:
+        g = parse_family_spec(spec)
+        u = [Q(i % 3 - 1, 2) if p == ODD else Q(0) for i, p in enumerate(g.parity)]
+        cases.append((g, u, g.in_g1ss(u)))
+    monkeypatch.setattr(LieSuperalgebra, "bracket", forbidden)
+    for module in (core, linalg, reps):
+        monkeypatch.setattr(module, "fraction_vector", forbidden)
+    for g, u, verdict in cases:
+        assert g.in_g1ss(u) is verdict
 
 
 def test_restricted_subalgebra_rep_is_the_restriction():
