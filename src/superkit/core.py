@@ -46,6 +46,8 @@ from .linalg import (
     Vec,
     fraction_vector,
     integer_coordinates_in,
+    _echelon,
+    _kernel,
     _minimal_polynomial,
     _sparse_integer_rows,
     is_squarefree,
@@ -190,12 +192,6 @@ class LieSuperalgebra:
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the basis: x in the adjoint module."""
         return self._adjoint_module().matrix_of(x)
-
-    def _ad_rows(self, x: Sequence) -> tuple[list[list[tuple[int, int]]], int]:
-        """(rows, d): the sparse integer rows of d ad(x), with d = L D for
-        x = X / L, read off the adjoint table."""
-        (xs,), lx = _sparse_integer_rows((x,))
-        return self._adjoint_module()._combine(xs), lx * self._den
 
     def _adjoint_module(self) -> "SuperModule":
         """`reps.adjoint_module` of the algebra, built once."""
@@ -365,11 +361,14 @@ class LieSuperalgebra:
         for y in basis:
             ynz = [(r, c, b) for c, row in enumerate(rep._combine(y)) for r, b in row]
             rows.append([sum(a.get((r, c), 0) * b for r, c, b in ynz) for a in entries])
-        radical = kernel_of_rows(rows, len(ev))
+        radical = _kernel(rows, len(ev))[0]
         # center of g0 (as a Lie algebra), in even coordinates
         crows = [r for b in ev for r in self._bracket_rows(ev, b, ev)]
-        zcenter = kernel_of_rows(crows, len(ev))
-        return _same_span(radical, zcenter)
+        center = _kernel(crows, len(ev))[0]
+        # both are kernel bases, so independent: the spans agree when their
+        # sizes do and the center lies in the radical's span
+        span = _echelon(radical, len(ev))
+        return len(center) == len(radical) and all(span.contains(z) for z in center)
 
     def is_quasireductive(self) -> bool:
         """Even part reductive and the odd part a semisimple even-part module."""
@@ -430,25 +429,22 @@ class LieSuperalgebra:
         if _is_abelian(self):
             return Decomposition(zc, [], [])
         datum = self._root_datum()
-        zero = {r.parity: len(r.space) for r in datum.roots if not any(r.weight)}
+        zero = {r.parity: len(r.vectors) for r in datum.roots if not any(r.weight)}
         if (zero.get(EVEN, 0), zero.get(ODD, 0)) != (len(datum.cartan), 0):
             raise NotSemisimpleStructure(
                 f"the zero-weight space has dimension {zero.get(EVEN, 0)}|{zero.get(ODD, 0)}"
                 f", not {len(datum.cartan)}|0: the Cartan subalgebra is not self-centralizing"
             )
         nodes = [r for r in datum.roots if any(r.weight)]
-        if any(len(r.space) != 1 for r in nodes):
+        if any(len(r.vectors) != 1 for r in nodes):
             raise NotSemisimpleStructure("a root space has dimension > 1")
         # the weights over one common denominator, as integer tuples
         wden = lcm(*(x.denominator for r in nodes for x in r.weight))
         weights = [tuple(x.numerator * (wden // x.denominator) for x in r.weight) for r in nodes]
         node = {(w, r.parity): a for a, (w, r) in enumerate(zip(weights, nodes))}
-        # e_a = X_a / L_a, with X_a as its nonzero (index, entry) pairs
-        items, dens = [], []
-        for r in nodes:
-            (x,), la = _sparse_integer_rows(r.space)
-            items.append(x)
-            dens.append(la)
+        # e_a = X_a / L_a, with X_a = {index: entry}
+        items = [r.vectors[0] for r in nodes]
+        dens = [r.den for r in nodes]
         # d(x) for x in H, up to a positive factor: the integer coordinates
         # of x in the Cartan elements against d's scaled weights
         h_coordinates = integer_coordinates_in(datum.cartan)
@@ -481,11 +477,12 @@ class LieSuperalgebra:
                 components.append(sorted(_reachable(links, a)))
                 home.update((c, len(components) - 1) for c in components[-1])
         spans = [Echelon() for _ in components]
-        zero_parts: list[list[Vec]] = [[] for _ in components]
+        zero_parts: list[list[tuple[dict[int, int], int]]] = [[] for _ in components]  # (W, L)
         for a, w, den in toral:
             if spans[home[a]].add(w):
-                zero_parts[home[a]].append(fraction_vector(w.items(), self.dim, den))
-        split = zc + [v for part in zero_parts for v in part]
+                zero_parts[home[a]].append((w, den))
+        split = zc + [fraction_vector(w.items(), self.dim, den)
+                      for part in zero_parts for w, den in part]
         direct = Echelon()
         if len(split) != len(datum.cartan) or not all(direct.add(v) for v in split):
             raise NotSemisimpleStructure(
@@ -507,14 +504,18 @@ class LieSuperalgebra:
                 raise NotSemisimpleStructure(
                     f"candidate ideal {t} is not simple: a root vector generates a proper ideal"
                 )
-            basis = [list(nodes[a].space[0]) for a in comp] + zero_parts[t]
-            sub = self.restricted_subalgebra(basis)
-            roots = [Root(nodes[a].weight, nodes[a].parity, [sub.basis_vector(j)])
+            # the e_a of C, then its part of span(H), over one denominator
+            parts = [(items[a], dens[a]) for a in comp] + zero_parts[t]
+            den = lcm(*(d for _, d in parts))
+            ints = [[(i, x * (den // d)) for i, x in v.items()] for v, d in parts]
+            basis = [fraction_vector(v, self.dim, den) for v in ints]
+            sub = self._restricted_subalgebra(ints, den)
+            roots = [Root(nodes[a].weight, nodes[a].parity, [{j: 1}], 1, sub.dim)
                      for j, a in enumerate(comp)]
             k = len(zero_parts[t])
             if k:
                 roots.append(Root((Q(0),) * len(datum.cartan), EVEN,
-                                  [sub.basis_vector(j) for j in range(len(comp), sub.dim)]))
+                                  [{j: 1} for j in range(len(comp), sub.dim)], 1, sub.dim))
             roots.sort(key=lambda r: (r.parity, r.weight))
             sub._datum_cache = RootDatum(
                 [[Q(0)] * len(comp) + c[start:start + k] for c in h_split], roots)
@@ -528,7 +529,12 @@ class LieSuperalgebra:
         with structure constants re-expressed in that basis.  The parent's
         faithful representation restricts to a faithful one.  The pairs
         a <= b are solved for, and (b, a) follows by super-antisymmetry."""
-        items, den = _sparse_integer_rows(basis_vectors)
+        return self._restricted_subalgebra(*_sparse_integer_rows(basis_vectors))
+
+    def _restricted_subalgebra(self, items: list[list[tuple[int, int]]],
+                               den: int) -> "LieSuperalgebra":
+        """`restricted_subalgebra` of the vectors V_t / den, with items[t]
+        the nonzero (index, entry) pairs of V_t."""
         parities = []
         for v in items:
             pe = {self.parity[i] for i, _ in v}
@@ -553,20 +559,14 @@ class LieSuperalgebra:
                 if b != a:
                     sign = 1 if parities[a] and parities[b] else -1
                     table[b][a] = tuple((k, sign * c) for k, c in table[a][b])
+        rep = self.faithful_rep
+        if rep is not None:
+            # rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator
+            from .reps import SuperModule
+            rep = SuperModule._of_table(rep.parity, [rep._combine(v) for v in items],
+                                        den * rep._den)
         names = tuple(f"x{t}" for t in range(n))
-        return LieSuperalgebra._of_table(parities, table, cden * den * self._den,
-                                         names, self._restricted_rep(items, den))
-
-    def _restricted_rep(self, items: list[list[tuple[int, int]]], den: int) -> "SuperModule | None":
-        """The faithful rep restricted to the vectors v_t = V_t / den, with
-        items[t] the nonzero (index, entry) pairs of V_t: rho(v_t) =
-        sum_i V_t[i] A_i / (L D), over the common denominator."""
-        if self.faithful_rep is None:
-            return None
-        from .reps import SuperModule
-        parent = self.faithful_rep
-        return SuperModule._of_table(parent.parity, [parent._combine(v) for v in items],
-                                     den * parent._den)
+        return LieSuperalgebra._of_table(parities, table, cden * den * self._den, names, rep)
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -673,14 +673,3 @@ def _reachable(arrows: list[set[int]], start: int) -> set[int]:
             seen.add(d)
             stack.append(d)
     return seen
-
-
-def _same_span(a: list[Vec], b: list[Vec]) -> bool:
-    ea, eb = Echelon(), Echelon()
-    for v in a:
-        ea.add(v)
-    for v in b:
-        eb.add(v)
-    if ea.rank != eb.rank:
-        return False
-    return all(ea.contains(v) for v in b)

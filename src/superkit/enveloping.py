@@ -67,7 +67,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
-from .linalg import Echelon, Q, _integer_row, integer_vector, kernel_of_rows
+from .linalg import Echelon, Q, _integer_row, _kernel, integer_vector
 
 Word = tuple[int, ...]
 
@@ -581,8 +581,9 @@ def invariants(g: LieSuperalgebra, side: str) -> list[CoinvariantElement]:
     # the row order; the sparsest rows first keep the pivot rows sparse
     # (osp(1|16): the kernel takes half the time)
     ordered = sorted(rows.values(), key=len)
-    return [CoinvariantElement(g, side, dict(zip(support, k)))
-            for k in kernel_of_rows(ordered, len(support))]
+    ks, den = _kernel(ordered, len(support))
+    return [CoinvariantElement(g, side, {support[t]: Q(x, den) for t, x in sorted(k.items())})
+            for k in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import LieSuperalgebra, SuperkitError
-from .linalg import Matrix, Q, _echelon, kernel_of_rows
+from .linalg import Matrix, Q, _echelon
 from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
 
@@ -193,8 +193,8 @@ def _cartan_problem(g: LieSuperalgebra) -> str | None:
     if any(g._table[i][j] for i in h for j in h):
         return "names elements that do not commute"
     even = g.even_indices
-    centralizer = len(kernel_of_rows([r for j in h for r in g._bracket_rows(even, j, even)],
-                                     len(even)))
+    centralizer = len(even) - _echelon(
+        (r for j in h for r in g._bracket_rows(even, j, even)), len(even)).rank
     if centralizer != len(h):
         return (f"span has dimension {len(h)}, its centralizer in the even part "
                 f"{centralizer}: it is not self-centralizing")

@@ -21,6 +21,10 @@ Fractions, and keeps only the sparse form.  `rank`, `kernel_basis`,
 Krylov step of `minimal_polynomial` and `integer_coordinates_in` are built
 on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
+Kernels, inverses and coordinates read it over the lcm of its leads
+(`_reduced_over_lcm`), and kernels and eigenspaces (`_kernel`,
+`_rational_eigenspaces`) come out as sparse integer vectors over one
+denominator; `kernel_of_rows` and `rational_eigenspaces` are their views.
 `integer_coordinates_in` is the package's one map from brackets to
 coordinates: it eliminates the basis vectors, each tagged with its own
 index, once, then solves each target, a sparse integer vector {index:
@@ -240,7 +244,7 @@ class Echelon:
     positive lead at its lowest column; `pivots` lists the lead columns in
     increasing order and `rows` maps each to its row.  A row added later is
     reduced against every earlier pivot, so it is zero at their columns;
-    `reduced` back-substitutes once to give the reduced echelon form.
+    `_back_substituted` gives the reduced echelon form, each row up to scale.
     """
 
     def __init__(self) -> None:
@@ -281,18 +285,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduced(self) -> list[dict[int, Fraction]]:
-        """The reduced row echelon form of the span, one row {column: entry}
-        per pivot in `pivots` order: lead 1 and zero at every other pivot
-        column."""
-        done = self._back_substituted()
-        out = []
-        for c in self.pivots:
-            row = done[c]
-            lead = row[c]
-            out.append({k: Q(x, lead) for k, x in row.items()})
-        return out
-
     def _back_substituted(self) -> dict[int, Row]:
         """Pivot column -> its primitive integer row, zero at every other
         pivot column: the reduced echelon form up to the scale of each row.
@@ -308,6 +300,15 @@ class Echelon:
                     _eliminate(row, done[k], k)
             done[c] = row
         return done
+
+
+def _reduced_over_lcm(ech: Echelon) -> tuple[dict[int, Row], int]:
+    """(rows, L): pivot column c -> L times its row of the reduced echelon
+    form of ech's span, with L the lcm of the back-substituted leads."""
+    done = ech._back_substituted()
+    den = lcm(*(row[c] for c, row in done.items()))
+    return {c: row if row[c] == den else {k: a * (den // row[c]) for k, a in row.items()}
+            for c, row in done.items()}, den
 
 
 def _eliminate(row: Row, p: Row, c: int) -> list[int]:
@@ -358,18 +359,22 @@ def kernel_basis(m: Matrix) -> list[Vec]:
 def kernel_of_rows(rows: Iterable, width: int) -> list[Vec]:
     """`kernel_basis` of the matrix with these rows (dicts {column: entry}
     or dense sequences, of ints or Fractions) and `width` columns; no rows
-    means the zero matrix."""
-    ech = _echelon(rows, width)
-    pivots = set(ech.pivots)
-    free = {fc: t for t, fc in enumerate(c for c in range(width) if c not in pivots)}
-    basis = [zero_vec(width) for _ in free]
-    for fc, t in free.items():
-        basis[t][fc] = Q(1)
-    for pc, row in zip(ech.pivots, ech.reduced()):
-        for fc, x in row.items():
-            if fc != pc:
-                basis[free[fc]][pc] = -x
-    return basis
+    means the zero matrix.  The Fraction view of `_kernel`."""
+    ks, den = _kernel(rows, width)
+    return [fraction_vector(k.items(), width, den) for k in ks]
+
+
+def _kernel(rows: Iterable, width: int) -> tuple[list[Row], int]:
+    """(Ks, L): the `kernel_of_rows` basis as the sparse integer vectors
+    K / L, K = {index: entry}, L the lcm of the leads of the reduced echelon
+    form.  Free column f gets L, and pivot p gets -row[f] L / row[p]."""
+    rref, den = _reduced_over_lcm(_echelon(rows, width))
+    ks = {f: {f: den} for f in range(width) if f not in rref}
+    for p, row in rref.items():
+        for f, a in row.items():
+            if f != p:
+                ks[f][p] = -a
+    return list(ks.values()), den
 
 
 def solve_linear(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
@@ -382,8 +387,8 @@ def solve_linear(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
     if ech.pivots and ech.pivots[-1] == n:
         return None
     x = zero_vec(n)
-    for pc, row in zip(ech.pivots, ech.reduced()):
-        x[pc] = row.get(n, _Q0)
+    for pc, row in ech._back_substituted().items():
+        x[pc] = Q(row.get(n, 0), row[pc])
     return x
 
 
@@ -428,10 +433,8 @@ def _inverse_rows(rows: list[list[tuple[int, int]]], den: int) -> tuple[list[lis
         ech.add({**dict(row), n + r: den})
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
-    done = ech._back_substituted()
-    lead = lcm(*(done[c][c] for c in range(n)))
-    return [[(k - n, a * (lead // done[c][c])) for k, a in done[c].items() if k >= n]
-            for c in range(n)], lead
+    rref, lead = _reduced_over_lcm(ech)
+    return [[(k - n, a) for k, a in rref[c].items() if k >= n] for c in range(n)], lead
 
 
 def integer_coordinates_in(basis: Sequence[dict | Sequence]):
@@ -461,11 +464,9 @@ def integer_coordinates_in(basis: Sequence[dict | Sequence]):
         raise ValueError("the basis vectors are linearly dependent")
     # t = sum_s (X_s / L) b_s for X = sum_k t[p_k] C_k, C_k[s] = L L_b T_k[s] / R_k[p_k]:
     # L the lcm of the pivot entries, then divided by its gcd with every C_k
-    done = ech._back_substituted()
-    den = lcm(*(row[p] for p, row in done.items()))
-    inv_cols = {p: [(k - n, basis_den * a * (den // row[p]))
-                    for k, a in sorted(row.items()) if k >= n]
-                for p, row in done.items()}
+    rref, den = _reduced_over_lcm(ech)
+    inv_cols = {p: [(k - n, basis_den * a) for k, a in sorted(row.items()) if k >= n]
+                for p, row in rref.items()}
     common = gcd(den, *(a for col in inv_cols.values() for _, a in col))
     if common > 1:
         den //= common
@@ -513,14 +514,14 @@ def _combine(cs: Iterable[tuple[int, int]], items: Sequence) -> dict[int, int]:
     return {i: a for i, a in out.items() if a}
 
 
-def _kernel_of_columns(cols: Iterable[dict[int, int]], width: int) -> list[Vec]:
-    """`kernel_of_rows` of the matrix with these `width` sparse columns
-    {row: entry}."""
+def _kernel_of_columns(cols: Iterable[dict[int, int]], width: int) -> tuple[list[Row], int]:
+    """`_kernel` of the matrix with these `width` sparse columns {row:
+    entry}."""
     rows: dict[int, dict[int, int]] = {}
     for t, col in enumerate(cols):
         for r, a in col.items():
             rows.setdefault(r, {})[t] = a
-    return kernel_of_rows(rows.values(), width)
+    return _kernel(rows.values(), width)
 
 
 # ---------------------------------------------------------------------------
@@ -722,16 +723,16 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     polynomial.  Irrational eigenvalues are detected but not materialized."""
     if m.rows != m.cols:
         raise ValueError("eigenspaces need a square matrix")
-    return _rational_eigenspaces(*_sparse_integer_rows(m.data))
+    return [(lam, [fraction_vector(k.items(), m.rows, den) for k in ks])
+            for lam, ks, den in _rational_eigenspaces(*_sparse_integer_rows(m.data))]
 
 
 def _rational_eigenspaces(rows: list[list[tuple[int, int]]],
-                          d: int) -> list[tuple[Fraction, list[Vec]]]:
+                          d: int) -> list[tuple[Fraction, list[Row], int]]:
     """`rational_eigenspaces` of m = M / d, M the integer matrix with these
-    sparse rows."""
+    sparse rows and d its true scale, as (lam, Ks, L): the eigenspace basis
+    is the integer vectors K / L of `_kernel`."""
     n = len(rows)
-    if n == 0:
-        return []
     out = []
     roots = rational_roots(_root_polynomial(_minimal_polynomial(rows), d),
                            bound=_gershgorin(rows, d))
@@ -741,9 +742,9 @@ def _rational_eigenspaces(rows: list[list[tuple[int, int]]],
         shifted = [{c: q * a for c, a in row} for row in rows]
         for i, r in enumerate(shifted):
             r[i] = r.get(i, 0) - d * p
-        basis = kernel_of_rows(shifted, n)
-        if basis:
-            out.append((lam, basis))
+        ks, den = _kernel(shifted, n)
+        if ks:
+            out.append((lam, ks, den))
     return out
 
 

@@ -47,11 +47,11 @@ from .linalg import (
     Vec,
     _combine,
     _inverse_rows,
+    _kernel,
     _kernel_of_columns,
+    _rational_eigenspaces,
     _sparse_integer_rows,
     fraction_vector,
-    kernel_of_rows,
-    rational_eigenspaces,
     vec,
 )
 
@@ -300,14 +300,10 @@ def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
     if cartan is None:
         from .roots import cartan_of
         cartan = cartan_of(g)
-    for t in cartan:
-        mat = m.matrix_of(t)
-        eig = rational_eigenspaces(mat)
-        if sum(len(b) for _, b in eig) != m.dim:
-            return False
-        if any(lam.denominator != 1 for lam, _ in eig):
-            return False
-    return True
+    ts, lt = _sparse_integer_rows(cartan)
+    eigs = (_rational_eigenspaces(m._combine(t), lt * m._den) for t in ts)
+    return all(sum(len(ks) for _, ks, _ in eig) == m.dim
+               and all(lam.denominator == 1 for lam, *_ in eig) for eig in eigs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +511,9 @@ def _ds_homology(us: list[tuple[int, int]], hs: dict[int, int], m: SuperModule) 
     ker: dict[int, tuple[list[list[tuple[int, int]]], int]] = {}
     for p in (EVEN, ODD):
         idx = [i for i, q in enumerate(m.parity) if q == p]
-        small, den = _sparse_integer_rows(kernel_of_rows(
-            [{t: row[c] for t, c in enumerate(idx) if c in row} for row in hrows], len(idx)))
-        ker[p] = [[(idx[t], x) for t, x in v] for v in small], den
+        small, den = _kernel(
+            [{t: row[c] for t, c in enumerate(idx) if c in row} for row in hrows], len(idx))
+        ker[p] = [[(idx[t], x) for t, x in v.items()] for v in small], den
     # u must square to zero on the h-invariants
     if any(_combine(_combine(v, ucols).items(), ucols) for v in ker[EVEN][0] + ker[ODD][0]):
         raise SuperkitError("u does not square to zero on the h-invariants")
@@ -538,11 +534,11 @@ def _homology_at(ucols: Rows, source: tuple[list[list[tuple[int, int]]], int],
     # u maps source into the span of target (parity flip); kernel of u on
     # source, as coordinates in the V_t:
     images = (_combine(v, ucols) for v in vs)
-    coords, lc = _sparse_integer_rows(_kernel_of_columns(images, len(vs)))
+    coords, lc = _kernel_of_columns(images, len(vs))
     span = Echelon()
     for w in target:
         span.add(_combine(w, ucols))
-    kern = (_combine(c, vs) for c in coords)
+    kern = (_combine(c.items(), vs) for c in coords)
     reps = [fraction_vector(v.items(), n, lc * den) for v in kern if span.add(v)]
     return len(reps), reps
 

@@ -26,6 +26,10 @@ computes the center and the root datum of g once and decomposes g once,
 reusing both.  Each odd factor is certified by `_certify_osp`, the second
 half of `classify_simple`, with g's root datum restricted to it: its odd
 roots are g's, which the scan has already walked with `_root_witness`.
+
+All of this runs on sparse integer vectors V / L, V = {index: entry}, a
+`Root`'s space included; Fractions are made only for public values: the
+Cartan `find_cartan` returns, `Root.space`, witnesses and basis maps.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SuperkitError, _proportion
+from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _proportion
 from .linalg import (
     Echelon,
     Matrix,
@@ -48,7 +52,6 @@ from .linalg import (
     _rational_eigenspaces,
     _sparse_integer_rows,
     _splits_semisimply,
-    in_span,
     integer_coordinates_in,
     is_zero_vec,
     span_basis,
@@ -72,9 +75,19 @@ class ClassificationInconclusive(SuperkitError):
 
 @dataclass
 class Root:
+    """A root space: its weight, its parity and its basis, the integer
+    vectors V / `den`, V = {index: entry} in `vectors`; `space` is their
+    Fraction view, of length `dim`."""
+
     weight: tuple[Fraction, ...]
     parity: int
-    space: list[Vec]
+    vectors: list[dict[int, int]]
+    den: int
+    dim: int
+
+    @property
+    def space(self) -> list[Vec]:
+        return [fraction_vector(v.items(), self.dim, self.den) for v in self.vectors]
 
     @property
     def is_zero_weight(self) -> bool:
@@ -131,55 +144,59 @@ def find_cartan(g: LieSuperalgebra) -> list[Vec]:
     element acting semisimply; that centralizer is the Cartan subalgebra.
     Requires a reductive even part; raises CartanSearchFailed when no
     candidate of a round splits.
+
+    `cent` is kept as integer vectors V / L, V = {index: entry}, and the
+    toral family as the span of one `Echelon`.
     """
     even = g.even_indices
     if not even:
         return []
-    toral: list[Vec] = []
-    cent: list[Vec] = [g.basis_vector(i) for i in even]
+    toral = Echelon()
+    cent: list[dict[int, int]] = [{i: 1} for i in even]
+    den = 1
     for _round in range(len(even) + 1):
-        if _is_abelian_family(g, cent) and all(_splits(g, t) for t in cent):
-            return cent
+        if _is_abelian_family(g, cent) and all(_splits(g, t, den * g._den) for t in cent):
+            return [fraction_vector(t.items(), g.dim, den) for t in cent]
         found = next((x for x in _candidates(cent)
-                      if in_span(toral, x) is None and _splits(g, x)), None)
+                      if not toral.contains(x) and _splits(g, x, den * g._den)), None)
         if found is None:
             raise CartanSearchFailed(
                 "no basis vector of the centralizer, nor a sum or difference "
                 "of two, outside the toral family splits over Q")
-        toral.append(found)
-        cent = _centralizer_within(g, cent, found)
+        toral.add(found)
+        cent, lc = _centralizer_within(g, cent, found)
+        den *= lc
     raise CartanSearchFailed("toral family failed to stabilize")
 
 
-def _candidates(cent: list[Vec]):
-    """The basis vectors of `cent`, then cent[p] + cent[q] and
+def _candidates(cent: list[dict[int, int]]):
+    """The integer vectors of `cent`, then cent[p] + cent[q] and
     cent[p] - cent[q] for p < q."""
     yield from cent
-    for p, a in enumerate(cent):
-        for b in cent[p + 1:]:
-            yield vec_add(a, b)
-            yield [x - y for x, y in zip(a, b)]
+    for p in range(len(cent)):
+        for q in range(p + 1, len(cent)):
+            yield _combine(((p, 1), (q, 1)), cent)
+            yield _combine(((p, 1), (q, -1)), cent)
 
 
-def _splits(g: LieSuperalgebra, x: Sequence) -> bool:
-    """True iff ad(x) is diagonalizable over the rationals; at once when it
-    is diagonal, as a Cartan element on a root basis is."""
-    rows, d = g._ad_rows(x)
-    return _diagonal(rows) is not None or _splits_semisimply(rows, d)
+def _splits(g: LieSuperalgebra, xs: SparseVec, scale: int) -> bool:
+    """True iff ad(x) is diagonalizable over the rationals, for x = X / L
+    given by the integer vector xs = X and its true scale L D (D = g._den);
+    at once when it is diagonal, as a Cartan element on a root basis is."""
+    rows = g._adjoint_module()._combine(xs)
+    return _diagonal(rows) is not None or _splits_semisimply(rows, scale)
 
 
-def _centralizer_within(g: LieSuperalgebra, space: list[Vec], x: Vec) -> list[Vec]:
-    """Basis of {y in span(space) : [y, x] = 0}."""
-    (xs,), _ = _sparse_integer_rows((x,))
-    items, den = _sparse_integer_rows(space)
-    # the columns [v, x] times one common factor, which keeps the kernel
-    cols = [g._sparse_bracket(vs, xs) for vs in items]
-    cs, lc = _sparse_integer_rows(_kernel_of_columns(cols, len(items)))
-    return [fraction_vector(_combine(c, items).items(), g.dim, lc * den) for c in cs]
+def _centralizer_within(g: LieSuperalgebra, space: list[dict[int, int]],
+                        xs: SparseVec) -> tuple[list[dict[int, int]], int]:
+    """(Ws, M): {y in span(space) : [y, x] = 0} as the combinations W / M of
+    the integer vectors of `space`; no positive scale of x or of the vectors
+    changes it, so for space = the V_s / L it is spanned by the W / (M L)."""
+    ks, lc = _kernel_of_columns([g._sparse_bracket(v, xs) for v in space], len(space))
+    return [_combine(k.items(), space) for k in ks], lc
 
 
-def _is_abelian_family(g: LieSuperalgebra, vecs: list[Vec]) -> bool:
-    items = _sparse_integer_rows(vecs)[0]
+def _is_abelian_family(g: LieSuperalgebra, items: list[SparseVec]) -> bool:
     return not any(
         g._sparse_bracket(a, b) for t, a in enumerate(items) for b in items[t + 1:]
     )
@@ -201,10 +218,10 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
     each element's spectrum.  Otherwise `_require_toral` raises the first
     failure."""
     cartan = [vec(t) for t in cartan]
-    if not (all(g.is_even_element(t) for t in cartan) and _is_abelian_family(g, cartan)):
-        _require_toral(g, cartan)
-    roots: list[Root] = []
     ts, lt = _sparse_integer_rows(cartan)
+    if any(g.parity[i] == ODD for t in ts for i, _ in t) or not _is_abelian_family(g, ts):
+        _require_toral(g, ts, lt)
+    roots: list[Root] = []
     for parity, idx in ((EVEN, g.even_indices), (ODD, g.odd_indices)):
         if not idx:
             continue
@@ -218,9 +235,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: Sequence[Sequence]) -> RootDa
                 for lam, vs, lv in _split_space(g, t, lt, items):
                     refined.append((weight + (lam,), vs, lv * den))
             spaces = refined
-        for weight, items, den in spaces:
-            roots.append(Root(weight, parity, [fraction_vector(v.items(), g.dim, den)
-                                               for v in items]))
+        roots += [Root(weight, parity, items, den, g.dim) for weight, items, den in spaces]
     roots.sort(key=lambda r: (r.parity, r.weight))
     return RootDatum(cartan=cartan, roots=roots)
 
@@ -229,15 +244,16 @@ _NOT_SPLIT = ("a Cartan element acts with non-squarefree minimal polynomial "
               "or irrational spectrum")
 
 
-def _require_toral(g: LieSuperalgebra, cartan: list[Vec]) -> None:
-    """Raise NonSemisimpleCartanAction for the first element that is not
-    even or does not split over Q, else for a family that does not commute."""
-    for t in cartan:
-        if not g.is_even_element(t):
+def _require_toral(g: LieSuperalgebra, ts: list[list[tuple[int, int]]], lt: int) -> None:
+    """Raise NonSemisimpleCartanAction for the first element t = T / lt (ts
+    the nonzero pairs of the T) that is not even or does not split over Q,
+    else for a family that does not commute."""
+    for t in ts:
+        if any(g.parity[i] == ODD for i, _ in t):
             raise NonSemisimpleCartanAction("Cartan elements must be even")
-        if not _splits(g, t):
+        if not _splits(g, t, lt * g._den):
             raise NonSemisimpleCartanAction(_NOT_SPLIT)
-    if not _is_abelian_family(g, cartan):
+    if not _is_abelian_family(g, ts):
         raise NonSemisimpleCartanAction("Cartan elements do not commute")
 
 
@@ -269,13 +285,9 @@ def _split_space(g: LieSuperalgebra, ts: list[tuple[int, int]], lt: int,
             spaces.setdefault(Q(a, scale), []).append(items[s])
         return [(lam, vs, 1) for lam, vs in sorted(spaces.items())]
     eig = _rational_eigenspaces(rows, scale)
-    if sum(len(b) for _, b in eig) != len(items):
+    if sum(len(ks) for _, ks, _ in eig) != len(items):
         raise NonSemisimpleCartanAction(_NOT_SPLIT)
-    out = []
-    for lam, small in eig:
-        cs, lc = _sparse_integer_rows(small)
-        out.append((lam, [_combine(c, items) for c in cs], lc))
-    return out
+    return [(lam, [_combine(k.items(), items) for k in ks], lc) for lam, ks, lc in eig]
 
 
 def cartan_of(g: LieSuperalgebra) -> list[Vec]:
@@ -301,11 +313,12 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
 def _root_witness(g: LieSuperalgebra, root: Root) -> Vec | None:
     """An element of the cone from an odd root space: a basis vector in the
     cone, else, in a space of dimension > 1, a rational isotropic combination
-    in the cone; None if neither is found."""
-    for u in root.space:
-        if g.in_g1ss(u):
-            return u
-    if len(root.space) > 1:
+    in the cone; None if neither is found.  A basis vector u = V / L is
+    tested on D [V, V], a positive multiple of its square."""
+    for v in root.vectors:
+        if g._is_semisimple(g._sparse_bracket(v, v)):
+            return fraction_vector(v.items(), g.dim, root.den)
+    if len(root.vectors) > 1:
         v = isotropic_combination(g, root.space)
         if v is not None and g.in_g1ss(v):
             return v
@@ -374,8 +387,7 @@ def classify_simple(g: LieSuperalgebra):
     for r in odd_roots:
         u = _root_witness(g, r)
         if u is not None:
-            # the datum is the algebra's shared one: hand out a copy
-            return Witness(list(u))
+            return Witness(u)
     return _certify_osp(g, odd_roots)
 
 
@@ -412,7 +424,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
             return Inconclusive(
                 "zero-weight odd vector whose square is not semisimple"
             )
-        if len(r.space) > 1:
+        if len(r.vectors) > 1:
             return Inconclusive(
                 "higher-dimensional odd root space with no rational "
                 "square-zero combination"
@@ -420,8 +432,9 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     # every odd root space is now 1-dimensional with nonzero nilpotent square;
     # the double of each odd root is automatically an even root (the square is
     # a nonzero even vector of doubled weight).  Certify the osp structure.
-    odd_basis = [u for r in odd_roots for u in r.space]
-    m = len(odd_basis)
+    den = lcm(*(r.den for r in odd_roots))
+    ints = [[(i, a * (den // r.den)) for i, a in v.items()] for r in odd_roots for v in r.vectors]
+    m = len(ints)
     if m % 2:
         return Inconclusive("odd-dimensional odd part cannot be symplectic")
     n = m // 2
@@ -430,8 +443,8 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
         return Inconclusive(
             f"even part has dimension {even_dim}, expected {n * (2 * n + 1)}"
         )
-    # the independent brackets (p, q, D [B_p, B_q]) of the vectors B = L u
-    ints, den = _sparse_integer_rows(odd_basis)
+    # the independent brackets (p, q, D [B_p, B_q]) of the root vectors
+    # u = B / L, over one common denominator L
     pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
@@ -462,7 +475,7 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
     root has no opposite, or a beta is zero or off the line of u_p.
 
     `items` are the root vectors over one common denominator L = `den`, as
-    `linalg._sparse_integer_rows` gives them: B = L u.  [[B_p, B_p], B_q] is
+    their nonzero (index, entry) pairs: B = L u.  [[B_p, B_p], B_q] is
     D^2 L^3 times the double bracket, so its ratio to B_p is 2 beta D^2 L^2."""
     index = {r.weight: p for p, r in enumerate(odd_roots)}
     pairs = []
@@ -585,8 +598,7 @@ def g1ss_structural_scan(g: LieSuperalgebra) -> ScanReport:
     for r in datum.odd_roots():
         u = _root_witness(g, r)
         if u is not None:
-            # the datum is the algebra's shared one: hand out a copy
-            return ScanReport(list(u), [])
+            return ScanReport(u, [])
     dec = g.direct_sum_decompose()
     factors = [{"factor": "center", "dim": len(dec.center)}] if dec.center else []
     for sub in dec.subalgebras:

@@ -91,7 +91,8 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
         monkeypatch.setattr(owner, name, counted)
 
     count(LieSuperalgebra, "direct_sum_decompose")
-    count(LieSuperalgebra, "restricted_subalgebra")
+    # every factor table, through `restricted_subalgebra` or not, is built here
+    count(LieSuperalgebra, "_restricted_subalgebra")
     count(roots, "_certify_osp")
     count(roots, "_root_witness")
     count(roots, "root_decomposition")
@@ -101,7 +102,7 @@ def test_classify_decomposes_once(capsys, monkeypatch, spec, factors):
     assert calls.count("direct_sum_decompose") == 1
     # one osp certification per odd factor, one factor table per factor
     assert calls.count("_certify_osp") == len(factors)
-    assert calls.count("restricted_subalgebra") == len(factors)
+    assert calls.count("_restricted_subalgebra") == len(factors)
     # the factors inherit g's root datum instead of decomposing again
     assert calls.count("root_decomposition") == 1
     # each odd root is walked once; every odd root space here is 1-dimensional

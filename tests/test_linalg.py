@@ -380,7 +380,9 @@ def test_echelon_matches_the_dense_reference(seed):
     assert sparse.rows == dense.rows == expected
     rref = _fraction_rref(ref.pivots)
     reduced = [{k: a for k, a in enumerate(rref[c]) if a} for c in sorted(ref.pivots)]
-    assert sparse.reduced() == dense.reduced() == reduced
+    for ech in (sparse, dense):
+        done = ech._back_substituted()
+        assert [{k: Q(a, done[c][c]) for k, a in done[c].items()} for c in ech.pivots] == reduced
     for probe in _engine_rows(rng, width):
         left = ref._normalize(ref.reduce(_primitive_ints(probe)))
         assert sparse.reduce(_as_dict(rng, probe)) == {k: a for k, a in enumerate(left) if a}

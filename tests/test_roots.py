@@ -144,6 +144,22 @@ def test_find_cartan_fails_on_nilpotent_even_part():
         find_cartan(g)
 
 
+@pytest.mark.parametrize("spec", ["osp1:3", "gl:2:2", "product:osp1:1,osp1:2"])
+def test_find_cartan_solves_no_dense_system(monkeypatch, spec):
+    # the toral family is tested by one integer Echelon, never by a dense
+    # Fraction solve
+    from superkit import linalg
+    g = _cartanless(spec)
+    expected = find_cartan(_cartanless(spec))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Fraction solve in the Cartan search")
+
+    monkeypatch.setattr(linalg.Matrix, "from_columns", refuse)
+    monkeypatch.setattr(linalg, "solve_linear", refuse)
+    assert find_cartan(g) == expected
+
+
 # -- the classification procedure --------------------------------------------------------
 
 def assert_intertwines(g, out):
@@ -686,7 +702,9 @@ def test_integer_spectra_match_the_matrix_functions(make):
     from superkit.linalg import (
         _diagonal,
         _rational_eigenspaces,
+        _sparse_integer_rows,
         _splits_semisimply,
+        fraction_vector,
         rational_eigenspaces,
         splits_semisimply_over_q,
     )
@@ -700,11 +718,14 @@ def test_integer_spectra_match_the_matrix_functions(make):
         elements.append([sum(c) for c in zip(*(g.basis_vector(i) for i in g.cartan))])
     split = diagonal = 0
     for x in elements:
-        rows, d = g._ad_rows(x)
+        # the integer rows of d ad(x), with d = L D for x = X / L
+        (xs,), lx = _sparse_integer_rows((x,))
+        rows, d = g._adjoint_module()._combine(xs), lx * g._den
         m = g.ad_matrix(x)
         splits, eig = splits_semisimply_over_q(m), rational_eigenspaces(m)
-        assert _splits_semisimply(rows, d) == _splits(g, x) == splits
-        assert _rational_eigenspaces(rows, d) == eig
+        assert _splits_semisimply(rows, d) == _splits(g, xs, d) == splits
+        assert [(lam, [fraction_vector(k.items(), g.dim, den) for k in ks])
+                for lam, ks, den in _rational_eigenspaces(rows, d)] == eig
         # on a diagonal M, `roots._split_space` reads the eigenspaces off the
         # diagonal: the unit vectors at the entries equal to lam
         diag = _diagonal(rows)
