@@ -30,6 +30,9 @@ Supercommutative tables with an odd derivation::
 
 Matrix rows are written column-action style: entry (r, c) is the coefficient
 of basis vector r in the image of basis vector c.
+
+Each entry is given once, in strict and lax mode alike: a repeated entry,
+header or matrix block is refused, naming the line of the first.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     rep_mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
     pending_matrix: list[list[Fraction]] | None = None
     pending_rows_needed = 0
+    seen: dict[tuple[str, ...], int] = {}
 
     for lineno, toks in _tokens(text):
         if pending_matrix is not None and pending_rows_needed > 0:
@@ -109,11 +113,14 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
         elif key == "bracket":
             if len(toks) != 5:
                 raise ParseError(f"line {lineno}: bracket needs LI LJ LK RATIONAL")
+            _once(seen, toks[:4], lineno)
             brackets.append((toks[1], toks[2], toks[3], _rational(toks[4], lineno), lineno))
         elif key == "cartan":
+            _once(seen, toks[:1], lineno)
             cartan_labels = toks[1:]
             cartan_line = lineno
         elif key == "rep":
+            _once(seen, toks[:1], lineno)
             rep_parity = [_parity_token(t, lineno) for t in toks[1:]]
         elif key == "repmat":
             if rep_parity is None:
@@ -227,6 +234,7 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
     mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
     pending: list[list[Fraction]] | None = None
     needed = 0
+    seen: dict[tuple[str, ...], int] = {}
     for lineno, toks in _tokens(text):
         if pending is not None and needed > 0:
             pending.append([_rational(t, lineno) for t in toks])
@@ -236,6 +244,7 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
         if key == "module":
             name = " ".join(toks[1:]) or name
         elif key == "parity":
+            _once(seen, toks[:1], lineno)
             parity = [_parity_token(t, lineno) for t in toks[1:]]
         elif key == "action":
             if parity is None:
@@ -255,6 +264,15 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
     if strict and warnings:
         raise ParseError("module violations: " + "; ".join(warnings[:5]))
     return m, name, warnings
+
+
+def _once(seen: dict[tuple[str, ...], int], entry: list[str], lineno: int) -> None:
+    """Record that `entry`, a directive and the labels that key it, is set
+    at `lineno` (ParseError if an earlier line set it)."""
+    key = tuple(entry)
+    if key in seen:
+        raise ParseError(f"line {lineno}: {' '.join(key)} repeats line {seen[key]}")
+    seen[key] = lineno
 
 
 def _open_block(blocks: dict[str, tuple[int, list[list[Fraction]]]], label: str,
@@ -304,6 +322,7 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
     muls: list[tuple[str, str, str, Fraction, int]] = []
     deriv_rows: list[list[Fraction]] | None = None
     needed = 0
+    seen: dict[tuple[str, ...], int] = {}
     for lineno, toks in _tokens(text):
         if deriv_rows is not None and needed > 0:
             deriv_rows.append([_rational(t, lineno) for t in toks])
@@ -318,12 +337,15 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
             labels.append(toks[1])
             parity.append(_parity_token(toks[2], lineno))
         elif key == "unit":
+            _once(seen, toks[:1], lineno)
             unit = [_rational(t, lineno) for t in toks[1:]]
         elif key == "mul":
             if len(toks) != 5:
                 raise ParseError(f"line {lineno}: mul needs LI LJ LK RATIONAL")
+            _once(seen, toks[:4], lineno)
             muls.append((toks[1], toks[2], toks[3], _rational(toks[4], lineno), lineno))
         elif key == "derivation":
+            _once(seen, toks[:1], lineno)
             deriv_rows = []
             needed = len(labels)
         else:

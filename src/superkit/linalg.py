@@ -23,8 +23,8 @@ on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
 Kernels, inverses and coordinates read it over the lcm of its leads
 (`_reduced_over_lcm`), and kernels and eigenspaces (`_kernel`,
-`_rational_eigenspaces`) come out as sparse integer vectors over one
-denominator; `kernel_of_rows` and `rational_eigenspaces` are their views.
+`_eigenspace`) come out as sparse integer vectors over one denominator;
+`kernel_of_rows` and `rational_eigenspaces` are their views.
 `integer_coordinates_in` is the package's one map from brackets to
 coordinates: it eliminates the basis vectors, each tagged with its own
 index, once, then solves each target, a sparse integer vector {index:
@@ -39,6 +39,11 @@ are integer lists: the minimal polynomial of d·m, squarefree tests by Euclid
 on primitive integer polynomials, and rational roots on the primitive
 integer form.  `is_squarefree` and `rational_roots` also accept Fraction
 coefficients; Fractions appear only in `minimal_polynomial`'s output.
+
+`_split` is the one test of "is m diagonalizable over Q?": it returns the
+distinct eigenvalues, or None.  `splits_semisimply_over_q` and
+`rational_eigenspaces` are public views; inside, only the root
+decomposition computes eigenvectors (`_eigenspace`).
 """
 
 from __future__ import annotations
@@ -723,29 +728,21 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     polynomial.  Irrational eigenvalues are detected but not materialized."""
     if m.rows != m.cols:
         raise ValueError("eigenspaces need a square matrix")
-    return [(lam, [fraction_vector(k.items(), m.rows, den) for k in ks])
-            for lam, ks, den in _rational_eigenspaces(*_sparse_integer_rows(m.data))]
-
-
-def _rational_eigenspaces(rows: list[list[tuple[int, int]]],
-                          d: int) -> list[tuple[Fraction, list[Row], int]]:
-    """`rational_eigenspaces` of m = M / d, M the integer matrix with these
-    sparse rows and d its true scale, as (lam, Ks, L): the eigenspace basis
-    is the integer vectors K / L of `_kernel`."""
-    n = len(rows)
-    out = []
+    rows, d = _sparse_integer_rows(m.data)
     roots = rational_roots(_root_polynomial(_minimal_polynomial(rows), d),
                            bound=_gershgorin(rows, d))
-    for lam in roots:
-        # d q (m - lam) = q M - d p for lam = p / q, in integers
-        p, q = lam.numerator, lam.denominator
-        shifted = [{c: q * a for c, a in row} for row in rows]
-        for i, r in enumerate(shifted):
-            r[i] = r.get(i, 0) - d * p
-        ks, den = _kernel(shifted, n)
-        if ks:
-            out.append((lam, ks, den))
-    return out
+    eig = ((lam, *_eigenspace(rows, d, lam)) for lam in roots)
+    return [(lam, [fraction_vector(k.items(), m.rows, den) for k in ks]) for lam, ks, den in eig]
+
+
+def _eigenspace(rows: list[list[tuple[int, int]]], d: int, lam: Fraction) -> tuple[list[Row], int]:
+    """The eigenspace of m = M / d for lam, M the integer matrix with these
+    sparse rows, as the `_kernel` of d q (m - lam) = q M - d p, lam = p / q."""
+    p, q = lam.numerator, lam.denominator
+    shifted = [{c: q * a for c, a in row} for row in rows]
+    for i, r in enumerate(shifted):
+        r[i] = r.get(i, 0) - d * p
+    return _kernel(shifted, len(rows))
 
 
 def _diagonal(rows: list[list[tuple[int, int]]]) -> list[int] | None:
@@ -764,22 +761,25 @@ def _diagonal(rows: list[list[tuple[int, int]]]) -> list[int] | None:
 
 def splits_semisimply_over_q(m: Matrix) -> bool:
     """True iff the minimal polynomial is squarefree with all roots rational,
-    i.e. m is diagonalizable over the rationals."""
+    i.e. m is diagonalizable over the rationals (`_split`)."""
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
-    return _splits_semisimply(*_sparse_integer_rows(m.data))
+    return _split(*_sparse_integer_rows(m.data)) is not None
 
 
-def _splits_semisimply(rows: list[list[tuple[int, int]]], d: int) -> bool:
-    """`splits_semisimply_over_q` of m = M / d, M the integer matrix with
-    these sparse rows.  The answer is the same for every d > 0, but pass the
-    true scale: the rational roots are sought on mp(d x), whose roots are m's;
-    with d = 1 they are M's, d times larger, and the candidates come from the
-    divisors of a much larger constant term."""
+def _split(rows: list[list[tuple[int, int]]], d: int) -> list[Fraction] | None:
+    """The sorted distinct eigenvalues of m = M / d, M the integer matrix
+    with these sparse rows, when m is diagonalizable over Q; else None.
+
+    A diagonal M gives them at once.  Otherwise m splits exactly when its
+    minimal polynomial mp(d x) / d^r, r = deg mp, is squarefree, as mp is,
+    and has r rational roots, sought on mp(d x): pass the true scale d, or
+    the candidates come from the divisors of a much larger constant term."""
+    diag = _diagonal(rows)
+    if diag is not None:
+        return sorted(Q(a, d) for a in set(diag))
     mp = _minimal_polynomial(rows)
-    # m's minimal polynomial is mp(d x) / d^r: squarefree exactly when mp is
     if not is_squarefree(mp):
-        return False
-    # the roots are distinct, so they split mp exactly when there are deg mp
+        return None
     roots = rational_roots(_root_polynomial(mp, d), bound=_gershgorin(rows, d))
-    return len(roots) == len(mp) - 1
+    return roots if len(roots) == len(mp) - 1 else None

@@ -49,8 +49,8 @@ from .linalg import (
     _inverse_rows,
     _kernel,
     _kernel_of_columns,
-    _rational_eigenspaces,
     _sparse_integer_rows,
+    _split,
     fraction_vector,
     vec,
 )
@@ -301,9 +301,9 @@ def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
         from .roots import cartan_of
         cartan = cartan_of(g)
     ts, lt = _sparse_integer_rows(cartan)
-    eigs = (_rational_eigenspaces(m._combine(t), lt * m._den) for t in ts)
-    return all(sum(len(ks) for _, ks, _ in eig) == m.dim
-               and all(lam.denominator == 1 for lam, *_ in eig) for eig in eigs)
+    spectra = (_split(m._combine(t), lt * m._den) for t in ts)
+    return all(lams is not None and all(lam.denominator == 1 for lam in lams)
+               for lams in spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +489,11 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
 def _cone_square(g: LieSuperalgebra, u: Sequence) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """(U, S) for u in the cone (`NotInG1ss` otherwise): U an integer
     multiple of u and S a positive multiple of h = [u,u]/2, from
-    `LieSuperalgebra._odd_square_rows`."""
-    u = vec(u)
-    if not g.in_g1ss(u):
+    `LieSuperalgebra._odd_square_rows`, formed once and tested as
+    `in_g1ss` tests it."""
+    us, sq, _ = g._odd_square_rows(vec(u))
+    if not g._is_semisimple(sq):
         raise NotInG1ss("the odd element does not have semisimple square")
-    us, sq, _ = g._odd_square_rows(u)
     return us, sq
 
 

@@ -48,10 +48,10 @@ from .linalg import (
     fraction_vector,
     _combine,
     _diagonal,
+    _eigenspace,
     _kernel_of_columns,
-    _rational_eigenspaces,
     _sparse_integer_rows,
-    _splits_semisimply,
+    _split,
     integer_coordinates_in,
     is_zero_vec,
     span_basis,
@@ -180,11 +180,10 @@ def _candidates(cent: list[dict[int, int]]):
 
 
 def _splits(g: LieSuperalgebra, xs: SparseVec, scale: int) -> bool:
-    """True iff ad(x) is diagonalizable over the rationals, for x = X / L
-    given by the integer vector xs = X and its true scale L D (D = g._den);
-    at once when it is diagonal, as a Cartan element on a root basis is."""
-    rows = g._adjoint_module()._combine(xs)
-    return _diagonal(rows) is not None or _splits_semisimply(rows, scale)
+    """True iff ad(x) is diagonalizable over the rationals (`_split`), for
+    x = X / L given by the integer vector xs = X and its true scale L D
+    (D = g._den)."""
+    return _split(g._adjoint_module()._combine(xs), scale) is not None
 
 
 def _centralizer_within(g: LieSuperalgebra, space: list[dict[int, int]],
@@ -284,9 +283,10 @@ def _split_space(g: LieSuperalgebra, ts: list[tuple[int, int]], lt: int,
         for s, a in enumerate(diag):
             spaces.setdefault(Q(a, scale), []).append(items[s])
         return [(lam, vs, 1) for lam, vs in sorted(spaces.items())]
-    eig = _rational_eigenspaces(rows, scale)
-    if sum(len(ks) for _, ks, _ in eig) != len(items):
+    lams = _split(rows, scale)
+    if lams is None:
         raise NonSemisimpleCartanAction(_NOT_SPLIT)
+    eig = ((lam, *_eigenspace(rows, scale, lam)) for lam in lams)
     return [(lam, [_combine(k.items(), items) for k in ks], lc) for lam, ks, lc in eig]
 
 

@@ -8,11 +8,14 @@ u(f) = 1 exactly.  Consequently the line spanned by 1 admits no complement
 stable under u, which is the finite-dimensional form of the obstruction to
 semisimplicity coming from an odd vector field.
 
-Construction: solve sum g_i u(xi_i) = 1 with even g_i and odd xi_i (always
-possible given non-vanishing), set p = sum g_i xi_i so u(p) = 1 + eta with
-eta a nilpotent element of the square of the odd part, project p to the
-0-eigenspace of h, invert the unit 1 + eta_0 by a finite geometric series,
-and divide.
+Construction: solve sum g_i u(xi_i) = 1 with even g_i and odd xi_i (possible
+exactly when u is non-vanishing, so this one solve decides it), set
+p = sum g_i xi_i so u(p) = 1 + eta with eta a nilpotent element of the
+square of the odd part, project p to the kernel of h by the spectral
+projector prod_{lam != 0} (h - lam) / (-lam) over the distinct eigenvalues
+that `linalg._split`, the package's one split test, returns, invert the
+unit 1 + eta_0 by a finite geometric series, and divide.  No eigenvector is
+formed: `linalg.rational_eigenspaces` is only a public view.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .linalg import (
     Q,
     Vec,
     in_span,
+    _sparse_integer_rows,
+    _split,
     is_zero_vec,
-    rational_eigenspaces,
     solve_linear,
     vec,
     vec_add,
@@ -160,11 +164,8 @@ def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:
 def is_nonvanishing(a: SupercommAlgebra, u: Matrix) -> bool:
     """True iff the ideal generated by the image of u is all of A,
     i.e. the span of A * u(A) contains the unit."""
-    products = []
-    for k in range(a.dim):
-        ek = a.basis_vector(k)
-        for j in range(a.dim):
-            products.append(a.multiply(ek, u.column(j)))
+    products = [a.multiply(a.basis_vector(k), u.column(j))
+                for k in range(a.dim) for j in range(a.dim)]
     return in_span(products, a.unit) is not None
 
 
@@ -174,39 +175,33 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     Raises Vanishing if the image ideal is proper, NonSemisimpleSquare if
     h = u^2 fails to act semisimply with rational spectrum.
     """
-    if not is_nonvanishing(a, u):
+    pairs = [(gi, xi) for gi in a.even_indices for xi in a.odd_indices]
+    cols = [a.multiply(a.basis_vector(gi), u.column(xi)) for gi, xi in pairs]
+    # the span of A u(A) is graded and the unit is even, so the unit lies in
+    # it iff it lies in the span of the even products g u(x) and x u(g), g
+    # even, x odd.  x u(g) = u(x) g - u(x g), and u(x) g = g u(x) and
+    # u(x g) = 1 u(x g) are of the first kind, so on a valid table this one
+    # solve decides `is_nonvanishing`
+    sol = solve_linear(Matrix.from_columns(cols), a.unit) if cols else None
+    if sol is None:
         raise Vanishing("the image of the derivation generates a proper ideal")
     h = u.mul(u)
-    # h splits semisimply over Q iff its rational eigenspaces fill the space
-    eig = rational_eigenspaces(h)
-    if sum(len(space) for _, space in eig) != a.dim:
-        raise NonSemisimpleSquare(
-            "u^2 does not act semisimply with rational spectrum"
-        )
-    even, odd = a.even_indices, a.odd_indices
-    cols = []
-    pairs = []
-    for gi in even:
-        eg = a.basis_vector(gi)
-        for xi in odd:
-            cols.append(a.multiply(eg, u.column(xi)))
-            pairs.append((gi, xi))
-    sol = solve_linear(Matrix.from_columns(cols), a.unit)
-    if sol is None:
-        raise Vanishing(
-            "the unit is not a combination of even multiples of derivative images"
-        )
+    lams = _split(*_sparse_integer_rows(h.data))
+    if lams is None:
+        raise NonSemisimpleSquare("u^2 does not act semisimply with rational spectrum")
     p = zero_vec(a.dim)
     for c, (gi, xi) in zip(sol, pairs):
         if c:
-            p = vec_add(p, vec_scale(c, a.multiply(a.basis_vector(gi),
-                                                   a.basis_vector(xi))))
+            p = vec_add(p, vec_scale(c, a.multiply(a.basis_vector(gi), a.basis_vector(xi))))
     eta = vec_add(u.matvec(p), vec_scale(Q(-1), a.unit))
     if a.power_zero_index(eta) is None:
         raise SuperkitError("intermediate element failed the nilpotence check")
-    p0 = _zero_eigencomponent(eig, p)
-    alpha = u.matvec(p0)
-    eta0 = vec_add(alpha, vec_scale(Q(-1), a.unit))
+    # the component p0 of p in ker h, by the spectral projector
+    # prod_{lam != 0} (h - lam) / (-lam) of the split h
+    p0 = p
+    for lam in filter(None, lams):
+        p0 = vec_scale(-1 / lam, vec_add(h.matvec(p0), vec_scale(-lam, p0)))
+    eta0 = vec_add(u.matvec(p0), vec_scale(Q(-1), a.unit))
     inv = _invert_one_plus_nilpotent(a, eta0)
     f = a.multiply(p0, inv)
     if u.matvec(f) != a.unit:
@@ -214,24 +209,6 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     if any(Q(c) != 0 and a.parity[i] == EVEN for i, c in enumerate(f)):
         raise SuperkitError("witness is not purely odd")
     return f
-
-
-def _zero_eigencomponent(eig: list[tuple[Q, list[Vec]]], p: Vec) -> Vec:
-    """The component of p in the kernel of h, for h's eigenspaces `eig`."""
-    basis: list[Vec] = []
-    zero_cols: list[int] = []
-    for lam, space in eig:
-        for v in space:
-            if lam == 0:
-                zero_cols.append(len(basis))
-            basis.append(v)
-    coords = solve_linear(Matrix.from_columns(basis), p)
-    if coords is None:
-        raise NonSemisimpleSquare("eigenspaces of u^2 do not span the algebra")
-    out = zero_vec(len(p))
-    for t in zero_cols:
-        out = vec_add(out, vec_scale(coords[t], basis[t]))
-    return out
 
 
 def _invert_one_plus_nilpotent(a: SupercommAlgebra, eta: Vec) -> Vec:

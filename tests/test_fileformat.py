@@ -201,6 +201,52 @@ def test_action_block_needs_a_new_basis_label(label, message, strict):
     assert str(err.value).startswith(f"line {line}: {message}")
 
 
+def repeat_cases():
+    """(directive, parse(text, strict), a valid text, the prefix of the
+    entry's line, the rows of its block, and a function from that line to
+    a bad copy of the entry, block included)"""
+    osp = serialize_algebra(build_osp1(1), "osp")
+    g = build_gl(1, 1)
+    module = serialize_module(induced_trivial(g), g, "m")
+    a, d = catalog_pairs()["two-odd"]
+    comm = serialize_supercomm(a, d, "two-odd")
+
+    def bump(line):
+        *head, value = line.split()
+        return " ".join(head + [str(Q(value) + 5)]) + "\n"
+
+    yield "bracket", parse_algebra, osp, "bracket ", 0, bump
+    yield "cartan", parse_algebra, osp, "cartan ", 0, lambda line: "cartan B12\n"
+    yield "rep", parse_algebra, osp, "rep ", 0, lambda line: "rep even\n"
+    yield "parity", lambda t, strict: parse_module(t, g, strict), module, "parity ", 0, \
+        lambda line: "parity " + " ".join(["even"] * (len(line.split()) - 1)) + "\n"
+    yield "mul", parse_supercomm, comm, "mul ", 0, bump
+    yield "unit", parse_supercomm, comm, "unit ", 0, lambda line: "unit 0 1 0 0\n"
+    yield "derivation", parse_supercomm, comm, "derivation", a.dim, \
+        lambda line: "derivation\n" + "0 0 0 0\n" * a.dim
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("bad_first", [True, False])
+@pytest.mark.parametrize("directive, parse, text, prefix, rows, make_bad",
+                         list(repeat_cases()), ids=[c[0] for c in repeat_cases()])
+def test_a_repeated_entry_is_refused(directive, parse, text, prefix, rows, make_bad,
+                                     bad_first, strict):
+    parse(text, strict=strict)
+    lines = text.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    entry = "".join(lines[i:i + 1 + rows])
+    bad = make_bad(lines[i])
+    assert bad != entry
+    first, second = (bad, entry) if bad_first else (entry, bad)
+    lines[i:i + 1 + rows] = [first, second]
+    key = " ".join(first.split()[:4 if directive in ("bracket", "mul") else 1])
+    second_line = i + 1 + first.count("\n")
+    with pytest.raises(ParseError) as err:
+        parse("".join(lines), strict=strict)
+    assert str(err.value) == f"line {second_line}: {key} repeats line {i + 1}"
+
+
 def test_supercomm_roundtrip():
     for name, (a, d) in catalog_pairs().items():
         text = serialize_supercomm(a, d, name)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from superkit.linalg import (
     Echelon,
     Matrix,
+    _sparse_integer_rows,
+    _split,
     integer_coordinates_in,
+    inverse,
     is_squarefree,
     kernel_basis,
     minimal_polynomial,
@@ -469,6 +472,57 @@ def test_eigen_dimension_sum_iff_split_squarefree():
     assert splits_semisimply_over_q(split)
     jordan = Matrix([[1, 1], [0, 1]])
     assert sum(len(b) for _, b in rational_eigenspaces(jordan)) == 1
+
+
+# -- the split test -------------------------------------------------------------------
+
+def conjugated(rng, t):
+    """P t P^-1 for P a product of six random rational shears I + c E_ij."""
+    n = len(t)
+    p = Matrix.identity(n)
+    for _ in range(6 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        shear = Matrix.identity(n)
+        shear.data[i][j] = Q(rng.randint(-3, 3), rng.randint(1, 4))
+        p = p.mul(shear)
+    return p.mul(Matrix(t)).mul(inverse(p))
+
+
+def split_cases():
+    """(name, m, sorted distinct eigenvalues or None), seeded."""
+    rng = random.Random(28)
+    h, third = Q(1, 2), Q(-5, 3)
+    yield "diagonal", Matrix([[h, 0, 0], [0, 3, 0], [0, 0, h]]), [h, 3]
+    yield "jordan", Matrix([[h, 1], [0, h]]), None
+    yield "rotation", Matrix([[0, -1], [1, 0]]), None
+    yield "zero", Matrix.zeros(3, 3), [0]
+    yield "1x1", Matrix([[third]]), [third]
+    for k in range(8):
+        n = rng.randint(2, 4)
+        diag = [Q(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+        t = [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]
+        yield f"shear {k}", conjugated(rng, t), sorted(set(diag))
+        # a Jordan block on a repeated eigenvalue
+        t[0][0] = t[1][1]
+        t[0][1] = Q(rng.randint(1, 3), rng.randint(1, 3))
+        yield f"shear jordan {k}", conjugated(rng, t), None
+        # an irrational pair: a rotation block
+        t[0][0], t[0][1], t[1][0], t[1][1] = 0, 2, 1, 0
+        yield f"shear rotation {k}", conjugated(rng, t), None
+
+
+@pytest.mark.parametrize("name, m, expected", list(split_cases()),
+                         ids=[c[0] for c in split_cases()])
+def test_split_returns_the_spectrum_of_a_rationally_diagonalizable_matrix(name, m, expected):
+    rows, d = _sparse_integer_rows(m.data)
+    assert _split(rows, d) == expected
+    # the same m, as 7 M / (7 d): d is never 1
+    assert _split([[(c, 7 * a) for c, a in row] for row in rows], 7 * d) == expected
+    eig = rational_eigenspaces(m)
+    assert (sum(len(b) for _, b in eig) == m.rows) == (expected is not None)
+    assert splits_semisimply_over_q(m) == (expected is not None)
+    if expected is not None:
+        assert [lam for lam, _ in eig] == expected
 
 
 # -- property tests -------------------------------------------------------------------

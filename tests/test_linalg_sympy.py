@@ -21,6 +21,8 @@ sympy = pytest.importorskip("sympy")
 
 from superkit.linalg import (  # noqa: E402
     Matrix,
+    _sparse_integer_rows,
+    _split,
     in_span,
     inverse,
     is_squarefree,
@@ -169,6 +171,43 @@ def test_minimal_polynomial_matches_sympy(case):
 
 
 X = sympy.Symbol("x")
+
+
+@st.composite
+def split_candidates(draw):
+    """An n x n rational matrix, n in 1..4: random rows, or P T P^-1 for an
+    upper triangular T whose diagonal repeats often and a product P of
+    rational shears, so that both outcomes of the split test occur."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(rational_rows(rows=n, cols=n))
+    diag = draw(st.lists(st.sampled_from([Q(0), Q(1), Q(-1, 2), Q(3)]), min_size=n, max_size=n))
+    t = [[diag[r] if r == c else Q(draw(st.sampled_from([0, 0, 0, 1])) if c > r else 0)
+          for c in range(n)] for r in range(n)]
+    p = sympy.eye(n)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.fractions(-3, 3, max_denominator=4))
+        shear = sympy.eye(n)
+        shear[i, j] = sympy.Rational(c.numerator, c.denominator)
+        p = p * shear
+    m = p * theirs(t, n) * p.inv()
+    return [as_fractions(m.row(r)) for r in range(n)], n
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_candidates())
+@example(([[Q(1), Q(1)], [Q(0), Q(1)]], 2))    # a Jordan block
+@example(([[Q(0), Q(-1)], [Q(1), Q(0)]], 2))   # a rotation
+def test_split_matches_sympy(case):
+    # m splits over Q iff the eigenspaces of the rational roots of its
+    # characteristic polynomial have dimensions summing to n
+    data, n = case
+    s = theirs(data, n)
+    roots = sympy.roots(s.charpoly(X), filter="Q")
+    dims = sum(len((s - r * sympy.eye(n)).nullspace()) for r in roots)
+    expected = sorted(Q(int(r.p), int(r.q)) for r in roots) if dims == n else None
+    assert _split(*_sparse_integer_rows(data)) == expected
 
 
 def times(p, q):

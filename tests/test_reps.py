@@ -165,6 +165,21 @@ def test_integral_weights():
     assert _integral_weight_answers(build_gl(1, 1)) == [True, True, False]
 
 
+def test_integral_weights_need_a_diagonalizable_cartan_action():
+    # E11 and E22 act by opposite Jordan blocks of eigenvalue +-1 and the odd
+    # part by zero: a module whose Cartan elements have integer eigenvalues
+    # but do not act diagonalizably
+    g = build_gl(1, 1)
+    jordan = Matrix([[1, 1], [0, 1]])
+    zero = Matrix.zeros(2, 2)
+    m = SuperModule(parity=(EVEN, EVEN), action=[
+        jordan if nm == "E11" else jordan.scale(-1) if nm == "E22" else zero
+        for nm in g.names])
+    assert validate_module(g, m) == []
+    assert has_integral_weights(g, m) is False
+    assert has_integral_weights(g, m, cartan=[unit_vec(g, "E11")]) is False
+
+
 def test_integral_weights_without_a_cartan_line():
     # the Cartan subalgebra is then the one the search finds, as in classify
     g = _cartanless("gl:1:1")

@@ -4,7 +4,15 @@ import pytest
 from fractions import Fraction as Q
 
 from superkit.families import build_gl, build_sl, build_toy
-from superkit.linalg import Matrix, in_span, zero_vec
+from superkit.linalg import (
+    Matrix,
+    in_span,
+    rational_eigenspaces,
+    solve_linear,
+    vec_add,
+    vec_scale,
+    zero_vec,
+)
 from superkit.supercomm import (
     NonSemisimpleSquare,
     Vanishing,
@@ -104,7 +112,7 @@ def test_witness_vanishing_raises():
         splitting_witness(a, d)
 
 
-def test_witness_nonsemisimple_square_raises():
+def nonsemisimple_square_pair():
     a = exterior_algebra(2, ["x1", "x2"])
     # u(x1) = 1 + x1 x2, u(x2) = 1 + x1 x2: h = u^2 is nilpotent nonzero
     d = Matrix.zeros(4, 4)
@@ -114,6 +122,11 @@ def test_witness_nonsemisimple_square_raises():
     d.data[3][2] = Q(1)
     d.data[2][3] = Q(1)
     d.data[1][3] = Q(-1)
+    return a, d
+
+
+def test_witness_nonsemisimple_square_raises():
+    a, d = nonsemisimple_square_pair()
     assert validate_derivation(a, d) == []
     h = d.mul(d)
     assert not h.is_zero()
@@ -123,23 +136,98 @@ def test_witness_nonsemisimple_square_raises():
 
 
 def test_witness_computes_the_spectrum_of_u_squared_once(monkeypatch):
-    # every spectrum goes through one minimal polynomial computation
-    from superkit import linalg
+    # after the vanishing test, the one split test runs once, on u^2, and
+    # gives its rational spectrum, or None when u^2 does not split
+    from superkit import supercomm
     calls = []
-    real = linalg._minimal_polynomial
+    real = supercomm._split
 
-    def spy(rows):
-        calls.append(rows)
-        return real(rows)
+    def spy(rows, d):
+        calls.append(real(rows, d))
+        return calls[-1]
 
-    monkeypatch.setattr(linalg, "_minimal_polynomial", spy)
-    for name, (a, d) in catalog_pairs().items():
-        if name == "vanishing":
-            continue
+    monkeypatch.setattr(supercomm, "_split", spy)
+    for name, (a, d) in witness_cases().items():
         calls.clear()
-        f = splitting_witness(a, d)
-        assert d.matvec(f) == a.unit
-        assert len(calls) == 1, name
+        result = outcome(splitting_witness, a, d)
+        eig = rational_eigenspaces(d.mul(d))
+        split = sum(len(space) for _, space in eig) == a.dim
+        expected = [[lam for lam, _ in eig] if split else None]
+        assert calls == ([] if result[0] is Vanishing else expected), name
+
+
+def eigenbasis_witness(a, u):
+    """The former `splitting_witness`, an oracle: it tests vanishing with
+    `is_nonvanishing`, splitting by the dimensions of the rational
+    eigenspaces of h = u^2, and projects p to ker h through coordinates in
+    an eigenbasis."""
+    if not is_nonvanishing(a, u):
+        raise Vanishing("the image of the derivation generates a proper ideal")
+    h = u.mul(u)
+    eig = rational_eigenspaces(h)
+    if sum(len(space) for _, space in eig) != a.dim:
+        raise NonSemisimpleSquare("u^2 does not act semisimply with rational spectrum")
+    cols, pairs = [], []
+    for gi in a.even_indices:
+        for xi in a.odd_indices:
+            cols.append(a.multiply(a.basis_vector(gi), u.column(xi)))
+            pairs.append((gi, xi))
+    sol = solve_linear(Matrix.from_columns(cols), a.unit)
+    if sol is None:
+        raise Vanishing("the unit is not a combination of even multiples of derivative images")
+    p = zero_vec(a.dim)
+    for c, (gi, xi) in zip(sol, pairs):
+        p = vec_add(p, vec_scale(c, a.multiply(a.basis_vector(gi), a.basis_vector(xi))))
+    basis = [v for _, space in eig for v in space]
+    coords = solve_linear(Matrix.from_columns(basis), p)
+    p0, t = zero_vec(a.dim), 0
+    for lam, space in eig:
+        for v in space:
+            if lam == 0:
+                p0 = vec_add(p0, vec_scale(coords[t], v))
+            t += 1
+    eta0 = vec_add(u.matvec(p0), vec_scale(Q(-1), a.unit))
+    inv, term = list(a.unit), list(a.unit)
+    while any(term):
+        term = vec_scale(Q(-1), a.multiply(term, eta0))
+        inv = vec_add(inv, term)
+    return a.multiply(p0, inv)
+
+
+def outcome(witness, a, u):
+    try:
+        return witness(a, u)
+    except (Vanishing, NonSemisimpleSquare) as exc:
+        return type(exc), str(exc)
+
+
+def witness_cases():
+    cases = dict(catalog_pairs())
+    for name, g, u in (("gl:1:1", build_gl(1, 1), ["E12", "E21"]),
+                       ("sl:2:1", build_sl(2, 1), ["E13"])):
+        v = zero_vec(g.dim)
+        for nm in u:
+            v[g.names.index(nm)] = Q(1)
+        cases[f"dual {name}"] = coinvariant_dual_pair(g, v)
+    toy = build_toy("toy_odd_semisimple")
+    cases["dual toy_odd_semisimple"] = coinvariant_dual_pair(toy, toy.basis_vector(1))
+    cases["nonsemisimple square"] = nonsemisimple_square_pair()
+    # u = d/dx1 + x1 x2 d/dx2: u^2 is diagonal, 0 on 1, x1 and 1 on x2, x1 x2
+    euler = Matrix.zeros(4, 4)
+    euler.data[0][1] = euler.data[3][2] = euler.data[2][3] = Q(1)
+    cases["diagonal square"] = (exterior_algebra(2, ["x1", "x2"]), euler)
+    for name in ("two-odd", "diagonal square"):
+        a, d = cases[name]
+        cases[f"{name} / 2"] = (a, d.scale(Q(1, 2)))
+    cases["zero derivation"] = (exterior_algebra(1, ["xi"]), Matrix.zeros(2, 2))
+    cases["purely even"] = (poly_quotient_algebra([-1, 0, 1]), Matrix.zeros(2, 2))
+    return cases
+
+
+@pytest.mark.parametrize("name, case", witness_cases().items())
+def test_witness_matches_the_eigenbasis_route(name, case):
+    a, u = case
+    assert outcome(splitting_witness, a, u) == outcome(eigenbasis_witness, a, u)
 
 
 def test_square_commutes_with_derivation():
