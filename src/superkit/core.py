@@ -3,14 +3,16 @@
 A `LieSuperalgebra` is a basis with parities and rational structure constants
 c[i][j][k] meaning [e_i, e_j] = sum_k c[i][j][k] e_k.  They are stored once,
 as one sparse integer table over a common denominator D: for each (i, j) the
-pairs (k, C) with c[i][j][k] = C / D.  Brackets, adjoint matrices, the
-center, `validate`, the root graph of `direct_sum_decompose` and
-`restricted_subalgebra`, which builds each of its factors, work on that
-table with sparse integer vectors V / L, given as their nonzero (index,
-entry) pairs or as dicts {index: entry}: Fractions become such vectors once
-on entry (`linalg._sparse_integer_rows`), the one bracket kernel
-`_sparse_bracket` combines them, and results become Fractions only on the
-way out (`linalg.fraction_vector`).  `bracket`, `structure_constant`,
+pairs (k, C) with c[i][j][k] = C / D.  `_structure_table` builds it, and the
+one product kernel `_product` multiplies through it; the multiplication of
+`supercomm.SupercommAlgebra` is stored and computed the same way.  Brackets,
+adjoint matrices, the center, `validate`, the root graph of
+`direct_sum_decompose` and `restricted_subalgebra`, which builds each of its
+factors, work on that table with sparse integer vectors V / L, given as
+their nonzero (index, entry) pairs or as dicts {index: entry}: Fractions
+become such vectors once on entry (`linalg._sparse_integer_rows`),
+`_product` combines them, and results become Fractions only on the way out
+(`linalg.fraction_vector`).  `bracket`, `structure_constant`,
 `bracket_basis` and `bracket_sparse` are Fraction views of the table.  The
 super axioms:
 
@@ -63,6 +65,41 @@ EVEN, ODD = 0, 1
 # an integer vector, as its nonzero (index, entry) pairs or as {index: entry}
 SparseVec = Sequence[tuple[int, int]] | dict[int, int]
 
+# a structure table T over a denominator D: e_i e_j = sum C / D e_k over the
+# (k, C) of T[i][j], sorted by k and nonzero
+Table = list[list[tuple[tuple[int, int], ...]]]
+
+
+def _structure_table(n: int, items: Iterable[tuple[int, int, int, object]]) -> tuple[Table, int]:
+    """(T, D) for the rational constants c[i][j][k] = q of the (i, j, k, q)
+    in items (the last wins; zeros are dropped): the n x n table over the
+    least common denominator D of the q."""
+    items = [(i, j, k, Q(q)) for i, j, k, q in items]
+    den = lcm(*(q.denominator for *_, q in items))
+    pairs: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, k, q in items:
+        pairs[i][j][k] = q.numerator * (den // q.denominator)
+    return [[tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
+            for block in pairs], den
+
+
+def _product(table: Table, x: SparseVec, y: SparseVec) -> dict[int, int]:
+    """sum x_i y_j T[i][j] = D x y for integer vectors x, y (nonzero (index,
+    entry) pairs or dicts {index: entry}), as {k: entry} without zeros: the
+    one product kernel, of brackets and of supercommutative products."""
+    if isinstance(x, dict):
+        x = x.items()
+    if isinstance(y, dict):
+        y = y.items()
+    out: dict[int, int] = {}
+    for i, a in x:
+        row = table[i]
+        for j, b in y:
+            ab = a * b
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + ab * c
+    return {k: c for k, c in out.items() if c}
+
 
 class SuperkitError(Exception):
     """Base class for structured failures in this package."""
@@ -72,7 +109,33 @@ class NotSemisimpleStructure(SuperkitError):
     """The algebra is not a direct product of its center and simple ideals."""
 
 
-class LieSuperalgebra:
+class _Basis:
+    """The graded basis, `parity` and `names`, of an algebra stored as a
+    structure table: `LieSuperalgebra` and `supercomm.SupercommAlgebra`."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.parity)
+
+    @property
+    def even_indices(self) -> list[int]:
+        return [i for i, p in enumerate(self.parity) if p == EVEN]
+
+    @property
+    def odd_indices(self) -> list[int]:
+        return [i for i, p in enumerate(self.parity) if p == ODD]
+
+    def basis_vector(self, i: int) -> Vec:
+        v = zero_vec(self.dim)
+        v[i] = Q(1)
+        return v
+
+    def describe(self, x: Sequence) -> str:
+        """Pretty form of a coordinate vector, e.g. '2*h - a'."""
+        return _format_terms(zip(x, self.names))
+
+
+class LieSuperalgebra(_Basis):
     """Immutable-by-convention Lie superalgebra with rational structure constants."""
 
     def __init__(
@@ -83,25 +146,18 @@ class LieSuperalgebra:
         faithful_rep: "SuperModule | None" = None,
         cartan: Sequence[int] | None = None,
     ) -> None:
-        parity = tuple(parity)
         n = len(parity)
         if isinstance(brackets, dict):
-            items = [(i, j, k, Q(val)) for (i, j), comps in brackets.items()
+            items = [(i, j, k, val) for (i, j), comps in brackets.items()
                      for k, val in comps.items()]
         else:
-            items = [(i, j, k, Q(val)) for i in range(n) for j in range(n)
+            items = [(i, j, k, val) for i in range(n) for j in range(n)
                      for k, val in enumerate(brackets[i][j])]
-        den = lcm(*(q.denominator for *_, q in items))
-        pairs: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, k, q in items:
-            pairs[i][j][k] = q.numerator * (den // q.denominator)
-        table = [[tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
-                 for block in pairs]
-        self._init(parity, table, den, names, faithful_rep, cartan)
+        self._init(parity, *_structure_table(n, items), names, faithful_rep, cartan)
 
     @classmethod
-    def _of_table(cls, parity: Sequence[int], table: list[list[tuple[tuple[int, int], ...]]],
-                  den: int, names: Sequence[str] | None = None,
+    def _of_table(cls, parity: Sequence[int], table: Table, den: int,
+                  names: Sequence[str] | None = None,
                   faithful_rep: "SuperModule | None" = None,
                   cartan: Sequence[int] | None = None) -> "LieSuperalgebra":
         """The algebra with the given integer table over D = den: c[i][j][k] =
@@ -121,7 +177,7 @@ class LieSuperalgebra:
         n = len(self.parity)
         # c[i][j][k] = C / D for each (k, C) in _table[i][j], sorted by k
         self._den = den
-        self._table: list[list[tuple[tuple[int, int], ...]]] = table
+        self._table: Table = table
         self.names = tuple(names) if names else tuple(f"e{i}" for i in range(n))
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
@@ -134,18 +190,6 @@ class LieSuperalgebra:
         self._datum_cache = None
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.parity)
-
-    @property
-    def even_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parity) if p == EVEN]
-
-    @property
-    def odd_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parity) if p == ODD]
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         return next((Q(c, self._den) for t, c in self._table[i][j] if t == k), Q(0))
@@ -164,29 +208,11 @@ class LieSuperalgebra:
             ]
         return self._sparse[i][j]
 
-    def _sparse_bracket(self, x: SparseVec, y: SparseVec) -> dict[int, int]:
-        """D [x, y] for integer vectors x, y given by their nonzero (index,
-        entry) pairs or as dicts {index: entry}, as {k: entry} without zero
-        entries."""
-        if isinstance(x, dict):
-            x = x.items()
-        if isinstance(y, dict):
-            y = y.items()
-        out: dict[int, int] = {}
-        table = self._table
-        for i, a in x:
-            row = table[i]
-            for j, b in y:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] = out.get(k, 0) + ab * c
-        return {k: c for k, c in out.items() if c}
-
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors must have length dim")
         (xs, ys), den = _sparse_integer_rows((x, y))
-        return fraction_vector(self._sparse_bracket(xs, ys).items(), self.dim,
+        return fraction_vector(_product(self._table, xs, ys).items(), self.dim,
                                den * den * self._den)
 
     def ad_matrix(self, x: Sequence) -> Matrix:
@@ -200,11 +226,6 @@ class LieSuperalgebra:
             self._adjoint = adjoint_module(self)
         return self._adjoint
 
-    def basis_vector(self, i: int) -> Vec:
-        v = zero_vec(self.dim)
-        v[i] = Q(1)
-        return v
-
     def odd_part(self, x: Sequence) -> Vec:
         return [Q(c) if self.parity[i] == ODD else Q(0) for i, c in enumerate(x)]
 
@@ -213,10 +234,6 @@ class LieSuperalgebra:
 
     def is_odd_element(self, x: Sequence) -> bool:
         return all(Q(c) == 0 or self.parity[i] == ODD for i, c in enumerate(x))
-
-    def describe(self, x: Sequence) -> str:
-        """Pretty form of a coordinate vector, e.g. '2*h - a'."""
-        return _format_terms(zip(x, self.names))
 
     # -- axioms --------------------------------------------------------------
 
@@ -270,7 +287,7 @@ class LieSuperalgebra:
         (us,), den = _sparse_integer_rows((u,))
         if any(self.parity[i] == EVEN for i, _ in us):
             raise ValueError("odd_square requires a purely odd element")
-        return us, self._sparse_bracket(us, us), den
+        return us, _product(self._table, us, us), den
 
     def element_matrix(self, x: Sequence) -> Matrix:
         """Matrix of x in the designated faithful representation."""
@@ -453,7 +470,7 @@ class LieSuperalgebra:
         toral = []  # (a, W, L) with [e_a, e_-a] = W / L
         for a, la in enumerate(dens):
             for b in range(a, len(nodes)):
-                w = self._sparse_bracket(items[a], items[b])
+                w = _product(self._table, items[a], items[b])
                 if not w:
                     continue
                 total = tuple(p + q for p, q in zip(weights[a], weights[b]))
@@ -551,7 +568,7 @@ class LieSuperalgebra:
         cden = 1
         for a, xa in enumerate(items):
             for b in range(a, n):
-                found = coordinates(self._sparse_bracket(xa, items[b]))
+                found = coordinates(_product(self._table, xa, items[b]))
                 if found is None:
                     raise ValueError("vectors do not span a subalgebra")
                 coeffs, cden = found

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import LieSuperalgebra, SuperkitError
+from .core import LieSuperalgebra, SuperkitError, _structure_table
 from .linalg import Matrix, Q, _echelon
 from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
@@ -360,13 +360,13 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
     if len(index) != len(labels):
         raise ParseError("duplicate basis labels")
     n = len(labels)
-    table = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    items = []
     for li, lj, lk, val, lineno in muls:
         try:
-            table[index[li]][index[lj]][index[lk]] = val
+            items.append((index[li], index[lj], index[lk], val))
         except KeyError as exc:
             raise ParseError(f"line {lineno}: unknown basis label {exc.args[0]!r}") from exc
-    algebra = SupercommAlgebra(tuple(parity), table, unit, tuple(labels))
+    algebra = SupercommAlgebra._of_table(parity, *_structure_table(n, items), unit, labels)
     from .supercomm import validate_algebra, validate_derivation
     issues = validate_algebra(algebra)
     deriv = None
@@ -387,11 +387,10 @@ def serialize_supercomm(a: SupercommAlgebra, deriv: Matrix | None = None,
     for i in range(a.dim):
         lines.append(f"basis {safe[i]} {'odd' if a.parity[i] else 'even'}")
     lines.append("unit " + " ".join(str(c) for c in a.unit))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.table[i][j]):
-                if c:
-                    lines.append(f"mul {safe[i]} {safe[j]} {safe[k]} {c}")
+    for i, block in enumerate(a._table):
+        for j, row in enumerate(block):
+            for k, c in row:
+                lines.append(f"mul {safe[i]} {safe[j]} {safe[k]} {Q(c, a._den)}")
     if deriv is not None:
         lines.append("derivation")
         for row in deriv.data:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _proportion
+from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _product, _proportion
 from .linalg import (
     Echelon,
     Matrix,
@@ -191,13 +191,13 @@ def _centralizer_within(g: LieSuperalgebra, space: list[dict[int, int]],
     """(Ws, M): {y in span(space) : [y, x] = 0} as the combinations W / M of
     the integer vectors of `space`; no positive scale of x or of the vectors
     changes it, so for space = the V_s / L it is spanned by the W / (M L)."""
-    ks, lc = _kernel_of_columns([g._sparse_bracket(v, xs) for v in space], len(space))
+    ks, lc = _kernel_of_columns([_product(g._table, v, xs) for v in space], len(space))
     return [_combine(k.items(), space) for k in ks], lc
 
 
 def _is_abelian_family(g: LieSuperalgebra, items: list[SparseVec]) -> bool:
     return not any(
-        g._sparse_bracket(a, b) for t, a in enumerate(items) for b in items[t + 1:]
+        _product(g._table, a, b) for t, a in enumerate(items) for b in items[t + 1:]
     )
 
 
@@ -269,7 +269,7 @@ def _split_space(g: LieSuperalgebra, ts: list[tuple[int, int]], lt: int,
     coordinates = integer_coordinates_in(items)
     rows: list[list[tuple[int, int]]] = [[] for _ in items]
     for s, vs in enumerate(items):
-        found = coordinates(g._sparse_bracket(ts, vs))
+        found = coordinates(_product(g._table, ts, vs))
         if found is None:
             raise NonSemisimpleCartanAction(_NOT_SPLIT)
         for r, x in found[0]:
@@ -316,7 +316,7 @@ def _root_witness(g: LieSuperalgebra, root: Root) -> Vec | None:
     in the cone; None if neither is found.  A basis vector u = V / L is
     tested on D [V, V], a positive multiple of its square."""
     for v in root.vectors:
-        if g._is_semisimple(g._sparse_bracket(v, v)):
+        if g._is_semisimple(_product(g._table, v, v)):
             return fraction_vector(v.items(), g.dim, root.den)
     if len(root.vectors) > 1:
         v = isotropic_combination(g, root.space)
@@ -448,7 +448,7 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     pair_brackets, spanning = Echelon(), []
     for p in range(m):
         for q in range(p, m):
-            w = g._sparse_bracket(ints[p], ints[q])
+            w = _product(g._table, ints[p], ints[q])
             if pair_brackets.add(w):
                 spanning.append((p, q, w))
     if pair_brackets.rank != even_dim:
@@ -485,8 +485,8 @@ def _opposite_pairs(g: LieSuperalgebra, odd_roots: list[Root],
             return None
         if q < p:
             continue
-        upp = g._sparse_bracket(items[p], items[p])
-        ratio = _proportion(g._sparse_bracket(upp, items[q]), dict(items[p]))
+        upp = _product(g._table, items[p], items[p])
+        ratio = _proportion(_product(g._table, upp, items[q]), dict(items[p]))
         if not ratio:
             return None
         pairs.append((p, q, ratio / (2 * (g._den * den) ** 2)))
@@ -529,7 +529,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
         odd_images[p] = {a: lb}
         odd_images[r] = {b: -beta.numerator * (lb // beta.denominator)}
     # phi W = D L^2 [I_p, I_q] / lb^2 = D L^2 E / (lb^2 D_fam), E = D_fam [I_p, I_q]
-    even_images = [fam._sparse_bracket(odd_images[p], odd_images[q]) for p, q, _ in spanning]
+    even_images = [_product(fam._table, odd_images[p], odd_images[q]) for p, q, _ in spanning]
     # for e_i = sum_s (X_s / M) B_s, phi e_i = (L / lb) sum_s (X_s / M) I_s;
     # for e_i = sum_s (X_s / M) W_s, phi e_i = (D L^2 / (lb^2 D_fam)) sum_s (X_s / M) E_s
     odd = integer_coordinates_in([dict(v) for v in items]), odd_images, den, lb
@@ -555,7 +555,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
             for k, c in g._table[i][j]:
                 for t, b in big[k]:
                     lhs[t] = lhs.get(t, 0) + c * f * b
-            rhs = fam._sparse_bracket(big[i], big[j])
+            rhs = _product(fam._table, big[i], big[j])
             if {t: x for t, x in lhs.items() if x} != {t: g._den * x for t, x in rhs.items()}:
                 return None
     return Matrix.from_columns([fraction_vector(col, fam.dim, lc) for col in big])

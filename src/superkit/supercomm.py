@@ -16,19 +16,24 @@ projector prod_{lam != 0} (h - lam) / (-lam) over the distinct eigenvalues
 that `linalg._split`, the package's one split test, returns, invert the
 unit 1 + eta_0 by a finite geometric series, and divide.  No eigenvector is
 formed: `linalg.rational_eigenspaces` is only a public view.
+
+The multiplication is stored as `LieSuperalgebra` stores its brackets, one
+sparse integer table (`core._structure_table`), and computed by the same
+kernel (`core._product`); the dense `SupercommAlgebra.table` is a view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import EVEN, ODD, SuperkitError, _format_terms
+from .core import EVEN, SuperkitError, Table, _Basis, _product, _structure_table
 from .linalg import (
     Matrix,
     Q,
     Vec,
+    fraction_vector,
     in_span,
+    _combine,
     _sparse_integer_rows,
     _split,
     is_zero_vec,
@@ -48,54 +53,43 @@ class NonSemisimpleSquare(SuperkitError):
     """The square of the derivation does not act semisimply with rational spectrum."""
 
 
-@dataclass
-class SupercommAlgebra:
+class SupercommAlgebra(_Basis):
     """Unital supercommutative algebra given by a multiplication table
-    m[i][j] = coordinates of e_i e_j."""
+    table[i][j] = coordinates of e_i e_j, stored as `core`'s integer table:
+    e_i e_j = sum_k C / D e_k for each (k, C) in `_table[i][j]`."""
 
-    parity: tuple[int, ...]
-    table: list[list[Vec]]
-    unit: Vec
-    names: tuple[str, ...] = field(default_factory=tuple)
+    def __init__(self, parity: Sequence[int], table: Sequence[Sequence[Sequence]],
+                 unit: Sequence, names: Sequence[str] = ()) -> None:
+        self.parity = tuple(int(p) % 2 for p in parity)
+        n = self.dim
+        self._table, self._den = _structure_table(n, (
+            (i, j, k, q) for i in range(n) for j in range(n) for k, q in enumerate(table[i][j]) if q))
+        self.unit = vec(unit)
+        self.names = tuple(names) or tuple(f"e{i}" for i in range(n))
+        self._dense: list[list[Vec]] | None = None
 
-    def __post_init__(self) -> None:
-        self.parity = tuple(int(p) % 2 for p in self.parity)
-        if not self.names:
-            self.names = tuple(f"e{i}" for i in range(self.dim))
-        self.unit = vec(self.unit)
+    @classmethod
+    def _of_table(cls, parity: Sequence[int], table: Table, den: int, unit: Sequence,
+                  names: Sequence[str] = ()) -> "SupercommAlgebra":
+        """The algebra with the given integer table over D = den."""
+        n = len(parity)
+        a = cls(parity, [[()] * n] * n, unit, names)
+        a._table, a._den = table, den
+        return a
 
     @property
-    def dim(self) -> int:
-        return len(self.parity)
-
-    @property
-    def even_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parity) if p == EVEN]
-
-    @property
-    def odd_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.parity) if p == ODD]
-
-    def basis_vector(self, i: int) -> Vec:
-        v = zero_vec(self.dim)
-        v[i] = Q(1)
-        return v
+    def table(self) -> list[list[Vec]]:
+        """The coordinates of each e_i e_j, as Fractions (built on first use)."""
+        if self._dense is None:
+            n, den = self.dim, self._den
+            self._dense = [[fraction_vector(row, n, den) for row in block]
+                           for block in self._table]
+        return self._dense
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            xi = Q(xi)
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * Q(yj)
-                row = self.table[i][j]
-                for k, q in enumerate(row):
-                    if q:
-                        out[k] += c * q
-        return out
+        (xs, ys), den = _sparse_integer_rows((x, y))
+        return fraction_vector(_product(self._table, xs, ys).items(), self.dim,
+                               den * den * self._den)
 
     def power_zero_index(self, x: Sequence) -> int | None:
         """Least k with x^k = 0, or None if x is not nilpotent within dim steps."""
@@ -106,57 +100,59 @@ class SupercommAlgebra:
             acc = self.multiply(acc, x)
         return None
 
-    def describe(self, x: Sequence) -> str:
-        return _format_terms(zip(x, self.names))
-
 
 def validate_algebra(a: SupercommAlgebra) -> list[str]:
     """Violations of grading, supercommutativity, associativity, or the unit law."""
     issues: list[str] = []
-    n = a.dim
+    n, p, t = a.dim, a.parity, a._table
     for i in range(n):
         for j in range(n):
-            for k, q in enumerate(a.table[i][j]):
-                if q != 0 and a.parity[k] != (a.parity[i] + a.parity[j]) % 2:
+            for k, _ in t[i][j]:
+                if p[k] != (p[i] + p[j]) % 2:
                     issues.append(f"grading: e{i}*e{j} has component at e{k}")
     for i in range(n):
         for j in range(i, n):
-            sign = Q(-1) if (a.parity[i] and a.parity[j]) else Q(1)
-            if a.table[i][j] != [sign * c for c in a.table[j][i]]:
+            sign = -1 if p[i] and p[j] else 1
+            if t[i][j] != tuple((k, sign * c) for k, c in t[j][i]):
                 issues.append(f"supercommutativity: fails on pair ({i},{j})")
+    # (e_i e_j) e_k = e_i (e_j e_k), both sides scaled by D^2
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = a.multiply(a.table[i][j], a.basis_vector(k))
-                rhs = a.multiply(a.basis_vector(i), a.table[j][k])
-                if lhs != rhs:
+                if _product(t, t[i][j], ((k, 1),)) != _product(t, ((i, 1),), t[j][k]):
                     issues.append(f"associativity: fails at triple ({i},{j},{k})")
+    (us,), ud = _sparse_integer_rows((a.unit,))
     for i in range(n):
-        e = a.basis_vector(i)
-        if a.multiply(a.unit, e) != e or a.multiply(e, a.unit) != e:
+        # 1 e_i = e_i 1 = e_i, scaled by L D for unit = U / L
+        e = {i: ud * a._den}
+        if _product(t, us, ((i, 1),)) != e or _product(t, ((i, 1),), us) != e:
             issues.append(f"unit law: fails on e{i}")
     return issues
+
+
+def _require_square(a: SupercommAlgebra, u: Matrix) -> None:
+    """ValueError unless the derivation u is a dim x dim matrix."""
+    if u.rows != a.dim or u.cols != a.dim:
+        raise ValueError(f"the derivation must be a {a.dim}x{a.dim} matrix")
 
 
 def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:
     """Violations of parity reversal or the super-Leibniz rule
     u(xy) = u(x) y + (-1)^{|x|} x u(y)."""
     issues: list[str] = []
-    n = a.dim
+    _require_square(a, u)
+    n, p, t = a.dim, a.parity, a._table
+    # the columns of u = U / L as integer vectors; both sides scaled by L D
+    cols, _ = _sparse_integer_rows(u.column(c) for c in range(n))
     for r in range(n):
         for c in range(n):
-            if u.data[r][c] != 0 and a.parity[r] == a.parity[c]:
+            if u.data[r][c] != 0 and p[r] == p[c]:
                 issues.append(f"parity: derivation entry ({r},{c}) is not parity-reversing")
     for i in range(n):
-        ui = u.column(i)
         for j in range(n):
-            lhs = u.matvec(a.table[i][j])
-            sign = Q(-1) if a.parity[i] else Q(1)
-            rhs = vec_add(
-                a.multiply(ui, a.basis_vector(j)),
-                vec_scale(sign, a.multiply(a.basis_vector(i), u.column(j))),
-            )
-            if lhs != rhs:
+            rhs = _combine(((0, 1), (1, -1 if p[i] else 1)),
+                           (_product(t, cols[i], ((j, 1),)), _product(t, ((i, 1),), cols[j])))
+            if _combine(t[i][j], cols) != rhs:
                 issues.append(f"leibniz: fails on pair ({i},{j})")
     return issues
 
@@ -164,6 +160,7 @@ def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:
 def is_nonvanishing(a: SupercommAlgebra, u: Matrix) -> bool:
     """True iff the ideal generated by the image of u is all of A,
     i.e. the span of A * u(A) contains the unit."""
+    _require_square(a, u)
     products = [a.multiply(a.basis_vector(k), u.column(j))
                 for k in range(a.dim) for j in range(a.dim)]
     return in_span(products, a.unit) is not None
@@ -175,6 +172,7 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
     Raises Vanishing if the image ideal is proper, NonSemisimpleSquare if
     h = u^2 fails to act semisimply with rational spectrum.
     """
+    _require_square(a, u)
     pairs = [(gi, xi) for gi in a.even_indices for xi in a.odd_indices]
     cols = [a.multiply(a.basis_vector(gi), u.column(xi)) for gi, xi in pairs]
     # the span of A u(A) is graded and the unit is even, so the unit lies in
@@ -227,6 +225,7 @@ def verify_no_splitting(a: SupercommAlgebra, u: Matrix) -> bool:
     """True when the unit lies in the image of u, so the trivial line has no
     u-stable complement; a functional phi with phi(1) = 1 and phi after u = 0
     would contradict u(f) = 1."""
+    _require_square(a, u)
     return in_span([u.column(j) for j in range(a.dim)], a.unit) is not None
 
 
@@ -258,15 +257,11 @@ def exterior_algebra(k: int, names: Sequence[str] | None = None) -> SupercommAlg
         letters = [gen_names[t] for t in range(k) if mask >> t & 1]
         basis_names.append("*".join(letters) if letters else "1")
     parity = tuple(bin(mask).count("1") % 2 for mask in range(dim))
-    table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for s in range(dim):
-        for t in range(dim):
-            if s & t:
-                continue
-            table[s][t][s | t] = Q(_interleave_sign(s, t))
+    table = [[() if s & t else ((s | t, _interleave_sign(s, t)),) for t in range(dim)]
+             for s in range(dim)]
     unit = zero_vec(dim)
     unit[0] = Q(1)
-    return SupercommAlgebra(parity, table, unit, tuple(basis_names))
+    return SupercommAlgebra._of_table(parity, table, 1, unit, basis_names)
 
 
 def poly_quotient_algebra(modulus: Sequence, var: str = "x") -> SupercommAlgebra:
@@ -293,43 +288,30 @@ def poly_quotient_algebra(modulus: Sequence, var: str = "x") -> SupercommAlgebra
             if prev[d - 1]:
                 v = vec_add(v, vec_scale(prev[d - 1], red))
         powers.append(v)
-    table = [[powers[i + j][:] for j in range(d)] for i in range(d)]
+    table, den = _structure_table(d, ((i, j, k, q) for i in range(d) for j in range(d)
+                                      for k, q in enumerate(powers[i + j]) if q))
     unit = zero_vec(d)
     unit[0] = Q(1)
     names = tuple("1" if k == 0 else (var if k == 1 else f"{var}^{k}") for k in range(d))
-    return SupercommAlgebra((EVEN,) * d, table, unit, names)
+    return SupercommAlgebra._of_table((EVEN,) * d, table, den, unit, names)
 
 
 def tensor_algebra(a: SupercommAlgebra, b: SupercommAlgebra) -> SupercommAlgebra:
     """Super tensor product: (x ox y)(x' ox y') = (-1)^{|y||x'|} xx' ox yy'."""
     da, db = a.dim, b.dim
-    dim = da * db
     parity = tuple((a.parity[i] + b.parity[j]) % 2 for i in range(da) for j in range(db))
     names = tuple(
         b.names[j] if a.names[i] == "1" else
         (a.names[i] if b.names[j] == "1" else f"{a.names[i]}*{b.names[j]}")
         for i in range(da) for j in range(db)
     )
-    table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(da):
-        for j in range(db):
-            for i2 in range(da):
-                for j2 in range(db):
-                    sign = Q(-1) if (b.parity[j] and a.parity[i2]) else Q(1)
-                    prod_a = a.table[i][i2]
-                    prod_b = b.table[j][j2]
-                    row = table[i * db + j][i2 * db + j2]
-                    for ka, ca in enumerate(prod_a):
-                        if ca == 0:
-                            continue
-                        for kb, cb in enumerate(prod_b):
-                            if cb:
-                                row[ka * db + kb] += sign * ca * cb
-    unit = zero_vec(dim)
-    for ka, ca in enumerate(a.unit):
-        for kb, cb in enumerate(b.unit):
-            unit[ka * db + kb] = ca * cb
-    return SupercommAlgebra(parity, table, unit, names)
+    # distinct (ka, kb) give distinct ka * db + kb, in ascending order
+    table = [[tuple((ka * db + kb, (-1 if b.parity[j] and a.parity[i2] else 1) * ca * cb)
+                    for ka, ca in a._table[i][i2] for kb, cb in b._table[j][j2])
+              for i2 in range(da) for j2 in range(db)]
+             for i in range(da) for j in range(db)]
+    unit = [ca * cb for ca in a.unit for cb in b.unit]
+    return SupercommAlgebra._of_table(parity, table, a._den * b._den, unit, names)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +367,17 @@ def coinvariant_dual_pair(g, u: Sequence) -> tuple[SupercommAlgebra, Matrix]:
     superderivation of the exterior multiplication.
     """
     from .enveloping import LEFT, CoinvariantElement, module_action
+    g.odd_square(u)  # ValueError unless u is a purely odd vector of length dim
     odd = g.odd_indices
     k = len(odd)
     algebra = exterior_algebra(k, [f"th_{g.names[i]}" for i in odd])
-    upar = ODD
     dual = Matrix.zeros(1 << k, 1 << k)
     for tmask in range(1 << k):
         u_x_t = module_action(g, u, CoinvariantElement(g, LEFT, {tmask: Q(1)}))
         for smask, entry in u_x_t.coords.items():
-            # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>
+            # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>, u odd
             spar = bin(smask).count("1") % 2
-            sign = Q(-1) if (upar and spar) else Q(1)
+            sign = Q(-1) if spar else Q(1)
             sig_s = Q(-1) ** (bin(smask).count("1") * (bin(smask).count("1") - 1) // 2)
             sig_t = Q(-1) ** (bin(tmask).count("1") * (bin(tmask).count("1") - 1) // 2)
             dual.data[tmask][smask] += -sign * entry * sig_s / sig_t

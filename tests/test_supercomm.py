@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction as Q
 
 from superkit.families import build_gl, build_sl, build_toy
+from superkit.fileformat import parse_supercomm, serialize_supercomm
 from superkit.linalg import (
     Matrix,
     in_span,
@@ -15,6 +16,7 @@ from superkit.linalg import (
 )
 from superkit.supercomm import (
     NonSemisimpleSquare,
+    SupercommAlgebra,
     Vanishing,
     catalog_pairs,
     coinvariant_dual_pair,
@@ -267,3 +269,208 @@ def test_dual_coinvariant_derivations_and_no_splitting():
         assert validate_derivation(a, d) == []
         # the unit is in the image: the trivial line does not split off
         assert in_span([d.column(j) for j in range(a.dim)], a.unit) is not None
+
+
+# -- the integer table against the former dense Fraction code ----------------------
+
+def dense_multiply(a, x, y):
+    """The former `SupercommAlgebra.multiply`, an oracle: the dense product
+    loop over the Fraction table."""
+    out = zero_vec(a.dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        xi = Q(xi)
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            c = xi * Q(yj)
+            for k, q in enumerate(a.table[i][j]):
+                if q:
+                    out[k] += c * q
+    return out
+
+
+def dense_validate_algebra(a):
+    """The former `validate_algebra`, an oracle: dense products of basis
+    vectors, associativity over every triple."""
+    issues = []
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for k, q in enumerate(a.table[i][j]):
+                if q != 0 and a.parity[k] != (a.parity[i] + a.parity[j]) % 2:
+                    issues.append(f"grading: e{i}*e{j} has component at e{k}")
+    for i in range(n):
+        for j in range(i, n):
+            sign = Q(-1) if (a.parity[i] and a.parity[j]) else Q(1)
+            if a.table[i][j] != [sign * c for c in a.table[j][i]]:
+                issues.append(f"supercommutativity: fails on pair ({i},{j})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = dense_multiply(a, a.table[i][j], a.basis_vector(k))
+                rhs = dense_multiply(a, a.basis_vector(i), a.table[j][k])
+                if lhs != rhs:
+                    issues.append(f"associativity: fails at triple ({i},{j},{k})")
+    for i in range(n):
+        e = a.basis_vector(i)
+        if dense_multiply(a, a.unit, e) != e or dense_multiply(a, e, a.unit) != e:
+            issues.append(f"unit law: fails on e{i}")
+    return issues
+
+
+def dense_validate_derivation(a, u):
+    """The former `validate_derivation`, an oracle, on dense products."""
+    issues = []
+    n = a.dim
+    for r in range(n):
+        for c in range(n):
+            if u.data[r][c] != 0 and a.parity[r] == a.parity[c]:
+                issues.append(f"parity: derivation entry ({r},{c}) is not parity-reversing")
+    for i in range(n):
+        for j in range(n):
+            lhs = u.matvec(a.table[i][j])
+            sign = Q(-1) if a.parity[i] else Q(1)
+            rhs = vec_add(dense_multiply(a, u.column(i), a.basis_vector(j)),
+                          vec_scale(sign, dense_multiply(a, a.basis_vector(i), u.column(j))))
+            if lhs != rhs:
+                issues.append(f"leibniz: fails on pair ({i},{j})")
+    return issues
+
+
+def dual_of(spec, *names):
+    g = {"gl:1:1": lambda: build_gl(1, 1), "sl:2:1": lambda: build_sl(2, 1),
+         "gl:2:1": lambda: build_gl(2, 1)}[spec]()
+    u = zero_vec(g.dim)
+    for nm in names:
+        u[g.names.index(nm)] = Q(1)
+    return coinvariant_dual_pair(g, u)
+
+
+def oracle_algebras():
+    """name -> (algebra, derivation or None)."""
+    out = {f"exterior {k}": (exterior_algebra(k), None) for k in (1, 2, 3, 4)}
+    for modulus in ([-1, 0, 1], [0, 0, 1], [2, -3, 0, 1], [Q(1, 2), Q(-5, 3), 1]):
+        out[f"poly {modulus}"] = (poly_quotient_algebra(modulus), None)
+    out["poly x ext 2"] = (tensor_algebra(poly_quotient_algebra([Q(1, 2), Q(-5, 3), 1]),
+                                          exterior_algebra(2)), None)
+    out["ext 1 x poly x ext 1"] = (tensor_algebra(
+        tensor_algebra(exterior_algebra(1), poly_quotient_algebra([Q(-1, 4), 0, 1])),
+        exterior_algebra(1, ["eta"])), None)
+    out.update(catalog_pairs())
+    out["dual gl:1:1"] = dual_of("gl:1:1", "E12", "E21")
+    out["dual sl:2:1"] = dual_of("sl:2:1", "E13")
+    out["dual gl:2:1"] = dual_of("gl:2:1", "E13", "E31")
+    return out
+
+
+ORACLE = oracle_algebras()
+
+
+def random_vector(rng, n):
+    return [Q(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.6 else Q(0)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_multiply_matches_the_dense_loop(name):
+    import random
+    a, _ = ORACLE[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        x, y = random_vector(rng, a.dim), random_vector(rng, a.dim)
+        assert a.multiply(x, y) == dense_multiply(a, x, y)
+    assert a.multiply(a.unit, a.unit) == a.unit
+
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_validation_matches_the_dense_checks(name):
+    import random
+    a, d = ORACLE[name]
+    assert validate_algebra(a) == dense_validate_algebra(a) == []
+    rng = random.Random(name)
+    # a seeded rational matrix breaks parity and Leibniz in many places
+    for u in ([d] if d is not None else []) + [Matrix([random_vector(rng, a.dim)
+                                                       for _ in range(a.dim)])]:
+        assert validate_derivation(a, u) == dense_validate_derivation(a, u)
+    if d is not None:
+        assert validate_derivation(a, d) == []
+
+
+@pytest.mark.parametrize("delta", [Q(1), Q(-1, 2)])
+def test_every_table_corruption_matches_the_dense_check(delta):
+    a, _ = catalog_pairs()["two-odd"]
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                table = [[list(v) for v in block] for block in a.table]
+                table[i][j][k] += delta
+                bad = SupercommAlgebra(a.parity, table, a.unit, a.names)
+                issues = validate_algebra(bad)
+                assert issues == dense_validate_algebra(bad), (i, j, k)
+                assert issues, (i, j, k)
+
+
+@pytest.mark.parametrize("delta", [Q(1), Q(-1, 2)])
+def test_every_derivation_corruption_matches_the_dense_check(delta):
+    a, d = catalog_pairs()["two-odd"]
+    for r in range(a.dim):
+        for c in range(a.dim):
+            bad = d.copy()
+            bad.data[r][c] += delta
+            # some stay derivations: x1 x2 may be added to u(x1)
+            assert validate_derivation(a, bad) == dense_validate_derivation(a, bad), (r, c)
+
+
+def test_public_constructor_keeps_the_table():
+    for name, (a, _) in ORACLE.items():
+        b = SupercommAlgebra(a.parity, a.table, a.unit, a.names)
+        assert (b.parity, b.table, b.unit, b.names) == (a.parity, a.table, a.unit, a.names)
+        assert b.dim == a.dim and b.even_indices == a.even_indices, name
+    default = SupercommAlgebra([0], [[[1]]], [1])
+    assert default.names == ("e0",) and default.unit == [Q(1)]
+
+
+def test_no_package_path_builds_the_dense_table():
+    a, d = dual_of("gl:2:1", "E13", "E31")
+    a2, d2, _ = parse_supercomm(serialize_supercomm(a, d))
+    for alg, der in ((a, d), (a2, d2)):
+        assert validate_algebra(alg) == [] and validate_derivation(alg, der) == []
+        splitting_witness(alg, der)
+        is_nonvanishing(alg, der)
+        verify_no_splitting(alg, der)
+        serialize_supercomm(alg, der)
+        assert alg._dense is None
+
+
+# -- refused inputs -----------------------------------------------------------------
+
+@pytest.mark.parametrize("names", [("E11",), ("E11", "E12")])
+def test_dual_pair_refuses_an_element_that_is_not_odd(names):
+    g = build_gl(1, 1)
+    u = zero_vec(g.dim)
+    for nm in names:
+        u[g.names.index(nm)] = Q(1)
+    with pytest.raises(ValueError, match="^odd_square requires a purely odd element$"):
+        coinvariant_dual_pair(g, u)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_dual_pair_refuses_a_vector_of_the_wrong_length(length):
+    g = build_gl(1, 1)
+    u = [Q(0), Q(1), Q(1), Q(0), Q(0)][:length]
+    with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+        coinvariant_dual_pair(g, u)
+
+
+@pytest.mark.parametrize("check", [validate_derivation, splitting_witness,
+                                   is_nonvanishing, verify_no_splitting])
+@pytest.mark.parametrize("rows, cols", [(3, 3), (5, 5), (4, 3), (3, 4)])
+def test_derivation_of_the_wrong_shape_is_refused(check, rows, cols):
+    a, d = catalog_pairs()["two-odd"]
+    u = Matrix([[d.data[r][c] if r < 4 and c < 4 else Q(0) for c in range(cols)]
+                for r in range(rows)])
+    with pytest.raises(ValueError, match=r"^the derivation must be a 4x4 matrix$"):
+        check(a, u)
