@@ -323,13 +323,13 @@ def cmd_ds(args) -> int:
 
 def cmd_witness_splitting(args) -> int:
     try:
-        if args.catalog:
+        if (args.table is None) == (args.catalog is None):
+            raise ParseError("provide exactly one of --table FILE or --catalog NAME")
+        if args.catalog is not None:
             pairs = catalog_pairs()
             if args.catalog not in pairs:
-                raise ParseError(
-                    f"unknown catalog pair {args.catalog!r}; "
-                    f"choose from {sorted(pairs)}"
-                )
+                raise ParseError(f"unknown catalog pair {args.catalog!r}; "
+                                 f"choose from {sorted(pairs)}")
             a, d = pairs[args.catalog]
         else:
             with open(args.table, "r", encoding="utf-8") as fh:

@@ -21,10 +21,11 @@ Fractions, and keeps only the sparse form.  `rank`, `kernel_basis`,
 Krylov step of `minimal_polynomial` and `integer_coordinates_in` are built
 on it, and read their answers off its reduced echelon form, which is
 unique; so they give the same vectors as any other exact elimination would.
-Kernels, inverses and coordinates read it over the lcm of its leads
-(`_reduced_over_lcm`), and kernels and eigenspaces (`_kernel`,
-`_eigenspace`) come out as sparse integer vectors over one denominator;
-`kernel_of_rows` and `rational_eigenspaces` are their views.
+Kernels, solutions, inverses and coordinates read it over the lcm of its
+leads (`_reduced_over_lcm`).  Kernels, eigenspaces and solutions come out
+as sparse integer vectors over one denominator (`_kernel`, `_eigenspace`,
+and `_solve`, the one linear solve); `kernel_of_rows`,
+`rational_eigenspaces`, `solve_linear` and `in_span` are their views.
 `integer_coordinates_in` is the package's one map from brackets to
 coordinates: it eliminates the basis vectors, each tagged with its own
 index, once, then solves each target, a sparse integer vector {index:
@@ -384,24 +385,33 @@ def _kernel(rows: Iterable, width: int) -> tuple[list[Row], int]:
 
 def solve_linear(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """The x with m x = b whose free variables are zero, or None if the
-    system is inconsistent."""
+    system is inconsistent: the Fraction view of `_solve`."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    n = m.cols
-    ech = _echelon(([*row, bi] for row, bi in zip(m.data, b)), n + 1)
-    if ech.pivots and ech.pivots[-1] == n:
-        return None
-    x = zero_vec(n)
-    for pc, row in ech._back_substituted().items():
-        x[pc] = Q(row.get(n, 0), row[pc])
-    return x
+    sol = _solve(([*row, bi] for row, bi in zip(m.data, b)), m.cols)
+    return None if sol is None else fraction_vector(sol[0].items(), m.cols, sol[1])
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Vec | None:
-    """Coordinates of target in span(vectors), or None."""
-    if not vectors:
-        return [] if is_zero_vec(target) else None
-    return solve_linear(Matrix.from_columns(list(vectors)), list(target))
+    """Coordinates of target in span(vectors), or None: the Fraction view
+    of `_solve` on the matrix with these columns."""
+    if any(len(v) != len(target) for v in vectors):
+        raise ValueError("right-hand side length must equal row count")
+    sol = _solve(zip(*vectors, target), len(vectors))
+    return None if sol is None else fraction_vector(sol[0].items(), len(vectors), sol[1])
+
+
+def _solve(rows: Iterable, width: int) -> tuple[Row, int] | None:
+    """(X, L): the x = X / L with m x = b whose free variables are zero, X =
+    {index: entry}, for the rows of [m | b] (dicts {column: entry} or dense
+    sequences, of ints or Fractions), b at column `width`; None if a pivot
+    lies there, i.e. m x = b is inconsistent.  Pivot c of the reduced
+    echelon form over the lcm L of its leads has x_c = row[width] / L."""
+    ech = _echelon(rows, width + 1)
+    if ech.pivots and ech.pivots[-1] == width:
+        return None
+    rref, den = _reduced_over_lcm(ech)
+    return {c: row[width] for c, row in rref.items() if width in row}, den
 
 
 def span_basis(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:

@@ -20,28 +20,27 @@ formed: `linalg.rational_eigenspaces` is only a public view.
 The multiplication is stored as `LieSuperalgebra` stores its brackets, one
 sparse integer table (`core._structure_table`), and computed by the same
 kernel (`core._product`); the dense `SupercommAlgebra.table` is a view.
+The witness (by `linalg._solve` and `_split`), the span tests (`Echelon`
+membership) and the validators read it in sparse integers too, and only
+the returned f becomes Fractions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import EVEN, SuperkitError, Table, _Basis, _product, _structure_table
+from .core import EVEN, SparseVec, SuperkitError, Table, _Basis, _product, _structure_table
 from .linalg import (
     Matrix,
     Q,
     Vec,
     fraction_vector,
-    in_span,
     _combine,
+    _echelon,
+    _solve,
     _sparse_integer_rows,
     _split,
-    is_zero_vec,
-    solve_linear,
     vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 
 
@@ -91,15 +90,6 @@ class SupercommAlgebra(_Basis):
         return fraction_vector(_product(self._table, xs, ys).items(), self.dim,
                                den * den * self._den)
 
-    def power_zero_index(self, x: Sequence) -> int | None:
-        """Least k with x^k = 0, or None if x is not nilpotent within dim steps."""
-        acc = vec(x)
-        for k in range(1, self.dim + 2):
-            if is_zero_vec(acc):
-                return k
-            acc = self.multiply(acc, x)
-        return None
-
 
 def validate_algebra(a: SupercommAlgebra) -> list[str]:
     """Violations of grading, supercommutativity, associativity, or the unit law."""
@@ -115,10 +105,12 @@ def validate_algebra(a: SupercommAlgebra) -> list[str]:
             sign = -1 if p[i] and p[j] else 1
             if t[i][j] != tuple((k, sign * c) for k, c in t[j][i]):
                 issues.append(f"supercommutativity: fails on pair ({i},{j})")
-    # (e_i e_j) e_k = e_i (e_j e_k), both sides scaled by D^2
+    # (e_i e_j) e_k = e_i (e_j e_k), both sides scaled by D^2; both vanish
+    # unless e_i e_j or e_j e_k is nonzero
+    nonzero = [[k for k in range(n) if t[j][k]] for j in range(n)]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            for k in (range(n) if t[i][j] else nonzero[j]):
                 if _product(t, t[i][j], ((k, 1),)) != _product(t, ((i, 1),), t[j][k]):
                     issues.append(f"associativity: fails at triple ({i},{j},{k})")
     (us,), ud = _sparse_integer_rows((a.unit,))
@@ -130,20 +122,21 @@ def validate_algebra(a: SupercommAlgebra) -> list[str]:
     return issues
 
 
-def _require_square(a: SupercommAlgebra, u: Matrix) -> None:
-    """ValueError unless the derivation u is a dim x dim matrix."""
+def _columns(a: SupercommAlgebra, u: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
+    """(U, L) with u = U / L, U as its sparse integer columns; ValueError
+    unless the derivation u is a dim x dim matrix."""
     if u.rows != a.dim or u.cols != a.dim:
         raise ValueError(f"the derivation must be a {a.dim}x{a.dim} matrix")
+    return _sparse_integer_rows(u.column(c) for c in range(a.dim))
 
 
 def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:
     """Violations of parity reversal or the super-Leibniz rule
     u(xy) = u(x) y + (-1)^{|x|} x u(y)."""
     issues: list[str] = []
-    _require_square(a, u)
-    n, p, t = a.dim, a.parity, a._table
     # the columns of u = U / L as integer vectors; both sides scaled by L D
-    cols, _ = _sparse_integer_rows(u.column(c) for c in range(n))
+    cols, _ = _columns(a, u)
+    n, p, t = a.dim, a.parity, a._table
     for r in range(n):
         for c in range(n):
             if u.data[r][c] != 0 and p[r] == p[c]:
@@ -160,10 +153,9 @@ def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:
 def is_nonvanishing(a: SupercommAlgebra, u: Matrix) -> bool:
     """True iff the ideal generated by the image of u is all of A,
     i.e. the span of A * u(A) contains the unit."""
-    _require_square(a, u)
-    products = [a.multiply(a.basis_vector(k), u.column(j))
-                for k in range(a.dim) for j in range(a.dim)]
-    return in_span(products, a.unit) is not None
+    cols, _ = _columns(a, u)
+    products = (_product(a._table, ((k, 1),), col) for k in range(a.dim) for col in cols)
+    return _echelon(products, a.dim).contains(a.unit)
 
 
 def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
@@ -171,62 +163,84 @@ def splitting_witness(a: SupercommAlgebra, u: Matrix) -> Vec:
 
     Raises Vanishing if the image ideal is proper, NonSemisimpleSquare if
     h = u^2 fails to act semisimply with rational spectrum.
+
+    Every vector is an integer numerator over a denominator: u = U / lu,
+    1 = E / le, and each product of the table carries its D.
     """
-    _require_square(a, u)
+    cols, lu = _columns(a, u)
+    (unit,), le = _sparse_integer_rows((a.unit,))
+    n, t, d = a.dim, a._table, a._den
     pairs = [(gi, xi) for gi in a.even_indices for xi in a.odd_indices]
-    cols = [a.multiply(a.basis_vector(gi), u.column(xi)) for gi, xi in pairs]
     # the span of A u(A) is graded and the unit is even, so the unit lies in
     # it iff it lies in the span of the even products g u(x) and x u(g), g
     # even, x odd.  x u(g) = u(x) g - u(x g), and u(x) g = g u(x) and
     # u(x g) = 1 u(x g) are of the first kind, so on a valid table this one
-    # solve decides `is_nonvanishing`
-    sol = solve_linear(Matrix.from_columns(cols), a.unit) if cols else None
+    # solve decides `is_nonvanishing`.  Column s is D lu g u(x), so the
+    # solution Y / ly of sum_s y_s column_s = E has c_s = D lu Y_s / (ly le)
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for s, col in enumerate([_product(t, ((gi, 1),), cols[xi]) for gi, xi in pairs] + [dict(unit)]):
+        for r, c in col.items():
+            rows[r][s] = c
+    sol = _solve(rows, len(pairs))
     if sol is None:
         raise Vanishing("the image of the derivation generates a proper ideal")
-    h = u.mul(u)
-    lams = _split(*_sparse_integer_rows(h.data))
+    # the columns of U^2 are the rows of its transpose, as good for `_split`
+    lams = _split([list(_combine(col, cols).items()) for col in cols], lu * lu)
     if lams is None:
         raise NonSemisimpleSquare("u^2 does not act semisimply with rational spectrum")
-    p = zero_vec(a.dim)
-    for c, (gi, xi) in zip(sol, pairs):
-        if c:
-            p = vec_add(p, vec_scale(c, a.multiply(a.basis_vector(gi), a.basis_vector(xi))))
-    eta = vec_add(u.matvec(p), vec_scale(Q(-1), a.unit))
-    if a.power_zero_index(eta) is None:
+
+    def minus_unit(v: dict[int, int], lv: int) -> tuple[dict[int, int], int]:
+        # u(V / lv) - 1, as (numerator, denominator)
+        return _combine(((0, le), (1, -lu * lv)), (_combine(v.items(), cols), unit)), lu * lv * le
+
+    # p = sum c_s g x = P / lp, and eta = u(p) - 1
+    ys, ly = sol
+    p = _combine(((s, lu * y) for s, y in ys.items()), [t[gi][xi] for gi, xi in pairs])
+    lp = ly * le
+    if _powers(t, unit, minus_unit(p, lp)[0], n) is None:
         raise SuperkitError("intermediate element failed the nilpotence check")
     # the component p0 of p in ker h, by the spectral projector
-    # prod_{lam != 0} (h - lam) / (-lam) of the split h
-    p0 = p
+    # prod_{lam != 0} (h - lam) / (-lam) of the split h, whose factor for
+    # lam = q / r is (q lu^2 - r U^2) / (q lu^2)
     for lam in filter(None, lams):
-        p0 = vec_scale(-1 / lam, vec_add(h.matvec(p0), vec_scale(-lam, p0)))
-    eta0 = vec_add(u.matvec(p0), vec_scale(Q(-1), a.unit))
-    inv = _invert_one_plus_nilpotent(a, eta0)
-    f = a.multiply(p0, inv)
-    if u.matvec(f) != a.unit:
+        q, r = lam.numerator, lam.denominator
+        hp = _combine(_combine(p.items(), cols).items(), cols)
+        p, lp = _combine(((0, q * lu * lu), (1, -r)), (p, hp)), lp * q * lu * lu
+    # (1 + eta0)^-1 = sum_k (-eta0)^k, a finite sum as eta0 is nilpotent:
+    # for eta0 = X / lx and s = -D lx, the term k is W_k / (le s^k)
+    eta0, lx = minus_unit(p, lp)
+    powers = _powers(t, unit, eta0, n)
+    if powers is None:
+        raise SuperkitError("element 1 + eta was not unipotent")
+    s, top = -d * lx, len(powers) - 1
+    inv = _combine(((k, s ** (top - k)) for k in range(top + 1)), powers)
+    f, lf = _product(t, p, inv), d * lp * le * s ** top
+    # u(f) = 1, i.e. le U F = lu lf E
+    if _combine(((0, le),), (_combine(f.items(), cols),)) != _combine(((0, lu * lf),), (unit,)):
         raise SuperkitError("witness construction failed the final check")
-    if any(Q(c) != 0 and a.parity[i] == EVEN for i, c in enumerate(f)):
+    if any(a.parity[i] == EVEN for i in f):
         raise SuperkitError("witness is not purely odd")
-    return f
+    return fraction_vector(f.items(), n, lf)
 
 
-def _invert_one_plus_nilpotent(a: SupercommAlgebra, eta: Vec) -> Vec:
-    """(1 + eta)^{-1} = sum (-eta)^k, finite since eta is nilpotent."""
-    inv = vec(a.unit)
-    term = vec(a.unit)
-    for _ in range(a.dim + 1):
-        term = vec_scale(Q(-1), a.multiply(term, eta))
-        if is_zero_vec(term):
-            return inv
-        inv = vec_add(inv, term)
-    raise SuperkitError("element 1 + eta was not unipotent")
+def _powers(t: Table, unit: SparseVec, x: dict[int, int], n: int) -> list[dict[int, int]] | None:
+    """[W_0, ..., W_m], W_0 = E the integer unit L 1 and W_k = D^k L x^k,
+    up to x^(m+1) = 0, for the integer vector x; None if x^(n+1) != 0."""
+    powers = [dict(unit)]
+    for _ in range(n + 1):
+        w = _product(t, powers[-1], x)
+        if not w:
+            return powers
+        powers.append(w)
+    return None
 
 
 def verify_no_splitting(a: SupercommAlgebra, u: Matrix) -> bool:
     """True when the unit lies in the image of u, so the trivial line has no
     u-stable complement; a functional phi with phi(1) = 1 and phi after u = 0
     would contradict u(f) = 1."""
-    _require_square(a, u)
-    return in_span([u.column(j) for j in range(a.dim)], a.unit) is not None
+    cols, _ = _columns(a, u)
+    return _echelon(map(dict, cols), a.dim).contains(a.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +266,13 @@ def exterior_algebra(k: int, names: Sequence[str] | None = None) -> SupercommAlg
     gen_names = list(names) if names else [f"x{i + 1}" for i in range(k)]
     if len(gen_names) != k:
         raise ValueError("need one name per generator")
-    basis_names = []
-    for mask in range(dim):
-        letters = [gen_names[t] for t in range(k) if mask >> t & 1]
-        basis_names.append("*".join(letters) if letters else "1")
+    basis_names = ["*".join(gen_names[t] for t in range(k) if mask >> t & 1) or "1"
+                   for mask in range(dim)]
     parity = tuple(bin(mask).count("1") % 2 for mask in range(dim))
     table = [[() if s & t else ((s | t, _interleave_sign(s, t)),) for t in range(dim)]
              for s in range(dim)]
-    unit = zero_vec(dim)
-    unit[0] = Q(1)
-    return SupercommAlgebra._of_table(parity, table, 1, unit, basis_names)
+    return SupercommAlgebra._of_table(parity, table, 1, fraction_vector(((0, 1),), dim),
+                                      basis_names)
 
 
 def poly_quotient_algebra(modulus: Sequence, var: str = "x") -> SupercommAlgebra:
@@ -275,25 +286,15 @@ def poly_quotient_algebra(modulus: Sequence, var: str = "x") -> SupercommAlgebra
         raise ValueError("modulus must have positive degree")
     # x^d = -(m[0] + m[1] x + ... + m[d-1] x^{d-1})
     red = [-c for c in m[:-1]]
-    powers: list[Vec] = []
-    for k in range(2 * d):
-        if k < d:
-            v = zero_vec(d)
-            v[k] = Q(1)
-        else:
-            prev = powers[k - 1]
-            v = zero_vec(d)
-            for t in range(d - 1):
-                v[t + 1] = prev[t]
-            if prev[d - 1]:
-                v = vec_add(v, vec_scale(prev[d - 1], red))
-        powers.append(v)
+    powers = [fraction_vector(((k, 1),), d) for k in range(d)]
+    for _ in range(d, 2 * d):
+        # x^k = x x^(k-1): shift the coefficients up, then reduce x^d
+        prev = powers[-1]
+        powers.append([c + prev[-1] * r for c, r in zip([Q(0), *prev[:-1]], red)])
     table, den = _structure_table(d, ((i, j, k, q) for i in range(d) for j in range(d)
                                       for k, q in enumerate(powers[i + j]) if q))
-    unit = zero_vec(d)
-    unit[0] = Q(1)
     names = tuple("1" if k == 0 else (var if k == 1 else f"{var}^{k}") for k in range(d))
-    return SupercommAlgebra._of_table((EVEN,) * d, table, den, unit, names)
+    return SupercommAlgebra._of_table((EVEN,) * d, table, den, powers[0], names)
 
 
 def tensor_algebra(a: SupercommAlgebra, b: SupercommAlgebra) -> SupercommAlgebra:
@@ -324,36 +325,26 @@ def catalog_pairs() -> dict[str, tuple[SupercommAlgebra, Matrix]]:
     Three pairs admit a splitting witness; 'vanishing' is the documented
     failure case (the derivative image generates a proper ideal).
     """
-    out: dict[str, tuple[SupercommAlgebra, Matrix]] = {}
 
-    lam = exterior_algebra(1, ["xi"])
-    d = Matrix.zeros(2, 2)
-    d.data[0][1] = Q(1)  # xi -> 1
-    out["exterior1"] = (lam, d)
+    def ones(n: int, *entries: tuple[int, int]) -> Matrix:
+        """The n x n matrix with 1 at each (row, column) of entries."""
+        m = Matrix.zeros(n, n)
+        for r, c in entries:
+            m.data[r][c] = Q(1)
+        return m
 
-    circle = tensor_algebra(poly_quotient_algebra([-1, 0, 1]), exterior_algebra(1, ["xi"]))
+    # xi -> 1
+    out = {"exterior1": (exterior_algebra(1, ["xi"]), ones(2, (0, 1)))}
     # basis: 1, xi, x, x*xi ; u = x d/dxi: xi -> x, x*xi -> x^2 = 1
-    d = Matrix.zeros(4, 4)
-    d.data[2][1] = Q(1)
-    d.data[0][3] = Q(1)
-    out["torus-exterior"] = (circle, d)
-
-    two = exterior_algebra(2, ["x1", "x2"])
+    out["torus-exterior"] = (tensor_algebra(poly_quotient_algebra([-1, 0, 1]),
+                                            exterior_algebra(1, ["xi"])), ones(4, (2, 1), (0, 3)))
     # basis: 1, x1, x2, x1*x2 ; u(x1) = 1 + x1 x2, u(x2) = x1 x2,
     # u(x1 x2) = u(x1) x2 - x1 u(x2) = x2
-    d = Matrix.zeros(4, 4)
-    d.data[0][1] = Q(1)
-    d.data[3][1] = Q(1)
-    d.data[3][2] = Q(1)
-    d.data[2][3] = Q(1)
-    out["two-odd"] = (two, d)
-
-    dual_numbers = tensor_algebra(exterior_algebra(1, ["xi"]),
-                                  poly_quotient_algebra([0, 0, 1]))
+    out["two-odd"] = (exterior_algebra(2, ["x1", "x2"]),
+                      ones(4, (0, 1), (3, 1), (3, 2), (2, 3)))
     # basis: 1, x, xi, xi*x ; u(xi) = x, u(xi*x) = x^2 = 0
-    d = Matrix.zeros(4, 4)
-    d.data[1][2] = Q(1)
-    out["vanishing"] = (dual_numbers, d)
+    out["vanishing"] = (tensor_algebra(exterior_algebra(1, ["xi"]),
+                                       poly_quotient_algebra([0, 0, 1])), ones(4, (1, 2)))
     return out
 
 
@@ -374,11 +365,10 @@ def coinvariant_dual_pair(g, u: Sequence) -> tuple[SupercommAlgebra, Matrix]:
     dual = Matrix.zeros(1 << k, 1 << k)
     for tmask in range(1 << k):
         u_x_t = module_action(g, u, CoinvariantElement(g, LEFT, {tmask: Q(1)}))
+        t = bin(tmask).count("1")
         for smask, entry in u_x_t.coords.items():
-            # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>, u odd
-            spar = bin(smask).count("1") % 2
-            sign = Q(-1) if spar else Q(1)
-            sig_s = Q(-1) ** (bin(smask).count("1") * (bin(smask).count("1") - 1) // 2)
-            sig_t = Q(-1) ** (bin(tmask).count("1") * (bin(tmask).count("1") - 1) // 2)
-            dual.data[tmask][smask] += -sign * entry * sig_s / sig_t
+            # <u.theta_S, x_T> = -(-1)^{|u||theta_S|} <theta_S, u.x_T>, u odd,
+            # times the pairing signs of degree s = |S| and t = |T|
+            s = bin(smask).count("1")
+            dual.data[tmask][smask] += entry * (-1) ** (1 + s * (s + 1) // 2 + t * (t - 1) // 2)
     return algebra, dual

@@ -388,6 +388,29 @@ def test_witness_splitting_from_file(tmp_path, capsys):
     assert code == 0 and "u(f) = 1" in out
 
 
+def test_witness_splitting_without_a_source_is_a_parse_error(capsys):
+    code, out = run(capsys, "witness-splitting")
+    assert code == 2
+    assert out == "parse error: provide exactly one of --table FILE or --catalog NAME\n"
+    code, out = run(capsys, "--json", "witness-splitting")
+    assert code == 2
+    assert json.loads(out) == {"error": "provide exactly one of --table FILE or --catalog NAME"}
+
+
+def test_witness_splitting_with_two_sources_is_a_parse_error(tmp_path, capsys):
+    from superkit.fileformat import serialize_supercomm
+    from superkit.supercomm import catalog_pairs
+    f = tmp_path / "table.txt"
+    f.write_text(serialize_supercomm(*catalog_pairs()["two-odd"], "two-odd"))
+    argv = ("witness-splitting", "--table", str(f), "--catalog", "exterior1")
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == "parse error: provide exactly one of --table FILE or --catalog NAME\n"
+    code, out = run(capsys, "--json", *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "provide exactly one of --table FILE or --catalog NAME"}
+
+
 def test_algebra_file_through_cli(tmp_path, capsys):
     from superkit.families import build_osp1
     f = tmp_path / "osp.alg"

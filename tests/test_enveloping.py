@@ -52,6 +52,7 @@ from superkit.linalg import (
     zero_vec,
 )
 from superkit.reps import induced_trivial
+from test_cli_golden import GHOST_SPECS
 
 
 # -- reference oracles: the Fraction column recursion and the dense matrices ----------
@@ -367,6 +368,33 @@ def test_invariant_dimensions_and_counits_agree_across_sides():
         right = invariants(g, RIGHT)
         assert len(left) == len(right)
         assert {v.counit() == 0 for v in left} == {v.counit() == 0 for v in right}
+
+
+def odd_trace_prediction(g):
+    """Frobenius reciprocity: U(g) is a Frobenius extension of U(g0), so
+    the invariants of either quotient have dimension 1 when tr(ad x | g1)
+    = 0 for every even basis vector x, and 0 otherwise.  The traces are
+    read off the integer table: the e_k coefficients of [x, e_k], k odd."""
+    odd = g.odd_indices
+    for x in g.even_indices:
+        if sum(c for k in odd for m, c in g._table[x][k] if m == k):
+            return 0
+    return 1
+
+
+def h_y_algebra():
+    """The 1|1 algebra [h, y] = y: h = E11 and y = E12 on C^(1|1)."""
+    h, y = Matrix.zeros(2, 2), Matrix.zeros(2, 2)
+    h.data[0][0] = y.data[0][1] = Q(1)
+    return algebra_from_matrices([h, y], [EVEN, ODD], [EVEN, ODD], ["h", "y"])
+
+
+@pytest.mark.parametrize("spec", [*GHOST_SPECS, "gl:2:1", "[h, y] = y"])
+def test_invariant_dimension_matches_frobenius_reciprocity(spec):
+    g = h_y_algebra() if spec == "[h, y] = y" else parse_family_spec(spec)
+    expected = odd_trace_prediction(g)
+    assert expected == (0 if spec == "[h, y] = y" else 1)
+    assert len(invariants(g, LEFT)) == len(invariants(g, RIGHT)) == expected
 
 
 def test_witness_forces_zero_counit_on_invariants():

@@ -206,7 +206,8 @@ def outcome(witness, a, u):
 def witness_cases():
     cases = dict(catalog_pairs())
     for name, g, u in (("gl:1:1", build_gl(1, 1), ["E12", "E21"]),
-                       ("sl:2:1", build_sl(2, 1), ["E13"])):
+                       ("sl:2:1", build_sl(2, 1), ["E13"]),
+                       ("gl:2:1", build_gl(2, 1), ["E13", "E31"])):
         v = zero_vec(g.dim)
         for nm in u:
             v[g.names.index(nm)] = Q(1)
@@ -398,19 +399,36 @@ def test_validation_matches_the_dense_checks(name):
         assert validate_derivation(a, d) == []
 
 
-@pytest.mark.parametrize("delta", [Q(1), Q(-1, 2)])
-def test_every_table_corruption_matches_the_dense_check(delta):
-    a, _ = catalog_pairs()["two-odd"]
+@pytest.mark.parametrize("name, delta", [("two-odd", Q(1)), ("two-odd", Q(-1, 2)),
+                                         ("exterior 3", Q(1)), ("two-odd", None),
+                                         ("exterior 3", None)],
+                         ids=["delta0", "delta1", "exterior3", "zeroed", "exterior3-zeroed"])
+def test_every_table_corruption_matches_the_dense_check(name, delta):
+    # delta None zeroes each nonzero entry: then e_i e_j may vanish while
+    # e_i (e_j e_k) does not, a triple that skipping on e_i e_j alone misses
+    a, _ = ORACLE[name]
     n = a.dim
     for i in range(n):
         for j in range(n):
             for k in range(n):
+                if delta is None and not a.table[i][j][k]:
+                    continue
                 table = [[list(v) for v in block] for block in a.table]
-                table[i][j][k] += delta
+                table[i][j][k] += -table[i][j][k] if delta is None else delta
                 bad = SupercommAlgebra(a.parity, table, a.unit, a.names)
                 issues = validate_algebra(bad)
                 assert issues == dense_validate_algebra(bad), (i, j, k)
                 assert issues, (i, j, k)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, d) in ORACLE.items() if d is not None])
+def test_span_tests_match_their_definitions(name):
+    a, u = ORACLE[name]
+    products = [a.multiply(a.basis_vector(k), u.column(j))
+                for k in range(a.dim) for j in range(a.dim)]
+    assert is_nonvanishing(a, u) == (in_span(products, a.unit) is not None)
+    image = [u.column(j) for j in range(a.dim)]
+    assert verify_no_splitting(a, u) == (in_span(image, a.unit) is not None)
 
 
 @pytest.mark.parametrize("delta", [Q(1), Q(-1, 2)])
