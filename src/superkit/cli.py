@@ -25,6 +25,7 @@ quotient with more weight-zero subsets than `enveloping.WEIGHT_ZERO_BUDGET`
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -402,6 +403,7 @@ def _add_algebra_args(p: argparse.ArgumentParser, lax: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line (`main` keeps one per process)."""
     parser = argparse.ArgumentParser(
         prog="superkit",
         description="exact computations with finite-dimensional Lie superalgebras",
@@ -447,9 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads with, built once per process: parsing leaves
+    no state in it, so it is a constant like the imports."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if hasattr(args, "seed") and args.seed is None:
         args.seed = _default_seed()
     handlers = {

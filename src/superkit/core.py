@@ -74,13 +74,13 @@ def _structure_table(n: int, items: Iterable[tuple[int, int, int, object]]) -> t
     """(T, D) for the rational constants c[i][j][k] = q of the (i, j, k, q)
     in items (the last wins; zeros are dropped): the n x n table over the
     least common denominator D of the q."""
-    items = [(i, j, k, Q(q)) for i, j, k, q in items]
-    den = lcm(*(q.denominator for *_, q in items))
+    items = [(i, j, k, q if type(q) is Fraction else Q(q)) for i, j, k, q in items]
+    den = lcm(*{q.denominator for *_, q in items})
     pairs: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
     for i, j, k, q in items:
         pairs[i][j][k] = q.numerator * (den // q.denominator)
-    return [[tuple(sorted((k, c) for k, c in row.items() if c)) for row in block]
-            for block in pairs], den
+    return [[tuple(sorted((k, c) for k, c in row.items() if c)) if row else ()
+             for row in block] for block in pairs], den
 
 
 def _product(table: Table, x: SparseVec, y: SparseVec) -> dict[int, int]:

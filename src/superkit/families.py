@@ -107,6 +107,13 @@ def _defining(space_parity: Sequence[int], mats: list[Rows]) -> SuperModule:
     return SuperModule._of_table(space_parity, mats, 1, "defining")
 
 
+def _label(prefix: str, a: int, b: int) -> str:
+    """The name of the basis element with 1-based indices a, b: prefix, a and
+    b run together while both are single digits, else joined by "_", so that
+    (1, 11) and (11, 1) get different names."""
+    return f"{prefix}{a}{b}" if a < 10 and b < 10 else f"{prefix}{a}_{b}"
+
+
 def _rows(d: int, entries: Sequence[tuple[int, int, int]]) -> Rows:
     """The sparse rows of the d x d integer matrix with entries (r, c, a)."""
     rows: Rows = [[] for _ in range(d)]
@@ -131,7 +138,7 @@ def build_gl(m: int, n: int) -> LieSuperalgebra:
         for b in range(d):
             mats.append(_rows(d, [(a, b, 1)]))
             parities.append((par(a) + par(b)) % 2)
-            names.append(f"E{a + 1}{b + 1}")
+            names.append(_label("E", a + 1, b + 1))
             if a == b:
                 cartan.append(len(mats) - 1)
     space_parity = [par(a) for a in range(d)]
@@ -160,7 +167,7 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
             if a != b:
                 mats.append(_rows(d, [(a, b, 1)]))
                 parities.append((par(a) + par(b)) % 2)
-                names.append(f"E{a + 1}{b + 1}")
+                names.append(_label("E", a + 1, b + 1))
     for a in range(d - 1):
         # supertrace-zero diagonal: E_aa -/+ E_{a+1,a+1} across the block edge
         sign = 1 if par(a) != par(a + 1) else -1
@@ -184,19 +191,19 @@ def _sp_entries(n: int) -> tuple[list[list[tuple[int, int, int]]], list[str]]:
     for i in range(n):
         for j in range(n):
             mats.append([(i, j, 1), (n + j, n + i, -1)])
-            names.append(f"M{i + 1}{j + 1}")
+            names.append(_label("M", i + 1, j + 1))
     for i in range(n):
         mats.append([(i, n + i, 1)])
-        names.append(f"B{i + 1}{i + 1}")
+        names.append(_label("B", i + 1, i + 1))
         for j in range(i + 1, n):
             mats.append([(i, n + j, 1), (j, n + i, 1)])
-            names.append(f"B{i + 1}{j + 1}")
+            names.append(_label("B", i + 1, j + 1))
     for i in range(n):
         mats.append([(n + i, i, 1)])
-        names.append(f"C{i + 1}{i + 1}")
+        names.append(_label("C", i + 1, i + 1))
         for j in range(i + 1, n):
             mats.append([(n + i, j, 1), (n + j, i, 1)])
-            names.append(f"C{i + 1}{j + 1}")
+            names.append(_label("C", i + 1, j + 1))
     return mats, names
 
 
@@ -218,7 +225,7 @@ def build_osp1(n: int) -> LieSuperalgebra:
         mats.append(_rows(d, [(1 + p, 0, 1), (0, *form)]))
         parities.append(ODD)
     names += [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
-    cartan = [spnames.index(f"M{i + 1}{i + 1}") for i in range(n)]
+    cartan = [spnames.index(_label("M", i + 1, i + 1)) for i in range(n)]
     space_parity = [EVEN] + [ODD] * (2 * n)
     return _algebra_from_rep(_defining(space_parity, mats), parities, names, cartan)
 

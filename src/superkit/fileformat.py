@@ -32,12 +32,23 @@ Matrix rows are written column-action style: entry (r, c) is the coefficient
 of basis vector r in the image of basis vector c.
 
 Each entry is given once, in strict and lax mode alike: a repeated entry,
-header or matrix block is refused, naming the line of the first.
+header, matrix block or basis label is refused, naming the line of the
+first.
+
+The three parsers share one token reader: each distinct rational token of
+a file becomes a Fraction once per parse (a memo local to the parse, so
+the accepted tokens and the "bad rational" errors are `Fraction`'s own),
+and a zero matrix entry is only skipped.  Brackets and multiplications
+become `core`'s sparse integer table, and `repmat` and `action` blocks
+become a `SuperModule`'s sparse integer rows over one denominator; the
+serializers write back from those tables, so no dense Fraction matrix is
+built on either side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .core import LieSuperalgebra, SuperkitError, _structure_table
 from .linalg import Matrix, Q, _echelon
@@ -49,19 +60,44 @@ class ParseError(SuperkitError):
     pass
 
 
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split()
+# the nonzero (column, entry) pairs of a matrix row, with its width
+Row = tuple[int, list[tuple[int, Fraction]]]
 
 
-def _rational(tok: str, lineno: int) -> Fraction:
-    try:
-        return Q(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"line {lineno}: bad rational {tok!r}") from exc
+class _Reader:
+    """The lines of one file as (line number, tokens), and its rationals:
+    each distinct token goes through `Q` once, into a memo that lives as
+    long as the parse."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._memo: dict[str, Fraction] = {}
+
+    def __iter__(self):
+        for lineno, raw in enumerate(self.text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line.split()
+
+    def rational(self, tok: str, lineno: int) -> Fraction:
+        q = self._memo.get(tok)
+        if q is None:
+            try:
+                q = self._memo[tok] = Q(tok)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"line {lineno}: bad rational {tok!r}") from exc
+        return q
+
+    def rationals(self, toks: list[str], lineno: int) -> list[Fraction]:
+        return [self.rational(t, lineno) for t in toks]
+
+    def row(self, toks: list[str], lineno: int) -> Row:
+        """The width of a matrix row and its nonzero entries."""
+        entries = []
+        for c, tok in enumerate(toks):
+            if tok != "0" and (q := self.rational(tok, lineno)):
+                entries.append((c, q))
+        return len(toks), entries
 
 
 def _parity_token(tok: str, lineno: int) -> int:
@@ -70,6 +106,18 @@ def _parity_token(tok: str, lineno: int) -> int:
     if tok == "odd":
         return 1
     raise ParseError(f"line {lineno}: parity must be 'even' or 'odd', got {tok!r}")
+
+
+def _basis(toks: list[str], lineno: int, labels: dict[str, int], parity: list[int]) -> None:
+    """Record the label and parity of a `basis` line in `labels` (label ->
+    line) and `parity` (ParseError on a malformed line or a repeated label)."""
+    if len(toks) != 3:
+        raise ParseError(f"line {lineno}: basis needs LABEL and parity")
+    if toks[1] in labels:
+        raise ParseError(f"line {lineno}: duplicate basis labels: {toks[1]!r} "
+                         f"repeats line {labels[toks[1]]}")
+    labels[toks[1]] = lineno
+    parity.append(_parity_token(toks[2], lineno))
 
 
 def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str, list[str]]:
@@ -86,35 +134,33 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     accepted, else by `validate`.
     """
     name = "algebra"
-    labels: list[str] = []
+    labels: dict[str, int] = {}
     parity: list[int] = []
     brackets: list[tuple[str, str, str, Fraction, int]] = []
     cartan_labels: list[str] | None = None
     cartan_line = 0
     rep_parity: list[int] | None = None
-    rep_mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
-    pending_matrix: list[list[Fraction]] | None = None
+    rep_mats: dict[str, tuple[int, list[Row]]] = {}
+    pending_matrix: list[Row] | None = None
     pending_rows_needed = 0
     seen: dict[tuple[str, ...], int] = {}
+    reader = _Reader(text)
 
-    for lineno, toks in _tokens(text):
+    for lineno, toks in reader:
         if pending_matrix is not None and pending_rows_needed > 0:
-            pending_matrix.append([_rational(t, lineno) for t in toks])
+            pending_matrix.append(reader.row(toks, lineno))
             pending_rows_needed -= 1
             continue
         key = toks[0]
         if key == "algebra":
             name = " ".join(toks[1:]) or name
         elif key == "basis":
-            if len(toks) != 3:
-                raise ParseError(f"line {lineno}: basis needs LABEL and parity")
-            labels.append(toks[1])
-            parity.append(_parity_token(toks[2], lineno))
+            _basis(toks, lineno, labels, parity)
         elif key == "bracket":
             if len(toks) != 5:
                 raise ParseError(f"line {lineno}: bracket needs LI LJ LK RATIONAL")
             _once(seen, toks[:4], lineno)
-            brackets.append((toks[1], toks[2], toks[3], _rational(toks[4], lineno), lineno))
+            brackets.append((toks[1], toks[2], toks[3], reader.rational(toks[4], lineno), lineno))
         elif key == "cartan":
             _once(seen, toks[:1], lineno)
             cartan_labels = toks[1:]
@@ -136,15 +182,7 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if not labels:
         raise ParseError("no basis elements declared")
     index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ParseError("duplicate basis labels")
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for li, lj, lk, val, lineno in brackets:
-        try:
-            i, j, k = index[li], index[lj], index[lk]
-        except KeyError as exc:
-            raise ParseError(f"line {lineno}: unknown basis label {exc.args[0]!r}") from exc
-        table.setdefault((i, j), {})[k] = val
+    items = _resolve(brackets, index)
     cartan = None
     if cartan_labels is not None:
         if not cartan_labels and 0 in parity:
@@ -158,8 +196,10 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
             raise ParseError(f"cartan: unknown basis label {exc.args[0]!r}") from exc
     rep = None
     if rep_parity is not None:
-        rep = _module(rep_parity, rep_mats, labels, "file", "rep: missing repmat", "rep: matrix")
-    g = LieSuperalgebra(parity, table, labels, faithful_rep=rep, cartan=cartan)
+        rep = _module(rep_parity, rep_mats, index, "file", "rep: missing repmat", "rep: matrix")
+    names = list(labels)
+    g = LieSuperalgebra._of_table(parity, *_structure_table(len(names), items), names,
+                                  faithful_rep=rep, cartan=cartan)
     warnings, refusals = axiom_check(g)
     if strict and warnings:
         raise ParseError("axiom violations: " + "; ".join(warnings[:5]))
@@ -168,6 +208,19 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     if strict and refusals:
         raise ParseError(refusals[0])
     return g, name, warnings + refusals
+
+
+def _resolve(entries: list[tuple[str, str, str, Fraction, int]],
+             index: dict[str, int]) -> list[tuple[int, int, int, Fraction]]:
+    """The (i, j, k, q) of the `bracket` or `mul` entries (LI, LJ, LK, q,
+    line), by the basis `index` (ParseError on an unknown label)."""
+    items = []
+    for li, lj, lk, val, lineno in entries:
+        try:
+            items.append((index[li], index[lj], index[lk], val))
+        except KeyError as exc:
+            raise ParseError(f"line {lineno}: unknown basis label {exc.args[0]!r}") from exc
+    return items
 
 
 def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
@@ -212,32 +265,44 @@ def serialize_algebra(g: LieSuperalgebra, name: str = "algebra") -> str:
     lines = [f"algebra {name}"]
     for i in range(g.dim):
         lines.append(f"basis {g.names[i]} {'odd' if g.parity[i] else 'even'}")
-    for i in range(g.dim):
-        for j in range(g.dim):
-            for k, c in g.bracket_sparse(i, j):
-                lines.append(f"bracket {g.names[i]} {g.names[j]} {g.names[k]} {c}")
+    den = g._den
+    for i, block in enumerate(g._table):
+        for j, row in enumerate(block):
+            for k, c in row:
+                lines.append(f"bracket {g.names[i]} {g.names[j]} {g.names[k]} {Q(c, den)}")
     if g.cartan is not None:
         lines.append("cartan " + " ".join(g.names[i] for i in g.cartan))
     rep = g.faithful_rep
     if rep is not None:
         lines.append("rep " + " ".join("odd" if p else "even" for p in rep.parity))
-        for i in range(g.dim):
-            lines.append(f"repmat {g.names[i]}")
-            for row in rep.action[i].data:
-                lines.append(" ".join(str(c) for c in row))
+        _matrix_lines(lines, "repmat", g.names, rep)
     return "\n".join(lines) + "\n"
+
+
+def _matrix_lines(lines: list[str], kind: str, labels, m: SuperModule) -> None:
+    """Append the `kind` block of each label's action matrix in m, written
+    from its integer rows: A / D at each nonzero entry, 0 elsewhere."""
+    n, den = m.dim, m._den
+    for label, rows in zip(labels, m._table):
+        lines.append(f"{kind} {label}")
+        for row in rows:
+            out = ["0"] * n
+            for c, a in row:
+                out[c] = str(Q(a, den))
+            lines.append(" ".join(out))
 
 
 def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[SuperModule, str, list[str]]:
     name = "module"
     parity: list[int] | None = None
-    mats: dict[str, tuple[int, list[list[Fraction]]]] = {}
-    pending: list[list[Fraction]] | None = None
+    mats: dict[str, tuple[int, list[Row]]] = {}
+    pending: list[Row] | None = None
     needed = 0
     seen: dict[tuple[str, ...], int] = {}
-    for lineno, toks in _tokens(text):
+    reader = _Reader(text)
+    for lineno, toks in reader:
         if pending is not None and needed > 0:
-            pending.append([_rational(t, lineno) for t in toks])
+            pending.append(reader.row(toks, lineno))
             needed -= 1
             continue
         key = toks[0]
@@ -259,7 +324,8 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
         raise ParseError("file ended inside a matrix block")
     if parity is None:
         raise ParseError("no parity header")
-    m = _module(parity, mats, g.names, name, "missing action matrix", "action matrix")
+    m = _module(parity, mats, {lab: i for i, lab in enumerate(g.names)}, name,
+                "missing action matrix", "action matrix")
     warnings = validate_module(g, m)
     if strict and warnings:
         raise ParseError("module violations: " + "; ".join(warnings[:5]))
@@ -275,8 +341,8 @@ def _once(seen: dict[tuple[str, ...], int], entry: list[str], lineno: int) -> No
     seen[key] = lineno
 
 
-def _open_block(blocks: dict[str, tuple[int, list[list[Fraction]]]], label: str,
-                lineno: int, kind: str) -> list[list[Fraction]]:
+def _open_block(blocks: dict[str, tuple[int, list[Row]]], label: str,
+                lineno: int, kind: str) -> list[Row]:
     """The rows of a new matrix block for `label` opened at `lineno`
     (ParseError if `label` already has one)."""
     if label in blocks:
@@ -286,64 +352,64 @@ def _open_block(blocks: dict[str, tuple[int, list[list[Fraction]]]], label: str,
     return blocks[label][1]
 
 
-def _module(parity: list[int], blocks: dict[str, tuple[int, list[list[Fraction]]]], labels,
-            name: str, missing: str, kind: str) -> SuperModule:
-    """The module with each label's parsed matrix block (ParseError if a
-    block names no basis label, or a label's block is absent or not square)."""
+def _module(parity: list[int], blocks: dict[str, tuple[int, list[Row]]],
+            index: dict[str, int], name: str, missing: str, kind: str) -> SuperModule:
+    """The module with each basis label's parsed matrix block, on integer
+    rows over the least common denominator of its entries (ParseError if
+    a block names no basis label, or a label's block is absent or not
+    square)."""
     for lab, (lineno, _) in blocks.items():
-        if lab not in labels:
+        if lab not in index:
             raise ParseError(f"line {lineno}: unknown basis label {lab!r}")
     d = len(parity)
-    for lab in labels:
+    for lab in index:
         if lab not in blocks:
             raise ParseError(f"{missing} for basis label {lab!r}")
-        rows = blocks[lab][1]
-        if len(rows) != d or any(len(r) != d for r in rows):
+        if any(width != d for width, _ in blocks[lab][1]):
             raise ParseError(f"{kind} for {lab!r} is not {d}x{d}")
-    return SuperModule(parity, [Matrix(blocks[lab][1]) for lab in labels], name)
+    mats = [blocks[lab][1] for lab in index]
+    den = lcm(*{q.denominator for rows in mats for _, row in rows for _, q in row})
+    table = [[[(c, q.numerator * (den // q.denominator)) for c, q in row] for _, row in rows]
+             for rows in mats]
+    return SuperModule._of_table(parity, table, den, name)
 
 
 def serialize_module(m: SuperModule, g: LieSuperalgebra, name: str = "module") -> str:
     lines = [f"module {name}"]
     lines.append("parity " + " ".join("odd" if p else "even" for p in m.parity))
-    for i in range(g.dim):
-        lines.append(f"action {g.names[i]}")
-        for row in m.action[i].data:
-            lines.append(" ".join(str(c) for c in row))
+    _matrix_lines(lines, "action", g.names, m)
     return "\n".join(lines) + "\n"
 
 
 def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, Matrix | None, str]:
     """Parse a supercommutative table with an optional derivation block."""
     name = "algebra"
-    labels: list[str] = []
+    labels: dict[str, int] = {}
     parity: list[int] = []
     unit: list[Fraction] | None = None
     muls: list[tuple[str, str, str, Fraction, int]] = []
     deriv_rows: list[list[Fraction]] | None = None
     needed = 0
     seen: dict[tuple[str, ...], int] = {}
-    for lineno, toks in _tokens(text):
+    reader = _Reader(text)
+    for lineno, toks in reader:
         if deriv_rows is not None and needed > 0:
-            deriv_rows.append([_rational(t, lineno) for t in toks])
+            deriv_rows.append(reader.rationals(toks, lineno))
             needed -= 1
             continue
         key = toks[0]
         if key == "algebra":
             name = " ".join(toks[1:]) or name
         elif key == "basis":
-            if len(toks) != 3:
-                raise ParseError(f"line {lineno}: basis needs LABEL and parity")
-            labels.append(toks[1])
-            parity.append(_parity_token(toks[2], lineno))
+            _basis(toks, lineno, labels, parity)
         elif key == "unit":
             _once(seen, toks[:1], lineno)
-            unit = [_rational(t, lineno) for t in toks[1:]]
+            unit = reader.rationals(toks[1:], lineno)
         elif key == "mul":
             if len(toks) != 5:
                 raise ParseError(f"line {lineno}: mul needs LI LJ LK RATIONAL")
             _once(seen, toks[:4], lineno)
-            muls.append((toks[1], toks[2], toks[3], _rational(toks[4], lineno), lineno))
+            muls.append((toks[1], toks[2], toks[3], reader.rational(toks[4], lineno), lineno))
         elif key == "derivation":
             _once(seen, toks[:1], lineno)
             deriv_rows = []
@@ -356,17 +422,9 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
         raise ParseError("no basis elements declared")
     if unit is None or len(unit) != len(labels):
         raise ParseError("unit coordinates missing or of wrong length")
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ParseError("duplicate basis labels")
     n = len(labels)
-    items = []
-    for li, lj, lk, val, lineno in muls:
-        try:
-            items.append((index[li], index[lj], index[lk], val))
-        except KeyError as exc:
-            raise ParseError(f"line {lineno}: unknown basis label {exc.args[0]!r}") from exc
-    algebra = SupercommAlgebra._of_table(parity, *_structure_table(n, items), unit, labels)
+    items = _resolve(muls, {lab: i for i, lab in enumerate(labels)})
+    algebra = SupercommAlgebra._of_table(parity, *_structure_table(n, items), unit, list(labels))
     from .supercomm import validate_algebra, validate_derivation
     issues = validate_algebra(algebra)
     deriv = None

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from superkit import cli
 from superkit.cli import build_parser, main
 from superkit.families import build_gl, build_osp1
 from superkit.fileformat import serialize_algebra, serialize_module
@@ -180,6 +181,36 @@ def test_check_has_no_lax_option(tmp_path, capsys):
 def test_lax_belongs_to_the_verbs_that_read_it(verb, extra):
     args = build_parser().parse_args([verb, "--lax", "--family", "osp1:1", *extra])
     assert args.lax
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main keeps one parser per process: an argparse error between two calls
+    # on different verbs leaves their output as that of fresh calls
+    calls = (["--json", "check", "--family", "osp1:2"], ["classify", "--bogus"],
+             ["ghost", "--family", "gl:1:1"])
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    reused = [outcome(argv) for argv in calls]
+    assert [code for code, _ in reused] == [0, 2, 0]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def test_two_digit_labels_name_different_elements():
+    g = build_gl(6, 5)
+    u = cli._parse_element(g, "E1_11+2*E11_1")
+    assert {g.names[i]: c for i, c in enumerate(u) if c} == {"E1_11": 1, "E11_1": 2}
 
 
 def test_classify_has_no_seed_option(capsys):

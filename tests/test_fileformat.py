@@ -1,9 +1,19 @@
 """Structured text formats: round-trips are bit-exact, errors carry lines."""
 
-import pytest
+from collections import Counter
 from fractions import Fraction as Q
 
-from superkit.families import build_gl, build_osp1, build_product, build_sl, build_toy
+import pytest
+
+from superkit import fileformat
+from superkit.families import (
+    build_gl,
+    build_osp1,
+    build_product,
+    build_sl,
+    build_toy,
+    parse_family_spec,
+)
 from superkit.fileformat import (
     ParseError,
     parse_algebra,
@@ -13,9 +23,10 @@ from superkit.fileformat import (
     serialize_module,
     serialize_supercomm,
 )
-from superkit.reps import induced_trivial, validate_module
+from superkit.reps import adjoint_module, induced_trivial, validate_module
 from superkit.roots import g1ss_structural_scan
-from superkit.supercomm import catalog_pairs
+from superkit.supercomm import catalog_pairs, coinvariant_dual_pair
+from test_cli import _golden_family_specs
 
 ALL_FAMILIES = [
     build_gl(1, 1),
@@ -372,3 +383,128 @@ def test_an_accepted_rep_spares_the_axiom_check(monkeypatch):
     calls.clear()
     parse_algebra(zero_rep_text(build_osp1(1)), strict=False)
     assert len(calls) == 1
+
+
+# every --family spec of the CLI goldens, and two whose indices reach two digits
+GOLDEN_FAMILY_SPECS = _golden_family_specs()
+ROUNDTRIP_SPECS = GOLDEN_FAMILY_SPECS + ["osp1:11", "gl:6:5"]
+
+
+def dense_serialize_algebra(g, name):
+    """`serialize_algebra` through the Fraction views `bracket_sparse` and
+    `action`: the bytes the integer serializer must reproduce."""
+    lines = [f"algebra {name}"]
+    lines += [f"basis {g.names[i]} {'odd' if g.parity[i] else 'even'}" for i in range(g.dim)]
+    lines += [f"bracket {g.names[i]} {g.names[j]} {g.names[k]} {c}"
+              for i in range(g.dim) for j in range(g.dim) for k, c in g.bracket_sparse(i, j)]
+    if g.cartan is not None:
+        lines.append("cartan " + " ".join(g.names[i] for i in g.cartan))
+    rep = g.faithful_rep
+    if rep is not None:
+        lines.append("rep " + " ".join("odd" if p else "even" for p in rep.parity))
+        lines += dense_matrix_lines("repmat", g.names, rep)
+    return "\n".join(lines) + "\n"
+
+
+def dense_matrix_lines(kind, names, m):
+    lines = []
+    for nm, mat in zip(names, m.action):
+        lines.append(f"{kind} {nm}")
+        lines += [" ".join(str(c) for c in row) for row in mat.data]
+    return lines
+
+
+def integer_action(m):
+    """m's integer rows (as lists: the builders of products store tuples)
+    and their denominator."""
+    return [[list(row) for row in rows] for rows in m._table], m._den
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_SPECS)
+def test_algebra_roundtrip_keeps_the_integer_tables(spec):
+    g = parse_family_spec(spec)
+    assert len(set(g.names)) == g.dim
+    text = serialize_algebra(g, spec)
+    assert text == dense_serialize_algebra(g, spec)
+    g2, _, warnings = parse_algebra(text)
+    assert warnings == []
+    assert (g2.names, g2.parity, g2.cartan) == (g.names, g.parity, g.cartan)
+    assert (g2._table, g2._den) == (g._table, g._den)
+    rep, rep2 = g.faithful_rep, g2.faithful_rep
+    assert rep2.parity == rep.parity
+    assert integer_action(rep2) == integer_action(rep)
+
+
+@pytest.mark.parametrize("spec", GOLDEN_FAMILY_SPECS)
+def test_module_roundtrip_keeps_the_integer_table(spec):
+    g = parse_family_spec(spec)
+    modules = [adjoint_module(g), g.faithful_rep]
+    if len(g.odd_indices) <= 4:
+        modules.append(induced_trivial(g))
+    for m in modules:
+        text = serialize_module(m, g, "m")
+        assert text == "\n".join(["module m", "parity " + " ".join(
+            "odd" if p else "even" for p in m.parity)] + dense_matrix_lines("action", g.names, m)) + "\n"
+        m2, _, warnings = parse_module(text, g)
+        assert warnings == []
+        assert m2.parity == m.parity
+        assert integer_action(m2) == integer_action(m)
+
+
+def supercomm_cases():
+    yield from catalog_pairs().items()
+    for spec, names in (("gl:1:1", ("E12", "E21")), ("gl:2:1", ("E13", "E31"))):
+        g = parse_family_spec(spec)
+        u = [Q(0)] * g.dim
+        for nm in names:
+            u[g.names.index(nm)] = Q(1)
+        yield f"{spec}-dual", coinvariant_dual_pair(g, u)
+
+
+SUPERCOMM_CASES = dict(supercomm_cases())
+
+
+@pytest.mark.parametrize("name", list(SUPERCOMM_CASES))
+def test_supercomm_roundtrip_keeps_the_integer_table(name):
+    a, d = SUPERCOMM_CASES[name]
+    a2, d2, _ = parse_supercomm(serialize_supercomm(a, d, name))
+    assert (a2._table, a2._den, a2.unit, a2.parity) == (a._table, a._den, a.unit, a.parity)
+    assert d2 == d
+
+
+def test_one_fraction_per_distinct_token(monkeypatch):
+    # the cartan-less osp(1|6) file of the CLI goldens and the benchmark
+    text = "".join(line for line in serialize_algebra(build_osp1(3)).splitlines(keepends=True)
+                   if not line.startswith("cartan "))
+    calls = Counter()
+
+    def counted(*args):
+        calls[args] += 1
+        return Q(*args)
+
+    monkeypatch.setattr(fileformat, "Q", counted)
+    parse_algebra(text)
+    assert calls and max(calls.values()) == 1
+    assert set(calls) <= {(tok,) for tok in text.split()}
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_algebra, "algebra a\nbasis x even\nbasis y odd\nbracket x x x 1\n# x again\nbasis x odd\n"),
+    (parse_supercomm, "algebra a\nbasis x even\nbasis y odd\nmul x x x 1\n# x again\nbasis x odd\n"),
+])
+def test_a_repeated_basis_label_is_refused_at_its_line(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text, strict=False)
+    assert str(err.value) == "line 6: duplicate basis labels: 'x' repeats line 2"
+
+
+@pytest.mark.parametrize("spec, labels", [
+    ("osp1:11", ("M1_11", "M11_1", "B1_11", "C11_11")),
+    ("gl:6:5", ("E1_11", "E11_1", "E10_10")),
+    ("sl:6:5", ("E1_11", "E11_1", "D10")),
+    ("osp1:9", ("M19", "M91", "B99")),
+])
+def test_two_digit_indices_are_joined_by_an_underscore(spec, labels):
+    names = parse_family_spec(spec).names
+    assert len(set(names)) == len(names)
+    assert set(labels) <= set(names)

@@ -3,14 +3,24 @@
 Inputs are mostly lines of the formats' own directives with short token
 lists drawn from labels, parities and rationals (well-formed or not), so
 the fuzzer reaches the checks behind the first line; the rest is free text.
+The parsers' token reader is checked against `Fraction` itself on the same
+tokens and a few more.
 """
+
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superkit.families import build_gl
-from superkit.fileformat import ParseError, parse_algebra, parse_module, parse_supercomm
+from superkit.fileformat import (
+    ParseError,
+    _Reader,
+    parse_algebra,
+    parse_module,
+    parse_supercomm,
+)
 
 TOKENS = ("a", "b", "E11", "E12", "E21", "E22", "even", "odd", "0", "1", "-1",
           "1/2", "2/0", "x")
@@ -68,3 +78,32 @@ def test_supercomm_rejects_duplicate_basis_labels():
     text = "basis a even\nbasis a odd\nunit 1 0\nmul a a a 1\n"
     with pytest.raises(ParseError, match="duplicate basis labels"):
         parse_supercomm(text, strict=False)
+
+
+def fraction_or_error(tok: str, lineno: int):
+    """What `Fraction` makes of tok: its value, or the parser's error text."""
+    try:
+        return Q(tok)
+    except (ValueError, ZeroDivisionError):
+        return f"line {lineno}: bad rational {tok!r}"
+
+
+def read(f, *args):
+    try:
+        return f(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tok", TOKENS + ("+3", "-0", "0/5", "1.5", "1e2", "1_0", "2/0", "x"))
+def test_the_token_reader_agrees_with_fraction(tok):
+    expected = fraction_or_error(tok, 7)
+    reader = _Reader("")
+    # twice: the second answer comes from the parse's memo
+    assert read(reader.rational, tok, 7) == expected == read(reader.rational, tok, 7)
+    # a matrix row keeps only the nonzero entries, with the row's width
+    row = read(_Reader("").row, ["0", tok, "1"], 7)
+    if isinstance(expected, str):
+        assert row == expected
+    else:
+        assert row == (3, [(1, expected)] * (expected != 0) + [(2, 1)])
