@@ -83,6 +83,12 @@ def _structure_table(n: int, items: Iterable[tuple[int, int, int, object]]) -> t
              for row in block] for block in pairs], den
 
 
+def _require_length(n: int, *xs: Sequence) -> None:
+    """Refuse coordinate vectors whose length is not n, the dimension."""
+    if any(len(x) != n for x in xs):
+        raise ValueError("coordinate vectors must have length dim")
+
+
 def _product(table: Table, x: SparseVec, y: SparseVec) -> dict[int, int]:
     """sum x_i y_j T[i][j] = D x y for integer vectors x, y (nonzero (index,
     entry) pairs or dicts {index: entry}), as {k: entry} without zeros: the
@@ -209,8 +215,7 @@ class LieSuperalgebra(_Basis):
         return self._sparse[i][j]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("coordinate vectors must have length dim")
+        _require_length(self.dim, x, y)
         (xs, ys), den = _sparse_integer_rows((x, y))
         return fraction_vector(_product(self._table, xs, ys).items(), self.dim,
                                den * den * self._den)
@@ -282,8 +287,7 @@ class LieSuperalgebra(_Basis):
         """(U, S, L) for odd u = U / L: U the nonzero (index, entry) pairs of
         the integer vector L u, and S = D [U, U] = 2 D L^2 [u,u]/2 as {k:
         entry}, a positive multiple of the square."""
-        if len(u) != self.dim:
-            raise ValueError("coordinate vectors must have length dim")
+        _require_length(self.dim, u)
         (us,), den = _sparse_integer_rows((u,))
         if any(self.parity[i] == EVEN for i, _ in us):
             raise ValueError("odd_square requires a purely odd element")
@@ -303,6 +307,7 @@ class LieSuperalgebra(_Basis):
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
         i.e. its matrix there has squarefree minimal polynomial."""
+        _require_length(self.dim, x)
         return self._is_semisimple(dict(_sparse_integer_rows((x,))[0][0]))
 
     def _is_semisimple(self, xs: dict[int, int]) -> bool:
@@ -395,11 +400,12 @@ class LieSuperalgebra(_Basis):
         if not odd:
             return True
         from .reps import SuperModule, is_module_semisimple
-        # g1 as a g0-module: the rows of D ad(e_i) at odd k hold only odd columns
+        # g1 as a g0-module, so over no algebra of its own here: the rows of
+        # D ad(e_i) at odd k hold only odd columns
         pos = {j: t for t, j in enumerate(odd)}
         ad = self._adjoint_module()._table
         table = [[[(pos[j], c) for j, c in ad[i][k]] for k in odd] for i in self.even_indices]
-        return is_module_semisimple(self, SuperModule._of_table([ODD] * len(odd), table, self._den))
+        return is_module_semisimple(None, SuperModule._of_table([ODD] * len(odd), table, self._den))
 
     # -- decomposition into center and simple ideals ---------------------------
 

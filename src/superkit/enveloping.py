@@ -66,7 +66,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms
+from .core import ODD, LieSuperalgebra, SuperkitError, _format_terms, _require_length
 from .linalg import Echelon, Q, _integer_row, _kernel, integer_vector
 
 Word = tuple[int, ...]
@@ -402,6 +402,7 @@ def module_action(g: LieSuperalgebra, z: Sequence,
     Only the columns of the subsets in the support of w are computed; the
     sum runs in integers, each x_S scaled to the largest |S| in the
     support, and is turned into Fractions once."""
+    _require_length(g.dim, z)
     support = list(w.coords.items())
     zs, lz = integer_vector(z)
     ws, lw = integer_vector([c for _, c in support])

@@ -31,8 +31,9 @@ coordinates: it eliminates the basis vectors, each tagged with its own
 index, once, then solves each target, a sparse integer vector {index:
 entry}, by sparse integer products, and returns the coordinates as sparse
 pairs over one denominator.
-`minimal_polynomial` runs its Krylov step on the integer matrix d·m and
-rescales the monic result, so it too returns the unique minimal polynomial.
+`minimal_polynomial` runs its Krylov step on the integer matrix d·m, in
+sparse vectors on its transpose, and rescales the monic result, so it too
+returns the unique minimal polynomial.
 
 Polynomials are coefficient lists in ascending degree with a nonzero
 leading coefficient (the zero polynomial is the empty list).  Inside, they
@@ -603,20 +604,23 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
 def _minimal_polynomial(rows: list[list[tuple[int, int]]]) -> list[int]:
     """The minimal polynomial of M, the integer matrix with these sparse rows.
 
-    Grows p over the basis vectors e_i: if p(M) e_i = w is nonzero, p becomes
-    p q, q the local minimal polynomial of w (read off the Krylov vectors of
-    w).  q is the local one of e_i divided by its gcd with p, so p q is their
-    lcm, and after the last e_i, p is the minimal polynomial of M.  Every
-    local minimal polynomial of M divides the monic integer characteristic
+    Works on the transpose T = M^T, which has the same minimal polynomial:
+    the rows of M are the columns of T, so T v = sum_r v_r row_r is a sparse
+    `_combine` of the rows on the entries of v, with no transpose and no
+    dense vector.  Grows p over the basis vectors e_i: if p(T) e_i = w,
+    applied by Horner on sparse vectors {index: entry}, is nonzero, p
+    becomes p q, q the local minimal polynomial of w (read off the sparse
+    Krylov vectors of w).  q is the local one of e_i divided by its gcd with
+    p, so p q is their lcm, and after the last e_i, p is the minimal
+    polynomial of M (Augot–Camion, Lin. Alg. Appl. 260, 1997).  Every local
+    minimal polynomial of T divides the monic integer characteristic
     polynomial, so by Gauss's lemma all of them have integer coefficients.
     """
     n = len(rows)
     result = [1]
     for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        w = _poly_apply(result, rows, v)
-        if any(w):
+        w = _poly_apply(result, rows, {i: 1})
+        if w:
             q = _local_minimal_polynomial(rows, w)
             product = [0] * (len(result) + len(q) - 1)
             for j, a in enumerate(result):
@@ -634,39 +638,35 @@ def _root_polynomial(p: list[int], d: int) -> list[int]:
     return [c * d ** j for j, c in enumerate(p)]
 
 
-def _int_matvec(rows: list[list[tuple[int, int]]], w: list[int]) -> list[int]:
-    return [sum(a * w[c] for c, a in row) for row in rows]
-
-
-def _poly_apply(p: list[int], rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
-    """p(M) v, for the integer matrix M with these sparse rows."""
-    acc = [0] * len(v)
-    for j, c in enumerate(p):
+def _poly_apply(p: list[int], rows: list[list[tuple[int, int]]],
+                v: dict[int, int]) -> dict[int, int]:
+    """p(T) v by Horner, for T the transpose of the integer matrix M with
+    these sparse rows and v a sparse vector {index: entry}; zeros dropped."""
+    acc: dict[int, int] = {}
+    for c in reversed(p):
+        acc = _combine(acc.items(), rows)
         if c:
-            acc = [a + c * x for a, x in zip(acc, v)]
-        if j < len(p) - 1:
-            v = _int_matvec(rows, v)
-    return acc
+            for k, x in v.items():
+                acc[k] = acc.get(k, 0) + c * x
+    return {k: a for k, a in acc.items() if a}
 
 
-def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: list[int]) -> list[int]:
-    """Monic p of least degree with p(M) v = 0, for the integer matrix M with
-    these sparse rows.  The Krylov vectors w_k = M^k v go into one Echelon as
-    the rows {c: w_k[c]} + {n + k: 1}; the first row whose w-part reduces
-    to zero carries the dependency sum a_j w_j = 0 in its e-part, and a_k
-    divides every a_j."""
-    n = len(v)
+def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: dict[int, int]) -> list[int]:
+    """Monic p of least degree with p(T) v = 0, for T the transpose of the
+    integer matrix M with these n sparse rows and v a nonzero sparse vector.
+    The Krylov vectors w_k = T^k v go into one Echelon as the rows w_k +
+    {n + k: 1}; the first row whose w-part reduces to zero carries the
+    dependency sum a_j w_j = 0 in its e-part, and a_k divides every a_j."""
+    n = len(rows)
     ech = Echelon()
     w = v
     for k in range(n + 1):
-        row = {c: x for c, x in enumerate(w) if x}
-        row[n + k] = 1
-        ech.add(row)
+        ech.add({**w, n + k: 1})
         lead = ech.pivots[-1]
         if lead >= n:
             a = ech.rows[lead]
             return [a.get(n + j, 0) // a[n + k] for j in range(k + 1)]
-        w = _int_matvec(rows, w)
+        w = _combine(w.items(), rows)
     raise RuntimeError("Krylov iteration failed to terminate")
 
 

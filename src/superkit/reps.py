@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _law_failures
+from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _law_failures,
+                   _require_length)
 from .linalg import (
     Echelon,
     Matrix,
@@ -112,6 +113,7 @@ class SuperModule:
     def matrix_of(self, x: Sequence) -> Matrix:
         """sum_i x[i] rho(e_i), accumulated in integers and turned into
         Fractions once."""
+        _require_length(len(self._table), x)
         (xs,), lx = _sparse_integer_rows((x,))
         n, den = self.dim, lx * self._den
         return Matrix([fraction_vector(row, n, den) for row in self._combine(xs)])
@@ -146,6 +148,29 @@ class DSResult:
         return (self.even_dim, self.odd_dim)
 
 
+def _count_mismatch(g: LieSuperalgebra, m: SuperModule) -> str | None:
+    """Why m cannot be a module over g: its action count is not dim g."""
+    if len(m._table) != g.dim:
+        return f"the module has {len(m._table)} action matrices, but g has dimension {g.dim}"
+    return None
+
+
+def _require_modules_of(g: LieSuperalgebra, *ms: SuperModule) -> None:
+    """Refuse a module whose action count is not dim g (`_count_mismatch`)."""
+    for m in ms:
+        issue = _count_mismatch(g, m)
+        if issue:
+            raise ValueError(issue)
+
+
+def _require_same_count(m: SuperModule, n: SuperModule) -> None:
+    """Refuse two modules with different action counts: they are modules
+    over different algebras."""
+    if len(m._table) != len(n._table):
+        raise ValueError(f"the modules have {len(m._table)} and {len(n._table)} "
+                         "action matrices")
+
+
 def trivial_module(g: LieSuperalgebra) -> SuperModule:
     return SuperModule._of_table((EVEN,), [[()] for _ in range(g.dim)], 1, "trivial")
 
@@ -162,7 +187,11 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
 
     The law is checked by `core._law_failures` on the columns of the
     transposed table (on i <= j, with swaps, when g's table is
-    super-antisymmetric); a pair fails when any of its columns does."""
+    super-antisymmetric); a pair fails when any of its columns does.  A
+    module with another action count than dim g has that as its only issue."""
+    mismatch = _count_mismatch(g, m)
+    if mismatch:
+        return [mismatch]
     issues: list[str] = []
     table, par, gpar = m._table, m.parity, g.parity
     for i in range(g.dim):
@@ -178,6 +207,7 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
 
 
 def direct_sum(m: SuperModule, n: SuperModule) -> SuperModule:
+    _require_same_count(m, n)
     den = lcm(m._den, n._den)
     sm, sn, dm = den // m._den, den // n._den, m.dim
     table = [[tuple((c, sm * x) for c, x in row) for row in a]
@@ -189,6 +219,7 @@ def direct_sum(m: SuperModule, n: SuperModule) -> SuperModule:
 def tensor(m: SuperModule, n: SuperModule) -> SuperModule:
     """Tensor product with the sign rule
     rho(x)(a ox b) = rho(x)a ox b + (-1)^{|x||a|} a ox rho(x)b."""
+    _require_same_count(m, n)
     dm, dn = m.dim, n.dim
     den = lcm(m._den, n._den)
     sm, sn = den // m._den, den // n._den
@@ -297,9 +328,11 @@ def has_integral_weights(g: LieSuperalgebra, m: SuperModule,
     """Integrability surrogate: every Cartan element acts diagonalizably with
     integer eigenvalues.  The Cartan subalgebra defaults to `roots.cartan_of`:
     the given one, else the one the Cartan search finds."""
+    _require_modules_of(g, m)
     if cartan is None:
         from .roots import cartan_of
         cartan = cartan_of(g)
+    _require_length(g.dim, *cartan)
     ts, lt = _sparse_integer_rows(cartan)
     spectra = (_split(m._combine(t), lt * m._den) for t in ts)
     return all(lams is not None and all(lam.denominator == 1 for lam in lams)
@@ -335,6 +368,8 @@ def is_module_semisimple(g: LieSuperalgebra | None, m: SuperModule) -> bool:
     nonsingular; a piece whose opposite is smaller, or empty, puts a nonzero
     element of A in the radical.
     """
+    if g is not None:
+        _require_modules_of(g, m)
     if m.dim == 0:
         return True
     pieces, moduli = _acting_algebra(m)
@@ -483,6 +518,7 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
     Requires u to lie in the semisimple-square cone; u then acts by a
     square-zero operator on ker(rho(h)) and the homology is parity-graded.
     """
+    _require_modules_of(g, m)
     return _ds_homology(*_cone_square(g, u), m)
 
 
@@ -547,6 +583,7 @@ def ds_tensor_check(g: LieSuperalgebra, u: Sequence, m: SuperModule,
                     n: SuperModule) -> dict:
     """Tensor multiplicativity of DS graded dimensions, with parity
     convolution.  The cone test runs once, in `_cone_square`."""
+    _require_modules_of(g, m, n)
     us, sq = _cone_square(g, u)
     dm = _ds_homology(us, sq, m).dims
     dn = _ds_homology(us, sq, n).dims

@@ -224,6 +224,24 @@ def test_semisimple_element_examples():
         g.is_semisimple_element(unit_vec(g, "E12"))
 
 
+def test_semisimple_element_refuses_a_vector_of_the_wrong_length():
+    # gl(1|1) has dimension 4: too short, too long with a zero or a nonzero
+    # entry past the end
+    g = build_gl(1, 1)
+    for x in ([Q(1)], [Q(1), 0, 0, 0, 0], [0, 0, 0, 0, Q(7)]):
+        with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+            g.is_semisimple_element(x)
+
+
+def test_element_matrix_refuses_a_vector_of_the_wrong_length():
+    g = build_gl(1, 1)
+    for x in ([Q(1)], [Q(1), 0, 0, 0, 0], [0, 0, 0, 0, Q(7)]):
+        with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+            g.element_matrix(x)
+        with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+            g.faithful_rep.matrix_of(x)
+
+
 def test_semisimple_element_requires_rep():
     g = abelian(1)
     with pytest.raises(SuperkitError):

@@ -298,6 +298,15 @@ def test_module_action_frozen_matrix_gl11():
     assert cols == [{1: Q(1), 2: Q(1)}, {3: Q(-1)}, {3: Q(1)}, {}]
 
 
+def test_module_action_refuses_a_vector_of_the_wrong_length():
+    g = build_gl(1, 1)
+    for side in (LEFT, RIGHT):
+        w = CoinvariantElement(g, side, {1: Q(1)})
+        for z in ([Q(1)], [Q(1), 0, 0, 0, 0], [0, 0, 0, 0, Q(7)]):
+            with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+                module_action(g, z, w)
+
+
 def test_left_action_of_z_on_unit_is_projection_of_z():
     g = build_sl(2, 1)
     one = CoinvariantElement(g, LEFT, {0: Q(1)})

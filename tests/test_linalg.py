@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superkit.families import parse_family_spec
 from superkit.linalg import (
     Echelon,
     Matrix,
+    _minimal_polynomial,
     _sparse_integer_rows,
     _split,
     integer_coordinates_in,
@@ -24,6 +26,7 @@ from superkit.linalg import (
     solve_linear,
     splits_semisimply_over_q,
 )
+from test_action_table import CONE_SPECS
 
 
 # -- reference polynomial arithmetic over Q (oracles, not the package's code) --
@@ -426,6 +429,151 @@ def test_minpoly_annihilates_and_is_minimal():
             quo, rem = poly_divmod(p, [-root, Q(1)])
             assert rem == []
             assert not poly_eval_matrix(quo, m).is_zero()
+
+
+# -- the dense Krylov step, kept as an oracle for the sparse one on the transpose --
+
+def _int_matvec(rows, w):
+    return [sum(a * w[c] for c, a in row) for row in rows]
+
+
+def _poly_apply(p, rows, v):
+    """p(M) v on dense vectors, M the integer matrix with these sparse rows."""
+    acc = [0] * len(v)
+    for j, c in enumerate(p):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+        if j < len(p) - 1:
+            v = _int_matvec(rows, v)
+    return acc
+
+
+def _dense_local_minimal_polynomial(rows, v):
+    n = len(v)
+    ech = Echelon()
+    w = v
+    for k in range(n + 1):
+        row = {c: x for c, x in enumerate(w) if x}
+        row[n + k] = 1
+        ech.add(row)
+        lead = ech.pivots[-1]
+        if lead >= n:
+            a = ech.rows[lead]
+            return [a.get(n + j, 0) // a[n + k] for j in range(k + 1)]
+        w = _int_matvec(rows, w)
+    raise RuntimeError("Krylov iteration failed to terminate")
+
+
+def _dense_minimal_polynomial(rows):
+    """The lcm of the local minimal polynomials of M on the basis vectors,
+    each found from p(M) e_i by dense matrix-vector products on M itself."""
+    n = len(rows)
+    result = [1]
+    for i in range(n):
+        v = [0] * n
+        v[i] = 1
+        w = _poly_apply(result, rows, v)
+        if any(w):
+            q = _dense_local_minimal_polynomial(rows, w)
+            product = [0] * (len(result) + len(q) - 1)
+            for j, a in enumerate(result):
+                for k, b in enumerate(q):
+                    product[j + k] += a * b
+            result = product
+            if len(result) == n + 1:
+                break
+    return result
+
+
+def _companion(p):
+    """The companion matrix of the monic integer polynomial p (constant first)."""
+    n = len(p) - 1
+    return [[1 if r == c + 1 else 0 for c in range(n - 1)] + [-p[r]] for r in range(n)]
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            out[at + r][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _jordan(lam, k):
+    return [[lam if r == c else 1 if c == r + 1 else 0 for c in range(k)] for r in range(k)]
+
+
+def _unimodular_conjugate(rng, m):
+    """P m P^-1 for a random integer P with det 1, as row and column shears:
+    the same minimal polynomial on a denser matrix."""
+    m = [row[:] for row in m]
+    n = len(m)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        # row i += t row j, then column j -= t column i
+        m[i] = [a + t * b for a, b in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= t * row[i]
+    return m
+
+
+def _oracle_matrices(seed):
+    """Seeded integer matrices of every shape the Krylov step meets."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    yield "zero", [[0] * n for _ in range(n)]
+    c = rng.choice((-3, 2, 5))
+    yield "scalar", [[c if r == k else 0 for k in range(n)] for r in range(n)]
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    yield "nilpotent Jordan blocks", _block_sum(*(_jordan(0, k) for k in sizes))
+    a = [rng.randint(-3, 3) for _ in range(n)]
+    b = [rng.randint(-3, 3) for _ in range(n)]
+    yield "rank one", [[x * y for y in b] for x in a]
+    if n > 1:
+        # b_n absorbs b^T a, so b^T a = 0 and a b^T squares to zero
+        a[-1] = a[-1] or 1
+        s = sum(x * y for x, y in zip(a[:-1], b[:-1]))
+        b = [y * a[-1] for y in b[:-1]] + [-s]
+        assert sum(x * y for x, y in zip(a, b)) == 0
+        yield "rank one, b^T a = 0", [[x * y for y in b] for x in a]
+    # (x - 1)^2 (x + 2), (x - 1)(x^2 + 1) and (x - 1)^2 share x - 1;
+    # x^2 - 2, x - 3 and (x + 1)^3 are coprime
+    shared = _block_sum(_companion([2, -3, 0, 1]), _companion([-1, 1, -1, 1]), _jordan(1, 2))
+    yield "block sum, shared factors", _unimodular_conjugate(rng, shared)
+    coprime = _block_sum(_companion([-2, 0, 1]), _jordan(3, 1), _jordan(-1, 3))
+    yield "block sum, coprime factors", _unimodular_conjugate(rng, coprime)
+    yield "companion", _companion([rng.randint(-4, 4) for _ in range(n)] + [1])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    yield "permutation", [[1 if perm[r] == k else 0 for k in range(n)] for r in range(n)]
+    yield "random sparse", [[rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in range(n)]
+                            for _ in range(n)]
+    yield "random dense", [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimal_polynomial_matches_the_dense_krylov_step(seed):
+    for name, m in _oracle_matrices(seed):
+        rows = [[(c, a) for c, a in enumerate(row) if a] for row in m]
+        assert _minimal_polynomial(rows) == _dense_minimal_polynomial(rows), name
+
+
+@pytest.mark.parametrize("spec", CONE_SPECS + ("osp1:8", "gl:4:4"))
+def test_minimal_polynomial_of_odd_squares_matches_the_dense_krylov_step(spec):
+    """On the rows of rho(D [U, U]) that the cone test builds, for dense and
+    two-coordinate odd U."""
+    g = parse_family_spec(spec)
+    rng = random.Random(spec)
+    odd = g.odd_indices
+    for k in range(8):
+        u = [Q(0)] * g.dim
+        for i in (odd if k % 2 else rng.sample(odd, min(len(odd), 2))):
+            u[i] = Q(rng.randint(-4, 4), rng.randint(1, 6))
+        rows = g.faithful_rep._combine(g._odd_square_rows(u)[1])
+        assert _minimal_polynomial(rows) == _dense_minimal_polynomial(rows)
 
 
 # -- squarefree -----------------------------------------------------------------------

@@ -70,6 +70,53 @@ def test_validate_reports_parity_violation():
     assert any("parity" in s for s in validate_module(g, bad))
 
 
+# -- modules over another algebra ---------------------------------------------------------
+
+def _gl11_and_osp12():
+    """gl(1|1), with 4 action matrices per module, and osp(1|2), with 5."""
+    return build_gl(1, 1), build_osp1(1)
+
+
+def test_validate_reports_a_module_over_another_algebra():
+    g, o = _gl11_and_osp12()
+    assert validate_module(o, g.faithful_rep) == [
+        "the module has 4 action matrices, but g has dimension 5"]
+    assert validate_module(g, o.faithful_rep) == [
+        "the module has 5 action matrices, but g has dimension 4"]
+
+
+def test_module_operations_refuse_a_module_over_another_algebra():
+    g, o = _gl11_and_osp12()
+    _, u = gl11_and_u()
+    mine, other = g.faithful_rep, o.faithful_rep
+    calls = [
+        lambda: ds_functor(g, u, other),
+        lambda: ds_tensor_check(g, u, other, mine),
+        lambda: ds_tensor_check(g, u, mine, other),
+        lambda: is_module_semisimple(g, other),
+        lambda: has_integral_weights(g, other),
+        lambda: is_module_semisimple(o, mine),
+        lambda: has_integral_weights(o, mine),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="action matrices") as err:
+            call()
+        assert "4" in str(err.value) and "5" in str(err.value)
+    # the same module over its own algebra, and with no algebra given
+    assert ds_functor(g, u, mine).dims == (0, 0)
+    assert ds_tensor_check(g, u, mine, mine)["ok"]
+    assert is_module_semisimple(None, other) is True
+
+
+@pytest.mark.parametrize("op", [tensor, direct_sum])
+def test_constructions_refuse_modules_over_different_algebras(op):
+    g, o = _gl11_and_osp12()
+    for m, n in ((g.faithful_rep, o.faithful_rep), (o.faithful_rep, g.faithful_rep)):
+        with pytest.raises(ValueError, match="^the modules have [45] and [45] action matrices$"):
+            op(m, n)
+    assert validate_module(g, op(g.faithful_rep, g.faithful_rep)) == []
+
+
 # -- monoidal structure -----------------------------------------------------------------
 
 def test_tensor_with_trivial_preserves_action():
@@ -178,6 +225,13 @@ def test_integral_weights_need_a_diagonalizable_cartan_action():
     assert validate_module(g, m) == []
     assert has_integral_weights(g, m) is False
     assert has_integral_weights(g, m, cartan=[unit_vec(g, "E11")]) is False
+
+
+def test_integral_weights_refuse_a_cartan_row_of_the_wrong_length():
+    g = build_gl(1, 1)
+    for h in ([Q(1)], [Q(1), 0, 0, 0, 0], [0, 0, 0, 0, Q(7)]):
+        with pytest.raises(ValueError, match="^coordinate vectors must have length dim$"):
+            has_integral_weights(g, g.faithful_rep, cartan=[unit_vec(g, "E11"), h])
 
 
 def test_integral_weights_without_a_cartan_line():
