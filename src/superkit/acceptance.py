@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from .core import LieSuperalgebra
 from .enveloping import (
     LEFT,
@@ -33,9 +34,9 @@ from .enveloping import (
 from .families import (
     build_gl,
     build_osp1,
-    build_product,
     build_sl,
     build_toy,
+    parse_family_spec,
 )
 from .linalg import (
     Echelon,
@@ -82,21 +83,13 @@ def _budget(elapsed: float, limit: float, what: str) -> None:
 
 def crit_construction(seed: int) -> str:
     t0 = time.perf_counter()
-    catalog = [
-        ("gl(1|1)", build_gl(1, 1)),
-        ("gl(2|1)", build_gl(2, 1)),
-        ("sl(2|1)", build_sl(2, 1)),
-        ("osp(1|2)", build_osp1(1)),
-        ("osp(1|4)", build_osp1(2)),
-        ("osp(1|6)", build_osp1(3)),
-        ("osp(1|2) x osp(1|4)", build_product([build_osp1(1), build_osp1(2)])),
-    ]
-    for name, g in catalog:
-        issues = g.validate()
-        assert issues == [], f"{name}: {issues[:3]}"
+    specs = catalog.specs(catalog.CONSTRUCTION)
+    for spec in specs:
+        issues = parse_family_spec(spec).validate()
+        assert issues == [], f"{spec}: {issues[:3]}"
     elapsed = time.perf_counter() - t0
     _budget(elapsed, 1.0, "construction")
-    return f"{len(catalog)} algebras pass all super axioms exactly"
+    return f"{len(specs)} algebras pass all super axioms exactly"
 
 
 # -- 2: classification ----------------------------------------------------------
@@ -171,27 +164,18 @@ def crit_djokovic(seed: int) -> str:
 
 # -- 5: cross-validation of the two criteria ------------------------------------
 
-def cross_validation_catalog() -> list[tuple[str, LieSuperalgebra, bool]]:
-    return [
-        ("osp(1|2)", build_osp1(1), True),
-        ("osp(1|4)", build_osp1(2), True),
-        ("torus gl(1|0)", build_gl(1, 0), True),
-        ("gl(1|1)", build_gl(1, 1), False),
-        ("gl(2|1)", build_gl(2, 1), False),
-        ("sl(2|1)", build_sl(2, 1), False),
-        ("toy_odd_semisimple", build_toy("toy_odd_semisimple"), False),
-    ]
-
-
 def crit_cross_validation(seed: int) -> str:
-    for name, g, expected in cross_validation_catalog():
+    entries = catalog.entries(catalog.CROSS_VALIDATION)
+    for e in entries:
+        g = parse_family_spec(e.spec)
         _, verdict = ghost_criterion(g)
-        ghost_says = verdict == SEMISIMPLE
         module_says = is_module_semisimple(g, induced_trivial(g))
-        assert ghost_says == module_says == expected, (
-            f"{name}: ghost={verdict}, induced-module={module_says}, expected={expected}"
+        agree = (verdict == SEMISIMPLE) is module_says
+        assert agree and (verdict, module_says) == (e.ghost, e.induced), (
+            f"{e.spec}: ghost={verdict}, induced-module={module_says}, "
+            f"expected {e.ghost}, {e.induced}"
         )
-    return "ghost verdict equals induced-module semisimplicity on 7 algebras"
+    return f"ghost verdict equals induced-module semisimplicity on {len(entries)} algebras"
 
 
 # -- 6: the Duflo-Serganova functor ----------------------------------------------

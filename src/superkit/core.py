@@ -361,10 +361,15 @@ class LieSuperalgebra(_Basis):
         under the trace form of the faithful representation (Cartan's
         criterion in characteristic zero).
         """
+        return self._reductive_even_center() is not None
+
+    def _reductive_even_center(self) -> list[dict[int, int]] | None:
+        """A basis of the center z(g0) of the even part, as sparse integer
+        vectors in even coordinates, when g0 is reductive; else None."""
         rep = self._require_rep()
         ev = self.even_indices
         if not ev:
-            return True
+            return []
         # a basis of [g0, g0] as integer rows D [e_a, e_b]; the scale of a
         # row does not change the kernel below
         derived = Echelon()
@@ -390,22 +395,27 @@ class LieSuperalgebra(_Basis):
         # both are kernel bases, so independent: the spans agree when their
         # sizes do and the center lies in the radical's span
         span = _echelon(radical, len(ev))
-        return len(center) == len(radical) and all(span.contains(z) for z in center)
+        if len(center) == len(radical) and all(span.contains(z) for z in center):
+            return center
+        return None
 
     def is_quasireductive(self) -> bool:
-        """Even part reductive and the odd part a semisimple even-part module."""
-        if not self.is_reductive_even_part():
+        """Even part reductive and the odd part a semisimple even-part module.
+
+        With g0 reductive, a finite-dimensional g0-module is semisimple iff
+        the center z(g0) acts on it by semisimple endomorphisms (Bourbaki,
+        Lie Groups and Lie Algebras, Ch. I, 6.5, Thm 4).  A basis of z(g0)
+        commutes, so it acts semisimply iff each basis element z does; ad(z)
+        vanishes on g0, so that is the squarefree minimal polynomial of
+        ad(z) on all of g.
+        """
+        center = self._reductive_even_center()
+        if center is None:
             return False
-        odd = self.odd_indices
-        if not odd:
-            return True
-        from .reps import SuperModule, is_module_semisimple
-        # g1 as a g0-module, so over no algebra of its own here: the rows of
-        # D ad(e_i) at odd k hold only odd columns
-        pos = {j: t for t, j in enumerate(odd)}
-        ad = self._adjoint_module()._table
-        table = [[[(pos[j], c) for j, c in ad[i][k]] for k in odd] for i in self.even_indices]
-        return is_module_semisimple(None, SuperModule._of_table([ODD] * len(odd), table, self._den))
+        ev, ad = self.even_indices, self._adjoint_module()
+        return all(
+            is_squarefree(_minimal_polynomial(ad._combine({ev[t]: c for t, c in z.items()})))
+            for z in center)
 
     # -- decomposition into center and simple ideals ---------------------------
 

@@ -48,6 +48,7 @@ built on either side.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .core import LieSuperalgebra, SuperkitError, _structure_table
@@ -67,17 +68,30 @@ Row = tuple[int, list[tuple[int, Fraction]]]
 class _Reader:
     """The lines of one file as (line number, tokens), and its rationals:
     each distinct token goes through `Q` once, into a memo that lives as
-    long as the parse."""
+    long as the parse.  A directive that opens a block takes its rows with
+    `block`, from the same line iterator."""
 
     def __init__(self, text: str) -> None:
-        self.text = text
+        self._lines = self._scan(text)
         self._memo: dict[str, Fraction] = {}
 
-    def __iter__(self):
-        for lineno, raw in enumerate(self.text.splitlines(), start=1):
+    @staticmethod
+    def _scan(text: str):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield lineno, line.split()
+
+    def __iter__(self):
+        return self._lines
+
+    def block(self, n: int, read, unfinished: str) -> list:
+        """The next n lines, each as read(tokens, line number); ParseError
+        `unfinished` if the file ends first."""
+        rows = [read(toks, lineno) for lineno, toks in islice(self._lines, n)]
+        if len(rows) < n:
+            raise ParseError(unfinished)
+        return rows
 
     def rational(self, tok: str, lineno: int) -> Fraction:
         q = self._memo.get(tok)
@@ -141,16 +155,10 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
     cartan_line = 0
     rep_parity: list[int] | None = None
     rep_mats: dict[str, tuple[int, list[Row]]] = {}
-    pending_matrix: list[Row] | None = None
-    pending_rows_needed = 0
     seen: dict[tuple[str, ...], int] = {}
     reader = _Reader(text)
 
     for lineno, toks in reader:
-        if pending_matrix is not None and pending_rows_needed > 0:
-            pending_matrix.append(reader.row(toks, lineno))
-            pending_rows_needed -= 1
-            continue
         key = toks[0]
         if key == "algebra":
             name = " ".join(toks[1:]) or name
@@ -173,12 +181,9 @@ def parse_algebra(text: str, strict: bool = True) -> tuple[LieSuperalgebra, str,
                 raise ParseError(f"line {lineno}: repmat before rep header")
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: repmat needs a basis LABEL")
-            pending_matrix = _open_block(rep_mats, toks[1], lineno, "repmat")
-            pending_rows_needed = len(rep_parity)
+            _open_block(rep_mats, toks[1], lineno, "repmat", reader, len(rep_parity))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
-    if pending_rows_needed:
-        raise ParseError("file ended inside a matrix block")
     if not labels:
         raise ParseError("no basis elements declared")
     index = {lab: i for i, lab in enumerate(labels)}
@@ -296,15 +301,9 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
     name = "module"
     parity: list[int] | None = None
     mats: dict[str, tuple[int, list[Row]]] = {}
-    pending: list[Row] | None = None
-    needed = 0
     seen: dict[tuple[str, ...], int] = {}
     reader = _Reader(text)
     for lineno, toks in reader:
-        if pending is not None and needed > 0:
-            pending.append(reader.row(toks, lineno))
-            needed -= 1
-            continue
         key = toks[0]
         if key == "module":
             name = " ".join(toks[1:]) or name
@@ -316,12 +315,9 @@ def parse_module(text: str, g: LieSuperalgebra, strict: bool = True) -> tuple[Su
                 raise ParseError(f"line {lineno}: action before parity header")
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: action needs a basis LABEL")
-            pending = _open_block(mats, toks[1], lineno, "action")
-            needed = len(parity)
+            _open_block(mats, toks[1], lineno, "action", reader, len(parity))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
-    if needed:
-        raise ParseError("file ended inside a matrix block")
     if parity is None:
         raise ParseError("no parity header")
     m = _module(parity, mats, {lab: i for i, lab in enumerate(g.names)}, name,
@@ -342,14 +338,13 @@ def _once(seen: dict[tuple[str, ...], int], entry: list[str], lineno: int) -> No
 
 
 def _open_block(blocks: dict[str, tuple[int, list[Row]]], label: str,
-                lineno: int, kind: str) -> list[Row]:
-    """The rows of a new matrix block for `label` opened at `lineno`
-    (ParseError if `label` already has one)."""
+                lineno: int, kind: str, reader: _Reader, n: int) -> None:
+    """Read the n rows of the matrix block for `label` opened at `lineno`
+    (ParseError if `label` already has one, or the file ends inside it)."""
     if label in blocks:
         raise ParseError(f"line {lineno}: {kind} {label!r} repeats the block "
                          f"of line {blocks[label][0]}")
-    blocks[label] = (lineno, [])
-    return blocks[label][1]
+    blocks[label] = (lineno, reader.block(n, reader.row, "file ended inside a matrix block"))
 
 
 def _module(parity: list[int], blocks: dict[str, tuple[int, list[Row]]],
@@ -389,14 +384,9 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
     unit: list[Fraction] | None = None
     muls: list[tuple[str, str, str, Fraction, int]] = []
     deriv_rows: list[list[Fraction]] | None = None
-    needed = 0
     seen: dict[tuple[str, ...], int] = {}
     reader = _Reader(text)
     for lineno, toks in reader:
-        if deriv_rows is not None and needed > 0:
-            deriv_rows.append(reader.rationals(toks, lineno))
-            needed -= 1
-            continue
         key = toks[0]
         if key == "algebra":
             name = " ".join(toks[1:]) or name
@@ -412,12 +402,10 @@ def parse_supercomm(text: str, strict: bool = True) -> tuple[SupercommAlgebra, M
             muls.append((toks[1], toks[2], toks[3], reader.rational(toks[4], lineno), lineno))
         elif key == "derivation":
             _once(seen, toks[:1], lineno)
-            deriv_rows = []
-            needed = len(labels)
+            deriv_rows = reader.block(len(labels), reader.rationals,
+                                      "file ended inside the derivation block")
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
-    if needed:
-        raise ParseError("file ended inside the derivation block")
     if not labels:
         raise ParseError("no basis elements declared")
     if unit is None or len(unit) != len(labels):

@@ -122,14 +122,13 @@ class SuperModule:
         """The sparse rows of sum_i xs[i] A_i, A_i = D rho(e_i), for the
         integer vector xs (its (i, xs[i]) pairs, or a dict {i: xs[i]}): D
         times the matrix of the element xs."""
-        n = self.dim
-        acc = [[0] * n for _ in range(n)]
+        acc: list[dict[int, int]] = [{} for _ in range(self.dim)]
         for i, a in (xs.items() if isinstance(xs, dict) else xs):
             if a:
                 for out, row in zip(acc, self._table[i]):
                     for c, b in row:
-                        out[c] += a * b
-        return [[(c, v) for c, v in enumerate(out) if v] for out in acc]
+                        out[c] = out.get(c, 0) + a * b
+        return [sorted((c, v) for c, v in out.items() if v) for out in acc]
 
     def __repr__(self) -> str:
         return f"<SuperModule {self.even_dim}|{self.odd_dim}{' ' + self.name if self.name else ''}>"

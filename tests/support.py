@@ -1,0 +1,214 @@
+"""Builders and oracles shared by the test modules, and the comparison of a
+CLI outcome with the catalog that `tests/ci_catalog.py` also uses.
+
+No test module imports another: what two of them need lives here.
+"""
+
+import json
+import random
+from fractions import Fraction as Q
+from math import gcd
+from pathlib import Path
+
+from superkit import catalog
+from superkit.core import ODD, LieSuperalgebra
+from superkit.families import (
+    algebra_from_matrices,
+    build_gl,
+    build_osp1,
+    build_sl,
+    build_toy,
+    parse_family_spec,
+)
+from superkit.fileformat import parse_algebra, serialize_algebra
+from superkit.linalg import Matrix, span_basis, zero_vec
+from superkit.reps import SuperModule, adjoint_module
+
+DATA = Path(__file__).parent / "data"
+
+
+# -- builders ------------------------------------------------------------------------------
+
+def unit_vec(g, name):
+    v = zero_vec(g.dim)
+    v[g.names.index(name)] = Q(1)
+    return v
+
+
+def same_span(a, b):
+    return len(span_basis(a)) == len(span_basis(b)) == len(span_basis(a + b))
+
+
+def golden_family_specs():
+    """Every --family spec that tests/data/cli_golden.json runs, sorted."""
+    golden = json.loads((DATA / "cli_golden.json").read_text())
+    return sorted({key.split()[3] for key in golden if key.split()[2] == "--family"})
+
+
+def cartanless_text(spec):
+    """The family's serialization without its `cartan` line."""
+    return "".join(line for line in serialize_algebra(parse_family_spec(spec)).splitlines(
+        keepends=True) if not line.startswith("cartan "))
+
+
+def cartanless(spec):
+    """The family read back from `cartanless_text`, so that its Cartan
+    subalgebra is searched for."""
+    return parse_algebra(cartanless_text(spec))[0]
+
+
+def rescale_factors(dim):
+    """The k_i of `rescaled`."""
+    return [1 + i % 3 for i in range(dim)]
+
+
+def rescaled(spec):
+    """The family rebuilt from its defining matrices with e_i -> e_i / k_i,
+    k_i in {1, 2, 3} (`rescale_factors`): a common denominator D > 1."""
+    g = parse_family_spec(spec)
+    ks = rescale_factors(g.dim)
+    mats = [m.scale(Q(1, k)) for m, k in zip(g.faithful_rep.action, ks)]
+    h = algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, g.names, cartan=g.cartan)
+    assert h._den > 1
+    return h
+
+
+def fresh(spec):
+    """A newly built family algebra, not one the builders' caches share."""
+    for build in (build_gl, build_sl, build_osp1, build_toy):
+        build.cache_clear()
+    return parse_family_spec(spec)
+
+
+def rebased(spec, seed, width):
+    """The family with its basis rebased within parity classes: matrix i of
+    the defining representation gains c_j times matrix j for `width`
+    distinct same-parity j != i, with c_j in {-2, -1, 1, 2}, and the algebra
+    is rebuilt from the new matrices, without a Cartan.  Raises ValueError
+    when the new matrices are dependent."""
+    g = parse_family_spec(spec)
+    mats = g.faithful_rep.action
+    rng = random.Random(seed)
+    out = []
+    for i in range(g.dim):
+        same = [j for j in range(g.dim) if j != i and g.parity[j] == g.parity[i]]
+        m = mats[i]
+        for j in rng.sample(same, width):
+            m = m.add(mats[j].scale(rng.choice([-2, -1, 1, 2])))
+        out.append(m)
+    return algebra_from_matrices(out, g.parity, g.faithful_rep.parity, g.names)
+
+
+# the families whose width-1 rebasings, seeds 0-7, tests/data/root_datum_golden.json pins
+REBASED_SPECS = ("osp1:1", "osp1:2", "osp1:3", "sl:2:1", "gl:1:1", "product:osp1:1,osp1:1")
+
+# width-1 rebasings that do not finish: the Cartan search's split test meets
+# a root polynomial whose rational roots `linalg._divisors` cannot enumerate
+# in time (ROADMAP item 1(a), exact rational roots without trial division)
+KNOWN_HANGS = {("osp1:3", 1)}
+
+
+def shuffled_osp(n, seed):
+    """osp(1|2n) with basis permuted within parity classes and rescaled."""
+    g = build_osp1(n)
+    rng = random.Random(seed)
+    ev, od = list(g.even_indices), list(g.odd_indices)
+    rng.shuffle(ev)
+    rng.shuffle(od)
+    positions = ev + od
+    scale = [Q(rng.choice([1, 2, 3, -1, -2, Q(1, 2)])) for _ in range(g.dim)]
+    table = {}
+    for a in range(g.dim):
+        for b in range(g.dim):
+            va = [scale[a] if t == positions[a] else Q(0) for t in range(g.dim)]
+            vb = [scale[b] if t == positions[b] else Q(0) for t in range(g.dim)]
+            br = g.bracket(va, vb)
+            comps = {}
+            for knew in range(g.dim):
+                kold = positions[knew]
+                if br[kold] != 0:
+                    comps[knew] = br[kold] / scale[knew]
+            table[(a, b)] = comps
+    parity = tuple(g.parity[positions[t]] for t in range(g.dim))
+    rep = SuperModule(
+        parity=g.faithful_rep.parity,
+        action=[g.element_matrix(
+            [scale[a] if t == positions[a] else Q(0) for t in range(g.dim)])
+            for a in range(g.dim)],
+    )
+    return LieSuperalgebra(parity, table, None, faithful_rep=rep)
+
+
+def odd_part_as_even_module(g):
+    """g1 as a g0-module: ad(e_i) for even i, restricted to the odd basis
+    vectors."""
+    ad, odd = adjoint_module(g).action, g.odd_indices
+    mats = [Matrix([[ad[i].data[r][c] for c in odd] for r in odd]) for i in g.even_indices]
+    return SuperModule([ODD] * len(odd), mats)
+
+
+# -- oracles -------------------------------------------------------------------------------
+
+class DenseIntEchelon:
+    """Row echelon form of dense integer rows, by fraction-free elimination."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def _normalize(self, row):
+        g = 0
+        for x in row:
+            g = gcd(g, x)
+            if g == 1:
+                break
+        if g > 1:
+            row = [x // g for x in row]
+        return row
+
+    def reduce(self, row):
+        row = list(row)
+        for c in sorted(self.pivots):
+            if row[c]:
+                p = self.pivots[c]
+                pc, rc = p[c], row[c]
+                row = [x * pc - y * rc for x, y in zip(row, p)]
+                row = self._normalize(row)
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        if row[lead] < 0:
+            row = [-x for x in row]
+        self.pivots[lead] = self._normalize(row)
+        return True
+
+
+# -- the catalog's outcomes ----------------------------------------------------------------
+
+def outcome_mismatch(entry, verb, code, out):
+    """Why `--json verb --family entry.spec`, which exited with `code` and
+    printed `out`, disagrees with the catalog entry, or None."""
+    try:
+        d = json.loads(out)
+    except ValueError:
+        return f"exit {code}, output is not JSON"
+    if verb == "classify":
+        if entry.classify == catalog.WITNESS:
+            if code == 3 and d.get("outcome") == "witness" and any(
+                    Q(c) for c in d.get("coordinates", [])):
+                return None
+            return f"exit {code}, outcome {d.get('outcome')!r}, expected a nonzero witness (exit 3)"
+        got = tuple(f["factor"] for f in d.get("factors", []))
+        if code == 0 and got == entry.classify:
+            return None
+        return f"exit {code}, factors {list(got)}, expected {list(entry.classify)}"
+    if verb == "ghost":
+        got = (code, d.get("verdict"), d.get("invariant_dim"))
+        want = (0, entry.ghost, entry.invariant_dim)
+        if got == want:
+            return None
+        return f"exit, verdict and invariant dimension {got}, expected {want}"
+    raise ValueError(f"the catalog records no outcome of {verb!r}")

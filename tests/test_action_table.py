@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superkit import acceptance, core, linalg, reps
+from superkit import acceptance, catalog, core, linalg, reps
 from superkit.core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from superkit.families import build_product, parse_family_spec
 from superkit.linalg import Matrix, is_squarefree, minimal_polynomial, vec_scale
@@ -32,10 +32,6 @@ from superkit.reps import (
     trivial_module,
     validate_module,
 )
-
-CONE_SPECS = ("osp1:1", "osp1:2", "osp1:3", "product:osp1:1,osp1:1",
-              "gl:1:1", "sl:2:1", "gl:2:2", "toy_odd_semisimple")
-
 
 # -- the dense reference ---------------------------------------------------------
 
@@ -215,7 +211,7 @@ def test_constructions_match_dense_fill_loops(seed):
 
 
 def test_named_modules_match_their_dense_construction():
-    for spec in CONE_SPECS:
+    for spec in catalog.specs(catalog.CONE):
         g = parse_family_spec(spec)
         adj = adjoint_module(g)
         assert adj.action == [Matrix.from_columns([g.bracket_basis(i, j) for j in range(g.dim)])
@@ -277,7 +273,7 @@ def test_validate_module_matches_dense_reference_on_parity_violations():
 
 # -- the cone and the algebra-level consumers -----------------------------------------
 
-@pytest.mark.parametrize("spec", CONE_SPECS)
+@pytest.mark.parametrize("spec", catalog.specs(catalog.CONE))
 def test_in_g1ss_matches_dense_minimal_polynomial(spec):
     g = parse_family_spec(spec)
     rng = random.Random(spec)
@@ -294,7 +290,7 @@ def test_in_g1ss_matches_dense_minimal_polynomial(spec):
             minimal_polynomial(dense_matrix_of(g.faithful_rep, x)))
 
 
-@pytest.mark.parametrize("spec", CONE_SPECS + ("osp1:5", "sl:3:2", "gl:3:3"))
+@pytest.mark.parametrize("spec", catalog.specs(cost=catalog.TIER1))
 def test_in_g1ss_matches_the_dense_route_on_fraction_coordinates(spec):
     """The integer cone test against the Fraction route it replaced: the
     dense matrix of [u,u]/2 formed with the Fraction bracket."""
@@ -337,7 +333,7 @@ def test_in_g1ss_stays_off_the_fraction_path(monkeypatch):
         raise AssertionError("the cone test went through Fractions")
 
     cases = []
-    for spec in CONE_SPECS:
+    for spec in catalog.specs(catalog.CONE):
         g = parse_family_spec(spec)
         u = [Q(i % 3 - 1, 2) if p == ODD else Q(0) for i, p in enumerate(g.parity)]
         cases.append((g, u, g.in_g1ss(u)))

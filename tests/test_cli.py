@@ -2,7 +2,6 @@
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,7 @@ from superkit.cli import build_parser, main
 from superkit.families import build_gl, build_osp1
 from superkit.fileformat import serialize_algebra, serialize_module
 from superkit.reps import induced_trivial
+from support import cartanless_text, golden_family_specs
 
 
 def run(capsys, *argv):
@@ -139,20 +139,14 @@ def test_check_validates_once(tmp_path, capsys, monkeypatch, source):
         assert len(calls) == expected
 
 
-def _golden_family_specs():
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-    return sorted({key.split()[3] for key in golden if key.split()[2] == "--family"})
-
-
-@pytest.mark.parametrize("spec", _golden_family_specs() + ["osp1:6", "gl:3:3", "sl:4:2"])
+@pytest.mark.parametrize("spec", golden_family_specs() + ["osp1:6", "gl:3:3", "sl:4:2"])
 def test_cartanless_file_gets_its_familys_answer(tmp_path, capsys, spec):
     # the Cartan search finds the family's own Cartan on a file without the
     # `cartan` line, so the file classifies exactly as its family does
     from superkit.families import parse_family_spec
     from superkit.fileformat import parse_algebra
     from superkit.roots import cartan_of, find_cartan
-    text = "".join(line for line in serialize_algebra(parse_family_spec(spec)).splitlines(
-        keepends=True) if not line.startswith("cartan "))
+    text = cartanless_text(spec)
     assert find_cartan(parse_algebra(text)[0]) == cartan_of(parse_family_spec(spec))
     path = tmp_path / "cartanless.alg"
     path.write_text(text)

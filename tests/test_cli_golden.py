@@ -31,6 +31,7 @@ from superkit import acceptance
 from superkit.cli import main
 from superkit.families import parse_family_spec
 from superkit.fileformat import serialize_algebra
+from support import cartanless_text
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 VERIFY_ALL_GOLDEN = Path(__file__).parent / "data" / "verify_all_golden.json"
@@ -87,9 +88,7 @@ def _write_cartanless(spec: str, directory: str) -> str:
         text = serialize_algebra(parse_family_spec(spec.split(":", 1)[1]))
         text = text.replace("repmat E22\n0 0\n0 1", "repmat E22\n1 0\n0 0")
     else:
-        text = serialize_algebra(parse_family_spec(spec))
-        text = "".join(line for line in text.splitlines(keepends=True)
-                       if not line.startswith("cartan "))
+        text = cartanless_text(spec)
     path = os.path.join(directory, spec.replace(":", "_").replace(",", "+") + ".alg")
     return _write(path, text)
 

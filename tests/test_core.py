@@ -3,6 +3,7 @@
 import pytest
 from fractions import Fraction as Q
 
+from superkit import catalog
 from superkit.core import (
     EVEN,
     ODD,
@@ -21,13 +22,9 @@ from superkit.families import (
     parse_family_spec,
 )
 from superkit.linalg import Echelon, Matrix, is_zero_vec, span_basis, zero_vec
-from superkit.reps import SuperModule
-
-
-def unit_vec(g, name):
-    v = zero_vec(g.dim)
-    v[g.names.index(name)] = Q(1)
-    return v
+from superkit.reps import SuperModule, is_module_semisimple
+from support import (cartanless, odd_part_as_even_module, rescale_factors, rescaled, same_span,
+                     unit_vec)
 
 
 def abelian(dim_even=1, dim_odd=0):
@@ -379,6 +376,21 @@ def test_quasireductive():
     assert not bad.is_quasireductive()
 
 
+@pytest.mark.parametrize("make", [
+    *[lambda s=s: parse_family_spec(s) for s in catalog.specs(cost=catalog.TIER1)],
+    solvable_nonabelian_even,
+    nonsemisimple_odd_action,
+], ids=[*catalog.specs(cost=catalog.TIER1), "solvable-even", "nonsemisimple-odd-action"])
+def test_quasireductive_matches_the_odd_part_module(make):
+    """The center criterion against the route it replaced: g0 reductive and
+    g1 a semisimple g0-module by the trace radical of the algebra its
+    action generates."""
+    g = make()
+    expected = (g.is_reductive_even_part()
+                and is_module_semisimple(None, odd_part_as_even_module(g)))
+    assert g.is_quasireductive() is expected
+
+
 # -- decomposition ---------------------------------------------------------------------------
 
 def test_decompose_gl11_fails():
@@ -456,10 +468,6 @@ def full_closure(g, seed):
     return basis
 
 
-def _same_span(a, b):
-    return len(span_basis(a)) == len(span_basis(b)) == len(span_basis(a + b))
-
-
 def test_decompose_rejects_seed_that_generates_a_smaller_ideal():
     # the root vector v2 lies in the one root-graph component, but generates
     # only the ideal C^2
@@ -500,14 +508,6 @@ def test_decompose_rejects_a_first_root_that_generates_a_smaller_ideal():
     assert "a root vector generates a proper ideal" in str(err.value)
 
 
-def _cartanless(spec):
-    from superkit.fileformat import parse_algebra, serialize_algebra
-    text = serialize_algebra(parse_family_spec(spec))
-    text = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("cartan "))
-    return parse_algebra(text)[0]
-
-
 @pytest.mark.parametrize("spec", [
     "osp1:1", "osp1:2", "osp1:3", "osp1:4", "product:osp1:1,osp1:2",
     "product:gl:1:0,osp1:1,osp1:2", "cartanless product:osp1:1,osp1:2",
@@ -515,15 +515,15 @@ def _cartanless(spec):
 def test_factors_equal_the_full_closure_of_each_root_vector(spec):
     # the oracle: the brute-force ideal closure of every nonzero root vector
     name = spec.removeprefix("cartanless ")
-    g = parse_family_spec(name) if name == spec else _cartanless(name)
+    g = parse_family_spec(name) if name == spec else cartanless(name)
     dec = g.direct_sum_decompose()
     assert len(dec.center) + sum(len(f) for f in dec.ideals) == g.dim
     assert len(span_basis(dec.center + [v for f in dec.ideals for v in f])) == g.dim
     roots = [u for r in g._root_datum().roots if not r.is_zero_weight for u in r.space]
-    homes = [[f for f in dec.ideals if _same_span(f, f + [u])] for u in roots]
+    homes = [[f for f in dec.ideals if same_span(f, f + [u])] for u in roots]
     assert all(len(home) == 1 for home in homes)
     for u, (f,) in zip(roots, homes):
-        assert _same_span(full_closure(g, [u]), f)
+        assert same_span(full_closure(g, [u]), f)
     # and every factor holds a root vector
     assert all(any(f is home[0] for home in homes) for f in dec.ideals)
     # the decomposition computes no factor center: directness forces it to be 0
@@ -629,17 +629,13 @@ def test_restricted_subalgebra_refuses_vectors_that_span_no_subalgebra():
 
 # -- structure constants over a common denominator D > 1 ------------------------------
 
-def _rescaled(g):
-    """g rebuilt from its defining matrices with e_i -> e_i / k_i, k_i in
-    {1, 2, 3}, and the dense Fraction tensor of the new structure constants
-    c'[i][j][k] = c[i][j][k] k_k / (k_i k_j), written out by hand."""
-    ks = [1 + i % 3 for i in range(g.dim)]
-    mats = [m.scale(Q(1, k)) for m, k in zip(g.faithful_rep.action, ks)]
-    h = algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, g.names,
-                              cartan=g.cartan)
-    dense = [[[g.structure_constant(i, j, k) * ks[k] / (ks[i] * ks[j])
-               for k in range(g.dim)] for j in range(g.dim)] for i in range(g.dim)]
-    return h, dense
+def _rescaled_constants(g):
+    """The dense Fraction tensor of the structure constants of g rebuilt
+    with e_i -> e_i / k_i (`rescaled`), c'[i][j][k] = c[i][j][k] k_k /
+    (k_i k_j), written out by hand."""
+    ks = rescale_factors(g.dim)
+    return [[[g.structure_constant(i, j, k) * ks[k] / (ks[i] * ks[j])
+              for k in range(g.dim)] for j in range(g.dim)] for i in range(g.dim)]
 
 
 @pytest.mark.parametrize("spec", ["osp1:2", "sl:2:1"])
@@ -650,7 +646,7 @@ def test_rescaled_basis_matches_dense_reference(spec, tmp_path, capsys):
     from superkit.fileformat import serialize_algebra
 
     g = parse_family_spec(spec)
-    h, dense = _rescaled(g)
+    h, dense = rescaled(spec), _rescaled_constants(g)
     n = h.dim
     assert any(q.denominator > 1 for i in range(n) for j in range(n)
                for _, q in h.bracket_sparse(i, j))

@@ -1,14 +1,12 @@
 """PBW arithmetic, coinvariants, ghost criterion, and the product invariant."""
 
 import itertools
-import json
 import random
-import re
-from pathlib import Path
 
 import pytest
 from fractions import Fraction as Q
 
+from superkit import catalog
 from superkit.core import EVEN, ODD, LieSuperalgebra
 from superkit.enveloping import (
     LEFT,
@@ -52,10 +50,17 @@ from superkit.linalg import (
     zero_vec,
 )
 from superkit.reps import induced_trivial
-from test_cli_golden import GHOST_SPECS
+from support import fresh, golden_family_specs, rescaled, unit_vec
 
 
 # -- reference oracles: the Fraction column recursion and the dense matrices ----------
+
+def small_quotient_specs():
+    """The catalog's Tier-1 specs with dim g1 <= 8: the oracles here are
+    exponential in dim g1."""
+    return [s for s in catalog.specs(cost=catalog.TIER1)
+            if len(parse_family_spec(s).odd_indices) <= 8]
+
 
 def quotient_dim(g):
     """2^(dim g1), the dimension of either coinvariant quotient."""
@@ -135,12 +140,6 @@ def coinvariant_action_matrices(g, side):
                 mat.data[t][mask] = c
         mats.append(mat)
     return mats
-
-
-def unit_vec(g, name):
-    v = zero_vec(g.dim)
-    v[g.names.index(name)] = Q(1)
-    return v
 
 
 def word_of(g, *names):
@@ -398,11 +397,13 @@ def h_y_algebra():
     return algebra_from_matrices([h, y], [EVEN, ODD], [EVEN, ODD], ["h", "y"])
 
 
-@pytest.mark.parametrize("spec", [*GHOST_SPECS, "gl:2:1", "[h, y] = y"])
+@pytest.mark.parametrize("spec", [*small_quotient_specs(), "[h, y] = y"])
 def test_invariant_dimension_matches_frobenius_reciprocity(spec):
-    g = h_y_algebra() if spec == "[h, y] = y" else parse_family_spec(spec)
-    expected = odd_trace_prediction(g)
-    assert expected == (0 if spec == "[h, y] = y" else 1)
+    if spec == "[h, y] = y":
+        g, expected = h_y_algebra(), 0
+    else:
+        g, expected = parse_family_spec(spec), catalog.entry(spec).invariant_dim
+    assert odd_trace_prediction(g) == expected
     assert len(invariants(g, LEFT)) == len(invariants(g, RIGHT)) == expected
 
 
@@ -670,26 +671,10 @@ def test_projection_rejects_an_unknown_side():
 
 # -- integer columns against the Fraction recursion ----------------------------------------------
 
-# the ghost and classify benchmark specs
-ORACLE_SPECS = ("osp1:1", "osp1:2", "osp1:3", "osp1:4", "gl:1:1", "gl:2:1", "sl:2:1",
-                "sl:3:1", "toy_odd_semisimple", "product:osp1:1,osp1:2", "gl:2:2",
-                "product:osp1:1,osp1:1,osp1:1", "product:osp1:2,gl:1:1")
-RESCALED_SPECS = ("osp1:1", "osp1:2", "gl:1:1", "sl:2:1", "toy_odd_semisimple")
-
-
-def rescaled(spec):
-    """The family rebuilt from its defining matrices with e_i -> e_i / k_i,
-    k_i in {1, 2, 3}, as in tests/test_core.py: a common denominator D > 1."""
-    g = parse_family_spec(spec)
-    ks = [1 + i % 3 for i in range(g.dim)]
-    mats = [m.scale(Q(1, k)) for m, k in zip(g.faithful_rep.action, ks)]
-    h = algebra_from_matrices(mats, g.parity, g.faithful_rep.parity, g.names, cartan=g.cartan)
-    assert h._den > 1
-    return h
-
-
-ORACLE_CASES = ([pytest.param(parse_family_spec, s, id=s) for s in ORACLE_SPECS]
-                + [pytest.param(rescaled, s, id=f"rescaled-{s}") for s in RESCALED_SPECS])
+RESCALED_CASES = [pytest.param(rescaled, s, id=f"rescaled-{s}")
+                  for s in catalog.specs(catalog.RESCALED)]
+ORACLE_CASES = ([pytest.param(parse_family_spec, s, id=s) for s in small_quotient_specs()]
+                + RESCALED_CASES)
 
 
 def graded(g, col, mask):
@@ -712,7 +697,8 @@ def test_integer_columns_match_the_fraction_recursion(build, spec):
                 assert graded(g, col, mask) == ref(side, i, mask), (side, i, mask)
 
 
-@pytest.mark.parametrize("build, spec", [pytest.param(rescaled, s, id=s) for s in RESCALED_SPECS])
+@pytest.mark.parametrize("build, spec", [pytest.param(rescaled, s, id=s)
+                                         for s in catalog.specs(catalog.RESCALED)])
 def test_integer_layer_on_a_common_denominator(build, spec):
     """invariants, module_action and word projections on algebras with D > 1
     against the dense reference matrices."""
@@ -745,25 +731,15 @@ def test_integer_layer_on_a_common_denominator(build, spec):
             assert _project_words(g, words, side) == sparse(expected)
 
 
-INDUCED_SPECS = ("gl:1:1", "gl:2:1", "sl:2:1", "osp1:1", "osp1:2", "product:osp1:1,gl:1:1",
-                 "toy_odd_semisimple")
-
-
 @pytest.mark.parametrize("build, spec",
-                         [pytest.param(parse_family_spec, s, id=s) for s in INDUCED_SPECS]
-                         + [pytest.param(rescaled, s, id=f"rescaled-{s}") for s in RESCALED_SPECS])
+                         [pytest.param(parse_family_spec, e.spec, id=e.spec)
+                          for e in catalog.entries() if e.induced is not None]
+                         + RESCALED_CASES)
 def test_induced_trivial_matches_the_dense_oracle(build, spec):
     g = build(spec)
     m = induced_trivial(g)
     assert m.action == coinvariant_action_matrices(g, LEFT)
     assert m.parity == tuple(bin(mask).count("1") % 2 for mask in range(quotient_dim(g)))
-
-
-def fresh(spec):
-    """A newly built family algebra, not one the builders' caches share."""
-    for build in (build_gl, build_sl, build_osp1, build_toy):
-        build.cache_clear()
-    return parse_family_spec(spec)
 
 
 @pytest.mark.parametrize("spec", ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "gl:2:2",
@@ -857,12 +833,6 @@ def test_quotient_over_budget_is_refused_before_listing():
 
 
 # -- invariants from a generating set -------------------------------------------------------
-
-def golden_family_specs():
-    """Every --family spec that tests/data/cli_golden.json runs."""
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-    return sorted({m.group(1) for key in golden if (m := re.search(r"--family (\S+)", key))})
-
 
 def joint_kernel(mats, skip=None):
     """The joint kernel of the dense action matrices, all but mats[skip]."""

@@ -5,12 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superkit import fileformat
+from superkit import catalog, fileformat
 from superkit.families import (
     build_gl,
     build_osp1,
     build_product,
-    build_sl,
     build_toy,
     parse_family_spec,
 )
@@ -26,22 +25,11 @@ from superkit.fileformat import (
 from superkit.reps import adjoint_module, induced_trivial, validate_module
 from superkit.roots import g1ss_structural_scan
 from superkit.supercomm import catalog_pairs, coinvariant_dual_pair
-from test_cli import _golden_family_specs
+from support import cartanless_text, golden_family_specs
 
-ALL_FAMILIES = [
-    build_gl(1, 1),
-    build_gl(2, 1),
-    build_sl(2, 1),
-    build_osp1(1),
-    build_osp1(2),
-    build_toy("toy_odd_nilpotent"),
-    build_toy("toy_odd_semisimple"),
-    build_product([build_osp1(1), build_gl(1, 0)]),
-]
-
-
-@pytest.mark.parametrize("g", ALL_FAMILIES, ids=lambda g: repr(g))
-def test_algebra_roundtrip_bit_exact(g):
+@pytest.mark.parametrize("spec", catalog.specs(cost=catalog.TIER1))
+def test_algebra_roundtrip_bit_exact(spec):
+    g = parse_family_spec(spec)
     text = serialize_algebra(g, "roundtrip")
     g2, name, warnings = parse_algebra(text)
     assert name == "roundtrip"
@@ -372,7 +360,8 @@ def test_an_accepted_rep_spares_the_axiom_check(monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(LieSuperalgebra, "validate", counted)
-    for g in ALL_FAMILIES:
+    for spec in catalog.specs(cost=catalog.TIER1):
+        g = parse_family_spec(spec)
         text = serialize_algebra(g)
         assert g.faithful_rep is not None
         calls.clear()
@@ -383,11 +372,6 @@ def test_an_accepted_rep_spares_the_axiom_check(monkeypatch):
     calls.clear()
     parse_algebra(zero_rep_text(build_osp1(1)), strict=False)
     assert len(calls) == 1
-
-
-# every --family spec of the CLI goldens, and two whose indices reach two digits
-GOLDEN_FAMILY_SPECS = _golden_family_specs()
-ROUNDTRIP_SPECS = GOLDEN_FAMILY_SPECS + ["osp1:11", "gl:6:5"]
 
 
 def dense_serialize_algebra(g, name):
@@ -420,7 +404,8 @@ def integer_action(m):
     return [[list(row) for row in rows] for rows in m._table], m._den
 
 
-@pytest.mark.parametrize("spec", ROUNDTRIP_SPECS)
+# every --family spec of the CLI goldens, and two whose indices reach two digits
+@pytest.mark.parametrize("spec", golden_family_specs() + ["osp1:11", "gl:6:5"])
 def test_algebra_roundtrip_keeps_the_integer_tables(spec):
     g = parse_family_spec(spec)
     assert len(set(g.names)) == g.dim
@@ -435,7 +420,7 @@ def test_algebra_roundtrip_keeps_the_integer_tables(spec):
     assert integer_action(rep2) == integer_action(rep)
 
 
-@pytest.mark.parametrize("spec", GOLDEN_FAMILY_SPECS)
+@pytest.mark.parametrize("spec", golden_family_specs())
 def test_module_roundtrip_keeps_the_integer_table(spec):
     g = parse_family_spec(spec)
     modules = [adjoint_module(g), g.faithful_rep]
@@ -474,8 +459,7 @@ def test_supercomm_roundtrip_keeps_the_integer_table(name):
 
 def test_one_fraction_per_distinct_token(monkeypatch):
     # the cartan-less osp(1|6) file of the CLI goldens and the benchmark
-    text = "".join(line for line in serialize_algebra(build_osp1(3)).splitlines(keepends=True)
-                   if not line.startswith("cartan "))
+    text = cartanless_text("osp1:3")
     calls = Counter()
 
     def counted(*args):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superkit import catalog
 from superkit.families import parse_family_spec
 from superkit.linalg import (
     Echelon,
@@ -26,7 +27,7 @@ from superkit.linalg import (
     solve_linear,
     splits_semisimply_over_q,
 )
-from test_action_table import CONE_SPECS
+from support import DenseIntEchelon
 
 
 # -- reference polynomial arithmetic over Q (oracles, not the package's code) --
@@ -371,12 +372,10 @@ def _fraction_rref(rows):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_echelon_matches_the_dense_reference(seed):
-    from test_reps import _DenseIntEchelon
-
     rng = random.Random(900 + seed)
     width = rng.randint(1, 10)
     rows = _engine_rows(rng, width)
-    sparse, dense, ref = Echelon(), Echelon(), _DenseIntEchelon()
+    sparse, dense, ref = Echelon(), Echelon(), DenseIntEchelon()
     for row in rows:
         new = ref.add(_primitive_ints(row))
         assert sparse.add(_as_dict(rng, row)) == new
@@ -561,7 +560,7 @@ def test_minimal_polynomial_matches_the_dense_krylov_step(seed):
         assert _minimal_polynomial(rows) == _dense_minimal_polynomial(rows), name
 
 
-@pytest.mark.parametrize("spec", CONE_SPECS + ("osp1:8", "gl:4:4"))
+@pytest.mark.parametrize("spec", catalog.specs(catalog.CONE) + ("osp1:8", "gl:4:4"))
 def test_minimal_polynomial_of_odd_squares_matches_the_dense_krylov_step(spec):
     """On the rows of rho(D [U, U]) that the cone test builds, for dense and
     two-coordinate odd U."""

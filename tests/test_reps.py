@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 
 from superkit.core import EVEN, ODD
 from superkit.families import build_gl, build_osp1, build_sl, build_toy, parse_family_spec
-from superkit import acceptance
+from superkit import acceptance, catalog
 from superkit.linalg import Matrix, inverse, kernel_basis, rank, zero_vec
 from superkit.reps import (
     NotInG1ss,
@@ -28,12 +28,7 @@ from superkit.reps import (
     validate_module,
 )
 from superkit.reps import _acting_algebra, _grading
-
-
-def unit_vec(g, name):
-    v = zero_vec(g.dim)
-    v[g.names.index(name)] = Q(1)
-    return v
+from support import DenseIntEchelon, cartanless, odd_part_as_even_module, unit_vec
 
 
 def gl11_and_u():
@@ -192,14 +187,6 @@ def test_module_semisimplicity_examples():
 
 # -- integrality flag -------------------------------------------------------------------------
 
-def _cartanless(spec):
-    from superkit.fileformat import parse_algebra, serialize_algebra
-    text = serialize_algebra(parse_family_spec(spec))
-    text = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("cartan "))
-    return parse_algebra(text)[0]
-
-
 def _integral_weight_answers(g):
     half = SuperModule(parity=(EVEN,), action=[
         Matrix([[Q(1, 2)]]), Matrix([[0]]), Matrix([[0]]), Matrix([[Q(-1, 2)]])
@@ -236,11 +223,11 @@ def test_integral_weights_refuse_a_cartan_row_of_the_wrong_length():
 
 def test_integral_weights_without_a_cartan_line():
     # the Cartan subalgebra is then the one the search finds, as in classify
-    g = _cartanless("gl:1:1")
+    g = cartanless("gl:1:1")
     assert g.cartan is None
     assert _integral_weight_answers(g) == _integral_weight_answers(build_gl(1, 1))
     for spec in ("sl:2:1", "osp1:2"):
-        assert has_integral_weights(_cartanless(spec), parse_family_spec(spec).faithful_rep)
+        assert has_integral_weights(cartanless(spec), parse_family_spec(spec).faithful_rep)
 
 
 # -- Duflo-Serganova ---------------------------------------------------------------------------
@@ -426,7 +413,7 @@ def _dense_is_semisimple_action(mats, dim):
 def _dense_trace_form_nondegenerate(basis):
     n = len(basis)
     gram = [[_dense_trace_prod(basis[p], basis[q]) for q in range(n)] for p in range(n)]
-    rank = _DenseIntEchelon()
+    rank = DenseIntEchelon()
     for row in gram:
         rank.add(row)
     return len(rank.pivots) == n
@@ -437,7 +424,7 @@ def _dense_algebra_basis(mats, dim):
     dense integer matrices."""
     gens = [_dense_int_matrix(m) for m in mats]
     basis = []
-    ech = _DenseIntEchelon()
+    ech = DenseIntEchelon()
     ident = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
     queue = [ident] + [m for m in gens]
     while queue:
@@ -466,45 +453,9 @@ def _dense_trace_prod(a, b):
     return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
 
 
-class _DenseIntEchelon:
-    def __init__(self):
-        self.pivots = {}
-
-    def _normalize(self, row):
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            row = [x // g for x in row]
-        return row
-
-    def reduce(self, row):
-        row = list(row)
-        for c in sorted(self.pivots):
-            if row[c]:
-                p = self.pivots[c]
-                pc, rc = p[c], row[c]
-                row = [x * pc - y * rc for x, y in zip(row, p)]
-                row = self._normalize(row)
-        return row
-
-    def add(self, row):
-        row = self.reduce(row)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        if row[lead] < 0:
-            row = [-x for x in row]
-        self.pivots[lead] = self._normalize(row)
-        return True
-
-
 def _reference_modules():
     out = []
-    for spec in ("gl:1:1", "sl:2:1", "gl:2:1", "osp1:1", "osp1:2",
-                 "product:osp1:1,gl:1:1", "toy_odd_semisimple"):
+    for spec in (e.spec for e in catalog.entries() if e.induced is not None):
         out.append((f"induced {spec}", induced_trivial(parse_family_spec(spec))))
     for spec in ("sl:2:1", "gl:2:1", "osp1:2"):
         out.append((f"adjoint {spec}", adjoint_module(parse_family_spec(spec))))
@@ -512,16 +463,8 @@ def _reference_modules():
         v = parse_family_spec(spec).faithful_rep
         out.append((f"defining*dual {spec}", tensor(v, dual(v))))
     for spec in ("osp1:2", "gl:2:2"):
-        out.append((f"g1-as-g0 {spec}", _odd_part_as_even_module(parse_family_spec(spec))))
+        out.append((f"g1-as-g0 {spec}", odd_part_as_even_module(parse_family_spec(spec))))
     return out
-
-
-def _odd_part_as_even_module(g):
-    """g1 as a g0-module, the module `is_quasireductive` tests: ad(e_i) for
-    even i, restricted to the odd basis vectors."""
-    ad, odd = adjoint_module(g).action, g.odd_indices
-    mats = [Matrix([[ad[i].data[r][c] for c in odd] for r in odd]) for i in g.even_indices]
-    return SuperModule([ODD] * len(odd), mats)
 
 
 def _generator_variants(mats, dim, rng):
@@ -580,9 +523,10 @@ def test_semisimple_action_matches_dense_reference():
         for kind, mats in variants.items():
             assert is_semisimple_action(mats, m.dim) is expected, (name, kind)
             assert _algebra_dim(SuperModule(m.parity, mats)) == len(basis), (name, kind)
-    # the ghost verdict: the induced module is semisimple exactly for osp types
-    assert [n for n, v in verdicts.items() if n.startswith("induced") and v] == [
-        "induced osp1:1", "induced osp1:2"]
+    # the catalog's verdicts on the induced modules
+    for e in catalog.entries():
+        if e.induced is not None:
+            assert verdicts[f"induced {e.spec}"] is e.induced, e.spec
     # the odd part is a semisimple module over the even part, as
     # `is_quasireductive` finds
     for spec in ("osp1:2", "gl:2:2"):

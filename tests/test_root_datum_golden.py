@@ -21,27 +21,13 @@ from pathlib import Path
 import pytest
 
 from superkit.core import SuperkitError
-from superkit.families import parse_family_spec
-from superkit.fileformat import parse_algebra, serialize_algebra
 from superkit.roots import find_cartan, root_decomposition
+from support import KNOWN_HANGS, REBASED_SPECS, cartanless, golden_family_specs, rebased
 
 GOLDEN = Path(__file__).parent / "data" / "root_datum_golden.json"
-REBASED_SPECS = ("osp1:1", "osp1:2", "osp1:3", "sl:2:1", "gl:1:1", "product:osp1:1,osp1:1")
-
-
-def _family_specs():
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-    return sorted({key.split()[3] for key in golden if key.split()[2] == "--family"})
-
-
-def _cartanless(spec):
-    text = "".join(line for line in serialize_algebra(parse_family_spec(spec)).splitlines(
-        keepends=True) if not line.startswith("cartan "))
-    return parse_algebra(text)[0]
 
 
 def _rebased(spec, seed):
-    from test_roots import rebased
     try:
         return rebased(spec, seed, 1)
     except ValueError:
@@ -50,8 +36,7 @@ def _rebased(spec, seed):
 
 def _cases():
     """(case id, builder) for every input."""
-    from test_roots import KNOWN_HANGS
-    cases = [(f"family {spec}", lambda s=spec: _cartanless(s)) for spec in _family_specs()]
+    cases = [(f"family {spec}", lambda s=spec: cartanless(s)) for spec in golden_family_specs()]
     cases += [(f"rebased {spec} {seed}", lambda s=spec, t=seed: _rebased(s, t))
               for spec in REBASED_SPECS for seed in range(8) if (spec, seed) not in KNOWN_HANGS]
     return cases

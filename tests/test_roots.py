@@ -5,6 +5,7 @@ import random
 import pytest
 from fractions import Fraction as Q
 
+from superkit import catalog
 from superkit.core import EVEN, ODD, LieSuperalgebra, SuperkitError
 from superkit.families import (
     algebra_from_matrices,
@@ -28,12 +29,8 @@ from superkit.roots import (
     isotropic_combination,
     root_decomposition,
 )
-
-
-def unit_vec(g, name):
-    v = zero_vec(g.dim)
-    v[g.names.index(name)] = Q(1)
-    return v
+from support import (KNOWN_HANGS, REBASED_SPECS, cartanless, rebased, same_span, shuffled_osp,
+                     unit_vec)
 
 
 def strip_hints(g):
@@ -149,8 +146,8 @@ def test_find_cartan_solves_no_dense_system(monkeypatch, spec):
     # the toral family is tested by one integer Echelon, never by a dense
     # Fraction solve
     from superkit import linalg
-    g = _cartanless(spec)
-    expected = find_cartan(_cartanless(spec))
+    g = cartanless(spec)
+    expected = find_cartan(cartanless(spec))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense Fraction solve in the Cartan search")
@@ -190,38 +187,6 @@ def test_classify_sl21_returns_square_zero_witness():
     assert not is_zero_vec(out.u)
     assert s.in_g1ss(out.u)
     assert is_zero_vec(s.odd_square(out.u))
-
-
-def shuffled_osp(n, seed):
-    """osp(1|2n) with basis permuted within parity classes and rescaled."""
-    g = build_osp1(n)
-    rng = random.Random(seed)
-    ev, od = list(g.even_indices), list(g.odd_indices)
-    rng.shuffle(ev)
-    rng.shuffle(od)
-    positions = ev + od
-    scale = [Q(rng.choice([1, 2, 3, -1, -2, Q(1, 2)])) for _ in range(g.dim)]
-    table = {}
-    for a in range(g.dim):
-        for b in range(g.dim):
-            va = [scale[a] if t == positions[a] else Q(0) for t in range(g.dim)]
-            vb = [scale[b] if t == positions[b] else Q(0) for t in range(g.dim)]
-            br = g.bracket(va, vb)
-            comps = {}
-            for knew in range(g.dim):
-                kold = positions[knew]
-                if br[kold] != 0:
-                    comps[knew] = br[kold] / scale[knew]
-            table[(a, b)] = comps
-    parity = tuple(g.parity[positions[t]] for t in range(g.dim))
-    from superkit.reps import SuperModule
-    rep = SuperModule(
-        parity=g.faithful_rep.parity,
-        action=[g.element_matrix(
-            [scale[a] if t == positions[a] else Q(0) for t in range(g.dim)])
-            for a in range(g.dim)],
-    )
-    return LieSuperalgebra(parity, table, None, faithful_rep=rep)
 
 
 @pytest.mark.parametrize("n,seed", [(1, 17), (1, 3), (2, 17), (2, 99), (3, 5)])
@@ -404,7 +369,7 @@ def test_basis_maps_match_the_recorded_isomorphisms():
     for spec, expected in golden.items():
         algebras = [parse_family_spec(spec)]
         if spec in ("osp1:2", "osp1:3", "osp1:4"):
-            algebras.append(_cartanless(spec))
+            algebras.append(cartanless(spec))
         for g in algebras:
             out = classify_simple(g)
             assert isinstance(out, Osp) and out.n == expected["n"]
@@ -413,35 +378,10 @@ def test_basis_maps_match_the_recorded_isomorphisms():
 
 # -- rebased presentations -----------------------------------------------------------------
 
-def rebased(spec, seed, width):
-    """The family with its basis rebased within parity classes: matrix i of
-    the defining representation gains c_j times matrix j for `width`
-    distinct same-parity j != i, with c_j in {-2, -1, 1, 2}, and the algebra
-    is rebuilt from the new matrices, without a Cartan.  Raises ValueError
-    when the new matrices are dependent."""
-    g = parse_family_spec(spec)
-    mats = g.faithful_rep.action
-    rng = random.Random(seed)
-    out = []
-    for i in range(g.dim):
-        same = [j for j in range(g.dim) if j != i and g.parity[j] == g.parity[i]]
-        m = mats[i]
-        for j in rng.sample(same, width):
-            m = m.add(mats[j].scale(rng.choice([-2, -1, 1, 2])))
-        out.append(m)
-    return algebra_from_matrices(out, g.parity, g.faithful_rep.parity, g.names)
-
-
-# draws that do not finish: the Cartan search's split test meets a root
-# polynomial whose rational roots `linalg._divisors` cannot enumerate in
-# time (ROADMAP item 1(a), exact rational roots without trial division)
-KNOWN_HANGS = {("osp1:3", 1)}
-
-
 @pytest.mark.parametrize("spec,seed", [
     pytest.param(spec, seed, marks=[pytest.mark.skip(reason="known hang, ROADMAP 1(a)")]
                  if (spec, seed) in KNOWN_HANGS else [])
-    for spec in ("osp1:1", "osp1:2", "osp1:3", "sl:2:1", "gl:1:1", "product:osp1:1,osp1:1")
+    for spec in REBASED_SPECS
     for seed in range(8)
 ])
 def test_rebased_basis_keeps_the_verdict(spec, seed):
@@ -569,23 +509,11 @@ def test_classify_simple_tries_isotropic_combination_at_zero_weight():
     assert g.in_g1ss(out.u)
 
 
-def _cartanless(spec):
-    from superkit.fileformat import parse_algebra, serialize_algebra
-    text = serialize_algebra(parse_family_spec(spec))
-    text = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("cartan "))
-    return parse_algebra(text)[0]
-
-
-def _same_span(a, b):
-    return len(span_basis(a)) == len(span_basis(b)) == len(span_basis(a + b))
-
-
 @pytest.mark.parametrize("make", [
     lambda: parse_family_spec("product:osp1:1,osp1:2"),
     lambda: parse_family_spec("product:gl:1:0,osp1:1,osp1:2"),
     lambda: parse_family_spec("product:osp1:1,osp1:1,osp1:1"),
-    lambda: _cartanless("product:osp1:1,osp1:2"),
+    lambda: cartanless("product:osp1:1,osp1:2"),
 ], ids=["product", "product-with-center", "product-of-three", "product-without-cartan"])
 def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, make):
     from superkit import roots
@@ -622,7 +550,7 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
         inherited = sub._root_datum().odd_roots()
         assert len(inherited) == len(fresh)
         for r in inherited:
-            (match,) = [s for s in fresh if _same_span(r.space, s.space)]
+            (match,) = [s for s in fresh if same_span(r.space, s.space)]
             assert len(r.space) == len(match.space)
             assert r.is_zero_weight == match.is_zero_weight
         # weight t is the eigenvalue of inherited Cartan element t
@@ -635,15 +563,16 @@ def test_factors_inherit_the_odd_roots_of_a_fresh_decomposition(monkeypatch, mak
 
 # -- the decomposition's factor tables against g's own brackets --------------------
 
-_FACTOR_SPECS = ["osp1:1", "osp1:2", "osp1:3", "osp1:4", "osp1:5",
-                 "product:osp1:1,osp1:2", "product:osp1:1,osp1:1,osp1:1"]
+# every Tier-1 entry with an orthosymplectic factor
+_WITH_OSP_FACTORS = [e.spec for e in catalog.entries(cost=catalog.TIER1)
+                 if e.classify != catalog.WITNESS and any(f.startswith("Osp") for f in e.classify)]
 
 
 @pytest.mark.parametrize("make", [
-    *[lambda s=s: parse_family_spec(s) for s in _FACTOR_SPECS],
-    *[lambda s=s: _cartanless(s) for s in _FACTOR_SPECS],
+    *[lambda s=s: parse_family_spec(s) for s in _WITH_OSP_FACTORS],
+    *[lambda s=s: cartanless(s) for s in _WITH_OSP_FACTORS],
     lambda: shuffled_osp(2, 99),
-], ids=_FACTOR_SPECS + [f"{s}-without-cartan" for s in _FACTOR_SPECS] + ["shuffled"])
+], ids=_WITH_OSP_FACTORS + [f"{s}-without-cartan" for s in _WITH_OSP_FACTORS] + ["shuffled"])
 def test_factor_tables_equal_restricted_subalgebra(make):
     # each factor is restricted_subalgebra of its basis; the oracle is g
     # itself: each factor bracket, mapped back through the basis, is the
