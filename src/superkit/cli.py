@@ -106,6 +106,11 @@ def _inconclusive(args, reason: str) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _parse_error(args, exc: Exception) -> int:
+    _emit(args, {"error": str(exc)}, f"parse error: {exc}")
+    return EXIT_PARSE
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, default=str))
@@ -161,8 +166,7 @@ def cmd_check(args) -> int:
         # check reports violations instead of refusing the file
         g, warnings = _load_algebra(args, lax=True)
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     if warnings is None:
         # a family's defining rep proves the axioms, as a file's does
         violations, refusals = axiom_check(g)
@@ -197,8 +201,7 @@ def cmd_classify(args) -> int:
     try:
         g, warnings = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     if reason := _warning(warnings, _REP):
         return _inconclusive(args, reason)
     try:
@@ -246,8 +249,7 @@ def cmd_ghost(args) -> int:
     try:
         g, warnings = _load_algebra(args)
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     # the criterion reads only the table: a rep or cartan refusal does not stop it
     if reason := _warning(warnings, _AXIOMS):
         return _inconclusive(args, reason)
@@ -298,8 +300,7 @@ def cmd_ds(args) -> int:
         m = _resolve_module(args, g, args.module)
         n = _resolve_module(args, g, args.tensor) if args.tensor else None
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     if reason := _warning(warnings, _REP):
         return _inconclusive(args, reason)
     try:
@@ -338,8 +339,7 @@ def cmd_witness_splitting(args) -> int:
             if d is None:
                 raise ParseError("table file has no derivation block")
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     try:
         f = splitting_witness(a, d)
     except (Vanishing, NonSemisimpleSquare) as exc:
@@ -362,8 +362,7 @@ def cmd_modcheck(args) -> int:
         with open(args.module, "r", encoding="utf-8") as fh:
             m, _, issues = parse_module(fh.read(), g, strict=False)
     except (ParseError, ValueError, OSError) as exc:
-        _emit(args, {"error": str(exc)}, f"parse error: {exc}")
-        return EXIT_PARSE
+        return _parse_error(args, exc)
     payload = {"dim": m.dim, "valid": not issues, "violations": issues}
     human = (f"module dim {m.even_dim}|{m.odd_dim}: "
              + ("valid" if not issues else f"INVALID: {issues[0]}"))

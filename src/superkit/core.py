@@ -14,12 +14,13 @@ become such vectors once on entry (`linalg._sparse_integer_rows`),
 `_product` combines them, and results become Fractions only on the way out
 (`linalg.fraction_vector`).  `bracket`, `structure_constant`,
 `bracket_basis` and `bracket_sparse` are Fraction views of the table.  The
-super axioms:
+super axioms, checked in turn by `_grading_failures`, `_asymmetric_pairs`
+and `_law_failures`, which also check modules and `supercomm` products:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
 * super Jacobi, in derivation form, which is the representation law of the
-  adjoint module (`_law_failures` checks it, and the law of any module):
+  adjoint module (as associativity is the law of the left-regular columns):
   [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]].
 
 Element semisimplicity ("acts diagonalizably over an algebraic closure") is
@@ -59,6 +60,7 @@ from .linalg import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reps import SuperModule
+    from .supercomm import SupercommAlgebra
 
 EVEN, ODD = 0, 1
 
@@ -249,32 +251,14 @@ class LieSuperalgebra(_Basis):
         [ad e_i, ad e_j] - ad [e_i, e_j] is nonzero: the representation law
         of the adjoint module, whose column table is g's own table, checked
         by `_law_failures` (on i <= j, with swaps, when antisymmetric)."""
-        issues: list[str] = []
-        n, p, sp = self.dim, self.parity, self._table
-        for i in range(n):
-            for j in range(n):
-                for k, c in sp[i][j]:
-                    if p[k] != (p[i] + p[j]) % 2:
-                        issues.append(
-                            f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
-                        )
-        asymmetric = self._asymmetric_pairs()
+        issues = [f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
+                  for i, j, k, c in _grading_failures(self._table, self.parity, self.parity)]
+        asymmetric = _asymmetric_pairs(self, -1)
         issues += [f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
                    for i, j in asymmetric]
         issues += [f"jacobi: fails at triple ({i},{j},{k})"
-                   for i, j, k in _law_failures(self, sp, self._den, not asymmetric)]
+                   for i, j, k in _law_failures(self, self._table, self._den, not asymmetric)]
         return issues
-
-    def _asymmetric_pairs(self) -> list[tuple[int, int]]:
-        """The pairs i <= j at which the table breaks super-antisymmetry,
-        [e_i, e_j] = -(-1)^{|i||j|} [e_j, e_i]."""
-        p, sp, out = self.parity, self._table, []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                sign = 1 if p[i] and p[j] else -1
-                if sp[i][j] != tuple((k, sign * c) for k, c in sp[j][i]):
-                    out.append((i, j))
-        return out
 
     # -- odd squares and the semisimple cone ----------------------------------
 
@@ -640,36 +624,61 @@ def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     return " ".join([head] + pieces[1:])
 
 
-def _law_failures(g: LieSuperalgebra, cols: Sequence[Sequence[Sequence[tuple[int, int]]]],
-                  den: int, half: bool) -> list[tuple[int, int, int]]:
-    """The sorted (i, j, c) at which column c of D_g [A_i, A_j] - D sum_k C_k A_k
-    is nonzero, where D_g [e_i, e_j] = sum_k C_k e_k and `cols[x][c]` holds
-    the nonzero (r, a) of column c of A_x = D rho(e_x): the failures of the
-    representation law of a module.  g's table is the adjoint module's.
-    [A_j, A_i] = -(-1)^{|i||j|} [A_i, A_j] for any matrices, so on a
-    super-antisymmetric table (j, i, c) fails exactly when (i, j, c) does:
-    `half`, for such tables only, computes i <= j and reports each failure
-    with its swap."""
+def _grading_failures(table: Table, p: Sequence[int], q: Sequence[int]) -> list[tuple[int, ...]]:
+    """The (i, j, k, C) of the table, in order, with q[k] != p[i] + q[j]
+    (mod 2): p = q = g.parity for g's own table, p = g.parity and q the
+    module's parity for an action table (row j of e_i)."""
+    return [(i, j, k, c) for i, block in enumerate(table) for j, row in enumerate(block)
+            for k, c in row if q[k] != (p[i] + q[j]) % 2]
+
+
+def _asymmetric_pairs(g: "LieSuperalgebra | SupercommAlgebra", s: int) -> list[tuple[int, int]]:
+    """The pairs i <= j at which e_i e_j != s (-1)^{|i||j|} e_j e_i in g's
+    table: s = -1 checks super-antisymmetry, s = 1 supercommutativity."""
+    p, t = g.parity, g._table
+    return [(i, j) for i in range(g.dim) for j in range(i, g.dim)
+            if t[i][j] != tuple((k, (-s if p[i] and p[j] else s) * c) for k, c in t[j][i])]
+
+
+def _law_failures(g: "LieSuperalgebra | SupercommAlgebra",
+                  cols: Sequence[Sequence[Sequence[tuple[int, int]]]], den: int, half: bool,
+                  commutator: bool = True) -> list[tuple[int, int, int]]:
+    """The sorted (i, j, c) at which column c of D_g (A_i A_j - s A_j A_i) -
+    D sum_k C_k A_k is nonzero, where D_g e_i e_j = sum_k C_k e_k in g's
+    table and `cols[x][c]` holds the nonzero (r, a) of column c of
+    A_x = D rho(e_x).  With s = (-1)^{|i||j|} (`commutator`) it is the
+    representation law of a module, and super Jacobi on g's own table, the
+    adjoint module's; [A_j, A_i] = -(-1)^{|i||j|} [A_i, A_j], so on a
+    super-antisymmetric table `half` computes i <= j and reports each
+    failure with its swap.  With s = 0 it is associativity on the
+    left-regular columns of a `SupercommAlgebra`, its own table (column c
+    of L_i is e_i e_c); where e_i e_j = 0 only the columns c with A_j e_c
+    != 0 can fail, and only those are visited."""
     par, table, n = g.parity, g._table, g.dim
     common = gcd(g._den, den)
     lead, tail = g._den // common, -(den // common)
+    live = None if commutator else [[(c, col) for c, col in enumerate(cx) if col] for cx in cols]
     failing = []
     for i in range(n):
         ci, ti = cols[i], table[i]
         for j in range(i if half else 0, n):
             cj = cols[j]
-            swap = lead if par[i] and par[j] else -lead
             terms = [(cols[k], tail * C) for k, C in ti[j]]
-            for c, col in enumerate(cj):
+            if commutator:
+                swap, visit = (lead if par[i] and par[j] else -lead), enumerate(cj)
+            else:
+                swap, visit = 0, enumerate(cj) if terms else live[j]
+            for c, col in visit:
                 acc: dict[int, int] = {}
                 for t, q in col:
                     q *= lead
                     for r, a in ci[t]:
                         acc[r] = acc.get(r, 0) + q * a
-                for t, q in ci[c]:
-                    q *= swap
-                    for r, a in cj[t]:
-                        acc[r] = acc.get(r, 0) + q * a
+                if swap:
+                    for t, q in ci[c]:
+                        q *= swap
+                        for r, a in cj[t]:
+                            acc[r] = acc.get(r, 0) + q * a
                 for ak, q in terms:
                     for r, a in ak[c]:
                         acc[r] = acc.get(r, 0) + q * a

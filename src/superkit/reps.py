@@ -13,7 +13,8 @@ the change of basis `conjugate`, which also checks that it keeps parity)
 and the cone test of `core` read or build those rows; `action` is their
 Fraction view.
 `validate_module` transposes them for `core._law_failures`, which also
-checks super Jacobi, as the law of the adjoint module.
+checks super Jacobi, as the law of the adjoint module, and the
+associativity of a `supercomm` product, on its left-regular columns.
 
 Semisimplicity of a module is decided by the characteristic-zero trace-form
 criterion on the associative algebra A generated by the action matrices: the
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _law_failures,
-                   _require_length)
+from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _asymmetric_pairs,
+                   _grading_failures, _law_failures, _require_length)
 from .linalg import (
     Echelon,
     Matrix,
@@ -184,22 +185,18 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
     """Every violated parity or representation-law instance; with A_k = D rho(e_k)
     and D_g [e_i, e_j] = sum_k C_k e_k, the law reads D_g [A_i, A_j] = D sum_k C_k A_k.
 
-    The law is checked by `core._law_failures` on the columns of the
-    transposed table (on i <= j, with swaps, when g's table is
-    super-antisymmetric); a pair fails when any of its columns does.  A
-    module with another action count than dim g has that as its only issue."""
+    Parity is checked by `core._grading_failures` on the action table, the
+    law by `core._law_failures` on its transposed columns (on i <= j, with
+    swaps, when g's table is super-antisymmetric); a pair fails when any of
+    its columns does.  A module with another action count than dim g has
+    that as its only issue."""
     mismatch = _count_mismatch(g, m)
     if mismatch:
         return [mismatch]
-    issues: list[str] = []
-    table, par, gpar = m._table, m.parity, g.parity
-    for i in range(g.dim):
-        for r, row in enumerate(table[i]):
-            for c, _ in row:
-                if par[r] != (par[c] + gpar[i]) % 2:
-                    issues.append(f"parity: action of e{i} at entry ({r},{c})")
-    cols = [_transpose(rows, m.dim, [1] * m.dim) for rows in table]
-    failing = _law_failures(g, cols, m._den, not g._asymmetric_pairs())
+    issues = [f"parity: action of e{i} at entry ({r},{c})"
+              for i, r, c, _ in _grading_failures(m._table, g.parity, m.parity)]
+    cols = [_transpose(rows, m.dim, [1] * m.dim) for rows in m._table]
+    failing = _law_failures(g, cols, m._den, not _asymmetric_pairs(g, -1))
     issues += [f"representation law: fails on pair ({i},{j})"
                for i, j in dict.fromkeys((i, j) for i, j, _ in failing)]
     return issues

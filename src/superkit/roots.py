@@ -39,7 +39,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _product, _proportion
+from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _asymmetric_pairs,
+                   _product, _proportion)
 from .linalg import (
     Echelon,
     Matrix,
@@ -519,7 +520,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
     checked here), so [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both
     sides."""
     from .families import build_osp1, osp_odd_indices
-    if g._asymmetric_pairs():
+    if _asymmetric_pairs(g, -1):
         return None
     fam = build_osp1(n)
     # phi u_p = I_p / lb, with lb the lcm of the denominators of the betas

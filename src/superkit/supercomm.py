@@ -20,16 +20,19 @@ formed: `linalg.rational_eigenspaces` is only a public view.
 The multiplication is stored as `LieSuperalgebra` stores its brackets, one
 sparse integer table (`core._structure_table`), and computed by the same
 kernel (`core._product`); the dense `SupercommAlgebra.table` is a view.
+`validate_algebra` checks it with `LieSuperalgebra.validate`'s table checks,
+associativity as the law of its left-regular columns, the table itself.
 The witness (by `linalg._solve` and `_split`), the span tests (`Echelon`
-membership) and the validators read it in sparse integers too, and only
-the returned f becomes Fractions.
+membership) and `validate_derivation` read it in sparse integers too, and
+only the returned f becomes Fractions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import EVEN, SparseVec, SuperkitError, Table, _Basis, _product, _structure_table
+from .core import (EVEN, SparseVec, SuperkitError, Table, _asymmetric_pairs, _Basis,
+                   _grading_failures, _law_failures, _product, _structure_table)
 from .linalg import (
     Matrix,
     Q,
@@ -93,28 +96,15 @@ class SupercommAlgebra(_Basis):
 
 def validate_algebra(a: SupercommAlgebra) -> list[str]:
     """Violations of grading, supercommutativity, associativity, or the unit law."""
-    issues: list[str] = []
-    n, p, t = a.dim, a.parity, a._table
-    for i in range(n):
-        for j in range(n):
-            for k, _ in t[i][j]:
-                if p[k] != (p[i] + p[j]) % 2:
-                    issues.append(f"grading: e{i}*e{j} has component at e{k}")
-    for i in range(n):
-        for j in range(i, n):
-            sign = -1 if p[i] and p[j] else 1
-            if t[i][j] != tuple((k, sign * c) for k, c in t[j][i]):
-                issues.append(f"supercommutativity: fails on pair ({i},{j})")
-    # (e_i e_j) e_k = e_i (e_j e_k), both sides scaled by D^2; both vanish
-    # unless e_i e_j or e_j e_k is nonzero
-    nonzero = [[k for k in range(n) if t[j][k]] for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in (range(n) if t[i][j] else nonzero[j]):
-                if _product(t, t[i][j], ((k, 1),)) != _product(t, ((i, 1),), t[j][k]):
-                    issues.append(f"associativity: fails at triple ({i},{j},{k})")
+    issues = [f"grading: e{i}*e{j} has component at e{k}"
+              for i, j, k, _ in _grading_failures(a._table, a.parity, a.parity)]
+    issues += [f"supercommutativity: fails on pair ({i},{j})"
+               for i, j in _asymmetric_pairs(a, 1)]
+    issues += [f"associativity: fails at triple ({i},{j},{k})"
+               for i, j, k in _law_failures(a, a._table, a._den, False, commutator=False)]
+    t = a._table
     (us,), ud = _sparse_integer_rows((a.unit,))
-    for i in range(n):
+    for i in range(a.dim):
         # 1 e_i = e_i 1 = e_i, scaled by L D for unit = U / L
         e = {i: ud * a._den}
         if _product(t, us, ((i, 1),)) != e or _product(t, ((i, 1),), us) != e:

@@ -252,7 +252,7 @@ def test_validate_module_matches_dense_reference_over_a_lopsided_table(spec):
     k, c = g.bracket_sparse(i, j)[0]
     table[i, j][k] = 2 * c
     lopsided = LieSuperalgebra(g.parity, table, g.names)
-    assert lopsided._asymmetric_pairs()
+    assert core._asymmetric_pairs(lopsided, -1)
     modules = [adjoint_module(g)] + ([g.faithful_rep] if g.faithful_rep else [])
     for m in modules + [_corrupted(m, rng) for m in modules for _ in range(3)]:
         issues = validate_module(lopsided, m)

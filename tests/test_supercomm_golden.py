@@ -1,8 +1,8 @@
 """Golden supercommutative tables and splitting witnesses, byte for byte.
 
 The inputs are the four catalog pairs and the coinvariant duals of gl(1|1)
-(u = E12+E21), gl(2|1) (u = E13+E31) and gl(3|1) (u = E14+E41), the last a
-64-dimensional exterior algebra.  For each, `tests/data/supercomm_golden.json`
+(u = E12+E21), gl(2|1) (u = E13+E31), gl(3|1) (u = E14+E41) and gl(2|2)
+(u = E13+E31), the last two 64- and 256-dimensional exterior algebras.  For each, `tests/data/supercomm_golden.json`
 keeps the `serialize_supercomm` text of the pair and the exit code and stdout
 of `--json witness-splitting --table FILE` on that text; the catalog pairs
 also keep those of `--json witness-splitting --catalog NAME`.  Refactors must
@@ -29,14 +29,14 @@ from superkit.supercomm import catalog_pairs, coinvariant_dual_pair
 
 GOLDEN = Path(__file__).parent / "data" / "supercomm_golden.json"
 CATALOG = ("exterior1", "torus-exterior", "two-odd", "vanishing")
-DUALS = {"gl:1:1": (1, "E12", "E21"), "gl:2:1": (2, "E13", "E31"),
-         "gl:3:1": (3, "E14", "E41")}
+DUALS = {"gl:1:1": (1, 1, "E12", "E21"), "gl:2:1": (2, 1, "E13", "E31"),
+         "gl:3:1": (3, 1, "E14", "E41"), "gl:2:2": (2, 2, "E13", "E31")}
 
 
 def dual_pair(spec):
-    """The coinvariant dual of gl(m|1) with the contragredient action of u."""
-    m, *names = DUALS[spec]
-    g = build_gl(m, 1)
+    """The coinvariant dual of gl(m|n) with the contragredient action of u."""
+    m, n, *names = DUALS[spec]
+    g = build_gl(m, n)
     u = [Fraction(0)] * g.dim
     for name in names:
         u[g.names.index(name)] = Fraction(1)
