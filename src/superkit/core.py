@@ -33,7 +33,17 @@ and the other uses of it here combine its integer action rows
 
 The cone of odd elements with semisimple square (`in_g1ss`) is the central
 obstruction set of this package: it is nonzero exactly when the corresponding
-supergroup has non-semisimple representation theory.
+supergroup has non-semisimple representation theory.  It is tested by the
+block route of `_square_is_semisimple`, on the rows of X = rho(u) alone: X
+swaps the parity pieces V0 and V1 of the rep, so X^2 = diag(AB, BA), and AB
+and BA have the same elementary divisors away from 0 (Flanders, Proc. AMS 2,
+1951).  So one minimal polynomial of the k x k product on the smaller side
+(k = min(dim V0, dim V1), 1 on osp(1|2n)) decides it, with one product
+B r(AB) A when that polynomial vanishes at 0.  The route needs rho([u,u]/2)
+= rho(u)^2, the representation law, certified once per rep object
+(`_lawful_rep`): by construction for the family builders, products and
+restricted subalgebras, by `fileformat.axiom_check` for a parsed rep, and by
+one `reps.validate_module` on first use otherwise.
 """
 
 from __future__ import annotations
@@ -47,11 +57,13 @@ from .linalg import (
     Matrix,
     Q,
     Vec,
+    _combine,
     fraction_vector,
     integer_coordinates_in,
     _echelon,
     _kernel,
     _minimal_polynomial,
+    _poly_apply,
     _sparse_integer_rows,
     is_squarefree,
     kernel_of_rows,
@@ -167,17 +179,21 @@ class LieSuperalgebra(_Basis):
     def _of_table(cls, parity: Sequence[int], table: Table, den: int,
                   names: Sequence[str] | None = None,
                   faithful_rep: "SuperModule | None" = None,
-                  cartan: Sequence[int] | None = None) -> "LieSuperalgebra":
+                  cartan: Sequence[int] | None = None,
+                  lawful: bool = False) -> "LieSuperalgebra":
         """The algebra with the given integer table over D = den: c[i][j][k] =
         C / D for each (k, C) in table[i][j], sorted by k and nonzero.  D is
         divided by its gcd with every entry, so it is the least common
-        denominator, as the constructor computes it."""
+        denominator, as the constructor computes it.  `lawful` certifies the
+        rep against the representation law, for a caller that built it so."""
         common = gcd(den, *(c for block in table for row in block for _, c in row))
         if common > 1:
             table = [[tuple((k, c // common) for k, c in row) for row in block]
                      for block in table]
         g = cls.__new__(cls)
         g._init(parity, table, den // common, names, faithful_rep, cartan)
+        if lawful:
+            g._lawful = faithful_rep
         return g
 
     def _init(self, parity, table, den, names, faithful_rep, cartan) -> None:
@@ -190,6 +206,8 @@ class LieSuperalgebra(_Basis):
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
         self.faithful_rep = faithful_rep
+        # the rep object last certified against the representation law
+        self._lawful: "SuperModule | None" = None
         self.cartan = tuple(cartan) if cartan is not None else None
         self._sparse: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
         # computed once, shared by the structural scan and the decomposition
@@ -288,24 +306,57 @@ class LieSuperalgebra(_Basis):
             )
         return self.faithful_rep
 
+    def _lawful_rep(self) -> "SuperModule":
+        """The faithful rep, certified against the representation law: once
+        per rep object, by `reps.validate_module` unless a builder certified
+        it, so reassigning `faithful_rep` checks again.  A SuperkitError
+        refuses a rep that breaks the law."""
+        rep = self._require_rep()
+        if rep is not self._lawful:
+            from .reps import validate_module
+            issues = validate_module(self, rep)
+            if issues:
+                raise SuperkitError(f"the faithful representation is refused: {issues[0]}")
+            self._lawful = rep
+        return rep
+
+    def _certified(self) -> bool:
+        """Whether the faithful rep is present and certified lawful."""
+        return self.faithful_rep is not None and self._lawful is self.faithful_rep
+
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
-        i.e. its matrix there has squarefree minimal polynomial."""
+        i.e. its matrix there has squarefree minimal polynomial: that of the
+        integer matrix D rho(L x), for x = X / L, on the whole rep."""
         _require_length(self.dim, x)
-        return self._is_semisimple(dict(_sparse_integer_rows((x,))[0][0]))
-
-    def _is_semisimple(self, xs: dict[int, int]) -> bool:
-        """`is_semisimple_element` of the integer vector xs = {index: entry}:
-        x = xs / c acts diagonalizably iff the integer matrix D rho(xs) =
-        c D rho(x) does, for any c > 0."""
-        if any(self.parity[i] == ODD for i in xs):
+        (xs,), _ = _sparse_integer_rows((x,))
+        if any(self.parity[i] == ODD for i, _ in xs):
             raise ValueError("element semisimplicity is defined for even elements")
         return is_squarefree(_minimal_polynomial(self._require_rep()._combine(xs)))
 
     def in_g1ss(self, u: Sequence) -> bool:
-        """Membership of the cone of odd u whose square [u,u]/2 is semisimple,
-        tested on its positive multiple D [U, U] (`_odd_square_rows`)."""
-        return self._is_semisimple(self._odd_square_rows(u)[1])
+        """Membership of the cone of odd u whose square [u,u]/2 is semisimple.
+
+        Decided by the block route (`_square_is_semisimple`) on the integer
+        rows of rho(U), u = U / L: rho(u) swaps V0 and V1, so rho(u)^2 =
+        diag(AB, BA), and AB and BA share their elementary divisors away
+        from 0 (Flanders, "Elementary divisors of AB and BA", Proc. AMS 2,
+        1951).  One minimal polynomial of the product on the smaller parity
+        side decides it.  The route uses rho([u,u]/2) = rho(u)^2, so the
+        rep must be lawful (`_lawful_rep`); the square D [U, U]
+        (`_odd_square_rows`) is formed only to refuse a table that breaks
+        the grading."""
+        us, sq, _ = self._odd_square_rows(u)
+        return self._in_cone(us, sq)
+
+    def _in_cone(self, us: SparseVec, sq: dict[int, int]) -> bool:
+        """`in_g1ss` of u = U / L, for U the integer vector us and S = D [U, U]
+        = sq: a ValueError when S is not even, a SuperkitError without a
+        lawful rep, else `_square_is_semisimple` of rho(U)'s integer rows."""
+        if any(self.parity[i] == ODD for i in sq):
+            raise ValueError("element semisimplicity is defined for even elements")
+        rep = self._lawful_rep()
+        return _square_is_semisimple(rep._combine(us), rep.parity)
 
     # -- structural predicates -------------------------------------------------
 
@@ -583,7 +634,9 @@ class LieSuperalgebra(_Basis):
             rep = SuperModule._of_table(rep.parity, [rep._combine(v) for v in items],
                                         den * rep._den)
         names = tuple(f"x{t}" for t in range(n))
-        return LieSuperalgebra._of_table(parities, table, cden * den * self._den, names, rep)
+        # the restriction of a lawful rep is lawful
+        return LieSuperalgebra._of_table(parities, table, cden * den * self._den, names, rep,
+                                         lawful=self._certified())
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -688,6 +741,40 @@ def _law_failures(g: "LieSuperalgebra | SupercommAlgebra",
                         failing.append((j, i, c))
     failing.sort()
     return failing
+
+
+def _square_is_semisimple(rows: Sequence[Sequence[tuple[int, int]]],
+                          parity: Sequence[int]) -> bool:
+    """Whether X^2 is semisimple, for the integer matrix X with these sparse
+    rows that swaps the parity pieces V0 and V1 of a module of this parity.
+
+    With A = X from the smaller piece's rows to the larger one's, and B
+    back, X^2 = diag(AB, BA).  AB and BA have the same elementary divisors
+    away from 0 (Flanders, Proc. AMS 2, 1951), and BA q(BA) = B q(AB) A for
+    every polynomial q.  So with p the minimal polynomial of the k x k
+    product AB, k = min(dim V0, dim V1): X^2 is not semisimple when p is
+    not squarefree; it is when p(0) != 0, as BA then satisfies the
+    squarefree x p; and with p = x r, it is exactly when BA r(BA) =
+    B r(AB) A = 0.  Rows of B r(AB) A are row vectors times matrices, by
+    `linalg._poly_apply` and `_combine`, on sparse integer vectors."""
+    even = [r for r, q in enumerate(parity) if q == EVEN]
+    odd = [r for r, q in enumerate(parity) if q == ODD]
+    small, large = (even, odd) if len(even) <= len(odd) else (odd, even)
+    at = {r: t for t, r in enumerate(small)}
+    a = [rows[r] for r in small]
+    # row t of AB combines the rows of B that row t of A names
+    ab = [sorted((at[c], x) for c, x in _combine(row, rows).items()) for row in a]
+    p = _minimal_polynomial(ab)
+    if not is_squarefree(p):
+        return False
+    if p[0]:
+        return True
+    r = p[1:]
+    for b in large:
+        w = _poly_apply(r, ab, {at[c]: x for c, x in rows[b]})
+        if w and _combine(w.items(), a):
+            return False
+    return True
 
 
 def _proportion(w: dict[int, int], x: dict[int, int]) -> Fraction | None:

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from math import lcm
 from typing import Sequence
 
-from .core import EVEN, ODD, LieSuperalgebra
+from .core import EVEN, ODD, LieSuperalgebra, _grading_failures
 from .linalg import Matrix, Q, integer_coordinates_in
 from .reps import Rows, SuperModule, direct_sum
 
@@ -44,20 +44,24 @@ def algebra_from_matrices(
     cartan: Sequence[int] | None = None,
 ) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices closed under the supercommutator,
-    with the defining representation attached."""
+    with the defining representation attached.  The rep is certified lawful
+    when every matrix has its stated parity."""
     rep = SuperModule(parity=space_parity, action=mats, name="defining")
-    return _algebra_from_rep(rep, mat_parity, names, cartan)
+    return _algebra_from_rep(rep, mat_parity, names, cartan,
+                             not _grading_failures(rep._table, mat_parity, rep.parity))
 
 
 def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequence[str],
-                      cartan: Sequence[int] | None) -> LieSuperalgebra:
+                      cartan: Sequence[int] | None, lawful: bool = True) -> LieSuperalgebra:
     """The algebra spanned by the action matrices m_i of `rep`, which becomes
     its defining representation.  Only the nonzero products of the action
     rows A_i = D m_i are formed, in integers: each entry (r, c, a) of A_x
     meets row c of every A_y.  The supercommutator A_i A_j -/+ A_j A_i of
     each pair i <= j with a nonzero product is solved for;
     [m_j, m_i] = -(-1)^{|i||j|} [m_i, m_j] is an exact identity of the
-    supercommutator, so it fills (j, i)."""
+    supercommutator, so it fills (j, i).  The table is rep's
+    supercommutators, so rep obeys the representation law; `lawful` says
+    that it also keeps parity, as the family builders' matrices do."""
     n, d = len(rep._table), rep.dim
     coordinates = integer_coordinates_in(
         [{r * d + c: a for r, row in enumerate(rows) for c, a in row} for rows in rep._table])
@@ -99,7 +103,8 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
         table[i][j] = row = tuple(row)
         if j != i:
             table[j][i] = row if odd else tuple((k, -c) for k, c in row)
-    return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan)
+    return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan,
+                                     lawful)
 
 
 def _defining(space_parity: Sequence[int], mats: list[Rows]) -> SuperModule:
@@ -307,7 +312,9 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     if len(pieces) == len(factors):
         rep = reduce(direct_sum, pieces) if total else SuperModule((EVEN,), [])
         rep.name = "defining"
-    return LieSuperalgebra._of_table(parity, table, den, names, rep, cartan)
+    # a direct sum of lawful reps is lawful
+    return LieSuperalgebra._of_table(parity, table, den, names, rep, cartan,
+                                     all(f._certified() for f in factors))
 
 
 # ---------------------------------------------------------------------------

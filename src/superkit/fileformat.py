@@ -246,6 +246,8 @@ def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
         refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
     elif rep is not None and (law := validate_module(g, rep)):
         refusals.append("rep: " + law[0])
+    elif rep is not None:
+        g._lawful = rep  # the cone test's certificate (`LieSuperalgebra._lawful_rep`)
     return (g.validate() if rep is None or refusals else []), refusals
 
 

@@ -442,45 +442,76 @@ def _acting_algebra(m: SuperModule) -> tuple[dict[Degree, list[Sparse]], tuple[i
     lies in the span of its own piece: each degree keeps its own `Echelon`
     over the positions of that degree.  The basis found is the one the
     ungraded closure finds with the same last-in-first-out queue; with no
-    grading coordinate it is that closure.
+    grading coordinate it is that closure.  The product of pieces of degrees
+    d and e has degree d + e, summed once per pair of degrees (by their ids),
+    so no product's degree is read off its entries; when no position has
+    degree d + e, the product is zero and is skipped before it is formed.
     """
     labels, moduli = _grading(m)
     n = m.dim
 
-    def vector(x: Sparse) -> tuple[Degree | None, dict[int, int]]:
-        """x's degree (None for x = 0) and its entries as a row {r n + c: entry}."""
-        r, c = next(((r, c) for r, row in x.items() for c in row), (None, None))
-        if r is None:
-            return None, {}
-        d = tuple((a - b) % q if q else a - b for a, b, q in zip(labels[r], labels[c], moduli))
-        return d, {r * n + c: a for r, row in x.items() for c, a in row.items()}
+    def difference(a: Sequence[int], b: Sequence[int]) -> Degree:
+        return tuple((x - y) % q if q else x - y for x, y, q in zip(a, b, moduli))
 
-    spans: defaultdict[Degree, Echelon] = defaultdict(Echelon)
-    pieces: defaultdict[Degree, list[Sparse]] = defaultdict(list)
-    basis: list[Sparse] = []
+    distinct = set(labels)
+    placed = {difference(a, b) for a in distinct for b in distinct}
+    # the degrees met, by id, and sums[i][j] = the id of degrees[i] +
+    # degrees[j], or -1 when no position has that degree
+    degrees: list[Degree] = []
+    ids: dict[Degree, int] = {}
+    sums: list[dict[int, int]] = []
 
-    def add(x: Sparse) -> bool:
-        d, v = vector(x)
-        if d is None or not spans[d].add(v):
+    def id_of(d: Degree) -> int:
+        if d not in ids:
+            ids[d] = len(degrees)
+            degrees.append(d)
+            sums.append({})
+        return ids[d]
+
+    def total(i: int, j: int) -> int:
+        row = sums[i]
+        if j not in row:
+            d = tuple((x + y) % q if q else x + y for x, y, q in zip(degrees[i], degrees[j], moduli))
+            row[j] = id_of(d) if d in placed else -1
+        return row[j]
+
+    def vector(x: Sparse) -> dict[int, int]:
+        """x's entries as a row {r n + c: entry}."""
+        return {r * n + c: a for r, row in x.items() for c, a in row.items()}
+
+    spans: defaultdict[int, Echelon] = defaultdict(Echelon)
+    basis: list[tuple[Sparse, int]] = []  # with the ids of their degrees
+
+    def add(x: Sparse, d: int) -> bool:
+        """Whether x, nonzero and of the degree with id d, joins the basis."""
+        if not spans[d].add(vector(x)):
             return False
-        pieces[d].append(x)
-        basis.append(x)
+        basis.append((x, d))
         return True
 
-    add({r: {r: 1} for r in range(m.dim)})
-    used: list[Sparse] = []
+    add({r: {r: 1} for r in range(n)}, id_of((0,) * len(moduli)))
+    used: list[tuple[Sparse, int]] = []
     for rows in m._table:
         s = {r: dict(row) for r, row in enumerate(rows) if row}
-        d, v = vector(s)
-        if d is None or (d in spans and spans[d].contains(v)):
+        if not s:
             continue
-        used.append(s)
-        queue = [(s, b) for b in basis]
+        r, c = next((r, c) for r, row in s.items() for c in row)
+        d = id_of(difference(labels[r], labels[c]))
+        if d in spans and spans[d].contains(vector(s)):
+            continue
+        used.append((s, d))
+        queue = [(s, d, b, e) for b, e in basis]
         while queue:
-            t, b = queue.pop()
+            t, dt, b, db = queue.pop()
+            d = total(dt, db)
+            if d < 0:
+                continue
             x = _left_mul(t, b)
-            if add(x):
-                queue.extend((u, x) for u in used)
+            if x and add(x, d):
+                queue.extend((u, du, x, d) for u, du in used)
+    pieces: defaultdict[Degree, list[Sparse]] = defaultdict(list)
+    for x, d in basis:
+        pieces[degrees[d]].append(x)
     return dict(pieces), moduli
 
 
@@ -521,10 +552,10 @@ def ds_functor(g: LieSuperalgebra, u: Sequence, m: SuperModule) -> DSResult:
 def _cone_square(g: LieSuperalgebra, u: Sequence) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """(U, S) for u in the cone (`NotInG1ss` otherwise): U an integer
     multiple of u and S a positive multiple of h = [u,u]/2, from
-    `LieSuperalgebra._odd_square_rows`, formed once and tested as
-    `in_g1ss` tests it."""
+    `LieSuperalgebra._odd_square_rows`, formed once and tested by
+    `LieSuperalgebra._in_cone`, as `in_g1ss` tests it."""
     us, sq, _ = g._odd_square_rows(vec(u))
-    if not g._is_semisimple(sq):
+    if not g._in_cone(us, sq):
         raise NotInG1ss("the odd element does not have semisimple square")
     return us, sq
 

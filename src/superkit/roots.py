@@ -315,9 +315,9 @@ def _root_witness(g: LieSuperalgebra, root: Root) -> Vec | None:
     """An element of the cone from an odd root space: a basis vector in the
     cone, else, in a space of dimension > 1, a rational isotropic combination
     in the cone; None if neither is found.  A basis vector u = V / L is
-    tested on D [V, V], a positive multiple of its square."""
+    tested by `LieSuperalgebra._in_cone` on V and D [V, V]."""
     for v in root.vectors:
-        if g._is_semisimple(_product(g._table, v, v)):
+        if g._in_cone(v, _product(g._table, v, v)):
             return fraction_vector(v.items(), g.dim, root.den)
     if len(root.vectors) > 1:
         v = isotropic_combination(g, root.space)

@@ -1,7 +1,10 @@
 """Core Lie superalgebra type: axioms, brackets, structural predicates."""
 
-import pytest
+import random
+import re
 from fractions import Fraction as Q
+
+import pytest
 
 from superkit import catalog
 from superkit.core import (
@@ -21,10 +24,11 @@ from superkit.families import (
     build_toy,
     parse_family_spec,
 )
-from superkit.linalg import Echelon, Matrix, is_zero_vec, span_basis, zero_vec
+from superkit.linalg import (Echelon, Matrix, is_squarefree, is_zero_vec, minimal_polynomial,
+                             span_basis, zero_vec)
 from superkit.reps import SuperModule, is_module_semisimple
-from support import (cartanless, odd_part_as_even_module, rescale_factors, rescaled, same_span,
-                     unit_vec)
+from support import (cartanless, fresh, odd_part_as_even_module, rescale_factors, rescaled,
+                     same_span, unit_vec)
 
 
 def abelian(dim_even=1, dim_odd=0):
@@ -288,6 +292,164 @@ def test_in_g1ss_membership_is_exp_ad_invariant():
     u = unit_vec(s, "E13")
     moved = exp.matvec(u)
     assert s.in_g1ss(moved) == s.in_g1ss(u) is True
+
+
+# -- the block route of the cone test ----------------------------------------------------
+
+def block_branch(g, u):
+    """The branch the block route takes on odd u, re-derived on dense
+    Fraction matrices: X = rho(u) = [[0, A], [B, 0]] with A from the smaller
+    parity side, p the minimal polynomial of AB."""
+    x, par = g.element_matrix(u), g.faithful_rep.parity
+    sides = ([r for r, q in enumerate(par) if q == EVEN], [r for r, q in enumerate(par) if q == ODD])
+    small, large = sorted(sides, key=len)
+    a = Matrix([[x.data[r][c] for c in large] for r in small])
+    b = Matrix([[x.data[r][c] for c in small] for r in large])
+    ab = a.mul(b) if small else Matrix.zeros(0, 0)
+    p = minimal_polynomial(ab)
+    if not is_squarefree(p):
+        return "p not squarefree"
+    if p[0]:
+        return "p(0) != 0"
+    r = Matrix.zeros(len(small), len(small))
+    for c in reversed(p[1:]):
+        r = r.mul(ab).add(Matrix.identity(len(small)).scale(c))
+    return "B r A = 0" if b.mul(r).mul(a).is_zero() else "B r A != 0"
+
+
+def odd_draws(g, seed, count):
+    """count odd elements of g, alternately on two coordinates and dense."""
+    rng = random.Random(seed)
+    odd = g.odd_indices
+    for k in range(count):
+        u = [Q(0)] * g.dim
+        for i in (odd if k % 2 else rng.sample(odd, min(len(odd), 2))):
+            u[i] = Q(rng.randint(-3, 3), rng.randint(1, 4))
+        yield u
+
+
+BLOCK_SPECS = tuple(e.spec for e in catalog.CATALOG) + ("gl:4:4", "gl:1:2")
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS)
+def test_block_route_matches_the_krylov_route(spec):
+    """in_g1ss against the minimal polynomial of rho(D [U, U]) on the whole
+    rep, and the branch it takes against `block_branch` (on u = 0 alone
+    when g has no odd part)."""
+    g = parse_family_spec(spec)
+    for u in odd_draws(g, spec, 24):
+        verdict = g.in_g1ss(u)
+        assert verdict is g.is_semisimple_element(g.odd_square(u)), u
+        assert verdict is (block_branch(g, u) in ("p(0) != 0", "B r A = 0")), u
+
+
+def test_block_route_reaches_every_branch():
+    seen = set()
+    for spec in BLOCK_SPECS:
+        g = parse_family_spec(spec)
+        seen.update(block_branch(g, u) for u in odd_draws(g, spec, 24))
+    assert seen == {"p not squarefree", "p(0) != 0", "B r A = 0", "B r A != 0"}
+
+
+@pytest.mark.parametrize("spec, small, elements", [
+    # V1 is the smaller side (dim 1 against 2)
+    ("sl:2:1", ODD, {"E13 + E31": "p(0) != 0", "E13": "B r A = 0",
+                     "E13 + E32": "B r A != 0", "E23 + E32": "p(0) != 0"}),
+    # V0 is the smaller side (dim 1 against 2)
+    ("gl:1:2", EVEN, {"E12 + E21": "p(0) != 0", "E12 + E13": "B r A = 0",
+                      "E12 + E31": "B r A != 0", "E13 + E31": "p(0) != 0"}),
+])
+def test_block_route_on_either_smaller_side(spec, small, elements):
+    g = parse_family_spec(spec)
+    par = g.faithful_rep.parity
+    assert par.count(small) < par.count(1 - small)
+    for text, branch in elements.items():
+        u = [Q(0)] * g.dim
+        for name in text.split(" + "):
+            u[g.names.index(name)] = Q(1)
+        assert block_branch(g, u) == branch
+        assert g.in_g1ss(u) is (branch != "B r A != 0") is g.is_semisimple_element(g.odd_square(u))
+
+
+def lawless_gl11():
+    """gl(1|1) through the API with its defining rep's odd matrices doubled:
+    rho(u)^2 = 4 rho(u^2) then breaks the representation law."""
+    g = build_gl(1, 1)
+    table = {(i, j): dict(g.bracket_sparse(i, j)) for i in range(g.dim) for j in range(g.dim)}
+    mats = [m.scale(2) if p == ODD else m for m, p in zip(g.faithful_rep.action, g.parity)]
+    bad = SuperModule(g.faithful_rep.parity, mats)
+    good = SuperModule(g.faithful_rep.parity, g.faithful_rep.action)
+    return LieSuperalgebra(g.parity, table, g.names, faithful_rep=bad), good
+
+
+def test_a_lawless_rep_is_refused_by_the_cone_test():
+    from superkit.reps import ds_functor, validate_module
+    g, _ = lawless_gl11()
+    law = validate_module(g, g.faithful_rep)
+    assert law and law[0].startswith("representation law")
+    u = [a + b for a, b in zip(unit_vec(g, "E12"), unit_vec(g, "E21"))]
+    message = "^" + re.escape(f"the faithful representation is refused: {law[0]}") + "$"
+    with pytest.raises(SuperkitError, match=message):
+        g.in_g1ss(u)
+    with pytest.raises(SuperkitError, match=message):
+        ds_functor(g, u, g.faithful_rep)
+    # the general matrix question keeps its route and needs no certificate
+    assert g.is_semisimple_element(unit_vec(g, "E11"))
+
+
+def test_matrices_of_the_wrong_parity_are_not_certified():
+    # E12 labelled even: the span is still closed under the supercommutator
+    # the labels give, but rho(E12) does not keep parity
+    g = build_gl(1, 1)
+    mislabelled = [EVEN, EVEN, ODD, EVEN]
+    assert [g.names[i] for i in range(g.dim)] == ["E11", "E12", "E21", "E22"]
+    h = algebra_from_matrices(g.faithful_rep.action, mislabelled, g.faithful_rep.parity, g.names)
+    with pytest.raises(SuperkitError, match="^the faithful representation is refused: parity"):
+        h.in_g1ss(unit_vec(h, "E21"))
+
+
+def test_reassigning_the_rep_runs_the_check_again(monkeypatch):
+    from superkit import reps
+    calls = []
+    real = reps.validate_module
+
+    def counted(g, m):
+        calls.append(m)
+        return real(g, m)
+
+    monkeypatch.setattr(reps, "validate_module", counted)
+    g, good = lawless_gl11()
+    u = [a + b for a, b in zip(unit_vec(g, "E12"), unit_vec(g, "E21"))]
+    bad = g.faithful_rep
+    g.faithful_rep = good
+    assert g.in_g1ss(u) and g.in_g1ss(u)
+    assert calls == [good]
+    g.faithful_rep = bad
+    with pytest.raises(SuperkitError, match="the faithful representation is refused"):
+        g.in_g1ss(u)
+    assert calls == [good, bad]
+    g.faithful_rep = SuperModule(good.parity, good.action)
+    assert g.in_g1ss(u)
+    assert len(calls) == 3
+
+
+def test_built_and_parsed_reps_are_certified_without_a_law_check(monkeypatch):
+    from superkit import reps
+    from superkit.fileformat import parse_algebra, serialize_algebra
+    parsed = [parse_algebra(serialize_algebra(parse_family_spec(spec)))[0]
+              for spec in ("gl:2:1", "osp1:2", "product:osp1:1,gl:1:1")]
+    calls = []
+    monkeypatch.setattr(reps, "validate_module", lambda g, m: calls.append(m) or [])
+    # fresh builds: the builders' caches may hold algebras certified on first use
+    built = [fresh(spec) for spec in catalog.specs(catalog.CONE)]
+    s = fresh("sl:2:1")
+    built.append(algebra_from_matrices(s.faithful_rep.action, s.parity, s.faithful_rep.parity,
+                                       s.names))
+    built += fresh("product:osp1:1,osp1:2").direct_sum_decompose().subalgebras
+    for g in built + parsed:
+        for u in odd_draws(g, 0, 4):
+            g.in_g1ss(u)
+    assert calls == []
 
 
 # -- center -------------------------------------------------------------------------------

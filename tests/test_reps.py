@@ -616,3 +616,36 @@ def test_unpaired_piece_is_not_semisimple():
     assert moduli == (0,)
     assert {d: len(part) for d, part in pieces.items()} == {(0,): 2, (1,): 1}
     assert _matches_dense_reference(m) is False
+
+
+@pytest.mark.parametrize("make", [lambda: induced_trivial(build_osp1(2)),
+                                  lambda: tensor(build_sl(2, 1).faithful_rep,
+                                                 dual(build_sl(2, 1).faithful_rep))],
+                         ids=["induced osp1:2", "defining*dual sl:2:1"])
+def test_the_closure_forms_no_product_of_an_unplaced_degree(make, monkeypatch):
+    """A product whose degree d + e no position has is zero: it is skipped,
+    and every product formed has the degree its factors' degrees sum to."""
+    from superkit import reps
+    m = make()
+    labels, moduli = _grading(m)
+
+    def degree(x):
+        r, c = next((r, c) for r, row in x.items() for c in row)
+        return tuple((a - b) % q if q else a - b for a, b, q in zip(labels[r], labels[c], moduli))
+
+    placed = {tuple((a - b) % q if q else a - b for a, b, q in zip(x, y, moduli))
+              for x in labels for y in labels}
+    formed = []
+    left_mul = reps._left_mul
+
+    def spy(s, b):
+        total = tuple((x + y) % q if q else x + y
+                      for x, y, q in zip(degree(s), degree(b), moduli))
+        x = left_mul(s, b)
+        formed.append((total in placed, not x or degree(x) == total))
+        return x
+
+    monkeypatch.setattr(reps, "_left_mul", spy)
+    pieces, _ = _acting_algebra(m)
+    assert formed and all(ok and right for ok, right in formed)
+    assert all(degree(x) == d for d, part in pieces.items() for x in part)

@@ -495,3 +495,31 @@ def test_derivation_of_the_wrong_shape_is_refused(check, rows, cols):
                 for r in range(rows)])
     with pytest.raises(ValueError, match=r"^the derivation must be a 4x4 matrix$"):
         check(a, u)
+
+
+def test_a_splitting_run_converts_the_derivation_once(tmp_path, capsys, monkeypatch):
+    from superkit import cli
+    g = build_gl(1, 1)
+    u = [Q(0)] * g.dim
+    for name in ("E12", "E21"):
+        u[g.names.index(name)] = Q(1)
+    path = tmp_path / "gl11-dual.tab"
+    path.write_text(serialize_supercomm(*coinvariant_dual_pair(g, u), name="gl11-dual"))
+    columns = []
+    column = Matrix.column
+    monkeypatch.setattr(Matrix, "column", lambda m, j: columns.append(j) or column(m, j))
+    assert cli.main(["--json", "witness-splitting", "--table", str(path)]) == 0
+    assert '"unit_in_image": true' in capsys.readouterr().out
+    # validate_derivation, splitting_witness and verify_no_splitting share one conversion
+    assert columns == list(range(4))
+
+
+def test_a_changed_derivation_is_converted_again():
+    a, d = catalog_pairs()["two-odd"]
+    assert validate_derivation(a, d) == []
+    r, c = next((r, c) for r in range(a.dim) for c in range(a.dim) if d.data[r][c])
+    d.data[r][c] += 1
+    assert validate_derivation(a, d) == dense_validate_derivation(a, d) != []
+    d.data[r][c] -= 1
+    assert validate_derivation(a, d) == []
+    assert verify_no_splitting(a, d) and d.matvec(splitting_witness(a, d)) == a.unit
