@@ -37,15 +37,18 @@ returns the unique minimal polynomial.
 
 Polynomials are coefficient lists in ascending degree with a nonzero
 leading coefficient (the zero polynomial is the empty list).  Inside, they
-are integer lists: the minimal polynomial of d·m, squarefree tests by Euclid
-on primitive integer polynomials, and rational roots on the primitive
-integer form.  `is_squarefree` and `rational_roots` also accept Fraction
-coefficients; Fractions appear only in `minimal_polynomial`'s output.
+are integer lists: the minimal polynomial of d·m, and gcd(p, p') by Euclid
+on primitive integer polynomials (`_derivative_gcd`), which gives both the
+squarefree test and the squarefree part whose roots `rational_roots` lifts
+p-adically, in time polynomial in the bit size.  `is_squarefree` and
+`rational_roots` also accept Fraction coefficients; Fractions appear only
+in `minimal_polynomial`'s output.
 
 `_split` is the one test of "is m diagonalizable over Q?": it returns the
 distinct eigenvalues, or None.  `splits_semisimply_over_q` and
-`rational_eigenspaces` are public views; inside, only the root
-decomposition computes eigenvectors (`_eigenspace`).
+`rational_eigenspaces` are public views; both pass the monic integer
+minimal polynomial of d·m to `rational_roots` and divide its roots by d.
+Inside, only the root decomposition computes eigenvectors (`_eigenspace`).
 """
 
 from __future__ import annotations
@@ -572,18 +575,21 @@ def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
 
 def is_squarefree(p: Sequence) -> bool:
     """True iff gcd(p, p') is constant, for p with int or Fraction
-    coefficients.  Rejects the zero polynomial.
-
-    Euclid on p, scaled to a primitive integer polynomial, and p' by
-    primitive pseudo-remainders: p is squarefree iff the last nonzero
-    remainder is a constant."""
+    coefficients (`_derivative_gcd`).  Rejects the zero polynomial."""
     a = _integer_poly(p)
     if not a:
         raise ValueError("zero polynomial has no squarefree test")
+    return len(_derivative_gcd(a)) == 1
+
+
+def _derivative_gcd(a: list[int]) -> list[int]:
+    """gcd(a, a') as a primitive integer polynomial, for a nonzero primitive
+    integer polynomial a: Euclid on a and a' by primitive pseudo-remainders,
+    whose last nonzero remainder is the gcd up to a rational factor."""
     b = _integer_row([j * c for j, c in enumerate(a)][1:])
     while b:
         a, b = b, _primitive_remainder(a, b)
-    return len(a) == 1
+    return a
 
 
 def minimal_polynomial(m: Matrix) -> list[Fraction]:
@@ -632,12 +638,6 @@ def _minimal_polynomial(rows: list[list[tuple[int, int]]]) -> list[int]:
     return result
 
 
-def _root_polynomial(p: list[int], d: int) -> list[int]:
-    """The coefficients c_j d^j of d^r P(x / d), r = deg P: its roots are
-    P's divided by d, so for P the minimal polynomial of M = d m, m's."""
-    return [c * d ** j for j, c in enumerate(p)]
-
-
 def _poly_apply(p: list[int], rows: list[list[tuple[int, int]]],
                 v: dict[int, int]) -> dict[int, int]:
     """p(T) v by Horner, for T the transpose of the integer matrix M with
@@ -670,67 +670,63 @@ def _local_minimal_polynomial(rows: list[list[tuple[int, int]]], v: dict[int, in
     raise RuntimeError("Krylov iteration failed to terminate")
 
 
-def rational_roots(p: Sequence, bound: Fraction | None = None) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial (int or Fraction
-    coefficients), by the rational root test on its primitive integer form.
+def rational_roots(p: Sequence) -> list[Fraction]:
+    """The sorted distinct rational roots of a nonzero polynomial (int or
+    Fraction coefficients), by p-adic lifting (Loos, SIAM J. Comput. 12, 1983).
 
-    An optional bound on the absolute value of the roots prunes the candidate
-    scan (used with the Gershgorin bound for matrix spectra)."""
-    ints = _integer_poly(p)
-    if not ints:
+    a, the primitive integer form of p, and its squarefree part s =
+    a / gcd(a, a') have the same roots, simple in s.  For c the leading
+    coefficient of s and n its degree, f(y) = c^(n-1) s(y / c) is monic with
+    integer coefficients, so its rational roots y = c x are integers, none
+    larger in absolute value than B = 1 + max |f_i| (Cauchy).  At the first
+    modulus m >= 2 where f' is a unit at every root of f mod m, each root
+    mod m lifts to a unique root mod m^2, m^4, ... by Newton's step
+    r - f(r) / f'(r), until the modulus exceeds 2B.  Every integer root is
+    then the symmetric residue of one lift, and the exact roots among those
+    residues are all of them.  Such an m exists: f is squarefree, so any
+    prime that does not divide its discriminant will do."""
+    a = _integer_poly(p)
+    if not a:
         raise ValueError("zero polynomial")
-    # strip powers of x
-    k = next(j for j, c in enumerate(ints) if c)
-    roots = [Q(0)] if k else []
-    ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    # coprime (r, s) with both signs of r give every candidate r/s once
-    for r in _divisors(ints[0]):
-        for s in _divisors(ints[-1]):
-            if gcd(r, s) != 1:
-                continue
-            if bound is not None and Q(r, s) > bound:
-                continue
-            for rr in (r, -r):
-                if _int_poly_root(ints, rr, s):
-                    roots.append(Q(rr, s))
-    return sorted(roots)
+    s = _exact_quotient(a, _derivative_gcd(a))
+    n, c = len(s) - 1, s[-1]
+    if not n:
+        return []
+    f = [x * c ** (n - 1 - i) for i, x in enumerate(s[:-1])] + [1]
+    df = [i * x for i, x in enumerate(f)][1:]
+    m = 2
+    while True:
+        rs = [r for r in range(m) if not _horner(f, r) % m]
+        if all(gcd(_horner(df, r), m) == 1 for r in rs):
+            break
+        m += 1
+    bound = 2 * (1 + max(map(abs, f[:-1])))
+    while m <= bound:
+        m *= m
+        rs = [(r - _horner(f, r) * pow(_horner(df, r), -1, m)) % m for r in rs]
+    ys = (r if 2 * r <= m else r - m for r in rs)
+    return sorted(Q(y, c) for y in ys if not _horner(f, y))
 
 
-def _int_poly_root(ints: list[int], r: int, s: int) -> bool:
-    """p(r/s) == 0 via the integer form sum a_i r^i s^(d-i)."""
-    d = len(ints) - 1
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials a and b, b a primitive divisor of a:
+    by Gauss's lemma the quotient has integer coefficients, so each step of
+    the long division divides exactly by b's leading coefficient."""
+    a, m = list(a), len(b) - 1
+    q = [0] * (len(a) - m)
+    for k in reversed(range(len(q))):
+        q[k] = t = a[k + m] // b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= t * x
+    return q
+
+
+def _horner(p: list[int], x: int) -> int:
+    """p(x), for an integer polynomial p and an integer x."""
     acc = 0
-    rpow = 1
-    spow = s ** d
-    for a in ints:
-        acc += a * rpow * spow
-        rpow *= r
-        if spow:
-            spow //= s
-    return acc == 0
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _gershgorin(rows: list[list[tuple[int, int]]], d: int) -> Fraction:
-    """Upper bound on the absolute value of every eigenvalue of M / d, M the
-    integer matrix with these sparse rows."""
-    return Q(max((sum(abs(a) for _, a in row) for row in rows), default=0), d)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
@@ -739,8 +735,7 @@ def rational_eigenspaces(m: Matrix) -> list[tuple[Fraction, list[Vec]]]:
     if m.rows != m.cols:
         raise ValueError("eigenspaces need a square matrix")
     rows, d = _sparse_integer_rows(m.data)
-    roots = rational_roots(_root_polynomial(_minimal_polynomial(rows), d),
-                           bound=_gershgorin(rows, d))
+    roots = [lam / d for lam in rational_roots(_minimal_polynomial(rows))]
     eig = ((lam, *_eigenspace(rows, d, lam)) for lam in roots)
     return [(lam, [fraction_vector(k.items(), m.rows, den) for k in ks]) for lam, ks, den in eig]
 
@@ -781,15 +776,13 @@ def _split(rows: list[list[tuple[int, int]]], d: int) -> list[Fraction] | None:
     """The sorted distinct eigenvalues of m = M / d, M the integer matrix
     with these sparse rows, when m is diagonalizable over Q; else None.
 
-    A diagonal M gives them at once.  Otherwise m splits exactly when its
-    minimal polynomial mp(d x) / d^r, r = deg mp, is squarefree, as mp is,
-    and has r rational roots, sought on mp(d x): pass the true scale d, or
-    the candidates come from the divisors of a much larger constant term."""
+    A diagonal M gives them at once.  Otherwise m splits exactly when the
+    monic integer minimal polynomial mp of M has deg mp distinct rational
+    roots, i.e. is squarefree and splits over Q: they are M's eigenvalues,
+    and m's are them divided by d."""
     diag = _diagonal(rows)
     if diag is not None:
         return sorted(Q(a, d) for a in set(diag))
     mp = _minimal_polynomial(rows)
-    if not is_squarefree(mp):
-        return None
-    roots = rational_roots(_root_polynomial(mp, d), bound=_gershgorin(rows, d))
-    return roots if len(roots) == len(mp) - 1 else None
+    roots = rational_roots(mp)
+    return [lam / d for lam in roots] if len(roots) == len(mp) - 1 else None

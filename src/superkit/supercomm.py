@@ -69,8 +69,6 @@ class SupercommAlgebra(_Basis):
         self.unit = vec(unit)
         self.names = tuple(names) or tuple(f"e{i}" for i in range(n))
         self._dense: list[list[Vec]] | None = None
-        # (u, a copy of u's entries, `_columns` of u) for the last derivation u
-        self._derivation_columns: tuple[Matrix, list[Vec], tuple] | None = None
 
     @classmethod
     def _of_table(cls, parity: Sequence[int], table: Table, den: int, unit: Sequence,
@@ -116,18 +114,10 @@ def validate_algebra(a: SupercommAlgebra) -> list[str]:
 
 def _columns(a: SupercommAlgebra, u: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
     """(U, L) with u = U / L, U as its sparse integer columns; ValueError
-    unless the derivation u is a dim x dim matrix.  The last conversion is
-    kept on `a` with a copy of u's entries and reused while they are
-    unchanged, so validating, splitting and `verify_no_splitting` of one
-    derivation convert it once."""
+    unless the derivation u is a dim x dim matrix."""
     if u.rows != a.dim or u.cols != a.dim:
         raise ValueError(f"the derivation must be a {a.dim}x{a.dim} matrix")
-    kept = a._derivation_columns
-    if kept is not None and kept[0] is u and kept[1] == u.data:
-        return kept[2]
-    found = _sparse_integer_rows(u.column(c) for c in range(a.dim))
-    a._derivation_columns = (u, [row[:] for row in u.data], found)
-    return found
+    return _sparse_integer_rows(u.column(c) for c in range(a.dim))
 
 
 def validate_derivation(a: SupercommAlgebra, u: Matrix) -> list[str]:

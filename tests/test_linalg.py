@@ -593,6 +593,24 @@ def test_squarefree_matches_diagonalizability():
     assert not is_squarefree(minimal_polynomial(jordan))
 
 
+# -- rational roots ---------------------------------------------------------------------
+
+def test_rational_roots_of_products_with_large_and_repeated_roots():
+    """Products of rationals with numerators up to 10^12, each to the power 1
+    or 2, times c (x^2 + a) with a > 0, which has no rational root, against
+    their known roots."""
+    rng = random.Random(7)
+    for _ in range(100):
+        roots = {Q(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 6))
+                 for _ in range(rng.randint(0, 4))}
+        c, a = rng.choice([-3, 1, 2, 7]), rng.randint(1, 9)
+        p = [Q(c * a), Q(0), Q(c)]
+        for r in roots:
+            for _ in range(rng.randint(1, 2)):
+                p = poly_mul(p, [-r, Q(1)])
+        assert rational_roots(p) == sorted(roots)
+
+
 # -- rational eigenspaces ---------------------------------------------------------------
 
 def test_eigenspaces_diagonal():

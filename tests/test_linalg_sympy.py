@@ -254,12 +254,15 @@ def test_is_squarefree_matches_sympy(p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(polynomials(cofactor_size=9), st.one_of(st.none(), st.fractions(0, 8, max_denominator=3)))
-@example([0, 0, 6, -5, 1], None)          # x^2 (x - 2)(x - 3)
-def test_rational_roots_match_sympy(p, bound):
+@given(polynomials(cofactor_size=9))
+@example([0, 0, 6, -5, 1])                # x^2 (x - 2)(x - 3)
+@example([-(10 ** 9 + 7) ** 2, 0, 1])     # x^2 - (10^9 + 7)^2
+# (3x^2 + 5)(3x - 2^40 - 15)^2, a repeated root of 40 bits
+@example(times(times([5, 0, 3], [-(2 ** 40 + 15), 3]), [-(2 ** 40 + 15), 3]))
+# the roots (10^12 + 39) / (10^6 + 3) and -(10^15 + 37)
+@example(times([-(10 ** 12 + 39), 10 ** 6 + 3], [10 ** 15 + 37, 1]))
+def test_rational_roots_match_sympy(p):
     _, factors = theirs_poly(p).factor_list()
     expected = sorted(Q(int(r.p), int(r.q))
                       for r in (-f.nth(0) / f.nth(1) for f, _ in factors if f.degree() == 1))
-    if bound is not None:
-        expected = [r for r in expected if abs(r) <= bound]
-    assert rational_roots(p, bound) == expected
+    assert rational_roots(p) == expected

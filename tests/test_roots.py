@@ -394,6 +394,19 @@ def test_rebased_basis_keeps_the_verdict(spec, seed):
     assert (report.witness is None, report.factors) == (standard.witness is None, standard.factors)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_width_2_rebasings_of_osp_1_4_end_in_osp_2_or_a_refusal(seed):
+    """Width-2 rebasings of osp(1|4) give the Cartan search's split test
+    minimal polynomials of degree up to 13 with coefficients of up to a few
+    hundred bits; each draw ends, either as Osp(2) or by refusing."""
+    g = rebased("osp1:2", seed, 2)
+    try:
+        report = g1ss_structural_scan(g)
+    except CartanSearchFailed:
+        return
+    assert (report.witness, report.factors) == (None, [{"factor": "Osp(2)", "dim": 14}])
+
+
 def test_certificates_beyond_unit_betas_match_the_recorded_ones():
     """`classify_simple`'s basis maps on presentations whose betas are not
     +-1 (shuffled and width-1 rebased osp(1|4), osp(1|6)), and its witnesses
