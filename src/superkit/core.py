@@ -40,16 +40,21 @@ and BA have the same elementary divisors away from 0 (Flanders, Proc. AMS 2,
 1951).  So one minimal polynomial of the k x k product on the smaller side
 (k = min(dim V0, dim V1), 1 on osp(1|2n)) decides it, with one product
 B r(AB) A when that polynomial vanishes at 0.  The route needs rho([u,u]/2)
-= rho(u)^2, the representation law, certified once per rep object
+= rho(u)^2, the representation law, certified once per rep and its data
 (`_lawful_rep`): by construction for the family builders, products and
 restricted subalgebras, by `fileformat.axiom_check` for a parsed rep, and by
-one `reps.validate_module` on first use otherwise.
+one `reps.validate_module` on first use otherwise.  The certificate also
+says whether the rep is faithful; a faithful lawful rep makes g a Lie
+superalgebra, which `roots._intertwines` uses to check a basis map on the
+odd rows alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -180,20 +185,21 @@ class LieSuperalgebra(_Basis):
                   names: Sequence[str] | None = None,
                   faithful_rep: "SuperModule | None" = None,
                   cartan: Sequence[int] | None = None,
-                  lawful: bool = False) -> "LieSuperalgebra":
+                  lawful: bool = False, faithful: bool = False) -> "LieSuperalgebra":
         """The algebra with the given integer table over D = den: c[i][j][k] =
         C / D for each (k, C) in table[i][j], sorted by k and nonzero.  D is
         divided by its gcd with every entry, so it is the least common
         denominator, as the constructor computes it.  `lawful` certifies the
-        rep against the representation law, for a caller that built it so."""
+        rep against the representation law, and `faithful` also as faithful,
+        for a caller that built it so (`_certify_rep`)."""
         common = gcd(den, *(c for block in table for row in block for _, c in row))
         if common > 1:
             table = [[tuple((k, c // common) for k, c in row) for row in block]
                      for block in table]
         g = cls.__new__(cls)
         g._init(parity, table, den // common, names, faithful_rep, cartan)
-        if lawful:
-            g._lawful = faithful_rep
+        if lawful and faithful_rep is not None:
+            g._certify_rep(faithful)
         return g
 
     def _init(self, parity, table, den, names, faithful_rep, cartan) -> None:
@@ -206,8 +212,8 @@ class LieSuperalgebra(_Basis):
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
         self.faithful_rep = faithful_rep
-        # the rep object last certified against the representation law
-        self._lawful: "SuperModule | None" = None
+        # the data the rep was certified on, then whether it is faithful
+        self._certificate: tuple | None = None
         self.cartan = tuple(cartan) if cartan is not None else None
         self._sparse: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
         # computed once, shared by the structural scan and the decomposition
@@ -307,22 +313,38 @@ class LieSuperalgebra(_Basis):
         return self.faithful_rep
 
     def _lawful_rep(self) -> "SuperModule":
-        """The faithful rep, certified against the representation law: once
-        per rep object, by `reps.validate_module` unless a builder certified
-        it, so reassigning `faithful_rep` checks again.  A SuperkitError
-        refuses a rep that breaks the law."""
+        """The faithful rep, certified against the representation law: by
+        `reps.validate_module` unless it is certified on its current data
+        (`_rep_certificate`), so reassigning `faithful_rep`, its `parity` or
+        its `_table` checks again.  A SuperkitError refuses a rep that breaks
+        the law; the certificate also records whether the rep is faithful."""
         rep = self._require_rep()
-        if rep is not self._lawful:
+        if self._rep_certificate() is None:
             from .reps import validate_module
             issues = validate_module(self, rep)
             if issues:
                 raise SuperkitError(f"the faithful representation is refused: {issues[0]}")
-            self._lawful = rep
+            self._certify_rep(_is_faithful(self, rep))
         return rep
 
-    def _certified(self) -> bool:
-        """Whether the faithful rep is present and certified lawful."""
-        return self.faithful_rep is not None and self._lawful is self.faithful_rep
+    def _certify_rep(self, faithful: bool) -> None:
+        """Record that the rep obeys the representation law on the current
+        data, and with `faithful` that it is injective: then g is a Lie
+        superalgebra, as the image of g in gl(V) is one."""
+        rep = self.faithful_rep
+        self._certificate = (rep, rep.parity, rep._table, rep._den,
+                             self.parity, self._table, self._den, faithful)
+
+    def _rep_certificate(self) -> bool | None:
+        """None unless the rep is certified lawful on its current data (the
+        rep, its parity and integer table, and g's own, compared by
+        identity); else whether it is certified faithful as well."""
+        c, rep = self._certificate, self.faithful_rep
+        if (c is not None and c[0] is rep and c[1] is rep.parity and c[2] is rep._table
+                and c[3] is rep._den and c[4] is self.parity and c[5] is self._table
+                and c[6] is self._den):
+            return c[7]
+        return None
 
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
@@ -488,10 +510,13 @@ class LieSuperalgebra(_Basis):
            and in I_C, whose intersection is 0.  No center is computed.
 
         Each factor's subalgebra is kept on the result, built by
-        `restricted_subalgebra` on its basis (the e_a of C, then its part of
-        span(H)), with g's root datum restricted to it as its own: e_a is a
-        basis vector of it, and h in H acts on it as h's component in its
-        part of span(H).
+        `_restricted_subalgebra` on its basis (the e_a of C, then its part
+        of span(H)) from the products [e_a, e_b] the root graph has already
+        formed, each on the line of e_{a+b} or in span(H), with g's root
+        datum restricted to it as its own: e_a is a basis vector of it, and
+        h in H acts on it as h's component in its part of span(H).  The
+        arrows of a toral product x are read off the supports of x's
+        nonzero coordinates in the Cartan elements.
         """
         zc = self.center()
         if _is_abelian(self):
@@ -514,29 +539,42 @@ class LieSuperalgebra(_Basis):
         items = [r.vectors[0] for r in nodes]
         dens = [r.den for r in nodes]
         # d(x) for x in H, up to a positive factor: the integer coordinates
-        # of x in the Cartan elements against d's scaled weights
+        # of x in the Cartan elements against d's scaled weights; supports[s]
+        # holds the d with d(h_s) != 0
         h_coordinates = integer_coordinates_in(datum.cartan)
+        supports = [{d for d, wd in enumerate(weights) if wd[s]} for s in range(len(datum.cartan))]
         links: list[set[int]] = [set() for _ in nodes]  # the root graph
         arrows: list[set[int]] = [set() for _ in nodes]  # the generation digraph
         toral = []  # (a, W, L) with [e_a, e_-a] = W / L
+        # (a, b, W, c) for each W = D [X_a, X_b] != 0, a <= b: on the line of
+        # X_c, or in span(H) when c is None
+        products = []
+        # [X_a, X_b] can be nonzero only when X_b meets an index j with
+        # [e_i, e_j] != 0 for some index i of X_a
+        meets: dict[int, list[int]] = {}
+        for b, x in enumerate(items):
+            for j in x:
+                meets.setdefault(j, []).append(b)
         for a, la in enumerate(dens):
-            for b in range(a, len(nodes)):
+            partners = {b for i in items[a] for j, row in enumerate(self._table[i])
+                        if row for b in meets.get(j, ()) if b >= a}
+            for b in sorted(partners):
                 w = _product(self._table, items[a], items[b])
                 if not w:
                     continue
-                total = tuple(p + q for p, q in zip(weights[a], weights[b]))
+                total = tuple(map(add, weights[a], weights[b]))
                 joined = {a, b}
                 if any(total):
                     c = node[total, (nodes[a].parity + nodes[b].parity) % 2]
                     targets = {c}
                     joined.add(c)
                 else:
+                    c = None
                     toral.append((a, w, la * dens[b] * self._den))
-                    x = h_coordinates(w)[0]
-                    targets = {d for d, wd in enumerate(weights)
-                               if sum(c * wd[s] for s, c in x)}
-                for c in joined:
-                    links[c] |= joined
+                    targets = _toral_targets(h_coordinates(w)[0], supports, weights)
+                products.append((a, b, w, c))
+                for t in joined:
+                    links[t] |= joined
                 arrows[a] |= targets
                 arrows[b] |= targets
         components, home = [], {}
@@ -566,6 +604,12 @@ class LieSuperalgebra(_Basis):
         for a, targets in enumerate(arrows):
             for d in targets:
                 backward[d].add(a)
+        # each factor's root-pair products, at the roots' places in its basis
+        place = {a: j for comp in components for j, a in enumerate(comp)}
+        local = [[] for _ in components]
+        for a, b, w, c in products:
+            local[home[a]].append((a, b, w, c))
+        del products
         factors, subalgebras = [], []
         for t, comp in enumerate(components):
             if not set(comp) <= _reachable(arrows, comp[0]) & _reachable(backward, comp[0]):
@@ -577,7 +621,16 @@ class LieSuperalgebra(_Basis):
             den = lcm(*(d for _, d in parts))
             ints = [[(i, x * (den // d)) for i, x in v.items()] for v, d in parts]
             basis = [fraction_vector(v, self.dim, den) for v in ints]
-            sub = self._restricted_subalgebra(ints, den)
+            # V_j = (den / L_a) X_a for the root a at place j, so
+            # D [V_j, V_k] = (den / L_a) (den / L_b) D [X_a, X_b]
+            known = []
+            for a, b, w, c in local[t]:
+                scale = (den // dens[a]) * (den // dens[b])
+                if scale != 1:
+                    w = {i: scale * x for i, x in w.items()}
+                known.append((place[a], place[b], w, None if c is None else place[c]))
+            local[t] = None
+            sub = self._restricted_subalgebra(ints, den, known, len(comp))
             roots = [Root(nodes[a].weight, nodes[a].parity, [{j: 1}], 1, sub.dim)
                      for j, a in enumerate(comp)]
             k = len(zero_parts[t])
@@ -595,14 +648,35 @@ class LieSuperalgebra(_Basis):
     def restricted_subalgebra(self, basis_vectors: Sequence[Sequence]) -> "LieSuperalgebra":
         """The subalgebra spanned by the given (parity-homogeneous) vectors,
         with structure constants re-expressed in that basis.  The parent's
-        faithful representation restricts to a faithful one.  The pairs
-        a <= b are solved for, and (b, a) follows by super-antisymmetry."""
+        faithful representation restricts to a faithful one.  The products
+        of the pairs a <= b are formed and solved for, and (b, a) follows by
+        super-antisymmetry."""
         return self._restricted_subalgebra(*_sparse_integer_rows(basis_vectors))
 
-    def _restricted_subalgebra(self, items: list[list[tuple[int, int]]],
-                               den: int) -> "LieSuperalgebra":
+    def _restricted_subalgebra(self, items: list[list[tuple[int, int]]], den: int,
+                               known: list[tuple[int, int, dict[int, int], int | None]]
+                               | None = None, roots: int = 0) -> "LieSuperalgebra":
         """`restricted_subalgebra` of the vectors V_t / den, with items[t]
-        the nonzero (index, entry) pairs of V_t."""
+        the nonzero (index, entry) pairs of V_t: the one routine that builds
+        a factor table.
+
+        It reads the coordinates of each D [V_a, V_b], a <= b, in the V_t
+        exactly; coordinates are unique, so the table does not depend on
+        how they are read.  `direct_sum_decompose` passes a factor's basis,
+        its `roots` root vectors and then its part of span(H), with
+        `known`: the (a, b, W, c) of its root pairs a <= b < roots with
+        nonzero product W = D [V_a, V_b], on the line of V_c, or in span(H)
+        when c is None; the other root pairs have product 0.  The other
+        products are formed here.  Then:
+
+        * a product on the line of a root vector V_c, as W is, and as
+          [V_a, h] is on V_a's for h in span(H), is W / V_c, by exact
+          integer proportion;
+        * a toral product (c None) is one small solve in the factor's part
+          of span(H);
+        * anything else, and every product when `known` is None, is one
+          solve in all the V_t (`integer_coordinates_in`), which refuses
+          vectors that do not span a subalgebra."""
         parities = []
         for v in items:
             pe = {self.parity[i] for i, _ in v}
@@ -610,23 +684,49 @@ class LieSuperalgebra(_Basis):
                 raise ValueError("subalgebra basis must be parity-homogeneous")
             parities.append(pe.pop() if pe else EVEN)
         n = len(items)
-        coordinates = integer_coordinates_in([dict(v) for v in items])
-        # v_k = V_k / L, so [v_a, v_b] = D [V_a, V_b] / (L^2 D^2) =
-        # sum_k (X_k / M) V_k / (L^2 D) = sum_k (X_k / (M L D)) v_k, with
-        # (X, M) the integer coordinates of D [V_a, V_b] in the V_k; M is the
-        # same for every target
-        table = [[()] * n for _ in range(n)]
-        cden = 1
-        for a, xa in enumerate(items):
-            for b in range(a, n):
-                found = coordinates(_product(self._table, xa, items[b]))
-                if found is None:
+        solvers = {}
+
+        def solver(start: int):
+            # the coordinates in V_start, ..., V_{n-1}, set up once
+            if start not in solvers:
+                solvers[start] = integer_coordinates_in([dict(v) for v in items[start:]])
+            return solvers[start]
+
+        if known is None:
+            known = []
+            solver(0)  # refuses dependent vectors before any product
+        lines = [dict(v) for v in items[:roots]]
+        # (a, b, W, c): the known products, then those formed here
+        formed = ((a, b, w, a if a < roots else None)
+                  for a in range(n) for b in range(max(a, roots), n)
+                  if (w := _product(self._table, items[a], items[b])))
+        # W = sum_k (X_k / M) V_k for each (a, b, X, M), read as set out above
+        found = []
+        for a, b, w, c in chain(known, formed):
+            coeffs = None
+            if c is not None:
+                ratio = _proportion(w, lines[c])
+                if ratio is not None:
+                    coeffs = [(c, ratio.numerator)], ratio.denominator
+            elif roots:
+                x = solver(roots)(w)
+                if x is not None:
+                    coeffs = [(roots + s, v) for s, v in x[0]], x[1]
+            if coeffs is None:
+                coeffs = solver(0)(w)
+                if coeffs is None:
                     raise ValueError("vectors do not span a subalgebra")
-                coeffs, cden = found
-                table[a][b] = tuple(coeffs)
-                if b != a:
-                    sign = 1 if parities[a] and parities[b] else -1
-                    table[b][a] = tuple((k, sign * c) for k, c in table[a][b])
+            found.append((a, b, *coeffs))
+        # v_k = V_k / L, so [v_a, v_b] = D [V_a, V_b] / (L^2 D) =
+        # sum_k (X_k / M) V_k / (L^2 D) = sum_k (X_k / (M L D)) v_k, over
+        # the common denominator M of the coordinates
+        cden = lcm(*{m for *_, m in found})
+        table = [[()] * n for _ in range(n)]
+        for a, b, coeffs, m in found:
+            table[a][b] = row = tuple((k, x * (cden // m)) for k, x in coeffs)
+            if b != a:
+                sign = 1 if parities[a] and parities[b] else -1
+                table[b][a] = tuple((k, sign * x) for k, x in row)
         rep = self.faithful_rep
         if rep is not None:
             # rho(v_t) = sum_i V_t[i] A_i / (L D), over the common denominator
@@ -634,9 +734,12 @@ class LieSuperalgebra(_Basis):
             rep = SuperModule._of_table(rep.parity, [rep._combine(v) for v in items],
                                         den * rep._den)
         names = tuple(f"x{t}" for t in range(n))
-        # the restriction of a lawful rep is lawful
+        # the restriction of a lawful rep is lawful, and to independent
+        # vectors that of a faithful rep is faithful
+        certificate = self._rep_certificate()
         return LieSuperalgebra._of_table(parities, table, cden * den * self._den, names, rep,
-                                         lawful=self._certified())
+                                         lawful=certificate is not None,
+                                         faithful=bool(certificate))
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -775,6 +878,26 @@ def _square_is_semisimple(rows: Sequence[Sequence[tuple[int, int]]],
         if w and _combine(w.items(), a):
             return False
     return True
+
+
+def _toral_targets(x: Sequence[tuple[int, int]], supports: Sequence[set[int]],
+                   weights: Sequence[tuple[int, ...]]) -> set[int]:
+    """The nodes d with d(h) != 0, for h = sum_s x_s h_s in H given by its
+    nonzero coordinates x = [(s, x_s)] in the Cartan elements h_s, where
+    weights[d] lists the d(h_s) and supports[s] = {d : d(h_s) != 0}: the
+    support of h's one coordinate, else the d of the union of the supports
+    at which d(h) does not cancel."""
+    if len(x) == 1:
+        return supports[x[0][0]]
+    return {d for d in set().union(*(supports[s] for s, _ in x))
+            if sum(c * weights[d][s] for s, c in x)}
+
+
+def _is_faithful(g: LieSuperalgebra, rep: "SuperModule") -> bool:
+    """Whether rep's action matrices span a space of dimension dim g: for a
+    rep with one matrix per basis element, whether rho is injective."""
+    return _echelon(({r * rep.dim + c: a for r, row in enumerate(rows) for c, a in row}
+                     for rows in rep._table), rep.dim ** 2).rank >= g.dim
 
 
 def _proportion(w: dict[int, int], x: dict[int, int]) -> Fraction | None:

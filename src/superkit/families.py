@@ -60,8 +60,9 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
     each pair i <= j with a nonzero product is solved for;
     [m_j, m_i] = -(-1)^{|i||j|} [m_i, m_j] is an exact identity of the
     supercommutator, so it fills (j, i).  The table is rep's
-    supercommutators, so rep obeys the representation law; `lawful` says
-    that it also keeps parity, as the family builders' matrices do."""
+    supercommutators, so rep obeys the representation law, and the solve
+    refuses dependent matrices, so rep is faithful; `lawful` says that it
+    also keeps parity, as the family builders' matrices do."""
     n, d = len(rep._table), rep.dim
     coordinates = integer_coordinates_in(
         [{r * d + c: a for r, row in enumerate(rows) for c, a in row} for rows in rep._table])
@@ -104,7 +105,7 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
         if j != i:
             table[j][i] = row if odd else tuple((k, -c) for k, c in row)
     return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan,
-                                     lawful)
+                                     lawful, faithful=True)
 
 
 def _defining(space_parity: Sequence[int], mats: list[Rows]) -> SuperModule:
@@ -218,6 +219,13 @@ def build_osp1(n: int) -> LieSuperalgebra:
     standard module, realized inside gl(1|2n)."""
     if n < 1:
         raise ValueError("osp(1|2n) needs n >= 1")
+    return _algebra_from_rep(*osp1_defining(n))
+
+
+def osp1_defining(n: int) -> tuple[SuperModule, list[int], list[str], list[int]]:
+    """The defining representation of osp(1|2n) on e0, a_1..a_n, b_1..b_n,
+    whose integer matrices are `build_osp1(n)`'s basis, with the parities
+    and names of that basis and the indices of its Cartan elements."""
     spmats, spnames = _sp_entries(n)
     d = 1 + 2 * n
     mats = [_rows(d, [(1 + r, 1 + c, a) for r, c, a in m]) for m in spmats]
@@ -231,8 +239,7 @@ def build_osp1(n: int) -> LieSuperalgebra:
         parities.append(ODD)
     names += [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
     cartan = [spnames.index(_label("M", i + 1, i + 1)) for i in range(n)]
-    space_parity = [EVEN] + [ODD] * (2 * n)
-    return _algebra_from_rep(_defining(space_parity, mats), parities, names, cartan)
+    return _defining([EVEN] + [ODD] * (2 * n), mats), parities, names, cartan
 
 
 def osp_odd_indices(n: int) -> tuple[list[int], list[int]]:
@@ -312,9 +319,10 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     if len(pieces) == len(factors):
         rep = reduce(direct_sum, pieces) if total else SuperModule((EVEN,), [])
         rep.name = "defining"
-    # a direct sum of lawful reps is lawful
+    # a direct sum of lawful (faithful) reps is lawful (faithful)
+    certificates = [f._rep_certificate() for f in factors]
     return LieSuperalgebra._of_table(parity, table, den, names, rep, cartan,
-                                     all(f._certified() for f in factors))
+                                     None not in certificates, all(certificates))
 
 
 # ---------------------------------------------------------------------------

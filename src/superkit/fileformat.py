@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .core import LieSuperalgebra, SuperkitError, _structure_table
+from .core import LieSuperalgebra, SuperkitError, _is_faithful, _structure_table
 from .linalg import Matrix, Q, _echelon
 from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
@@ -240,14 +240,12 @@ def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
     x, y, z to 0, and they are 0."""
     rep = g.faithful_rep
     refusals = []
-    if rep is not None and _echelon(
-            ({r * rep.dim + c: a for r, row in enumerate(rows) for c, a in row}
-             for rows in rep._table), rep.dim ** 2).rank < g.dim:
+    if rep is not None and not _is_faithful(g, rep):
         refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
     elif rep is not None and (law := validate_module(g, rep)):
         refusals.append("rep: " + law[0])
     elif rep is not None:
-        g._lawful = rep  # the cone test's certificate (`LieSuperalgebra._lawful_rep`)
+        g._certify_rep(faithful=True)  # the certificate of `LieSuperalgebra._lawful_rep`
     return (g.validate() if rep is None or refusals else []), refusals
 
 

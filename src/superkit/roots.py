@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _asymmetric_pairs,
                    _product, _proportion)
@@ -60,6 +60,9 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .reps import SuperModule
 
 
 class NonSemisimpleCartanAction(SuperkitError):
@@ -402,7 +405,9 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     pairs each root with the root of opposite weight and reads the scalar
     beta(u_p, u_q) off [[u_p, u_p], u_q] = 2 beta(u_p, u_q) u_p.  These steps
     only build the map; the exact check in `_build_osp_isomorphism`
-    certifies it.
+    certifies it.  The onto test also shows that the odd basis generates
+    g, so when a faithful lawful rep certifies g's Jacobi the check needs
+    only the pairs touching an odd row (`_intertwining_pairs`).
 
     * Soundness.  No weight is zero (the first check), every root has its
       opposite and the weights are distinct, so the pairing is a perfect
@@ -499,43 +504,55 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
                            spanning: list[tuple[int, int, dict[int, int]]],
                            n: int) -> Matrix | None:
     """The basis map onto build_osp1(n) given by the opposite pairs `pairs`,
-    or None unless it intertwines the brackets.
+    or None unless it intertwines the brackets (`_intertwines`).
 
     For each pair (p, r, beta(u_p, u_r)), in order, u_p goes to a_i and u_r
     to -beta(u_p, u_r) b_i: the family has beta(a_i, b_i) = -1 (its
     [a_i, a_i] sends b_i to -2 a_i), so the odd map is a beta-isometry.  The
     even map follows from the brackets `spanning`, (p, q, W) with W = D [B_p,
     B_q] and B = L u (L = `den`, `items` the nonzero pairs of the B) a basis
-    of g0: W goes to D L^2 [phi u_p, phi u_q].
-    The check below makes the map bracket-preserving.  It is the isomorphism
-    whenever one exists: any isomorphism psi is a beta-isometry on g1, the
-    isometry phi psi^-1 of the family's odd part extends to an automorphism
-    as Sp(2n) acts on osp(1|2n), and an isomorphism is fixed by its odd part
-    as g0 = [g1, g1].
+    of g0: W goes to D L^2 [phi u_p, phi u_q], read in the family basis by
+    solving the supercommutators of the family's odd matrices
+    (`families.osp1_defining`) in its even ones, so no family table is
+    built.  The check makes the map bracket-preserving.  It is the
+    isomorphism whenever one exists: any isomorphism psi is a beta-isometry
+    on g1, the isometry phi psi^-1 of the family's odd part extends to an
+    automorphism as Sp(2n) acts on osp(1|2n), and an isomorphism is fixed
+    by its odd part as g0 = [g1, g1].
 
     The map is built and checked on sparse integer vectors; only the
-    returned matrix is in Fractions.  The intertwining is checked on the
-    basis pairs i <= j.  That suffices: the map preserves parity, and both
-    tables are super-antisymmetric (the family's by construction, g's
-    checked here), so [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] on both
-    sides."""
-    from .families import build_osp1, osp_odd_indices
-    if _asymmetric_pairs(g, -1):
-        return None
-    fam = build_osp1(n)
+    returned matrix is in Fractions."""
+    from .families import osp1_defining, osp_odd_indices
+    fam, parity, *_ = osp1_defining(n)
     # phi u_p = I_p / lb, with lb the lcm of the denominators of the betas
     lb = lcm(*(beta.denominator for *_, beta in pairs))
     odd_images: list[dict[int, int]] = [{}] * len(items)
     for (p, r, beta), a, b in zip(pairs, *osp_odd_indices(n)):
         odd_images[p] = {a: lb}
         odd_images[r] = {b: -beta.numerator * (lb // beta.denominator)}
-    # phi W = D L^2 [I_p, I_q] / lb^2 = D L^2 E / (lb^2 D_fam), E = D_fam [I_p, I_q]
-    even_images = [_product(fam._table, odd_images[p], odd_images[q]) for p, q, _ in spanning]
-    # for e_i = sum_s (X_s / M) B_s, phi e_i = (L / lb) sum_s (X_s / M) I_s;
-    # for e_i = sum_s (X_s / M) W_s, phi e_i = (D L^2 / (lb^2 D_fam)) sum_s (X_s / M) E_s
+    # [f_a, f_b] = sum_k (X_k / M) f_k for the family's odd f_a, f_b, from the
+    # supercommutator M_a M_b + M_b M_a of their integer matrices
+    d, even = fam.dim, [k for k, q in enumerate(parity) if q == EVEN]
+    family_coordinates = integer_coordinates_in(
+        [{r * d + c: x for r, row in enumerate(fam._table[k]) for c, x in row} for k in even])
+    even_images, fden = [], 1
+    for p, q, _ in spanning:
+        ((a, x),), ((b, y),) = odd_images[p].items(), odd_images[q].items()
+        ma, mb = fam._table[a], fam._table[b]
+        product: dict[int, int] = {}
+        for m1, m2 in ((ma, mb), (mb, ma)):
+            for r, row in enumerate(m1):
+                for c, v in _combine(row, m2).items():
+                    product[r * d + c] = product.get(r * d + c, 0) + x * y * v
+        # the family is closed under the supercommutator, so this is found
+        coeffs, fden = family_coordinates({k: v for k, v in product.items() if v})
+        even_images.append({even[t]: v for t, v in coeffs})
+    # phi W = D L^2 [I_p, I_q] / lb^2 = D L^2 E / (lb^2 M), E = M [I_p, I_q];
+    # for e_i = sum_s (X_s / M') B_s, phi e_i = (L / lb) sum_s (X_s / M') I_s;
+    # for e_i = sum_s (X_s / M') W_s, phi e_i = (D L^2 / (lb^2 M)) sum_s (X_s / M') E_s
     odd = integer_coordinates_in([dict(v) for v in items]), odd_images, den, lb
     even = (integer_coordinates_in([w for *_, w in spanning]), even_images,
-            g._den * den ** 2, lb ** 2 * fam._den)
+            g._den * den ** 2, lb ** 2 * fden)
     images = []  # (E, c, d): phi e_i = c E / d
     for i in range(g.dim):
         coordinates, targets, c, d = even if g.parity[i] == EVEN else odd
@@ -546,20 +563,71 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
     # phi e_i = Phi_i / lc, over one common denominator
     lc = lcm(*(d for *_, d in images))
     big = [[(t, x * c * (lc // d)) for t, x in e.items()] for e, c, d in images]
-    # exact intertwining check, in integers: with W = D_g [e_i, e_j],
-    # phi [e_i, e_j] = [phi e_i, phi e_j] times D_g D_fam lc^2 reads
-    # lc D_fam Phi W = D_g (D_fam [Phi_i, Phi_j])
-    f = lc * fam._den
+    if not _intertwines(g, fam, big, lc):
+        return None
+    return Matrix.from_columns([fraction_vector(col, len(parity), lc) for col in big])
+
+
+def _intertwines(g: LieSuperalgebra, fam: "SuperModule", images: list[list[tuple[int, int]]],
+                 lc: int) -> bool:
+    """Whether phi e_i = Phi_i / lc, for Phi_i = images[i] the nonzero pairs
+    of an integer vector in the basis of a matrix algebra whose basis
+    matrices M_t are the integer rows `fam._table[t]` (over `fam._den`),
+    preserves brackets.
+
+    The map rho from the algebra to its matrices is injective and
+    bracket-preserving, so phi preserves brackets exactly when the integer
+    matrices P_i = sum_t Phi_i[t] M_t = lc fam._den rho(phi e_i) obey the
+    representation law of g: D_g (P_i P_j - (-1)^{|i||j|} P_j P_i) =
+    lc fam._den sum_k C_k P_k, with D_g [e_i, e_j] = sum_k C_k e_k.  Both
+    sides are super-antisymmetric when g's table is, so the pairs i <= j
+    suffice (`_intertwining_pairs`).  g's table is checked for that here
+    unless a faithful lawful rep certifies g, which makes it a Lie
+    superalgebra."""
+    certified = bool(g._rep_certificate())
+    if not certified and _asymmetric_pairs(g, -1):
+        return False
+    d = fam.dim
+    rows = [fam._combine(img) for img in images]
+    entries = [[(r * d, t, a) for r, row in enumerate(m) for t, a in row] for m in rows]
+    flat = [[(r * d + c, a) for r, row in enumerate(m) for c, a in row] for m in rows]
+    lead, tail, par = g._den, -lc * fam._den, g.parity
+    for i, j in _intertwining_pairs(g, certified):
+        acc: dict[int, int] = {}
+        rj, ri = rows[j], rows[i]
+        for r, t, a in entries[i]:
+            a *= lead
+            for c, b in rj[t]:
+                acc[r + c] = acc.get(r + c, 0) + a * b
+        swap = lead if par[i] and par[j] else -lead
+        for r, t, a in entries[j]:
+            a *= swap
+            for c, b in ri[t]:
+                acc[r + c] = acc.get(r + c, 0) + a * b
+        for k, ck in g._table[i][j]:
+            ck *= tail
+            for rc, a in flat[k]:
+                acc[rc] = acc.get(rc, 0) + ck * a
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _intertwining_pairs(g: LieSuperalgebra, certified: bool):
+    """The pairs i <= j on which `_intertwines` checks a map.
+
+    Without `certified`, all of them.  With it, g is a Lie superalgebra,
+    and the x with phi [x, y] = [phi x, phi y] for every y form a
+    subalgebra, as both sides obey Jacobi (Jacobson, Lie Algebras, 1962,
+    ch. I); so it is enough to check the x in a generating set, and the odd
+    basis generates g when [g1, g1] = g0, as `_certify_osp` checks: the
+    pairs touching an odd row, |odd| dim - C(|odd|, 2) of them."""
+    odd = g.odd_indices
     for i in range(g.dim):
-        for j in range(i, g.dim):
-            lhs: dict[int, int] = {}
-            for k, c in g._table[i][j]:
-                for t, b in big[k]:
-                    lhs[t] = lhs.get(t, 0) + c * f * b
-            rhs = _product(fam._table, big[i], big[j])
-            if {t: x for t, x in lhs.items() if x} != {t: g._den * x for t, x in rhs.items()}:
-                return None
-    return Matrix.from_columns([fraction_vector(col, fam.dim, lc) for col in big])
+        if certified and not g.parity[i]:
+            yield from ((i, j) for j in odd if j > i)
+        else:
+            yield from ((i, j) for j in range(i, g.dim))
 
 
 # ---------------------------------------------------------------------------

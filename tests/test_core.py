@@ -433,6 +433,54 @@ def test_reassigning_the_rep_runs_the_check_again(monkeypatch):
     assert len(calls) == 3
 
 
+def test_reassigning_the_rep_data_runs_the_check_again(monkeypatch):
+    # the certificate rests on the rep's parity and table and on g's own, by
+    # identity: a new object for any of them, even with equal data, checks again
+    from superkit import reps
+    calls = []
+    real = reps.validate_module
+    monkeypatch.setattr(reps, "validate_module", lambda g, m: calls.append(m) or real(g, m))
+    g = fresh("osp1:2")
+    rep = g.faithful_rep
+    u = unit_vec(g, "a1")
+    assert not g.in_g1ss(u)
+    assert calls == [] and g._rep_certificate() is True
+    for owner, name in ((rep, "parity"), (rep, "_table"), (g, "parity"), (g, "_table")):
+        value = getattr(owner, name)
+        setattr(owner, name, type(value)(list(value)))
+        assert g._rep_certificate() is None
+        assert not g.in_g1ss(u) and not g.in_g1ss(u)
+        assert g._rep_certificate() is True
+    assert calls == [rep] * 4
+
+
+def test_a_reassigned_parity_that_breaks_the_grading_is_refused():
+    g = fresh("gl:1:1")
+    u = [a + b for a, b in zip(unit_vec(g, "E12"), unit_vec(g, "E21"))]
+    assert g.in_g1ss(u)
+    g.faithful_rep.parity = (EVEN, EVEN)
+    with pytest.raises(SuperkitError, match="^the faithful representation is refused: parity"):
+        g.in_g1ss(u)
+
+
+def test_the_certificate_records_faithfulness():
+    # built reps are faithful by construction; a rep checked on first use is
+    # checked for faithfulness too, and the zero rep is lawful but not faithful
+    from superkit.reps import trivial_module
+    g = fresh("osp1:1")
+    assert g._rep_certificate() is True
+    copy = LieSuperalgebra(g.parity, {(i, j): dict(g.bracket_sparse(i, j))
+                                      for i in range(g.dim) for j in range(g.dim)},
+                           g.names, faithful_rep=g.faithful_rep)
+    assert copy._rep_certificate() is None
+    copy._lawful_rep()
+    assert copy._rep_certificate() is True
+    copy.faithful_rep = trivial_module(g)
+    assert copy._rep_certificate() is None
+    copy._lawful_rep()
+    assert copy._rep_certificate() is False
+
+
 def test_built_and_parsed_reps_are_certified_without_a_law_check(monkeypatch):
     from superkit import reps
     from superkit.fileformat import parse_algebra, serialize_algebra
@@ -628,6 +676,29 @@ def full_closure(g, seed):
                 basis.append(w)
                 todo.append(w)
     return basis
+
+
+def test_toral_targets_equal_the_sum_over_every_weight():
+    # the oracle: d(h) summed over the coordinates of h, for every weight d;
+    # h1 - h2 vanishes on the weights with d(h1) = d(h2), such as e1 + e2
+    from math import lcm
+    from superkit.core import _toral_targets
+    datum = build_osp1(3)._root_datum()
+    nodes = [r for r in datum.roots if any(r.weight)]
+    den = lcm(*(x.denominator for r in nodes for x in r.weight))
+    weights = [tuple(int(x * den) for x in r.weight) for r in nodes]
+    rank = len(datum.cartan)
+    supports = [{d for d, wd in enumerate(weights) if wd[s]} for s in range(rank)]
+    rng = random.Random(3)
+    draws = [[(0, 1)], [(0, 1), (1, -1)], [(0, 1), (1, 1), (2, -2)], [(1, 2), (2, -2)]]
+    draws += [[(s, c) for s in sorted(rng.sample(range(rank), rng.randint(1, rank)))
+               if (c := rng.choice([-2, -1, 1, 2]))] for _ in range(40)]
+    cancelled = 0
+    for x in draws:
+        expected = {d for d, wd in enumerate(weights) if sum(c * wd[s] for s, c in x)}
+        assert _toral_targets(x, supports, weights) == expected
+        cancelled += len(set().union(*(supports[s] for s, _ in x)) - expected)
+    assert cancelled
 
 
 def test_decompose_rejects_seed_that_generates_a_smaller_ideal():

@@ -29,8 +29,8 @@ from superkit.roots import (
     isotropic_combination,
     root_decomposition,
 )
-from support import (KNOWN_HANGS, REBASED_SPECS, cartanless, rebased, same_span, shuffled_osp,
-                     unit_vec)
+from support import (KNOWN_HANGS, REBASED_SPECS, cartanless, fresh, rebased, same_span,
+                     shuffled_osp, unit_vec)
 
 
 def strip_hints(g):
@@ -355,6 +355,109 @@ def test_certify_osp_refuses_swapped_partners(monkeypatch):
         "basis map construction failed to intertwine brackets")
 
 
+# -- the intertwining check: the odd rows under a certificate, else every pair ------
+
+def uncertified(g):
+    """g with its table and rep, but no certificate of the rep."""
+    return LieSuperalgebra._of_table(g.parity, g._table, g._den, g.names, g.faithful_rep,
+                                     g.cartan)
+
+
+def count_intertwining_pairs(monkeypatch):
+    """The number of pairs each `roots._intertwines` call visits, in order."""
+    from superkit import roots
+    counts = []
+    pairs = roots._intertwining_pairs
+
+    def counting(g, certified):
+        counts.append(0)
+        for pair in pairs(g, certified):
+            counts[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(roots, "_intertwining_pairs", counting)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_certified_map_is_checked_on_the_pairs_touching_an_odd_row(monkeypatch, n):
+    from superkit.roots import _certify_osp
+    counts = count_intertwining_pairs(monkeypatch)
+    g = fresh(f"osp1:{n}")
+    assert g._rep_certificate() is True
+    out = classify_simple(g)
+    odd, full = 2 * n, g.dim * (g.dim + 1) // 2
+    # |odd| dim - C(|odd|, 2) pairs touch an odd row: O(n dim), not O(dim^2)
+    assert counts == [odd * g.dim - odd * (odd - 1) // 2] and counts[0] < full
+    # the factor of the scan inherits the certificate, so its check is as short
+    assert g1ss_structural_scan(g).factors == [{"factor": f"Osp({n})", "dim": g.dim}]
+    assert counts[1:] == counts[:1]
+    # without the certificate the full i <= j scan runs, to the same map
+    h = uncertified(g)
+    assert h._rep_certificate() is None
+    assert _certify_osp(h, h._root_datum().odd_roots()) == out
+    assert counts[2:] == [full]
+    assert_intertwines(g, out)
+
+
+def test_a_lawful_unfaithful_rep_does_not_enable_the_odd_row_path(monkeypatch):
+    # the zero rep obeys the representation law for any table, so it
+    # certifies nothing about g's Jacobi identity
+    from superkit.reps import trivial_module
+    from superkit.roots import _certify_osp
+    counts = count_intertwining_pairs(monkeypatch)
+    g = build_osp1(2)
+    h = LieSuperalgebra._of_table(g.parity, g._table, g._den, g.names, trivial_module(g),
+                                  g.cartan)
+    assert h._lawful_rep() is h.faithful_rep
+    assert h._rep_certificate() is False
+    assert isinstance(_certify_osp(h, h._root_datum().odd_roots()), Osp)
+    assert counts == [h.dim * (h.dim + 1) // 2]
+    # nor does its restriction to the one factor
+    assert [sub._rep_certificate() for sub in h.direct_sum_decompose().subalgebras] == [False]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fresh("osp1:1"), lambda: fresh("osp1:2"), lambda: shuffled_osp(2, 99),
+], ids=["osp1:1", "osp1:2", "shuffled"])
+def test_every_corrupted_basis_map_is_refused_on_both_paths(monkeypatch, make):
+    from math import lcm
+    from superkit import roots
+    from superkit.families import osp1_defining
+    g = make()
+    g._lawful_rep()
+    assert g._rep_certificate() is True
+    paths = (g, uncertified(g))
+    out = roots._certify_osp(g, g._root_datum().odd_roots())
+    fam = osp1_defining(out.n)[0]
+    # phi e_i = images[i] / lc, over one common denominator
+    columns = [out.basis_map.column(i) for i in range(g.dim)]
+    lc = lcm(*(x.denominator for col in columns for x in col))
+    images = [{t: int(x * lc) for t, x in enumerate(col) if x} for col in columns]
+    for h in paths:
+        assert roots._intertwines(h, fam, [sorted(im.items()) for im in images], lc)
+    # one coordinate of one column moved by 1
+    for i in range(g.dim):
+        for t in range(out.basis_map.rows):
+            bad = [dict(im) for im in images]
+            bad[i][t] = bad[i].get(t, 0) + lc
+            bad[i] = {k: x for k, x in bad[i].items() if x}
+            for h in paths:
+                assert not roots._intertwines(h, fam, [sorted(im.items()) for im in bad], lc)
+    # one pair's beta negated: the odd map is no longer a beta-isometry
+    pairing = roots._opposite_pairs
+    for k in range(out.n):
+        def negated(*args, k=k):
+            pairs = pairing(*args)
+            p, r, beta = pairs[k]
+            return pairs[:k] + [(p, r, -beta)] + pairs[k + 1:]
+
+        monkeypatch.setattr(roots, "_opposite_pairs", negated)
+        for h in paths:
+            assert roots._certify_osp(h, h._root_datum().odd_roots()) == Inconclusive(
+                "basis map construction failed to intertwine brackets")
+
+
 def test_basis_maps_match_the_recorded_isomorphisms():
     """`classify_simple`'s basis maps, recorded in
     `tests/data/osp_basis_maps.json` as rows of Fractions, for family specs.
@@ -585,7 +688,10 @@ _WITH_OSP_FACTORS = [e.spec for e in catalog.entries(cost=catalog.TIER1)
     *[lambda s=s: parse_family_spec(s) for s in _WITH_OSP_FACTORS],
     *[lambda s=s: cartanless(s) for s in _WITH_OSP_FACTORS],
     lambda: shuffled_osp(2, 99),
-], ids=_WITH_OSP_FACTORS + [f"{s}-without-cartan" for s in _WITH_OSP_FACTORS] + ["shuffled"])
+    lambda: rebased("osp1:2", 3, 1),
+    lambda: rebased("product:osp1:1,osp1:1", 2, 1),
+], ids=_WITH_OSP_FACTORS + [f"{s}-without-cartan" for s in _WITH_OSP_FACTORS]
+   + ["shuffled", "rebased", "rebased-product"])
 def test_factor_tables_equal_restricted_subalgebra(make):
     # each factor is restricted_subalgebra of its basis; the oracle is g
     # itself: each factor bracket, mapped back through the basis, is the
@@ -602,6 +708,14 @@ def test_factor_tables_equal_restricted_subalgebra(make):
                 assert full.matvec(sub.bracket_basis(a, b)) == g.bracket(basis[a], basis[b])
         for t, v in enumerate(basis):
             assert sub.faithful_rep.action[t] == g.element_matrix(v)
+        # the factor table read from the decomposition's own products is the
+        # one the public routine solves for, pair by pair, on the same basis
+        # (the rep rows are over the denominator the basis comes over, so
+        # they are compared as Fractions)
+        ref = g.restricted_subalgebra(basis)
+        assert (sub._table, sub._den) == (ref._table, ref._den)
+        assert sub.faithful_rep.action == ref.faithful_rep.action
+        assert sub._rep_certificate() == ref._rep_certificate()
 
 
 def test_restricted_subalgebra_matches_every_ordered_pair():
