@@ -94,6 +94,7 @@ CATALOG: tuple[Entry, ...] = (
     Entry("osp1:10", _osp(10), budgets=(("classify", 10),)),
     Entry("osp1:12", _osp(12), budgets=(("classify", 10),)),
     Entry("osp1:24", _osp(24), budgets=(("classify", 35),)),
+    Entry("osp1:32", _osp(32), budgets=(("classify", 90),)),
     Entry("product:osp1:4,osp1:4", _osp(4, 4), budgets=(("classify", 10),)),
 )
 

@@ -15,7 +15,8 @@ become such vectors once on entry (`linalg._sparse_integer_rows`),
 (`linalg.fraction_vector`).  `bracket`, `structure_constant`,
 `bracket_basis` and `bracket_sparse` are Fraction views of the table.  The
 super axioms, checked in turn by `_grading_failures`, `_asymmetric_pairs`
-and `_law_failures`, which also check modules and `supercomm` products:
+and `_law_failures` (through `_super_law_failures`), which also check
+modules, `supercomm` products and the basis maps of `roots`:
 
 * parity homogeneity: c[i][j][k] = 0 unless |k| = |i| + |j| (mod 2),
 * super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x],
@@ -40,13 +41,13 @@ and BA have the same elementary divisors away from 0 (Flanders, Proc. AMS 2,
 1951).  So one minimal polynomial of the k x k product on the smaller side
 (k = min(dim V0, dim V1), 1 on osp(1|2n)) decides it, with one product
 B r(AB) A when that polynomial vanishes at 0.  The route needs rho([u,u]/2)
-= rho(u)^2, the representation law, certified once per rep and its data
-(`_lawful_rep`): by construction for the family builders, products and
-restricted subalgebras, by `fileformat.axiom_check` for a parsed rep, and by
-one `reps.validate_module` on first use otherwise.  The certificate also
-says whether the rep is faithful; a faithful lawful rep makes g a Lie
-superalgebra, which `roots._intertwines` uses to check a basis map on the
-odd rows alone.
+= rho(u)^2, the representation law.  A rep is accepted only when it is
+faithful and lawful, certified once per rep and its data (`_rep_refusal`):
+by construction for the family builders, products and restricted
+subalgebras, by `fileformat.axiom_check` for a parsed rep, and by one
+faithfulness test and one `reps.validate_module` on first use otherwise.
+An accepted rep makes g a Lie superalgebra, the image of g in gl(V), which
+`roots._intertwines` uses to check a basis map on the odd rows alone.
 """
 
 from __future__ import annotations
@@ -185,13 +186,13 @@ class LieSuperalgebra(_Basis):
                   names: Sequence[str] | None = None,
                   faithful_rep: "SuperModule | None" = None,
                   cartan: Sequence[int] | None = None,
-                  lawful: bool = False, faithful: bool = False) -> "LieSuperalgebra":
+                  lawful: bool = False) -> "LieSuperalgebra":
         """The algebra with the given integer table over D = den: c[i][j][k] =
         C / D for each (k, C) in table[i][j], sorted by k and nonzero.  D is
         divided by its gcd with every entry, so it is the least common
         denominator, as the constructor computes it.  `lawful` certifies the
-        rep against the representation law, and `faithful` also as faithful,
-        for a caller that built it so (`_certify_rep`)."""
+        rep as faithful and obeying the representation law, for a caller
+        that built it so (`_certify_rep`)."""
         common = gcd(den, *(c for block in table for row in block for _, c in row))
         if common > 1:
             table = [[tuple((k, c // common) for k, c in row) for row in block]
@@ -199,7 +200,7 @@ class LieSuperalgebra(_Basis):
         g = cls.__new__(cls)
         g._init(parity, table, den // common, names, faithful_rep, cartan)
         if lawful and faithful_rep is not None:
-            g._certify_rep(faithful)
+            g._certify_rep()
         return g
 
     def _init(self, parity, table, den, names, faithful_rep, cartan) -> None:
@@ -212,7 +213,7 @@ class LieSuperalgebra(_Basis):
         if len(self.names) != n:
             raise ValueError("need one name per basis element")
         self.faithful_rep = faithful_rep
-        # the data the rep was certified on, then whether it is faithful
+        # the data the rep was certified faithful and lawful on
         self._certificate: tuple | None = None
         self.cartan = tuple(cartan) if cartan is not None else None
         self._sparse: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
@@ -274,14 +275,15 @@ class LieSuperalgebra(_Basis):
         Super Jacobi fails at the basis triple (i, j, k) when column k of
         [ad e_i, ad e_j] - ad [e_i, e_j] is nonzero: the representation law
         of the adjoint module, whose column table is g's own table, checked
-        by `_law_failures` (on i <= j, with swaps, when antisymmetric)."""
+        by `_super_law_failures`."""
         issues = [f"parity: c[{i}][{j}][{k}] = {Q(c, self._den)} violates grading"
                   for i, j, k, c in _grading_failures(self._table, self.parity, self.parity)]
         asymmetric = _asymmetric_pairs(self, -1)
         issues += [f"antisymmetry: [e{i},e{j}] vs [e{j},e{i}] disagree"
                    for i, j in asymmetric]
         issues += [f"jacobi: fails at triple ({i},{j},{k})"
-                   for i, j, k in _law_failures(self, self._table, self._den, not asymmetric)]
+                   for i, j, k in _super_law_failures(self, self._table, self._den,
+                                                      not asymmetric)]
         return issues
 
     # -- odd squares and the semisimple cone ----------------------------------
@@ -313,38 +315,50 @@ class LieSuperalgebra(_Basis):
         return self.faithful_rep
 
     def _lawful_rep(self) -> "SuperModule":
-        """The faithful rep, certified against the representation law: by
-        `reps.validate_module` unless it is certified on its current data
-        (`_rep_certificate`), so reassigning `faithful_rep`, its `parity` or
-        its `_table` checks again.  A SuperkitError refuses a rep that breaks
-        the law; the certificate also records whether the rep is faithful."""
+        """The designated rep, certified faithful and lawful
+        (`_rep_refusal`); a SuperkitError refuses a missing rep, and one
+        that is not faithful or breaks the parity or representation law."""
         rep = self._require_rep()
-        if self._rep_certificate() is None:
-            from .reps import validate_module
-            issues = validate_module(self, rep)
-            if issues:
-                raise SuperkitError(f"the faithful representation is refused: {issues[0]}")
-            self._certify_rep(_is_faithful(self, rep))
+        refusal = self._rep_refusal()
+        if refusal:
+            raise SuperkitError(f"the faithful representation is refused: {refusal}")
         return rep
 
-    def _certify_rep(self, faithful: bool) -> None:
-        """Record that the rep obeys the representation law on the current
-        data, and with `faithful` that it is injective: then g is a Lie
-        superalgebra, as the image of g in gl(V) is one."""
+    def _rep_refusal(self) -> str | None:
+        """Why the rep is refused, or None once it is accepted: the one
+        acceptance test of a rep, first that it is faithful, then
+        `reps.validate_module`.  It runs unless the rep is certified on its
+        current data (`_rep_certificate`), so reassigning `faithful_rep`,
+        its `parity` or its `_table` tests again, and certifies an accepted
+        rep."""
+        if self._rep_certificate():
+            return None
+        rep = self.faithful_rep
+        if not _is_faithful(self, rep):
+            return "the representation is not faithful (its matrices are linearly dependent)"
+        from .reps import validate_module
+        issues = validate_module(self, rep)
+        if issues:
+            return issues[0]
+        self._certify_rep()
+        return None
+
+    def _certify_rep(self) -> None:
+        """Record that the rep is faithful and obeys the representation law
+        on the current data: then g is a Lie superalgebra, as the image of
+        g in gl(V) is one."""
         rep = self.faithful_rep
         self._certificate = (rep, rep.parity, rep._table, rep._den,
-                             self.parity, self._table, self._den, faithful)
+                             self.parity, self._table, self._den)
 
-    def _rep_certificate(self) -> bool | None:
-        """None unless the rep is certified lawful on its current data (the
-        rep, its parity and integer table, and g's own, compared by
-        identity); else whether it is certified faithful as well."""
+    def _rep_certificate(self) -> bool:
+        """Whether the rep is certified faithful and lawful on its current
+        data: the rep, its parity and integer table, and g's own, compared
+        by identity."""
         c, rep = self._certificate, self.faithful_rep
-        if (c is not None and c[0] is rep and c[1] is rep.parity and c[2] is rep._table
+        return (c is not None and c[0] is rep and c[1] is rep.parity and c[2] is rep._table
                 and c[3] is rep._den and c[4] is self.parity and c[5] is self._table
-                and c[6] is self._den):
-            return c[7]
-        return None
+                and c[6] is self._den)
 
     def is_semisimple_element(self, x: Sequence) -> bool:
         """True iff x acts diagonalizably (over a closure) in the faithful rep,
@@ -736,10 +750,8 @@ class LieSuperalgebra(_Basis):
         names = tuple(f"x{t}" for t in range(n))
         # the restriction of a lawful rep is lawful, and to independent
         # vectors that of a faithful rep is faithful
-        certificate = self._rep_certificate()
         return LieSuperalgebra._of_table(parities, table, cden * den * self._den, names, rep,
-                                         lawful=certificate is not None,
-                                         faithful=bool(certificate))
+                                         lawful=self._rep_certificate())
 
     def __repr__(self) -> str:
         ev = len(self.even_indices)
@@ -797,53 +809,61 @@ def _asymmetric_pairs(g: "LieSuperalgebra | SupercommAlgebra", s: int) -> list[t
 
 
 def _law_failures(g: "LieSuperalgebra | SupercommAlgebra",
-                  cols: Sequence[Sequence[Sequence[tuple[int, int]]]], den: int, half: bool,
+                  cols: Sequence[Sequence[Sequence[tuple[int, int]]]], den: int,
+                  pairs: Iterable[tuple[int, int]],
                   commutator: bool = True) -> list[tuple[int, int, int]]:
-    """The sorted (i, j, c) at which column c of D_g (A_i A_j - s A_j A_i) -
-    D sum_k C_k A_k is nonzero, where D_g e_i e_j = sum_k C_k e_k in g's
-    table and `cols[x][c]` holds the nonzero (r, a) of column c of
-    A_x = D rho(e_x).  With s = (-1)^{|i||j|} (`commutator`) it is the
-    representation law of a module, and super Jacobi on g's own table, the
-    adjoint module's; [A_j, A_i] = -(-1)^{|i||j|} [A_i, A_j], so on a
-    super-antisymmetric table `half` computes i <= j and reports each
-    failure with its swap.  With s = 0 it is associativity on the
+    """The sorted (i, j, c), for the (i, j) in `pairs`, at which column c of
+    D_g (A_i A_j - s A_j A_i) - D sum_k C_k A_k is nonzero, where D_g e_i e_j
+    = sum_k C_k e_k in g's table and `cols[x][c]` holds the nonzero (r, a)
+    of column c of the square matrix A_x = D rho(e_x).  With s =
+    (-1)^{|i||j|} (`commutator`) it is the representation law of a module,
+    super Jacobi on g's own table (the adjoint module's), and the law a
+    basis map of `roots` must keep; with s = 0 it is associativity on the
     left-regular columns of a `SupercommAlgebra`, its own table (column c
-    of L_i is e_i e_c); where e_i e_j = 0 only the columns c with A_j e_c
-    != 0 can fail, and only those are visited."""
-    par, table, n = g.parity, g._table, g.dim
+    of L_i is e_i e_c).  Each pair is summed over the nonzero entries of
+    its matrices into one accumulator keyed by (c, r), so the columns where
+    every term vanishes cost nothing."""
+    par, table, m = g.parity, g._table, len(cols[0]) if cols else 0
     common = gcd(g._den, den)
     lead, tail = g._den // common, -(den // common)
-    live = None if commutator else [[(c, col) for c, col in enumerate(cx) if col] for cx in cols]
+    # the nonzero entries (c m, r, a) of each A_x, column by column
+    flat = [[(c * m, r, a) for c, col in enumerate(cx) for r, a in col] for cx in cols]
     failing = []
-    for i in range(n):
-        ci, ti = cols[i], table[i]
-        for j in range(i if half else 0, n):
-            cj = cols[j]
-            terms = [(cols[k], tail * C) for k, C in ti[j]]
-            if commutator:
-                swap, visit = (lead if par[i] and par[j] else -lead), enumerate(cj)
-            else:
-                swap, visit = 0, enumerate(cj) if terms else live[j]
-            for c, col in visit:
-                acc: dict[int, int] = {}
-                for t, q in col:
-                    q *= lead
-                    for r, a in ci[t]:
-                        acc[r] = acc.get(r, 0) + q * a
-                if swap:
-                    for t, q in ci[c]:
-                        q *= swap
-                        for r, a in cj[t]:
-                            acc[r] = acc.get(r, 0) + q * a
-                for ak, q in terms:
-                    for r, a in ak[c]:
-                        acc[r] = acc.get(r, 0) + q * a
-                if any(acc.values()):
-                    failing.append((i, j, c))
-                    if half and i != j:
-                        failing.append((j, i, c))
+    for i, j in pairs:
+        acc: dict[int, int] = {}
+        # column c of A_x A_y is sum_t A_y[t][c] (column t of A_x)
+        ci, cj = cols[i], cols[j]
+        for c, t, b in flat[j]:
+            b *= lead
+            for r, a in ci[t]:
+                acc[c + r] = acc.get(c + r, 0) + b * a
+        if commutator:
+            swap = lead if par[i] and par[j] else -lead
+            for c, t, b in flat[i]:
+                b *= swap
+                for r, a in cj[t]:
+                    acc[c + r] = acc.get(c + r, 0) + b * a
+        for k, ck in table[i][j]:
+            ck *= tail
+            for c, r, a in flat[k]:
+                acc[c + r] = acc.get(c + r, 0) + ck * a
+        if any(acc.values()):
+            failing.extend({(i, j, cr // m) for cr, v in acc.items() if v})
     failing.sort()
     return failing
+
+
+def _super_law_failures(g: LieSuperalgebra, cols: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                        den: int, antisymmetric: bool) -> list[tuple[int, int, int]]:
+    """`_law_failures` of the representation law on every pair (i, j).  The
+    law at (j, i) is -(-1)^{|i||j|} times the law at (i, j) when g's table
+    is super-antisymmetric (`antisymmetric`), so then the pairs i <= j are
+    visited and each failure is reported with its swap."""
+    n = g.dim
+    if not antisymmetric:
+        return _law_failures(g, cols, den, ((i, j) for i in range(n) for j in range(n)))
+    failing = _law_failures(g, cols, den, ((i, j) for i in range(n) for j in range(i, n)))
+    return sorted(failing + [(j, i, c) for i, j, c in failing if i != j])
 
 
 def _square_is_semisimple(rows: Sequence[Sequence[tuple[int, int]]],

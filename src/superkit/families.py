@@ -62,7 +62,8 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
     supercommutator, so it fills (j, i).  The table is rep's
     supercommutators, so rep obeys the representation law, and the solve
     refuses dependent matrices, so rep is faithful; `lawful` says that it
-    also keeps parity, as the family builders' matrices do."""
+    also keeps parity, as the family builders' matrices do, and certifies
+    it (`LieSuperalgebra._certify_rep`)."""
     n, d = len(rep._table), rep.dim
     coordinates = integer_coordinates_in(
         [{r * d + c: a for r, row in enumerate(rows) for c, a in row} for rows in rep._table])
@@ -105,7 +106,7 @@ def _algebra_from_rep(rep: SuperModule, mat_parity: Sequence[int], names: Sequen
         if j != i:
             table[j][i] = row if odd else tuple((k, -c) for k, c in row)
     return LieSuperalgebra._of_table(mat_parity, table, den * rep._den, names, rep, cartan,
-                                     lawful, faithful=True)
+                                     lawful)
 
 
 def _defining(space_parity: Sequence[int], mats: list[Rows]) -> SuperModule:
@@ -319,10 +320,9 @@ def build_product(factors: Sequence[LieSuperalgebra]) -> LieSuperalgebra:
     if len(pieces) == len(factors):
         rep = reduce(direct_sum, pieces) if total else SuperModule((EVEN,), [])
         rep.name = "defining"
-    # a direct sum of lawful (faithful) reps is lawful (faithful)
-    certificates = [f._rep_certificate() for f in factors]
+    # a direct sum of faithful lawful reps is faithful and lawful
     return LieSuperalgebra._of_table(parity, table, den, names, rep, cartan,
-                                     None not in certificates, all(certificates))
+                                     all(f._rep_certificate() for f in factors))
 
 
 # ---------------------------------------------------------------------------

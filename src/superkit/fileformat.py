@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .core import LieSuperalgebra, SuperkitError, _is_faithful, _structure_table
+from .core import LieSuperalgebra, SuperkitError, _structure_table
 from .linalg import Matrix, Q, _echelon
 from .reps import SuperModule, validate_module
 from .supercomm import SupercommAlgebra
@@ -231,21 +231,17 @@ def _resolve(entries: list[tuple[str, str, str, Fraction, int]],
 def axiom_check(g: LieSuperalgebra) -> tuple[list[str], list[str]]:
     """(violations, refusals) of g's axioms, through its `faithful_rep` first.
 
-    The rep is checked first (faithfulness, then `validate_module`); a
-    failure is a refusal, prefixed "rep: ".  `validate` runs only when there
-    is no rep or it is refused: an accepted rep is an injective,
-    parity-preserving rho: g -> gl(V) with rho [x, y] = [rho x, rho y], and
-    gl(V) is a Lie superalgebra, so rho maps the wrong parity part of
-    [e_i, e_j], [x, y] + (-1)^{|x||y|} [y, x] and the Jacobi expression of
-    x, y, z to 0, and they are 0."""
+    The rep is checked first, by the acceptance test of
+    `LieSuperalgebra._rep_refusal` (faithfulness, then `validate_module`),
+    which certifies an accepted rep; a failure is a refusal, prefixed
+    "rep: ".  `validate` runs only when there is no rep or it is refused:
+    an accepted rep is an injective, parity-preserving rho: g -> gl(V)
+    with rho [x, y] = [rho x, rho y], and gl(V) is a Lie superalgebra, so
+    rho maps the wrong parity part of [e_i, e_j], [x, y] + (-1)^{|x||y|}
+    [y, x] and the Jacobi expression of x, y, z to 0, and they are 0."""
     rep = g.faithful_rep
-    refusals = []
-    if rep is not None and not _is_faithful(g, rep):
-        refusals.append("rep: the representation is not faithful (its matrices are linearly dependent)")
-    elif rep is not None and (law := validate_module(g, rep)):
-        refusals.append("rep: " + law[0])
-    elif rep is not None:
-        g._certify_rep(faithful=True)  # the certificate of `LieSuperalgebra._lawful_rep`
+    refusal = g._rep_refusal() if rep is not None else None
+    refusals = ["rep: " + refusal] if refusal else []
     return (g.validate() if rep is None or refusals else []), refusals
 
 

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _asymmetric_pairs,
-                   _grading_failures, _law_failures, _require_length)
+                   _grading_failures, _require_length, _super_law_failures)
 from .linalg import (
     Echelon,
     Matrix,
@@ -129,7 +129,7 @@ class SuperModule:
                 for out, row in zip(acc, self._table[i]):
                     for c, b in row:
                         out[c] = out.get(c, 0) + a * b
-        return [sorted((c, v) for c, v in out.items() if v) for out in acc]
+        return [sorted((c, v) for c, v in out.items() if v) if out else [] for out in acc]
 
     def __repr__(self) -> str:
         return f"<SuperModule {self.even_dim}|{self.odd_dim}{' ' + self.name if self.name else ''}>"
@@ -186,17 +186,16 @@ def validate_module(g: LieSuperalgebra, m: SuperModule) -> list[str]:
     and D_g [e_i, e_j] = sum_k C_k e_k, the law reads D_g [A_i, A_j] = D sum_k C_k A_k.
 
     Parity is checked by `core._grading_failures` on the action table, the
-    law by `core._law_failures` on its transposed columns (on i <= j, with
-    swaps, when g's table is super-antisymmetric); a pair fails when any of
-    its columns does.  A module with another action count than dim g has
-    that as its only issue."""
+    law by `core._super_law_failures` on its transposed columns; a pair
+    fails when any of its columns does.  A module with another action
+    count than dim g has that as its only issue."""
     mismatch = _count_mismatch(g, m)
     if mismatch:
         return [mismatch]
     issues = [f"parity: action of e{i} at entry ({r},{c})"
               for i, r, c, _ in _grading_failures(m._table, g.parity, m.parity)]
     cols = [_transpose(rows, m.dim, [1] * m.dim) for rows in m._table]
-    failing = _law_failures(g, cols, m._den, not _asymmetric_pairs(g, -1))
+    failing = _super_law_failures(g, cols, m._den, not _asymmetric_pairs(g, -1))
     issues += [f"representation law: fails on pair ({i},{j})"
                for i, j in dict.fromkeys((i, j) for i, j, _ in failing)]
     return issues

@@ -37,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _asymmetric_pairs,
+from .core import (EVEN, ODD, LieSuperalgebra, SparseVec, SuperkitError, _law_failures,
                    _product, _proportion)
 from .linalg import (
     Echelon,
@@ -60,9 +60,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .reps import SuperModule
+from .reps import SuperModule, _transpose
 
 
 class NonSemisimpleCartanAction(SuperkitError):
@@ -405,9 +403,11 @@ def _certify_osp(g: LieSuperalgebra, odd_roots: list[Root]) -> Osp | Inconclusiv
     pairs each root with the root of opposite weight and reads the scalar
     beta(u_p, u_q) off [[u_p, u_p], u_q] = 2 beta(u_p, u_q) u_p.  These steps
     only build the map; the exact check in `_build_osp_isomorphism`
-    certifies it.  The onto test also shows that the odd basis generates
-    g, so when a faithful lawful rep certifies g's Jacobi the check needs
-    only the pairs touching an odd row (`_intertwining_pairs`).
+    certifies it, through g's designated rep, which must be accepted
+    (faithful and lawful, `LieSuperalgebra._lawful_rep`, a SuperkitError
+    otherwise): that makes g a Lie superalgebra, and the onto test shows
+    that the odd basis generates g, so the check needs only the pairs
+    touching an odd row (`_intertwining_pairs`).
 
     * Soundness.  No weight is zero (the first check), every root has its
       opposite and the weights are distinct, so the pairing is a perfect
@@ -568,7 +568,7 @@ def _build_osp_isomorphism(g: LieSuperalgebra, items: list[list[tuple[int, int]]
     return Matrix.from_columns([fraction_vector(col, len(parity), lc) for col in big])
 
 
-def _intertwines(g: LieSuperalgebra, fam: "SuperModule", images: list[list[tuple[int, int]]],
+def _intertwines(g: LieSuperalgebra, fam: SuperModule, images: list[list[tuple[int, int]]],
                  lc: int) -> bool:
     """Whether phi e_i = Phi_i / lc, for Phi_i = images[i] the nonzero pairs
     of an integer vector in the basis of a matrix algebra whose basis
@@ -578,56 +578,30 @@ def _intertwines(g: LieSuperalgebra, fam: "SuperModule", images: list[list[tuple
     The map rho from the algebra to its matrices is injective and
     bracket-preserving, so phi preserves brackets exactly when the integer
     matrices P_i = sum_t Phi_i[t] M_t = lc fam._den rho(phi e_i) obey the
-    representation law of g: D_g (P_i P_j - (-1)^{|i||j|} P_j P_i) =
-    lc fam._den sum_k C_k P_k, with D_g [e_i, e_j] = sum_k C_k e_k.  Both
-    sides are super-antisymmetric when g's table is, so the pairs i <= j
-    suffice (`_intertwining_pairs`).  g's table is checked for that here
-    unless a faithful lawful rep certifies g, which makes it a Lie
-    superalgebra."""
-    certified = bool(g._rep_certificate())
-    if not certified and _asymmetric_pairs(g, -1):
-        return False
+    representation law of g: `core._law_failures` on their columns,
+    transposed as `reps.validate_module` does, over the pairs of
+    `_intertwining_pairs`.  Those suffice because g is a Lie superalgebra:
+    its designated rep is accepted first (`_lawful_rep`), which on a
+    certified g costs one identity check."""
+    g._lawful_rep()
     d = fam.dim
-    rows = [fam._combine(img) for img in images]
-    entries = [[(r * d, t, a) for r, row in enumerate(m) for t, a in row] for m in rows]
-    flat = [[(r * d + c, a) for r, row in enumerate(m) for c, a in row] for m in rows]
-    lead, tail, par = g._den, -lc * fam._den, g.parity
-    for i, j in _intertwining_pairs(g, certified):
-        acc: dict[int, int] = {}
-        rj, ri = rows[j], rows[i]
-        for r, t, a in entries[i]:
-            a *= lead
-            for c, b in rj[t]:
-                acc[r + c] = acc.get(r + c, 0) + a * b
-        swap = lead if par[i] and par[j] else -lead
-        for r, t, a in entries[j]:
-            a *= swap
-            for c, b in ri[t]:
-                acc[r + c] = acc.get(r + c, 0) + a * b
-        for k, ck in g._table[i][j]:
-            ck *= tail
-            for rc, a in flat[k]:
-                acc[rc] = acc.get(rc, 0) + ck * a
-        if any(acc.values()):
-            return False
-    return True
+    cols = [_transpose(fam._combine(img), d, [1] * d) for img in images]
+    return not _law_failures(g, cols, lc * fam._den, _intertwining_pairs(g))
 
 
-def _intertwining_pairs(g: LieSuperalgebra, certified: bool):
-    """The pairs i <= j on which `_intertwines` checks a map.
+def _intertwining_pairs(g: LieSuperalgebra):
+    """The pairs i <= j on which `_intertwines` checks a map: those touching
+    an odd row, |odd| dim - C(|odd|, 2) of them.
 
-    Without `certified`, all of them.  With it, g is a Lie superalgebra,
-    and the x with phi [x, y] = [phi x, phi y] for every y form a
-    subalgebra, as both sides obey Jacobi (Jacobson, Lie Algebras, 1962,
-    ch. I); so it is enough to check the x in a generating set, and the odd
-    basis generates g when [g1, g1] = g0, as `_certify_osp` checks: the
-    pairs touching an odd row, |odd| dim - C(|odd|, 2) of them."""
+    g is a Lie superalgebra, and the x with phi [x, y] = [phi x, phi y] for
+    every y form a subalgebra, as both sides obey Jacobi (Jacobson, Lie
+    Algebras, 1962, ch. I); so it is enough to check the x in a generating
+    set, and the odd basis generates g when [g1, g1] = g0, as
+    `_certify_osp` checks.  Both sides are super-antisymmetric, so the
+    pairs i <= j suffice."""
     odd = g.odd_indices
     for i in range(g.dim):
-        if certified and not g.parity[i]:
-            yield from ((i, j) for j in odd if j > i)
-        else:
-            yield from ((i, j) for j in range(i, g.dim))
+        yield from ((i, j) for j in (range(i, g.dim) if g.parity[i] else odd) if j >= i)
 
 
 # ---------------------------------------------------------------------------

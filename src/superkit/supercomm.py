@@ -100,8 +100,11 @@ def validate_algebra(a: SupercommAlgebra) -> list[str]:
               for i, j, k, _ in _grading_failures(a._table, a.parity, a.parity)]
     issues += [f"supercommutativity: fails on pair ({i},{j})"
                for i, j in _asymmetric_pairs(a, 1)]
+    every = range(a.dim)
     issues += [f"associativity: fails at triple ({i},{j},{k})"
-               for i, j, k in _law_failures(a, a._table, a._den, False, commutator=False)]
+               for i, j, k in _law_failures(a, a._table, a._den,
+                                            ((i, j) for i in every for j in every),
+                                            commutator=False)]
     t = a._table
     (us,), ud = _sparse_integer_rows((a.unit,))
     for i in range(a.dim):

@@ -448,7 +448,7 @@ def test_reassigning_the_rep_data_runs_the_check_again(monkeypatch):
     for owner, name in ((rep, "parity"), (rep, "_table"), (g, "parity"), (g, "_table")):
         value = getattr(owner, name)
         setattr(owner, name, type(value)(list(value)))
-        assert g._rep_certificate() is None
+        assert g._rep_certificate() is False
         assert not g.in_g1ss(u) and not g.in_g1ss(u)
         assert g._rep_certificate() is True
     assert calls == [rep] * 4
@@ -463,22 +463,24 @@ def test_a_reassigned_parity_that_breaks_the_grading_is_refused():
         g.in_g1ss(u)
 
 
-def test_the_certificate_records_faithfulness():
-    # built reps are faithful by construction; a rep checked on first use is
-    # checked for faithfulness too, and the zero rep is lawful but not faithful
-    from superkit.reps import trivial_module
-    g = fresh("osp1:1")
-    assert g._rep_certificate() is True
-    copy = LieSuperalgebra(g.parity, {(i, j): dict(g.bracket_sparse(i, j))
-                                      for i in range(g.dim) for j in range(g.dim)},
-                           g.names, faithful_rep=g.faithful_rep)
-    assert copy._rep_certificate() is None
-    copy._lawful_rep()
-    assert copy._rep_certificate() is True
-    copy.faithful_rep = trivial_module(g)
-    assert copy._rep_certificate() is None
-    copy._lawful_rep()
-    assert copy._rep_certificate() is False
+def test_a_lawful_unfaithful_rep_is_refused():
+    # the zero rep obeys the representation law for any table, so it
+    # certifies nothing: with it, osp(1|4), whose cone is zero, would get a
+    # witness.  Every entry point that reads the rep refuses it instead.
+    from superkit.reps import ds_functor, trivial_module, validate_module
+    from superkit.roots import classify_simple, g1ss_structural_scan
+    g = fresh("osp1:2")
+    zero = trivial_module(g)
+    h = LieSuperalgebra._of_table(g.parity, g._table, g._den, g.names, zero, g.cartan)
+    assert validate_module(h, zero) == []
+    u = unit_vec(h, "a1")
+    message = ("^the faithful representation is refused: the representation is not faithful "
+               r"\(its matrices are linearly dependent\)$")
+    for call in (lambda: h.in_g1ss(u), lambda: g1ss_structural_scan(h),
+                 lambda: classify_simple(h), lambda: ds_functor(h, u, zero)):
+        with pytest.raises(SuperkitError, match=message):
+            call()
+        assert h._rep_certificate() is False
 
 
 def test_built_and_parsed_reps_are_certified_without_a_law_check(monkeypatch):

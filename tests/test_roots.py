@@ -1,6 +1,7 @@
 """Root decompositions, Cartan search, and the classification procedure."""
 
 import random
+import re
 
 import pytest
 from fractions import Fraction as Q
@@ -17,6 +18,7 @@ from superkit.families import (
     parse_family_spec,
 )
 from superkit.linalg import Matrix, is_zero_vec, rank, solve_linear, span_basis, zero_vec
+from superkit.reps import adjoint_module
 from superkit.roots import (
     CartanSearchFailed,
     Inconclusive,
@@ -282,7 +284,8 @@ def odd_pair_algebra(actions, even_brackets=()):
     bracket with the odd part (columns: images of u1, u2), and
     `even_brackets` lists ((a, b), {k: c}) for [e_a, e_b]; the other even
     brackets vanish.  Not a Lie superalgebra unless the actions and the even
-    brackets fit together."""
+    brackets fit together.  The adjoint module is the designated rep: the
+    map check accepts it only on a Lie superalgebra with zero center."""
     table = {(3, 3): {0: Q(1)}, (3, 4): {1: Q(1)}, (4, 3): {1: Q(1)}, (4, 4): {2: Q(1)}}
     for x, m in actions.items():
         for c in range(2):
@@ -292,7 +295,9 @@ def odd_pair_algebra(actions, even_brackets=()):
     for (a, b), col in even_brackets:
         table[(a, b)] = {k: Q(v) for k, v in col.items()}
         table[(b, a)] = {k: -Q(v) for k, v in col.items()}
-    return LieSuperalgebra([EVEN] * 3 + [ODD] * 2, table, ["x1", "y", "x2", "u1", "u2"])
+    g = LieSuperalgebra([EVEN] * 3 + [ODD] * 2, table, ["x1", "y", "x2", "u1", "u2"])
+    g.faithful_rep = adjoint_module(g)
+    return g
 
 
 # osp(1|2) in this presentation: beta(u1, u2) = 1, and x -> ad x on the odd
@@ -302,6 +307,7 @@ _SL2 = [((0, 2), {1: 4}), ((1, 0), {0: -2}), ((1, 2), {2: 2})]
 
 
 _NO_PAIRING = "the odd roots do not pair off by opposite weights with a nonzero form"
+_LAWLESS = "the faithful representation is refused: representation law"
 
 
 @pytest.mark.parametrize("actions,even_brackets,cartan,reason", [
@@ -315,25 +321,30 @@ _NO_PAIRING = "the odd roots do not pair off by opposite weights with a nonzero 
     ({1: [[1, 0], [0, 2]]}, (), [0, 1, 0], _NO_PAIRING),
     # osp(1|2)'s actions but x1 acts by 0: [[u1, u1], u2] = 0, a zero beta
     ({**_OSP_ACTIONS, 0: [[0, 0], [0, 0]]}, _SL2, [0, 1, 0], _NO_PAIRING),
-    # osp(1|2)'s odd brackets with an abelian even part
-    (_OSP_ACTIONS, (), [0, 1, 0], "basis map construction failed to intertwine brackets"),
+    # osp(1|2)'s odd brackets with an abelian even part: the exact check
+    # refuses the table, as its adjoint module breaks the representation law
+    (_OSP_ACTIONS, (), [0, 1, 0], _LAWLESS),
     (_OSP_ACTIONS, _SL2, [0, 1, 0], None),
 ], ids=["not-symplectic-type", "not-alternating", "no-opposite", "zero-beta",
         "not-intertwined", "osp(1|2)"])
 def test_certify_osp_refusals_on_tables_that_break_jacobi(actions, even_brackets, cartan, reason):
     """On a valid table the pairing cannot fail (see `roots._certify_osp`);
     on tables that break the Jacobi identity the pairing or the exact check
-    refuses, on the odd roots of the table's own root decomposition."""
+    refuses, on the odd roots of the table's own root decomposition.  The
+    exact check needs an accepted rep, so there it refuses with a
+    SuperkitError."""
     from superkit.roots import _certify_osp
     g = odd_pair_algebra(actions, even_brackets)
     assert (g.validate() == []) == (reason is None)
     odd_roots = root_decomposition(g, [cartan + [0, 0]]).odd_roots()
     assert [len(r.space) for r in odd_roots] == [1, 1]
-    out = _certify_osp(g, odd_roots)
     if reason is None:
-        assert_intertwines(g, out)
+        assert_intertwines(g, _certify_osp(g, odd_roots))
+    elif reason == _LAWLESS:
+        with pytest.raises(SuperkitError, match="^" + re.escape(reason)):
+            _certify_osp(g, odd_roots)
     else:
-        assert out == Inconclusive(reason)
+        assert _certify_osp(g, odd_roots) == Inconclusive(reason)
 
 
 
@@ -355,7 +366,7 @@ def test_certify_osp_refuses_swapped_partners(monkeypatch):
         "basis map construction failed to intertwine brackets")
 
 
-# -- the intertwining check: the odd rows under a certificate, else every pair ------
+# -- the intertwining check: the odd rows, under the rep's certificate ---------------
 
 def uncertified(g):
     """g with its table and rep, but no certificate of the rep."""
@@ -369,9 +380,9 @@ def count_intertwining_pairs(monkeypatch):
     counts = []
     pairs = roots._intertwining_pairs
 
-    def counting(g, certified):
+    def counting(g):
         counts.append(0)
-        for pair in pairs(g, certified):
+        for pair in pairs(g):
             counts[-1] += 1
             yield pair
 
@@ -381,6 +392,7 @@ def count_intertwining_pairs(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_certified_map_is_checked_on_the_pairs_touching_an_odd_row(monkeypatch, n):
+    from superkit import reps
     from superkit.roots import _certify_osp
     counts = count_intertwining_pairs(monkeypatch)
     g = fresh(f"osp1:{n}")
@@ -392,35 +404,24 @@ def test_a_certified_map_is_checked_on_the_pairs_touching_an_odd_row(monkeypatch
     # the factor of the scan inherits the certificate, so its check is as short
     assert g1ss_structural_scan(g).factors == [{"factor": f"Osp({n})", "dim": g.dim}]
     assert counts[1:] == counts[:1]
-    # without the certificate the full i <= j scan runs, to the same map
+    # without the certificate the rep is checked once, and then the same
+    # pairs are, to the same map
+    calls = []
+    real = reps.validate_module
+    monkeypatch.setattr(reps, "validate_module", lambda g, m: calls.append(m) or real(g, m))
     h = uncertified(g)
-    assert h._rep_certificate() is None
-    assert _certify_osp(h, h._root_datum().odd_roots()) == out
-    assert counts[2:] == [full]
-    assert_intertwines(g, out)
-
-
-def test_a_lawful_unfaithful_rep_does_not_enable_the_odd_row_path(monkeypatch):
-    # the zero rep obeys the representation law for any table, so it
-    # certifies nothing about g's Jacobi identity
-    from superkit.reps import trivial_module
-    from superkit.roots import _certify_osp
-    counts = count_intertwining_pairs(monkeypatch)
-    g = build_osp1(2)
-    h = LieSuperalgebra._of_table(g.parity, g._table, g._den, g.names, trivial_module(g),
-                                  g.cartan)
-    assert h._lawful_rep() is h.faithful_rep
     assert h._rep_certificate() is False
-    assert isinstance(_certify_osp(h, h._root_datum().odd_roots()), Osp)
-    assert counts == [h.dim * (h.dim + 1) // 2]
-    # nor does its restriction to the one factor
-    assert [sub._rep_certificate() for sub in h.direct_sum_decompose().subalgebras] == [False]
+    assert _certify_osp(h, h._root_datum().odd_roots()) == out
+    assert calls == [h.faithful_rep] and h._rep_certificate() is True
+    assert counts[2:] == counts[:1]
+    assert_intertwines(g, out)
 
 
 @pytest.mark.parametrize("make", [
     lambda: fresh("osp1:1"), lambda: fresh("osp1:2"), lambda: shuffled_osp(2, 99),
 ], ids=["osp1:1", "osp1:2", "shuffled"])
 def test_every_corrupted_basis_map_is_refused_on_both_paths(monkeypatch, make):
+    # a certified g, and the same g whose rep is certified by the check itself
     from math import lcm
     from superkit import roots
     from superkit.families import osp1_defining
